@@ -1,10 +1,11 @@
 // Reproduces Table 3: execution time (ms) of all 22 TPC-H queries for the
-// Volcano interpreter (context row), the two in-process IR engines
-// (tree-walking interpreter vs. register-bytecode VM, both executing the
-// 5-level-stack output), the LegoBase-style monolithic expander, DBLAB/LB
-// with 2..5 stack levels, and the TPC-H-compliant configuration. Native
-// queries run as generated C programs compiled with the system compiler
-// (the paper's pipeline); times are query-only (loading excluded).
+// Volcano interpreter (context row), the in-process IR engines (the
+// register-bytecode VM and, with QC_BENCH_JIT, the copy-and-patch JIT, both
+// executing the 5-level-stack output), the LegoBase-style monolithic
+// expander, DBLAB/LB with 2..5 stack levels, and the TPC-H-compliant
+// configuration. Native queries run as generated C programs compiled with
+// the system compiler (the paper's pipeline); times are query-only (loading
+// excluded).
 //
 // Environment:
 //   QC_BENCH_SF           scale factor (default 0.05)
@@ -26,8 +27,7 @@
 // 3->4 jump as data-structure specialization and index inference unlock, L5
 // fastest or tied, compliant close to the 3-level stack, DBLAB/LB 5 at
 // least comparable to LegoBase on most queries — and, for the in-process
-// engines, the bytecode VM several times faster than the tree walker on the
-// same IR.
+// engines, the JIT faster than the bytecode VM on the same IR.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -94,7 +94,7 @@ int main() {
       StackConfig::Level(4),    StackConfig::Level(5),
       StackConfig::Compliant()};
 
-  std::printf("%-4s %10s %10s %10s", "Q", "volcano", "ir-tree", "ir-bc");
+  std::printf("%-4s %10s %10s", "Q", "volcano", "ir-bc");
   if (with_jit) std::printf(" %10s", "ir-jit");
   if (!interp_only) {
     std::printf(" %10s %10s %10s %10s %10s %10s", "legobase", "dblab-2",
@@ -104,8 +104,6 @@ int main() {
 
   std::vector<Row> json_rows;
   int dblab5_wins = 0, total = 0;
-  double speedup_log_sum = 0;
-  int speedup_count = 0;
   double jit_log_sum = 0;
   int jit_count = 0;
   double jit_deopt_sum = 0;  // total deopt events across all ir-jit runs
@@ -124,14 +122,11 @@ int main() {
       std::printf(" %10.2f", ms);
       row.cells.emplace_back("volcano", ms);
     }
-    // The dual-engine IR-interpreter rows: the same 5-level-stack function
-    // on the tree walker and on the bytecode VM, at each requested thread
-    // count (QC_BENCH_THREADS; one JSON row per count).
+    // The IR-engine rows: the same 5-level-stack function on the bytecode
+    // VM (and the JIT), at each requested thread count (QC_BENCH_THREADS;
+    // one JSON row per count).
     for (size_t t = 0; t < thread_counts.size(); ++t) {
       int threads = thread_counts[t];
-      bench::InterpRun tree =
-          harness.RunInterp(q, StackConfig::Level(5),
-                            exec::InterpOptions::Engine::kTreeWalk, 3, threads);
       bench::InterpRun bc =
           harness.RunInterp(q, StackConfig::Level(5),
                             exec::InterpOptions::Engine::kBytecode, 3, threads);
@@ -191,8 +186,7 @@ int main() {
       }
       if (t == 0) {
         row.threads = threads;
-        std::printf(" %10.2f %10.2f", tree.query_ms, bc.query_ms);
-        row.cells.emplace_back("ir-tree", tree.query_ms);
+        std::printf(" %10.2f", bc.query_ms);
         row.cells.emplace_back("ir-bc", bc.query_ms);
         if (with_jit) {
           std::printf(" %10.2f", jit.query_ms);
@@ -223,15 +217,10 @@ int main() {
                                  jit_verify_base.query_ms);
           row.cells.emplace_back("ir-jit-verify", jit_verify.query_ms);
         }
-        if (tree.ok && bc.ok && bc.query_ms > 0) {
-          speedup_log_sum += std::log(tree.query_ms / bc.query_ms);
-          ++speedup_count;
-        }
       } else {
         Row trow;
         trow.query = q;
         trow.threads = threads;
-        trow.cells.emplace_back("ir-tree", tree.query_ms);
         trow.cells.emplace_back("ir-bc", bc.query_ms);
         if (with_jit) {
           trow.cells.emplace_back("ir-jit", jit.query_ms);
@@ -258,8 +247,7 @@ int main() {
           trow.cells.emplace_back("ir-jit-verify", jit_verify.query_ms);
         }
         json_rows.push_back(std::move(trow));
-        std::printf("  [t=%d: %0.2f %0.2f", threads, tree.query_ms,
-                    bc.query_ms);
+        std::printf("  [t=%d: %0.2f", threads, bc.query_ms);
         if (with_jit) std::printf(" %0.2f", jit.query_ms);
         std::printf("]");
       }
@@ -283,13 +271,8 @@ int main() {
       if (dblab5_ms <= legobase_ms * 1.10) ++dblab5_wins;
     }
   }
-  if (speedup_count > 0) {
-    std::printf("\nbytecode VM vs tree-walk: %.2fx geomean speedup (%d "
-                "queries)\n",
-                std::exp(speedup_log_sum / speedup_count), speedup_count);
-  }
   if (jit_count > 0) {
-    std::printf("JIT vs bytecode VM: %.2fx geomean speedup (%d queries)\n",
+    std::printf("\nJIT vs bytecode VM: %.2fx geomean speedup (%d queries)\n",
                 std::exp(jit_log_sum / jit_count), jit_count);
   }
   if (have_deopts) {

@@ -4,7 +4,7 @@
 Compares two BENCH_table3.json artifacts (bench/table3_tpch.cc with
 QC_BENCH_JSON=1): the baseline from the last successful main-branch run and
 the current build. Rows are matched on (query, threads); only the
-in-process interpreter columns (ir-tree, ir-bc) are compared — the native
+in-process engine columns (ir-bc, ir-jit) are compared — the native
 columns depend on the host compiler and are tracked, not gated.
 
 A cell fails when current > baseline * (1 + threshold). Cells faster than
@@ -87,7 +87,7 @@ import math
 import os
 import sys
 
-INTERP_COLUMNS = ("ir-tree", "ir-bc", "ir-jit")
+INTERP_COLUMNS = ("ir-bc", "ir-jit")
 
 # (ungoverned, governed) cell pairs for the safepoint-overhead gate.
 GOV_COLUMNS = (("ir-bc", "ir-bc-gov"), ("ir-jit", "ir-jit-gov"))

@@ -52,6 +52,14 @@ void FindEmit(const Block* b, std::vector<storage::ColType>* types,
   }
 }
 
+// Emit-row column types of a function (the schema of its kEmit statements).
+std::vector<storage::ColType> EmitRowTypes(const ir::Function& fn) {
+  std::vector<storage::ColType> types;
+  bool found = false;
+  FindEmit(fn.body(), &types, &found);
+  return types;
+}
+
 // Mirror of a comparison when its operands are swapped (a < b  <=>  b > a).
 Op SwapCmp(Op op) {
   switch (op) {
@@ -214,13 +222,6 @@ std::string Disassemble(const BytecodeProgram& prog) {
     out += '\n';
   }
   return out;
-}
-
-std::vector<storage::ColType> EmitRowTypes(const ir::Function& fn) {
-  std::vector<storage::ColType> types;
-  bool found = false;
-  FindEmit(fn.body(), &types, &found);
-  return types;
 }
 
 // ---------------------------------------------------------------------------
@@ -940,7 +941,7 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
     case Op::kDiv:
     case Op::kMod: {
       bool is_f = s->type->kind == TypeKind::kF64;
-      if (s->op == Op::kMod && is_f) {  // the tree walker aborts on f64 mod
+      if (s->op == Op::kMod && is_f) {
         std::fprintf(stderr, "bytecode: mod is not defined on f64\n");
         std::abort();
       }
@@ -1161,9 +1162,9 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
       uint32_t t_idx = NewTemp();
       uint32_t t_len = NewTemp();
       Emit(BcOp::kLoadK, t_idx, KonstI(0));
-      // The body may append to the list being iterated (the tree walker
-      // re-reads size() every iteration), so the bound is re-checked at the
-      // head rather than fused into the back edge.
+      // The body may append to the list being iterated, so size() is
+      // re-read and the bound re-checked at the head every iteration rather
+      // than fused into the back edge.
       size_t head = prog_.code.size();
       Emit(BcOp::kListSize, t_len, list);
       size_t guard = Emit(BcOp::kJgeI, t_idx, t_len);
@@ -1318,7 +1319,7 @@ storage::ResultTable BytecodeVM::Run(const BytecodeProgram& prog) {
   prog_ = &prog;
   // Release the previous run's working set (emitted rows own their strings,
   // so nothing in an already-returned result points in here). Stats keep
-  // accumulating: they account lifetime totals, like the tree walker's.
+  // accumulating: they account lifetime totals.
   if (par_eng_ != nullptr) par_eng_->ReleaseRun();
   lists_.clear();
   arrays_.clear();

@@ -1,10 +1,10 @@
 // Register-bytecode execution engine for the ANF IR.
 //
-// The tree-walking interpreter (exec/interp.cc) re-resolves operand pointers
-// and re-dispatches on Stmt::op for every node of every loop iteration —
-// exactly the megamorphic-dispatch/pointer-chasing overhead the paper's
-// lowering story is about (§B.2). This layer removes it in one flattening
-// step, mirroring in miniature what the DSL stack does to queries:
+// Walking the Stmt graph directly would re-resolve operand pointers and
+// re-dispatch on Stmt::op for every node of every loop iteration — exactly
+// the megamorphic-dispatch/pointer-chasing overhead the paper's lowering
+// story is about (§B.2). This layer removes it in one flattening step,
+// mirroring in miniature what the DSL stack does to queries:
 //
 //   BytecodeCompiler  flattens a verified ir::Function into a dense
 //                     std::vector<Insn> of fixed-width register
@@ -24,12 +24,11 @@
 //                     read + compare, and loop-index increment + bound
 //                     check + back edge.
 //
-// The VM shares the runtime data structures (exec/runtime.h) and the
-// AllocStats accounting with the tree walker, so results — including the
-// Figure 8 memory numbers — are bit-identical across the engines. The
-// copy-and-patch JIT (src/jit/) goes one step further down the same road:
-// it stitches these programs into native code and uses this VM as its
-// deopt target (BytecodeVM::SetJit).
+// The copy-and-patch JIT (src/jit/) goes one step further down the same
+// road: it stitches these programs into native code and uses this VM as its
+// deopt target (BytecodeVM::SetJit), sharing the runtime data structures
+// (exec/runtime.h) and the AllocStats accounting, so results — including
+// the Figure 8 memory numbers — are bit-identical across the engines.
 #ifndef QC_EXEC_BYTECODE_H_
 #define QC_EXEC_BYTECODE_H_
 
@@ -246,11 +245,6 @@ struct BytecodeProgram {
 // "pc: op a b c d [-> target]"). Debugging and test aid.
 std::string Disassemble(const BytecodeProgram& prog);
 
-// Emit-row column types of a function (the schema of its kEmit statements).
-// Shared by both engines; walking the tree once per compile replaces the
-// tree walker's per-Run rediscovery.
-std::vector<storage::ColType> EmitRowTypes(const ir::Function& fn);
-
 // Flattens one verified function. The database is consulted at compile time
 // to pre-resolve column arrays, dictionaries and load-time indexes; the
 // resulting program is only valid against that database.
@@ -349,8 +343,8 @@ class BytecodeCompiler {
 };
 
 // Executes compiled programs. Owns the runtime heap (lists, arrays, maps,
-// records) exactly like the tree walker does, and threads the same
-// AllocStats so Figure 8 memory accounting is engine-independent.
+// records) and threads the caller's AllocStats, so Figure 8 memory
+// accounting is engine-independent.
 //
 // All per-run mutable state is reached through a parallel::ExecState, so
 // the same Exec() runs the main program on the VM's own state and morsel

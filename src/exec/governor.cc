@@ -40,7 +40,6 @@ void GovState::Attach(ExecControl* c, const AllocStats* s) {
   // counts against this query (stats blocks hold lifetime totals).
   published.store(s != nullptr ? static_cast<int64_t>(s->TotalBytes()) : 0,
                   std::memory_order_relaxed);
-  countdown = ctl != nullptr ? interval : 0;
   abort_flag.store(false, std::memory_order_relaxed);
 }
 

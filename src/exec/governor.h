@@ -1,5 +1,5 @@
-// Query governance: cancellation, deadlines, and memory budgets for all
-// three engines (tree walker, bytecode VM, copy-and-patch JIT).
+// Query governance: cancellation, deadlines, and memory budgets for both
+// engines (bytecode VM, copy-and-patch JIT).
 //
 // The design splits into two objects:
 //
@@ -10,18 +10,17 @@
 //     parallel query.
 //
 //   * GovState — one per execution context (the main context plus one per
-//     morsel), binding an ExecControl to that context's AllocStats and
-//     holding the safepoint countdown bookkeeping.  Loop back-edges
-//     decrement a countdown; only every `interval`-th edge takes the slow
-//     path (qc_gov_safepoint), which publishes memory growth and checks
-//     cancel/deadline/budget.  Ungoverned runs preset the countdown to
-//     INT64_MAX so the slow path is unreachable and governance costs one
+//     morsel), binding an ExecControl to that context's AllocStats.  Loop
+//     back-edges decrement a countdown; only every `interval`-th edge takes
+//     the slow path (qc_gov_safepoint), which publishes memory growth and
+//     checks cancel/deadline/budget.  Ungoverned runs preset the countdown
+//     to INT64_MAX so the slow path is unreachable and governance costs one
 //     dec+branch per back edge.
 //
 // Unwinding is exception-free: a tripped query aborts at the next safepoint
-// — the VM/JIT return the kAbortPc sentinel, the tree walker breaks out of
-// each loop — and the interpreter surfaces a QueryStatus while leaving the
-// WorkerPool, RecordHeaps, code buffers, and program caches reusable.
+// — the VM/JIT return the kAbortPc sentinel — and the interpreter surfaces
+// a QueryStatus while leaving the WorkerPool, RecordHeaps, code buffers, and
+// program caches reusable.
 #ifndef QC_EXEC_GOVERNOR_H_
 #define QC_EXEC_GOVERNOR_H_
 
@@ -106,8 +105,7 @@ struct ExecControl {
 
 // Per-execution-context governance state.  The bytecode VM and JIT keep the
 // countdown in a reserved register slot (BytecodeProgram::gov_cnt_reg) and
-// a pointer to this struct in the adjacent slot (gov_reg); the tree walker
-// uses the embedded `countdown` field via TreeBackEdge().
+// a pointer to this struct in the adjacent slot (gov_reg).
 struct GovState {
   ExecControl* ctl = nullptr;
   const AllocStats* stats = nullptr;
@@ -116,13 +114,12 @@ struct GovState {
   // copied register files that still point at the main context's GovState.
   std::atomic<int64_t> published{0};
   int64_t interval = 1;  // safepoint interval (QC_GOV_INTERVAL)
-  int64_t countdown = 0;  // tree-walk back-edge countdown
   // Cached "this query is dead" flag so aborted contexts (notably sort
   // comparators) stop without re-polling.
   std::atomic<bool> abort_flag{false};
 
   // Binds this context to a control (nullptr = ungoverned) and the stats
-  // block whose growth it publishes.  Resets all countdown state.
+  // block whose growth it publishes.  Clears the abort latch.
   void Attach(ExecControl* c, const AllocStats* s);
 
   bool aborted() const { return abort_flag.load(std::memory_order_relaxed); }
@@ -146,16 +143,6 @@ struct GovState {
   // Records a resource failure (allocation/spawn fault) against the
   // attached control, if any.  Safe on ungoverned state (no-op).
   void TripResource();
-
-  // Tree-walker back edge: returns true when the loop must abort.
-  bool TreeBackEdge() {
-    if (ctl == nullptr) return false;
-    if (abort_flag.load(std::memory_order_relaxed)) return true;
-    if (--countdown > 0) return false;
-    int64_t trip = Poll();
-    countdown = (trip != 0) ? 1 : interval;
-    return trip != 0;
-  }
 };
 
 // The VM/JIT safepoint slow path.  `countdown` is the context's countdown

@@ -1,106 +1,16 @@
 #include "exec/interp.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 #include "analysis/bc_verify.h"
 #include "common/env.h"
-#include "common/str.h"
 #include "telemetry/log.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace qc::exec {
-
-using ir::Block;
-using ir::Op;
-using ir::Stmt;
-using ir::Type;
-using ir::TypeKind;
-
-namespace {
-
-// True when the comparator block only reads shared state: every write goes
-// to a statement register (private per execution context under the
-// parallel sort), so the block can run concurrently on worker threads.
-// Mirrors BytecodeCompiler::SubroutineParallelSafe — the engines may
-// disagree on edge cases (each gate is conservative), but never on
-// results: the sequential and parallel sorts produce identical bytes.
-bool CmpBlockParallelSafe(const Block* b) {
-  for (const Stmt* s : b->stmts) {
-    switch (s->op) {
-      case Op::kConst:
-      case Op::kNull:
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kDiv:
-      case Op::kMod:
-      case Op::kNeg:
-      case Op::kCast:
-      case Op::kEq:
-      case Op::kNe:
-      case Op::kLt:
-      case Op::kLe:
-      case Op::kGt:
-      case Op::kGe:
-      case Op::kAnd:
-      case Op::kOr:
-      case Op::kNot:
-      case Op::kBitAnd:
-      case Op::kStrEq:
-      case Op::kStrNe:
-      case Op::kStrLt:
-      case Op::kStrStartsWith:
-      case Op::kStrEndsWith:
-      case Op::kStrContains:
-      case Op::kStrLike:
-      case Op::kStrLen:
-      case Op::kVarRead:
-      case Op::kVarNew:
-      case Op::kRecGet:
-      case Op::kArrGet:
-      case Op::kArrLen:
-      case Op::kListSize:
-      case Op::kListGet:
-      case Op::kMapGetOrNull:
-      case Op::kMapSize:
-      case Op::kMMapGetOrNull:
-      case Op::kIsNull:
-      case Op::kTableRows:
-      case Op::kColGet:
-      case Op::kColDict:
-      case Op::kIdxBucketLen:
-      case Op::kIdxBucketRow:
-      case Op::kIdxPkRow:
-        break;
-      case Op::kIf:
-        for (const Block* nb : s->blocks) {
-          if (!CmpBlockParallelSafe(nb)) return false;
-        }
-        break;
-      default:
-        // Allocation, interning (kStrSubstr), stores, emits, loops over
-        // mutable containers: keep the sort sequential.
-        return false;
-    }
-  }
-  return true;
-}
-
-// Tree-walk loop safepoint: true when the governed query must abort. Each
-// loop construct checks this on its back edge (and kWhile at the top of
-// every iteration — a while body with no inner loop would otherwise never
-// reach a safepoint, and post-abort condition values must not spin it).
-inline bool GovLoopAbort(parallel::ExecState& st) {
-  return st.gov != nullptr && st.gov->TreeBackEdge();
-}
-
-}  // namespace
 
 storage::ResultTable Interpreter::Run(const ir::Function& fn) {
   // Single-owner contract (see the class comment): Run() is not
@@ -136,732 +46,104 @@ storage::ResultTable Interpreter::Run(const ir::Function& fn) {
       return storage::ResultTable();
     }
   }
-  if (opts_.engine != InterpOptions::Engine::kTreeWalk) {
-    auto it = programs_.find(&fn);
-    if (it == programs_.end() || it->second.fn_name != fn.name() ||
-        it->second.num_stmts != fn.num_stmts()) {
-      CachedProgram cached;
-      cached.fn_name = fn.name();
-      cached.num_stmts = fn.num_stmts();
-      telemetry::ScopedSpan span("bytecode_compile", "compile");
-      if (par_ != nullptr) cached.par = ir::AnalyzeParallelism(fn);
-      cached.prog = BytecodeCompiler(db_).Compile(
-          fn, par_ != nullptr ? &cached.par : nullptr);
-      // Debug/sanitizer builds (and QC_VERIFY=1 anywhere) prove the
-      // freshly-compiled program before it is ever executed or stitched; a
-      // violation here is a BytecodeCompiler bug, so die loudly.
-      if (analysis::VerifyEnabled()) {
-        analysis::CheckProgram(cached.prog, fn.name());
-      }
-      it = programs_.insert_or_assign(&fn, std::move(cached)).first;
+  auto it = programs_.find(&fn);
+  if (it == programs_.end() || it->second.fn_name != fn.name() ||
+      it->second.num_stmts != fn.num_stmts()) {
+    CachedProgram cached;
+    cached.fn_name = fn.name();
+    cached.num_stmts = fn.num_stmts();
+    telemetry::ScopedSpan span("bytecode_compile", "compile");
+    if (par_ != nullptr) cached.par = ir::AnalyzeParallelism(fn);
+    cached.prog = BytecodeCompiler(db_).Compile(
+        fn, par_ != nullptr ? &cached.par : nullptr);
+    // Debug/sanitizer builds (and QC_VERIFY=1 anywhere) prove the
+    // freshly-compiled program before it is ever executed or stitched; a
+    // violation here is a BytecodeCompiler bug, so die loudly.
+    if (analysis::VerifyEnabled()) {
+      analysis::CheckProgram(cached.prog, fn.name());
     }
-    CachedProgram& cached = it->second;
-    if (opts_.engine == InterpOptions::Engine::kJit) {
-      if (!cached.jit_compiled) {
-        // Null on non-x86-64 builds, denied executable pages, or
-        // QC_JIT_DISABLE: the engine degrades to the plain VM — with the
-        // structured reason recorded and a one-time stderr notice (no more
-        // invisible fallbacks).
-        {
-          telemetry::ScopedSpan span("jit_stitch", "compile");
-          cached.jit = jit::JitProgram::Compile(cached.prog,
-                                                &cached.jit_fallback);
-        }
-        if (cached.jit == nullptr) {
-          telemetry::JitFallbacks().Inc();
-          // One process-wide notice, race-free: concurrent first fallbacks
-          // on different Interpreters log exactly once, and the logging
-          // thread finishes before any other proceeds.
-          static std::once_flag warned;
-          std::call_once(warned, [&] {
-            telemetry::Log(
-                telemetry::LogLevel::kWarn, "jit_fallback",
-                {{"reason", jit::JitFallbackName(cached.jit_fallback)},
-                 {"note",
-                  "degraded to bytecode VM; further fallbacks are silent — "
-                  "see Interpreter::last_jit_stats"}});
-          });
-        } else {
-          telemetry::JitCompiles().Inc();
-        }
-        if (cached.jit != nullptr && par_ != nullptr) {
-          // Native sort sites run big post-aggregation sorts on the pool.
-          cached.jit->BindParallel(par_.get());
-        }
-        cached.jit_compiled = true;
-      }
-      vm_.SetJit(cached.jit.get());
-    }
-    const jit::JitProgram* jp = cached.jit.get();
-    uint64_t deopts_before =
-        jp != nullptr && opts_.engine == InterpOptions::Engine::kJit
-            ? jp->deopts()
-            : 0;
-    vm_.SetControl(ctl);
-    storage::ResultTable result;
-    {
-      telemetry::ScopedSpan span(
-          "exec", "exec", "threads",
-          par_ != nullptr ? opts_.num_threads : 1);
-      result = vm_.Run(cached.prog);
-    }
-    vm_.SetJit(nullptr);
-    vm_.SetControl(nullptr);
-    if (ctl != nullptr && ctl->Tripped()) {
-      // Aborted at a safepoint: surface the structured status and drop the
-      // partial rows. All engine state was already reset for this run and
-      // is reset again by the next one — the Interpreter stays reusable.
-      last_status_ = ctl->status();
-      result = storage::ResultTable();
-    }
-    if (opts_.engine == InterpOptions::Engine::kJit) {
-      jit_stats_ = JitRunStats();
-      jit_stats_.fallback_reason = static_cast<int>(cached.jit_fallback);
-      if (jp != nullptr) {
-        jit_stats_.jitted = true;
-        jit_stats_.native_pcs = jp->num_native();
-        jit_stats_.total_pcs = jp->total_pcs();
-        jit_stats_.deopts = jp->deopts() - deopts_before;
-        if (jit_stats_.deopts > 0) {
-          telemetry::JitDeoptEvents().Add(jit_stats_.deopts);
-        }
-      }
-      if (EnvLevel("QC_JIT_STATS") != 0) {
-        telemetry::Log(
-            telemetry::LogLevel::kInfo, "jit_stats",
-            {{"fn", fn.name()},
-             {"coverage_pct", jit_stats_.CoveragePct()},
-             {"native_pcs", jit_stats_.native_pcs},
-             {"total_pcs", jit_stats_.total_pcs},
-             {"deopts", static_cast<unsigned long long>(jit_stats_.deopts)},
-             {"engine", jit_stats_.jitted ? "jit" : "vm_degraded"}});
-      }
-    }
-    return result;
+    it = programs_.insert_or_assign(&fn, std::move(cached)).first;
   }
-  return RunTreeWalk(fn);
-}
-
-storage::ResultTable Interpreter::RunTreeWalk(const ir::Function& fn) {
-  // Emit-type discovery walks the whole block tree; do it once per function
-  // and reuse the register storage's capacity across runs.
-  if (prepared_fn_ != &fn || prepared_name_ != fn.name() ||
-      prepared_stmts_ != fn.num_stmts()) {
-    emit_types_ = EmitRowTypes(fn);
-    tw_par_ = par_ != nullptr ? ir::AnalyzeParallelism(fn)
-                              : ir::ParallelInfo();
-    prepared_fn_ = &fn;
-    prepared_name_ = fn.name();
-    prepared_stmts_ = fn.num_stmts();
+  CachedProgram& cached = it->second;
+  const bool use_jit = opts_.engine == InterpOptions::Engine::kJit;
+  if (use_jit) {
+    if (!cached.jit_compiled) {
+      // Null on non-x86-64 builds, denied executable pages, or
+      // QC_JIT_DISABLE: the engine degrades to the plain VM — with the
+      // structured reason recorded and a one-time stderr notice (no more
+      // invisible fallbacks).
+      {
+        telemetry::ScopedSpan span("jit_stitch", "compile");
+        cached.jit = jit::JitProgram::Compile(cached.prog,
+                                              &cached.jit_fallback);
+      }
+      if (cached.jit == nullptr) {
+        telemetry::JitFallbacks().Inc();
+        // One process-wide notice, race-free: concurrent first fallbacks
+        // on different Interpreters log exactly once, and the logging
+        // thread finishes before any other proceeds.
+        static std::once_flag warned;
+        std::call_once(warned, [&] {
+          telemetry::Log(
+              telemetry::LogLevel::kWarn, "jit_fallback",
+              {{"reason", jit::JitFallbackName(cached.jit_fallback)},
+               {"note",
+                "degraded to bytecode VM; further fallbacks are silent — "
+                "see Interpreter::last_jit_stats"}});
+        });
+      } else {
+        telemetry::JitCompiles().Inc();
+      }
+      if (cached.jit != nullptr && par_ != nullptr) {
+        // Native sort sites run big post-aggregation sorts on the pool.
+        cached.jit->BindParallel(par_.get());
+      }
+      cached.jit_compiled = true;
+    }
+    vm_.SetJit(cached.jit.get());
   }
-  // Release the previous run's working set (results own their strings).
-  if (par_ != nullptr) par_->ReleaseRun();
-  lists_.clear();
-  arrays_.clear();
-  maps_.clear();
-  mmaps_.clear();
-  strings_.clear();
-  records_.Reset();
-  regs_.assign(fn.num_stmts(), SlotI(0));
-  out_ = storage::ResultTable();
-  out_.SetTypes(emit_types_);
-  parallel::ExecState st;
-  st.regs = regs_.data();
-  st.stats = &stats_;
-  st.records = &records_;
-  st.lists = &lists_;
-  st.arrays = &arrays_;
-  st.maps = &maps_;
-  st.mmaps = &mmaps_;
-  st.strings = &strings_;
-  st.out = &out_;
-  // Governance: loop back edges call GovState::TreeBackEdge through st.gov
-  // (null when ungoverned — the checks vanish behind one pointer test).
-  if (opts_.control != nullptr) {
-    tw_gov_.Attach(opts_.control, &stats_);
-    records_.SetGovernor(&tw_gov_);
-    st.gov = &tw_gov_;
-  } else {
-    records_.SetGovernor(nullptr);
-  }
+  const jit::JitProgram* jp = cached.jit.get();
+  uint64_t deopts_before = jp != nullptr && use_jit ? jp->deopts() : 0;
+  vm_.SetControl(ctl);
+  storage::ResultTable result;
   {
-    telemetry::ScopedSpan span(
-        "exec", "exec", "threads", par_ != nullptr ? opts_.num_threads : 1);
-    ExecBlock(st, fn.body());
+    telemetry::ScopedSpan span("exec", "exec", "threads",
+                               par_ != nullptr ? opts_.num_threads : 1);
+    result = vm_.Run(cached.prog);
   }
-  if (opts_.control != nullptr && opts_.control->Tripped()) {
-    last_status_ = opts_.control->status();
-    return storage::ResultTable();
+  vm_.SetJit(nullptr);
+  vm_.SetControl(nullptr);
+  if (ctl != nullptr && ctl->Tripped()) {
+    // Aborted at a safepoint: surface the structured status and drop the
+    // partial rows. All engine state was already reset for this run and
+    // is reset again by the next one — the Interpreter stays reusable.
+    last_status_ = ctl->status();
+    result = storage::ResultTable();
   }
-  return std::move(out_);
-}
-
-void Interpreter::ExecBlock(parallel::ExecState& st, const Block* b) {
-  if (st.par == nullptr) {
-    for (const Stmt* s : b->stmts) ExecStmt(st, s);
-    return;
+  if (use_jit) {
+    jit_stats_ = JitRunStats();
+    jit_stats_.fallback_reason = static_cast<int>(cached.jit_fallback);
+    if (jp != nullptr) {
+      jit_stats_.jitted = true;
+      jit_stats_.native_pcs = jp->num_native();
+      jit_stats_.total_pcs = jp->total_pcs();
+      jit_stats_.deopts = jp->deopts() - deopts_before;
+      if (jit_stats_.deopts > 0) {
+        telemetry::JitDeoptEvents().Add(jit_stats_.deopts);
+      }
+    }
+    if (EnvLevel("QC_JIT_STATS") != 0) {
+      telemetry::Log(
+          telemetry::LogLevel::kInfo, "jit_stats",
+          {{"fn", fn.name()},
+           {"coverage_pct", jit_stats_.CoveragePct()},
+           {"native_pcs", jit_stats_.native_pcs},
+           {"total_pcs", jit_stats_.total_pcs},
+           {"deopts", static_cast<unsigned long long>(jit_stats_.deopts)},
+           {"engine", jit_stats_.jitted ? "jit" : "vm_degraded"}});
+    }
   }
-  // Morsel mode: the action table skips the f64-sum clusters and appends
-  // their addends to the morsel's log instead.
-  for (const Stmt* s : b->stmts) {
-    switch (st.par->actions[s->id]) {
-      case ir::ParAction::kSkip:
-        break;
-      case ir::ParAction::kLog:
-        AppendLog(st, s);
-        break;
-      case ir::ParAction::kNormal:
-        ExecStmt(st, s);
-        break;
-    }
-  }
-}
-
-void Interpreter::AppendLog(parallel::ExecState& st, const Stmt* s) {
-  const ir::ParLogChannel& ch =
-      st.par->logs[st.par->action_channel[s->id]];
-  std::vector<Slot>& lg = st.morsel->logs[st.par->action_channel[s->id]];
-  if (ch.handle != nullptr) lg.push_back(Val(st, ch.handle));
-  for (const Stmt* v : ch.values) lg.push_back(Val(st, v));
-}
-
-bool Interpreter::BlockCond(parallel::ExecState& st, const Block* b) {
-  ExecBlock(st, b);
-  return Val(st, b->result).i != 0;
-}
-
-bool Interpreter::TreeParallelLoop(parallel::ExecState& st,
-                                   const ir::ParLoop& plan, const Stmt* s) {
-  // Statement ids are the tree walker's registers, so the bindings the
-  // runtime needs are read straight off the plan.
-  std::vector<uint32_t> red_regs;
-  std::vector<uint32_t> red_size_regs;
-  std::vector<uint32_t> channel_var_regs;
-  for (const ir::ParReduction& r : plan.reductions) {
-    red_regs.push_back(static_cast<uint32_t>(r.target->id));
-    red_size_regs.push_back(
-        r.size != nullptr ? static_cast<uint32_t>(r.size->id) : 0);
-  }
-  for (const ir::ParLogChannel& ch : plan.logs) {
-    channel_var_regs.push_back(
-        ch.var != nullptr ? static_cast<uint32_t>(ch.var->id) : 0);
-  }
-  const Block* body = s->blocks[0];
-  const Stmt* ivar = body->params[0];
-  // Snapshot of the register file at loop entry: the overlapped merge
-  // updates accumulator registers in the live file while workers start.
-  std::vector<Slot> entry_regs(st.regs, st.regs + regs_.size());
-
-  parallel::LoopRun run;
-  run.plan = &plan;
-  run.lo = Val(st, s->args[0]).i;
-  run.hi = Val(st, s->args[1]).i;
-  run.main_regs = st.regs;
-  run.red_regs = &red_regs;
-  run.red_size_regs = &red_size_regs;
-  run.channel_var_regs = &channel_var_regs;
-  run.stats = st.stats;
-  run.out = st.out;
-  run.emit_types = &emit_types_;
-  run.ctl = opts_.control;
-  run.body = [&](int64_t mlo, int64_t mhi, parallel::MorselState& ms) {
-    ms.regs = entry_regs;
-    for (size_t i = 0; i < red_regs.size(); ++i) {
-      ms.regs[red_regs[i]] = ms.priv[i];
-    }
-    // Per-morsel governance over the morsel's private stats; a trip
-    // mid-morsel breaks the row loop at the next back edge.
-    ms.gov.Attach(opts_.control, &ms.stats);
-    ms.records.SetGovernor(&ms.gov);
-    parallel::ExecState ws = ms.MakeState();
-    ws.par = &plan;
-    for (int64_t i = mlo; i < mhi; ++i) {
-      ws.regs[ivar->id] = SlotI(i);
-      ExecBlock(ws, body);
-      if (GovLoopAbort(ws)) break;
-    }
-  };
-  return parallel::RunForRange(*par_, run);
-}
-
-void Interpreter::SortSlots(parallel::ExecState& st, Slot* data, int64_t n,
-                            const Stmt* s) {
-  const Block* cmp_block = s->blocks[0];
-  struct TwCmp : SlotCmp {
-    Interpreter* in;
-    parallel::ExecState* st;
-    const Block* blk;
-    bool Less(Slot a, Slot b) override {
-      in->Set(*st, blk->params[0], a);
-      in->Set(*st, blk->params[1], b);
-      return in->BlockCond(*st, blk);
-    }
-  };
-  // The purity verdict depends only on the (immutable) comparator block;
-  // memoized so in-loop sorts don't re-walk it every iteration. The cache
-  // is main-thread-only state: it must stay behind the morsel gate, since
-  // worker threads also reach here for loop-local sorts inside fragments.
-  bool cmp_safe = false;
-  if (par_ != nullptr && st.morsel == nullptr) {
-    auto safe_it = cmp_safe_.find(s);
-    if (safe_it == cmp_safe_.end()) {
-      safe_it = cmp_safe_.emplace(s, CmpBlockParallelSafe(cmp_block)).first;
-    }
-    cmp_safe = safe_it->second;
-  }
-  if (cmp_safe) {
-    // Each parallel task's comparator runs on a private register-file copy;
-    // the live file is never touched, which is safe because a pure
-    // comparator's register writes are all block-local temporaries.
-    struct ParCmp : SlotCmp {
-      Interpreter* in;
-      std::vector<Slot> regs;
-      parallel::ExecState ws;
-      const Block* blk;
-      bool Less(Slot a, Slot b) override {
-        in->Set(ws, blk->params[0], a);
-        in->Set(ws, blk->params[1], b);
-        return in->BlockCond(ws, blk);
-      }
-    };
-    auto make_cmp = [&]() -> std::unique_ptr<SlotCmp> {
-      auto cmp = std::make_unique<ParCmp>();
-      cmp->in = this;
-      cmp->regs.assign(st.regs, st.regs + regs_.size());
-      cmp->ws = st;
-      cmp->ws.regs = cmp->regs.data();
-      cmp->blk = cmp_block;
-      // Governed: a tripped query drains the in-flight sort in linear time
-      // (comparators return false once aborted).
-      return std::make_unique<GovernedCmpOwned>(std::move(cmp), st.gov);
-    };
-    if (parallel::ParallelStableSort(*par_, data, n, make_cmp)) return;
-  }
-  TwCmp cmp;
-  cmp.in = this;
-  cmp.st = &st;
-  cmp.blk = cmp_block;
-  GovernedCmp gcmp(cmp, st.gov);
-  StableSortSlots(data, n, gcmp);
-}
-
-void Interpreter::ExecStmt(parallel::ExecState& st, const Stmt* s) {
-  switch (s->op) {
-    case Op::kConst:
-      if (s->type->kind == TypeKind::kStr) {
-        Set(st, s, SlotS(s->sval.c_str()));
-      } else if (s->type->kind == TypeKind::kF64) {
-        Set(st, s, SlotD(s->fval));
-      } else {
-        Set(st, s, SlotI(s->ival));
-      }
-      break;
-    case Op::kNull:
-      Set(st, s, SlotP(nullptr));
-      break;
-
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kMod: {
-      Slot a = Val(st, s->args[0]), b = Val(st, s->args[1]);
-      if (s->type->kind == TypeKind::kF64) {
-        double r = 0;
-        switch (s->op) {
-          case Op::kAdd: r = a.d + b.d; break;
-          case Op::kSub: r = a.d - b.d; break;
-          case Op::kMul: r = a.d * b.d; break;
-          case Op::kDiv: r = a.d / b.d; break;
-          default: std::abort();
-        }
-        Set(st, s, SlotD(r));
-      } else {
-        int64_t r = 0;
-        switch (s->op) {
-          case Op::kAdd: r = a.i + b.i; break;
-          case Op::kSub: r = a.i - b.i; break;
-          case Op::kMul: r = a.i * b.i; break;
-          case Op::kDiv: r = b.i == 0 ? 0 : a.i / b.i; break;
-          case Op::kMod: r = b.i == 0 ? 0 : a.i % b.i; break;
-          default: std::abort();
-        }
-        Set(st, s, SlotI(r));
-      }
-      break;
-    }
-    case Op::kNeg: {
-      Slot a = Val(st, s->args[0]);
-      Set(st, s,
-          s->type->kind == TypeKind::kF64 ? SlotD(-a.d) : SlotI(-a.i));
-      break;
-    }
-    case Op::kCast: {
-      Slot a = Val(st, s->args[0]);
-      TypeKind from = s->args[0]->type->kind;
-      TypeKind to = s->type->kind;
-      if (from == TypeKind::kF64 && to != TypeKind::kF64) {
-        Set(st, s, SlotI(static_cast<int64_t>(a.d)));
-      } else if (from != TypeKind::kF64 && to == TypeKind::kF64) {
-        Set(st, s, SlotD(static_cast<double>(a.i)));
-      } else {
-        Set(st, s, a);
-      }
-      break;
-    }
-
-    case Op::kEq:
-    case Op::kNe:
-    case Op::kLt:
-    case Op::kLe:
-    case Op::kGt:
-    case Op::kGe: {
-      Slot a = Val(st, s->args[0]), b = Val(st, s->args[1]);
-      bool r = false;
-      if (s->args[0]->type->kind == TypeKind::kF64) {
-        switch (s->op) {
-          case Op::kEq: r = a.d == b.d; break;
-          case Op::kNe: r = a.d != b.d; break;
-          case Op::kLt: r = a.d < b.d; break;
-          case Op::kLe: r = a.d <= b.d; break;
-          case Op::kGt: r = a.d > b.d; break;
-          case Op::kGe: r = a.d >= b.d; break;
-          default: break;
-        }
-      } else {
-        switch (s->op) {
-          case Op::kEq: r = a.i == b.i; break;
-          case Op::kNe: r = a.i != b.i; break;
-          case Op::kLt: r = a.i < b.i; break;
-          case Op::kLe: r = a.i <= b.i; break;
-          case Op::kGt: r = a.i > b.i; break;
-          case Op::kGe: r = a.i >= b.i; break;
-          default: break;
-        }
-      }
-      Set(st, s, SlotI(r ? 1 : 0));
-      break;
-    }
-
-    case Op::kAnd:
-      Set(st, s,
-          SlotI(Val(st, s->args[0]).i != 0 && Val(st, s->args[1]).i != 0
-                    ? 1
-                    : 0));
-      break;
-    case Op::kOr:
-      Set(st, s,
-          SlotI(Val(st, s->args[0]).i != 0 || Val(st, s->args[1]).i != 0
-                    ? 1
-                    : 0));
-      break;
-    case Op::kNot:
-      Set(st, s, SlotI(Val(st, s->args[0]).i == 0 ? 1 : 0));
-      break;
-    case Op::kBitAnd:
-      Set(st, s, SlotI(Val(st, s->args[0]).i & Val(st, s->args[1]).i));
-      break;
-
-    case Op::kStrEq:
-      Set(st, s,
-          SlotI(std::strcmp(Val(st, s->args[0]).s, Val(st, s->args[1]).s) ==
-                0));
-      break;
-    case Op::kStrNe:
-      Set(st, s,
-          SlotI(std::strcmp(Val(st, s->args[0]).s, Val(st, s->args[1]).s) !=
-                0));
-      break;
-    case Op::kStrLt:
-      Set(st, s,
-          SlotI(std::strcmp(Val(st, s->args[0]).s, Val(st, s->args[1]).s) <
-                0));
-      break;
-    case Op::kStrStartsWith:
-      Set(st, s,
-          SlotI(StrStartsWith(Val(st, s->args[0]).s, Val(st, s->args[1]).s)));
-      break;
-    case Op::kStrEndsWith:
-      Set(st, s,
-          SlotI(StrEndsWith(Val(st, s->args[0]).s, Val(st, s->args[1]).s)));
-      break;
-    case Op::kStrContains:
-      Set(st, s,
-          SlotI(StrContains(Val(st, s->args[0]).s, Val(st, s->args[1]).s)));
-      break;
-    case Op::kStrLike:
-      Set(st, s, SlotI(StrLike(Val(st, s->args[0]).s, s->sval)));
-      break;
-    case Op::kStrLen:
-      Set(st, s,
-          SlotI(static_cast<int64_t>(std::strlen(Val(st, s->args[0]).s))));
-      break;
-    case Op::kStrSubstr: {
-      const char* str = Val(st, s->args[0]).s;
-      size_t len = std::strlen(str);
-      size_t start = std::min<size_t>(s->aux0, len);
-      size_t n = std::min<size_t>(s->aux1, len - start);
-      Set(st, s, SlotS(Intern(st, std::string(str + start, n))));
-      break;
-    }
-
-    case Op::kVarNew:
-      Set(st, s, Val(st, s->args[0]));
-      break;
-    case Op::kVarRead:
-      Set(st, s, Val(st, s->args[0]));
-      break;
-    case Op::kVarAssign:
-      Set(st, s->args[0], Val(st, s->args[1]));
-      break;
-
-    case Op::kIf:
-      if (Val(st, s->args[0]).i != 0) {
-        ExecBlock(st, s->blocks[0]);
-      } else if (s->blocks.size() > 1) {
-        ExecBlock(st, s->blocks[1]);
-      }
-      break;
-    case Op::kForRange: {
-      // Qualifying top-level loops run morsel-parallel when a pool is
-      // attached; nested loops and morsel re-entry stay sequential.
-      if (par_ != nullptr && st.morsel == nullptr) {
-        const ir::ParLoop* plan = tw_par_.Find(s);
-        if (plan != nullptr && TreeParallelLoop(st, *plan, s)) break;
-      }
-      int64_t lo = Val(st, s->args[0]).i;
-      int64_t hi = Val(st, s->args[1]).i;
-      const Block* body = s->blocks[0];
-      const Stmt* ivar = body->params[0];
-      for (int64_t i = lo; i < hi; ++i) {
-        Set(st, ivar, SlotI(i));
-        ExecBlock(st, body);
-        if (GovLoopAbort(st)) break;
-      }
-      break;
-    }
-    case Op::kWhile:
-      while (!GovLoopAbort(st) && BlockCond(st, s->blocks[0])) {
-        ExecBlock(st, s->blocks[1]);
-      }
-      break;
-
-    case Op::kRecNew: {
-      Slot* rec = st.records->AllocHeap(s->args.size());
-      for (size_t i = 0; i < s->args.size(); ++i) rec[i] = Val(st, s->args[i]);
-      Set(st, s, SlotP(rec));
-      break;
-    }
-    case Op::kRecGet:
-      Set(st, s, static_cast<Slot*>(Val(st, s->args[0]).p)[s->aux0]);
-      break;
-    case Op::kRecSet:
-      static_cast<Slot*>(Val(st, s->args[0]).p)[s->aux0] =
-          Val(st, s->args[1]);
-      break;
-
-    case Op::kArrNew:
-    case Op::kMalloc: {
-      st.arrays->emplace_back();
-      RtArray& a = st.arrays->back();
-      int64_t n = Val(st, s->args[0]).i;
-      a.data.assign(n, SlotI(0));
-      if (s->op == Op::kMalloc) {
-        st.stats->heap_bytes += n * sizeof(Slot);
-        ++st.stats->heap_allocs;
-      } else {
-        st.stats->vector_bytes += n * sizeof(Slot);
-      }
-      Set(st, s, SlotP(&a));
-      break;
-    }
-    case Op::kArrGet:
-      Set(st, s,
-          static_cast<RtArray*>(Val(st, s->args[0]).p)
-              ->data[Val(st, s->args[1]).i]);
-      break;
-    case Op::kArrSet:
-      static_cast<RtArray*>(Val(st, s->args[0]).p)
-          ->data[Val(st, s->args[1]).i] = Val(st, s->args[2]);
-      break;
-    case Op::kArrLen:
-      Set(st, s,
-          SlotI(static_cast<int64_t>(
-              static_cast<RtArray*>(Val(st, s->args[0]).p)->data.size())));
-      break;
-    case Op::kArrSortBy: {
-      RtArray* arr = static_cast<RtArray*>(Val(st, s->args[0]).p);
-      SortSlots(st, arr->data.data(), Val(st, s->args[1]).i, s);
-      break;
-    }
-
-    case Op::kListNew: {
-      st.lists->emplace_back();
-      Set(st, s, SlotP(&st.lists->back()));
-      break;
-    }
-    case Op::kListAppend: {
-      RtList* l = static_cast<RtList*>(Val(st, s->args[0]).p);
-      size_t before = l->items.capacity();
-      l->items.push_back(Val(st, s->args[1]));
-      st.stats->vector_bytes += (l->items.capacity() - before) * sizeof(Slot);
-      break;
-    }
-    case Op::kListForeach: {
-      RtList* l = static_cast<RtList*>(Val(st, s->args[0]).p);
-      const Block* body = s->blocks[0];
-      const Stmt* e = body->params[0];
-      for (size_t i = 0; i < l->items.size(); ++i) {
-        Set(st, e, l->items[i]);
-        ExecBlock(st, body);
-        if (GovLoopAbort(st)) break;
-      }
-      break;
-    }
-    case Op::kListSize:
-      Set(st, s,
-          SlotI(static_cast<int64_t>(
-              static_cast<RtList*>(Val(st, s->args[0]).p)->items.size())));
-      break;
-    case Op::kListGet:
-      Set(st, s,
-          static_cast<RtList*>(Val(st, s->args[0]).p)
-              ->items[Val(st, s->args[1]).i]);
-      break;
-    case Op::kListSortBy: {
-      RtList* l = static_cast<RtList*>(Val(st, s->args[0]).p);
-      SortSlots(st, l->items.data(),
-                static_cast<int64_t>(l->items.size()), s);
-      break;
-    }
-
-    case Op::kMapNew: {
-      st.maps->emplace_back(s->type->key, st.stats);
-      Set(st, s, SlotP(&st.maps->back()));
-      break;
-    }
-    case Op::kMapGetOrElseUpdate: {
-      RtHashMap* m = static_cast<RtHashMap*>(Val(st, s->args[0]).p);
-      Slot key = Val(st, s->args[1]);
-      RtHashMap::Node* n = m->Find(key);
-      if (n == nullptr) {
-        const Block* init = s->blocks[0];
-        ExecBlock(st, init);
-        n = m->Insert(key, Val(st, init->result));
-      }
-      Set(st, s, n->value);
-      break;
-    }
-    case Op::kMapGetOrNull: {
-      RtHashMap* m = static_cast<RtHashMap*>(Val(st, s->args[0]).p);
-      RtHashMap::Node* n = m->Find(Val(st, s->args[1]));
-      Set(st, s, n == nullptr ? SlotP(nullptr) : n->value);
-      break;
-    }
-    case Op::kMapForeach: {
-      RtHashMap* m = static_cast<RtHashMap*>(Val(st, s->args[0]).p);
-      const Block* body = s->blocks[0];
-      for (RtHashMap::Node* n : m->entries()) {
-        Set(st, body->params[0], n->key);
-        Set(st, body->params[1], n->value);
-        ExecBlock(st, body);
-        if (GovLoopAbort(st)) break;
-      }
-      break;
-    }
-    case Op::kMapSize:
-      Set(st, s,
-          SlotI(static_cast<int64_t>(
-              static_cast<RtHashMap*>(Val(st, s->args[0]).p)->size())));
-      break;
-
-    case Op::kMMapNew: {
-      st.mmaps->emplace_back(s->type->key, st.stats);
-      Set(st, s, SlotP(&st.mmaps->back()));
-      break;
-    }
-    case Op::kMMapAdd:
-      static_cast<RtMultiMap*>(Val(st, s->args[0]).p)
-          ->Add(Val(st, s->args[1]), Val(st, s->args[2]));
-      break;
-    case Op::kMMapGetOrNull:
-      Set(st, s,
-          SlotP(static_cast<RtMultiMap*>(Val(st, s->args[0]).p)
-                    ->GetOrNull(Val(st, s->args[1]))));
-      break;
-
-    case Op::kIsNull:
-      Set(st, s, SlotI(Val(st, s->args[0]).p == nullptr ? 1 : 0));
-      break;
-
-    case Op::kFree:
-      break;  // arena/deque-owned; modelled as a no-op
-    case Op::kPoolNew: {
-      // The handle only needs to carry the element field count.
-      Set(st, s,
-          SlotI(static_cast<int64_t>(s->type->elem->record->fields.size())));
-      break;
-    }
-    case Op::kPoolAlloc: {
-      size_t fields = static_cast<size_t>(Val(st, s->args[0]).i);
-      Set(st, s, SlotP(st.records->AllocPool(fields)));
-      break;
-    }
-    case Op::kPoolRecNew: {
-      Slot* rec = st.records->AllocPool(s->args.size() - 1);
-      for (size_t i = 1; i < s->args.size(); ++i) {
-        rec[i - 1] = Val(st, s->args[i]);
-      }
-      Set(st, s, SlotP(rec));
-      break;
-    }
-
-    case Op::kTableRows:
-      Set(st, s, SlotI(db_->table(s->aux0).rows()));
-      break;
-    case Op::kColGet:
-      Set(st, s,
-          db_->table(s->aux0).column(s->aux1).data[Val(st, s->args[0]).i]);
-      break;
-    case Op::kColDict:
-      Set(st, s,
-          SlotI(db_->Dictionary(s->aux0, s->aux1)
-                    .codes[Val(st, s->args[0]).i]));
-      break;
-    case Op::kIdxBucketLen:
-      Set(st, s,
-          SlotI(db_->Partition(s->aux0, s->aux1)
-                    .BucketLen(Val(st, s->args[0]).i)));
-      break;
-    case Op::kIdxBucketRow:
-      Set(st, s,
-          SlotI(db_->Partition(s->aux0, s->aux1)
-                    .BucketRow(Val(st, s->args[0]).i, Val(st, s->args[1]).i)));
-      break;
-    case Op::kIdxPkRow:
-      Set(st, s,
-          SlotI(db_->PrimaryIndex(s->aux0, s->aux1)
-                    .RowOf(Val(st, s->args[0]).i)));
-      break;
-
-    case Op::kEmit: {
-      std::vector<Slot> row;
-      row.reserve(s->args.size());
-      for (const Stmt* a : s->args) {
-        Slot v = Val(st, a);
-        if (a->type->kind == TypeKind::kStr) {
-          v = SlotS(st.out->InternString(v.s));
-        }
-        row.push_back(v);
-      }
-      st.out->AddRow(std::move(row));
-      break;
-    }
-
-    default:
-      std::fprintf(stderr, "interpreter: unhandled op %s\n", OpName(s->op));
-      std::abort();
-  }
+  return result;
 }
 
 }  // namespace qc::exec

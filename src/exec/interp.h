@@ -6,7 +6,7 @@
 // differ only in the code the compiler produced — which is exactly what
 // Table 3 measures.
 //
-// Three engines share this facade:
+// Two engines share this facade, both running the same register bytecode:
 //   * kBytecode (default) — flattens the function once into register
 //     bytecode and runs it on the direct-threaded VM (exec/bytecode.h).
 //     Programs are cached per Function, so repeated Run() calls skip
@@ -14,8 +14,6 @@
 //   * kJit — additionally stitches the bytecode into native x86-64 via
 //     the copy-and-patch backend (src/jit/), with per-instruction deopt
 //     into the VM; degrades silently to kBytecode where unsupported.
-//   * kTreeWalk — the original pointer-walking interpreter, kept as the
-//     executable-semantics reference and as an escape hatch.
 //
 // Both engines support morsel-driven parallel execution of qualifying scan
 // loops (exec/parallel.h): InterpOptions::num_threads > 1 attaches a
@@ -25,11 +23,9 @@
 #define QC_EXEC_INTERP_H_
 
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "exec/bytecode.h"
 #include "exec/parallel.h"
@@ -45,7 +41,6 @@ namespace qc::exec {
 struct InterpOptions {
   enum class Engine {
     kBytecode,  // register bytecode on the direct-threaded VM
-    kTreeWalk,  // node-by-node Stmt-graph walk (reference engine)
     kJit,       // bytecode stitched to native x86-64 (src/jit/), with
                 // per-instruction deopt into the VM; degrades silently to
                 // kBytecode on platforms without executable-page support
@@ -83,7 +78,7 @@ class Interpreter {
  public:
   explicit Interpreter(storage::Database* db,
                        InterpOptions opts = InterpOptions())
-      : db_(db), opts_(opts), records_(&stats_), vm_(&stats_) {
+      : db_(db), opts_(opts), vm_(&stats_) {
     if (opts_.num_threads > 1) {
       par_ = std::make_unique<parallel::Engine>(opts_.num_threads,
                                                 opts_.morsel_rows);
@@ -92,10 +87,10 @@ class Interpreter {
   }
 
   // Executes the function; rows produced by kEmit statements form the
-  // result. Cached per-function state (bytecode, emit types, register
-  // storage) is keyed by the Function's address, so a Function passed here
-  // should outlive the Interpreter. Address reuse by a different function
-  // is detected via a name/size fingerprint and recompiles (a same-named,
+  // result. Cached per-function state (bytecode, stitched native code) is
+  // keyed by the Function's address, so a Function passed here should
+  // outlive the Interpreter. Address reuse by a different function is
+  // detected via a name/size fingerprint and recompiles (a same-named,
   // same-sized different function at the same address would still alias).
   storage::ResultTable Run(const ir::Function& fn);
 
@@ -131,53 +126,17 @@ class Interpreter {
   const JitRunStats& last_jit_stats() const { return jit_stats_; }
 
  private:
-  Slot Val(const parallel::ExecState& st, const ir::Stmt* s) const {
-    return st.regs[s->id];
-  }
-  void Set(parallel::ExecState& st, const ir::Stmt* s, Slot v) {
-    st.regs[s->id] = v;
-  }
-
-  storage::ResultTable RunTreeWalk(const ir::Function& fn);
-  void ExecBlock(parallel::ExecState& st, const ir::Block* b);
-  void ExecStmt(parallel::ExecState& st, const ir::Stmt* s);
-  bool BlockCond(parallel::ExecState& st, const ir::Block* b);
-  // Morsel-parallel execution of one qualifying kForRange; false = run it
-  // sequentially.
-  bool TreeParallelLoop(parallel::ExecState& st, const ir::ParLoop& plan,
-                        const ir::Stmt* s);
-  // kArrSortBy/kListSortBy: the shared stable merge core (exec/runtime.h),
-  // morsel-parallel when a pool is attached and the comparator block is
-  // provably pure; sequential otherwise. Output is bitwise identical
-  // either way.
-  void SortSlots(parallel::ExecState& st, Slot* data, int64_t n,
-                 const ir::Stmt* s);
-  void AppendLog(parallel::ExecState& st, const ir::Stmt* s);
-
-  static const char* Intern(parallel::ExecState& st, std::string s) {
-    st.strings->push_back(std::move(s));
-    return st.strings->back().c_str();
-  }
-
   storage::Database* db_;
   InterpOptions opts_;
   // Non-reentrancy guard for the single-owner contract above (set for the
   // duration of Run; entering Run while set aborts).
   std::atomic<bool> in_run_{false};
   AllocStats stats_;
-  RecordHeap records_;
   std::unique_ptr<parallel::Engine> par_;
-  std::vector<Slot> regs_;
-  std::deque<RtList> lists_;
-  std::deque<RtArray> arrays_;
-  std::deque<RtHashMap> maps_;
-  std::deque<RtMultiMap> mmaps_;
-  std::deque<std::string> strings_;
-  storage::ResultTable out_;
 
-  // Bytecode engine: compiled programs cached per function, with a
-  // fingerprint to catch allocator address reuse. The ParallelInfo owns
-  // the loop plans the program's ParLoopCode entries point into.
+  // Compiled programs cached per function, with a fingerprint to catch
+  // allocator address reuse. The ParallelInfo owns the loop plans the
+  // program's ParLoopCode entries point into.
   struct CachedProgram {
     std::string fn_name;
     int num_stmts = -1;
@@ -194,18 +153,6 @@ class Interpreter {
   std::unordered_map<const ir::Function*, CachedProgram> programs_;
   JitRunStats jit_stats_;
   QueryStatus last_status_;
-  GovState tw_gov_;  // tree-walk main-context governance state
-
-  // Tree-walk engine: emit types and the parallel analysis discovered once
-  // per function, not per Run. cmp_safe_ memoizes the comparator purity
-  // scan per sort statement (same lifetime caveat as the program cache:
-  // statements must outlive the Interpreter).
-  std::unordered_map<const ir::Stmt*, bool> cmp_safe_;
-  const ir::Function* prepared_fn_ = nullptr;
-  std::string prepared_name_;
-  int prepared_stmts_ = -1;
-  std::vector<storage::ColType> emit_types_;
-  ir::ParallelInfo tw_par_;
 };
 
 }  // namespace qc::exec

@@ -1,4 +1,4 @@
-// Morsel-driven parallel execution (HyPer style) for both IR engines.
+// Morsel-driven parallel execution (HyPer style) for both engines.
 //
 // A qualifying top-level scan loop (ir/parallel.h decides which qualify) is
 // split into fixed-size row-range morsels pulled work-stealing-style off a
@@ -27,9 +27,9 @@
 // list buffers), so Figure 8 numbers are engine- and thread-count-
 // independent.
 //
-// The engines share everything here; they differ only in the
-// `LoopRun::body` callback that executes one morsel (the JIT engine reuses
-// the bytecode VM's callback — its hybrid driver runs per worker).
+// The engines share everything here, including the `LoopRun::body`
+// callback that executes one morsel: the JIT engine reuses the bytecode
+// VM's callback, and its hybrid driver runs per worker.
 #ifndef QC_EXEC_PARALLEL_H_
 #define QC_EXEC_PARALLEL_H_
 
@@ -54,9 +54,9 @@ namespace qc::exec::parallel {
 
 struct MorselState;
 
-// Execution context threaded through both engines: the register file plus
-// every piece of per-run mutable state. The main run points at the
-// engine's own storage; a morsel run points into a MorselState.
+// Execution context threaded through the VM (and the JIT's hybrid driver):
+// the register file plus every piece of per-run mutable state. The main run
+// points at the VM's own storage; a morsel run points into a MorselState.
 struct ExecState {
   Slot* regs = nullptr;
   AllocStats* stats = nullptr;
@@ -68,7 +68,6 @@ struct ExecState {
   std::deque<std::string>* strings = nullptr;
   storage::ResultTable* out = nullptr;
   MorselState* morsel = nullptr;       // log sink during a morsel run
-  const ir::ParLoop* par = nullptr;    // tree walker: morsel action table
   GovState* gov = nullptr;             // governance state (may be unattached)
 };
 

@@ -60,11 +60,10 @@ struct RtList {
   std::vector<Slot> items;
 };
 
-// Strict-weak-order over slots, implemented by each engine (the tree walker
-// executes the comparator block, the VM its subroutine, the JIT its stitched
-// native segment). Distinct instances must be usable concurrently — the
-// parallel sort gives every worker task its own instance over a private
-// register file.
+// Strict-weak-order over slots, implemented by each engine (the VM executes
+// the comparator subroutine, the JIT its stitched native segment). Distinct
+// instances must be usable concurrently — the parallel sort gives every
+// worker task its own instance over a private register file.
 class SlotCmp {
  public:
   virtual ~SlotCmp() = default;
@@ -73,7 +72,7 @@ class SlotCmp {
 
 // The shared sort core: every engine's ORDER BY goes through these, so the
 // output ordering — including the order of equal keys — is identical across
-// {tree walk, VM, JIT} x any thread count by construction.
+// {VM, JIT} x any thread count by construction.
 //
 // StableSortSlots is a stable merge sort (insertion-sort base runs, then
 // bottom-up ordered merges through one scratch buffer). Stability pins the

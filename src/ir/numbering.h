@@ -1,14 +1,13 @@
 // Id-space utilities for the ANF IR.
 //
-// Statement ids double as register indices in the executors (the tree-walk
-// interpreter and the bytecode VM both hold one slot per id), so two
-// properties matter downstream:
+// Statement ids double as register indices in the bytecode VM (one slot per
+// id), so two properties matter downstream:
 //   * use counts — a statement used exactly once by the instruction that
 //     immediately follows it is a candidate for instruction fusion in the
 //     bytecode compiler; and
 //   * density — passes that rewrite functions leave holes in the id space,
-//     and every hole is a dead register the executors still allocate and
-//     zero. RenumberDense compacts ids to [0, num_stmts) in program order.
+//     and every hole is a dead register the VM still allocates and zeroes.
+//     RenumberDense compacts ids to [0, num_stmts) in program order.
 #ifndef QC_IR_NUMBERING_H_
 #define QC_IR_NUMBERING_H_
 

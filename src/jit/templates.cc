@@ -127,8 +127,8 @@ void* HelpPoolAlloc(RecordHeap* h, int64_t fields) {
 // every comparison is one trampoline call into the stitched comparator
 // segment — the sort never re-enters the VM dispatch loop and costs zero
 // deopt events. The ordering core (StableSortSlots / ParallelStableSort)
-// is the same code the VM and the tree walker run, so results stay
-// bit-exact across engines and thread counts.
+// is the same code the VM runs, so results stay bit-exact across engines
+// and thread counts.
 struct JitNativeCmp : SlotCmp {
   const JitSortSite* site;
   Slot* regs;

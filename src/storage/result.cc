@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <sstream>
 
 #include "common/date.h"
@@ -10,8 +9,8 @@
 namespace qc::storage {
 
 const char* ResultTable::InternString(const std::string& s) {
-  owned_strings_.push_back(s);
-  return owned_strings_.back().c_str();
+  owned_strings_.push_back(std::make_unique<std::string>(s));
+  return owned_strings_.back()->c_str();
 }
 
 std::string ResultTable::RowToString(size_t i) const {

@@ -3,7 +3,7 @@
 #ifndef QC_STORAGE_RESULT_H_
 #define QC_STORAGE_RESULT_H_
 
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,11 +12,17 @@
 
 namespace qc::storage {
 
+// Move-only: string slots point into the table's own interned storage, so a
+// copy would alias the source's strings and dangle once the source dies.
 class ResultTable {
  public:
   ResultTable() = default;
   explicit ResultTable(std::vector<ColType> types)
       : types_(std::move(types)) {}
+  ResultTable(const ResultTable&) = delete;
+  ResultTable& operator=(const ResultTable&) = delete;
+  ResultTable(ResultTable&&) noexcept = default;
+  ResultTable& operator=(ResultTable&&) noexcept = default;
 
   void SetTypes(std::vector<ColType> types) { types_ = std::move(types); }
   const std::vector<ColType>& types() const { return types_; }
@@ -42,9 +48,10 @@ class ResultTable {
  private:
   std::vector<ColType> types_;
   std::vector<std::vector<Slot>> rows_;
-  // deque: interned c_str() pointers must survive later insertions (SSO
-  // strings relocate when a vector grows).
-  std::deque<std::string> owned_strings_;
+  // One heap string each: interned c_str() pointers must survive later
+  // insertions and moves of the table (SSO strings relocate with their
+  // container), and a vector keeps the move noexcept.
+  std::vector<std::unique_ptr<std::string>> owned_strings_;
 };
 
 }  // namespace qc::storage

@@ -340,7 +340,9 @@ class Evaluator {
           case AggFn::kSum:
           case AggFn::kAvg:
             g.facc[a] += dv;
-            g.iacc[a] += v.i;
+            // Only integral outputs read iacc; adding an f64 argument's bit
+            // pattern as int64 would be signed overflow.
+            if (!is_f) g.iacc[a] += v.i;
             break;
           case AggFn::kMin:
             if (g.count[a] == 0 || dv < g.facc[a]) {

@@ -1,8 +1,8 @@
 // Query governance (exec/governor.h) + fault injection (common/fault.h):
 // a cancelled / over-deadline / over-budget query must unwind within one
-// safepoint interval on every engine {tree walk, bytecode VM, JIT} at every
-// thread count, surface a structured QueryStatus, and leave the Interpreter
-// fully reusable — the same instance then executes a fresh query bit-exactly
+// safepoint interval on every engine {bytecode VM, JIT} at every thread
+// count, surface a structured QueryStatus, and leave the Interpreter fully
+// reusable — the same instance then executes a fresh query bit-exactly
 // (pools, heaps, code buffers, program caches intact). The chaos sweep arms
 // every QC_FAULT site across engines x threads and asserts each run either
 // matches the reference bit-exactly or fails with a clean non-ok status.
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bit_exact.h"
 #include "common/fault.h"
 #include "common/timer.h"
 #include "compiler/compiler.h"
@@ -32,11 +33,6 @@ using exec::InterpOptions;
 using exec::QueryStatusCode;
 using ir::Stmt;
 
-const InterpOptions::Engine kEngines[] = {InterpOptions::Engine::kBytecode,
-                                          InterpOptions::Engine::kTreeWalk,
-                                          InterpOptions::Engine::kJit};
-const char* kEngineNames[] = {"bytecode", "treewalk", "jit"};
-
 InterpOptions Opts(InterpOptions::Engine e, int threads,
                    ExecControl* ctl = nullptr, int64_t morsel_rows = 2048) {
   InterpOptions o;
@@ -45,24 +41,6 @@ InterpOptions Opts(InterpOptions::Engine e, int threads,
   o.morsel_rows = morsel_rows;
   o.control = ctl;
   return o;
-}
-
-void ExpectBitExact(const storage::ResultTable& got,
-                    const storage::ResultTable& want,
-                    const std::string& tag) {
-  ASSERT_EQ(got.size(), want.size()) << tag << ": row count";
-  ASSERT_EQ(got.types().size(), want.types().size()) << tag << ": arity";
-  for (size_t r = 0; r < got.size(); ++r) {
-    for (size_t c = 0; c < got.types().size(); ++c) {
-      if (got.types()[c] == storage::ColType::kStr) {
-        ASSERT_STREQ(got.row(r)[c].s, want.row(r)[c].s)
-            << tag << ": row " << r << " col " << c;
-      } else {
-        ASSERT_EQ(got.row(r)[c].i, want.row(r)[c].i)
-            << tag << ": row " << r << " col " << c;
-      }
-    }
-  }
 }
 
 // Sets one environment knob for the enclosing scope and re-arms the fault
@@ -208,13 +186,13 @@ const storage::ResultTable& BigAllocWant() {
 // ---------------------------------------------------------------------------
 
 TEST(GovernorTest, CancelBeforeRunTripsAndInterpreterStaysReusable) {
-  for (int e = 0; e < 3; ++e) {
+  for (InterpOptions::Engine engine : kEngines) {
     for (int threads : {1, 4}) {
-      std::string tag = std::string(kEngineNames[e]) + " threads=" +
+      std::string tag = std::string(EngineName(engine)) + " threads=" +
                         std::to_string(threads);
       ExecControl ctl;
       ctl.RequestCancel();
-      exec::Interpreter interp(Db(), Opts(kEngines[e], threads, &ctl));
+      exec::Interpreter interp(Db(), Opts(engine, threads, &ctl));
       storage::ResultTable r = interp.Run(Q3());
       EXPECT_EQ(r.size(), 0u) << tag;
       EXPECT_EQ(interp.last_status().code, QueryStatusCode::kCancelled) << tag;
@@ -230,13 +208,13 @@ TEST(GovernorTest, CancelBeforeRunTripsAndInterpreterStaysReusable) {
 }
 
 TEST(GovernorTest, PastDeadlineTripsAtPreRunPoll) {
-  for (int e = 0; e < 3; ++e) {
+  for (InterpOptions::Engine engine : kEngines) {
     for (int threads : {1, 4}) {
-      std::string tag = std::string(kEngineNames[e]) + " threads=" +
+      std::string tag = std::string(EngineName(engine)) + " threads=" +
                         std::to_string(threads);
       ExecControl ctl;
       ctl.deadline_ns.store(1);  // monotonic epoch + 1ns: long past
-      exec::Interpreter interp(Db(), Opts(kEngines[e], threads, &ctl));
+      exec::Interpreter interp(Db(), Opts(engine, threads, &ctl));
       storage::ResultTable r = interp.Run(Q3());
       EXPECT_EQ(r.size(), 0u) << tag;
       EXPECT_EQ(interp.last_status().code, QueryStatusCode::kDeadlineExceeded)
@@ -251,13 +229,13 @@ TEST(GovernorTest, MidRunDeadlineUnwindsWithinSafepointInterval) {
   // 2e9 while-loop iterations would take seconds to minutes ungoverned;
   // a 3 ms deadline must stop each engine within a safepoint interval.
   // The generous wall-clock bound only catches a governance no-op.
-  for (int e = 0; e < 3; ++e) {
+  for (InterpOptions::Engine engine : kEngines) {
     for (int threads : {1, 4}) {
-      std::string tag = std::string(kEngineNames[e]) + " threads=" +
+      std::string tag = std::string(EngineName(engine)) + " threads=" +
                         std::to_string(threads);
       ExecControl ctl;
       ctl.SetDeadlineAfterNs(3 * 1000 * 1000);
-      exec::Interpreter interp(Db(), Opts(kEngines[e], threads, &ctl));
+      exec::Interpreter interp(Db(), Opts(engine, threads, &ctl));
       Timer t;
       storage::ResultTable r = interp.Run(LongLoop());
       EXPECT_EQ(r.size(), 0u) << tag;
@@ -272,13 +250,13 @@ TEST(GovernorTest, MidRunDeadlineUnwindsWithinSafepointInterval) {
 
 TEST(GovernorTest, MemoryBudgetTripsOnTrackedGrowth) {
   ScopedEnv interval("QC_GOV_INTERVAL", "64");  // publish growth promptly
-  for (int e = 0; e < 3; ++e) {
+  for (InterpOptions::Engine engine : kEngines) {
     for (int threads : {1, 4}) {
-      std::string tag = std::string(kEngineNames[e]) + " threads=" +
+      std::string tag = std::string(EngineName(engine)) + " threads=" +
                         std::to_string(threads);
       ExecControl ctl;
       ctl.memory_budget_bytes = 64 * 1024;  // far below ~1.6 MB of growth
-      exec::Interpreter interp(Db(), Opts(kEngines[e], threads, &ctl));
+      exec::Interpreter interp(Db(), Opts(engine, threads, &ctl));
       storage::ResultTable r = interp.Run(BigAlloc());
       EXPECT_EQ(r.size(), 0u) << tag;
       EXPECT_EQ(interp.last_status().code, QueryStatusCode::kMemoryBudget)
@@ -304,13 +282,13 @@ TEST(GovernorTest, CancelSweepAcrossAwkwardBoundaries) {
   const long kNth[] = {1, 2, 3, 7, 50, 4000, 30000, 250000};
   for (long nth : kNth) {
     ScopedEnv fault("QC_FAULT", "gov_trip:" + std::to_string(nth));
-    for (int e = 0; e < 3; ++e) {
+    for (InterpOptions::Engine engine : kEngines) {
       for (int threads : {1, 2, 4}) {
-        std::string tag = std::string(kEngineNames[e]) + " threads=" +
+        std::string tag = std::string(EngineName(engine)) + " threads=" +
                           std::to_string(threads) + " nth=" +
                           std::to_string(nth);
         ExecControl ctl;
-        exec::Interpreter interp(Db(), Opts(kEngines[e], threads, &ctl));
+        exec::Interpreter interp(Db(), Opts(engine, threads, &ctl));
         FaultReArm();  // fresh occurrence count per run
         storage::ResultTable r = interp.Run(DupSort());
         if (interp.last_status().ok()) {
@@ -373,14 +351,14 @@ TEST(GovernorChaosTest, EverySiteEveryEngineFailsCleanOrSucceedsExact) {
                           "jit_mprotect", "cc_cache_write"};
   for (const char* site : kSites) {
     for (long nth : {1L, 5L}) {
-      for (int e = 0; e < 3; ++e) {
+      for (InterpOptions::Engine engine : kEngines) {
         for (int threads : {1, 4}) {
           std::string spec = std::string(site) + ":" + std::to_string(nth);
-          std::string tag = spec + " " + kEngineNames[e] + " threads=" +
+          std::string tag = spec + " " + EngineName(engine) + " threads=" +
                             std::to_string(threads);
           ScopedEnv fault("QC_FAULT", spec);
           ExecControl ctl;
-          exec::Interpreter interp(Db(), Opts(kEngines[e], threads, &ctl));
+          exec::Interpreter interp(Db(), Opts(engine, threads, &ctl));
           FaultReArm();
           storage::ResultTable r = interp.Run(Q3());
           if (interp.last_status().ok()) {
@@ -404,11 +382,11 @@ TEST(GovernorChaosTest, InjectedAllocationFailureSurfacesResourceStatus) {
   // model: the allocation itself still succeeds, the query is killed at the
   // next safepoint).
   ScopedEnv interval("QC_GOV_INTERVAL", "1");
-  for (int e = 0; e < 3; ++e) {
+  for (InterpOptions::Engine engine : kEngines) {
     ScopedEnv fault("QC_FAULT", "alloc_heap:1");
-    std::string tag = std::string(kEngineNames[e]) + " alloc_heap";
+    std::string tag = std::string(EngineName(engine)) + " alloc_heap";
     ExecControl ctl;
-    exec::Interpreter interp(Db(), Opts(kEngines[e], 1, &ctl));
+    exec::Interpreter interp(Db(), Opts(engine, 1, &ctl));
     storage::ResultTable r = interp.Run(Q3());
     if (!interp.last_status().ok()) {
       EXPECT_EQ(interp.last_status().code, QueryStatusCode::kResourceFailure)

@@ -1,18 +1,19 @@
 // Morsel-driven parallel execution (exec/parallel.h): results must be
 // BITWISE identical to the sequential engines — same row order, same f64
 // bit patterns, same string contents — for every TPC-H query, at every
-// tested thread count and morsel size, on both engines. The f64-addend
-// replay makes this exact (not approximate) even for floating-point sums,
-// so these tests compare bit patterns, not canonical text.
+// tested thread count and morsel size, on both engines (bytecode VM and
+// JIT). The f64-addend replay makes this exact (not approximate) even for
+// floating-point sums, so these tests compare bit patterns, not canonical
+// text.
 //
 // Figure 8 accounting is asserted too: AllocStats of a parallel run must
 // equal the sequential run's exactly (AllocStats::MergeFrom + the merge
 // phase's credits for transient per-morsel storage).
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 
+#include "bit_exact.h"
 #include "compiler/compiler.h"
 #include "exec/interp.h"
 #include "ir/builder.h"
@@ -37,33 +38,6 @@ InterpOptions Opts(InterpOptions::Engine e, int threads,
   return o;
 }
 
-// Bit-exact, position-exact equality (doubles compared on bit patterns).
-void ExpectBitExact(const storage::ResultTable& got,
-                    const storage::ResultTable& want,
-                    const std::string& tag) {
-  ASSERT_EQ(got.size(), want.size()) << tag << ": row count";
-  ASSERT_EQ(got.types().size(), want.types().size()) << tag << ": arity";
-  for (size_t r = 0; r < got.size(); ++r) {
-    for (size_t c = 0; c < got.types().size(); ++c) {
-      if (got.types()[c] == storage::ColType::kStr) {
-        ASSERT_STREQ(got.row(r)[c].s, want.row(r)[c].s)
-            << tag << ": row " << r << " col " << c;
-      } else {
-        ASSERT_EQ(got.row(r)[c].i, want.row(r)[c].i)
-            << tag << ": row " << r << " col " << c;
-      }
-    }
-  }
-}
-
-void ExpectStatsEqual(const exec::AllocStats& got,
-                      const exec::AllocStats& want, const std::string& tag) {
-  EXPECT_EQ(got.heap_bytes, want.heap_bytes) << tag << ": heap_bytes";
-  EXPECT_EQ(got.heap_allocs, want.heap_allocs) << tag << ": heap_allocs";
-  EXPECT_EQ(got.pool_bytes, want.pool_bytes) << tag << ": pool_bytes";
-  EXPECT_EQ(got.vector_bytes, want.vector_bytes) << tag << ": vector_bytes";
-}
-
 class ParallelExecTpchTest : public ::testing::TestWithParam<int> {
  protected:
   static storage::Database* db() {
@@ -80,16 +54,14 @@ class ParallelExecTpchTest : public ::testing::TestWithParam<int> {
     exec::Interpreter ref(db(), Opts(InterpOptions::Engine::kBytecode, 1));
     storage::ResultTable want = ref.Run(fn);
 
-    const InterpOptions::Engine engines[] = {
-        InterpOptions::Engine::kBytecode, InterpOptions::Engine::kTreeWalk};
-    const char* names[] = {"bytecode", "treewalk"};
-    for (int e = 0; e < 2; ++e) {
+    for (InterpOptions::Engine engine : kEngines) {
+      const std::string name = EngineName(engine);
       exec::AllocStats seq_stats;
       for (int threads : {1, 2, 4}) {
-        exec::Interpreter interp(db(), Opts(engines[e], threads));
+        exec::Interpreter interp(db(), Opts(engine, threads));
         storage::ResultTable got = interp.Run(fn);
         std::string t =
-            tag + " " + names[e] + " threads=" + std::to_string(threads);
+            tag + " " + name + " threads=" + std::to_string(threads);
         ExpectBitExact(got, want, t);
         if (threads == 1) {
           seq_stats = interp.stats();
@@ -99,11 +71,11 @@ class ParallelExecTpchTest : public ::testing::TestWithParam<int> {
       }
       // An odd morsel size exercises boundary handling and many-morsel
       // merges; results must not depend on the decomposition.
-      exec::Interpreter odd(db(), Opts(engines[e], 3, 777));
+      exec::Interpreter odd(db(), Opts(engine, 3, 777));
       storage::ResultTable got = odd.Run(fn);
-      ExpectBitExact(got, want, tag + " " + names[e] + " morsel=777");
-      ExpectStatsEqual(odd.stats(), seq_stats,
-                       tag + " " + names[e] + " morsel=777");
+      const std::string odd_tag = tag + " " + name + " morsel=777";
+      ExpectBitExact(got, want, odd_tag);
+      ExpectStatsEqual(odd.stats(), seq_stats, odd_tag);
     }
   }
 };
@@ -185,17 +157,18 @@ TEST(ParallelScalarReductionTest, SumCountMinMaxMatchSequential) {
     ++want_cnt;
   }
 
-  for (auto engine : {InterpOptions::Engine::kBytecode,
-                      InterpOptions::Engine::kTreeWalk}) {
+  for (InterpOptions::Engine engine : kEngines) {
     for (int threads : {1, 4}) {
       exec::Interpreter interp(&db, Opts(engine, threads, 512));
       storage::ResultTable r = interp.Run(fn);
-      ASSERT_EQ(r.size(), 1u);
-      EXPECT_EQ(r.row(0)[0].i, want_sum) << "sum, threads=" << threads;
-      EXPECT_EQ(r.row(0)[1].d, want_fsum) << "fsum, threads=" << threads;
-      EXPECT_EQ(r.row(0)[2].i, want_cnt) << "count, threads=" << threads;
-      EXPECT_EQ(r.row(0)[3].i, want_mn) << "min, threads=" << threads;
-      EXPECT_EQ(r.row(0)[4].i, want_mx) << "max, threads=" << threads;
+      std::string t = std::string(EngineName(engine)) +
+                      " threads=" + std::to_string(threads);
+      ASSERT_EQ(r.size(), 1u) << t;
+      EXPECT_EQ(r.row(0)[0].i, want_sum) << "sum, " << t;
+      EXPECT_EQ(r.row(0)[1].d, want_fsum) << "fsum, " << t;
+      EXPECT_EQ(r.row(0)[2].i, want_cnt) << "count, " << t;
+      EXPECT_EQ(r.row(0)[3].i, want_mn) << "min, " << t;
+      EXPECT_EQ(r.row(0)[4].i, want_mx) << "max, " << t;
     }
   }
 }
@@ -233,11 +206,9 @@ TEST(ParallelSkewedKeyTest, HotKeyChainsMergeInRowOrder) {
   exec::Interpreter ref(&db, Opts(InterpOptions::Engine::kBytecode, 1));
   storage::ResultTable want = ref.Run(fn);
   ASSERT_EQ(want.size(), static_cast<size_t>(kRows));
-  for (auto engine : {InterpOptions::Engine::kBytecode,
-                      InterpOptions::Engine::kTreeWalk}) {
+  for (InterpOptions::Engine engine : kEngines) {
     exec::AllocStats seq_stats;
-    const char* name =
-        engine == InterpOptions::Engine::kBytecode ? "bytecode" : "treewalk";
+    const char* name = EngineName(engine);
     for (int threads : {1, 2, 4}) {
       // Morsel size 509: ~118 morsels, so every hot chain is stitched from
       // over a hundred per-morsel fragments.

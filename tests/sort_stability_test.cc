@@ -2,9 +2,8 @@
 // exec/parallel.h ParallelStableSort + the src/jit/ native sort sites):
 // every engine sorts through the same stable merge core, so the output —
 // including the relative order of equal keys — is identical across
-// {tree walk, bytecode VM, JIT} x threads {1, 2, 4} x any chunk
-// decomposition, and bit-identical to the pre-subsystem std::stable_sort
-// engines. Duplicate-key inputs are the interesting case: only stability
+// {bytecode VM, JIT} x threads {1, 2, 4} x any chunk decomposition, and
+// bit-identical to the pre-subsystem std::stable_sort engines. Duplicate-key inputs are the interesting case: only stability
 // pins their output order.
 #include <gtest/gtest.h>
 
@@ -14,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "bit_exact.h"
 #include "compiler/compiler.h"
 #include "exec/interp.h"
 #include "ir/builder.h"
@@ -37,37 +37,6 @@ InterpOptions Opts(InterpOptions::Engine e, int threads,
   o.num_threads = threads;
   o.morsel_rows = morsel_rows;
   return o;
-}
-
-const InterpOptions::Engine kEngines[] = {InterpOptions::Engine::kBytecode,
-                                          InterpOptions::Engine::kTreeWalk,
-                                          InterpOptions::Engine::kJit};
-const char* kEngineNames[] = {"bytecode", "treewalk", "jit"};
-
-void ExpectBitExact(const storage::ResultTable& got,
-                    const storage::ResultTable& want,
-                    const std::string& tag) {
-  ASSERT_EQ(got.size(), want.size()) << tag << ": row count";
-  ASSERT_EQ(got.types().size(), want.types().size()) << tag << ": arity";
-  for (size_t r = 0; r < got.size(); ++r) {
-    for (size_t c = 0; c < got.types().size(); ++c) {
-      if (got.types()[c] == storage::ColType::kStr) {
-        ASSERT_STREQ(got.row(r)[c].s, want.row(r)[c].s)
-            << tag << ": row " << r << " col " << c;
-      } else {
-        ASSERT_EQ(got.row(r)[c].i, want.row(r)[c].i)
-            << tag << ": row " << r << " col " << c;
-      }
-    }
-  }
-}
-
-void ExpectStatsEqual(const exec::AllocStats& got,
-                      const exec::AllocStats& want, const std::string& tag) {
-  EXPECT_EQ(got.heap_bytes, want.heap_bytes) << tag << ": heap_bytes";
-  EXPECT_EQ(got.heap_allocs, want.heap_allocs) << tag << ": heap_allocs";
-  EXPECT_EQ(got.pool_bytes, want.pool_bytes) << tag << ": pool_bytes";
-  EXPECT_EQ(got.vector_bytes, want.vector_bytes) << tag << ": vector_bytes";
 }
 
 // Forces the parallel sort to engage on small test inputs; restored so
@@ -126,11 +95,11 @@ TEST(SortStability, DuplicateKeysIdenticalAcrossEnginesAndThreads) {
 
   storage::ResultTable ref;
   bool have_ref = false;
-  for (int e = 0; e < 3; ++e) {
+  for (InterpOptions::Engine engine : kEngines) {
     for (int threads : {1, 2, 4}) {
-      exec::Interpreter interp(&db, Opts(kEngines[e], threads, 512));
+      exec::Interpreter interp(&db, Opts(engine, threads, 512));
       storage::ResultTable got = interp.Run(*fn);
-      std::string tag = std::string("dup-key ") + kEngineNames[e] +
+      std::string tag = std::string("dup-key ") + EngineName(engine) +
                         " threads=" + std::to_string(threads);
       ASSERT_EQ(got.size(), static_cast<size_t>(kRows)) << tag;
       for (size_t r = 0; r < got.size(); ++r) {
@@ -160,11 +129,11 @@ TEST(SortStability, EmptyAndSingleChunkEdges) {
   for (auto* fn : {empty.get(), single.get()}) {
     storage::ResultTable ref;
     bool have_ref = false;
-    for (int e = 0; e < 3; ++e) {
+    for (InterpOptions::Engine engine : kEngines) {
       for (int threads : {1, 4}) {
-        exec::Interpreter interp(&db, Opts(kEngines[e], threads, 64));
+        exec::Interpreter interp(&db, Opts(engine, threads, 64));
         storage::ResultTable got = interp.Run(*fn);
-        std::string tag = fn->name() + " " + kEngineNames[e] + " threads=" +
+        std::string tag = fn->name() + " " + EngineName(engine) + " threads=" +
                           std::to_string(threads);
         if (!have_ref) {
           ref = std::move(got);
@@ -243,11 +212,11 @@ TEST(SortStability, InLoopSortsStaySequentialOnWorkers) {
 
   storage::ResultTable ref;
   bool have_ref = false;
-  for (int e = 0; e < 3; ++e) {
+  for (InterpOptions::Engine engine : kEngines) {
     for (int threads : {1, 4}) {
-      exec::Interpreter interp(&db, Opts(kEngines[e], threads, 512));
+      exec::Interpreter interp(&db, Opts(engine, threads, 512));
       storage::ResultTable got = interp.Run(fn);
-      std::string tag = std::string("in-loop sort ") + kEngineNames[e] +
+      std::string tag = std::string("in-loop sort ") + EngineName(engine) +
                         " threads=" + std::to_string(threads);
       ASSERT_EQ(got.size(), 1u) << tag;
       if (!have_ref) {
@@ -276,12 +245,12 @@ class SortHeavyTpchTest : public ::testing::TestWithParam<int> {
                               const std::string& tag) {
     exec::Interpreter refi(db(), Opts(InterpOptions::Engine::kBytecode, 1));
     storage::ResultTable want = refi.Run(fn);
-    for (int e = 0; e < 3; ++e) {
+    for (InterpOptions::Engine engine : kEngines) {
       exec::AllocStats seq_stats;
       for (int threads : {1, 2, 4}) {
-        exec::Interpreter interp(db(), Opts(kEngines[e], threads, 777));
+        exec::Interpreter interp(db(), Opts(engine, threads, 777));
         storage::ResultTable got = interp.Run(fn);
-        std::string t = tag + " " + kEngineNames[e] + " threads=" +
+        std::string t = tag + " " + EngineName(engine) + " threads=" +
                         std::to_string(threads);
         ExpectBitExact(got, want, t);
         if (threads == 1) {

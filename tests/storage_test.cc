@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "storage/database.h"
@@ -157,6 +158,24 @@ TEST(ResultTable, CanonicalTextAndComparison) {
   std::string diff;
   EXPECT_FALSE(c.SameRows(e, &diff));
   EXPECT_FALSE(diff.empty());
+}
+
+// A copy would alias the source's interned strings, so the table is
+// move-only; the move is noexcept so containers of results relocate by move.
+static_assert(!std::is_copy_constructible_v<ResultTable>);
+static_assert(std::is_nothrow_move_constructible_v<ResultTable>);
+
+TEST(ResultTable, InternedStringsSurviveMoveFromDeadSource) {
+  ResultTable moved;
+  {
+    ResultTable src({ColType::kStr});
+    src.AddRow({SlotS(src.InternString("a string longer than SSO capacity"))});
+    src.AddRow({SlotS(src.InternString("short"))});
+    moved = std::move(src);
+  }
+  ASSERT_EQ(moved.size(), 2u);
+  EXPECT_STREQ(moved.row(0)[0].s, "a string longer than SSO capacity");
+  EXPECT_STREQ(moved.row(1)[0].s, "short");
 }
 
 TEST(ResultTable, InternedStringsSurviveGrowth) {

@@ -135,6 +135,25 @@ TEST(Volcano, GlobalAggOnEmptyInputYieldsZeroRow) {
   EXPECT_EQ(r.row(0)[1].i, 0);
 }
 
+// SUM/AVG over an f64 column of negative values: the integral accumulator
+// must never see the doubles' bit patterns (three -2.0s added as int64
+// overflow, which the ASan+UBSan build aborts on).
+TEST(Volcano, SumOfNegativeF64Column) {
+  storage::Database db;
+  storage::TableDef t;
+  t.name = "N";
+  t.columns = {{"x", storage::ColType::kF64}};
+  storage::Table* nt = db.AddTable(t);
+  for (int i = 0; i < 4; ++i) nt->column(0).data.push_back(SlotD(-2.0));
+  PlanPtr p =
+      AggOp(ScanOp("N"), {}, {Sum(Col("x"), "s"), Avg(Col("x"), "a")});
+  ResolvePlan(p.get(), db);
+  storage::ResultTable r = volcano::Execute(*p, db);
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_DOUBLE_EQ(r.row(0)[0].d, -8.0);
+  EXPECT_DOUBLE_EQ(r.row(0)[1].d, -2.0);
+}
+
 TEST(Volcano, SortStableAndDirectional) {
   storage::Database db = MakeDb();
   PlanPtr p = SortOp(ScanOp("L"), {Asc(Col("grp")), Desc(Col("v"))});
