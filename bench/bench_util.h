@@ -5,8 +5,10 @@
 #ifndef QC_BENCH_BENCH_UTIL_H_
 #define QC_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,15 +41,20 @@ struct InterpRun {
   double query_ms = 0;
   double compile_ms = 0;  // stack lowering (qc.Compile) only
   int64_t rows = 0;
-  // kJit telemetry (QC_JIT_STATS): native coverage in percent (templated
-  // pcs / total pcs) and deopt events of the last repetition; -1 when the
-  // engine was not kJit or the JIT degraded to the VM.
+  // kJit telemetry (Interpreter::last_jit_stats): native coverage in
+  // percent (templated pcs / total pcs) and deopt events of the last
+  // repetition; -1 when the engine was not kJit or the JIT degraded to the
+  // VM.
   double jit_coverage = -1;
   double jit_deopts = -1;
   // Why a kJit run degraded to the VM (jit::JitFallback as int, 0 = it
   // didn't) — keeps silent degradation visible in the bench artifact.
   int jit_fallback = 0;
 };
+
+// Wraps one timed repetition of Harness::RunInterp (see there).
+using RepHook = std::function<void(exec::Interpreter& interp,
+                                   const std::function<void()>& rep)>;
 
 class Harness {
  public:
@@ -108,18 +115,14 @@ class Harness {
   // cached inside the Interpreter afterwards); best-of-N over >= 2 reps
   // reports steady-state execution. `threads` > 1 runs qualifying scan
   // loops morsel-parallel (exec/parallel.h); results are bit-identical.
-  // `control` (optional) attaches a governance ExecControl to every run —
-  // with no deadline/budget set this measures pure safepoint overhead (the
-  // ir-*-gov cells the regression gate watches). `traced` wraps every
-  // repetition in a live telemetry trace session (spans + morsel slices
-  // recorded, JSON rendering excluded from the timer) — the ir-jit-obs
-  // cells bound the *enabled* tracing overhead, which upper-bounds the
-  // disabled cost.
+  // `hook` (optional) wraps every repetition: it must call `rep`, which
+  // runs and times the query once, and whatever it does around `rep`
+  // stays off the timer — the overhead pairs of table3 instrument one
+  // side this way.
   InterpRun RunInterp(int query, const compiler::StackConfig& cfg,
                       exec::InterpOptions::Engine engine,
                       int repetitions = 3, int threads = 1,
-                      exec::ExecControl* control = nullptr,
-                      bool traced = false) {
+                      const RepHook& hook = nullptr) {
     InterpRun out;
     qplan::PlanPtr plan = tpch::MakeQuery(query);
     qplan::ResolvePlan(plan.get(), db_);
@@ -134,22 +137,20 @@ class Harness {
     exec::InterpOptions opts;
     opts.engine = engine;
     opts.num_threads = threads;
-    opts.control = control;
     exec::Interpreter interp(&db_, opts);
     double best = 1e300;
-    for (int r = 0; r < repetitions; ++r) {
-      uint64_t session = traced ? telemetry::TraceBeginSession() : 0;
+    std::function<void()> rep = [&] {
       Timer t;
-      double ms;
-      {
-        telemetry::TraceScope ts(session);
-        storage::ResultTable result = interp.Run(*res.fn);
-        ms = t.ElapsedMs();
-        out.rows = static_cast<int64_t>(result.size());
+      storage::ResultTable result = interp.Run(*res.fn);
+      best = std::min(best, t.ElapsedMs());
+      out.rows = static_cast<int64_t>(result.size());
+    };
+    for (int r = 0; r < repetitions; ++r) {
+      if (hook) {
+        hook(interp, rep);
+      } else {
+        rep();
       }
-      // Rendering the JSON is export, not execution: keep it off the timer.
-      if (session != 0) telemetry::TraceEndSession(session);
-      if (ms < best) best = ms;
     }
     out.query_ms = best;
     if (engine == exec::InterpOptions::Engine::kJit) {
@@ -170,48 +171,20 @@ class Harness {
   cgen::CcDriver driver_;
 };
 
-inline double BenchScaleFactor() {
-  const char* sf = std::getenv("QC_BENCH_SF");
-  return sf != nullptr ? std::atof(sf) : 0.05;
+// Scale factor from QC_BENCH_SF, or `def` when unset. The whole value must
+// parse as a number > 0 (common/env.h EnvParseDouble): garbage ("abc",
+// "0.1x"), an empty value, and values <= 0 also yield `def` — an SF of 0
+// would leave every cell under the regression gate's floor and silently
+// turn the gate off.
+inline double BenchScaleFactor(double def = 0.05) {
+  const char* v = std::getenv("QC_BENCH_SF");
+  double sf = 0;
+  return v != nullptr && EnvParseDouble(v, &sf) && sf > 0 ? sf : def;
 }
 
 // True when the native (generated-C) measurement columns should be skipped —
 // CI tracks the in-process engines only, which needs no external compiler.
 inline bool BenchInterpOnly() { return EnvFlagSet("QC_BENCH_INTERP_ONLY"); }
-
-// True when the table3 rows should include the in-process JIT engine
-// (`ir-jit` cells; QC_BENCH_JIT=1). On platforms without executable-page
-// support the engine silently degrades to the bytecode VM, so the column
-// then mirrors ir-bc.
-inline bool BenchJit() { return EnvFlagSet("QC_BENCH_JIT"); }
-
-// True when the table3 rows should also measure the interpreter engines
-// with a governance control attached (no deadline/budget — pure safepoint
-// overhead, the ir-bc-gov / ir-jit-gov cells). The regression gate asserts
-// these stay within a small factor of the ungoverned cells.
-inline bool BenchGoverned() { return EnvFlagSet("QC_BENCH_GOVERNED"); }
-
-// True when the table3 rows should also measure ir-jit with a live trace
-// session recording spans and morsel slices (the ir-jit-obs cell). The
-// regression gate bounds it within a small factor of plain ir-jit, which
-// also bounds the always-on disabled-telemetry cost (one relaxed load per
-// span site) from above.
-inline bool BenchObs() { return EnvFlagSet("QC_BENCH_OBS"); }
-
-// True when the table3 rows should also measure ir-jit with the static
-// verifier layer forced on (src/analysis/: bytecode verification at
-// program-cache fill, template/stitch audit before mprotect(RX) — the
-// ir-jit-verify cell, paired with an adjacently-measured
-// ir-jit-verify-base run with the layer forced off). Verification is
-// compile-time-only work, so the regression gate bounds the pair's
-// steady-state ratio at ~zero: any gap means a check leaked into the
-// per-row execution path.
-inline bool BenchVerify() { return EnvFlagSet("QC_BENCH_VERIFY"); }
-
-// True when ir-jit rows should also carry the QC_JIT_STATS telemetry
-// (ir-jit-coverage / ir-jit-deopts cells) — what the CI coverage gate in
-// scripts/check_bench_regression.py compares across runs.
-inline bool BenchJitStats() { return EnvLevel("QC_JIT_STATS") != 0; }
 
 // Path for machine-readable benchmark output, or "" when disabled. Set
 // QC_BENCH_JSON=1 for the default file name, or to an explicit path.

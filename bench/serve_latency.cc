@@ -5,15 +5,11 @@
 // retries, downshifts).
 //
 // Knobs:
-//   QC_BENCH_SF              scale factor (default 0.01 — latency, not scan
-//                            speed, is what this bench measures)
-//   QC_SERVE_BENCH_CLIENTS   concurrent client connections (default 4)
-//   QC_SERVE_BENCH_REQS      requests per client (default 50)
-//   QC_SERVE_BENCH_WORKERS   server worker threads (default 2)
-//   QC_SERVE_BENCH_FAIR_HEAVY  heavy-tenant connections in the fairness
-//                              phase (default 6, 0 disables the phase)
-//   QC_SERVE_BENCH_FAIR_PROBES light-tenant probes (default 40)
-//   QC_BENCH_JSON            "1" or a path: write BENCH_serve.json
+//   QC_BENCH_SF    scale factor (default 0.01 — latency, not scan speed, is
+//                  what this bench measures)
+//   QC_BENCH_JSON  "1" or a path: write BENCH_serve.json
+// The load shape is fixed (kClients, kReqs, kWorkers, kFairHeavy,
+// kFairProbes below) so every run is comparable with the baseline.
 //
 // After the main mix, a fairness phase runs a 1-heavy/1-light tenant mix
 // (heavy floods the join-heavy query over several connections, light paces
@@ -40,7 +36,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/env.h"
 #include "server/server.h"
 #include "tpch/datagen.h"
 
@@ -99,6 +94,12 @@ std::string ReadResponse(int fd) {
   return buf.substr(0, buf.find('\n'));
 }
 
+constexpr int kClients = 4;      // concurrent client connections
+constexpr int kReqs = 50;        // requests per client
+constexpr int kWorkers = 2;      // server worker threads
+constexpr int kFairHeavy = 6;    // heavy-tenant connections, fairness phase
+constexpr int kFairProbes = 40;  // light-tenant probes, fairness phase
+
 struct ClientResult {
   std::vector<int64_t> latencies_us;  // successful requests only
   int64_t ok = 0;
@@ -108,26 +109,15 @@ struct ClientResult {
 }  // namespace
 
 int main() {
-  double sf = 0.01;
-  if (const char* v = std::getenv("QC_BENCH_SF")) {
-    char* end = nullptr;
-    double parsed = std::strtod(v, &end);
-    if (end != v && parsed > 0 && parsed <= 1.0) sf = parsed;
-  }
-  const int clients =
-      static_cast<int>(qc::EnvIntClamped("QC_SERVE_BENCH_CLIENTS", 4, 1, 256));
-  const int reqs = static_cast<int>(
-      qc::EnvIntClamped("QC_SERVE_BENCH_REQS", 50, 1, 1000000));
-  const int workers =
-      static_cast<int>(qc::EnvIntClamped("QC_SERVE_BENCH_WORKERS", 2, 1, 64));
+  const double sf = qc::bench::BenchScaleFactor(0.01);
 
   std::fprintf(stderr, "serve_latency: sf=%g clients=%d reqs=%d workers=%d\n",
-               sf, clients, reqs, workers);
+               sf, kClients, kReqs, kWorkers);
   qc::storage::Database db = qc::tpch::MakeTpchDatabase(sf);
 
   qc::server::ServerOptions opts;
   opts.port = 0;
-  opts.workers = workers;
+  opts.workers = kWorkers;
   opts.queue_capacity = 256;
   opts.seed = 42;
   qc::server::Server server(&db, opts);
@@ -142,16 +132,16 @@ int main() {
   const int kMix[] = {1, 3, 6, 12};
   const int kMixLen = 4;
 
-  std::vector<ClientResult> results(clients);
+  std::vector<ClientResult> results(kClients);
   const int64_t bench_t0 = NowUs();
   {
     std::vector<std::thread> threads;
-    for (int c = 0; c < clients; ++c) {
+    for (int c = 0; c < kClients; ++c) {
       threads.emplace_back([&, c] {
         ClientResult& res = results[c];
         int fd = ConnectTo(server.port());
         if (fd < 0) return;
-        for (int i = 0; i < reqs; ++i) {
+        for (int i = 0; i < kReqs; ++i) {
           int q = kMix[(c + i) % kMixLen];
           std::string req = "QUERY " + std::to_string(q) + "\n";
           int64_t t0 = NowUs();
@@ -179,31 +169,29 @@ int main() {
     err += r.err;
   }
   std::sort(lat.begin(), lat.end());
-  auto pct = [&](double p) -> double {
-    if (lat.empty()) return 0;
-    size_t idx = static_cast<size_t>(p * (lat.size() - 1));
-    return lat[idx] / 1000.0;  // ms
+  // Percentile of sorted microsecond latencies, in ms.
+  auto pct = [](const std::vector<int64_t>& v, double p) -> double {
+    if (v.empty()) return 0;
+    size_t idx = static_cast<size_t>(p * (v.size() - 1));
+    return v[idx] / 1000.0;
   };
-  const double p50 = pct(0.50), p95 = pct(0.95), p99 = pct(0.99);
+  const double p50 = pct(lat, 0.50), p95 = pct(lat, 0.95),
+               p99 = pct(lat, 0.99);
   const double qps = wall_s > 0 ? ok / wall_s : 0;
 
   // --- fairness phase: one heavy tenant vs one light tenant ---------------
-  // The heavy tenant keeps `fair_heavy` connections saturated with the
+  // The heavy tenant keeps kFairHeavy connections saturated with the
   // join-heavy query; the light tenant paces short probes through the same
   // queue. Weighted-fair admission must bound the light tenant's p95 near
   // ONE heavy service time; under FIFO it would sit behind the whole heavy
   // backlog and converge on the heavy p95.
-  const int fair_heavy = static_cast<int>(
-      qc::EnvIntClamped("QC_SERVE_BENCH_FAIR_HEAVY", 6, 0, 64));
-  const int fair_probes = static_cast<int>(
-      qc::EnvIntClamped("QC_SERVE_BENCH_FAIR_PROBES", 40, 1, 100000));
   std::vector<int64_t> heavy_lat, light_lat;
   int64_t heavy_ok = 0, light_ok = 0;
-  if (fair_heavy > 0) {
+  {
     std::atomic<bool> fair_stop{false};
-    std::vector<ClientResult> heavy_res(fair_heavy);
+    std::vector<ClientResult> heavy_res(kFairHeavy);
     std::vector<std::thread> heavy_threads;
-    for (int c = 0; c < fair_heavy; ++c) {
+    for (int c = 0; c < kFairHeavy; ++c) {
       heavy_threads.emplace_back([&, c] {
         ClientResult& res = heavy_res[c];
         int fd = ConnectTo(server.port());
@@ -225,7 +213,7 @@ int main() {
       });
     }
     int fd = ConnectTo(server.port());
-    for (int i = 0; fd >= 0 && i < fair_probes; ++i) {
+    for (int i = 0; fd >= 0 && i < kFairProbes; ++i) {
       int64_t t0 = NowUs();
       if (!SendAll(fd, "QUERY 1 client=light\n")) break;
       std::string first = ReadResponse(fd);
@@ -246,19 +234,12 @@ int main() {
     std::sort(heavy_lat.begin(), heavy_lat.end());
     std::sort(light_lat.begin(), light_lat.end());
   }
-  auto pct_of = [](const std::vector<int64_t>& v, double p) -> double {
-    if (v.empty()) return 0;
-    size_t idx = static_cast<size_t>(p * (v.size() - 1));
-    return v[idx] / 1000.0;  // ms
-  };
-  const double fair_light_p95 = pct_of(light_lat, 0.95);
-  const double fair_heavy_p95 = pct_of(heavy_lat, 0.95);
-  if (fair_heavy > 0) {
-    std::printf("serve_fairness: heavy_conns=%d heavy_ok=%lld "
-                "heavy_p95=%.2fms light_ok=%lld light_p95=%.2fms\n",
-                fair_heavy, static_cast<long long>(heavy_ok), fair_heavy_p95,
-                static_cast<long long>(light_ok), fair_light_p95);
-  }
+  const double fair_light_p95 = pct(light_lat, 0.95);
+  const double fair_heavy_p95 = pct(heavy_lat, 0.95);
+  std::printf("serve_fairness: heavy_conns=%d heavy_ok=%lld "
+              "heavy_p95=%.2fms light_ok=%lld light_p95=%.2fms\n",
+              kFairHeavy, static_cast<long long>(heavy_ok), fair_heavy_p95,
+              static_cast<long long>(light_ok), fair_light_p95);
 
   const qc::server::ServerStats& st = server.stats();
   const uint64_t shed = st.shed_queue_full.load() +
@@ -274,24 +255,6 @@ int main() {
               p50, p95, p99, static_cast<unsigned long long>(shed),
               static_cast<unsigned long long>(st.retries.load()),
               static_cast<unsigned long long>(st.downshifts.load()));
-
-  // Fairness cells ride along only when the phase ran, so a run with
-  // QC_SERVE_BENCH_FAIR_HEAVY=0 yields the legacy artifact and the gate
-  // skips the fairness check with a notice instead of failing.
-  std::string fair_json;
-  if (fair_heavy > 0) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  \"fair_heavy_conns\": %d,\n"
-                  "  \"fair_heavy_ok\": %lld,\n"
-                  "  \"fair_light_ok\": %lld,\n"
-                  "  \"fair_heavy_p95_ms\": %.3f,\n"
-                  "  \"fair_light_p95_ms\": %.3f",
-                  fair_heavy, static_cast<long long>(heavy_ok),
-                  static_cast<long long>(light_ok), fair_heavy_p95,
-                  fair_light_p95);
-    fair_json = buf;
-  }
 
   std::string json = qc::bench::BenchJsonPath("BENCH_serve.json");
   if (!json.empty()) {
@@ -320,16 +283,22 @@ int main() {
         "  \"retries\": %llu,\n"
         "  \"downshifts\": %llu,\n"
         "  \"disconnect_cancels\": %llu,\n"
-        "  \"jit_fallbacks\": %llu%s\n"
+        "  \"jit_fallbacks\": %llu,\n"
+        "  \"fair_heavy_conns\": %d,\n"
+        "  \"fair_heavy_ok\": %lld,\n"
+        "  \"fair_light_ok\": %lld,\n"
+        "  \"fair_heavy_p95_ms\": %.3f,\n"
+        "  \"fair_light_p95_ms\": %.3f\n"
         "}\n",
-        sf, clients, reqs, workers, static_cast<long long>(ok),
+        sf, kClients, kReqs, kWorkers, static_cast<long long>(ok),
         static_cast<long long>(err), qps, p50, p95, p99,
         static_cast<unsigned long long>(shed), shed_rate,
         static_cast<unsigned long long>(st.retries.load()),
         static_cast<unsigned long long>(st.downshifts.load()),
         static_cast<unsigned long long>(st.disconnect_cancels.load()),
-        static_cast<unsigned long long>(st.jit_fallbacks.load()),
-        fair_json.c_str());
+        static_cast<unsigned long long>(st.jit_fallbacks.load()), kFairHeavy,
+        static_cast<long long>(heavy_ok), static_cast<long long>(light_ok),
+        fair_heavy_p95, fair_light_p95);
     std::fclose(f);
     std::fprintf(stderr, "serve_latency: wrote %s\n", json.c_str());
   }

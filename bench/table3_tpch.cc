@@ -1,25 +1,20 @@
 // Reproduces Table 3: execution time (ms) of all 22 TPC-H queries for the
 // Volcano interpreter (context row), the in-process IR engines (the
-// register-bytecode VM and, with QC_BENCH_JIT, the copy-and-patch JIT, both
-// executing the 5-level-stack output), the LegoBase-style monolithic
-// expander, DBLAB/LB with 2..5 stack levels, and the TPC-H-compliant
-// configuration. Native queries run as generated C programs compiled with
-// the system compiler (the paper's pipeline); times are query-only (loading
-// excluded).
+// register-bytecode VM and the copy-and-patch JIT, both executing the
+// 5-level-stack output), the LegoBase-style monolithic expander, DBLAB/LB
+// with 2..5 stack levels, and the TPC-H-compliant configuration. Native
+// queries run as generated C programs compiled with the system compiler
+// (the paper's pipeline); times are query-only (loading excluded).
+//
+// Every interpreter row also measures the overhead pairs (kPairs below):
+// the same engine twice back to back, plain and instrumented, written as
+// `<name>-base` / `<name>` cells and listed under "pairs" in the JSON.
+// scripts/check_bench_regression.py bounds each pair's geomean ratio.
 //
 // Environment:
 //   QC_BENCH_SF           scale factor (default 0.05)
 //   QC_BENCH_INTERP_ONLY  skip the generated-C columns (no external cc)
 //   QC_BENCH_JSON         "1" or a path: also write BENCH_table3.json
-//   QC_BENCH_JIT          add the in-process JIT engine rows (ir-jit)
-//   QC_BENCH_GOVERNED     also measure ir-bc/ir-jit with a governance
-//                         control attached (ir-bc-gov / ir-jit-gov cells)
-//   QC_BENCH_OBS          also measure ir-jit with a live telemetry trace
-//                         session recording (ir-jit-obs cells, paired with
-//                         an adjacently-measured ir-jit-obs-base)
-//   QC_BENCH_VERIFY       also measure ir-jit with the static verifier
-//                         layer forced on (ir-jit-verify cells, paired
-//                         with an adjacently-measured ir-jit-verify-base)
 //   QC_BENCH_THREADS      comma list of interpreter thread counts
 //
 // Absolute numbers differ from the paper (different hardware, synthetic
@@ -30,6 +25,7 @@
 // engines, the JIT faster than the bytecode VM on the same IR.
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -37,12 +33,70 @@
 #include "bench_util.h"
 #include "common/timer.h"
 #include "exec/governor.h"
+#include "telemetry/trace.h"
 #include "volcano/volcano.h"
 
 using namespace qc;           // NOLINT
 using compiler::StackConfig;
+using Engine = exec::InterpOptions::Engine;
 
 namespace {
+
+using Rep = std::function<void()>;
+
+// Hooks that instrument one side of an overhead pair: each wraps one timed
+// repetition `rep`, and `on` selects the instrumented side.
+
+// Governance: an idle control (no deadline, no budget) polled at back
+// edges, morsel boundaries and sort comparators — pure safepoint cost. A
+// gap means a safepoint left the cold path.
+void Govern(bool on, exec::Interpreter& interp, const Rep& rep) {
+  static exec::ExecControl idle;
+  interp.SetControl(on ? &idle : nullptr);
+  rep();
+}
+
+// Telemetry: a live trace session recording spans and morsel slices.
+// Rendering the JSON is export, not execution, so it stays off the timer.
+// Tracing *enabled* bounds the disabled cost from above.
+void Trace(bool on, exec::Interpreter&, const Rep& rep) {
+  uint64_t session = on ? telemetry::TraceBeginSession() : 0;
+  {
+    telemetry::TraceScope scope(session);
+    rep();
+  }
+  if (session != 0) telemetry::TraceEndSession(session);
+}
+
+// Static verifier layer (src/analysis/) forced on vs off. It runs once at
+// program-cache fill (first repetition); the steady state must be the same
+// execution path, so a gap means a check leaked into the per-row path.
+void Verify(bool on, exec::Interpreter&, const Rep& rep) {
+  exec::analysis::SetVerifyEnabledOverride(on ? 1 : 0);
+  rep();
+  exec::analysis::SetVerifyEnabledOverride(-1);
+}
+
+// One overhead pair, written as `<name>-base` / `<name>` cells. Both sides
+// run the same engine, best of kPairReps, back to back: the pair shares
+// machine state (frequency, caches, allocator), so the ratio isolates the
+// instrumentation cost instead of minutes of drift between distant cells.
+// Best-of-5 (vs 3 for the plain cells): the gate divides the two cells, so
+// one scheduling spike in either would show up as phantom overhead.
+struct OverheadPair {
+  const char* name;
+  Engine engine;
+  void (*hook)(bool on, exec::Interpreter& interp, const Rep& rep);
+};
+
+constexpr int kPairReps = 5;
+
+const OverheadPair kPairs[] = {
+    {"ir-bc-gov", Engine::kBytecode, Govern},
+    {"ir-jit-gov", Engine::kJit, Govern},
+    {"ir-jit-obs", Engine::kJit, Trace},
+    {"ir-jit-verify", Engine::kJit, Verify},
+};
 
 struct Row {
   int query = 0;
@@ -58,7 +112,11 @@ void WriteJson(const std::string& path, double sf,
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"table3_tpch\",\n  \"sf\": %g,\n", sf);
-  std::fprintf(f, "  \"unit\": \"ms\",\n  \"rows\": [\n");
+  std::fprintf(f, "  \"unit\": \"ms\",\n  \"pairs\": [");
+  for (const OverheadPair& p : kPairs) {
+    std::fprintf(f, "%s\"%s\"", &p == kPairs ? "" : ", ", p.name);
+  }
+  std::fprintf(f, "],\n  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f, "    {\"query\": %d, \"threads\": %d", rows[i].query,
                  rows[i].threads);
@@ -77,13 +135,6 @@ void WriteJson(const std::string& path, double sf,
 int main() {
   double sf = bench::BenchScaleFactor();
   bool interp_only = bench::BenchInterpOnly();
-  bool with_jit = bench::BenchJit();
-  bool governed = bench::BenchGoverned();
-  bool observed = bench::BenchObs() && with_jit;
-  bool verified = bench::BenchVerify() && with_jit;
-  // An attached control with no deadline/budget: the governed cells measure
-  // pure safepoint overhead, which the regression gate bounds.
-  exec::ExecControl gov_ctl;
   std::vector<int> thread_counts = bench::BenchThreadCounts();
   std::printf("=== Table 3: TPC-H performance (ms), SF=%.3f%s ===\n", sf,
               interp_only ? " (interpreters only)" : "");
@@ -94,8 +145,7 @@ int main() {
       StackConfig::Level(4),    StackConfig::Level(5),
       StackConfig::Compliant()};
 
-  std::printf("%-4s %10s %10s", "Q", "volcano", "ir-bc");
-  if (with_jit) std::printf(" %10s", "ir-jit");
+  std::printf("%-4s %10s %10s %10s", "Q", "volcano", "ir-bc", "ir-jit");
   if (!interp_only) {
     std::printf(" %10s %10s %10s %10s %10s %10s", "legobase", "dblab-2",
                 "dblab-3", "dblab-4", "dblab-5", "compliant");
@@ -107,150 +157,66 @@ int main() {
   double jit_log_sum = 0;
   int jit_count = 0;
   double jit_deopt_sum = 0;  // total deopt events across all ir-jit runs
-  bool have_deopts = false;
   for (int q = 1; q <= tpch::kNumQueries; ++q) {
-    Row row;
-    row.query = q;
     std::printf("Q%-3d", q);
     // Interpretation baseline (in-process Volcano evaluator).
+    double volcano_ms;
     {
       qplan::PlanPtr plan = tpch::MakeQuery(q);
       qplan::ResolvePlan(plan.get(), harness.db());
       Timer t;
       storage::ResultTable r = volcano::Execute(*plan, harness.db());
-      double ms = t.ElapsedMs();
-      std::printf(" %10.2f", ms);
-      row.cells.emplace_back("volcano", ms);
+      volcano_ms = t.ElapsedMs();
+      std::printf(" %10.2f", volcano_ms);
     }
     // The IR-engine rows: the same 5-level-stack function on the bytecode
-    // VM (and the JIT), at each requested thread count (QC_BENCH_THREADS;
-    // one JSON row per count).
-    for (size_t t = 0; t < thread_counts.size(); ++t) {
-      int threads = thread_counts[t];
-      bench::InterpRun bc =
-          harness.RunInterp(q, StackConfig::Level(5),
-                            exec::InterpOptions::Engine::kBytecode, 3, threads);
-      bench::InterpRun jit;
-      if (with_jit) {
-        jit = harness.RunInterp(q, StackConfig::Level(5),
-                                exec::InterpOptions::Engine::kJit, 3, threads);
-        if (jit.jit_deopts >= 0) {
-          jit_deopt_sum += jit.jit_deopts;
-          have_deopts = true;
+    // VM and the JIT, plus the overhead pairs, at each requested thread
+    // count (QC_BENCH_THREADS; one JSON row per count). The first row also
+    // carries the volcano and native cells.
+    std::vector<Row> rows;
+    for (int threads : thread_counts) {
+      Row row;
+      row.query = q;
+      row.threads = threads;
+      if (rows.empty()) row.cells.emplace_back("volcano", volcano_ms);
+      bench::InterpRun bc = harness.RunInterp(q, StackConfig::Level(5),
+                                              Engine::kBytecode, 3, threads);
+      bench::InterpRun jit = harness.RunInterp(q, StackConfig::Level(5),
+                                               Engine::kJit, 3, threads);
+      row.cells.emplace_back("ir-bc", bc.query_ms);
+      row.cells.emplace_back("ir-jit", jit.query_ms);
+      // Degradation is never invisible: the artifact records why a kJit
+      // row ran on the VM (jit::JitFallback as int, 0 = native).
+      row.cells.emplace_back("ir-jit-fallback",
+                             static_cast<double>(jit.jit_fallback));
+      if (jit.jit_coverage >= 0) {
+        row.cells.emplace_back("ir-jit-coverage", jit.jit_coverage);
+        row.cells.emplace_back("ir-jit-deopts", jit.jit_deopts);
+        jit_deopt_sum += jit.jit_deopts;
+      }
+      for (const OverheadPair& p : kPairs) {
+        for (bool on : {false, true}) {
+          bench::InterpRun r = harness.RunInterp(
+              q, StackConfig::Level(5), p.engine, kPairReps, threads,
+              [&](exec::Interpreter& interp, const Rep& rep) {
+                p.hook(on, interp, rep);
+              });
+          row.cells.emplace_back(on ? std::string(p.name)
+                                    : std::string(p.name) + "-base",
+                                 r.query_ms);
         }
       }
-      bench::InterpRun bc_gov, jit_gov;
-      if (governed) {
-        bc_gov = harness.RunInterp(q, StackConfig::Level(5),
-                                   exec::InterpOptions::Engine::kBytecode, 3,
-                                   threads, &gov_ctl);
-        if (with_jit) {
-          jit_gov = harness.RunInterp(q, StackConfig::Level(5),
-                                      exec::InterpOptions::Engine::kJit, 3,
-                                      threads, &gov_ctl);
-        }
-      }
-      bench::InterpRun jit_obs_base, jit_obs;
-      if (observed) {
-        // The overhead gate compares the traced run against a plain run
-        // measured immediately before it: the pair shares machine state
-        // (frequency, cache, allocator), so the ratio isolates tracing
-        // cost instead of minutes of drift between distant cells.
-        // Best-of-5 (vs 3 elsewhere): the gate divides these two cells, so
-        // a single scheduling spike in either run shows up as phantom
-        // overhead; extra reps make the min robust to it.
-        jit_obs_base = harness.RunInterp(q, StackConfig::Level(5),
-                                         exec::InterpOptions::Engine::kJit, 5,
-                                         threads);
-        jit_obs = harness.RunInterp(q, StackConfig::Level(5),
-                                    exec::InterpOptions::Engine::kJit, 5,
-                                    threads, nullptr, /*traced=*/true);
-      }
-      bench::InterpRun jit_verify_base, jit_verify;
-      if (verified) {
-        // Same adjacent-pair discipline as the obs cells. The verified run
-        // pays bytecode verification + stitch/W^X audit once at program-
-        // cache fill (first repetition); best-of-5 then measures steady
-        // state, which must be byte-for-byte the same execution path — the
-        // gate bounding verify/base at ~1.0 is what proves the verifier
-        // layer never runs per-row.
-        exec::analysis::SetVerifyEnabledOverride(0);
-        jit_verify_base = harness.RunInterp(
-            q, StackConfig::Level(5), exec::InterpOptions::Engine::kJit, 5,
-            threads);
-        exec::analysis::SetVerifyEnabledOverride(1);
-        jit_verify = harness.RunInterp(
-            q, StackConfig::Level(5), exec::InterpOptions::Engine::kJit, 5,
-            threads);
-        exec::analysis::SetVerifyEnabledOverride(-1);
-      }
-      if (t == 0) {
-        row.threads = threads;
-        std::printf(" %10.2f", bc.query_ms);
-        row.cells.emplace_back("ir-bc", bc.query_ms);
-        if (with_jit) {
-          std::printf(" %10.2f", jit.query_ms);
-          row.cells.emplace_back("ir-jit", jit.query_ms);
-          // Degradation is never invisible: the artifact records why a
-          // kJit row ran on the VM (jit::JitFallback as int, 0 = native).
-          row.cells.emplace_back("ir-jit-fallback",
-                                 static_cast<double>(jit.jit_fallback));
-          if (bench::BenchJitStats() && jit.jit_coverage >= 0) {
-            row.cells.emplace_back("ir-jit-coverage", jit.jit_coverage);
-            row.cells.emplace_back("ir-jit-deopts", jit.jit_deopts);
-          }
-          if (bc.ok && jit.ok && jit.query_ms > 0) {
-            jit_log_sum += std::log(bc.query_ms / jit.query_ms);
-            ++jit_count;
-          }
-        }
-        if (governed) {
-          row.cells.emplace_back("ir-bc-gov", bc_gov.query_ms);
-          if (with_jit) row.cells.emplace_back("ir-jit-gov", jit_gov.query_ms);
-        }
-        if (observed) {
-          row.cells.emplace_back("ir-jit-obs-base", jit_obs_base.query_ms);
-          row.cells.emplace_back("ir-jit-obs", jit_obs.query_ms);
-        }
-        if (verified) {
-          row.cells.emplace_back("ir-jit-verify-base",
-                                 jit_verify_base.query_ms);
-          row.cells.emplace_back("ir-jit-verify", jit_verify.query_ms);
+      if (rows.empty()) {
+        std::printf(" %10.2f %10.2f", bc.query_ms, jit.query_ms);
+        if (bc.ok && jit.ok && jit.query_ms > 0) {
+          jit_log_sum += std::log(bc.query_ms / jit.query_ms);
+          ++jit_count;
         }
       } else {
-        Row trow;
-        trow.query = q;
-        trow.threads = threads;
-        trow.cells.emplace_back("ir-bc", bc.query_ms);
-        if (with_jit) {
-          trow.cells.emplace_back("ir-jit", jit.query_ms);
-          trow.cells.emplace_back("ir-jit-fallback",
-                                  static_cast<double>(jit.jit_fallback));
-          if (bench::BenchJitStats() && jit.jit_coverage >= 0) {
-            trow.cells.emplace_back("ir-jit-coverage", jit.jit_coverage);
-            trow.cells.emplace_back("ir-jit-deopts", jit.jit_deopts);
-          }
-        }
-        if (governed) {
-          trow.cells.emplace_back("ir-bc-gov", bc_gov.query_ms);
-          if (with_jit) {
-            trow.cells.emplace_back("ir-jit-gov", jit_gov.query_ms);
-          }
-        }
-        if (observed) {
-          trow.cells.emplace_back("ir-jit-obs-base", jit_obs_base.query_ms);
-          trow.cells.emplace_back("ir-jit-obs", jit_obs.query_ms);
-        }
-        if (verified) {
-          trow.cells.emplace_back("ir-jit-verify-base",
-                                  jit_verify_base.query_ms);
-          trow.cells.emplace_back("ir-jit-verify", jit_verify.query_ms);
-        }
-        json_rows.push_back(std::move(trow));
-        std::printf("  [t=%d: %0.2f", threads, bc.query_ms);
-        if (with_jit) std::printf(" %0.2f", jit.query_ms);
-        std::printf("]");
+        std::printf("  [t=%d: %0.2f %0.2f]", threads, bc.query_ms,
+                    jit.query_ms);
       }
+      rows.push_back(std::move(row));
     }
     double legobase_ms = 0, dblab5_ms = 0;
     if (!interp_only) {
@@ -258,31 +224,26 @@ int main() {
         bench::NativeRun run = harness.RunNative(q, cfg);
         std::printf(" %10.2f", run.ok ? run.query_ms : -1.0);
         std::fflush(stdout);
-        row.cells.emplace_back(cfg.name, run.ok ? run.query_ms : -1.0);
+        rows.front().cells.emplace_back(cfg.name,
+                                        run.ok ? run.query_ms : -1.0);
         if (cfg.name == "legobase") legobase_ms = run.query_ms;
         if (cfg.name == "dblab-lb-5") dblab5_ms = run.query_ms;
       }
-    }
-    std::printf("\n");
-    std::fflush(stdout);
-    json_rows.push_back(std::move(row));
-    if (!interp_only) {
       ++total;
       if (dblab5_ms <= legobase_ms * 1.10) ++dblab5_wins;
     }
+    std::printf("\n");
+    std::fflush(stdout);
+    for (Row& row : rows) json_rows.push_back(std::move(row));
   }
   if (jit_count > 0) {
     std::printf("\nJIT vs bytecode VM: %.2fx geomean speedup (%d queries)\n",
                 std::exp(jit_log_sum / jit_count), jit_count);
   }
-  if (have_deopts) {
-    // The deopt trajectory the PRs chase: with native sorts, all remaining
-    // deopts should be once-per-query (container construction) or
-    // once-per-output (kStrSubstr interning) — nothing per-row or
-    // per-comparison.
-    std::printf("JIT deopt events, all queries/threads: %.0f\n",
-                jit_deopt_sum);
-  }
+  // The deopt trajectory: with native sorts, all remaining deopts should be
+  // once-per-query (container construction) or once-per-output
+  // (kStrSubstr interning) — nothing per-row or per-comparison.
+  std::printf("JIT deopt events, all queries/threads: %.0f\n", jit_deopt_sum);
   if (!interp_only) {
     std::printf(
         "DBLAB/LB 5 at least comparable (<=1.1x) to LegoBase on %d/%d "

@@ -1,7 +1,7 @@
 // Shared parsing of environment knobs. Every QC_* on/off flag
-// (QC_JIT_DISABLE, QC_BENCH_*, QC_PAR_TRACE, ...) uses the same rule:
-// set to anything non-empty other than "0…" means on — so the knobs can
-// never silently diverge between call sites. Integer-valued knobs
+// (QC_JIT_DISABLE, QC_BENCH_INTERP_ONLY, QC_SERVE_NO_JIT, ...) uses the
+// same rule: set to anything non-empty other than "0…" means on — so the
+// knobs can never silently diverge between call sites. Integer-valued knobs
 // (QC_JIT_STATS, the morsel- and sort-sizing knobs) go through
 // EnvInt/EnvIntClamped for the same reason: one strtoll, one
 // unset/empty/garbage rule everywhere.
@@ -19,6 +19,7 @@
 #ifndef QC_COMMON_ENV_H_
 #define QC_COMMON_ENV_H_
 
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -43,6 +44,19 @@ inline bool EnvParseInt(const char* v, long long* out) {
   return true;
 }
 
+// The same whole-value rule for a finite floating-point value ("0.01",
+// " 1e-2\n"; "abc", "", "0.1x" and "inf" reject). Backs QC_BENCH_SF
+// (bench/bench_util.h).
+inline bool EnvParseDouble(const char* v, double* out) {
+  char* end = nullptr;
+  double parsed = std::strtod(v, &end);
+  if (end == v || !std::isfinite(parsed)) return false;
+  while (*end == ' ' || *end == '\t' || *end == '\n' || *end == '\r') ++end;
+  if (*end != '\0') return false;
+  *out = parsed;
+  return true;
+}
+
 // Integer knob: unset, empty, non-numeric, or trailing-garbage values
 // ("12abc") return `def`. A plain flag value like "1" reads as 1, so
 // boolean-style usage stays compatible.
@@ -55,8 +69,8 @@ inline long long EnvInt(const char* name, long long def) {
 
 // Integer knob with a validity range: parse failures fall back to `def`,
 // parsed values are clamped into [lo, hi]. The clamp is what makes knobs
-// like QC_PAR_TAIL_DIV=0 (a divisor) or QC_BENCH_THREADS=-1 safe at every
-// call site without per-site guards.
+// like QC_PAR_SORT_MIN=0 or QC_GOV_INTERVAL=-1 safe at every call site
+// without per-site guards.
 inline long long EnvIntClamped(const char* name, long long def, long long lo,
                                long long hi) {
   long long v = EnvInt(name, def);

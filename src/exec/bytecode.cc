@@ -1423,49 +1423,44 @@ void BytecodeVM::SortSlots(parallel::ExecState& st, Slot* data, int64_t n,
       return st->regs[ps[2]].i != 0;
     }
   };
-  // Morsel-parallel path: only outside morsel runs, only for a
-  // compiler-proven pure comparator (insn.n), and only when the input
-  // clears the chunk threshold (ParallelStableSort checks the size). Each
-  // task's comparator owns a private register-file copy; the main file is
-  // never written during the parallel sort, so post-sort register state is
-  // identical to loop entry — comparator temporaries are subroutine-local
-  // and dead afterwards either way.
-  if (par_eng_ != nullptr && st.morsel == nullptr && insn.n != 0) {
-    struct ParCmp : SlotCmp {
-      BytecodeVM* vm;
-      std::vector<Slot> regs;
-      parallel::ExecState ws;
-      const uint32_t* ps;
-      uint32_t entry;
-      bool Less(Slot a, Slot b) override {
-        ws.regs[ps[0]] = a;
-        ws.regs[ps[1]] = b;
-        vm->Exec(ws, entry);
-        return ws.regs[ps[2]].i != 0;
-      }
-    };
-    auto make_cmp = [&]() -> std::unique_ptr<SlotCmp> {
-      auto cmp = std::make_unique<ParCmp>();
-      cmp->vm = this;
-      cmp->regs.assign(st.regs, st.regs + prog_->num_regs);
-      cmp->ws = st;
-      cmp->ws.regs = cmp->regs.data();
-      cmp->ps = ps;
-      cmp->entry = entry;
-      // Governed: once the query trips, every comparator returns false and
-      // the in-flight sort drains in linear time (runtime.h sort core is
-      // memory-safe under any comparator).
-      return std::make_unique<GovernedCmpOwned>(std::move(cmp), st.gov);
-    };
-    if (parallel::ParallelStableSort(*par_eng_, data, n, make_cmp)) return;
-  }
   VmCmp cmp;
   cmp.vm = this;
   cmp.st = &st;
   cmp.ps = ps;
   cmp.entry = entry;
-  GovernedCmp gcmp(cmp, st.gov);
-  StableSortSlots(data, n, gcmp);
+  // Parallel-sort comparators: each task's comparator owns a private
+  // register-file copy; the main file is never written during the parallel
+  // sort, so post-sort register state is identical to loop entry —
+  // comparator temporaries are subroutine-local and dead afterwards either
+  // way.
+  struct ParCmp : SlotCmp {
+    BytecodeVM* vm;
+    std::vector<Slot> regs;
+    parallel::ExecState ws;
+    const uint32_t* ps;
+    uint32_t entry;
+    bool Less(Slot a, Slot b) override {
+      ws.regs[ps[0]] = a;
+      ws.regs[ps[1]] = b;
+      vm->Exec(ws, entry);
+      return ws.regs[ps[2]].i != 0;
+    }
+  };
+  auto make_cmp = [&]() -> std::unique_ptr<SlotCmp> {
+    auto pc = std::make_unique<ParCmp>();
+    pc->vm = this;
+    pc->regs.assign(st.regs, st.regs + prog_->num_regs);
+    pc->ws = st;
+    pc->ws.regs = pc->regs.data();
+    pc->ps = ps;
+    pc->entry = entry;
+    return pc;
+  };
+  // Parallel only outside morsel runs and for a compiler-proven pure
+  // comparator (insn.n); the driver also checks the input size.
+  bool par = st.morsel == nullptr && insn.n != 0;
+  parallel::GovernedStableSort(par ? par_eng_ : nullptr, st.gov, data, n, cmp,
+                               make_cmp);
 }
 
 void BytecodeVM::Exec(parallel::ExecState& st, uint32_t pc) {

@@ -1,6 +1,5 @@
 #include "exec/parallel.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -399,16 +398,13 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
   if (rows < 2 * mr) return false;
 
   // Adaptive tail sizing: the final ~eighth of the iteration space is cut
-  // into smaller morsels (QC_PAR_TAIL_DIV-th of the normal size, default
-  // half; 1 disables) so stolen tail morsels balance across workers instead
-  // of one straggler holding the pool. The morsels stay contiguous
+  // into half-size morsels so stolen tail morsels balance across workers
+  // instead of one straggler holding the pool. The morsels stay contiguous
   // ascending row ranges, so the ordered merge — and with it the bitwise
-  // determinism contract — is untouched. The clamp (EnvIntClamped) keeps a
-  // zero/negative/garbage knob from ever reaching the division below.
-  static const int64_t tail_div =
-      EnvIntClamped("QC_PAR_TAIL_DIV", 2, 1, 1 << 20);
-  int64_t tail_mr = mr / tail_div < 1 ? 1 : mr / tail_div;
-  int64_t tail_rows = tail_div > 1 ? rows / 8 : 0;
+  // determinism contract — is untouched.
+  constexpr int64_t kTailDiv = 2;
+  int64_t tail_mr = mr / kTailDiv < 1 ? 1 : mr / kTailDiv;
+  int64_t tail_rows = rows / 8;
   if (tail_rows < tail_mr) tail_rows = 0;  // small loops stay uniform
   std::vector<std::pair<int64_t, int64_t>> ranges;
   int64_t tail_start = run.hi - tail_rows;
@@ -481,11 +477,6 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
       }
     }
   }
-
-  // QC_PAR_TRACE=1: one line per parallel loop execution, with phase
-  // timings (debug / tuning aid).
-  static const bool trace = EnvFlagSet("QC_PAR_TRACE");
-  auto t0 = std::chrono::steady_clock::now();
 
   // Tracing: the session is captured once on the submitting thread and
   // passed into the scan lambda — worker threads record their morsel
@@ -569,18 +560,6 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
   }
   eng.pool().Wait();
 
-  if (trace) {
-    auto t1 = std::chrono::steady_clock::now();
-    telemetry::Log(
-        telemetry::LogLevel::kInfo, "par_loop",
-        {{"rows", static_cast<long long>(rows)},
-         {"morsels", static_cast<long long>(num_morsels)},
-         {"threads", eng.pool().threads()},
-         {"reds", plan.reductions.size()},
-         {"logs", plan.logs.size()},
-         {"total_ms",
-          std::chrono::duration<double, std::milli>(t1 - t0).count()}});
-  }
   return true;
 }
 
@@ -625,9 +604,6 @@ bool ParallelStableSort(Engine& eng, Slot* data, int64_t n,
   for (int64_t c = 0; c <= chunks; ++c) {
     bounds[static_cast<size_t>(c)] = n * c / chunks;
   }
-
-  static const bool trace = EnvFlagSet("QC_PAR_TRACE");
-  auto t0 = std::chrono::steady_clock::now();
 
   // Session captured on the submitting thread (workers record chunk/merge
   // slices into their own rings); see RunForRange.
@@ -688,17 +664,6 @@ bool ParallelStableSort(Engine& eng, Slot* data, int64_t n,
   }
   if (src != data) {
     std::memcpy(data, src, static_cast<size_t>(n) * sizeof(Slot));
-  }
-
-  if (trace) {
-    auto t1 = std::chrono::steady_clock::now();
-    telemetry::Log(
-        telemetry::LogLevel::kInfo, "par_sort",
-        {{"n", static_cast<long long>(n)},
-         {"chunks", static_cast<long long>(chunks)},
-         {"threads", threads},
-         {"total_ms",
-          std::chrono::duration<double, std::milli>(t1 - t0).count()}});
   }
   return true;
 }

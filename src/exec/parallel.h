@@ -238,6 +238,27 @@ using SortCmpFactory = std::function<std::unique_ptr<SlotCmp>()>;
 bool ParallelStableSort(Engine& eng, Slot* data, int64_t n,
                         const SortCmpFactory& make_cmp);
 
+// The kArrSort/kListSort driver of both engines: a governed stable sort of
+// data[0, n). With a pool (`eng` non-null; callers pass null inside morsel
+// runs and for comparators not proven safe to run in parallel) it tries
+// ParallelStableSort over comparators from `make_cmp` (a callable
+// returning std::unique_ptr<SlotCmp>); otherwise, or when the input is too
+// small, it runs the sequential core over `cmp`. Every comparator is
+// wrapped in GovernedCmp, so once the query trips the sort drains in
+// linear time. A template so the sequential path builds no std::function.
+template <typename MakeCmp>
+void GovernedStableSort(Engine* eng, GovState* gov, Slot* data, int64_t n,
+                        SlotCmp& cmp, const MakeCmp& make_cmp) {
+  if (eng != nullptr &&
+      ParallelStableSort(*eng, data, n, [&]() -> std::unique_ptr<SlotCmp> {
+        return std::make_unique<GovernedCmpOwned>(make_cmp(), gov);
+      })) {
+    return;
+  }
+  GovernedCmp gcmp(cmp, gov);
+  StableSortSlots(data, n, gcmp);
+}
+
 }  // namespace qc::exec::parallel
 
 #endif  // QC_EXEC_PARALLEL_H_

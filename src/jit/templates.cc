@@ -159,26 +159,23 @@ void HelpSort(Slot* regs, const JitSortSite* site) {
     data = a->data.data();
     n = regs[site->n_reg].i;
   }
-  if (site->par != nullptr && site->par_safe) {
-    // Private register-file copy per parallel task; the live file is never
-    // written during the sort (same contract as the VM's parallel path).
-    struct ParCmp : JitNativeCmp {
-      std::vector<Slot> own;
-    };
-    auto make_cmp = [&]() -> std::unique_ptr<SlotCmp> {
-      auto cmp = std::make_unique<ParCmp>();
-      cmp->site = site;
-      cmp->own.assign(regs, regs + site->num_regs);
-      cmp->regs = cmp->own.data();
-      return std::make_unique<GovernedCmpOwned>(std::move(cmp), gov);
-    };
-    if (parallel::ParallelStableSort(*site->par, data, n, make_cmp)) return;
-  }
   JitNativeCmp cmp;
   cmp.site = site;
   cmp.regs = regs;
-  GovernedCmp gcmp(cmp, gov);
-  StableSortSlots(data, n, gcmp);
+  // Private register-file copy per parallel task; the live file is never
+  // written during the sort (same contract as the VM's parallel path).
+  struct ParCmp : JitNativeCmp {
+    std::vector<Slot> own;
+  };
+  auto make_cmp = [&]() -> std::unique_ptr<SlotCmp> {
+    auto pc = std::make_unique<ParCmp>();
+    pc->site = site;
+    pc->own.assign(regs, regs + site->num_regs);
+    pc->regs = pc->own.data();
+    return pc;
+  };
+  parallel::GovernedStableSort(site->par_safe ? site->par : nullptr, gov,
+                               data, n, cmp, make_cmp);
 }
 
 // kEmit row staging: gather the argument slots, intern strings into the

@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: date arithmetic, LIKE matching,
-// arenas, deterministic RNG, hashing.
+// arenas, deterministic RNG, hashing, environment knobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "../bench/bench_util.h"
 #include "common/arena.h"
 #include "common/backoff.h"
 #include "common/date.h"
@@ -178,21 +179,22 @@ class EnvKnobTest : public ::testing::Test {
   std::vector<const char*> set_;
 };
 
-TEST_F(EnvKnobTest, ParTailDivNeverReachesZero) {
-  // exec/parallel.cc divides the morsel size by this knob.
-  auto read = [] { return EnvIntClamped("QC_PAR_TAIL_DIV", 2, 1, 1 << 20); };
+TEST_F(EnvKnobTest, ClampedKnobNeverReachesZero) {
+  // The clamp contract of divisor-style knobs: zero and negative values
+  // clamp to the floor, garbage keeps the default, overflow clamps high.
+  auto read = [] { return EnvIntClamped("QC_TEST_INT_KNOB", 2, 1, 1 << 20); };
   EXPECT_EQ(read(), 2);  // unset: default
-  SetKnob("QC_PAR_TAIL_DIV", "0");
+  SetKnob("QC_TEST_INT_KNOB", "0");
   EXPECT_EQ(read(), 1);  // zero clamps, never divides by zero
-  SetKnob("QC_PAR_TAIL_DIV", "-7");
+  SetKnob("QC_TEST_INT_KNOB", "-7");
   EXPECT_EQ(read(), 1);
-  SetKnob("QC_PAR_TAIL_DIV", "garbage");
+  SetKnob("QC_TEST_INT_KNOB", "garbage");
   EXPECT_EQ(read(), 2);
-  SetKnob("QC_PAR_TAIL_DIV", "4x");  // trailing garbage: rejected whole
+  SetKnob("QC_TEST_INT_KNOB", "4x");  // trailing garbage: rejected whole
   EXPECT_EQ(read(), 2);
-  SetKnob("QC_PAR_TAIL_DIV", "4");
+  SetKnob("QC_TEST_INT_KNOB", "4");
   EXPECT_EQ(read(), 4);
-  SetKnob("QC_PAR_TAIL_DIV", "99999999999999999999");  // overflow: clamped
+  SetKnob("QC_TEST_INT_KNOB", "99999999999999999999");  // overflow: clamped
   EXPECT_EQ(read(), 1 << 20);
 }
 
@@ -228,6 +230,20 @@ TEST_F(EnvKnobTest, BenchThreadsRejectsNegativeAndGarbage) {
   EXPECT_EQ(read(), std::vector<long long>({8}));
   SetKnob("QC_BENCH_THREADS", ",,");
   EXPECT_EQ(read(), std::vector<long long>({1}));
+}
+
+TEST_F(EnvKnobTest, BenchScaleFactorRejectsGarbageAndNonPositive) {
+  // An SF of 0 would put every bench cell under the regression gate's
+  // floor and silently turn the gate off.
+  EXPECT_EQ(bench::BenchScaleFactor(), 0.05);  // unset: default
+  for (const char* bad : {"abc", "", "0", "-1", "0.1x", "inf", "nan"}) {
+    SetKnob("QC_BENCH_SF", bad);
+    EXPECT_EQ(bench::BenchScaleFactor(), 0.05) << "QC_BENCH_SF=" << bad;
+  }
+  SetKnob("QC_BENCH_SF", " 0.02\n");  // stray whitespace is fine
+  EXPECT_EQ(bench::BenchScaleFactor(), 0.02);
+  SetKnob("QC_BENCH_SF", "0.1");
+  EXPECT_EQ(bench::BenchScaleFactor(), 0.1);
 }
 
 TEST_F(EnvKnobTest, JitStatsLevelNeverNegative) {
