@@ -11,7 +11,7 @@ using namespace qc;           // NOLINT
 using compiler::StackConfig;
 
 int main() {
-  double sf = bench::BenchScaleFactor();
+  double sf = KnobDouble(Knob::kBenchSf);
   std::printf("=== Ablation: 5-level stack minus one optimization, SF=%.3f ===\n",
               sf);
   bench::Harness harness(sf, "ablation");

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "cgen/cc_driver.h"
-#include "common/env.h"
+#include "common/knobs.h"
 #include "common/timer.h"
 #include "cgen/emit.h"
 #include "compiler/compiler.h"
@@ -171,41 +171,12 @@ class Harness {
   cgen::CcDriver driver_;
 };
 
-// Scale factor from QC_BENCH_SF, or `def` when unset. The whole value must
-// parse as a number > 0 (common/env.h EnvParseDouble): garbage ("abc",
-// "0.1x"), an empty value, and values <= 0 also yield `def` — an SF of 0
-// would leave every cell under the regression gate's floor and silently
-// turn the gate off.
-inline double BenchScaleFactor(double def = 0.05) {
-  const char* v = std::getenv("QC_BENCH_SF");
-  double sf = 0;
-  return v != nullptr && EnvParseDouble(v, &sf) && sf > 0 ? sf : def;
-}
-
-// True when the native (generated-C) measurement columns should be skipped —
-// CI tracks the in-process engines only, which needs no external compiler.
-inline bool BenchInterpOnly() { return EnvFlagSet("QC_BENCH_INTERP_ONLY"); }
-
 // Path for machine-readable benchmark output, or "" when disabled. Set
 // QC_BENCH_JSON=1 for the default file name, or to an explicit path.
 inline std::string BenchJsonPath(const std::string& default_name) {
-  const char* v = std::getenv("QC_BENCH_JSON");
-  if (v == nullptr || v[0] == '\0' || (v[0] == '0' && v[1] == '\0')) return "";
+  const char* v = KnobStr(Knob::kBenchJson);
+  if (v == nullptr || std::string(v) == "0") return "";
   return std::string(v) == "1" ? default_name : std::string(v);
-}
-
-// Thread counts for the interpreter rows: QC_BENCH_THREADS is a
-// comma-separated list (e.g. "1,2,4"); default is sequential only. Each
-// count produces one measurement row per query. Parsing is the shared
-// hardened EnvIntList: negative, zero, non-numeric, and absurd tokens are
-// dropped (no wrap, no thread-count explosion), and an all-invalid knob
-// falls back to {1}.
-inline std::vector<int> BenchThreadCounts() {
-  std::vector<int> counts;
-  for (long long v : EnvIntList("QC_BENCH_THREADS", 1, 1, 1024)) {
-    counts.push_back(static_cast<int>(v));
-  }
-  return counts;
 }
 
 }  // namespace qc::bench

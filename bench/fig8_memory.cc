@@ -11,7 +11,7 @@
 using namespace qc;  // NOLINT
 
 int main() {
-  double sf = bench::BenchScaleFactor();
+  double sf = KnobDouble(Knob::kBenchSf);
   std::printf("=== Figure 8: memory consumption of generated code, SF=%.3f ===\n",
               sf);
   bench::Harness harness(sf, "fig8");

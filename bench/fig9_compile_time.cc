@@ -9,7 +9,7 @@
 using namespace qc;  // NOLINT
 
 int main() {
-  double sf = bench::BenchScaleFactor();
+  double sf = KnobDouble(Knob::kBenchSf);
   std::printf("=== Figure 9: compilation time split, SF=%.3f ===\n", sf);
   bench::Harness harness(sf, "fig9");
   std::printf("%-4s %16s %16s %12s\n", "Q", "generation [ms]", "cc [ms]",

@@ -109,7 +109,7 @@ struct ClientResult {
 }  // namespace
 
 int main() {
-  const double sf = qc::bench::BenchScaleFactor(0.01);
+  const double sf = qc::KnobDouble(qc::Knob::kBenchSf, 0.01);
 
   std::fprintf(stderr, "serve_latency: sf=%g clients=%d reqs=%d workers=%d\n",
                sf, kClients, kReqs, kWorkers);

@@ -133,9 +133,9 @@ void WriteJson(const std::string& path, double sf,
 }  // namespace
 
 int main() {
-  double sf = bench::BenchScaleFactor();
-  bool interp_only = bench::BenchInterpOnly();
-  std::vector<int> thread_counts = bench::BenchThreadCounts();
+  double sf = KnobDouble(Knob::kBenchSf);
+  // CI tracks the in-process engines only, which needs no external compiler.
+  bool interp_only = KnobFlag(Knob::kBenchInterpOnly);
   std::printf("=== Table 3: TPC-H performance (ms), SF=%.3f%s ===\n", sf,
               interp_only ? " (interpreters only)" : "");
   bench::Harness harness(sf, "table3");
@@ -174,7 +174,7 @@ int main() {
     // count (QC_BENCH_THREADS; one JSON row per count). The first row also
     // carries the volcano and native cells.
     std::vector<Row> rows;
-    for (int threads : thread_counts) {
+    for (int threads : KnobIntList(Knob::kBenchThreads)) {
       Row row;
       row.query = q;
       row.threads = threads;

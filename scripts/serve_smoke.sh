@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Smoke + chaos test of the qc_serve daemon as a real process: starts the
-# binary, drives it with concurrent clients (one clean pass, one pass with
+# binary, drives it with concurrent clients (one clean pass, also booted
+# with a misspelled knob that must log knob_unknown, one pass with
 # network+allocator faults injected via QC_FAULT — including the sweep and
 # cancel-path sites srv_timeout/srv_cancel — and one control-plane pass
 # exercising cancel-by-id and per-client quota sheds), then sends SIGTERM
@@ -25,8 +26,7 @@ start_daemon() {  # $1 = QC_FAULT spec ("" = none), $2.. = extra VAR=val env
   shift || true
   : > "$LOG"
   env QC_SERVE_PORT=0 QC_SERVE_SF=0.01 QC_SERVE_WORKERS=2 \
-      QC_SERVE_MAX_RETRIES=2 QC_FAULT="$faults" "$@" \
-      "$BIN" 2> "$LOG" &
+      QC_FAULT="$faults" "$@" "$BIN" 2> "$LOG" &
   DAEMON_PID=$!
   for _ in $(seq 1 240); do
     if grep -q "event=listening" "$LOG" 2>/dev/null; then break; fi
@@ -155,12 +155,15 @@ stop_daemon() {
   fi
 }
 
-# --- pass 1: clean ---------------------------------------------------------
-say "pass 1: clean"
-if start_daemon ""; then
+# --- pass 1: clean, plus a misspelled knob the daemon must name -----------
+say "pass 1: clean (misspelled QC_SERVE_WORKER=2)"
+if start_daemon "" QC_SERVE_WORKER=2; then
   drive_clients "clean" 0
   check_metrics
   stop_daemon
+  if ! grep -q "event=knob_unknown name=QC_SERVE_WORKER$" "$LOG"; then
+    fail "misspelled QC_SERVE_WORKER not reported as knob_unknown"
+  fi
 fi
 
 # --- pass 2: chaos (network faults + a transient allocation fault) ---------

@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/knobs.h"
+
 namespace qc::exec::analysis {
 
 namespace {
@@ -1159,15 +1161,7 @@ void SetVerifyEnabledOverride(int v) {
 bool VerifyEnabled() {
   int ov = g_verify_override.load(std::memory_order_relaxed);
   if (ov >= 0) return ov != 0;
-  static const bool on = [] {
-    const char* v = std::getenv("QC_VERIFY");
-    if (v != nullptr && v[0] != '\0') return v[0] != '0';
-#if !defined(NDEBUG) || defined(QC_SANITIZER_BUILD)
-    return true;
-#else
-    return false;
-#endif
-  }();
+  static const bool on = KnobFlag(qc::Knob::kVerify);
   return on;
 }
 

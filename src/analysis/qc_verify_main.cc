@@ -13,9 +13,8 @@
 //                          expected named invariant; exit non-zero when
 //                          any corruption slips through.
 //
-// Knobs: QC_VERIFY_SF scales the TPC-H data the queries are lowered
-// against (default 0.002 — the program shapes, not the data, are what is
-// verified, so small is fine).
+// The queries are lowered against TPC-H data at SF 0.002: the program
+// shapes, not the data, are what is verified, so small is fine.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -45,12 +44,7 @@ using exec::analysis::AuditTemplates;
 using exec::analysis::VerifyProgram;
 using exec::analysis::VerifyResult;
 
-double ScaleFactor() {
-  const char* v = std::getenv("QC_VERIFY_SF");
-  if (v == nullptr || v[0] == '\0') return 0.002;
-  double sf = std::atof(v);
-  return sf > 0 ? sf : 0.002;
-}
+constexpr double kScaleFactor = 0.002;
 
 // One program at one stack level: compile its bytecode (with the morsel
 // fragments the parallel runtime would use), verify it, stitch it, audit
@@ -85,7 +79,7 @@ size_t VerifyOne(storage::Database* db, const ir::Function& fn,
 }
 
 int RunVerifyAll() {
-  storage::Database db = tpch::MakeTpchDatabase(ScaleFactor(), 7);
+  storage::Database db = tpch::MakeTpchDatabase(kScaleFactor, 7);
   size_t violations = 0;
   size_t programs = 0;
   size_t audited = 0;
@@ -162,7 +156,7 @@ bool ExpectRejected(const char* name, const char* invariant,
 }
 
 int RunSelfTest() {
-  storage::Database db = tpch::MakeTpchDatabase(ScaleFactor(), 7);
+  storage::Database db = tpch::MakeTpchDatabase(kScaleFactor, 7);
   ir::TypeFactory types;
   compiler::CompileResult keep_alive;
   ir::ParallelInfo par;

@@ -3,15 +3,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
 #include "common/fault.h"
 #include "common/hash.h"
+#include "common/knobs.h"
 #include "common/timer.h"
 
 namespace qc::cgen {
@@ -55,19 +56,13 @@ uint64_t RuntimeHeaderHash() {
 }  // namespace
 
 CcDriver::CcDriver(std::string work_dir) : work_dir_(std::move(work_dir)) {
-  const char* override_dir = std::getenv("QC_CC_CACHE_DIR");
-  if (override_dir != nullptr && override_dir[0] != '\0') {
+  if (const char* override_dir = KnobStr(Knob::kCcCacheDir)) {
     work_dir_ = override_dir;
-    // mkdir -p equivalent via mkdir(2): no shell, no quoting hazards.
-    for (size_t i = 1; i <= work_dir_.size(); ++i) {
-      if (i != work_dir_.size() && work_dir_[i] != '/') continue;
-      std::string prefix = work_dir_.substr(0, i);
-      if (prefix.empty()) continue;
-      if (::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
-        std::fprintf(stderr, "cc_driver: cannot create QC_CC_CACHE_DIR %s\n",
-                     prefix.c_str());
-        break;
-      }
+    std::error_code ec;  // mkdir -p without a shell: no quoting hazards
+    std::filesystem::create_directories(work_dir_, ec);
+    if (ec) {
+      std::fprintf(stderr, "cc_driver: cannot create QC_CC_CACHE_DIR %s\n",
+                   override_dir);
     }
   }
 }

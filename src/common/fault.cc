@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/knobs.h"
+
 namespace qc {
 
 std::atomic<bool> qc_fault_armed{false};
@@ -62,7 +64,7 @@ bool FaultShouldFireSlow(const char* site) {
 
 void FaultReArm() {
   std::lock_guard<std::mutex> lock(g_mu);
-  ParseLocked(std::getenv("QC_FAULT"));
+  ParseLocked(KnobStr(Knob::kFault));
   qc_fault_armed.store(!g_sites.empty(), std::memory_order_relaxed);
 }
 

@@ -1481,7 +1481,7 @@ void BytecodeVM::Exec(parallel::ExecState& st, uint32_t pc) {
         }
         pc = jit_->Run(st.regs, pc);
       } else {
-        // One interpreted run = one deopt event (the QC_JIT_STATS counter;
+        // One interpreted run = one deopt event (the jit_stats deopts count;
         // cold entries into non-native prologue code count too).
         jit_->CountDeopt();
         pc = ExecImpl<true>(st, pc);

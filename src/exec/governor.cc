@@ -2,7 +2,7 @@
 
 #include <chrono>
 
-#include "common/env.h"
+#include "common/knobs.h"
 #include "common/fault.h"
 #include "telemetry/metrics.h"
 
@@ -35,7 +35,7 @@ void GovState::Attach(ExecControl* c, const AllocStats* s) {
   stats = s;
   // Read per Attach (not cached in a static) so tests can flip the env var
   // between queries within one process.
-  interval = EnvIntClamped("QC_GOV_INTERVAL", 4096, 1, 1 << 30);
+  interval = KnobInt(Knob::kGovInterval);
   // Budget accounting is growth-relative: only allocation after Attach
   // counts against this query (stats blocks hold lifetime totals).
   published.store(s != nullptr ? static_cast<int64_t>(s->TotalBytes()) : 0,

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "analysis/bc_verify.h"
-#include "common/env.h"
 #include "telemetry/log.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -132,9 +131,9 @@ storage::ResultTable Interpreter::Run(const ir::Function& fn) {
         telemetry::JitDeoptEvents().Add(jit_stats_.deopts);
       }
     }
-    if (EnvLevel("QC_JIT_STATS") != 0) {
+    if (telemetry::LogEnabled(telemetry::LogLevel::kDebug)) {
       telemetry::Log(
-          telemetry::LogLevel::kInfo, "jit_stats",
+          telemetry::LogLevel::kDebug, "jit_stats",
           {{"fn", fn.name()},
            {"coverage_pct", jit_stats_.CoveragePct()},
            {"native_pcs", jit_stats_.native_pcs},

@@ -106,10 +106,11 @@ class Interpreter {
   // detaches; same semantics as InterpOptions::control).
   void SetControl(ExecControl* ctl) { opts_.control = ctl; }
 
-  // QC_JIT_STATS telemetry for the most recent kJit Run: native coverage
-  // (templated pcs / total pcs) and the number of deopt events — interpreted
-  // runs of the hybrid driver — during that Run. `jitted` is false when the
-  // engine degraded to the plain VM (then the other fields are zero).
+  // JIT telemetry for the most recent kJit Run (QC_LOG=debug also logs it
+  // as a jit_stats record): native coverage (templated pcs / total pcs) and
+  // the number of deopt events — interpreted runs of the hybrid driver —
+  // during that Run. `jitted` is false when the engine degraded to the
+  // plain VM (then the other fields are zero).
   struct JitRunStats {
     bool jitted = false;
     int native_pcs = 0;

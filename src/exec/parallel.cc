@@ -6,7 +6,7 @@
 #include <system_error>
 #include <unordered_map>
 
-#include "common/env.h"
+#include "common/knobs.h"
 #include "common/fault.h"
 #include "telemetry/log.h"
 #include "telemetry/trace.h"
@@ -570,7 +570,7 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
 int64_t ParallelSortMinChunk() {
   // Read per call, not cached: sorts run once per query, and tests flip the
   // knob between runs.
-  return EnvIntClamped("QC_PAR_SORT_MIN", 2048, 2, 1ll << 40);
+  return KnobInt(Knob::kParSortMin);
 }
 
 namespace {

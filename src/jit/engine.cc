@@ -10,7 +10,7 @@
 #endif
 
 #include "analysis/jit_audit.h"
-#include "common/env.h"
+#include "common/knobs.h"
 #include "jit/templates.h"
 #include "telemetry/log.h"
 
@@ -47,7 +47,7 @@ bool ExecPagesGrantable() {
 
 bool JitAvailable() {
 #if QC_JIT_SUPPORTED
-  if (EnvFlagSet("QC_JIT_DISABLE")) return false;
+  if (KnobFlag(Knob::kJitDisable)) return false;
   return ExecPagesGrantable();
 #else
   return false;
@@ -69,7 +69,7 @@ const char* JitFallbackName(JitFallback f) {
 
 JitFallback JitUnavailableReason() {
 #if QC_JIT_SUPPORTED
-  if (EnvFlagSet("QC_JIT_DISABLE")) return JitFallback::kDisabledByEnv;
+  if (KnobFlag(Knob::kJitDisable)) return JitFallback::kDisabledByEnv;
   return ExecPagesGrantable() ? JitFallback::kNone
                               : JitFallback::kExecPagesDenied;
 #else
@@ -113,7 +113,7 @@ std::unique_ptr<JitProgram> JitProgram::Compile(const BytecodeProgram& prog,
       return nullptr;
     }
   }
-  if (EnvLevel("QC_JIT_STATS") >= 2) {
+  if (telemetry::LogEnabled(telemetry::LogLevel::kDebug)) {
     // Deopt-site histogram: which opcodes lack native code in this program.
     int counts[static_cast<int>(BcOp::kNumOps)] = {};
     for (size_t pc = 0; pc < prog.code.size(); ++pc) {
@@ -128,7 +128,7 @@ std::unique_ptr<JitProgram> JitProgram::Compile(const BytecodeProgram& prog,
         pcs += std::to_string(counts[op]);
       }
     }
-    telemetry::Log(telemetry::LogLevel::kInfo, "jit_deopt_pcs",
+    telemetry::Log(telemetry::LogLevel::kDebug, "jit_deopt_pcs",
                    {{"pcs", std::move(pcs)}});
   }
   std::unique_ptr<JitProgram> jp(new JitProgram());

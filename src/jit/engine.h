@@ -95,7 +95,7 @@ class JitProgram {
   int total_pcs() const { return static_cast<int>(entry_.size()); }
   size_t code_bytes() const { return buf_.size(); }
 
-  // QC_JIT_STATS telemetry: each interpreted run of the hybrid driver —
+  // JIT telemetry (jit_stats): each interpreted run of the hybrid driver —
   // every transition out of native code other than kRet — counts as one
   // deopt. Thread-safe (morsel workers share the program), monotone across
   // Run()s; callers snapshot-and-diff per execution.

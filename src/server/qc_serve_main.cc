@@ -11,11 +11,10 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
-#include "common/env.h"
+#include "common/knobs.h"
 #include "server/server.h"
 #include "telemetry/log.h"
 #include "telemetry/metrics.h"
@@ -46,16 +45,21 @@ int main() {
   ::sigaction(SIGINT, &sa, nullptr);
   ::signal(SIGPIPE, SIG_IGN);
 
-  double sf = 0.01;
-  if (const char* v = std::getenv("QC_SERVE_SF")) {
-    char* end = nullptr;
-    double parsed = std::strtod(v, &end);
-    if (end != v && parsed > 0 && parsed <= 1.0) sf = parsed;
-  }
   using qc::telemetry::Log;
   using qc::telemetry::LogKv;
   using qc::telemetry::LogLevel;
 
+  // The configuration in effect: every knob set in the environment, with
+  // its value after parsing and clamping.
+  std::vector<LogKv> config;
+  for (int i = 0; i < qc::kNumKnobs; ++i) {
+    auto k = static_cast<qc::Knob>(i);
+    if (qc::KnobStr(k) != nullptr) {
+      config.emplace_back(qc::KnobInfo(k).name, qc::KnobText(k));
+    }
+  }
+  Log(LogLevel::kInfo, "config", std::move(config));
+  double sf = qc::KnobDouble(qc::Knob::kServeSf);
   Log(LogLevel::kInfo, "boot", {{"sf", sf}});
   qc::storage::Database db = qc::tpch::MakeTpchDatabase(sf);
 
@@ -65,7 +69,7 @@ int main() {
   // Pre-compile every query so the first client request never pays
   // lowering latency (requests for other levels still compile lazily).
   Log(LogLevel::kInfo, "warm", {{"level", opts.level}});
-  if (!qc::EnvFlagSet("QC_SERVE_NO_WARM")) server.WarmPlans();
+  server.WarmPlans();
   Log(LogLevel::kInfo, "listening", {{"port", server.port()}});
   std::fflush(stderr);
 

@@ -14,7 +14,7 @@
 #include <cstring>
 #include <utility>
 
-#include "common/env.h"
+#include "common/knobs.h"
 #include "common/fault.h"
 #include "server/protocol.h"
 #include "server/retry.h"
@@ -41,41 +41,23 @@ void SleepMs(int64_t ms) {
 
 ServerOptions ServerOptions::FromEnv() {
   ServerOptions o;
-  o.port = static_cast<int>(EnvIntClamped("QC_SERVE_PORT", 7117, 0, 65535));
-  o.workers = static_cast<int>(EnvIntClamped("QC_SERVE_WORKERS", 2, 1, 256));
-  o.query_threads =
-      static_cast<int>(EnvIntClamped("QC_SERVE_THREADS", 1, 1, 256));
-  o.queue_capacity =
-      static_cast<int>(EnvIntClamped("QC_SERVE_QUEUE_CAP", 64, 1, 1 << 20));
-  o.max_deadline_ms =
-      EnvIntClamped("QC_SERVE_MAX_DEADLINE_MS", 10000, 1, 86400000);
-  o.queue_deadline_ms =
-      EnvIntClamped("QC_SERVE_QUEUE_MS", 1000, 1, 86400000);
-  o.max_mem_mb = EnvIntClamped("QC_SERVE_MAX_MEM_MB", 256, 1, 1 << 20);
-  o.max_retries =
-      static_cast<int>(EnvIntClamped("QC_SERVE_MAX_RETRIES", 2, 0, 100));
-  o.retry_base_ms = EnvIntClamped("QC_SERVE_RETRY_BASE_MS", 1, 1, 60000);
-  o.retry_max_ms = EnvIntClamped("QC_SERVE_RETRY_MAX_MS", 100, 1, 600000);
-  o.drain_deadline_ms = EnvIntClamped("QC_SERVE_DRAIN_MS", 2000, 1, 600000);
-  o.recover_ok =
-      static_cast<int>(EnvIntClamped("QC_SERVE_RECOVER_OK", 32, 1, 1 << 20));
-  o.level = static_cast<int>(EnvIntClamped("QC_SERVE_LEVEL", 5, 2, 5));
-  o.default_jit = !EnvFlagSet("QC_SERVE_NO_JIT");
-  o.debug_endpoints = EnvFlagSet("QC_SERVE_DEBUG");
-  o.seed = static_cast<uint64_t>(EnvIntClamped("QC_SERVE_SEED", 42, 0,
-                                               INT64_MAX));
-  o.client_qps = static_cast<double>(
-      EnvIntClamped("QC_SERVE_CLIENT_QPS", 0, 0, 1000000));
-  o.client_inflight = static_cast<int>(
-      EnvIntClamped("QC_SERVE_CLIENT_INFLIGHT", 0, 0, 1 << 20));
-  o.client_queue = static_cast<int>(
-      EnvIntClamped("QC_SERVE_CLIENT_QUEUE", 0, 0, 1 << 20));
-  o.idle_ms = EnvIntClamped("QC_SERVE_IDLE_MS", 60000, 0, 86400000);
-  o.io_idle_ms = EnvIntClamped("QC_SERVE_IO_MS", 10000, 0, 86400000);
-  o.pipeline_cap =
-      static_cast<int>(EnvIntClamped("QC_SERVE_PIPELINE", 16, 1, 1 << 20));
-  o.max_conns =
-      static_cast<int>(EnvIntClamped("QC_SERVE_MAX_CONNS", 1024, 1, 1 << 20));
+  auto knob = [](Knob k) { return static_cast<int>(KnobInt(k)); };
+  o.port = knob(Knob::kServePort);  // 7117, where ServerOptions{} has 0
+  o.workers = knob(Knob::kServeWorkers);
+  o.query_threads = knob(Knob::kServeThreads);
+  o.queue_capacity = knob(Knob::kServeQueueCap);
+  o.max_deadline_ms = KnobInt(Knob::kServeMaxDeadlineMs);
+  o.queue_deadline_ms = KnobInt(Knob::kServeQueueMs);
+  o.max_mem_mb = KnobInt(Knob::kServeMaxMemMb);
+  o.drain_deadline_ms = KnobInt(Knob::kServeDrainMs);
+  o.debug_endpoints = KnobFlag(Knob::kServeDebug);
+  o.client_qps = static_cast<double>(KnobInt(Knob::kServeClientQps));
+  o.client_inflight = knob(Knob::kServeClientInflight);
+  o.client_queue = knob(Knob::kServeClientQueue);
+  o.idle_ms = KnobInt(Knob::kServeIdleMs);
+  o.io_idle_ms = KnobInt(Knob::kServeIoMs);
+  o.pipeline_cap = knob(Knob::kServePipeline);
+  o.max_conns = knob(Knob::kServeMaxConns);
   return o;
 }
 

@@ -18,7 +18,7 @@
 //     interval and the worker is free again;
 //   * retry with jittered exponential backoff — transient kResourceFailure
 //     trips re-run (immutable storage makes this idempotent), bounded by
-//     QC_SERVE_MAX_RETRIES and the request's remaining deadline
+//     ServerOptions::max_retries and the request's remaining deadline
 //     (server/retry.h);
 //   * graceful degradation — exhausted resource retries and JIT fallbacks
 //     raise a server-wide downshift level (1: new admissions run the VM
@@ -99,7 +99,9 @@ struct ServerOptions {
   int pipeline_cap = 16;       // buffered pipelined requests per connection
   int max_conns = 1024;        // global connection ceiling
 
-  static ServerOptions FromEnv();  // QC_SERVE_* knobs, hardened parses
+  // QC_SERVE_* rows of QC_KNOB_LIST; the fields above without one are
+  // fixed (requests carry level=/engine=, QC_JIT_DISABLE forces the VM).
+  static ServerOptions FromEnv();
 };
 
 // Monotonic counters, all relaxed: exactness across threads matters less

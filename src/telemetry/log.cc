@@ -1,12 +1,13 @@
 #include "telemetry/log.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "common/env.h"
+#include "common/knobs.h"
 
 namespace qc {
 namespace telemetry {
@@ -62,17 +63,16 @@ void AppendValue(std::string* out, const std::string& v) {
 }  // namespace
 
 int LogThreshold() {
-  const char* v = std::getenv("QC_LOG");
-  if (v == nullptr || v[0] == '\0') return 2;  // info
+  const char* v = KnobStr(Knob::kLog);
+  if (v == nullptr) return 2;  // info
   if (std::strcmp(v, "error") == 0) return 0;
   if (std::strcmp(v, "warn") == 0) return 1;
   if (std::strcmp(v, "info") == 0) return 2;
   if (std::strcmp(v, "debug") == 0) return 3;
-  long long parsed = 0;
-  if (!EnvParseInt(v, &parsed)) return 2;
-  if (parsed < 0) return 0;
-  if (parsed > 3) return 3;
-  return static_cast<int>(parsed);
+  char* end = nullptr;
+  long long parsed = std::strtoll(v, &end, 10);
+  if (end == v || end[std::strspn(end, " \t\n\r")] != '\0') return 2;
+  return static_cast<int>(std::clamp(parsed, 0ll, 3ll));
 }
 
 bool LogEnabled(LogLevel level) {

@@ -12,7 +12,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/env.h"
+#include "common/knobs.h"
 #include "telemetry/log.h"
 
 namespace qc {
@@ -72,8 +72,7 @@ thread_local TraceRing* t_ring = nullptr;
 TraceRing* ThisThreadRing() {
   if (t_ring == nullptr) {
     auto* r = new TraceRing();
-    size_t cap = static_cast<size_t>(
-        EnvIntClamped("QC_TRACE_BUF", 8192, 64, 1 << 22));
+    size_t cap = static_cast<size_t>(KnobInt(Knob::kTraceBuf));
     r->ev.resize(cap);
     std::lock_guard<std::mutex> lock(g_rings_mu);
     Rings().push_back(r);
@@ -105,8 +104,8 @@ void WriteProcessTraceAtExit() {
 }
 
 void InitProcessTraceFromEnv() {
-  const char* path = std::getenv("QC_TRACE");
-  if (path == nullptr || path[0] == '\0') return;
+  const char* path = KnobStr(Knob::kTrace);
+  if (path == nullptr) return;
   g_process_path = new std::string(path);
   g_process_session.store(TraceBeginSession(), std::memory_order_relaxed);
   std::atexit(WriteProcessTraceAtExit);

@@ -10,7 +10,6 @@
 // plan-level oracle both engines answer to.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -21,6 +20,7 @@
 #include "ir/builder.h"
 #include "jit/engine.h"
 #include "lower/pipeline.h"
+#include "scoped_env.h"
 #include "storage/database.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
@@ -814,7 +814,7 @@ TEST(JitLogRow, InnerLoopChannelGrowsPastReserve) {
 // QC_JIT_DISABLE degrades kJit to the plain bytecode VM — selecting the
 // engine must stay safe (and correct) with the JIT forced off.
 TEST(JitDeopt, DisableKnobDegradesToBytecode) {
-  ::setenv("QC_JIT_DISABLE", "1", 1);
+  ScopedEnv off("QC_JIT_DISABLE", "1");
   EXPECT_FALSE(exec::jit::JitAvailable());
   storage::Database db;
   TypeFactory types;
@@ -826,7 +826,6 @@ TEST(JitDeopt, DisableKnobDegradesToBytecode) {
   b.EmitRow({b.VarRead(sum)});
   exec::Interpreter jit(&db, Jit());
   EXPECT_EQ(jit.Run(fn).row(0)[0].i, 1225);
-  ::unsetenv("QC_JIT_DISABLE");
 }
 
 }  // namespace

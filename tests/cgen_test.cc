@@ -9,9 +9,9 @@
 #include <string>
 
 #include "cgen/cc_driver.h"
-#include "common/fault.h"
 #include "cgen/emit.h"
 #include "compiler/compiler.h"
+#include "scoped_env.h"
 #include "storage/result.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
@@ -106,12 +106,12 @@ TEST(CgenCacheFaultTest, FailedSourceWriteLeavesNoPartialFile) {
       "  return 0;\n"
       "}\n";
 
-  ::setenv("QC_FAULT", "cc_cache_write:1", 1);
-  FaultReArm();
   std::string error;
-  std::string bin = driver.Compile("fault_probe", kSrc, nullptr, &error);
-  ::unsetenv("QC_FAULT");
-  FaultReArm();
+  std::string bin;
+  {
+    ScopedEnv fault("QC_FAULT", "cc_cache_write:1");
+    bin = driver.Compile("fault_probe", kSrc, nullptr, &error);
+  }
   EXPECT_TRUE(bin.empty()) << "injected write failure must fail Compile";
   EXPECT_NE(error.find("cannot write"), std::string::npos) << error;
   // Neither the final source nor any temp may survive the failed write.

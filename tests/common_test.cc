@@ -1,21 +1,28 @@
 // Unit tests for the common substrate: date arithmetic, LIKE matching,
-// arenas, deterministic RNG, hashing, environment knobs.
+// arenas, deterministic RNG, hashing, the environment-knob table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
-#include "../bench/bench_util.h"
 #include "common/arena.h"
 #include "common/backoff.h"
 #include "common/date.h"
-#include "common/env.h"
 #include "common/fault.h"
 #include "common/hash.h"
+#include "common/knobs.h"
 #include "common/rng.h"
 #include "common/str.h"
+#include "jit/engine.h"
+#include "scoped_env.h"
+#include "server/server.h"
 
 namespace qc {
 namespace {
@@ -163,121 +170,224 @@ TEST(Hash, DistributesAndIsStable) {
   EXPECT_EQ(seen.size(), 1000u);
 }
 
-// Environment-knob hardening (common/env.h): every QC_* integer knob must
-// survive garbage, zero, and negative values without wrapping, crashing,
-// or — for divisor knobs — dividing by zero. One test per knob, each
-// exercised through the exact parse call its call site uses.
-class EnvKnobTest : public ::testing::Test {
- protected:
-  void SetKnob(const char* name, const char* v) {
-    ::setenv(name, v, 1);
-    set_.push_back(name);
+// Knob-table hardening (common/knobs.h): every row of QC_KNOB_LIST, read
+// through its typed accessor, must survive unset, garbage, trailing
+// garbage, empty, out-of-range and whitespace-padded values — a divisor
+// knob never reaches zero, a thread count never wraps.
+std::string Exact(double d) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return buf;
+}
+
+void ExpectFlagRow(Knob k, ScopedEnv* env) {
+  const bool def = KnobInfo(k).def != 0;
+  EXPECT_EQ(KnobFlag(k), def);
+  for (const char* bad : {"garbage", "1x", "", "2", "tru"}) {
+    env->Set(bad);
+    EXPECT_EQ(KnobFlag(k), def) << "value " << bad;
   }
-  void TearDown() override {
-    for (const char* name : set_) ::unsetenv(name);
+  for (const char* on : {"1", "true", "ON", "Yes", " on\n"}) {
+    env->Set(on);
+    EXPECT_TRUE(KnobFlag(k)) << "value " << on;
   }
-  std::vector<const char*> set_;
-};
-
-TEST_F(EnvKnobTest, ClampedKnobNeverReachesZero) {
-  // The clamp contract of divisor-style knobs: zero and negative values
-  // clamp to the floor, garbage keeps the default, overflow clamps high.
-  auto read = [] { return EnvIntClamped("QC_TEST_INT_KNOB", 2, 1, 1 << 20); };
-  EXPECT_EQ(read(), 2);  // unset: default
-  SetKnob("QC_TEST_INT_KNOB", "0");
-  EXPECT_EQ(read(), 1);  // zero clamps, never divides by zero
-  SetKnob("QC_TEST_INT_KNOB", "-7");
-  EXPECT_EQ(read(), 1);
-  SetKnob("QC_TEST_INT_KNOB", "garbage");
-  EXPECT_EQ(read(), 2);
-  SetKnob("QC_TEST_INT_KNOB", "4x");  // trailing garbage: rejected whole
-  EXPECT_EQ(read(), 2);
-  SetKnob("QC_TEST_INT_KNOB", "4");
-  EXPECT_EQ(read(), 4);
-  SetKnob("QC_TEST_INT_KNOB", "99999999999999999999");  // overflow: clamped
-  EXPECT_EQ(read(), 1 << 20);
+  for (const char* off : {"0", "false", "Off", "NO", "0 \n"}) {
+    env->Set(off);
+    EXPECT_FALSE(KnobFlag(k)) << "value " << off;
+  }
 }
 
-TEST_F(EnvKnobTest, ParSortMinStaysPositive) {
-  // Exactly the parse exec/parallel.cc ParallelSortMinChunk() performs.
-  auto read = [] {
-    return EnvIntClamped("QC_PAR_SORT_MIN", 2048, 2, 1ll << 40);
-  };
-  EXPECT_EQ(read(), 2048);
-  SetKnob("QC_PAR_SORT_MIN", "0");
-  EXPECT_EQ(read(), 2);  // a chunk must hold at least two rows
-  SetKnob("QC_PAR_SORT_MIN", "-1");
-  EXPECT_EQ(read(), 2);
-  SetKnob("QC_PAR_SORT_MIN", "none");
-  EXPECT_EQ(read(), 2048);
-  SetKnob("QC_PAR_SORT_MIN", "512");
-  EXPECT_EQ(read(), 512);
+void ExpectIntRow(Knob k, ScopedEnv* env) {
+  const KnobSpec& s = KnobInfo(k);
+  const auto def = static_cast<long long>(s.def);
+  const auto lo = static_cast<long long>(s.lo);
+  const auto hi = static_cast<long long>(s.hi);
+  EXPECT_EQ(KnobInt(k), def);
+  for (const char* bad : {"garbage", "12abc", "4x", ""}) {
+    env->Set(bad);
+    EXPECT_EQ(KnobInt(k), def) << "value " << bad;
+  }
+  env->Set(std::to_string(lo - 1));
+  EXPECT_EQ(KnobInt(k), lo);  // below the range clamps, never wraps
+  env->Set("-7");
+  EXPECT_EQ(KnobInt(k), std::max(lo, -7ll));
+  env->Set(std::to_string(hi + 1));
+  EXPECT_EQ(KnobInt(k), hi);
+  env->Set("99999999999999999999");  // overflow clamps high
+  EXPECT_EQ(KnobInt(k), hi);
+  env->Set(" " + std::to_string(hi) + " \n");
+  EXPECT_EQ(KnobInt(k), hi);
 }
 
-TEST_F(EnvKnobTest, BenchThreadsRejectsNegativeAndGarbage) {
-  // bench_util.h BenchThreadCounts: comma list, tokens validated in [1, 1024].
-  auto read = [] { return EnvIntList("QC_BENCH_THREADS", 1, 1, 1024); };
-  EXPECT_EQ(read(), std::vector<long long>({1}));  // unset: sequential
-  SetKnob("QC_BENCH_THREADS", "-1");
-  EXPECT_EQ(read(), std::vector<long long>({1}));  // no wrap to huge count
-  SetKnob("QC_BENCH_THREADS", "zzz");
-  EXPECT_EQ(read(), std::vector<long long>({1}));
-  SetKnob("QC_BENCH_THREADS", "1,2,4");
-  EXPECT_EQ(read(), std::vector<long long>({1, 2, 4}));
-  SetKnob("QC_BENCH_THREADS", "2x,3");  // bad token dropped, good one kept
-  EXPECT_EQ(read(), std::vector<long long>({3}));
-  SetKnob("QC_BENCH_THREADS", "0,8,1000000");  // out-of-range tokens dropped
-  EXPECT_EQ(read(), std::vector<long long>({8}));
-  SetKnob("QC_BENCH_THREADS", ",,");
-  EXPECT_EQ(read(), std::vector<long long>({1}));
+void ExpectDoubleRow(Knob k, ScopedEnv* env) {
+  const KnobSpec& s = KnobInfo(k);
+  EXPECT_EQ(KnobDouble(k), s.def);
+  for (const std::string& bad :
+       {std::string("abc"), std::string(""), std::string("0.1x"),
+        std::string("inf"), std::string("nan"), Exact(s.lo),
+        Exact(s.lo - 1)}) {
+    env->Set(bad);
+    EXPECT_EQ(KnobDouble(k), s.def) << "value " << bad;
+  }
+  if (std::isfinite(s.hi)) {
+    env->Set(Exact(s.hi * 2));
+    EXPECT_EQ(KnobDouble(k), s.def);  // above the range falls back
+    env->Set(Exact(s.hi));
+    EXPECT_EQ(KnobDouble(k), s.hi);
+  }
+  const double mid = (s.lo + s.def) / 2;
+  env->Set(" " + Exact(mid) + "\n");
+  EXPECT_EQ(KnobDouble(k), mid);
 }
 
-TEST_F(EnvKnobTest, BenchScaleFactorRejectsGarbageAndNonPositive) {
+void ExpectIntListRow(Knob k, ScopedEnv* env) {
+  const KnobSpec& s = KnobInfo(k);
+  const std::vector<long long> def = {static_cast<long long>(s.def)};
+  const auto lo = static_cast<long long>(s.lo);
+  const auto hi = static_cast<long long>(s.hi);
+  EXPECT_EQ(KnobIntList(k), def);
+  for (const char* bad : {"zzz", "-1", ",,", "", "2x"}) {
+    env->Set(bad);
+    EXPECT_EQ(KnobIntList(k), def) << "value " << bad;
+  }
+  // Bad and out-of-range tokens are dropped, good ones kept.
+  env->Set("2x," + std::to_string(lo) + "," + std::to_string(hi + 1));
+  EXPECT_EQ(KnobIntList(k), std::vector<long long>({lo}));
+  env->Set(std::to_string(lo - 1) + ",abc," + std::to_string(hi));
+  EXPECT_EQ(KnobIntList(k), std::vector<long long>({hi}));
+  env->Set(std::to_string(lo) + ", " + std::to_string(hi) + " ,\n");
+  EXPECT_EQ(KnobIntList(k), std::vector<long long>({lo, hi}));
+}
+
+TEST(KnobTableTest, EveryRowSurvivesHostileValues) {
+  for (int i = 0; i < kNumKnobs; ++i) {
+    const Knob k = static_cast<Knob>(i);
+    SCOPED_TRACE(KnobInfo(k).name);
+    ScopedEnv env(KnobInfo(k).name);  // unset; restored after the row
+    switch (KnobInfo(k).kind) {
+      case KnobKind::kFlag:
+        ExpectFlagRow(k, &env);
+        break;
+      case KnobKind::kInt:
+        ExpectIntRow(k, &env);
+        break;
+      case KnobKind::kDouble:
+        ExpectDoubleRow(k, &env);
+        break;
+      case KnobKind::kIntList:
+        ExpectIntListRow(k, &env);
+        break;
+      case KnobKind::kString:
+        EXPECT_EQ(KnobStr(k), nullptr);
+        env.Set("");
+        EXPECT_EQ(KnobStr(k), nullptr);
+        env.Set(" raw value\n");
+        EXPECT_STREQ(KnobStr(k), " raw value\n");
+        break;
+    }
+  }
+}
+
+TEST(KnobTableTest, BenchScaleFactorRejectsGarbageAndNonPositive) {
   // An SF of 0 would put every bench cell under the regression gate's
   // floor and silently turn the gate off.
-  EXPECT_EQ(bench::BenchScaleFactor(), 0.05);  // unset: default
+  // serve_latency passes its own default.
+  ScopedEnv sf("QC_BENCH_SF");
+  EXPECT_EQ(KnobDouble(Knob::kBenchSf), 0.05);  // unset: default
   for (const char* bad : {"abc", "", "0", "-1", "0.1x", "inf", "nan"}) {
-    SetKnob("QC_BENCH_SF", bad);
-    EXPECT_EQ(bench::BenchScaleFactor(), 0.05) << "QC_BENCH_SF=" << bad;
+    sf.Set(bad);
+    EXPECT_EQ(KnobDouble(Knob::kBenchSf), 0.05) << "QC_BENCH_SF=" << bad;
+    EXPECT_EQ(KnobDouble(Knob::kBenchSf, 0.01), 0.01) << "QC_BENCH_SF=" << bad;
   }
-  SetKnob("QC_BENCH_SF", " 0.02\n");  // stray whitespace is fine
-  EXPECT_EQ(bench::BenchScaleFactor(), 0.02);
-  SetKnob("QC_BENCH_SF", "0.1");
-  EXPECT_EQ(bench::BenchScaleFactor(), 0.1);
+  sf.Set(" 0.02\n");  // stray whitespace is fine
+  EXPECT_EQ(KnobDouble(Knob::kBenchSf), 0.02);
+  sf.Set("0.1");
+  EXPECT_EQ(KnobDouble(Knob::kBenchSf, 0.01), 0.1);
 }
 
-TEST_F(EnvKnobTest, JitStatsLevelNeverNegative) {
-  auto read = [] { return EnvLevel("QC_JIT_STATS"); };
-  EXPECT_EQ(read(), 0);
-  SetKnob("QC_JIT_STATS", "2");
-  EXPECT_EQ(read(), 2);
-  SetKnob("QC_JIT_STATS", "-3");
-  EXPECT_EQ(read(), 0);  // clamped: a negative level is "off"
-  SetKnob("QC_JIT_STATS", "true");
-  EXPECT_EQ(read(), 1);  // flag-style value follows the flag rule
-  SetKnob("QC_JIT_STATS", "0");
-  EXPECT_EQ(read(), 0);
+// Flags accept exactly 1/true/on/yes and 0/false/off/no: "false" and
+// "off" used to read as on, disabling the JIT or opening /debug/block.
+TEST(KnobTableTest, FlagSpellingsMeanWhatTheySay) {
+  bool grantable = false;
+  {
+    ScopedEnv clear("QC_JIT_DISABLE");
+    grantable = exec::jit::JitAvailable();
+  }
+  ScopedEnv jit_off("QC_JIT_DISABLE", "false");
+  EXPECT_EQ(exec::jit::JitAvailable(), grantable);
+  jit_off.Set("1");
+  EXPECT_FALSE(exec::jit::JitAvailable());
+
+  ScopedEnv debug("QC_SERVE_DEBUG", "off");
+  EXPECT_FALSE(server::ServerOptions::FromEnv().debug_endpoints);
+  debug.Set("on");
+  EXPECT_TRUE(server::ServerOptions::FromEnv().debug_endpoints);
 }
 
-TEST_F(EnvKnobTest, EnvIntRejectsTrailingGarbage) {
-  auto read = [] { return EnvInt("QC_TEST_INT_KNOB", 7); };
-  EXPECT_EQ(read(), 7);
-  SetKnob("QC_TEST_INT_KNOB", "12abc");
-  EXPECT_EQ(read(), 7);  // partial parses are whole-value rejections
-  SetKnob("QC_TEST_INT_KNOB", "12");
-  EXPECT_EQ(read(), 12);
-  SetKnob("QC_TEST_INT_KNOB", "");
-  EXPECT_EQ(read(), 7);
-  // Stray whitespace (YAML env blocks, command substitutions with a
-  // trailing newline) must not silently revert a valid value.
-  SetKnob("QC_TEST_INT_KNOB", " 42 \n");
-  EXPECT_EQ(read(), 42);
-  SetKnob("QC_JIT_STATS", "2\n");
-  EXPECT_EQ(EnvLevel("QC_JIT_STATS"), 2);
-  ::unsetenv("QC_JIT_STATS");
-  SetKnob("QC_BENCH_THREADS", "1, 2 ,4\n");
-  EXPECT_EQ(EnvIntList("QC_BENCH_THREADS", 1, 1, 1024),
-            std::vector<long long>({1, 2, 4}));
+// QC_SERVE_SF takes the whole-value double rule with range (0, 1]: a
+// trailing-garbage value no longer reads as its numeric prefix.
+TEST(KnobTableTest, ServeScaleFactorIsWholeValueInRange) {
+  ScopedEnv sf("QC_SERVE_SF", "0.5");
+  EXPECT_EQ(KnobDouble(Knob::kServeSf), 0.5);
+  for (const char* bad : {"0.5abc", "2", "0", "-0.1", "1e-2x"}) {
+    sf.Set(bad);
+    EXPECT_EQ(KnobDouble(Knob::kServeSf), 0.01) << "QC_SERVE_SF=" << bad;
+  }
+  sf.Set(" 1\n");
+  EXPECT_EQ(KnobDouble(Knob::kServeSf), 1.0);
+}
+
+// Warnings are once per knob per process, so the record is checked in a
+// fresh process (the threadsafe death-test style re-executes the binary).
+TEST(KnobTableDeathTest, RejectedValueLogsKnobInvalid) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ::setenv("QC_SERVE_SF", "0.5abc", 1);
+        KnobDouble(Knob::kServeSf);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0),
+      "event=knob_invalid name=QC_SERVE_SF value=0.5abc");
+}
+
+// The table default and the ServerOptions default agree field for field;
+// only the port differs (FromEnv listens on 7117, ServerOptions{} asks for
+// an ephemeral port).
+TEST(KnobTableTest, ServeDefaultsMatchServerOptions) {
+  std::vector<std::unique_ptr<ScopedEnv>> clean;
+  for (int i = 0; i < kNumKnobs; ++i) {
+    const char* name = KnobInfo(static_cast<Knob>(i)).name;
+    if (std::strncmp(name, "QC_SERVE_", 9) == 0) {
+      clean.push_back(std::make_unique<ScopedEnv>(name));
+    }
+  }
+  const server::ServerOptions env = server::ServerOptions::FromEnv();
+  const server::ServerOptions def;
+  EXPECT_EQ(env.port, 7117);
+  EXPECT_EQ(def.port, 0);
+  EXPECT_EQ(env.workers, def.workers);
+  EXPECT_EQ(env.query_threads, def.query_threads);
+  EXPECT_EQ(env.queue_capacity, def.queue_capacity);
+  EXPECT_EQ(env.max_deadline_ms, def.max_deadline_ms);
+  EXPECT_EQ(env.queue_deadline_ms, def.queue_deadline_ms);
+  EXPECT_EQ(env.max_mem_mb, def.max_mem_mb);
+  EXPECT_EQ(env.max_retries, def.max_retries);
+  EXPECT_EQ(env.retry_base_ms, def.retry_base_ms);
+  EXPECT_EQ(env.retry_max_ms, def.retry_max_ms);
+  EXPECT_EQ(env.drain_deadline_ms, def.drain_deadline_ms);
+  EXPECT_EQ(env.recover_ok, def.recover_ok);
+  EXPECT_EQ(env.level, def.level);
+  EXPECT_EQ(env.default_jit, def.default_jit);
+  EXPECT_EQ(env.debug_endpoints, def.debug_endpoints);
+  EXPECT_EQ(env.seed, def.seed);
+  EXPECT_EQ(env.client_qps, def.client_qps);
+  EXPECT_EQ(env.client_inflight, def.client_inflight);
+  EXPECT_EQ(env.client_queue, def.client_queue);
+  EXPECT_EQ(env.idle_ms, def.idle_ms);
+  EXPECT_EQ(env.io_idle_ms, def.io_idle_ms);
+  EXPECT_EQ(env.pipeline_cap, def.pipeline_cap);
+  EXPECT_EQ(env.max_conns, def.max_conns);
 }
 
 // Fault-injection spec parsing (common/fault.h): QC_FAULT arms a
@@ -286,14 +396,8 @@ TEST_F(EnvKnobTest, EnvIntRejectsTrailingGarbage) {
 // leak across tests (or into other suites in this binary).
 class FaultSpecTest : public ::testing::Test {
  protected:
-  void Arm(const char* spec) {
-    ::setenv("QC_FAULT", spec, 1);
-    FaultReArm();
-  }
-  void TearDown() override {
-    ::unsetenv("QC_FAULT");
-    FaultReArm();
-  }
+  void Arm(const char* spec) { fault_.Set(spec); }
+  ScopedEnv fault_{"QC_FAULT"};
 };
 
 TEST_F(FaultSpecTest, SingleSiteFiresExactlyOnNth) {

@@ -8,12 +8,12 @@
 // matches the reference bit-exactly or fails with a clean non-ok status.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bit_exact.h"
+#include "scoped_env.h"
 #include "common/fault.h"
 #include "common/timer.h"
 #include "compiler/compiler.h"
@@ -42,28 +42,6 @@ InterpOptions Opts(InterpOptions::Engine e, int threads,
   o.control = ctl;
   return o;
 }
-
-// Sets one environment knob for the enclosing scope and re-arms the fault
-// registry on both edges, so QC_FAULT / QC_GOV_INTERVAL changes take effect
-// immediately and never leak into other tests in this process.
-struct ScopedEnv {
-  std::string name;
-  ScopedEnv(const char* n, const std::string& v) : name(n) {
-    ::setenv(n, v.c_str(), 1);
-    FaultReArm();
-  }
-  ~ScopedEnv() {
-    ::unsetenv(name.c_str());
-    FaultReArm();
-  }
-};
-
-// Engages the parallel sort on small inputs (same knob the sort-stability
-// suite uses).
-struct ScopedSortMin {
-  explicit ScopedSortMin(const char* v) { ::setenv("QC_PAR_SORT_MIN", v, 1); }
-  ~ScopedSortMin() { ::unsetenv("QC_PAR_SORT_MIN"); }
-};
 
 storage::Database* Db() {
   static storage::Database* db =
@@ -277,7 +255,8 @@ TEST(GovernorTest, MemoryBudgetTripsOnTrackedGrowth) {
 // ---------------------------------------------------------------------------
 
 TEST(GovernorTest, CancelSweepAcrossAwkwardBoundaries) {
-  ScopedSortMin sort_min("256");  // the 20k-row sort runs morsel-parallel
+  // The 20k-row sort runs morsel-parallel.
+  ScopedEnv sort_min("QC_PAR_SORT_MIN", "256");
   ScopedEnv interval("QC_GOV_INTERVAL", "1");
   const long kNth[] = {1, 2, 3, 7, 50, 4000, 30000, 250000};
   for (long nth : kNth) {
@@ -304,11 +283,10 @@ TEST(GovernorTest, CancelSweepAcrossAwkwardBoundaries) {
           EXPECT_FALSE(interp.last_status().ok()) << tag;
         }
         // Disarm and prove the pool/heaps survived the abort.
-        ::unsetenv("QC_FAULT");
-        FaultReArm();
+        fault.Unset();
         ctl.Reset();
         ExpectBitExact(interp.Run(DupSort()), DupSortWant(), tag + " rerun");
-        ::setenv("QC_FAULT", ("gov_trip:" + std::to_string(nth)).c_str(), 1);
+        fault.Set("gov_trip:" + std::to_string(nth));
       }
     }
   }
@@ -328,8 +306,7 @@ TEST(GovernorTest, JitDeoptThenCancelIsClean) {
     storage::ResultTable r = interp.Run(Q3());
     EXPECT_EQ(r.size(), 0u) << tag;
     EXPECT_EQ(interp.last_status().code, QueryStatusCode::kCancelled) << tag;
-    ::unsetenv("QC_FAULT");
-    FaultReArm();
+    fault.Unset();
     ctl.Reset();
     ExpectBitExact(interp.Run(Q3()), Q3Want(), tag + " rerun");
   }
@@ -366,8 +343,7 @@ TEST(GovernorChaosTest, EverySiteEveryEngineFailsCleanOrSucceedsExact) {
           } else {
             EXPECT_EQ(r.size(), 0u) << tag;
           }
-          ::unsetenv("QC_FAULT");
-          FaultReArm();
+          fault.Unset();
           ctl.Reset();
           ExpectBitExact(interp.Run(Q3()), Q3Want(), tag + " rerun");
         }

@@ -22,10 +22,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/fault.h"
 #include "compiler/compiler.h"
 #include "exec/interp.h"
 #include "qplan/plan.h"
+#include "scoped_env.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "tpch/datagen.h"
@@ -51,17 +51,6 @@ std::string RefRows(int q, int level) {
   exec::Interpreter interp(Db());
   return RenderRows(interp.Run(*res.fn));
 }
-
-struct ScopedFault {
-  explicit ScopedFault(const char* spec) {
-    ::setenv("QC_FAULT", spec, 1);
-    FaultReArm();
-  }
-  ~ScopedFault() {
-    ::unsetenv("QC_FAULT");
-    FaultReArm();
-  }
-};
 
 ServerOptions TestOptions() {
   ServerOptions o;
@@ -333,7 +322,7 @@ TEST(ServerTest, RetriesTransientResourceFailureWithinDeadline) {
 
   // One-shot allocation fault: attempt 1 trips kResourceFailure, the
   // retry runs clean — the client sees success plus a retry count.
-  ScopedFault fault("alloc_heap:1");
+  ScopedEnv fault("QC_FAULT", "alloc_heap:1");
   HttpResp h = HttpGet(server.port(), "/query?q=1&level=2");
   ASSERT_TRUE(h.complete);
   EXPECT_EQ(h.code, 200);
@@ -356,7 +345,7 @@ TEST(ServerTest, ExhaustedRetriesDownshiftThenRecover) {
   ASSERT_EQ(warm.code, 200);
 
   {
-    ScopedFault fault("alloc_heap:1");
+    ScopedEnv fault("QC_FAULT", "alloc_heap:1");
     HttpResp h = HttpGet(server.port(), "/query?q=1&level=2");
     ASSERT_TRUE(h.complete);
     EXPECT_EQ(h.code, 503);  // transient by contract: retryable
@@ -472,7 +461,7 @@ TEST(ServerTest, MetricsEndpointAgreesWithStats) {
   ASSERT_EQ(HttpGet(server.port(), "/query?q=1").code, 200);
   ASSERT_EQ(HttpGet(server.port(), "/query?q=3&level=2").code, 200);
   {
-    ScopedFault fault("alloc_heap:1");
+    ScopedEnv fault("QC_FAULT", "alloc_heap:1");
     EXPECT_EQ(HttpGet(server.port(), "/query?q=3&level=2").code, 200);
   }
   EXPECT_EQ(server.stats().retries.load(), 1u);
@@ -1202,7 +1191,7 @@ TEST(ServerChaosTest, NetworkFaultSitesFailCleanAndServerSurvives) {
     // Warm before arming so plan compilation is off the chaos path.
     ASSERT_EQ(HttpGet(server.port(), "/query?q=1").code, 200);
     {
-      ScopedFault fault(spec);
+      ScopedEnv fault("QC_FAULT", spec);
       // Exercise the cancel control plane so srv_cancel has a path to fire;
       // under every other spec this is a harmless 404/torn connection.
       {

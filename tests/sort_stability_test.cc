@@ -8,12 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bit_exact.h"
+#include "scoped_env.h"
 #include "compiler/compiler.h"
 #include "exec/interp.h"
 #include "ir/builder.h"
@@ -38,15 +38,6 @@ InterpOptions Opts(InterpOptions::Engine e, int threads,
   o.morsel_rows = morsel_rows;
   return o;
 }
-
-// Forces the parallel sort to engage on small test inputs; restored so
-// other suites in the same process see the default.
-struct ScopedSortMin {
-  explicit ScopedSortMin(const char* v) {
-    ::setenv("QC_PAR_SORT_MIN", v, 1);
-  }
-  ~ScopedSortMin() { ::unsetenv("QC_PAR_SORT_MIN"); }
-};
 
 // Builds: a list of `rows` encoded (key, seq) values — key = (i * 7919) %
 // `keys` so every key repeats many times, seq = i — appended by a scan
@@ -75,7 +66,8 @@ std::unique_ptr<ir::Function> BuildDupKeySort(ir::TypeFactory* types,
 }
 
 TEST(SortStability, DuplicateKeysIdenticalAcrossEnginesAndThreads) {
-  ScopedSortMin min_rows("256");  // well below rows/2: the sort parallelizes
+  // Well below rows/2: the sort parallelizes.
+  ScopedEnv min_rows("QC_PAR_SORT_MIN", "256");
   storage::Database db;
   ir::TypeFactory types;
   const int64_t kRows = 50000;
@@ -118,7 +110,7 @@ TEST(SortStability, DuplicateKeysIdenticalAcrossEnginesAndThreads) {
 }
 
 TEST(SortStability, EmptyAndSingleChunkEdges) {
-  ScopedSortMin min_rows("256");
+  ScopedEnv min_rows("QC_PAR_SORT_MIN", "256");
   storage::Database db;
   ir::TypeFactory types;
   // Empty input: the sort must be a no-op on every path.
@@ -157,7 +149,7 @@ TEST(SortStability, EmptyAndSingleChunkEdges) {
 // that flag), and the interpreters additionally gate on morsel context.
 // QC_PAR_SORT_MIN=2 makes any missed gate redispatch immediately.
 TEST(SortStability, InLoopSortsStaySequentialOnWorkers) {
-  ScopedSortMin min_rows("2");
+  ScopedEnv min_rows("QC_PAR_SORT_MIN", "2");
   storage::Database db;
   ir::TypeFactory types;
   ir::Function fn("in_loop_sort", &types);
@@ -264,7 +256,7 @@ class SortHeavyTpchTest : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(SortHeavyTpchTest, BothStackLevelsBitExact) {
-  ScopedSortMin min_rows("64");
+  ScopedEnv min_rows("QC_PAR_SORT_MIN", "64");
   int q = GetParam();
   qplan::PlanPtr plan = tpch::MakeQuery(q);
   qplan::ResolvePlan(plan.get(), *db());

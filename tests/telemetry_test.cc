@@ -10,13 +10,13 @@
 // execution.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "compiler/compiler.h"
 #include "exec/interp.h"
+#include "scoped_env.h"
 #include "telemetry/log.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -284,16 +284,16 @@ TEST(Log, FormatQuotesAndEscapes) {
 }
 
 TEST(Log, ThresholdFromEnv) {
-  ::setenv("QC_LOG", "error", 1);
+  ScopedEnv log("QC_LOG", "error");
   EXPECT_EQ(telemetry::LogThreshold(), 0);
   EXPECT_TRUE(telemetry::LogEnabled(telemetry::LogLevel::kError));
   EXPECT_FALSE(telemetry::LogEnabled(telemetry::LogLevel::kInfo));
-  ::setenv("QC_LOG", "3", 1);
+  log.Set("3");
   EXPECT_EQ(telemetry::LogThreshold(), 3);
   EXPECT_TRUE(telemetry::LogEnabled(telemetry::LogLevel::kDebug));
-  ::setenv("QC_LOG", "bogus", 1);
+  log.Set("bogus");
   EXPECT_EQ(telemetry::LogThreshold(), 2);  // default info
-  ::unsetenv("QC_LOG");
+  log.Unset();
   EXPECT_EQ(telemetry::LogThreshold(), 2);
 }
 
@@ -347,15 +347,16 @@ TEST(Trace, EventsRoundTripWithArgs) {
 TEST(Trace, RingWrapDropsOldest) {
   // A fresh thread allocates its ring under QC_TRACE_BUF=64, records 100
   // events into one session, and only the newest 64 survive the wrap.
-  ::setenv("QC_TRACE_BUF", "64", 1);
   uint64_t s = telemetry::TraceBeginSession();
-  std::thread recorder([s] {
-    for (int i = 0; i < 100; ++i) {
-      telemetry::TraceRecord(s, "wrap_ev", "test", 1000 + i, 1, "i", i);
-    }
-  });
-  recorder.join();
-  ::unsetenv("QC_TRACE_BUF");
+  {
+    ScopedEnv buf("QC_TRACE_BUF", "64");
+    std::thread recorder([s] {
+      for (int i = 0; i < 100; ++i) {
+        telemetry::TraceRecord(s, "wrap_ev", "test", 1000 + i, 1, "i", i);
+      }
+    });
+    recorder.join();
+  }
   std::string json = telemetry::TraceEndSession(s);
   JsonParser parser(json);
   ASSERT_TRUE(parser.ValidDocument()) << json;
@@ -442,6 +443,25 @@ TEST(TraceEndToEnd, TracedRunIsBitExact) {
   for (size_t r = 0; r < got.size(); ++r) {
     EXPECT_EQ(got.RowToString(r), want.RowToString(r)) << "row " << r;
   }
+}
+
+// QC_LOG=debug is what turns on the per-run jit_stats record.
+TEST(LogEndToEnd, DebugLevelLogsJitStats) {
+  InterpOptions o;
+  o.engine = InterpOptions::Engine::kJit;
+  exec::Interpreter interp(Db(), o);
+  ScopedEnv log("QC_LOG", "debug");
+  ::testing::internal::CaptureStderr();
+  interp.Run(Q1());
+  std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("level=debug event=jit_stats fn=q1 coverage_pct="),
+            std::string::npos)
+      << err;
+  log.Set("info");
+  ::testing::internal::CaptureStderr();
+  interp.Run(Q1());
+  err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.find("event=jit_stats"), std::string::npos) << err;
 }
 
 }  // namespace
