@@ -1315,159 +1315,88 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
 // VM
 // ---------------------------------------------------------------------------
 
+void RunState::Bind(const BytecodeProgram& prog, ExecControl* ctl,
+                    Slot* regs) {
+  gov.Attach(ctl, stats);
+  records.SetGovernor(&gov);
+  regs[prog.out_reg] = SlotP(&out);
+  regs[prog.stats_reg] = SlotP(stats);
+  regs[prog.rec_reg] = SlotP(&records);
+  // Governance context: GovState* + countdown through the register file
+  // (INT64_MAX when ungoverned — the safepoint slow path is unreachable).
+  regs[prog.gov_reg] = SlotP(&gov);
+  regs[prog.gov_cnt_reg] = SlotI(gov.InitialCountdown());
+}
+
 storage::ResultTable BytecodeVM::Run(const BytecodeProgram& prog) {
   prog_ = &prog;
   // Release the previous run's working set (emitted rows own their strings,
   // so nothing in an already-returned result points in here). Stats keep
   // accumulating: they account lifetime totals.
   if (par_eng_ != nullptr) par_eng_->ReleaseRun();
-  lists_.clear();
-  arrays_.clear();
-  maps_.clear();
-  mmaps_.clear();
-  strings_.clear();
-  records_.Reset();
+  state_.lists.clear();
+  state_.arrays.clear();
+  state_.maps.clear();
+  state_.mmaps.clear();
+  state_.strings.clear();
+  state_.records.Reset();
   regs_.assign(prog.num_regs, SlotI(0));
   for (const auto& p : prog.presets) regs_[p.first] = p.second;
-  out_ = storage::ResultTable();
-  out_.SetTypes(prog.emit_types);
-  regs_[prog.out_reg] = SlotP(&out_);
-  regs_[prog.stats_reg] = SlotP(stats_);
-  regs_[prog.rec_reg] = SlotP(&records_);
-  // Governance context: GovState* + countdown through the register file
-  // (INT64_MAX when ungoverned — the safepoint slow path is unreachable).
-  gov_.Attach(ctl_, stats_);
-  records_.SetGovernor(&gov_);
-  regs_[prog.gov_reg] = SlotP(&gov_);
-  regs_[prog.gov_cnt_reg] = SlotI(gov_.InitialCountdown());
-  parallel::ExecState st;
-  st.regs = regs_.data();
-  st.stats = stats_;
-  st.records = &records_;
-  st.lists = &lists_;
-  st.arrays = &arrays_;
-  st.maps = &maps_;
-  st.mmaps = &mmaps_;
-  st.strings = &strings_;
-  st.out = &out_;
-  st.gov = &gov_;
-  Exec(st, 0);
-  return std::move(out_);
+  state_.out = storage::ResultTable();
+  state_.out.SetTypes(prog.emit_types);
+  state_.Bind(prog, ctl_, regs_.data());
+  Exec(state_, regs_.data(), 0);
+  return std::move(state_.out);
 }
 
-bool BytecodeVM::TryParallelLoop(parallel::ExecState& st,
-                                 const ParLoopCode& plc) {
-  parallel::LoopRun run;
-  run.plan = plc.plan;
-  run.lo = st.regs[plc.src_lo_reg].i;
-  run.hi = st.regs[plc.src_hi_reg].i;
-  run.main_regs = st.regs;
-  run.red_regs = &plc.red_regs;
-  run.red_size_regs = &plc.red_size_regs;
-  run.channel_var_regs = &plc.channel_var_regs;
-  run.stats = st.stats;
-  run.out = st.out;
-  run.emit_types = &prog_->emit_types;
-  run.ctl = ctl_;
-  // Snapshot of the register file at loop entry: workers must not read the
-  // live file — the merge (overlapped with the scan) updates accumulator
-  // registers in it concurrently.
-  std::vector<Slot> entry_regs(st.regs, st.regs + prog_->num_regs);
-  run.body = [this, &entry_regs, &plc](int64_t mlo, int64_t mhi,
-                                       parallel::MorselState& ms) {
-    // Worker-private register file: the file at loop entry (loop
-    // invariants, presets, pre-resolved handles) with the reduction
-    // targets rebound to the morsel's private instances.
-    ms.regs = entry_regs;
-    for (size_t i = 0; i < plc.red_regs.size(); ++i) {
-      ms.regs[plc.red_regs[i]] = ms.priv[i];
-    }
-    ms.regs[plc.lo_reg] = SlotI(mlo);
-    ms.regs[plc.hi_reg] = SlotI(mhi);
-    // Rebind the context registers and the addend-log channels to the
-    // morsel's private instances (kEmit, the allocating ops, and kLogRow
-    // reach them through registers).
-    ms.regs[prog_->out_reg] = SlotP(&ms.out);
-    ms.regs[prog_->stats_reg] = SlotP(&ms.stats);
-    ms.regs[prog_->rec_reg] = SlotP(&ms.records);
-    // Per-morsel governance state over the morsel's private stats.
-    ms.gov.Attach(ctl_, &ms.stats);
-    ms.records.SetGovernor(&ms.gov);
-    ms.regs[prog_->gov_reg] = SlotP(&ms.gov);
-    ms.regs[prog_->gov_cnt_reg] = SlotI(ms.gov.InitialCountdown());
-    for (size_t c = 0; c < plc.log_regs.size(); ++c) {
-      ms.regs[plc.log_regs[c]] = SlotP(&ms.logs[c]);
-    }
-    parallel::ExecState ws = ms.MakeState();
-    Exec(ws, plc.entry);
-  };
-  return parallel::RunForRange(*par_eng_, run);
+void BytecodeVM::RunMorsel(parallel::MorselState& ms, const ParLoopCode& plc,
+                           const std::vector<Slot>& entry_regs, int64_t lo,
+                           int64_t hi) {
+  // Worker-private register file: the file at loop entry (loop invariants,
+  // presets, pre-resolved handles) with the reduction targets rebound to
+  // the morsel's private instances.
+  ms.regs = entry_regs;
+  Slot* regs = ms.regs.data();
+  for (size_t i = 0; i < plc.red_regs.size(); ++i) {
+    regs[plc.red_regs[i]] = ms.priv[i];
+  }
+  regs[plc.lo_reg] = SlotI(lo);
+  regs[plc.hi_reg] = SlotI(hi);
+  ms.st.Bind(*prog_, ctl_, regs);
+  for (size_t c = 0; c < plc.log_regs.size(); ++c) {
+    regs[plc.log_regs[c]] = SlotP(&ms.logs[c]);
+  }
+  Exec(ms.st, regs, plc.entry);
 }
 
-void BytecodeVM::SortSlots(parallel::ExecState& st, Slot* data, int64_t n,
-                           const Insn& insn) {
-  const uint32_t* ps = &prog_->extra[insn.d];
-  uint32_t entry = insn.c;
-  // Comparator over the live register file: exactly the pre-sort-subsystem
-  // semantics (parameter slots written, subroutine executed — natively
-  // under the hybrid JIT driver — result slot read).
-  struct VmCmp : SlotCmp {
+void BytecodeVM::Sort(RunState& st, Slot* regs, Slot* data, int64_t n,
+                      const Insn& insn) {
+  // The comparator runs through Exec — natively under the hybrid JIT
+  // driver — on the given state and register file.
+  struct Ctx {
     BytecodeVM* vm;
-    parallel::ExecState* st;
-    const uint32_t* ps;
-    uint32_t entry;
-    bool Less(Slot a, Slot b) override {
-      st->regs[ps[0]] = a;
-      st->regs[ps[1]] = b;
-      vm->Exec(*st, entry);
-      return st->regs[ps[2]].i != 0;
-    }
+    RunState* st;
+  } ctx{this, &st};
+  parallel::SortComparator cmp;
+  cmp.regs = regs;
+  cmp.num_regs = prog_->num_regs;
+  cmp.ps = &prog_->extra[insn.d];
+  cmp.entry = insn.c;
+  cmp.run = [](const void* c, Slot* r, uint32_t pc) {
+    const Ctx* x = static_cast<const Ctx*>(c);
+    x->vm->Exec(*x->st, r, pc);
   };
-  VmCmp cmp;
-  cmp.vm = this;
-  cmp.st = &st;
-  cmp.ps = ps;
-  cmp.entry = entry;
-  // Parallel-sort comparators: each task's comparator owns a private
-  // register-file copy; the main file is never written during the parallel
-  // sort, so post-sort register state is identical to loop entry —
-  // comparator temporaries are subroutine-local and dead afterwards either
-  // way.
-  struct ParCmp : SlotCmp {
-    BytecodeVM* vm;
-    std::vector<Slot> regs;
-    parallel::ExecState ws;
-    const uint32_t* ps;
-    uint32_t entry;
-    bool Less(Slot a, Slot b) override {
-      ws.regs[ps[0]] = a;
-      ws.regs[ps[1]] = b;
-      vm->Exec(ws, entry);
-      return ws.regs[ps[2]].i != 0;
-    }
-  };
-  auto make_cmp = [&]() -> std::unique_ptr<SlotCmp> {
-    auto pc = std::make_unique<ParCmp>();
-    pc->vm = this;
-    pc->regs.assign(st.regs, st.regs + prog_->num_regs);
-    pc->ws = st;
-    pc->ws.regs = pc->regs.data();
-    pc->ps = ps;
-    pc->entry = entry;
-    return pc;
-  };
-  // Parallel only outside morsel runs and for a compiler-proven pure
-  // comparator (insn.n); the driver also checks the input size.
-  bool par = st.morsel == nullptr && insn.n != 0;
-  parallel::GovernedStableSort(par ? par_eng_ : nullptr, st.gov, data, n, cmp,
-                               make_cmp);
+  cmp.ctx = &ctx;
+  // Morsel runs stay sequential: their thread is already one of the pool's.
+  bool par = insn.n != 0 && &st == &state_;
+  parallel::SortSlots(par ? par_eng_ : nullptr, &st.gov, cmp, data, n);
 }
 
-void BytecodeVM::Exec(parallel::ExecState& st, uint32_t pc) {
+void BytecodeVM::Exec(RunState& st, Slot* regs, uint32_t pc) {
   // Hybrid JIT driver: alternate between native segments and interpreted
   // deopt runs until the program (or subroutine/fragment) returns. All
-  // state lives in st, so the same loop serves the main program, sort
-  // comparators, and per-worker morsel fragments.
+  // state lives in (st, regs), so the same loop serves the main program,
+  // sort comparators, and per-worker morsel fragments.
   if (jit_ != nullptr) {
     while (pc != jit::kRetPc && pc != jit::kAbortPc) {
       if (jit_->HasEntry(pc)) {
@@ -1476,26 +1405,25 @@ void BytecodeVM::Exec(parallel::ExecState& st, uint32_t pc) {
         // state-free deopt contract makes this bit-exact.
         if (FaultPoint("jit_deopt")) {
           jit_->CountDeopt();
-          pc = ExecImpl<false>(st, pc);
+          pc = ExecImpl<false>(st, regs, pc);
           continue;
         }
-        pc = jit_->Run(st.regs, pc);
+        pc = jit_->Run(regs, pc);
       } else {
         // One interpreted run = one deopt event (the jit_stats deopts count;
         // cold entries into non-native prologue code count too).
         jit_->CountDeopt();
-        pc = ExecImpl<true>(st, pc);
+        pc = ExecImpl<true>(st, regs, pc);
       }
     }
     return;
   }
-  ExecImpl<false>(st, pc);
+  ExecImpl<false>(st, regs, pc);
 }
 
 template <bool kHybrid>
-uint32_t BytecodeVM::ExecImpl(parallel::ExecState& st, uint32_t pc) {
+uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   const Insn* code = prog_->code.data();
-  Slot* R = st.regs;
   const Insn* I = nullptr;
   // Governance safepoint state, reached through the reserved registers.
   // Ungoverned runs preset the countdown to INT64_MAX, so back edges pay
@@ -1663,7 +1591,7 @@ uint32_t BytecodeVM::ExecImpl(parallel::ExecState& st, uint32_t pc) {
   DISPATCH();
 
   TARGET(kRecNew) {
-    Slot* rec = st.records->AllocHeap(I->n);
+    Slot* rec = st.records.AllocHeap(I->n);
     const uint32_t* argv = &prog_->extra[I->b];
     for (uint16_t i = 0; i < I->n; ++i) rec[i] = R[argv[i]];
     R[I->a] = SlotP(rec);
@@ -1674,11 +1602,11 @@ uint32_t BytecodeVM::ExecImpl(parallel::ExecState& st, uint32_t pc) {
   TARGET(kRecSet) { static_cast<Slot*>(R[I->a].p)[I->b] = R[I->c]; }
   DISPATCH();
   TARGET(kPoolAlloc) {
-    R[I->a] = SlotP(st.records->AllocPool(static_cast<size_t>(R[I->b].i)));
+    R[I->a] = SlotP(st.records.AllocPool(static_cast<size_t>(R[I->b].i)));
   }
   DISPATCH();
   TARGET(kPoolRecNew) {
-    Slot* rec = st.records->AllocPool(I->n);
+    Slot* rec = st.records.AllocPool(I->n);
     const uint32_t* argv = &prog_->extra[I->b];
     for (uint16_t i = 0; i < I->n; ++i) rec[i] = R[argv[i]];
     R[I->a] = SlotP(rec);
@@ -1686,8 +1614,8 @@ uint32_t BytecodeVM::ExecImpl(parallel::ExecState& st, uint32_t pc) {
   DISPATCH();
 
   TARGET(kArrNew) {
-    st.arrays->emplace_back();
-    RtArray& arr = st.arrays->back();
+    st.arrays.emplace_back();
+    RtArray& arr = st.arrays.back();
     int64_t n = R[I->b].i;
     arr.data.assign(n, SlotI(0));
     st.stats->vector_bytes += n * sizeof(Slot);
@@ -1695,8 +1623,8 @@ uint32_t BytecodeVM::ExecImpl(parallel::ExecState& st, uint32_t pc) {
   }
   DISPATCH();
   TARGET(kMallocArr) {
-    st.arrays->emplace_back();
-    RtArray& arr = st.arrays->back();
+    st.arrays.emplace_back();
+    RtArray& arr = st.arrays.back();
     int64_t n = R[I->b].i;
     arr.data.assign(n, SlotI(0));
     st.stats->heap_bytes += n * sizeof(Slot);
@@ -1719,13 +1647,13 @@ uint32_t BytecodeVM::ExecImpl(parallel::ExecState& st, uint32_t pc) {
   DISPATCH();
   TARGET(kArrSort) {
     RtArray* arr = static_cast<RtArray*>(R[I->a].p);
-    SortSlots(st, arr->data.data(), R[I->b].i, *I);
+    Sort(st, R, arr->data.data(), R[I->b].i, *I);
   }
   DISPATCH();
 
   TARGET(kListNew) {
-    st.lists->emplace_back();
-    R[I->a] = SlotP(&st.lists->back());
+    st.lists.emplace_back();
+    R[I->a] = SlotP(&st.lists.back());
   }
   DISPATCH();
   TARGET(kListAppend) {
@@ -1746,14 +1674,13 @@ uint32_t BytecodeVM::ExecImpl(parallel::ExecState& st, uint32_t pc) {
   DISPATCH();
   TARGET(kListSort) {
     RtList* l = static_cast<RtList*>(R[I->a].p);
-    SortSlots(st, l->items.data(), static_cast<int64_t>(l->items.size()),
-              *I);
+    Sort(st, R, l->items.data(), static_cast<int64_t>(l->items.size()), *I);
   }
   DISPATCH();
 
   TARGET(kMapNew) {
-    st.maps->emplace_back(prog_->types[I->b], st.stats);
-    R[I->a] = SlotP(&st.maps->back());
+    st.maps.emplace_back(prog_->types[I->b], st.stats);
+    R[I->a] = SlotP(&st.maps.back());
   }
   DISPATCH();
   TARGET(kMapFind) {
@@ -1787,8 +1714,8 @@ uint32_t BytecodeVM::ExecImpl(parallel::ExecState& st, uint32_t pc) {
   DISPATCH();
 
   TARGET(kMMapNew) {
-    st.mmaps->emplace_back(prog_->types[I->b], st.stats);
-    R[I->a] = SlotP(&st.mmaps->back());
+    st.mmaps.emplace_back(prog_->types[I->b], st.stats);
+    R[I->a] = SlotP(&st.mmaps.back());
   }
   DISPATCH();
   TARGET(kMMapAdd) {
@@ -1909,10 +1836,10 @@ uint32_t BytecodeVM::ExecImpl(parallel::ExecState& st, uint32_t pc) {
     uint32_t mask = I->c;
     for (uint16_t i = 0; i < I->n; ++i) {
       Slot v = R[argv[i]];
-      if (mask & (1u << i)) v = SlotS(st.out->InternString(v.s));
+      if (mask & (1u << i)) v = SlotS(st.out.InternString(v.s));
       row.push_back(v);
     }
-    st.out->AddRow(std::move(row));
+    st.out.AddRow(std::move(row));
   }
   DISPATCH();
 
@@ -1926,8 +1853,10 @@ uint32_t BytecodeVM::ExecImpl(parallel::ExecState& st, uint32_t pc) {
     // pool is attached and the runtime gates pass, the loop executes
     // morsel-parallel and the sequential fallback that follows is skipped;
     // otherwise fall through into it.
-    if (par_eng_ != nullptr && st.morsel == nullptr &&
-        TryParallelLoop(st, prog_->par_loops[I->a])) {
+    // Only the main run fans out: a morsel's thread is one of the pool's.
+    if (par_eng_ != nullptr && &st == &state_ &&
+        parallel::RunForRange(*par_eng_, *this, prog_->par_loops[I->a], st, R,
+                              prog_->num_regs)) {
       pc += I->d;
     }
   }
@@ -1953,7 +1882,7 @@ uint32_t BytecodeVM::ExecImpl(parallel::ExecState& st, uint32_t pc) {
 #undef DISPATCH
 }
 
-template uint32_t BytecodeVM::ExecImpl<false>(parallel::ExecState&, uint32_t);
-template uint32_t BytecodeVM::ExecImpl<true>(parallel::ExecState&, uint32_t);
+template uint32_t BytecodeVM::ExecImpl<false>(RunState&, Slot*, uint32_t);
+template uint32_t BytecodeVM::ExecImpl<true>(RunState&, Slot*, uint32_t);
 
 }  // namespace qc::exec

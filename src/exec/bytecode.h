@@ -221,8 +221,8 @@ struct BytecodeProgram {
   std::vector<storage::ColType> emit_types;
   std::vector<ParLoopCode> par_loops;  // morsel-parallelizable scan loops
   uint32_t num_regs = 0;
-  // Reserved context registers, written by the VM at Run entry (and by the
-  // parallel runtime per morsel): the destination ResultTable* for kEmit,
+  // Reserved context registers, written by RunState::Bind at Run entry and
+  // per morsel: the destination ResultTable* for kEmit,
   // the AllocStats* for accounting appends, and the RecordHeap* for record
   // allocation. They let JIT'd code reach all per-run mutable state through
   // the register file alone — the same state-free property the deopt
@@ -342,16 +342,16 @@ class BytecodeCompiler {
                                                // code.back() with dst in `a`
 };
 
-// Executes compiled programs. Owns the runtime heap (lists, arrays, maps,
-// records) and threads the caller's AllocStats, so Figure 8 memory
-// accounting is engine-independent.
+// Executes compiled programs. Owns the main run's RunState (runtime heap,
+// containers, result buffer) over the caller's AllocStats, so Figure 8
+// memory accounting is engine-independent.
 //
-// All per-run mutable state is reached through a parallel::ExecState, so
-// the same Exec() runs the main program on the VM's own state and morsel
-// body fragments on worker-private MorselStates, concurrently.
+// Exec runs against an explicit (RunState, register file) pair, so the same
+// code runs the main program on the VM's own state and morsel body
+// fragments on worker-private MorselStates, concurrently.
 class BytecodeVM {
  public:
-  explicit BytecodeVM(AllocStats* stats) : stats_(stats), records_(stats) {}
+  explicit BytecodeVM(AllocStats* stats) : state_(stats) {}
 
   storage::ResultTable Run(const BytecodeProgram& prog);
 
@@ -372,43 +372,37 @@ class BytecodeVM {
   // instruction (src/jit/engine.h). Null (default) is the pure VM.
   void SetJit(const jit::JitProgram* jp) { jit_ = jp; }
 
+  // Morsel entry of parallel::RunForRange (worker threads, concurrently):
+  // runs the body fragment of `plc` over rows [lo, hi) against `ms`, on a
+  // copy of the loop-entry register file with the reduction targets, loop
+  // bounds, context registers and addend logs rebound to the morsel's own.
+  void RunMorsel(parallel::MorselState& ms, const ParLoopCode& plc,
+                 const std::vector<Slot>& entry_regs, int64_t lo, int64_t hi);
+
  private:
-  void Exec(parallel::ExecState& st, uint32_t pc);
+  void Exec(RunState& st, Slot* regs, uint32_t pc);
   // The dispatch loop. kHybrid adds a per-instruction "native code exists
   // for this pc" check and returns that pc (or jit::kRetPc after kRet) so
   // the hybrid driver can re-enter native code; the kHybrid = false
   // instantiation is byte-for-byte the pre-JIT interpreter loop.
   template <bool kHybrid>
-  uint32_t ExecImpl(parallel::ExecState& st, uint32_t pc);
-  // Runs one parallelizable loop on the worker pool; false = run the
-  // sequential fallback instead.
-  bool TryParallelLoop(parallel::ExecState& st, const ParLoopCode& plc);
-  // kArrSort/kListSort: sorts data[0, n) through the shared stable merge
-  // core (exec/runtime.h), morsel-parallel when a pool is attached, the
-  // compiler proved the comparator pure (insn.n), and the input is large
-  // enough — sequential otherwise. Bitwise-identical output either way.
-  void SortSlots(parallel::ExecState& st, Slot* data, int64_t n,
-                 const Insn& insn);
+  uint32_t ExecImpl(RunState& st, Slot* R, uint32_t pc);
+  // kArrSort/kListSort through parallel::SortSlots, morsel-parallel only on
+  // the main run with a pool attached and a compiler-proven pure
+  // comparator (insn.n).
+  void Sort(RunState& st, Slot* regs, Slot* data, int64_t n, const Insn& insn);
 
-  static const char* Intern(parallel::ExecState& st, std::string s) {
-    st.strings->push_back(std::move(s));
-    return st.strings->back().c_str();
+  static const char* Intern(RunState& st, std::string s) {
+    st.strings.push_back(std::move(s));
+    return st.strings.back().c_str();
   }
 
   const BytecodeProgram* prog_ = nullptr;
-  AllocStats* stats_;
-  RecordHeap records_;
   ExecControl* ctl_ = nullptr;
-  GovState gov_;  // main-context governance state, rebound per Run
   parallel::Engine* par_eng_ = nullptr;
   const jit::JitProgram* jit_ = nullptr;
+  RunState state_;  // the main run's; morsels run on their own
   std::vector<Slot> regs_;
-  std::deque<RtList> lists_;
-  std::deque<RtArray> arrays_;
-  std::deque<RtHashMap> maps_;
-  std::deque<RtMultiMap> mmaps_;
-  std::deque<std::string> strings_;
-  storage::ResultTable out_;
 };
 
 }  // namespace qc::exec

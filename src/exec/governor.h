@@ -26,7 +26,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "exec/runtime.h"
 
@@ -110,8 +109,8 @@ struct GovState {
   ExecControl* ctl = nullptr;
   const AllocStats* stats = nullptr;
   // Memory already published to ctl->mem_observed from `stats`.  Atomic
-  // because parallel-safe VM sort comparators run on worker threads with
-  // copied register files that still point at the main context's GovState.
+  // because parallel sort comparators run on worker threads with copied
+  // register files that still point at the main context's GovState.
   std::atomic<int64_t> published{0};
   int64_t interval = 1;  // safepoint interval (QC_GOV_INTERVAL)
   // Cached "this query is dead" flag so aborted contexts (notably sort
@@ -179,20 +178,6 @@ class GovernedCmp : public SlotCmp {
   SlotCmp& inner_;
   GovState* gov_;
   int64_t countdown_;
-};
-
-// Owning variant for SortCmpFactory-style call sites: takes ownership of a
-// freshly built comparator and governs it.
-class GovernedCmpOwned : public SlotCmp {
- public:
-  GovernedCmpOwned(std::unique_ptr<SlotCmp> inner, GovState* gov)
-      : inner_(std::move(inner)), gov_(*inner_, gov) {}
-
-  bool Less(Slot a, Slot b) override { return gov_.Less(a, b); }
-
- private:
-  std::unique_ptr<SlotCmp> inner_;
-  GovernedCmp gov_;
 };
 
 }  // namespace qc::exec

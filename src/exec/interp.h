@@ -6,19 +6,20 @@
 // differ only in the code the compiler produced — which is exactly what
 // Table 3 measures.
 //
-// Two engines share this facade, both running the same register bytecode:
-//   * kBytecode (default) — flattens the function once into register
-//     bytecode and runs it on the direct-threaded VM (exec/bytecode.h).
-//     Programs are cached per Function, so repeated Run() calls skip
-//     translation.
-//   * kJit — additionally stitches the bytecode into native x86-64 via
-//     the copy-and-patch backend (src/jit/), with per-instruction deopt
-//     into the VM; degrades silently to kBytecode where unsupported.
+// One executor sits behind this facade: the function is flattened once into
+// register bytecode (cached per Function, so repeated Run() calls skip
+// translation) and runs on the direct-threaded VM (exec/bytecode.h). The
+// engine option only selects the VM's driver:
+//   * kBytecode (default) — the plain interpreter loop.
+//   * kJit — the VM's hybrid driver over native x86-64 stitched from the
+//     same bytecode by the copy-and-patch backend (src/jit/), deopting
+//     into the interpreter per instruction; degrades silently to kBytecode
+//     where unsupported.
 //
-// Both engines support morsel-driven parallel execution of qualifying scan
-// loops (exec/parallel.h): InterpOptions::num_threads > 1 attaches a
-// persistent worker pool, and results stay bitwise identical to the
-// sequential run at every thread count.
+// Either way, morsel-driven parallel execution of qualifying scan loops
+// (exec/parallel.h) goes through the VM: InterpOptions::num_threads > 1
+// attaches a persistent worker pool, and results stay bitwise identical to
+// the sequential run at every thread count.
 #ifndef QC_EXEC_INTERP_H_
 #define QC_EXEC_INTERP_H_
 

@@ -6,8 +6,9 @@
 #include <system_error>
 #include <unordered_map>
 
-#include "common/knobs.h"
 #include "common/fault.h"
+#include "common/knobs.h"
+#include "exec/bytecode.h"
 #include "telemetry/log.h"
 #include "telemetry/trace.h"
 
@@ -75,11 +76,12 @@ void CreditGroupRec(AllocStats* stats, const ir::ParReduction& red) {
 
 class Merger {
  public:
-  Merger(const LoopRun& run) : run_(run) {}
+  Merger(const ParLoopCode& plc, RunState& main, Slot* main_regs)
+      : plc_(plc), main_(main), main_regs_(main_regs) {}
 
   void MergeMorsel(MorselState& ms) {
-    const ir::ParLoop& plan = *run_.plan;
-    run_.stats->MergeFrom(ms.stats);
+    const ir::ParLoop& plan = *plc_.plan;
+    main_.stats->MergeFrom(ms.stats);
     remap_.clear();
 
     // Scalar accumulators fold in the morsel's *register* value: the body
@@ -95,12 +97,12 @@ class Merger {
         continue;
       }
       int n_idx = FindReduction(plan, r.count_var);
-      if (ms.regs[(*run_.red_regs)[n_idx]].i <= 0) {
+      if (ms.regs[plc_.red_regs[n_idx]].i <= 0) {
         continue;  // morsel saw no contributing row
       }
-      Slot& main_v = run_.main_regs[(*run_.red_regs)[i]];
-      int64_t main_n = run_.main_regs[(*run_.red_regs)[n_idx]].i;
-      Slot mv = ms.regs[(*run_.red_regs)[i]];
+      Slot& main_v = main_regs_[plc_.red_regs[i]];
+      int64_t main_n = main_regs_[plc_.red_regs[n_idx]].i;
+      Slot mv = ms.regs[plc_.red_regs[i]];
       bool take;
       if (main_n == 0) {
         take = true;
@@ -115,8 +117,7 @@ class Merger {
       const ir::ParReduction& r = plan.reductions[i];
       switch (r.kind) {
         case ir::ParRedKind::kVarSumI:
-          run_.main_regs[(*run_.red_regs)[i]].i +=
-              ms.regs[(*run_.red_regs)[i]].i;
+          main_regs_[plc_.red_regs[i]].i += ms.regs[plc_.red_regs[i]].i;
           break;
         case ir::ParRedKind::kList:
           MergeList(i, ms);
@@ -145,26 +146,25 @@ class Merger {
 
  private:
   void MergeList(size_t i, MorselState& ms) {
-    RtList* main = static_cast<RtList*>(run_.main_regs[(*run_.red_regs)[i]].p);
+    RtList* main = static_cast<RtList*>(main_regs_[plc_.red_regs[i]].p);
     RtList* priv = static_cast<RtList*>(ms.priv[i].p);
-    run_.stats->CreditVector(priv->items.capacity() * sizeof(Slot));
+    main_.stats->CreditVector(priv->items.capacity() * sizeof(Slot));
     for (Slot v : priv->items) {
       size_t before = main->items.capacity();
       main->items.push_back(v);
-      run_.stats->vector_bytes +=
+      main_.stats->vector_bytes +=
           (main->items.capacity() - before) * sizeof(Slot);
     }
   }
 
   void MergeMap(size_t i, MorselState& ms) {
-    const ir::ParReduction& red = run_.plan->reductions[i];
-    RtHashMap* main =
-        static_cast<RtHashMap*>(run_.main_regs[(*run_.red_regs)[i]].p);
+    const ir::ParReduction& red = plc_.plan->reductions[i];
+    RtHashMap* main = static_cast<RtHashMap*>(main_regs_[plc_.red_regs[i]].p);
     RtHashMap* priv = static_cast<RtHashMap*>(ms.priv[i].p);
     for (RtHashMap::Node* n : priv->entries()) {
       // The morsel-local node never survives: either the main map
       // re-inserts (accounting a node of its own) or the group existed.
-      run_.stats->CreditHeap(sizeof(RtHashMap::Node), 1);
+      main_.stats->CreditHeap(sizeof(RtHashMap::Node), 1);
       RtHashMap::Node* e = main->Find(n->key);
       if (e == nullptr) {
         main->Insert(n->key, n->value);
@@ -172,7 +172,7 @@ class Merger {
       } else {
         CombineGroupRec(static_cast<Slot*>(e->value.p),
                         static_cast<const Slot*>(n->value.p), red);
-        CreditGroupRec(run_.stats, red);
+        CreditGroupRec(main_.stats, red);
         remap_[n->value.p] = static_cast<Slot*>(e->value.p);
       }
     }
@@ -180,12 +180,12 @@ class Merger {
 
   void MergeMMap(size_t i, MorselState& ms) {
     RtMultiMap* main =
-        static_cast<RtMultiMap*>(run_.main_regs[(*run_.red_regs)[i]].p);
+        static_cast<RtMultiMap*>(main_regs_[plc_.red_regs[i]].p);
     RtMultiMap* priv = static_cast<RtMultiMap*>(ms.priv[i].p);
     for (RtHashMap::Node* n : priv->key_map().entries()) {
       RtList* vals = static_cast<RtList*>(n->value.p);
-      run_.stats->CreditHeap(sizeof(RtHashMap::Node), 1);
-      run_.stats->CreditVector(vals->items.capacity() * sizeof(Slot));
+      main_.stats->CreditHeap(sizeof(RtHashMap::Node), 1);
+      main_.stats->CreditVector(vals->items.capacity() * sizeof(Slot));
       // One probe per (key, morsel), holding the key's value list (the
       // tail) across the whole chain — not one Find per merged value,
       // which re-walked the key's hash chain per value and made merging a
@@ -195,9 +195,8 @@ class Merger {
   }
 
   void MergeGroupArray(size_t i, MorselState& ms) {
-    const ir::ParReduction& red = run_.plan->reductions[i];
-    RtArray* main =
-        static_cast<RtArray*>(run_.main_regs[(*run_.red_regs)[i]].p);
+    const ir::ParReduction& red = plc_.plan->reductions[i];
+    RtArray* main = static_cast<RtArray*>(main_regs_[plc_.red_regs[i]].p);
     RtArray* priv = static_cast<RtArray*>(ms.priv[i].p);
     for (size_t k = 0; k < priv->data.size(); ++k) {
       Slot mv = priv->data[k];
@@ -209,7 +208,7 @@ class Merger {
       } else {
         CombineGroupRec(static_cast<Slot*>(mn.p),
                         static_cast<const Slot*>(mv.p), red);
-        CreditGroupRec(run_.stats, red);
+        CreditGroupRec(main_.stats, red);
         remap_[mv.p] = static_cast<Slot*>(mn.p);
       }
     }
@@ -222,9 +221,8 @@ class Merger {
   // (bucket, morsel) — never the growing main chain — so the merge is
   // O(total nodes) even under full key skew.
   void MergeBucketArray(size_t i, MorselState& ms) {
-    const ir::ParReduction& red = run_.plan->reductions[i];
-    RtArray* main =
-        static_cast<RtArray*>(run_.main_regs[(*run_.red_regs)[i]].p);
+    const ir::ParReduction& red = plc_.plan->reductions[i];
+    RtArray* main = static_cast<RtArray*>(main_regs_[plc_.red_regs[i]].p);
     RtArray* priv = static_cast<RtArray*>(ms.priv[i].p);
     int nf = red.next_field;
     for (size_t k = 0; k < priv->data.size(); ++k) {
@@ -240,12 +238,12 @@ class Merger {
   // Replays the f64 additions of this morsel in row order, against the
   // merged accumulators, reproducing the sequential rounding bit for bit.
   void ReplayLogs(MorselState& ms) {
-    const ir::ParLoop& plan = *run_.plan;
+    const ir::ParLoop& plan = *plc_.plan;
     for (size_t c = 0; c < plan.logs.size(); ++c) {
       const ir::ParLogChannel& ch = plan.logs[c];
       const std::vector<Slot>& log = ms.logs[c];
       if (ch.var != nullptr) {
-        Slot& acc = run_.main_regs[(*run_.channel_var_regs)[c]];
+        Slot& acc = main_regs_[plc_.channel_var_regs[c]];
         for (Slot v : log) acc.d += v.d;
         continue;
       }
@@ -254,7 +252,7 @@ class Merger {
         // Slot-index-keyed: the merged record sits in the main array.
         const Slot* slots =
             static_cast<RtArray*>(
-                run_.main_regs[(*run_.red_regs)[ch.array_red]].p)
+                main_regs_[plc_.red_regs[ch.array_red]].p)
                 ->data.data();
         for (size_t e = 0; e + stride <= log.size(); e += stride) {
           Slot* rec = static_cast<Slot*>(slots[log[e].i].p);
@@ -280,19 +278,21 @@ class Merger {
   }
 
   void MergeEmits(MorselState& ms) {
-    for (size_t r = 0; r < ms.out.size(); ++r) {
-      std::vector<Slot> row = ms.out.row(r);
+    const std::vector<storage::ColType>& types = main_.out.types();
+    for (size_t r = 0; r < ms.st.out.size(); ++r) {
+      std::vector<Slot> row = ms.st.out.row(r);
       for (size_t c = 0; c < row.size(); ++c) {
-        if (c < run_.emit_types->size() &&
-            (*run_.emit_types)[c] == storage::ColType::kStr) {
-          row[c] = SlotS(run_.out->InternString(row[c].s));
+        if (c < types.size() && types[c] == storage::ColType::kStr) {
+          row[c] = SlotS(main_.out.InternString(row[c].s));
         }
       }
-      run_.out->AddRow(std::move(row));
+      main_.out.AddRow(std::move(row));
     }
   }
 
-  const LoopRun& run_;
+  const ParLoopCode& plc_;
+  RunState& main_;
+  Slot* main_regs_;
   std::unordered_map<const void*, Slot*> remap_;
 };
 
@@ -391,9 +391,12 @@ void WorkerPool::WorkerMain() {
 // Orchestration
 // ---------------------------------------------------------------------------
 
-bool RunForRange(Engine& eng, const LoopRun& run) {
-  const ir::ParLoop& plan = *run.plan;
-  int64_t rows = run.hi - run.lo;
+bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
+                 RunState& main, Slot* regs, uint32_t num_regs) {
+  const ir::ParLoop& plan = *plc.plan;
+  int64_t lo = regs[plc.src_lo_reg].i;
+  int64_t hi = regs[plc.src_hi_reg].i;
+  int64_t rows = hi - lo;
   int64_t mr = eng.morsel_rows();
   if (rows < 2 * mr) return false;
 
@@ -407,10 +410,10 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
   int64_t tail_rows = rows / 8;
   if (tail_rows < tail_mr) tail_rows = 0;  // small loops stay uniform
   std::vector<std::pair<int64_t, int64_t>> ranges;
-  int64_t tail_start = run.hi - tail_rows;
-  for (int64_t pos = run.lo; pos < run.hi;) {
+  int64_t tail_start = hi - tail_rows;
+  for (int64_t pos = lo; pos < hi;) {
     int64_t step = pos >= tail_start ? tail_mr : mr;
-    int64_t next = pos + step < run.hi ? pos + step : run.hi;
+    int64_t next = pos + step < hi ? pos + step : hi;
     ranges.emplace_back(pos, next);
     pos = next;
   }
@@ -421,7 +424,7 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
   int64_t arr_bytes = 0;
   for (size_t i = 0; i < plan.reductions.size(); ++i) {
     if (!IsArrayRed(plan.reductions[i].kind)) continue;
-    int64_t size = run.main_regs[(*run.red_size_regs)[i]].i;
+    int64_t size = regs[plc.red_size_regs[i]].i;
     if (size < 0) return false;
     arr_bytes += size * static_cast<int64_t>(sizeof(Slot)) * num_morsels;
   }
@@ -455,22 +458,22 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
           ms.priv[i] = SlotI(0);  // fold identity (0.0 shares the bits)
           break;
         case ir::ParRedKind::kList:
-          ms.lists.emplace_back();
-          ms.priv[i] = SlotP(&ms.lists.back());
+          ms.st.lists.emplace_back();
+          ms.priv[i] = SlotP(&ms.st.lists.back());
           break;
         case ir::ParRedKind::kMap:
-          ms.maps.emplace_back(r.target->type->key, &ms.stats);
-          ms.priv[i] = SlotP(&ms.maps.back());
+          ms.st.maps.emplace_back(r.target->type->key, &ms.stats);
+          ms.priv[i] = SlotP(&ms.st.maps.back());
           break;
         case ir::ParRedKind::kMMap:
-          ms.mmaps.emplace_back(r.target->type->key, &ms.stats);
-          ms.priv[i] = SlotP(&ms.mmaps.back());
+          ms.st.mmaps.emplace_back(r.target->type->key, &ms.stats);
+          ms.priv[i] = SlotP(&ms.st.mmaps.back());
           break;
         case ir::ParRedKind::kGroupArray:
         case ir::ParRedKind::kBucketArray: {
-          ms.arrays.emplace_back();
-          RtArray& arr = ms.arrays.back();
-          arr.data.assign(run.main_regs[(*run.red_size_regs)[i]].i, SlotI(0));
+          ms.st.arrays.emplace_back();
+          RtArray& arr = ms.st.arrays.back();
+          arr.data.assign(regs[plc.red_size_regs[i]].i, SlotI(0));
           ms.priv[i] = SlotP(&arr);
           break;
         }
@@ -498,19 +501,23 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
   for (int64_t m = 0; m < num_morsels; ++m) {
     done[m].store(0, std::memory_order_relaxed);
   }
+  // Snapshot of the register file at loop entry: workers must not read the
+  // live file — the merge (overlapped with the scan) updates accumulator
+  // registers in it concurrently.
+  const std::vector<Slot> entry_regs(regs, regs + num_regs);
+  const ExecControl* ctl = main.gov.ctl;
   std::function<void(int)> scan = [&](int m) {
     // Tripped queries skip morsels that have not started yet: the empty
     // MorselState merges as a no-op, so the done/merge/Wait protocol runs
     // to completion and the pool stays reusable.
-    if (run.ctl == nullptr || !run.ctl->Tripped()) {
+    if (ctl == nullptr || !ctl->Tripped()) {
+      int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
+      vm.RunMorsel(*states[m], plc, entry_regs, ranges[m].first,
+                   ranges[m].second);
       if (trace_session != 0) {
-        int64_t ts = telemetry::TraceNowNs();
-        run.body(ranges[m].first, ranges[m].second, *states[m]);
         telemetry::TraceRecord(trace_session, "morsel", "par", ts,
                                telemetry::TraceNowNs() - ts, "morsel", m,
                                "rows", ranges[m].second - ranges[m].first);
-      } else {
-        run.body(ranges[m].first, ranges[m].second, *states[m]);
       }
     }
     done[m].store(1, std::memory_order_release);
@@ -518,7 +525,7 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
     done_cv.notify_one();
   };
 
-  Merger merger(run);
+  Merger merger(plc, main, regs);
   int64_t merged = 0;
   auto merge_ready = [&] {
     bool any = false;
@@ -567,12 +574,6 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
 // Parallel stable sort
 // ---------------------------------------------------------------------------
 
-int64_t ParallelSortMinChunk() {
-  // Read per call, not cached: sorts run once per query, and tests flip the
-  // knob between runs.
-  return KnobInt(Knob::kParSortMin);
-}
-
 namespace {
 
 // Runs every task index of [0, count) on the pool with the caller thread
@@ -585,12 +586,50 @@ void RunTasks(Engine& eng, int count, const std::function<void(int)>& task) {
   eng.pool().Wait();
 }
 
-}  // namespace
+// A comparator subroutine over one register file: writes the parameter
+// slots, runs the subroutine, reads the result slot.
+class SubroutineCmp final : public SlotCmp {
+ public:
+  SubroutineCmp(const SortComparator& sc, Slot* regs) : sc_(sc), regs_(regs) {}
 
-bool ParallelStableSort(Engine& eng, Slot* data, int64_t n,
-                        const SortCmpFactory& make_cmp) {
+  bool Less(Slot a, Slot b) override {
+    regs_[sc_.ps[0]] = a;
+    regs_[sc_.ps[1]] = b;
+    sc_.run(sc_.ctx, regs_, sc_.entry);
+    return regs_[sc_.ps[2]].i != 0;
+  }
+
+ private:
+  const SortComparator& sc_;
+  Slot* regs_;
+};
+
+// One parallel sort task's comparator: a private copy of the register file
+// (comparator temporaries are subroutine-local, so the live file needs none
+// of the task's writes), governed like the sequential path.
+struct TaskCmp {
+  TaskCmp(const SortComparator& sc, GovState* gov)
+      : regs(sc.regs, sc.regs + sc.num_regs),
+        inner(sc, regs.data()),
+        governed(inner, gov) {}
+  TaskCmp(const TaskCmp&) = delete;  // inner and governed point into *this
+  TaskCmp& operator=(const TaskCmp&) = delete;
+
+  std::vector<Slot> regs;
+  SubroutineCmp inner;
+  GovernedCmp governed;
+};
+
+// Morsel-parallel half of SortSlots. Returns false (nothing executed) when
+// the input is too small for two chunks or the pool has no workers.
+bool ParallelStableSort(Engine& eng, GovState* gov, const SortComparator& sc,
+                        Slot* data, int64_t n) {
   int threads = eng.pool().threads();
-  int64_t min_chunk = ParallelSortMinChunk();
+  // Minimum rows per sorted run, clamped to >= 2: smaller sorts stay
+  // sequential, the run/merge bookkeeping would cost more than it saves.
+  // Read per call, not cached: sorts run once per query, and tests flip the
+  // knob between runs.
+  int64_t min_chunk = KnobInt(Knob::kParSortMin);
   if (threads < 2 || n < 2 * min_chunk) return false;
 
   // Contiguous chunk boundaries. The decomposition affects only wall-clock:
@@ -619,8 +658,8 @@ bool ParallelStableSort(Engine& eng, Slot* data, int64_t n,
   // comparator (private register file).
   std::function<void(int)> sort_chunk = [&](int c) {
     int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
-    std::unique_ptr<SlotCmp> cmp = make_cmp();
-    StableSortSlots(data + bounds[c], bounds[c + 1] - bounds[c], *cmp,
+    TaskCmp cmp(sc, gov);
+    StableSortSlots(data + bounds[c], bounds[c + 1] - bounds[c], cmp.governed,
                     scratch.data() + bounds[c]);
     if (trace_session != 0) {
       telemetry::TraceRecord(trace_session, "sort_chunk", "par", ts,
@@ -641,9 +680,9 @@ bool ParallelStableSort(Engine& eng, Slot* data, int64_t n,
     bool odd = (bounds.size() - 1) % 2 != 0;
     std::function<void(int)> merge_pair = [&](int p) {
       int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
-      std::unique_ptr<SlotCmp> cmp = make_cmp();
+      TaskCmp cmp(sc, gov);
       MergeSortedRuns(src, bounds[2 * p], bounds[2 * p + 1],
-                      bounds[2 * p + 2], dst, *cmp);
+                      bounds[2 * p + 2], dst, cmp.governed);
       if (trace_session != 0) {
         telemetry::TraceRecord(trace_session, "sort_merge", "par", ts,
                                telemetry::TraceNowNs() - ts, "pair", p);
@@ -666,6 +705,16 @@ bool ParallelStableSort(Engine& eng, Slot* data, int64_t n,
     std::memcpy(data, src, static_cast<size_t>(n) * sizeof(Slot));
   }
   return true;
+}
+
+}  // namespace
+
+void SortSlots(Engine* eng, GovState* gov, const SortComparator& cmp,
+               Slot* data, int64_t n) {
+  if (eng != nullptr && ParallelStableSort(*eng, gov, cmp, data, n)) return;
+  SubroutineCmp live(cmp, cmp.regs);
+  GovernedCmp governed(live, gov);
+  StableSortSlots(data, n, governed);
 }
 
 }  // namespace qc::exec::parallel

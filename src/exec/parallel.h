@@ -1,16 +1,17 @@
-// Morsel-driven parallel execution (HyPer style) for both engines.
+// Morsel-driven parallel execution (HyPer style) of the bytecode VM — and
+// with it of the JIT, which runs through the VM's own Exec.
 //
 // A qualifying top-level scan loop (ir/parallel.h decides which qualify) is
 // split into fixed-size row-range morsels pulled work-stealing-style off a
 // shared counter by a persistent worker pool. Each morsel runs the
 // unmodified loop body against *private* state: a private register file,
-// RecordHeap, AllocStats, and private instances of every reduction object
-// (hash maps, group arrays, lists, accumulators). A sequential merge phase
-// then folds the per-morsel states back into the main engine state in
-// morsel order.
+// RunState (RecordHeap, runtime containers, result table), AllocStats, and
+// private instances of every reduction object (hash maps, group arrays,
+// lists, accumulators). A sequential merge phase then folds the per-morsel
+// states back into the main run state in morsel order.
 //
 // Determinism contract: the merged result is bitwise identical to the
-// sequential engine for any thread count and morsel size —
+// sequential run for any thread count and morsel size —
 //   * list appends, multimap inserts, emits, and intrusive bucket chains
 //     recombine in morsel order, reproducing the exact sequential
 //     append/insert order;
@@ -27,9 +28,9 @@
 // list buffers), so Figure 8 numbers are engine- and thread-count-
 // independent.
 //
-// The engines share everything here, including the `LoopRun::body`
-// callback that executes one morsel: the JIT engine reuses the bytecode
-// VM's callback, and its hybrid driver runs per worker.
+// The post-aggregation sort driver lives here too (SortSlots): the VM and
+// the JIT's native sort helper differ only in how they run the comparator
+// subroutine, which they pass in as a callback.
 #ifndef QC_EXEC_PARALLEL_H_
 #define QC_EXEC_PARALLEL_H_
 
@@ -46,73 +47,57 @@
 
 #include "exec/governor.h"
 #include "exec/runtime.h"
-#include "ir/parallel.h"
 #include "storage/result.h"
-#include "storage/schema.h"
 
-namespace qc::exec::parallel {
+namespace qc::exec {
 
-struct MorselState;
+class BytecodeVM;
+struct BytecodeProgram;
+struct ParLoopCode;
 
-// Execution context threaded through the VM (and the JIT's hybrid driver):
-// the register file plus every piece of per-run mutable state. The main run
-// points at the VM's own storage; a morsel run points into a MorselState.
-struct ExecState {
-  Slot* regs = nullptr;
-  AllocStats* stats = nullptr;
-  RecordHeap* records = nullptr;
-  std::deque<RtList>* lists = nullptr;
-  std::deque<RtArray>* arrays = nullptr;
-  std::deque<RtHashMap>* maps = nullptr;
-  std::deque<RtMultiMap>* mmaps = nullptr;
-  std::deque<std::string>* strings = nullptr;
-  storage::ResultTable* out = nullptr;
-  MorselState* morsel = nullptr;       // log sink during a morsel run
-  GovState* gov = nullptr;             // governance state (may be unattached)
-};
+// All per-run mutable state of one execution context: the main run (owned
+// by the BytecodeVM) and every morsel (a MorselState) each own one. The
+// register file is separate — Exec takes it alongside — so a parallel sort
+// task shares its context's RunState and copies only the registers.
+struct RunState {
+  explicit RunState(AllocStats* s) : stats(s), records(s) {}
 
-// All worker-local state of one morsel. Records and interned strings
-// survive the merge (group records and join tuples are adopted by the main
-// structures); everything else is released right after merging.
-struct MorselState {
-  AllocStats stats;
-  RecordHeap records{&stats};
+  AllocStats* stats;
+  RecordHeap records;
   std::deque<RtList> lists;
   std::deque<RtArray> arrays;
   std::deque<RtHashMap> maps;
   std::deque<RtMultiMap> mmaps;
   std::deque<std::string> strings;
   storage::ResultTable out;
+  GovState gov;  // governance over `stats` (may be unattached)
+
+  // Attaches the governance control `ctl` (null = ungoverned) and writes
+  // the five reserved context registers of `prog` (out/stats/rec/gov/
+  // gov_cnt) into `regs`, so kEmit, the allocating ops, the safepoints and
+  // JIT'd code reach this state through the register file alone.
+  void Bind(const BytecodeProgram& prog, ExecControl* ctl, Slot* regs);
+};
+
+namespace parallel {
+
+// All worker-local state of one morsel. Records and interned strings
+// survive the merge (group records and join tuples are adopted by the main
+// structures); everything else is released right after merging.
+struct MorselState {
+  AllocStats stats;
+  RunState st{&stats};
   std::vector<Slot> regs;
   std::vector<std::vector<Slot>> logs;  // one addend log per ParLogChannel
   std::vector<Slot> priv;               // privatized object per reduction
-  // Per-morsel governance state over this morsel's private stats (attached
-  // by the engine's body callback when the run is governed).
-  GovState gov;
-
-  ExecState MakeState() {
-    ExecState st;
-    st.regs = regs.data();
-    st.stats = &stats;
-    st.records = &records;
-    st.lists = &lists;
-    st.arrays = &arrays;
-    st.maps = &maps;
-    st.mmaps = &mmaps;
-    st.strings = &strings;
-    st.out = &out;
-    st.morsel = this;
-    st.gov = &gov;
-    return st;
-  }
 
   // Frees everything the merged result does not reference.
   void ReleaseTransients() {
-    lists.clear();
-    arrays.clear();
-    maps.clear();
-    mmaps.clear();
-    out = storage::ResultTable();
+    st.lists.clear();
+    st.arrays.clear();
+    st.maps.clear();
+    st.mmaps.clear();
+    st.out = storage::ResultTable();
     regs = std::vector<Slot>();
     logs = std::vector<std::vector<Slot>>();
     priv = std::vector<Slot>();
@@ -183,82 +168,47 @@ class Engine {
   std::vector<std::unique_ptr<MorselState>> keepalive_;
 };
 
-// One parallel loop execution request, fully resolved against the engine's
-// register file.
-struct LoopRun {
-  const ir::ParLoop* plan = nullptr;
-  int64_t lo = 0;
-  int64_t hi = 0;
-  Slot* main_regs = nullptr;
-  // Parallel to plan->reductions: register of each target, and of the
-  // capacity constant for array reductions (0 when unused).
-  const std::vector<uint32_t>* red_regs = nullptr;
-  const std::vector<uint32_t>* red_size_regs = nullptr;
-  // Parallel to plan->logs: register of the scalar accumulator (var
-  // channels; 0 when the channel targets group records).
-  const std::vector<uint32_t>* channel_var_regs = nullptr;
-  AllocStats* stats = nullptr;
-  storage::ResultTable* out = nullptr;
-  const std::vector<storage::ColType>* emit_types = nullptr;
-  // Governance control, or nullptr for an ungoverned run. Once it trips,
-  // still-unstarted morsels are skipped entirely (their empty states merge
-  // as no-ops, keeping the orchestration and Wait() protocol intact).
-  ExecControl* ctl = nullptr;
-  // Executes the loop body over [mlo, mhi) against `ms` (regs must be set
-  // up by the engine: copy of the main file + privatized overrides).
-  std::function<void(int64_t mlo, int64_t mhi, MorselState& ms)> body;
+// Runs the loop `plc` of the main run (state `main`, register file
+// `regs` of `num_regs` slots) morsel-parallel: splits its [lo, hi) into
+// morsels, runs each through vm.RunMorsel on the pool, and merges in morsel
+// order. Returns false (without executing anything) when the loop should
+// just run sequentially: too few rows for two morsels, or the
+// private-array budget would be exceeded. A governed run whose control
+// trips skips its still-unstarted morsels (their empty states merge as
+// no-ops, keeping the orchestration and Wait() protocol intact).
+bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
+                 RunState& main, Slot* regs, uint32_t num_regs);
+
+// Executes the subroutine at `entry` over the register file `regs` through
+// its kRet: the VM passes its Exec, the JIT its stitched native code.
+using RunSubroutine = void (*)(const void* ctx, Slot* regs, uint32_t entry);
+
+// The comparator subroutine of one kArrSort/kListSort and how to run it.
+struct SortComparator {
+  Slot* regs = nullptr;          // live register file of the sorting context
+  uint32_t num_regs = 0;         // its size (parallel tasks sort over copies)
+  const uint32_t* ps = nullptr;  // {param0, param1, result} registers
+  uint32_t entry = 0;            // subroutine entry pc
+  RunSubroutine run = nullptr;
+  const void* ctx = nullptr;     // run's first argument
 };
 
-// Splits [lo, hi) into morsels, runs them on the pool, and merges in
-// morsel order. Returns false (without executing anything) when the loop
-// should just run sequentially: too few rows for two morsels, or the
-// private-array budget would be exceeded.
-bool RunForRange(Engine& eng, const LoopRun& run);
+// The kArrSort/kListSort driver: a governed stable sort of data[0, n).
+// With a pool (`eng` non-null; callers pass null inside morsel runs and for
+// comparators not proven safe to run in parallel) and at least two chunks
+// of QC_PAR_SORT_MIN rows, contiguous chunks are sorted per task
+// (StableSortSlots) and folded by a tree of ordered merges
+// (MergeSortedRuns) on the pool, caller thread stealing throughout; each
+// task compares over a private copy of the register file, so the live file
+// is never written and its post-sort state equals sort entry. Otherwise the
+// sequential core runs over the live file. Stability of both phases makes
+// the result the unique stable ordering — bitwise identical for any thread
+// count and chunk decomposition. Every comparator is wrapped in
+// GovernedCmp, so once the query trips the sort drains in linear time.
+void SortSlots(Engine* eng, GovState* gov, const SortComparator& cmp,
+               Slot* data, int64_t n);
 
-// Minimum rows per sorted run before a post-aggregation sort goes parallel
-// (QC_PAR_SORT_MIN, clamped to >= 2; smaller sorts stay sequential — the
-// run/merge bookkeeping would cost more than it saves).
-int64_t ParallelSortMinChunk();
-
-// Creates one comparator instance for one parallel-sort task. Invoked on
-// whichever thread executes the task, possibly concurrently with other
-// invocations, so it must be thread-safe; each returned comparator is
-// driven by exactly one task and typically owns a private register-file
-// copy for the engine executing the comparator code.
-using SortCmpFactory = std::function<std::unique_ptr<SlotCmp>()>;
-
-// Morsel-parallel stable sort of data[0, n): contiguous chunks are
-// insertion/merge-sorted per worker (StableSortSlots), then folded by a
-// tree of ordered merges (MergeSortedRuns) on the same pool, caller thread
-// stealing throughout. Stability of both phases makes the result the
-// unique stable ordering — bitwise identical to the sequential engines for
-// any thread count and chunk decomposition. Returns false (nothing
-// executed) when the input is too small for two chunks or the pool has no
-// workers; the caller then runs the shared sequential core itself.
-bool ParallelStableSort(Engine& eng, Slot* data, int64_t n,
-                        const SortCmpFactory& make_cmp);
-
-// The kArrSort/kListSort driver of both engines: a governed stable sort of
-// data[0, n). With a pool (`eng` non-null; callers pass null inside morsel
-// runs and for comparators not proven safe to run in parallel) it tries
-// ParallelStableSort over comparators from `make_cmp` (a callable
-// returning std::unique_ptr<SlotCmp>); otherwise, or when the input is too
-// small, it runs the sequential core over `cmp`. Every comparator is
-// wrapped in GovernedCmp, so once the query trips the sort drains in
-// linear time. A template so the sequential path builds no std::function.
-template <typename MakeCmp>
-void GovernedStableSort(Engine* eng, GovState* gov, Slot* data, int64_t n,
-                        SlotCmp& cmp, const MakeCmp& make_cmp) {
-  if (eng != nullptr &&
-      ParallelStableSort(*eng, data, n, [&]() -> std::unique_ptr<SlotCmp> {
-        return std::make_unique<GovernedCmpOwned>(make_cmp(), gov);
-      })) {
-    return;
-  }
-  GovernedCmp gcmp(cmp, gov);
-  StableSortSlots(data, n, gcmp);
-}
-
-}  // namespace qc::exec::parallel
+}  // namespace parallel
+}  // namespace qc::exec
 
 #endif  // QC_EXEC_PARALLEL_H_

@@ -60,10 +60,12 @@ struct RtList {
   std::vector<Slot> items;
 };
 
-// Strict-weak-order over slots, implemented by each engine (the VM executes
-// the comparator subroutine, the JIT its stitched native segment). Distinct
-// instances must be usable concurrently — the parallel sort gives every
-// worker task its own instance over a private register file.
+// Strict-weak-order over slots: the interface of the sort core below.
+// parallel::SortSlots implements it over a comparator subroutine (run by
+// the VM, or as the JIT's stitched native segment) and decorates it with
+// GovernedCmp. Distinct instances must be usable concurrently — the
+// parallel sort gives every worker task its own instance over a private
+// register file.
 class SlotCmp {
  public:
   virtual ~SlotCmp() = default;
@@ -90,7 +92,7 @@ void StableSortSlots(Slot* data, int64_t n, SlotCmp& cmp, Slot* scratch);
 // Stable ordered merge of the adjacent sorted runs src[lo, mid) and
 // src[mid, hi) into dst[lo, hi): ties take the left (earlier) run, which is
 // what makes merging per-worker sorted runs reproduce the full stable sort
-// for any run decomposition (exec/parallel.h ParallelStableSort).
+// for any run decomposition (exec/parallel.h SortSlots).
 void MergeSortedRuns(const Slot* src, int64_t lo, int64_t mid, int64_t hi,
                      Slot* dst, SlotCmp& cmp);
 

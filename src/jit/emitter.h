@@ -246,7 +246,7 @@ struct JitSortSite {
   const uint32_t* ps = nullptr;  // {param0, param1, result} registers
   uint32_t num_regs = 0;         // register-file size (parallel ctx copies)
   uint32_t gov_reg = 0;    // reserved register holding the GovState* (the
-                           // sort helper wraps comparators in GovernedCmp)
+                           // sort driver governs its comparators with it)
   const JitProgram* jp = nullptr;      // backpatched after Install
   parallel::Engine* par = nullptr;     // null: sorts stay sequential
 };

@@ -122,32 +122,20 @@ void* HelpPoolAlloc(RecordHeap* h, int64_t fields) {
   return h->AllocPool(static_cast<size_t>(fields));
 }
 
-// kArrSort/kListSort: the native sort driver. Stitched only when the whole
+// kArrSort/kListSort: the native sort helper. Stitched only when the whole
 // comparator subroutine is native (StitchProgram checks the region), so
 // every comparison is one trampoline call into the stitched comparator
 // segment — the sort never re-enters the VM dispatch loop and costs zero
-// deopt events. The ordering core (StableSortSlots / ParallelStableSort)
-// is the same code the VM runs, so results stay bit-exact across engines
-// and thread counts.
-struct JitNativeCmp : SlotCmp {
-  const JitSortSite* site;
-  Slot* regs;
-  bool Less(Slot a, Slot b) override {
-    regs[site->ps[0]] = a;
-    regs[site->ps[1]] = b;
-    // The comparator region is fully native: Run executes from the entry
-    // through the subroutine's kRet and returns the kRetPc sentinel, so no
-    // interpreter continuation can be needed here.
-    site->jp->Run(regs, site->cmp_entry);
-    return regs[site->ps[2]].i != 0;
-  }
-};
+// deopt events. The driver (parallel::SortSlots) is the one the VM runs,
+// so results stay bit-exact across engines and thread counts.
+void RunNativeCmp(const void* jp, Slot* regs, uint32_t entry) {
+  // The comparator region is fully native: Run executes from the entry
+  // through the subroutine's kRet and returns the kRetPc sentinel, so no
+  // interpreter continuation can be needed here.
+  static_cast<const JitProgram*>(jp)->Run(regs, entry);
+}
 
 void HelpSort(Slot* regs, const JitSortSite* site) {
-  // The context's GovState travels in the reserved gov register, exactly as
-  // it does for the VM's sort path: comparators get the same abort checks,
-  // so a tripped query drains a JIT'd sort in linear time too.
-  GovState* gov = static_cast<GovState*>(regs[site->gov_reg].p);
   Slot* data;
   int64_t n;
   if (site->is_list) {
@@ -159,23 +147,19 @@ void HelpSort(Slot* regs, const JitSortSite* site) {
     data = a->data.data();
     n = regs[site->n_reg].i;
   }
-  JitNativeCmp cmp;
-  cmp.site = site;
+  parallel::SortComparator cmp;
   cmp.regs = regs;
-  // Private register-file copy per parallel task; the live file is never
-  // written during the sort (same contract as the VM's parallel path).
-  struct ParCmp : JitNativeCmp {
-    std::vector<Slot> own;
-  };
-  auto make_cmp = [&]() -> std::unique_ptr<SlotCmp> {
-    auto pc = std::make_unique<ParCmp>();
-    pc->site = site;
-    pc->own.assign(regs, regs + site->num_regs);
-    pc->regs = pc->own.data();
-    return pc;
-  };
-  parallel::GovernedStableSort(site->par_safe ? site->par : nullptr, gov,
-                               data, n, cmp, make_cmp);
+  cmp.num_regs = site->num_regs;
+  cmp.ps = site->ps;
+  cmp.entry = site->cmp_entry;
+  cmp.run = &RunNativeCmp;
+  cmp.ctx = site->jp;
+  // The context's GovState travels in the reserved gov register (the same
+  // object the VM's sort path passes): a tripped query drains a JIT'd sort
+  // in linear time too.
+  parallel::SortSlots(site->par_safe ? site->par : nullptr,
+                      static_cast<GovState*>(regs[site->gov_reg].p), cmp,
+                      data, n);
 }
 
 // kEmit row staging: gather the argument slots, intern strings into the

@@ -1,5 +1,5 @@
 // The sort subsystem's contract (exec/runtime.h StableSortSlots +
-// exec/parallel.h ParallelStableSort + the src/jit/ native sort sites):
+// exec/parallel.h SortSlots + the src/jit/ native sort sites):
 // every engine sorts through the same stable merge core, so the output —
 // including the relative order of equal keys — is identical across
 // {bytecode VM, JIT} x threads {1, 2, 4} x any chunk decomposition, and
@@ -44,9 +44,15 @@ InterpOptions Opts(InterpOptions::Engine e, int threads,
 // loop (which itself qualifies for morsel parallelism), sorted by key
 // ONLY, then emitted. Ties are broken by nothing: only stability fixes
 // the output order (seq must stay ascending within each key).
+//
+// `impure_cmp` adds a kStrSubstr to the comparator — it interns into the
+// run's string store, so SubroutineParallelSafe rejects the comparator and
+// the sort stays on the sequential path at any thread count. The extra
+// conjunct is always true: the ordering is unchanged.
 std::unique_ptr<ir::Function> BuildDupKeySort(ir::TypeFactory* types,
                                               int64_t rows, int64_t keys,
-                                              const std::string& name) {
+                                              const std::string& name,
+                                              bool impure_cmp = false) {
   auto fn = std::make_unique<ir::Function>(name, types);
   ir::Builder b(fn.get());
   const ir::Type* i64 = types->I64();
@@ -57,7 +63,10 @@ std::unique_ptr<ir::Function> BuildDupKeySort(ir::TypeFactory* types,
     b.ListAppend(list, b.Add(b.Mul(key, enc), i));
   });
   b.ListSortBy(list, [&](Stmt* x, Stmt* y) {
-    return b.Lt(b.Div(x, enc), b.Div(y, enc));  // compares the key only
+    Stmt* less = b.Lt(b.Div(x, enc), b.Div(y, enc));  // compares the key only
+    if (!impure_cmp) return less;
+    Stmt* one = b.StrLen(b.StrSubstr(b.StrC("key"), 0, 1));
+    return b.And(less, b.Eq(one, b.I64(1)));
   });
   b.ListForeach(list, [&](Stmt* e) {
     b.EmitRow({b.Div(e, enc), b.Mod(e, enc)});
@@ -65,14 +74,36 @@ std::unique_ptr<ir::Function> BuildDupKeySort(ir::TypeFactory* types,
   return fn;
 }
 
+// The pure-comparator flag (insn.n) of the sort after the scan loop, in the
+// main stream — the flag that lets the sort go parallel.
+uint16_t MainStreamSortFlag(const ir::Function& fn) {
+  ir::ParallelInfo info = ir::AnalyzeParallelism(fn);
+  storage::Database cdb;
+  exec::BytecodeProgram prog = exec::BytecodeCompiler(&cdb).Compile(fn, &info);
+  size_t main_end =
+      prog.par_loops.empty() ? prog.code.size() : prog.par_loops[0].entry;
+  for (size_t pc = 0; pc < main_end; ++pc) {
+    if (static_cast<exec::BcOp>(prog.code[pc].op) == exec::BcOp::kListSort) {
+      return prog.code[pc].n;
+    }
+  }
+  ADD_FAILURE() << fn.name() << ": no main-stream kListSort";
+  return 0;
+}
+
 TEST(SortStability, DuplicateKeysIdenticalAcrossEnginesAndThreads) {
-  // Well below rows/2: the sort parallelizes.
+  // Well below rows/2: the sort parallelizes (pure comparator only).
   ScopedEnv min_rows("QC_PAR_SORT_MIN", "256");
   storage::Database db;
   ir::TypeFactory types;
   const int64_t kRows = 50000;
   const int64_t kKeys = 97;
-  auto fn = BuildDupKeySort(&types, kRows, kKeys, "dup_key_sort");
+  auto pure = BuildDupKeySort(&types, kRows, kKeys, "dup_key_sort");
+  auto impure = BuildDupKeySort(&types, kRows, kKeys, "dup_key_sort_impure",
+                                /*impure_cmp=*/true);
+  EXPECT_EQ(MainStreamSortFlag(*pure), 1u);
+  EXPECT_EQ(MainStreamSortFlag(*impure), 0u)
+      << "an interning comparator must not be marked parallel-safe";
 
   // Independent oracle: the stable sort of (key, seq) by key.
   std::vector<std::pair<int64_t, int64_t>> want;
@@ -85,25 +116,32 @@ TEST(SortStability, DuplicateKeysIdenticalAcrossEnginesAndThreads) {
                      return a.first < b.first;  // key only: ties untouched
                    });
 
-  storage::ResultTable ref;
-  bool have_ref = false;
-  for (InterpOptions::Engine engine : kEngines) {
-    for (int threads : {1, 2, 4}) {
-      exec::Interpreter interp(&db, Opts(engine, threads, 512));
-      storage::ResultTable got = interp.Run(*fn);
-      std::string tag = std::string("dup-key ") + EngineName(engine) +
-                        " threads=" + std::to_string(threads);
-      ASSERT_EQ(got.size(), static_cast<size_t>(kRows)) << tag;
-      for (size_t r = 0; r < got.size(); ++r) {
-        ASSERT_EQ(got.row(r)[0].i, want[r].first) << tag << ": key row " << r;
-        ASSERT_EQ(got.row(r)[1].i, want[r].second)
-            << tag << ": tie order lost at row " << r;
-      }
-      if (!have_ref) {
-        ref = std::move(got);
-        have_ref = true;
-      } else {
-        ExpectBitExact(got, ref, tag);
+  for (auto* fn : {pure.get(), impure.get()}) {
+    // Reference: the first cell of the matrix, VM at one thread.
+    storage::ResultTable ref;
+    exec::AllocStats ref_stats;
+    bool have_ref = false;
+    for (InterpOptions::Engine engine : kEngines) {
+      for (int threads : {1, 2, 4}) {
+        exec::Interpreter interp(&db, Opts(engine, threads, 512));
+        storage::ResultTable got = interp.Run(*fn);
+        std::string tag = fn->name() + " " + EngineName(engine) +
+                          " threads=" + std::to_string(threads);
+        ASSERT_EQ(got.size(), static_cast<size_t>(kRows)) << tag;
+        for (size_t r = 0; r < got.size(); ++r) {
+          ASSERT_EQ(got.row(r)[0].i, want[r].first)
+              << tag << ": key row " << r;
+          ASSERT_EQ(got.row(r)[1].i, want[r].second)
+              << tag << ": tie order lost at row " << r;
+        }
+        if (!have_ref) {
+          ref = std::move(got);
+          ref_stats = interp.stats();
+          have_ref = true;
+        } else {
+          ExpectBitExact(got, ref, tag);
+          ExpectStatsEqual(interp.stats(), ref_stats, tag);
+        }
       }
     }
   }
@@ -146,7 +184,7 @@ TEST(SortStability, EmptyAndSingleChunkEdges) {
 // batch is in flight. The single-batch WorkerPool cannot nest, so these
 // sorts must stay sequential on every engine — the compiler withholds the
 // parallel flag inside morsel fragments (the JIT's sort helper sees only
-// that flag), and the interpreters additionally gate on morsel context.
+// that flag), and the VM additionally gates on morsel context.
 // QC_PAR_SORT_MIN=2 makes any missed gate redispatch immediately.
 TEST(SortStability, InLoopSortsStaySequentialOnWorkers) {
   ScopedEnv min_rows("QC_PAR_SORT_MIN", "2");
