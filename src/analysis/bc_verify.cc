@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <unordered_map>
 #include <utility>
@@ -1163,15 +1161,6 @@ bool VerifyEnabled() {
   if (ov >= 0) return ov != 0;
   static const bool on = KnobFlag(qc::Knob::kVerify);
   return on;
-}
-
-void CheckProgram(const BytecodeProgram& prog, const std::string& what) {
-  VerifyResult res = VerifyProgram(prog);
-  if (res.ok()) return;
-  std::fprintf(stderr,
-               "bytecode verifier: %zu violation(s) in %s:\n%s",
-               res.violations.size(), what.c_str(), res.Report().c_str());
-  std::abort();
 }
 
 }  // namespace qc::exec::analysis

@@ -49,8 +49,8 @@
 //                        runtime (fragment-private state)
 //
 // Verification is compile-time-only: it runs where programs are created
-// (Interpreter program cache, server plan cache, qc_verify CLI) and never
-// on a per-row path. See VerifyEnabled() for the gating contract.
+// (exec::Program::Build, which the Interpreter and the server's plan cache
+// both go through, and the qc_verify CLI) and never on a per-row path. See VerifyEnabled() for the gating contract.
 #ifndef QC_ANALYSIS_BC_VERIFY_H_
 #define QC_ANALYSIS_BC_VERIFY_H_
 
@@ -97,12 +97,6 @@ bool VerifyEnabled();
 // process (the env default is latched on first use); not for production
 // paths.
 void SetVerifyEnabledOverride(int v);
-
-// Die loudly (report on stderr, abort) when `prog` fails verification.
-// `what` names the program in the report (function or query name). Used on
-// trusted in-process paths where a verifier hit means a compiler bug; the
-// server's plan cache instead surfaces the report as a structured error.
-void CheckProgram(const BytecodeProgram& prog, const std::string& what);
 
 }  // namespace qc::exec::analysis
 

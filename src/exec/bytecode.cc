@@ -1316,8 +1316,9 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
 // ---------------------------------------------------------------------------
 
 void RunState::Bind(const BytecodeProgram& prog, ExecControl* ctl,
-                    Slot* regs) {
+                    parallel::Engine* par, Slot* regs) {
   gov.Attach(ctl, stats);
+  gov.par = par;
   records.SetGovernor(&gov);
   regs[prog.out_reg] = SlotP(&out);
   regs[prog.stats_reg] = SlotP(stats);
@@ -1328,12 +1329,17 @@ void RunState::Bind(const BytecodeProgram& prog, ExecControl* ctl,
   regs[prog.gov_cnt_reg] = SlotI(gov.InitialCountdown());
 }
 
-storage::ResultTable BytecodeVM::Run(const BytecodeProgram& prog) {
+storage::ResultTable BytecodeVM::Run(const BytecodeProgram& prog,
+                                     const jit::JitProgram* jit,
+                                     ExecControl* ctl,
+                                     parallel::Engine* par) {
   prog_ = &prog;
+  jit_ = jit;
   // Release the previous run's working set (emitted rows own their strings,
   // so nothing in an already-returned result points in here). Stats keep
   // accumulating: they account lifetime totals.
-  if (par_eng_ != nullptr) par_eng_->ReleaseRun();
+  state_.deopts.store(0, std::memory_order_relaxed);
+  state_.morsels.clear();
   state_.lists.clear();
   state_.arrays.clear();
   state_.maps.clear();
@@ -1344,7 +1350,7 @@ storage::ResultTable BytecodeVM::Run(const BytecodeProgram& prog) {
   for (const auto& p : prog.presets) regs_[p.first] = p.second;
   state_.out = storage::ResultTable();
   state_.out.SetTypes(prog.emit_types);
-  state_.Bind(prog, ctl_, regs_.data());
+  state_.Bind(prog, ctl, par, regs_.data());
   Exec(state_, regs_.data(), 0);
   return std::move(state_.out);
 }
@@ -1362,7 +1368,7 @@ void BytecodeVM::RunMorsel(parallel::MorselState& ms, const ParLoopCode& plc,
   }
   regs[plc.lo_reg] = SlotI(lo);
   regs[plc.hi_reg] = SlotI(hi);
-  ms.st.Bind(*prog_, ctl_, regs);
+  ms.st.Bind(*prog_, state_.gov.ctl, /*par=*/nullptr, regs);
   for (size_t c = 0; c < plc.log_regs.size(); ++c) {
     regs[plc.log_regs[c]] = SlotP(&ms.logs[c]);
   }
@@ -1387,9 +1393,7 @@ void BytecodeVM::Sort(RunState& st, Slot* regs, Slot* data, int64_t n,
     x->vm->Exec(*x->st, r, pc);
   };
   cmp.ctx = &ctx;
-  // Morsel runs stay sequential: their thread is already one of the pool's.
-  bool par = insn.n != 0 && &st == &state_;
-  parallel::SortSlots(par ? par_eng_ : nullptr, &st.gov, cmp, data, n);
+  parallel::SortSlots(insn.n != 0, &st.gov, cmp, data, n);
 }
 
 void BytecodeVM::Exec(RunState& st, Slot* regs, uint32_t pc) {
@@ -1404,7 +1408,7 @@ void BytecodeVM::Exec(RunState& st, Slot* regs, uint32_t pc) {
         // rest of the fragment instead of entering native code — the
         // state-free deopt contract makes this bit-exact.
         if (FaultPoint("jit_deopt")) {
-          jit_->CountDeopt();
+          st.deopts.fetch_add(1, std::memory_order_relaxed);
           pc = ExecImpl<false>(st, regs, pc);
           continue;
         }
@@ -1412,7 +1416,7 @@ void BytecodeVM::Exec(RunState& st, Slot* regs, uint32_t pc) {
       } else {
         // One interpreted run = one deopt event (the jit_stats deopts count;
         // cold entries into non-native prologue code count too).
-        jit_->CountDeopt();
+        st.deopts.fetch_add(1, std::memory_order_relaxed);
         pc = ExecImpl<true>(st, regs, pc);
       }
     }
@@ -1849,14 +1853,14 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
     if (gov != nullptr && gov->ctl != nullptr && gov->Poll() != 0) {
       return jit::kAbortPc;
     }
-    // Parallel header of a morsel-parallelizable scan loop. When a worker
-    // pool is attached and the runtime gates pass, the loop executes
-    // morsel-parallel and the sequential fallback that follows is skipped;
-    // otherwise fall through into it.
-    // Only the main run fans out: a morsel's thread is one of the pool's.
-    if (par_eng_ != nullptr && &st == &state_ &&
-        parallel::RunForRange(*par_eng_, *this, prog_->par_loops[I->a], st, R,
-                              prog_->num_regs)) {
+    // Parallel header of a morsel-parallelizable scan loop. When the
+    // context has a pool bound (the main run at threads > 1; never a
+    // morsel, whose thread is one of the pool's) and the runtime gates
+    // pass, the loop executes morsel-parallel and the sequential fallback
+    // that follows is skipped; otherwise fall through into it.
+    if (gov != nullptr && gov->par != nullptr &&
+        parallel::RunForRange(*gov->par, *this, prog_->par_loops[I->a], st,
+                              R, prog_->num_regs)) {
       pc += I->d;
     }
   }

@@ -26,9 +26,10 @@
 //
 // The copy-and-patch JIT (src/jit/) goes one step further down the same
 // road: it stitches these programs into native code and uses this VM as its
-// deopt target (BytecodeVM::SetJit), sharing the runtime data structures
-// (exec/runtime.h) and the AllocStats accounting, so results — including
-// the Figure 8 memory numbers — are bit-identical across the engines.
+// deopt target (BytecodeVM::Run's `jit`), sharing the runtime data
+// structures (exec/runtime.h) and the AllocStats accounting, so results —
+// including the Figure 8 memory numbers — are bit-identical across the
+// engines.
 #ifndef QC_EXEC_BYTECODE_H_
 #define QC_EXEC_BYTECODE_H_
 
@@ -188,7 +189,7 @@ static_assert(sizeof(Insn) == 20, "Insn must stay fixed-width and dense");
 // body fragment (compiled after the main stream's kRet, with the f64-sum
 // clusters replaced by kLogRow and terminated by kRet).
 struct ParLoopCode {
-  const ir::ParLoop* plan = nullptr;  // owned by the Interpreter's cache
+  const ir::ParLoop* plan = nullptr;  // owned by the exec::Program
   uint32_t entry = 0;                 // morsel body fragment pc
   uint32_t src_lo_reg = 0;            // loop bounds of the sequential loop
   uint32_t src_hi_reg = 0;
@@ -353,24 +354,17 @@ class BytecodeVM {
  public:
   explicit BytecodeVM(AllocStats* stats) : state_(stats) {}
 
-  storage::ResultTable Run(const BytecodeProgram& prog);
+  // Runs `prog` on the main RunState. `jit` (stitched from `prog`; null =
+  // pure VM) selects the hybrid driver: native where templated, deopting
+  // back here elsewhere (src/jit/engine.h). `ctl` (null = ungoverned) and
+  // `par` (null = sequential) are bound into the run's GovState, which
+  // JIT'd code and morsel fragments reach through prog.gov_reg.
+  storage::ResultTable Run(const BytecodeProgram& prog,
+                           const jit::JitProgram* jit, ExecControl* ctl,
+                           parallel::Engine* par);
 
-  // Enables kParLoop dispatch onto the given pool (owned by the caller);
-  // null keeps every loop on the sequential fallback path.
-  void SetParallel(parallel::Engine* eng) { par_eng_ = eng; }
-
-  // Attaches the governance control for subsequent Run() calls (owned by
-  // the caller; null = ungoverned). The VM binds it to a per-run GovState
-  // reachable through the register file (prog.gov_reg), so JIT'd code and
-  // morsel fragments poll the same control.
-  void SetControl(ExecControl* ctl) { ctl_ = ctl; }
-
-  // Attaches JIT'd native code for the program about to Run (owned by the
-  // caller, compiled from the same BytecodeProgram). Non-null switches
-  // Exec to the hybrid native/interpreter driver: templated instruction
-  // runs execute natively, everything else deopts back here per
-  // instruction (src/jit/engine.h). Null (default) is the pure VM.
-  void SetJit(const jit::JitProgram* jp) { jit_ = jp; }
+  // Deopt events of the most recent Run (morsels folded in).
+  uint64_t deopts() const { return state_.deopts.load(); }
 
   // Morsel entry of parallel::RunForRange (worker threads, concurrently):
   // runs the body fragment of `plc` over rows [lo, hi) against `ms`, on a
@@ -387,9 +381,9 @@ class BytecodeVM {
   // instantiation is byte-for-byte the pre-JIT interpreter loop.
   template <bool kHybrid>
   uint32_t ExecImpl(RunState& st, Slot* R, uint32_t pc);
-  // kArrSort/kListSort through parallel::SortSlots, morsel-parallel only on
-  // the main run with a pool attached and a compiler-proven pure
-  // comparator (insn.n).
+  // kArrSort/kListSort through parallel::SortSlots, morsel-parallel only
+  // when the context has a pool bound (the main run at threads > 1) and the
+  // comparator is compiler-proven pure (insn.n).
   void Sort(RunState& st, Slot* regs, Slot* data, int64_t n, const Insn& insn);
 
   static const char* Intern(RunState& st, std::string s) {
@@ -397,9 +391,7 @@ class BytecodeVM {
     return st.strings.back().c_str();
   }
 
-  const BytecodeProgram* prog_ = nullptr;
-  ExecControl* ctl_ = nullptr;
-  parallel::Engine* par_eng_ = nullptr;
+  const BytecodeProgram* prog_ = nullptr;  // both set for one Run
   const jit::JitProgram* jit_ = nullptr;
   RunState state_;  // the main run's; morsels run on their own
   std::vector<Slot> regs_;

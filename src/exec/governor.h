@@ -19,8 +19,8 @@
 //
 // Unwinding is exception-free: a tripped query aborts at the next safepoint
 // — the VM/JIT return the kAbortPc sentinel — and the interpreter surfaces
-// a QueryStatus while leaving the WorkerPool, RecordHeaps, code buffers, and
-// program caches reusable.
+// a QueryStatus while leaving the WorkerPool, RecordHeaps and programs
+// reusable.
 #ifndef QC_EXEC_GOVERNOR_H_
 #define QC_EXEC_GOVERNOR_H_
 
@@ -30,6 +30,10 @@
 #include "exec/runtime.h"
 
 namespace qc::exec {
+
+namespace parallel {
+struct Engine;  // exec/parallel.h
+}
 
 enum class QueryStatusCode : int {
   kOk = 0,
@@ -107,6 +111,9 @@ struct ExecControl {
 // a pointer to this struct in the adjacent slot (gov_reg).
 struct GovState {
   ExecControl* ctl = nullptr;
+  // The pool kParLoop and parallel sorts fan out onto, set by
+  // RunState::Bind: null for morsels and at threads = 1.
+  parallel::Engine* par = nullptr;
   const AllocStats* stats = nullptr;
   // Memory already published to ctl->mem_observed from `stats`.  Atomic
   // because parallel sort comparators run on worker threads with copied

@@ -1,5 +1,6 @@
 #include "exec/interp.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -11,11 +12,77 @@
 
 namespace qc::exec {
 
+std::unique_ptr<const Program> Program::Build(storage::Database* db,
+                                              const ir::Function& fn,
+                                              bool parallel,
+                                              std::string* error) {
+  std::unique_ptr<Program> p(new Program());
+  p->name_ = fn.name();
+  telemetry::ScopedSpan span("bytecode_compile", "compile");
+  if (parallel) p->par_ = ir::AnalyzeParallelism(fn);
+  p->bc_ = BytecodeCompiler(db).Compile(fn, parallel ? &p->par_ : nullptr);
+  // Debug/sanitizer builds (and QC_VERIFY=1 anywhere) prove the program —
+  // its morsel fragments included — before it is ever executed or stitched.
+  analysis::VerifyResult vres;
+  if (analysis::VerifyEnabled()) vres = analysis::VerifyProgram(p->bc_);
+  if (vres.ok()) return p;
+  std::string report = "plan failed bytecode verification: " + vres.Report();
+  if (error == nullptr) {  // a trusted caller: the compiler is at fault
+    std::fprintf(stderr, "%s: %s", fn.name().c_str(), report.c_str());
+    std::abort();
+  }
+  *error = std::move(report);
+  return nullptr;
+}
+
+const jit::JitProgram* Program::jit(jit::JitFallback* why) const {
+  std::call_once(stitch_once_, [this] {
+    // Null on non-x86-64 builds, denied executable pages, or
+    // QC_JIT_DISABLE: the engine degrades to the plain VM — with the
+    // structured reason recorded and a one-time stderr notice (no more
+    // invisible fallbacks).
+    {
+      telemetry::ScopedSpan span("jit_stitch", "compile");
+      jit_ = jit::JitProgram::Compile(bc_, &fallback_);
+    }
+    if (jit_ != nullptr) {
+      telemetry::JitCompiles().Inc();
+      return;
+    }
+    telemetry::JitFallbacks().Inc();
+    // One process-wide notice, race-free: concurrent first fallbacks of
+    // different programs log exactly once, and the logging thread finishes
+    // before any other proceeds.
+    static std::once_flag warned;
+    std::call_once(warned, [&] {
+      telemetry::Log(
+          telemetry::LogLevel::kWarn, "jit_fallback",
+          {{"reason", jit::JitFallbackName(fallback_)},
+           {"note",
+            "degraded to bytecode VM; further fallbacks are silent — "
+            "see Interpreter::last_jit_stats"}});
+    });
+  });
+  if (why != nullptr) *why = fallback_;
+  return jit_.get();
+}
+
 storage::ResultTable Interpreter::Run(const ir::Function& fn) {
+  auto& [num_stmts, prog] = programs_[&fn];
+  if (prog == nullptr || prog->name() != fn.name() ||
+      num_stmts != fn.num_stmts()) {
+    prog = Program::Build(db_, fn, opts_.num_threads > 1, /*error=*/nullptr);
+    num_stmts = fn.num_stmts();
+  }
+  return Run(*prog, opts_);
+}
+
+storage::ResultTable Interpreter::Run(const Program& prog,
+                                      const InterpOptions& opts) {
   // Single-owner contract (see the class comment): Run() is not
   // re-entrant and must not race with itself from another thread — the
-  // program cache, register file, and runtime heaps are all unsynchronized
-  // by design. Catch violations loudly instead of corrupting state.
+  // register file, runtime heaps and pool are all unsynchronized by
+  // design. Catch violations loudly instead of corrupting state.
   if (in_run_.exchange(true, std::memory_order_acquire)) {
     std::fprintf(stderr,
                  "exec: Interpreter::Run entered concurrently — each "
@@ -26,12 +93,12 @@ storage::ResultTable Interpreter::Run(const ir::Function& fn) {
     std::atomic<bool>* flag;
     ~RunGuard() { flag->store(false, std::memory_order_release); }
   } run_guard{&in_run_};
-  ExecControl* ctl = opts_.control;
+  ExecControl* ctl = opts.control;
   last_status_ = QueryStatus();
   if (ctl != nullptr) {
     ctl->BeginRun();
     // Pre-run poll: an already-cancelled or already-expired control never
-    // starts executing (or even compiling) the query.
+    // starts executing (or even stitching) the query.
     if (ctl->cancel.load(std::memory_order_relaxed)) {
       ctl->Trip(QueryStatusCode::kCancelled);
     } else {
@@ -45,73 +112,21 @@ storage::ResultTable Interpreter::Run(const ir::Function& fn) {
       return storage::ResultTable();
     }
   }
-  auto it = programs_.find(&fn);
-  if (it == programs_.end() || it->second.fn_name != fn.name() ||
-      it->second.num_stmts != fn.num_stmts()) {
-    CachedProgram cached;
-    cached.fn_name = fn.name();
-    cached.num_stmts = fn.num_stmts();
-    telemetry::ScopedSpan span("bytecode_compile", "compile");
-    if (par_ != nullptr) cached.par = ir::AnalyzeParallelism(fn);
-    cached.prog = BytecodeCompiler(db_).Compile(
-        fn, par_ != nullptr ? &cached.par : nullptr);
-    // Debug/sanitizer builds (and QC_VERIFY=1 anywhere) prove the
-    // freshly-compiled program before it is ever executed or stitched; a
-    // violation here is a BytecodeCompiler bug, so die loudly.
-    if (analysis::VerifyEnabled()) {
-      analysis::CheckProgram(cached.prog, fn.name());
-    }
-    it = programs_.insert_or_assign(&fn, std::move(cached)).first;
+  const bool use_jit = opts.engine == InterpOptions::Engine::kJit;
+  jit::JitFallback fallback = jit::JitFallback::kNone;
+  const jit::JitProgram* jp = use_jit ? prog.jit(&fallback) : nullptr;
+  const int threads = std::max(opts.num_threads, 1);
+  if (threads > 1 && par_shape_ != std::make_pair(threads, opts.morsel_rows)) {
+    par_.reset();  // joins the old workers before spawning new ones
+    par_ = std::make_unique<parallel::Engine>(threads, opts.morsel_rows);
+    par_shape_ = {threads, opts.morsel_rows};
   }
-  CachedProgram& cached = it->second;
-  const bool use_jit = opts_.engine == InterpOptions::Engine::kJit;
-  if (use_jit) {
-    if (!cached.jit_compiled) {
-      // Null on non-x86-64 builds, denied executable pages, or
-      // QC_JIT_DISABLE: the engine degrades to the plain VM — with the
-      // structured reason recorded and a one-time stderr notice (no more
-      // invisible fallbacks).
-      {
-        telemetry::ScopedSpan span("jit_stitch", "compile");
-        cached.jit = jit::JitProgram::Compile(cached.prog,
-                                              &cached.jit_fallback);
-      }
-      if (cached.jit == nullptr) {
-        telemetry::JitFallbacks().Inc();
-        // One process-wide notice, race-free: concurrent first fallbacks
-        // on different Interpreters log exactly once, and the logging
-        // thread finishes before any other proceeds.
-        static std::once_flag warned;
-        std::call_once(warned, [&] {
-          telemetry::Log(
-              telemetry::LogLevel::kWarn, "jit_fallback",
-              {{"reason", jit::JitFallbackName(cached.jit_fallback)},
-               {"note",
-                "degraded to bytecode VM; further fallbacks are silent — "
-                "see Interpreter::last_jit_stats"}});
-        });
-      } else {
-        telemetry::JitCompiles().Inc();
-      }
-      if (cached.jit != nullptr && par_ != nullptr) {
-        // Native sort sites run big post-aggregation sorts on the pool.
-        cached.jit->BindParallel(par_.get());
-      }
-      cached.jit_compiled = true;
-    }
-    vm_.SetJit(cached.jit.get());
-  }
-  const jit::JitProgram* jp = cached.jit.get();
-  uint64_t deopts_before = jp != nullptr && use_jit ? jp->deopts() : 0;
-  vm_.SetControl(ctl);
   storage::ResultTable result;
   {
-    telemetry::ScopedSpan span("exec", "exec", "threads",
-                               par_ != nullptr ? opts_.num_threads : 1);
-    result = vm_.Run(cached.prog);
+    telemetry::ScopedSpan span("exec", "exec", "threads", threads);
+    result = vm_.Run(prog.bytecode(), jp, ctl,
+                     threads > 1 ? par_.get() : nullptr);
   }
-  vm_.SetJit(nullptr);
-  vm_.SetControl(nullptr);
   if (ctl != nullptr && ctl->Tripped()) {
     // Aborted at a safepoint: surface the structured status and drop the
     // partial rows. All engine state was already reset for this run and
@@ -121,12 +136,12 @@ storage::ResultTable Interpreter::Run(const ir::Function& fn) {
   }
   if (use_jit) {
     jit_stats_ = JitRunStats();
-    jit_stats_.fallback_reason = static_cast<int>(cached.jit_fallback);
+    jit_stats_.fallback_reason = static_cast<int>(fallback);
     if (jp != nullptr) {
       jit_stats_.jitted = true;
       jit_stats_.native_pcs = jp->num_native();
       jit_stats_.total_pcs = jp->total_pcs();
-      jit_stats_.deopts = jp->deopts() - deopts_before;
+      jit_stats_.deopts = vm_.deopts();
       if (jit_stats_.deopts > 0) {
         telemetry::JitDeoptEvents().Add(jit_stats_.deopts);
       }
@@ -134,7 +149,7 @@ storage::ResultTable Interpreter::Run(const ir::Function& fn) {
     if (telemetry::LogEnabled(telemetry::LogLevel::kDebug)) {
       telemetry::Log(
           telemetry::LogLevel::kDebug, "jit_stats",
-          {{"fn", fn.name()},
+          {{"fn", prog.name()},
            {"coverage_pct", jit_stats_.CoveragePct()},
            {"native_pcs", jit_stats_.native_pcs},
            {"total_pcs", jit_stats_.total_pcs},

@@ -7,9 +7,9 @@
 // Table 3 measures.
 //
 // One executor sits behind this facade: the function is flattened once into
-// register bytecode (cached per Function, so repeated Run() calls skip
-// translation) and runs on the direct-threaded VM (exec/bytecode.h). The
-// engine option only selects the VM's driver:
+// register bytecode — an immutable Program, built and verified once and
+// shared by every run — and runs on the direct-threaded VM
+// (exec/bytecode.h). The engine option only selects the VM's driver:
 //   * kBytecode (default) — the plain interpreter loop.
 //   * kJit — the VM's hybrid driver over native x86-64 stitched from the
 //     same bytecode by the copy-and-patch backend (src/jit/), deopting
@@ -17,16 +17,18 @@
 //     where unsupported.
 //
 // Either way, morsel-driven parallel execution of qualifying scan loops
-// (exec/parallel.h) goes through the VM: InterpOptions::num_threads > 1
-// attaches a persistent worker pool, and results stay bitwise identical to
-// the sequential run at every thread count.
+// (exec/parallel.h) goes through the VM: num_threads > 1 runs on the
+// Interpreter's persistent worker pool, and results stay bitwise identical
+// to the sequential run at every thread count.
 #ifndef QC_EXEC_INTERP_H_
 #define QC_EXEC_INTERP_H_
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "exec/bytecode.h"
 #include "exec/parallel.h"
@@ -39,6 +41,7 @@
 
 namespace qc::exec {
 
+// Per-run options: Run(fn) uses the constructor's, Run(program, opts) its own.
 struct InterpOptions {
   enum class Engine {
     kBytecode,  // register bytecode on the direct-threaded VM
@@ -66,12 +69,48 @@ struct InterpOptions {
   ExecControl* control = nullptr;
 };
 
-// Ownership contract: one Interpreter, one owning thread. Run() mutates
-// unsynchronized per-Interpreter state (the program cache, register file,
-// runtime heaps, result buffer), so concurrent Run() calls on the same
-// instance are undefined — multi-threaded callers (e.g. the serving
-// daemon's workers) must give each executing thread its own Interpreter
-// and share only the immutable Database and ir::Functions. Run() enforces
+// One compiled query, immutable once built: loop plans, bytecode, and the
+// JIT image stitched from it. Every run brings its own mutable state (an
+// Interpreter's RunState, pool, control), so any number of Interpreters on
+// any threads may run one Program concurrently. Valid as long as the
+// Function and Database it was built from.
+class Program {
+ public:
+  // ir::AnalyzeParallelism (only when `parallel`: the kParLoop headers),
+  // BytecodeCompiler::Compile, then the verifier when VerifyEnabled(). A
+  // violation returns null with the report in *error — or, for trusted
+  // callers passing null, reports and aborts (a compiler bug).
+  static std::unique_ptr<const Program> Build(storage::Database* db,
+                                              const ir::Function& fn,
+                                              bool parallel,
+                                              std::string* error);
+
+  const std::string& name() const { return name_; }
+  const BytecodeProgram& bytecode() const { return bc_; }
+
+  // The native code, stitched on the first call only (racing first calls
+  // stitch once; VM-only programs never stitch). Null when the JIT
+  // degraded to the VM; `why` (optional) receives the reason.
+  const jit::JitProgram* jit(jit::JitFallback* why = nullptr) const;
+
+ private:
+  Program() = default;
+
+  std::string name_;
+  ir::ParallelInfo par_;  // the loop plans bc_.par_loops point into
+  BytecodeProgram bc_;
+  // Written once under stitch_once_, read-only afterwards.
+  mutable std::once_flag stitch_once_;
+  mutable std::unique_ptr<jit::JitProgram> jit_;
+  mutable jit::JitFallback fallback_ = jit::JitFallback::kNone;
+};
+
+// Ownership contract: one Interpreter, one owning thread. An Interpreter
+// holds only run state (register file, runtime heaps, result buffer, its
+// pool, its last status and stats), mutated unsynchronized, so concurrent
+// Run() calls on the same instance are undefined — multi-threaded callers
+// (e.g. the serving daemon's workers) give each thread its own Interpreter
+// and share the immutable Database, Functions and Programs. Run() enforces
 // this with a non-reentrancy guard that aborts loudly on violation.
 // Parallelism *within* one query is different and fully supported: it runs
 // on the Interpreter's own WorkerPool (num_threads > 1).
@@ -79,31 +118,30 @@ class Interpreter {
  public:
   explicit Interpreter(storage::Database* db,
                        InterpOptions opts = InterpOptions())
-      : db_(db), opts_(opts), vm_(&stats_) {
-    if (opts_.num_threads > 1) {
-      par_ = std::make_unique<parallel::Engine>(opts_.num_threads,
-                                                opts_.morsel_rows);
-      vm_.SetParallel(par_.get());
-    }
-  }
+      : db_(db), opts_(opts), vm_(&stats_) {}
 
-  // Executes the function; rows produced by kEmit statements form the
-  // result. Cached per-function state (bytecode, stitched native code) is
-  // keyed by the Function's address, so a Function passed here should
-  // outlive the Interpreter. Address reuse by a different function is
-  // detected via a name/size fingerprint and recompiles (a same-named,
-  // same-sized different function at the same address would still alias).
+  // Executes the function with the constructor's options; rows produced
+  // by kEmit statements form the result. Its Program is built on first use
+  // (parallel iff num_threads > 1) and kept, keyed by the Function's
+  // address, so the Function should outlive the Interpreter. Address reuse
+  // by a different function is caught by a name/size fingerprint.
   storage::ResultTable Run(const ir::Function& fn);
+
+  // Executes a Program, possibly shared with concurrent runs elsewhere,
+  // with every option taken from `opts`. threads > 1 runs on this
+  // Interpreter's one pool (rebuilt when the shape changes); at threads = 1
+  // a parallel program's kParLoop headers fall through to their loops.
+  storage::ResultTable Run(const Program& prog, const InterpOptions& opts);
 
   const AllocStats& stats() const { return stats_; }
 
   // Governance status of the most recent Run(): ok unless the attached
   // ExecControl tripped, in which case the returned table was empty and
   // this carries the structured reason. The Interpreter itself stays fully
-  // reusable after any non-ok status (pools, heaps, caches intact).
+  // reusable after any non-ok status (pools, heaps, programs intact).
   const QueryStatus& last_status() const { return last_status_; }
 
-  // Replaces the governance control for subsequent Run() calls (null
+  // Replaces the governance control for subsequent Run(fn) calls (null
   // detaches; same semantics as InterpOptions::control).
   void SetControl(ExecControl* ctl) { opts_.control = ctl; }
 
@@ -134,25 +172,14 @@ class Interpreter {
   // duration of Run; entering Run while set aborts).
   std::atomic<bool> in_run_{false};
   AllocStats stats_;
+  // The pool, with the (threads, morsel_rows) it was built for.
   std::unique_ptr<parallel::Engine> par_;
-
-  // Compiled programs cached per function, with a fingerprint to catch
-  // allocator address reuse. The ParallelInfo owns the loop plans the
-  // program's ParLoopCode entries point into.
-  struct CachedProgram {
-    std::string fn_name;
-    int num_stmts = -1;
-    ir::ParallelInfo par;
-    BytecodeProgram prog;
-    // kJit: stitched native code for `prog` (null = degraded to the VM),
-    // compiled lazily on the first kJit Run and cached like the bytecode.
-    std::unique_ptr<jit::JitProgram> jit;
-    bool jit_compiled = false;
-    // Fallback reason recorded at compile time (kNone when jit != null).
-    jit::JitFallback jit_fallback = jit::JitFallback::kNone;
-  };
+  std::pair<int, int64_t> par_shape_{0, 0};
   BytecodeVM vm_;
-  std::unordered_map<const ir::Function*, CachedProgram> programs_;
+  // Run(fn)'s programs, with the statement count for the fingerprint.
+  std::unordered_map<const ir::Function*,
+                     std::pair<int, std::unique_ptr<const Program>>>
+      programs_;
   JitRunStats jit_stats_;
   QueryStatus last_status_;
 };

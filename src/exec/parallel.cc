@@ -82,6 +82,8 @@ class Merger {
   void MergeMorsel(MorselState& ms) {
     const ir::ParLoop& plan = *plc_.plan;
     main_.stats->MergeFrom(ms.stats);
+    main_.deopts.fetch_add(ms.st.deopts.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
     remap_.clear();
 
     // Scalar accumulators fold in the morsel's *register* value: the body
@@ -397,7 +399,7 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
   int64_t lo = regs[plc.src_lo_reg].i;
   int64_t hi = regs[plc.src_hi_reg].i;
   int64_t rows = hi - lo;
-  int64_t mr = eng.morsel_rows();
+  int64_t mr = eng.morsel_rows < 1 ? 1 : eng.morsel_rows;
   if (rows < 2 * mr) return false;
 
   // Adaptive tail sizing: the final ~eighth of the iteration space is cut
@@ -534,28 +536,26 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
       // A morsel skipped after a trip never ran its body (regs stays
       // empty) and has nothing to merge.
       if (!states[merged]->regs.empty()) {
+        int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
+        merger.MergeMorsel(*states[merged]);
         if (trace_session != 0) {
-          int64_t ts = telemetry::TraceNowNs();
-          merger.MergeMorsel(*states[merged]);
           telemetry::TraceRecord(trace_session, "merge", "par", ts,
                                  telemetry::TraceNowNs() - ts, "morsel",
                                  merged);
-        } else {
-          merger.MergeMorsel(*states[merged]);
         }
       }
       states[merged]->ReleaseTransients();
-      eng.Keep(std::move(states[merged]));
+      main.morsels.push_back(std::move(states[merged]));
       ++merged;
       any = true;
     }
     return any;
   };
 
-  eng.pool().Begin(static_cast<int>(num_morsels), scan);
+  eng.pool.Begin(static_cast<int>(num_morsels), scan);
   while (merged < num_morsels) {
     if (merge_ready()) continue;
-    int m = eng.pool().TrySteal();
+    int m = eng.pool.TrySteal();
     if (m >= 0) {
       scan(m);
       continue;
@@ -565,7 +565,7 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
       return done[merged].load(std::memory_order_acquire) != 0;
     });
   }
-  eng.pool().Wait();
+  eng.pool.Wait();
 
   return true;
 }
@@ -580,10 +580,10 @@ namespace {
 // stealing, then synchronizes. Wait() establishes the happens-before edge
 // the next merge level needs to read this level's output.
 void RunTasks(Engine& eng, int count, const std::function<void(int)>& task) {
-  eng.pool().Begin(count, task);
+  eng.pool.Begin(count, task);
   int t;
-  while ((t = eng.pool().TrySteal()) >= 0) task(t);
-  eng.pool().Wait();
+  while ((t = eng.pool.TrySteal()) >= 0) task(t);
+  eng.pool.Wait();
 }
 
 // A comparator subroutine over one register file: writes the parameter
@@ -624,7 +624,7 @@ struct TaskCmp {
 // the input is too small for two chunks or the pool has no workers.
 bool ParallelStableSort(Engine& eng, GovState* gov, const SortComparator& sc,
                         Slot* data, int64_t n) {
-  int threads = eng.pool().threads();
+  int threads = eng.pool.threads();
   // Minimum rows per sorted run, clamped to >= 2: smaller sorts stay
   // sequential, the run/merge bookkeeping would cost more than it saves.
   // Read per call, not cached: sorts run once per query, and tests flip the
@@ -709,9 +709,12 @@ bool ParallelStableSort(Engine& eng, GovState* gov, const SortComparator& sc,
 
 }  // namespace
 
-void SortSlots(Engine* eng, GovState* gov, const SortComparator& cmp,
+void SortSlots(bool parallel, GovState* gov, const SortComparator& cmp,
                Slot* data, int64_t n) {
-  if (eng != nullptr && ParallelStableSort(*eng, gov, cmp, data, n)) return;
+  if (parallel && gov->par != nullptr &&
+      ParallelStableSort(*gov->par, gov, cmp, data, n)) {
+    return;
+  }
   SubroutineCmp live(cmp, cmp.regs);
   GovernedCmp governed(live, gov);
   StableSortSlots(data, n, governed);

@@ -51,6 +51,9 @@
 
 namespace qc::exec {
 
+namespace parallel {
+struct MorselState;
+}
 class BytecodeVM;
 struct BytecodeProgram;
 struct ParLoopCode;
@@ -71,12 +74,18 @@ struct RunState {
   std::deque<std::string> strings;
   storage::ResultTable out;
   GovState gov;  // governance over `stats` (may be unattached)
+  // Hybrid-driver deopt events. Atomic: parallel sort tasks share their
+  // context's RunState; morsel counts fold in at merge, like AllocStats.
+  std::atomic<uint64_t> deopts{0};
+  // Merged morsels whose records were adopted here (freed at next reset).
+  std::vector<std::unique_ptr<parallel::MorselState>> morsels;
 
-  // Attaches the governance control `ctl` (null = ungoverned) and writes
-  // the five reserved context registers of `prog` (out/stats/rec/gov/
-  // gov_cnt) into `regs`, so kEmit, the allocating ops, the safepoints and
-  // JIT'd code reach this state through the register file alone.
-  void Bind(const BytecodeProgram& prog, ExecControl* ctl, Slot* regs);
+  // Attaches the control `ctl` and pool `par` (null = ungoverned /
+  // sequential) and writes the five reserved context registers of `prog`
+  // (out/stats/rec/gov/gov_cnt) into `regs`, so kEmit, the allocating ops,
+  // the safepoints and JIT'd code reach this state through the registers.
+  void Bind(const BytecodeProgram& prog, ExecControl* ctl,
+            parallel::Engine* par, Slot* regs);
 };
 
 namespace parallel {
@@ -144,28 +153,12 @@ class WorkerPool {
   bool stop_ = false;
 };
 
-// Owned by an Interpreter with num_threads > 1: the pool plus the
-// keep-alive store for morsel heaps whose records were adopted into the
-// current result.
-class Engine {
- public:
-  Engine(int threads, int64_t morsel_rows)
-      : pool_(threads), morsel_rows_(morsel_rows < 1 ? 1 : morsel_rows) {}
-
-  WorkerPool& pool() { return pool_; }
-  int64_t morsel_rows() const { return morsel_rows_; }
-
-  void Keep(std::unique_ptr<MorselState> ms) {
-    keepalive_.push_back(std::move(ms));
-  }
-  // Called at the start of each Run(): the previous result has been handed
-  // off (results own their strings), so adopted records can go.
-  void ReleaseRun() { keepalive_.clear(); }
-
- private:
-  WorkerPool pool_;
-  int64_t morsel_rows_;
-  std::vector<std::unique_ptr<MorselState>> keepalive_;
+// Owned by an Interpreter that runs at num_threads > 1: the pool and the
+// morsel size, no run state — each run binds it through GovState::par.
+struct Engine {
+  Engine(int threads, int64_t rows) : pool(threads), morsel_rows(rows) {}
+  WorkerPool pool;
+  const int64_t morsel_rows;
 };
 
 // Runs the loop `plc` of the main run (state `main`, register file
@@ -194,8 +187,8 @@ struct SortComparator {
 };
 
 // The kArrSort/kListSort driver: a governed stable sort of data[0, n).
-// With a pool (`eng` non-null; callers pass null inside morsel runs and for
-// comparators not proven safe to run in parallel) and at least two chunks
+// When `parallel` (a compiler-proven pure comparator), the context's
+// GovState has a pool bound (never in morsel runs) and there are two chunks
 // of QC_PAR_SORT_MIN rows, contiguous chunks are sorted per task
 // (StableSortSlots) and folded by a tree of ordered merges
 // (MergeSortedRuns) on the pool, caller thread stealing throughout; each
@@ -205,7 +198,7 @@ struct SortComparator {
 // the result the unique stable ordering — bitwise identical for any thread
 // count and chunk decomposition. Every comparator is wrapped in
 // GovernedCmp, so once the query trips the sort drains in linear time.
-void SortSlots(Engine* eng, GovState* gov, const SortComparator& cmp,
+void SortSlots(bool parallel, GovState* gov, const SortComparator& cmp,
                Slot* data, int64_t n);
 
 }  // namespace parallel

@@ -234,9 +234,9 @@ class JitProgram;  // engine.h
 // patches point at these). Created at stitch time — only when the whole
 // comparator subroutine [cmp_entry, its kRet] stitched natively — and
 // completed after installation: `jp` is backpatched once the code buffer
-// exists, `par` is bound by the owning Interpreter when it has a worker
-// pool. The sort helper (templates.cc) drives the comparator segment
-// through jp->Run, so a JIT'd sort executes with zero deopts.
+// exists. The sort helper (templates.cc) drives the comparator segment
+// through jp->Run, so a JIT'd sort executes with zero deopts; its worker
+// pool comes from the running context's GovState, never from the site.
 struct JitSortSite {
   uint32_t obj_reg = 0;    // register holding the RtArray* / RtList*
   uint32_t n_reg = 0;      // kArrSort: register holding the element count
@@ -247,8 +247,7 @@ struct JitSortSite {
   uint32_t num_regs = 0;         // register-file size (parallel ctx copies)
   uint32_t gov_reg = 0;    // reserved register holding the GovState* (the
                            // sort driver governs its comparators with it)
-  const JitProgram* jp = nullptr;      // backpatched after Install
-  parallel::Engine* par = nullptr;     // null: sorts stay sequential
+  const JitProgram* jp = nullptr;  // backpatched after Install
 };
 
 // A stitched (but not yet installed) program image.

@@ -22,11 +22,12 @@
 // Morsel parallelism composes for free: worker threads run the same
 // hybrid loop against their private MorselState register files — the
 // native code is immutable and position-independent with respect to the
-// register file (its base is the runtime argument).
+// register file (its base is the runtime argument). A JitProgram holds no
+// run state (deopts count into the running RunState, sort sites find their
+// pool in its GovState), so one image serves any number of concurrent runs.
 #ifndef QC_JIT_ENGINE_H_
 #define QC_JIT_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -95,21 +96,6 @@ class JitProgram {
   int total_pcs() const { return static_cast<int>(entry_.size()); }
   size_t code_bytes() const { return buf_.size(); }
 
-  // JIT telemetry (jit_stats): each interpreted run of the hybrid driver —
-  // every transition out of native code other than kRet — counts as one
-  // deopt. Thread-safe (morsel workers share the program), monotone across
-  // Run()s; callers snapshot-and-diff per execution.
-  void CountDeopt() const { deopts_.fetch_add(1, std::memory_order_relaxed); }
-  uint64_t deopts() const { return deopts_.load(std::memory_order_relaxed); }
-
-  // Binds the morsel worker pool to the native sort sites so big JIT'd
-  // sorts run morsel-parallel (null keeps them sequential). Called once by
-  // the owning Interpreter right after Compile, before any Run — the sites
-  // are shared by every execution of this program.
-  void BindParallel(parallel::Engine* eng) {
-    for (JitSortSite& s : sort_sites_) s.par = eng;
-  }
-
   // Natively-stitched sort instructions (introspection/tests).
   size_t num_sort_sites() const { return sort_sites_.size(); }
 
@@ -127,7 +113,6 @@ class JitProgram {
   // their jp backlinks are patched in Compile once `this` exists.
   std::vector<JitSortSite> sort_sites_;
   int num_native_ = 0;
-  mutable std::atomic<uint64_t> deopts_{0};
 };
 
 }  // namespace qc::exec::jit

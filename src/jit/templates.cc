@@ -156,8 +156,8 @@ void HelpSort(Slot* regs, const JitSortSite* site) {
   cmp.ctx = site->jp;
   // The context's GovState travels in the reserved gov register (the same
   // object the VM's sort path passes): a tripped query drains a JIT'd sort
-  // in linear time too.
-  parallel::SortSlots(site->par_safe ? site->par : nullptr,
+  // in linear time too, and fans out only onto the pool the run bound there.
+  parallel::SortSlots(site->par_safe,
                       static_cast<GovState*>(regs[site->gov_reg].p), cmp,
                       data, n);
 }

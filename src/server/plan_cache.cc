@@ -1,8 +1,5 @@
 #include "server/plan_cache.h"
 
-#include "analysis/bc_verify.h"
-#include "exec/bytecode.h"
-#include "ir/parallel.h"
 #include "qplan/plan.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -10,32 +7,25 @@
 
 namespace qc::server {
 
-const ir::Function* PlanCache::Get(int query, int level, std::string* error) {
+const exec::Program* PlanCache::Get(int query, int level, std::string* error) {
   if (query < 1 || query > tpch::kNumQueries || level < 2 || level > 5) {
     if (error != nullptr) *error = "bad plan key";
     return nullptr;
   }
   std::pair<int, int> key(query, level);
-  {
+  auto lookup = [&]() -> const exec::Program* {
     std::shared_lock<std::shared_mutex> lock(map_mu_);
     auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      telemetry::PlanCacheHits().Inc();
-      return it->second->res.fn.get();
-    }
-  }
+    if (it == entries_.end()) return nullptr;
+    telemetry::PlanCacheHits().Inc();
+    return it->second->prog.get();
+  };
+  if (const exec::Program* hit = lookup()) return hit;
   // Serialize lowering: the compiler lazily builds dictionaries/indexes
   // inside the shared Database. Double-check under the compile lock so two
   // racing misses compile once.
   std::lock_guard<std::mutex> compile_lock(compile_mu_);
-  {
-    std::shared_lock<std::shared_mutex> lock(map_mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      telemetry::PlanCacheHits().Inc();
-      return it->second->res.fn.get();
-    }
-  }
+  if (const exec::Program* hit = lookup()) return hit;
   telemetry::PlanCacheMisses().Inc();
   auto entry = std::make_unique<Entry>();
   qplan::PlanPtr plan;
@@ -54,32 +44,22 @@ const ir::Function* PlanCache::Get(int query, int level, std::string* error) {
     if (error != nullptr) *error = "compilation produced no function";
     return nullptr;
   }
-  if (exec::analysis::VerifyEnabled()) {
-    // Prove the plan's bytecode (including its morsel fragments) before it
-    // can be served to any worker. Unlike the in-process Interpreter hook,
-    // a violation here is surfaced as a structured error — the daemon
-    // refuses the plan and stays up (crash-free contract of Get()).
-    telemetry::ScopedSpan span("verify", "compile", "query", query);
-    ir::ParallelInfo par = ir::AnalyzeParallelism(*entry->res.fn);
-    exec::BytecodeProgram prog =
-        exec::BytecodeCompiler(db_).Compile(*entry->res.fn, &par);
-    exec::analysis::VerifyResult vres = exec::analysis::VerifyProgram(prog);
-    if (!vres.ok()) {
-      if (error != nullptr) {
-        *error = "plan failed bytecode verification: " + vres.Report();
-      }
-      return nullptr;
-    }
-  }
-  const ir::Function* fn = entry->res.fn.get();
+  // A verifier violation refuses the plan with a structured error — the
+  // daemon stays up (crash-free contract of Get()).
+  entry->prog = exec::Program::Build(db_, *entry->res.fn, parallel_, error);
+  if (entry->prog == nullptr) return nullptr;
+  const exec::Program* prog = entry->prog.get();
   std::unique_lock<std::shared_mutex> lock(map_mu_);
   entries_.emplace(key, std::move(entry));
-  return fn;
+  return prog;
 }
 
-void PlanCache::Warm(int level) {
+void PlanCache::Warm(int level, bool stitch) {
   std::string err;
-  for (int q = 1; q <= tpch::kNumQueries; ++q) Get(q, level, &err);
+  for (int q = 1; q <= tpch::kNumQueries; ++q) {
+    const exec::Program* prog = Get(q, level, &err);
+    if (prog != nullptr && stitch) prog->jit();
+  }
 }
 
 }  // namespace qc::server

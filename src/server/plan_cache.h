@@ -1,8 +1,8 @@
 // Cross-session compiled-plan cache: each (query, stack level) pair is
-// lowered once per process and every worker's Interpreter then reuses the
-// same ir::Function (the per-worker engines additionally cache bytecode and
-// JIT code keyed by the Function's address, which this cache keeps stable
-// for the server's lifetime).
+// lowered, built into one immutable exec::Program (bytecode, verified when
+// verification is on) and — on first JIT use — stitched, once per process.
+// Every worker then runs that same Program concurrently, each with its own
+// Interpreter's run state; nothing is recompiled per worker.
 //
 // The schema is part of the key implicitly: one PlanCache serves exactly
 // one immutable Database, and the compiler consults that database's
@@ -24,6 +24,7 @@
 #include <utility>
 
 #include "compiler/compiler.h"
+#include "exec/interp.h"
 #include "ir/stmt.h"
 #include "storage/database.h"
 
@@ -31,25 +32,30 @@ namespace qc::server {
 
 class PlanCache {
  public:
-  explicit PlanCache(storage::Database* db) : db_(db) {}
+  // `parallel`: build Programs with their kParLoop plans (query_threads > 1).
+  PlanCache(storage::Database* db, bool parallel)
+      : db_(db), parallel_(parallel) {}
 
-  // Returns the compiled function for TPC-H query `query` at stack level
-  // `level`, compiling on first use. nullptr (with *error set) when
-  // compilation fails — a structured per-request failure, never fatal to
-  // the server.
-  const ir::Function* Get(int query, int level, std::string* error);
+  // Returns the Program for TPC-H query `query` at stack level `level`,
+  // building it on first use. nullptr (with *error set) when lowering or
+  // bytecode verification fails — a structured per-request failure, never
+  // fatal to the server.
+  const exec::Program* Get(int query, int level, std::string* error);
 
-  // Pre-compiles every query at `level` (startup warm-up, so the first
-  // client request never pays lowering latency).
-  void Warm(int level);
+  // Pre-builds every query at `level` (startup warm-up, so the first
+  // client request never pays lowering latency); `stitch` also stitches
+  // each JIT image.
+  void Warm(int level, bool stitch);
 
  private:
   struct Entry {
     ir::TypeFactory types;  // must outlive res.fn
-    compiler::CompileResult res;
+    compiler::CompileResult res;  // must outlive prog (its loop plans)
+    std::unique_ptr<const exec::Program> prog;
   };
 
   storage::Database* db_;
+  bool parallel_;
   std::shared_mutex map_mu_;   // guards entries_ lookup/insert
   std::mutex compile_mu_;      // serializes lowering (shared db internals)
   std::map<std::pair<int, int>, std::unique_ptr<Entry>> entries_;

@@ -190,7 +190,7 @@ FairAdmissionQueue::Limits QueueLimits(const ServerOptions& o) {
 Server::Server(storage::Database* db, ServerOptions opts)
     : db_(db),
       opts_(std::move(opts)),
-      plans_(db),
+      plans_(db, opts_.query_threads > 1),
       queue_(QueueLimits(opts_)) {}
 
 Server::~Server() { Stop(); }
@@ -233,7 +233,7 @@ bool Server::Start() {
   wake_wr_ = pipefd[1];
 
   for (int i = 0; i < opts_.workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
+    workers_.push_back(std::make_unique<Worker>(db_));
     Worker* w = workers_.back().get();
     w->thread = std::thread([this, w] { WorkerMain(w); });
   }
@@ -898,7 +898,8 @@ void Server::FlushWrites(const SessionPtr& s) {
   }
 }
 
-void Server::CloseSession(const SessionPtr& s, bool cancel_inflight) {
+// `s` by value: a caller's reference may be into the entry erased below.
+void Server::CloseSession(SessionPtr s, bool cancel_inflight) {
   RequestPtr inflight;
   {
     std::lock_guard<std::mutex> lock(s->mu);
@@ -950,26 +951,6 @@ void Server::WorkerMain(Worker* w) {
   }
 }
 
-exec::Interpreter* Server::PickInterpreter(Worker* w, const RequestPtr& req,
-                                           int* downshift,
-                                           const char** engine) {
-  int level = static_cast<int>(
-      stats_.downshift_level.load(std::memory_order_relaxed));
-  bool jit = req->want_jit && level < 1;
-  int idx = jit ? 0 : (level >= 2 ? 2 : 1);
-  int threads = idx == 2 ? 1 : opts_.query_threads;
-  if (w->interp[idx] == nullptr) {
-    exec::InterpOptions o;
-    o.engine = jit ? exec::InterpOptions::Engine::kJit
-                   : exec::InterpOptions::Engine::kBytecode;
-    o.num_threads = threads;
-    w->interp[idx] = std::make_unique<exec::Interpreter>(db_, o);
-  }
-  *downshift = level;
-  *engine = jit ? "jit" : "vm";
-  return w->interp[idx].get();
-}
-
 void Server::Execute(Worker* w, const RequestPtr& req) {
   const int64_t t0 = exec::GovNowNs();
   // ?trace=1: a per-request capture session wraps the plan lookup (so a
@@ -979,20 +960,26 @@ void Server::Execute(Worker* w, const RequestPtr& req) {
   uint64_t trace_session = req->trace ? telemetry::TraceBeginSession() : 0;
 
   std::string err;
-  const ir::Function* fn;
+  const exec::Program* prog;
   {
     telemetry::TraceScope ts(trace_session);
-    fn = plans_.Get(req->query, req->level, &err);
+    prog = plans_.Get(req->query, req->level, &err);
   }
-  if (fn == nullptr) {
+  if (prog == nullptr) {
     if (trace_session != 0) telemetry::TraceEndSession(trace_session);
     stats_.bad_requests.Inc();
     Respond(req, RenderError(req->http, 500, "compile_failed", req->id));
     return;
   }
-  int downshift = 0;
-  const char* engine = "vm";
-  exec::Interpreter* interp = PickInterpreter(w, req, &downshift, &engine);
+  // The degradation ladder is a per-run choice on the worker's one
+  // Interpreter: jit@T, vm@T (level 1), vm@1 (level 2).
+  const int downshift = downshift_level();
+  const bool jit = req->want_jit && downshift < 1;
+  exec::InterpOptions run;
+  run.engine = jit ? exec::InterpOptions::Engine::kJit
+                   : exec::InterpOptions::Engine::kBytecode;
+  run.num_threads = downshift >= 2 ? 1 : opts_.query_threads;
+  run.control = &req->control;
 
   RetryPolicy retry(opts_.seed ^ (req->id * 0x9e3779b97f4a7c15ULL),
                     opts_.max_retries, opts_.retry_base_ms,
@@ -1003,15 +990,12 @@ void Server::Execute(Worker* w, const RequestPtr& req) {
     req->control.deadline_ns.store(req->deadline_abs_ns,
                                    std::memory_order_relaxed);
     req->control.memory_budget_bytes = req->mem_budget_bytes;
-    interp->SetControl(&req->control);
     {
       telemetry::TraceScope ts(trace_session);
-      result = interp->Run(*fn);
+      result = w->interp.Run(*prog, run);
     }
-    st = interp->last_status();
-    interp->SetControl(nullptr);
-    if (interp->last_jit_stats().fallback_reason != 0 &&
-        std::strcmp(engine, "jit") == 0) {
+    st = w->interp.last_status();
+    if (jit && w->interp.last_jit_stats().fallback_reason != 0) {
       // The JIT degraded under us (denied code pages, fault injection):
       // results are still exact on the VM, but new admissions stop asking
       // for native code until the server recovers.
@@ -1043,14 +1027,14 @@ void Server::Execute(Worker* w, const RequestPtr& req) {
       SleepMs(1);
     }
   }
-  NoteOutcome(st.code, retry.attempts() > 0);
+  NoteOutcome(st.code);
   stats_.request_ms.Observe(
       static_cast<double>(exec::GovNowNs() - t0) / 1e6);
 
   ResponseMeta meta = MapStatus(st.code);
   meta.retries = retry.attempts();
   meta.downshift = downshift;
-  meta.engine = engine;
+  meta.engine = jit ? "jit" : "vm";
   meta.request_id = req->id;
   if (trace_session != 0) {
     StoreTrace(req->id, telemetry::TraceEndSession(trace_session));
@@ -1087,7 +1071,7 @@ void Server::ExecuteBlock(const RequestPtr& req) {
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
   exec::QueryStatus st = ctl.status();
-  NoteOutcome(st.code, false);
+  NoteOutcome(st.code);
   ResponseMeta meta = MapStatus(st.code);
   meta.rows = 0;
   meta.request_id = req->id;
@@ -1095,8 +1079,7 @@ void Server::ExecuteBlock(const RequestPtr& req) {
   Respond(req, RenderResponse(req->http, meta, body));
 }
 
-void Server::NoteOutcome(exec::QueryStatusCode code, bool retried_out) {
-  (void)retried_out;
+void Server::NoteOutcome(exec::QueryStatusCode code) {
   switch (code) {
     case exec::QueryStatusCode::kOk: {
       stats_.ok.Inc();

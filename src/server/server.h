@@ -3,8 +3,9 @@
 // layer. One poll()-based event-loop thread multiplexes every client
 // connection (HTTP/1.1 GET + line protocol, auto-detected); N worker
 // threads execute admitted queries, each with its own exec::Interpreter
-// (and WorkerPool when per-query threads > 1) against the shared database
-// and the cross-session compiled-plan cache.
+// (and WorkerPool when per-query threads > 1) against the shared database.
+// Every worker runs the same immutable exec::Program per (query, level),
+// built once by the cross-session compiled-plan cache.
 //
 // The robustness envelope, end to end:
 //   * admission control  — bounded queue; full => immediate 503
@@ -23,8 +24,9 @@
 //   * graceful degradation — exhausted resource retries and JIT fallbacks
 //     raise a server-wide downshift level (1: new admissions run the VM
 //     engine instead of the JIT; 2: also single-threaded); sustained
-//     successes step it back down. Reported per response (X-QC-Downshift)
-//     and in /stats;
+//     successes step it back down. The level picks each run's {engine,
+//     threads} — jit@T, vm@T, vm@1 — on the worker's one Interpreter.
+//     Reported per response (X-QC-Downshift) and in /stats;
 //   * graceful drain — BeginDrain() (SIGTERM in the binary) stops
 //     admissions, Drain() waits for in-flight work up to
 //     QC_SERVE_DRAIN_MS, then cancels stragglers through their controls;
@@ -183,10 +185,11 @@ class Server {
   // loop, closing every session. Safe to call twice.
   void Stop();
 
-  // Pre-compiles every query at the default level (the binary calls this
+  // Pre-compiles every query at the default level, stitching its JIT
+  // image too when the JIT is the default engine (the binary calls this
   // after Start so the port is health-checkable during warm-up; requests
   // arriving mid-warm just wait on the compile lock).
-  void WarmPlans() { plans_.Warm(opts_.level); }
+  void WarmPlans() { plans_.Warm(opts_.level, opts_.default_jit); }
 
   const ServerStats& stats() const { return stats_; }
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
@@ -196,12 +199,12 @@ class Server {
   }
 
  private:
+  // One executing thread and its run state: every rung of the degradation
+  // ladder runs on the one Interpreter, so a worker owns at most one pool.
   struct Worker {
+    explicit Worker(storage::Database* db) : interp(db) {}
     std::thread thread;
-    // Interpreters are created on first use (each multi-thread one owns a
-    // WorkerPool): [0] jit @ query_threads, [1] vm @ query_threads,
-    // [2] vm @ 1 — the degradation ladder.
-    std::unique_ptr<exec::Interpreter> interp[3];
+    exec::Interpreter interp;
   };
 
   void EventLoop();
@@ -212,7 +215,7 @@ class Server {
   void HandleReadable(const SessionPtr& s);
   void ParseBuffered(const SessionPtr& s);
   void FlushWrites(const SessionPtr& s);
-  void CloseSession(const SessionPtr& s, bool cancel_inflight);
+  void CloseSession(SessionPtr s, bool cancel_inflight);
   void RespondInline(const SessionPtr& s, std::string wire);
   void AdmitQuery(const SessionPtr& s, const struct ParsedRequest& p);
   void HandleCancel(const SessionPtr& s, const struct ParsedRequest& p);
@@ -237,9 +240,7 @@ class Server {
   // registry (false when already finalized), releases its admission-queue
   // inflight slot, and decrements active_.
   bool TryFinalize(const RequestPtr& req);
-  exec::Interpreter* PickInterpreter(Worker* w, const RequestPtr& req,
-                                     int* downshift, const char** engine);
-  void NoteOutcome(exec::QueryStatusCode code, bool retried_out);
+  void NoteOutcome(exec::QueryStatusCode code);
 
   // Bounded store of per-request trace JSON (?trace=1): the newest
   // kMaxStoredTraces live at /debug/trace/<id>, older ones are evicted.

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 
 #include "bit_exact.h"
 #include "compiler/compiler.h"
@@ -19,6 +20,7 @@
 #include "ir/builder.h"
 #include "ir/parallel.h"
 #include "lower/pipeline.h"
+#include "scoped_env.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
 
@@ -243,6 +245,68 @@ TEST(ParallelDeterminismTest, FourThreadRunsIdentical) {
     ExpectBitExact(ra, rb, "determinism Q" + std::to_string(q));
     ExpectStatsEqual(a.stats(), b.stats(),
                      "determinism Q" + std::to_string(q));
+  }
+}
+
+// Compile once, run anywhere: one Program, built parallel, run by two
+// threads at once, each driving its own Interpreter, at threads 1 and 4 on
+// both engines. Every run must match the single-owner run of the same
+// Program bit for bit, with equal AllocStats and the same deopt count:
+// deopts count into each run's own RunState, so a concurrent run of the
+// shared JIT image never leaks into another run's count. Q22 deopts
+// dozens of times per run; Q3 ends in a (forced parallel) ORDER BY sort.
+TEST(SharedProgramTest, ConcurrentRunsMatchSingleOwnerRun) {
+  ScopedEnv min_rows("QC_PAR_SORT_MIN", "64");
+  storage::Database db = tpch::MakeTpchDatabase(0.01);
+  for (int q : {22, 3}) {
+    qplan::PlanPtr plan = tpch::MakeQuery(q);
+    qplan::ResolvePlan(plan.get(), db);
+    ir::TypeFactory types;
+    QueryCompiler qc(&db, &types);
+    compiler::CompileResult res =
+        qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(q));
+    exec::Interpreter ref(&db);
+    const storage::ResultTable want = ref.Run(*res.fn);
+    std::string err;
+    std::unique_ptr<const exec::Program> prog =
+        exec::Program::Build(&db, *res.fn, /*parallel=*/true, &err);
+    ASSERT_NE(prog, nullptr) << err;
+    for (InterpOptions::Engine engine : kEngines) {
+      for (int threads : {1, 4}) {
+        const InterpOptions o = Opts(engine, threads);
+        const std::string tag = "Q" + std::to_string(q) + " " +
+                                EngineName(engine) + " threads=" +
+                                std::to_string(threads);
+        exec::Interpreter owner(&db);
+        ExpectBitExact(owner.Run(*prog, o), want, tag + " single owner");
+        const uint64_t deopts = owner.last_jit_stats().deopts;
+        if (q == 22 && engine == InterpOptions::Engine::kJit &&
+            exec::jit::JitAvailable()) {
+          EXPECT_GT(deopts, 0u) << tag << ": the deopt check went vacuous";
+        }
+        struct Out {
+          storage::ResultTable rows;
+          exec::AllocStats stats;
+          uint64_t deopts = 0;
+        } out[2];
+        std::thread runners[2];
+        for (int i = 0; i < 2; ++i) {
+          runners[i] = std::thread([&, i] {
+            exec::Interpreter interp(&db);
+            out[i].rows = interp.Run(*prog, o);
+            out[i].stats = interp.stats();
+            out[i].deopts = interp.last_jit_stats().deopts;
+          });
+        }
+        for (std::thread& t : runners) t.join();
+        for (int i = 0; i < 2; ++i) {
+          const std::string t = tag + " runner " + std::to_string(i);
+          ExpectBitExact(out[i].rows, want, t);
+          ExpectStatsEqual(out[i].stats, owner.stats(), t);
+          EXPECT_EQ(out[i].deopts, deopts) << t;
+        }
+      }
+    }
   }
 }
 

@@ -672,6 +672,71 @@ TEST(ServerTest, CancelByIdShedsQueuedRequestImmediately) {
   server.Stop();
 }
 
+// Compile once, run anywhere: the plan cache builds one Program per
+// (query, level) and every worker runs that same object, so two workers
+// executing one plan on the JIT stitch it once (a per-worker engine cache
+// stitches twice). Blocks pin the query onto each worker in turn.
+TEST(ServerTest, WorkersShareOneProgramPerPlan) {
+  if (!exec::jit::JitAvailable()) GTEST_SKIP() << "JIT unavailable";
+  ServerOptions opts = TestOptions();
+  opts.workers = 2;
+  opts.query_threads = 2;
+  opts.default_jit = true;
+  Server server(Db(), opts);
+  ASSERT_TRUE(server.Start());
+
+  auto jit_compiles = [&] {  // the family registers on its first stitch
+    long long v = 0;
+    PromValue(HttpGet(server.port(), "/metrics").body,
+              "qc_jit_compiles_total", &v);
+    return v;
+  };
+  auto pinned = [&] {  // blocks a worker has popped and not finished
+    long long v = 0;
+    PromClientValue(HttpGet(server.port(), "/metrics").body,
+                    "qc_server_client_inflight", "pin", &v);
+    return v;
+  };
+  // Occupies one worker until cancelled; returns the connection.
+  auto block = [&](std::string* id) {
+    const long long running = pinned();
+    int fd = ConnectTo(server.port());
+    EXPECT_TRUE(SendAll(fd, "BLOCK 10000 ack=1 client=pin\n"));
+    std::string ack = RecvLine(fd);
+    EXPECT_EQ(ack.compare(0, 3, "ID "), 0) << ack;
+    *id = ack.substr(3, ack.find('\n') - 3);
+    EXPECT_TRUE(WaitFor([&] { return pinned() == running + 1; }));
+    return fd;
+  };
+  auto cancel = [&](int fd, const std::string& id) {
+    EXPECT_EQ(HttpReq(server.port(), "POST", "/cancel/" + id, "").code, 200);
+    RecvUntil(fd, LineRespComplete, 5000);
+    ::close(fd);
+  };
+  const std::string want = RefRows(3, 5);
+  const long long before = jit_compiles();
+
+  std::string id_a, id_b;
+  int a = block(&id_a);
+  HttpResp first = HttpGet(server.port(), "/query?q=3");  // the other worker
+  int b = block(&id_b);  // ... which now blocks
+  cancel(a, id_a);
+  HttpResp second = HttpGet(server.port(), "/query?q=3");  // the first one
+  HttpResp vm = HttpGet(server.port(), "/query?q=3&engine=vm");
+  cancel(b, id_b);
+
+  for (const HttpResp* r : {&first, &second}) {
+    EXPECT_EQ(r->code, 200);
+    EXPECT_EQ(r->headers.at("X-QC-Engine"), "jit");
+    EXPECT_EQ(r->body, want);
+  }
+  EXPECT_EQ(vm.code, 200);
+  EXPECT_EQ(vm.headers["X-QC-Engine"], "vm");
+  EXPECT_EQ(vm.body, want);
+  EXPECT_EQ(jit_compiles() - before, 1);
+  server.Stop();
+}
+
 // One heavy tenant floods 4 connections with 200ms blocks; a light tenant
 // sends short probes. Round-robin admission bounds each probe's wait by
 // roughly one heavy block; FIFO would park every probe behind the whole
