@@ -280,10 +280,11 @@ if okc < 1:
 if quota < 1:
     fail("no quota shed after %d rapid requests (ok=%d)" % (6, okc))
 
-# The per-client counters must surface in /stats.
+# The per-client counters must surface as labeled /metrics families, and
+# the greedy tenant's quota sheds must all be counted.
 s = socket.create_connection(("127.0.0.1", port), timeout=10)
 s.settimeout(10)
-s.sendall(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+s.sendall(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
 buf, body = b"", b""
 while True:
     if b"\r\n\r\n" in buf:
@@ -297,11 +298,23 @@ while True:
         break
     buf += chunk
 s.close()
-if b'"clients"' not in body or b'"greedy"' not in body:
-    fail("/stats has no per-client cells: %r" % body[:120])
+def client_value(family):
+    prefix = family + b'{client="greedy"} '
+    for line in body.split(b"\n"):
+        if line.startswith(prefix):
+            return int(line[len(prefix):])
+    return None
+
+if client_value(b"qc_server_client_admitted_total") is None:
+    fail("/metrics has no qc_server_client_admitted_total for greedy")
+shed = client_value(b"qc_server_client_shed_quota_total")
+if shed is None:
+    fail("/metrics has no qc_server_client_shed_quota_total for greedy")
+elif shed < quota:
+    fail("greedy shed_quota=%d < %d quota sheds observed" % (shed, quota))
 
 if rc == 0:
-    print("control plane: cancel-by-id + quota + per-client stats ok")
+    print("control plane: cancel-by-id + quota + per-client metrics ok")
 sys.exit(rc)
 PYEOF
   if [ $? -ne 0 ]; then fail "control-plane pass failed"; fi

@@ -857,11 +857,6 @@ class Verifier {
       Add(pc, "fragment-isolation",
           "nested kParLoop inside a morsel fragment");
     }
-    if ((op == BcOp::kArrSort || op == BcOp::kListSort) && I.n != 0) {
-      Add(pc, "fragment-isolation",
-          "sort inside a morsel fragment marked parallel-safe (the worker "
-          "pool does not nest)");
-    }
   }
 
   // --- dataflow ----------------------------------------------------------

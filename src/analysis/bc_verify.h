@@ -42,11 +42,13 @@
 //   subroutine-shape     comparator regions are well-formed ([entry,
 //                        sort pc) terminated by kRet, entry before the
 //                        sort instruction)
-//   fragment-isolation   morsel fragments contain no nested kParLoop and
-//                        no parallel sorts, log only to their bound addend
-//                        logs, and only write through pointers established
-//                        inside the fragment or rebound per morsel by the
-//                        runtime (fragment-private state)
+//   fragment-isolation   morsel fragments contain no nested kParLoop,
+//                        log only to their bound addend logs, and only
+//                        write through pointers established inside the
+//                        fragment or rebound per morsel by the runtime
+//                        (fragment-private state); a fragment's sorts may
+//                        carry the pure-comparator flag, because a morsel
+//                        binds no pool and so never fans a sort out
 //
 // Verification is compile-time-only: it runs where programs are created
 // (exec::Program::Build, which the Interpreter and the server's plan cache

@@ -1138,13 +1138,11 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
       PatchToHere(skip);
       uint32_t off = ExtraList(
           {Reg(cmp->params[0]), Reg(cmp->params[1]), Reg(cmp->result)});
-      // The parallel flag is withheld inside morsel fragments (par_ set):
-      // fragment code runs on worker threads while the pool's scan batch
-      // is in flight, and the single-batch WorkerPool cannot nest — the
-      // JIT's sort helper sees only this flag, not the morsel context.
+      // The flag says only that the comparator is pure. Whether a sort may
+      // fan out is the run's call: a morsel binds no pool, so fragment
+      // copies of this sort stay sequential on both engines.
       Emit(BcOp::kArrSort, Reg(s->args[0]), Reg(s->args[1]), entry,
-           static_cast<int32_t>(off),
-           par_ == nullptr && SubroutineParallelSafe(entry) ? 1 : 0);
+           static_cast<int32_t>(off), SubroutineParallelSafe(entry) ? 1 : 0);
       return;
     }
 
@@ -1187,10 +1185,8 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
       PatchToHere(skip);
       uint32_t off = ExtraList(
           {Reg(cmp->params[0]), Reg(cmp->params[1]), Reg(cmp->result)});
-      // Same in-fragment rule as kArrSort: never parallel on a worker.
       Emit(BcOp::kListSort, Reg(s->args[0]), 0, entry,
-           static_cast<int32_t>(off),
-           par_ == nullptr && SubroutineParallelSafe(entry) ? 1 : 0);
+           static_cast<int32_t>(off), SubroutineParallelSafe(entry) ? 1 : 0);
       return;
     }
 

@@ -56,7 +56,7 @@ class FairAdmissionQueue {
     kClientQueueFull,  // per-client queue bound: 429 "quota"
   };
 
-  // One client's counters + instantaneous state, for /stats and /metrics.
+  // One client's counters + instantaneous state, for /metrics.
   struct ClientSample {
     std::string name;  // "" rendered as "anon" by the caller
     uint64_t admitted = 0;

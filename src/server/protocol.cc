@@ -158,10 +158,6 @@ ParsedRequest RouteHttp(const std::string& path, const char* args,
     }
     return r;
   }
-  if (path == "/stats") {
-    r.kind = ParsedRequest::Kind::kStats;
-    return r;
-  }
   if (path == "/metrics") {
     r.kind = ParsedRequest::Kind::kMetrics;
     return r;
@@ -345,10 +341,6 @@ ParsedRequest ParseRequest(const std::string& buf,
   }
   if (starts("PING")) {
     r.kind = ParsedRequest::Kind::kPing;
-    return r;
-  }
-  if (starts("STATS")) {
-    r.kind = ParsedRequest::Kind::kStats;
     return r;
   }
   if (starts("METRICS")) {

@@ -8,12 +8,12 @@
 //   GET /query?q=<1..22>[&deadline_ms=N][&mem_mb=N][&engine=jit|vm][&level=L]
 //             [&trace=1][&client=ID]        (X-QC-Client header also sets ID)
 //   POST /cancel/<request-id>               (the only POST route)
-//   GET /stats          GET /healthz          GET /metrics (Prometheus text)
+//   GET /healthz        GET /metrics (Prometheus text)
 //   GET /debug/block?ms=N (gated)   GET /debug/trace/<id> (Chrome trace JSON)
 // Line surface (one request per line):
 //   QUERY <q> [deadline_ms=N] [mem_mb=N] [engine=jit|vm] [level=L] [trace=1]
 //             [client=ID] [ack=1]
-//   PING | STATS | METRICS | HEALTH | BLOCK <ms> | TRACE <id> | CANCEL <id>
+//   PING | METRICS | HEALTH | BLOCK <ms> | TRACE <id> | CANCEL <id>
 //
 // Status→wire mapping (MapStatus): the structured exec::QueryStatusCode of
 // a finished run becomes an HTTP status + canonical token, and the same
@@ -53,8 +53,7 @@ struct ParsedRequest {
     kQuery,
     kBlock,
     kCancel,    // cancel-by-id: trip an outstanding request's control
-    kStats,
-    kMetrics,  // Prometheus text exposition of the same snapshot as kStats
+    kMetrics,  // Prometheus text exposition: the daemon's one metrics export
     kTrace,    // fetch a stored per-request trace by id
     kHealth,
     kPing,

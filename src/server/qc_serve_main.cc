@@ -11,6 +11,8 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -82,18 +84,23 @@ int main() {
   Log(LogLevel::kInfo, "draining", {});
   bool clean = server.Drain();
   server.Stop();
-  // Shutdown summary straight from the registry snapshot: the same data
-  // /stats and /metrics served, as one key=value log record.
+  // Shutdown summary straight from the registry snapshot: every counter
+  // and gauge /metrics served, keyed by its family name without the
+  // "qc_server_" prefix and "_total" suffix, as one key=value log record.
   qc::telemetry::MetricsSnapshot snap = server.stats().Snapshot();
+  std::vector<std::string> keys;  // the LogKv keys point into these
+  keys.reserve(snap.samples.size());
   std::vector<LogKv> kvs;
   kvs.emplace_back("status", clean ? "clean" : "stragglers_cancelled");
   for (const qc::telemetry::MetricSample& s : snap.samples) {
-    if (s.json_key.empty()) continue;
+    if (s.kind == qc::telemetry::MetricKind::kHistogram) continue;
+    keys.push_back(s.name.substr(std::strlen("qc_server_")));
+    std::string& key = keys.back();
     if (s.kind == qc::telemetry::MetricKind::kCounter) {
-      kvs.emplace_back(s.json_key.c_str(),
-                       static_cast<unsigned long long>(s.counter));
-    } else if (s.kind == qc::telemetry::MetricKind::kGauge) {
-      kvs.emplace_back(s.json_key.c_str(), static_cast<long long>(s.gauge));
+      key.resize(key.size() - std::strlen("_total"));
+      kvs.emplace_back(key.c_str(), static_cast<unsigned long long>(s.counter));
+    } else {
+      kvs.emplace_back(key.c_str(), static_cast<long long>(s.gauge));
     }
   }
   Log(LogLevel::kInfo, "shutdown", std::move(kvs));

@@ -61,109 +61,21 @@ ServerOptions ServerOptions::FromEnv() {
   return o;
 }
 
-// Registration order IS the legacy /stats key order: both exports render
-// from one registration-ordered snapshot, so the JSON stays byte-compatible
-// with the hand-rendered version it replaces.
+#define QC_SERVER_COUNTER_INIT(member, help) \
+  member(*registry.AddCounter("qc_server_" #member "_total", help)),
+
 ServerStats::ServerStats()
-    : connections(*registry.AddCounter(
-          "qc_server_connections_total", "Accepted client connections.",
-          "connections")),
-      requests(*registry.AddCounter(
-          "qc_server_requests_total", "Admission attempts (query + block).",
-          "requests")),
-      ok(*registry.AddCounter("qc_server_ok_total",
-                              "Requests that finished with status ok.",
-                              "ok")),
-      bad_requests(*registry.AddCounter(
-          "qc_server_bad_requests_total",
-          "Malformed, unroutable, or uncompilable requests.", "bad_requests")),
-      shed_queue_full(*registry.AddCounter(
-          "qc_server_shed_queue_full_total",
-          "Requests shed because the admission queue was full.",
-          "shed_queue_full")),
-      shed_queue_deadline(*registry.AddCounter(
-          "qc_server_shed_queue_deadline_total",
-          "Requests shed after waiting out their queue deadline.",
-          "shed_queue_deadline")),
-      shed_draining(*registry.AddCounter(
-          "qc_server_shed_draining_total",
-          "Requests refused because the server was draining.",
-          "shed_draining")),
-      failed_deadline(*registry.AddCounter(
-          "qc_server_failed_deadline_total",
-          "Runs tripped by their execution deadline.", "failed_deadline")),
-      failed_cancelled(*registry.AddCounter(
-          "qc_server_failed_cancelled_total",
-          "Runs cancelled (disconnect, drain kill).", "failed_cancelled")),
-      failed_memory(*registry.AddCounter(
-          "qc_server_failed_memory_total",
-          "Runs tripped by their memory budget.", "failed_memory")),
-      failed_resource(*registry.AddCounter(
-          "qc_server_failed_resource_total",
-          "Runs that exhausted retries on resource failures.",
-          "failed_resource")),
-      retries(*registry.AddCounter("qc_server_retries_total",
-                                   "Resource-failure retry attempts.",
-                                   "retries")),
-      downshifts(*registry.AddCounter(
-          "qc_server_downshifts_total",
-          "Degradation-ladder step-ups (jit->vm->single-thread).",
-          "downshifts")),
+    : QC_SERVER_COUNTER_LIST(QC_SERVER_COUNTER_INIT)
       downshift_level(*registry.AddGauge(
           "qc_server_downshift_level",
-          "Current degradation level (0 full service .. 2 single-thread VM).",
-          "downshift_level")),
-      disconnect_cancels(*registry.AddCounter(
-          "qc_server_disconnect_cancels_total",
-          "In-flight queries killed by client disconnect.",
-          "disconnect_cancels")),
-      drain_kills(*registry.AddCounter(
-          "qc_server_drain_kills_total",
-          "Stragglers cancelled at the drain deadline.", "drain_kills")),
-      jit_fallbacks(*registry.AddCounter(
-          "qc_server_jit_fallbacks_total",
-          "Requests whose JIT degraded to the VM mid-serve.",
-          "jit_fallbacks")),
-      net_faults(*registry.AddCounter("qc_server_net_faults_total",
-                                      "Injected srv_* fault firings.",
-                                      "net_faults")),
+          "Current degradation level (0 full service .. 2 single-thread VM).")),
       request_ms(*registry.AddHistogram(
           "qc_server_request_ms",
           "End-to-end worker latency per executed request (milliseconds).",
           {0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
-           5000, 10000})),
-      shed_quota(*registry.AddCounter(
-          "qc_server_shed_quota_total",
-          "Requests shed by a per-client token-bucket quota.", "shed_quota")),
-      shed_client_queue(*registry.AddCounter(
-          "qc_server_shed_client_queue_total",
-          "Requests shed by a per-client queue bound.", "shed_client_queue")),
-      cancels_by_id(*registry.AddCounter(
-          "qc_server_cancels_by_id_total",
-          "Accepted cancel-by-id requests (POST /cancel, CANCEL).",
-          "cancels_by_id")),
-      evicted_idle(*registry.AddCounter(
-          "qc_server_evicted_idle_total",
-          "Idle keep-alive connections evicted by the timeout sweep.",
-          "evicted_idle")),
-      evicted_stalled(*registry.AddCounter(
-          "qc_server_evicted_stalled_total",
-          "Connections evicted for a stalled read (slow loris) or write.",
-          "evicted_stalled")),
-      pipeline_limited(*registry.AddCounter(
-          "qc_server_pipeline_limited_total",
-          "Connections closed for exceeding the pipelining cap.",
-          "pipeline_limited")),
-      conn_evicted(*registry.AddCounter(
-          "qc_server_conn_evicted_total",
-          "Idle connections LIFO-evicted at the connection ceiling.",
-          "conn_evicted")),
-      conn_refused(*registry.AddCounter(
-          "qc_server_conn_refused_total",
-          "Connections refused at the ceiling with no evictable socket.",
-          "conn_refused")) {}
+           5000, 10000})) {}
 
-std::string ServerStats::ToJson() const { return Snapshot().ToJson(); }
+#undef QC_SERVER_COUNTER_INIT
 
 std::string ServerStats::ToPrometheus() const {
   // One page serves the server families and the process-global engine
@@ -600,12 +512,6 @@ void Server::ParseBuffered(const SessionPtr& s) {
         RespondInline(s, RenderResponse(p.http, m, "ok\n"));
         break;
       }
-      case ParsedRequest::Kind::kStats: {
-        ResponseMeta m;
-        m.rows = 0;
-        RespondInline(s, RenderResponse(p.http, m, RenderStatsJson() + "\n"));
-        break;
-      }
       case ParsedRequest::Kind::kMetrics: {
         ResponseMeta m;
         m.rows = 0;
@@ -778,41 +684,12 @@ void Server::HandleCancel(const SessionPtr& s, const ParsedRequest& p) {
   RespondInline(s, RenderResponse(p.http, m, "cancelled\n"));
 }
 
-std::string Server::RenderStatsJson() {
-  std::string json = stats_.ToJson();
-  auto clients = queue_.SnapshotClients();
-  if (clients.empty() || json.empty() || json.back() != '}') return json;
-  // The per-client object nests inside the flat legacy JSON; with no
-  // client traffic yet the output stays byte-identical to the old /stats.
-  std::string extra = ",\"clients\":{";
-  bool first = true;
-  char buf[256];
-  for (const auto& c : clients) {
-    if (!first) extra += ',';
-    first = false;
-    std::snprintf(
-        buf, sizeof(buf),
-        "\"%s\":{\"admitted\":%llu,\"done\":%llu,\"shed_quota\":%llu,"
-        "\"shed_queue\":%llu,\"inflight\":%d,\"queued\":%zu}",
-        c.name.empty() ? "anon" : c.name.c_str(),
-        static_cast<unsigned long long>(c.admitted),
-        static_cast<unsigned long long>(c.done),
-        static_cast<unsigned long long>(c.shed_quota),
-        static_cast<unsigned long long>(c.shed_queue), c.inflight, c.queued);
-    extra += buf;
-  }
-  extra += '}';
-  json.insert(json.size() - 1, extra);
-  return json;
-}
-
 std::string Server::RenderMetricsText() {
   std::string out = stats_.ToPrometheus();
   auto clients = queue_.SnapshotClients();
   if (clients.empty()) return out;
   // The registry is label-free by design; the per-client families are the
-  // one labeled surface and are rendered here from the same queue snapshot
-  // that feeds /stats, so the two endpoints cannot diverge.
+  // one labeled surface and are rendered here from the queue's snapshot.
   auto emit = [&](const char* name, const char* help, const char* type,
                   auto field) {
     out += "# HELP ";

@@ -26,7 +26,7 @@
 //     engine instead of the JIT; 2: also single-threaded); sustained
 //     successes step it back down. The level picks each run's {engine,
 //     threads} — jit@T, vm@T, vm@1 — on the worker's one Interpreter.
-//     Reported per response (X-QC-Downshift) and in /stats;
+//     Reported per response (X-QC-Downshift) and in /metrics;
 //   * graceful drain — BeginDrain() (SIGTERM in the binary) stops
 //     admissions, Drain() waits for in-flight work up to
 //     QC_SERVE_DRAIN_MS, then cancels stragglers through their controls;
@@ -106,50 +106,55 @@ struct ServerOptions {
   static ServerOptions FromEnv();
 };
 
+// Every server counter, one row each: X(member, help). The row generates
+// the ServerStats reference member and its registration as the Prometheus
+// family qc_server_<member>_total, so a counter is declared exactly once.
+#define QC_SERVER_COUNTER_LIST(X)                                            \
+  X(connections, "Accepted client connections.")                             \
+  X(requests, "Admission attempts (query + block).")                         \
+  X(ok, "Requests that finished with status ok.")                            \
+  X(bad_requests, "Malformed, unroutable, or uncompilable requests.")        \
+  X(shed_queue_full, "Requests shed because the admission queue was full.")  \
+  X(shed_queue_deadline,                                                     \
+    "Requests shed after waiting out their queue deadline.")                 \
+  X(shed_draining, "Requests refused because the server was draining.")      \
+  X(failed_deadline, "Runs tripped by their execution deadline.")            \
+  X(failed_cancelled, "Runs cancelled (disconnect, drain kill).")            \
+  X(failed_memory, "Runs tripped by their memory budget.")                   \
+  X(failed_resource, "Runs that exhausted retries on resource failures.")    \
+  X(retries, "Resource-failure retry attempts.")                             \
+  X(downshifts, "Degradation-ladder step-ups (jit->vm->single-thread).")     \
+  X(disconnect_cancels, "In-flight queries killed by client disconnect.")    \
+  X(drain_kills, "Stragglers cancelled at the drain deadline.")              \
+  X(jit_fallbacks, "Requests whose JIT degraded to the VM mid-serve.")       \
+  X(net_faults, "Injected srv_* fault firings.")                             \
+  X(shed_quota, "Requests shed by a per-client token-bucket quota.")         \
+  X(shed_client_queue, "Requests shed by a per-client queue bound.")         \
+  X(cancels_by_id, "Accepted cancel-by-id requests (POST /cancel, CANCEL).") \
+  X(evicted_idle, "Idle keep-alive connections evicted by the timeout sweep.") \
+  X(evicted_stalled,                                                         \
+    "Connections evicted for a stalled read (slow loris) or write.")         \
+  X(pipeline_limited, "Connections closed for exceeding the pipelining cap.") \
+  X(conn_evicted, "Idle connections LIFO-evicted at the connection ceiling.") \
+  X(conn_refused,                                                            \
+    "Connections refused at the ceiling with no evictable socket.")
+
 // Monotonic counters, all relaxed: exactness across threads matters less
-// than never synchronizing on the hot path. Every counter lives in the
-// server's own telemetry registry; /stats (JSON) and /metrics (Prometheus)
-// are both rendered from one registry snapshot, so they can never diverge.
-// The reference members keep `stats().ok.load()`-style call sites working.
+// than never synchronizing on the hot path. Every metric lives in the
+// server's own telemetry registry and is exported by /metrics; the
+// reference members keep `stats().ok.load()`-style call sites working.
 struct ServerStats {
   telemetry::MetricsRegistry registry;  // must precede the references
 
-  telemetry::Counter& connections;
-  telemetry::Counter& requests;
-  telemetry::Counter& ok;
-  telemetry::Counter& bad_requests;
-  telemetry::Counter& shed_queue_full;
-  telemetry::Counter& shed_queue_deadline;
-  telemetry::Counter& shed_draining;
-  telemetry::Counter& failed_deadline;
-  telemetry::Counter& failed_cancelled;
-  telemetry::Counter& failed_memory;
-  telemetry::Counter& failed_resource;
-  telemetry::Counter& retries;
-  telemetry::Counter& downshifts;
+#define QC_SERVER_COUNTER_MEMBER(member, help) telemetry::Counter& member;
+  QC_SERVER_COUNTER_LIST(QC_SERVER_COUNTER_MEMBER)
+#undef QC_SERVER_COUNTER_MEMBER
   telemetry::Gauge& downshift_level;  // 0..2 degradation ladder
-  telemetry::Counter& disconnect_cancels;
-  telemetry::Counter& drain_kills;
-  telemetry::Counter& jit_fallbacks;
-  telemetry::Counter& net_faults;  // injected srv_* fault firings
-  telemetry::Histogram& request_ms;  // end-to-end worker latency (no json)
-
-  // PR 9 families, registered after the originals so the legacy /stats
-  // keys keep their positions and the new ones append.
-  telemetry::Counter& shed_quota;        // token-bucket 429 sheds
-  telemetry::Counter& shed_client_queue; // per-client queue-bound 429 sheds
-  telemetry::Counter& cancels_by_id;     // POST /cancel + CANCEL accepted
-  telemetry::Counter& evicted_idle;      // idle keep-alive sockets closed
-  telemetry::Counter& evicted_stalled;   // slow-loris / stalled-write closes
-  telemetry::Counter& pipeline_limited;  // connections over the pipeline cap
-  telemetry::Counter& conn_evicted;      // LIFO evictions at the ceiling
-  telemetry::Counter& conn_refused;      // accepts refused at the ceiling
+  telemetry::Histogram& request_ms;   // end-to-end worker latency
 
   ServerStats();
 
-  // One snapshot feeds both renderings (and the shutdown summary).
   telemetry::MetricsSnapshot Snapshot() const { return registry.Snapshot(); }
-  std::string ToJson() const;        // byte-compatible with the old /stats
   std::string ToPrometheus() const;  // server + process-global families
 };
 
@@ -226,10 +231,9 @@ class Server {
   // (possibly after LIFO-evicting an idle session), false = refuse.
   bool MakeRoomForConnection();
 
-  // Renders /stats JSON (registry snapshot + per-client object) and the
-  // /metrics exposition (adds hand-labeled qc_server_client_* families —
-  // the registry itself is label-free).
-  std::string RenderStatsJson();
+  // Renders the /metrics exposition: the registry snapshot plus the
+  // hand-labeled qc_server_client_* families (the registry itself is
+  // label-free).
   std::string RenderMetricsText();
 
   // --- worker internals ---------------------------------------------------

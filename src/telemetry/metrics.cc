@@ -80,7 +80,6 @@ void Histogram::Read(std::vector<uint64_t>* buckets, uint64_t* count,
 struct MetricsRegistry::Entry {
   std::string name;
   std::string help;
-  std::string json_key;
   MetricKind kind;
   std::unique_ptr<Counter> counter;
   std::unique_ptr<Gauge> gauge;
@@ -92,47 +91,37 @@ struct MetricsRegistry::Entry {
 MetricsRegistry::MetricsRegistry() = default;
 MetricsRegistry::~MetricsRegistry() = default;
 
-Counter* MetricsRegistry::AddCounter(const char* name, const char* help,
-                                     const char* json_key) {
-  std::lock_guard<std::mutex> lock(mu_);
+MetricsRegistry::Entry& MetricsRegistry::Add(const char* name,
+                                             const char* help,
+                                             MetricKind kind) {
   auto e = std::make_unique<Entry>();
   e->name = name;
   e->help = help;
-  e->json_key = json_key;
-  e->kind = MetricKind::kCounter;
-  e->counter = std::make_unique<Counter>();
-  Counter* out = e->counter.get();
+  e->kind = kind;
   entries_.push_back(std::move(e));
-  return out;
+  return *entries_.back();
 }
 
-Gauge* MetricsRegistry::AddGauge(const char* name, const char* help,
-                                 const char* json_key) {
+Counter* MetricsRegistry::AddCounter(const char* name, const char* help) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->help = help;
-  e->json_key = json_key;
-  e->kind = MetricKind::kGauge;
-  e->gauge = std::make_unique<Gauge>();
-  Gauge* out = e->gauge.get();
-  entries_.push_back(std::move(e));
-  return out;
+  Entry& e = Add(name, help, MetricKind::kCounter);
+  e.counter = std::make_unique<Counter>();
+  return e.counter.get();
+}
+
+Gauge* MetricsRegistry::AddGauge(const char* name, const char* help) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& e = Add(name, help, MetricKind::kGauge);
+  e.gauge = std::make_unique<Gauge>();
+  return e.gauge.get();
 }
 
 Histogram* MetricsRegistry::AddHistogram(const char* name, const char* help,
-                                         std::vector<double> bounds,
-                                         const char* json_key) {
+                                         std::vector<double> bounds) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->help = help;
-  e->json_key = json_key;
-  e->kind = MetricKind::kHistogram;
-  e->hist = std::make_unique<Histogram>(std::move(bounds));
-  Histogram* out = e->hist.get();
-  entries_.push_back(std::move(e));
-  return out;
+  Entry& e = Add(name, help, MetricKind::kHistogram);
+  e.hist = std::make_unique<Histogram>(std::move(bounds));
+  return e.hist.get();
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
@@ -143,7 +132,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     MetricSample s;
     s.name = e->name;
     s.help = e->help;
-    s.json_key = e->json_key;
     s.kind = e->kind;
     switch (e->kind) {
       case MetricKind::kCounter:
@@ -196,23 +184,6 @@ std::string MetricsSnapshot::ToPrometheus() const {
       }
     }
   }
-  return out;
-}
-
-std::string MetricsSnapshot::ToJson() const {
-  std::string out = "{";
-  bool first = true;
-  for (const MetricSample& s : samples) {
-    if (s.json_key.empty() || s.kind == MetricKind::kHistogram) continue;
-    if (!first) out += ",";
-    first = false;
-    if (s.kind == MetricKind::kCounter) {
-      AppendF(&out, "\"%s\":%" PRIu64, s.json_key.c_str(), s.counter);
-    } else {
-      AppendF(&out, "\"%s\":%" PRId64, s.json_key.c_str(), s.gauge);
-    }
-  }
-  out += "}";
   return out;
 }
 

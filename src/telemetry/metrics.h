@@ -1,6 +1,5 @@
 // Telemetry metrics registry: lock-free counters/gauges/histograms with
-// named registration, snapshotted into Prometheus text exposition format
-// and JSON from the same data so the two exports cannot drift.
+// named registration, snapshotted into Prometheus text exposition format.
 //
 // Design constraints (see src/telemetry/README.md):
 //   - Update paths are wait-free: a counter bump is one relaxed fetch_add
@@ -112,9 +111,8 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 
 // One metric's point-in-time value inside a snapshot.
 struct MetricSample {
-  std::string name;      // Prometheus family name
+  std::string name;  // Prometheus family name
   std::string help;
-  std::string json_key;  // "" = excluded from the JSON export
   MetricKind kind = MetricKind::kCounter;
   uint64_t counter = 0;
   int64_t gauge = 0;
@@ -124,18 +122,13 @@ struct MetricSample {
   double sum = 0;                 // histogram sum
 };
 
-// Registration-ordered snapshot; both renderers walk the same samples so
-// /metrics and /stats cannot disagree.
+// Registration-ordered snapshot of every sample.
 struct MetricsSnapshot {
   std::vector<MetricSample> samples;
 
   // Prometheus text exposition format (# HELP / # TYPE, cumulative
   // le-buckets + _sum/_count for histograms, escaped help text).
   std::string ToPrometheus() const;
-  // {"key":value,...} over samples with a non-empty json_key, in
-  // registration order. Counters render unsigned, gauges signed;
-  // histograms are Prometheus-only.
-  std::string ToJson() const;
 };
 
 // Named registration in insertion order. The registry owns the metric
@@ -147,13 +140,10 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter* AddCounter(const char* name, const char* help,
-                      const char* json_key = "");
-  Gauge* AddGauge(const char* name, const char* help,
-                  const char* json_key = "");
+  Counter* AddCounter(const char* name, const char* help);
+  Gauge* AddGauge(const char* name, const char* help);
   Histogram* AddHistogram(const char* name, const char* help,
-                          std::vector<double> bounds,
-                          const char* json_key = "");
+                          std::vector<double> bounds);
 
   MetricsSnapshot Snapshot() const;
 
@@ -164,6 +154,9 @@ class MetricsRegistry {
 
  private:
   struct Entry;
+  // Appends one entry; the calling Add* holds mu_ and fills in the metric.
+  Entry& Add(const char* name, const char* help, MetricKind kind);
+
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Entry>> entries_;
 };

@@ -218,13 +218,20 @@ TEST(ServerTest, ServesQueriesBitExactOnBothProtocols) {
   size_t nl = resp.find('\n');
   EXPECT_EQ(resp.substr(nl + 1, resp.size() - nl - 3), RefRows(1, 5));
 
-  // Health and stats answer inline even while workers are free-running.
+  // Health answers inline even while workers are free-running. /metrics is
+  // the one counter export: the retired JSON endpoint and line command are
+  // unknown routes like any other.
   HttpResp hz = HttpGet(server.port(), "/healthz");
   EXPECT_EQ(hz.code, 200);
   EXPECT_EQ(hz.body, "ok\n");
   HttpResp st = HttpGet(server.port(), "/stats");
-  EXPECT_EQ(st.code, 200);
-  EXPECT_NE(st.body.find("\"requests\""), std::string::npos);
+  EXPECT_EQ(st.code, 404);
+  EXPECT_EQ(st.headers["X-QC-Status"], "not_found");
+  EXPECT_EQ(st.body, "not_found\n");
+  fd = ConnectTo(server.port());
+  resp = LineRequest(fd, "STATS\n");
+  ::close(fd);
+  EXPECT_EQ(resp.compare(0, 15, "ERR bad_request"), 0) << resp;
   server.Stop();
 }
 
@@ -433,21 +440,13 @@ bool PromValue(const std::string& text, const std::string& family,
   return false;
 }
 
-bool JsonValue(const std::string& json, const std::string& key,
-               long long* out) {
-  std::string needle = "\"" + key + "\":";
-  size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtoll(json.c_str() + pos + needle.size(), nullptr, 10);
-  return true;
-}
-
-// /metrics and /stats must be two renderings of the same registry snapshot:
-// after a scripted mix of outcomes (successes, a retry, a bad request),
-// every /stats counter must equal its qc_server_* Prometheus family. Both
-// are fetched over ONE line-protocol connection so no counter moves between
-// the two reads (metadata requests are not admitted queries).
-TEST(ServerTest, MetricsEndpointAgreesWithStats) {
+// /metrics is the daemon's one counter export: after a scripted mix of
+// outcomes (successes, a retry, a bad request), every counter member of
+// ServerStats must equal its qc_server_*_total family. The exposition is
+// read over one line-protocol connection that stays open while the members
+// are compared, so no counter moves in between (metadata requests are not
+// admitted queries, and every outcome is counted before its response).
+TEST(ServerTest, MetricsEndpointMatchesEveryServerCounter) {
   ServerOptions opts = TestOptions();
   opts.workers = 2;
   opts.max_retries = 2;
@@ -468,7 +467,7 @@ TEST(ServerTest, MetricsEndpointAgreesWithStats) {
   EXPECT_EQ(HttpGet(server.port(), "/no_such_endpoint").code, 404);
 
   // The HTTP rendering carries the exposition-format content type and the
-  // histogram family the JSON view cannot express.
+  // latency histogram.
   HttpResp prom = HttpGet(server.port(), "/metrics");
   ASSERT_EQ(prom.code, 200);
   EXPECT_EQ(prom.headers["Content-Type"], "text/plain; version=0.0.4");
@@ -482,40 +481,27 @@ TEST(ServerTest, MetricsEndpointAgreesWithStats) {
 
   int fd = ConnectTo(server.port());
   std::string metrics = LineBody(LineRequest(fd, "METRICS\n"));
-  std::string stats = LineBody(LineRequest(fd, "STATS\n"));
-  ::close(fd);
   ASSERT_FALSE(metrics.empty());
-  ASSERT_FALSE(stats.empty());
-
-  const char* kCounters[] = {
-      "connections",      "requests",        "ok",
-      "bad_requests",     "shed_queue_full", "shed_queue_deadline",
-      "shed_draining",    "failed_deadline", "failed_cancelled",
-      "failed_memory",    "failed_resource", "retries",
-      "downshifts",       "disconnect_cancels",
-      "drain_kills",      "jit_fallbacks",   "net_faults",
-      "shed_quota",       "shed_client_queue", "cancels_by_id",
-      "evicted_idle",     "evicted_stalled", "pipeline_limited",
-      "conn_evicted",     "conn_refused"};
-  for (const char* key : kCounters) {
-    SCOPED_TRACE(key);
-    long long from_json = -1, from_prom = -1;
-    ASSERT_TRUE(JsonValue(stats, key, &from_json));
-    ASSERT_TRUE(
-        PromValue(metrics, std::string("qc_server_") + key + "_total",
-                  &from_prom));
-    EXPECT_EQ(from_json, from_prom);
+  const ServerStats& st = server.stats();
+#define EXPECT_FAMILY_EQ_MEMBER(member, help)                              \
+  {                                                                        \
+    SCOPED_TRACE(#member);                                                 \
+    long long v = -1;                                                      \
+    ASSERT_TRUE(PromValue(metrics, "qc_server_" #member "_total", &v));    \
+    EXPECT_EQ(static_cast<uint64_t>(v), st.member.load());                 \
   }
-  long long level_json = -1, level_prom = -1;
-  ASSERT_TRUE(JsonValue(stats, "downshift_level", &level_json));
-  ASSERT_TRUE(PromValue(metrics, "qc_server_downshift_level", &level_prom));
-  EXPECT_EQ(level_json, level_prom);
+  QC_SERVER_COUNTER_LIST(EXPECT_FAMILY_EQ_MEMBER)
+#undef EXPECT_FAMILY_EQ_MEMBER
+  long long level = -1;
+  ASSERT_TRUE(PromValue(metrics, "qc_server_downshift_level", &level));
+  EXPECT_EQ(level, st.downshift_level.load());
+  ::close(fd);
 
-  // Spot-check the mix actually landed in both views.
+  // Spot-check the mix actually landed in the export.
   long long oks = 0, retries = 0, bad = 0;
-  ASSERT_TRUE(JsonValue(stats, "ok", &oks));
-  ASSERT_TRUE(JsonValue(stats, "retries", &retries));
-  ASSERT_TRUE(JsonValue(stats, "bad_requests", &bad));
+  ASSERT_TRUE(PromValue(metrics, "qc_server_ok_total", &oks));
+  ASSERT_TRUE(PromValue(metrics, "qc_server_retries_total", &retries));
+  ASSERT_TRUE(PromValue(metrics, "qc_server_bad_requests_total", &bad));
   EXPECT_GE(oks, 3);
   EXPECT_EQ(retries, 1);
   EXPECT_GE(bad, 1);
@@ -1182,10 +1168,10 @@ TEST(ServerTest, SlowReaderDrainsPipelinedResultsByteExact) {
   server.Stop();
 }
 
-// The per-client cells of /stats and the labeled qc_server_client_* families
-// of /metrics are two renderings of one queue snapshot: every cell must
-// agree, and the flat shed counter must equal the per-client sum.
-TEST(ServerTest, PerClientCountersConsistentAcrossStatsAndMetrics) {
+// The labeled qc_server_client_* families of /metrics count exactly the
+// per-client outcomes the client observed, and the flat shed counter
+// equals the per-client sum.
+TEST(ServerTest, PerClientCountersMatchObservedOutcomes) {
   ServerOptions opts = TestOptions();
   opts.client_qps = 1;  // force at least one quota shed
   Server server(Db(), opts);
@@ -1201,35 +1187,19 @@ TEST(ServerTest, PerClientCountersConsistentAcrossStatsAndMetrics) {
   ASSERT_GE(okc, 1);
   ASSERT_GE(shed, 1);
 
-  // Both views over one connection: no counter can move between reads.
   std::string metrics = LineBody(LineRequest(fd, "METRICS\n"));
-  std::string stats = LineBody(LineRequest(fd, "STATS\n"));
   ::close(fd);
 
-  size_t cpos = stats.find("\"clients\":{");
-  ASSERT_NE(cpos, std::string::npos) << stats;
-  std::string alice = stats.substr(cpos);
-  ASSERT_NE(alice.find("\"alice\":{"), std::string::npos) << alice;
-
-  const char* kCells[] = {"admitted", "done", "shed_quota", "inflight",
-                          "queued"};
-  const char* kFamilies[] = {
-      "qc_server_client_admitted_total", "qc_server_client_done_total",
-      "qc_server_client_shed_quota_total", "qc_server_client_inflight",
-      "qc_server_client_queued"};
-  for (int i = 0; i < 5; ++i) {
-    SCOPED_TRACE(kCells[i]);
-    long long from_json = -1, from_prom = -1;
-    ASSERT_TRUE(JsonValue(alice, kCells[i], &from_json));
-    ASSERT_TRUE(PromClientValue(metrics, kFamilies[i], "alice", &from_prom));
-    EXPECT_EQ(from_json, from_prom);
-  }
   long long admitted = -1, done = -1, q = -1, flat = -1;
-  ASSERT_TRUE(JsonValue(alice, "admitted", &admitted));
-  ASSERT_TRUE(JsonValue(alice, "done", &done));
-  ASSERT_TRUE(JsonValue(alice, "shed_quota", &q));
+  ASSERT_TRUE(PromClientValue(metrics, "qc_server_client_admitted_total",
+                              "alice", &admitted))
+      << metrics;
+  ASSERT_TRUE(
+      PromClientValue(metrics, "qc_server_client_done_total", "alice", &done));
+  ASSERT_TRUE(PromClientValue(metrics, "qc_server_client_shed_quota_total",
+                              "alice", &q));
   EXPECT_EQ(admitted, okc);
-  EXPECT_EQ(done, okc);  // every admitted block finished before the reads
+  EXPECT_EQ(done, okc);  // every admitted block finished before the read
   EXPECT_EQ(q, shed);
   ASSERT_TRUE(PromValue(metrics, "qc_server_shed_quota_total", &flat));
   EXPECT_EQ(flat, shed);  // alice is the only shedding tenant

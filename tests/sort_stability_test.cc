@@ -182,9 +182,10 @@ TEST(SortStability, EmptyAndSingleChunkEdges) {
 // loop qualifies (ir/parallel.cc allows loop-local kListSortBy), so under
 // threads > 1 the sort executes on worker threads while the pool's scan
 // batch is in flight. The single-batch WorkerPool cannot nest, so these
-// sorts must stay sequential on every engine — the compiler withholds the
-// parallel flag inside morsel fragments (the JIT's sort helper sees only
-// that flag), and the VM additionally gates on morsel context.
+// sorts must stay sequential on every engine. The one gate is the run's:
+// a morsel binds no pool, and both the VM's sort and the JIT's sort helper
+// fan out only onto the pool their context bound. The compiler's flag
+// marks the comparator pure on every copy of the sort.
 // QC_PAR_SORT_MIN=2 makes any missed gate redispatch immediately.
 TEST(SortStability, InLoopSortsStaySequentialOnWorkers) {
   ScopedEnv min_rows("QC_PAR_SORT_MIN", "2");
@@ -210,10 +211,10 @@ TEST(SortStability, InLoopSortsStaySequentialOnWorkers) {
   ir::ParallelInfo info = ir::AnalyzeParallelism(fn);
   ASSERT_EQ(info.loops.size(), 1u) << "the in-loop-sort scan must qualify";
 
-  // Structural half of the lock: the main-stream copy of the sort (the
-  // sequential fallback, main-thread-only) keeps the pure-comparator
-  // parallel flag, while the morsel-fragment copy must have it withheld —
-  // the JIT's sort helper sees only that flag.
+  // Structural half of the lock: both the main-stream copy of the sort
+  // (the sequential fallback) and the morsel-fragment copy carry the
+  // pure-comparator flag, so the runtime half below exercises the
+  // run-level gate rather than a compile-time one.
   {
     storage::Database cdb;
     exec::BytecodeProgram prog =
@@ -226,15 +227,9 @@ TEST(SortStability, InLoopSortsStaySequentialOnWorkers) {
           exec::BcOp::kListSort) {
         continue;
       }
-      if (pc < frag_entry) {
-        ++main_sorts;
-        EXPECT_EQ(prog.code[pc].n, 1u) << "main-stream sort lost the flag";
-      } else {
-        ++frag_sorts;
-        EXPECT_EQ(prog.code[pc].n, 0u)
-            << "fragment sort at pc " << pc
-            << " may redispatch onto the busy pool from a worker";
-      }
+      EXPECT_EQ(prog.code[pc].n, 1u) << "sort at pc " << pc
+                                      << " lost the pure-comparator flag";
+      ++(pc < frag_entry ? main_sorts : frag_sorts);
     }
     EXPECT_EQ(main_sorts, 1);
     EXPECT_EQ(frag_sorts, 1);

@@ -156,7 +156,7 @@ size_t CountOccurrences(const std::string& hay, const std::string& needle) {
 
 TEST(Metrics, CounterConcurrentAdds) {
   telemetry::MetricsRegistry reg;
-  telemetry::Counter* c = reg.AddCounter("t_total", "t", "t");
+  telemetry::Counter* c = reg.AddCounter("t_total", "t");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
@@ -167,18 +167,6 @@ TEST(Metrics, CounterConcurrentAdds) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(c->load(), static_cast<uint64_t>(kThreads) * kPerThread);
-}
-
-TEST(Metrics, JsonIsRegistrationOrderedAndByteStable) {
-  telemetry::MetricsRegistry reg;
-  telemetry::Counter* a = reg.AddCounter("qc_a_total", "a.", "a");
-  telemetry::Gauge* g = reg.AddGauge("qc_g", "g.", "g");
-  telemetry::Counter* b = reg.AddCounter("qc_b_total", "b.", "b");
-  reg.AddCounter("qc_hidden_total", "not in json");  // no json_key
-  a->Add(3);
-  g->Set(-2);
-  b->Inc();
-  EXPECT_EQ(reg.Snapshot().ToJson(), "{\"a\":3,\"g\":-2,\"b\":1}");
 }
 
 TEST(Metrics, HistogramBucketsAndCumulativeRendering) {
