@@ -516,9 +516,7 @@ class Verifier {
   bool InBoundsReg(uint32_t r) const { return r < prog_.num_regs; }
 
   bool IsCtxReg(uint32_t r) const {
-    return r == prog_.out_reg || r == prog_.stats_reg ||
-           r == prog_.rec_reg || r == prog_.gov_reg ||
-           r == prog_.gov_cnt_reg;
+    return r == prog_.state_reg || r == prog_.gov_cnt_reg;
   }
 
   // --- program-level contracts -------------------------------------------
@@ -528,34 +526,30 @@ class Verifier {
       Add(kNoPc, "operand-bounds", "empty program (no kRet)");
       return false;
     }
-    uint32_t ctx[5] = {p.out_reg, p.stats_reg, p.rec_reg, p.gov_reg,
-                       p.gov_cnt_reg};
-    const char* names[5] = {"out_reg", "stats_reg", "rec_reg", "gov_reg",
-                            "gov_cnt_reg"};
     bool ok = true;
-    for (int i = 0; i < 5; ++i) {
-      if (!InBoundsReg(ctx[i])) {
+    for (auto [r, name] : {std::pair{p.state_reg, "state_reg"},
+                           std::pair{p.gov_cnt_reg, "gov_cnt_reg"}}) {
+      if (!InBoundsReg(r)) {
         Add(kNoPc, "context-reg-contract",
-            std::string(names[i]) + " = r" + std::to_string(ctx[i]) +
+            std::string(name) + " = r" + std::to_string(r) +
                 " out of range (num_regs = " + std::to_string(p.num_regs) +
                 ")");
         ok = false;
       }
-      for (int j = 0; j < i; ++j) {
-        if (ctx[i] == ctx[j]) {
-          Add(kNoPc, "context-reg-contract",
-              std::string(names[i]) + " aliases " + names[j] + " (r" +
-                  std::to_string(ctx[i]) + ")");
-          ok = false;
-        }
-      }
     }
-    // The JIT safepoint slow path reaches the GovState* at
+    if (p.gov_cnt_reg == p.state_reg) {
+      Add(kNoPc, "context-reg-contract",
+          "gov_cnt_reg aliases state_reg (r" + std::to_string(p.state_reg) +
+              ")");
+      ok = false;
+    }
+    // The JIT safepoint slow path reaches the RunState* at
     // [countdown slot - 8]; only register adjacency makes that load valid.
-    if (p.gov_cnt_reg != p.gov_reg + 1) {
+    if (p.gov_cnt_reg != p.state_reg + 1) {
       Add(kNoPc, "context-reg-contract",
           "gov_cnt_reg (r" + std::to_string(p.gov_cnt_reg) +
-              ") != gov_reg + 1 (gov_reg = r" + std::to_string(p.gov_reg) +
+              ") != state_reg + 1 (state_reg = r" +
+              std::to_string(p.state_reg) +
               "); the JIT safepoint slow path requires adjacency");
       ok = false;
     }
@@ -803,34 +797,26 @@ class Verifier {
                 "r" + std::to_string(e.writes[i]));
       }
     }
-    // The instructions that carry a context register must carry exactly
-    // the reserved one — a JIT template reaches per-run state through that
-    // operand, so a stray register silently corrupts an unrelated slot.
+    // The instructions that carry a context operand must name state_reg —
+    // a JIT template hands that slot to the shared op as the RunState*, so
+    // a stray register silently corrupts an unrelated slot.
+    uint32_t ctx;
     switch (op) {
       case BcOp::kRecNew: case BcOp::kPoolAlloc: case BcOp::kPoolRecNew:
-        if (I.c != prog_.rec_reg) {
-          Add(pc, "context-reg-contract",
-              std::string(BcOpName(op)) + " heap operand r" +
-                  std::to_string(I.c) + " is not rec_reg r" +
-                  std::to_string(prog_.rec_reg));
-        }
-        break;
       case BcOp::kListAppend:
-        if (I.c != prog_.stats_reg) {
-          Add(pc, "context-reg-contract",
-              "kListAppend stats operand r" + std::to_string(I.c) +
-                  " is not stats_reg r" + std::to_string(prog_.stats_reg));
-        }
+        ctx = I.c;
         break;
       case BcOp::kEmit:
-        if (I.b != prog_.out_reg) {
-          Add(pc, "context-reg-contract",
-              "kEmit output operand r" + std::to_string(I.b) +
-                  " is not out_reg r" + std::to_string(prog_.out_reg));
-        }
+        ctx = I.b;
         break;
       default:
-        break;
+        return;
+    }
+    if (ctx != prog_.state_reg) {
+      Add(pc, "context-reg-contract",
+          std::string(BcOpName(op)) + " context operand r" +
+              std::to_string(ctx) + " is not state_reg r" +
+              std::to_string(prog_.state_reg));
     }
   }
 
@@ -868,10 +854,7 @@ class Verifier {
     // Context registers are bound by the VM at Run entry; `local` is set
     // because the parallel runtime rebinds them per morsel (they are never
     // shared-state handles from a fragment's point of view).
-    st[prog_.out_reg] = {1, 1, Abs::kPtr};
-    st[prog_.stats_reg] = {1, 1, Abs::kPtr};
-    st[prog_.rec_reg] = {1, 1, Abs::kPtr};
-    st[prog_.gov_reg] = {1, 1, Abs::kPtr};
+    st[prog_.state_reg] = {1, 1, Abs::kPtr};
     st[prog_.gov_cnt_reg] = {1, 1, Abs::kI64};
     return st;
   }
@@ -903,10 +886,7 @@ class Verifier {
         st[r].defined = 1;
         st[r].local = 1;
       }
-      st[prog_.out_reg] = {1, 1, Abs::kPtr};
-      st[prog_.stats_reg] = {1, 1, Abs::kPtr};
-      st[prog_.rec_reg] = {1, 1, Abs::kPtr};
-      st[prog_.gov_reg] = {1, 1, Abs::kPtr};
+      st[prog_.state_reg] = {1, 1, Abs::kPtr};
       st[prog_.gov_cnt_reg] = {1, 1, Abs::kI64};
       Analyze(rid, plc.entry, std::move(st));
       CheckRegion(rid);

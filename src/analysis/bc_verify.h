@@ -21,10 +21,10 @@
 //   backedge-safepoint   every backward branch is a governor safepoint
 //                        opcode (kForNext/kIncJmp/kJmpSp) — the governance
 //                        liveness guarantee
-//   context-reg-contract the five reserved registers (out/stats/rec/gov/
-//                        gov_cnt) are in range, distinct, adjacent where
-//                        the JIT requires it, and named by exactly the
-//                        instructions that must carry them
+//   context-reg-contract the two reserved registers (state_reg and
+//                        gov_cnt_reg == state_reg + 1) are in range,
+//                        distinct and adjacent, and every context operand
+//                        names state_reg
 //   context-reg-clobber  no instruction writes a reserved register
 //   def-before-use       no register is read on a path where it was never
 //                        written (presets and context bindings count as

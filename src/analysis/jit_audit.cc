@@ -281,13 +281,6 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
   if (std::memcmp(code.data(), prologue.data(), prologue.size()) != 0) {
     add(kNoPc, "entry-layout", "prologue bytes do not match the encoder");
   }
-  if (stitched.like_patterns.size() != prog.patterns.size()) {
-    add(kNoPc, "patch-value",
-        "like_patterns table has " +
-            std::to_string(stitched.like_patterns.size()) +
-            " entries, program has " + std::to_string(prog.patterns.size()) +
-            " patterns");
-  }
   if (stitched.sort_sites.size() != num_sites) {
     add(kNoPc, "sort-site",
         "sort_sites table has " + std::to_string(stitched.sort_sites.size()) +
@@ -404,13 +397,11 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
           want32(p, prog.gov_cnt_reg * 8u, "governance countdown slot");
           break;
         case PatchKind::kPatternC:
-          if (insn.c >= stitched.like_patterns.size()) {
-            add(upc, "patch-value",
-                "kPatternC index outside the like_patterns table");
+          if (insn.c >= prog.patterns.size()) {
+            add(upc, "patch-value", "kPatternC index outside the pattern pool");
           } else {
-            want64(p,
-                   reinterpret_cast<uint64_t>(&stitched.like_patterns[insn.c]),
-                   "pattern descriptor address");
+            want64(p, reinterpret_cast<uint64_t>(&prog.patterns[insn.c]),
+                   "pattern address");
           }
           break;
         case PatchKind::kSortSite: {
@@ -455,7 +446,7 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
             site_bad("descriptor purity flag does not match the "
                      "instruction's parallel-safe bit");
           }
-          if (s.num_regs != prog.num_regs || s.gov_reg != prog.gov_reg) {
+          if (s.num_regs != prog.num_regs || s.state_reg != prog.state_reg) {
             site_bad("descriptor register-file/governance binding does not "
                      "match the program");
           }

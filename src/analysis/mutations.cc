@@ -25,7 +25,7 @@ Insn* FindOp(BytecodeProgram* prog, BcOp op) {
 bool ClobberContextReg(BytecodeProgram* prog) {
   Insn* insn = FindOp(prog, BcOp::kLoadK);
   if (insn == nullptr) return false;
-  insn->a = prog->gov_reg;
+  insn->a = prog->state_reg;
   return true;
 }
 
@@ -75,21 +75,21 @@ bool ReadOfUndefinedReg(BytecodeProgram* prog) {
 }
 
 bool GovCountdownNotAdjacent(BytecodeProgram* prog) {
-  prog->gov_cnt_reg = prog->gov_reg;  // aliases + breaks adjacency
+  prog->gov_cnt_reg = prog->state_reg;  // aliases + breaks adjacency
   return true;
 }
 
 bool EmitToWrongRegister(BytecodeProgram* prog) {
   Insn* insn = FindOp(prog, BcOp::kEmit);
   if (insn == nullptr) return false;
-  insn->b = prog->stats_reg;
+  insn->b = prog->gov_cnt_reg;
   return true;
 }
 
 bool LogRowToForeignRegister(BytecodeProgram* prog) {
   Insn* insn = FindOp(prog, BcOp::kLogRow);
   if (insn == nullptr) return false;
-  insn->c = prog->out_reg;  // out_reg is never a bound addend log
+  insn->c = prog->state_reg;  // state_reg is never a bound addend log
   return true;
 }
 
@@ -208,14 +208,11 @@ const std::vector<JitMutation>& JitMutations() {
 namespace {
 
 // Skeleton shared by the synthetic programs: 16 registers, context regs
-// r10..r14, presets for r0/r1.
+// r13/r14, presets for r0/r1.
 BytecodeProgram SyntheticBase() {
   BytecodeProgram p;
   p.num_regs = 16;
-  p.out_reg = 10;
-  p.stats_reg = 11;
-  p.rec_reg = 12;
-  p.gov_reg = 13;
+  p.state_reg = 13;
   p.gov_cnt_reg = 14;
   Slot s{};
   p.presets.emplace_back(0, s);
@@ -244,7 +241,7 @@ BytecodeProgram SyntheticImpureParallelSort() {
   BytecodeProgram p = SyntheticBase();
   p.extra = {5, 6, 7};  // {param0, param1, result}
   p.code.push_back(MakeInsn(BcOp::kJmp, 0, 0, 0, +2));
-  p.code.push_back(MakeInsn(BcOp::kPoolAlloc, 7, 5, p.rec_reg));
+  p.code.push_back(MakeInsn(BcOp::kPoolAlloc, 7, 5, p.state_reg));
   p.code.push_back(MakeInsn(BcOp::kRet));
   p.code.push_back(MakeInsn(BcOp::kArrSort, 0, 1, 1, 0, 1));
   p.code.push_back(MakeInsn(BcOp::kRet));

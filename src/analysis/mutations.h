@@ -1,8 +1,7 @@
 // Mutation self-tests for the static verifier layer (bc_verify.h,
 // jit_audit.h): deliberately corrupted programs and stitched images that a
 // sound checker MUST reject, each tagged with the invariant expected to
-// fire. Shared by the qc_verify CLI (`--self-test`) and
-// tests/analysis_test.cc so the two suites cannot drift.
+// fire. Driven by the qc_verify CLI (`--self-test`, registered with ctest).
 //
 // A mutation's `apply` works on a copy of a real compiled program (or its
 // stitched image) and returns false when the program has no applicable

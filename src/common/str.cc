@@ -15,7 +15,7 @@ bool StrContains(std::string_view s, std::string_view infix) {
   return s.find(infix) != std::string_view::npos;
 }
 
-std::vector<std::string> SplitLikePattern(std::string_view pattern) {
+std::vector<std::string> SplitLike(std::string_view pattern) {
   std::vector<std::string> segments;
   std::string cur;
   for (char c : pattern) {
@@ -31,7 +31,7 @@ std::vector<std::string> SplitLikePattern(std::string_view pattern) {
 }
 
 bool StrLike(std::string_view s, std::string_view pattern) {
-  return StrLikeSegs(s, SplitLikePattern(pattern));
+  return StrLikeSegs(s, SplitLike(pattern));
 }
 
 bool StrLikeSegs(std::string_view s, const std::vector<std::string>& segs) {

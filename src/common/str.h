@@ -20,11 +20,11 @@ bool StrContains(std::string_view s, std::string_view infix);
 bool StrLike(std::string_view s, std::string_view pattern);
 
 // Splits a '%'-pattern into its literal segments.
-std::vector<std::string> SplitLikePattern(std::string_view pattern);
+std::vector<std::string> SplitLike(std::string_view pattern);
 
 // The matching core over already-split segments — StrLike is
-// SplitLikePattern + this. Callers that can split once (the JIT
-// precompiles patterns at stitch time) use it directly, so the two paths
+// SplitLike + this. Callers that can split once (the bytecode compiler
+// splits each pattern at compile time) use it directly, so the two paths
 // cannot diverge.
 bool StrLikeSegs(std::string_view s, const std::vector<std::string>& segs);
 

@@ -11,15 +11,6 @@
 #include "ir/numbering.h"
 #include "jit/engine.h"
 
-// Computed-goto direct threading needs the GNU labels-as-values extension;
-// the portable switch loop is kept behind QC_BC_NO_COMPUTED_GOTO (and used
-// automatically on compilers without the extension).
-#if (defined(__GNUC__) || defined(__clang__)) && !defined(QC_BC_NO_COMPUTED_GOTO)
-#define QC_BC_USE_CGOTO 1
-#else
-#define QC_BC_USE_CGOTO 0
-#endif
-
 namespace qc::exec {
 
 using ir::Block;
@@ -315,13 +306,10 @@ BytecodeProgram BytecodeCompiler::Compile(const ir::Function& fn,
                                           const ir::ParallelInfo* par) {
   prog_ = BytecodeProgram();
   num_regs_ = static_cast<uint32_t>(fn.num_stmts());
-  // Context registers, written by the runtime (see BytecodeProgram).
-  prog_.out_reg = NewTemp();
-  prog_.stats_reg = NewTemp();
-  prog_.rec_reg = NewTemp();
-  // Governance registers: must stay consecutive (gov_cnt_reg == gov_reg+1,
-  // see BytecodeProgram) — the JIT safepoint template depends on it.
-  prog_.gov_reg = NewTemp();
+  // Context registers, written by the runtime. Must stay consecutive
+  // (gov_cnt_reg == state_reg + 1, see BytecodeProgram) — the JIT
+  // safepoint template depends on it.
+  prog_.state_reg = NewTemp();
   prog_.gov_cnt_reg = NewTemp();
   uses_ = ir::ComputeUseCounts(fn);
   alias_.clear();
@@ -1025,7 +1013,7 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
       Emit(BcOp::kStrContains, Reg(s), Reg(s->args[0]), Reg(s->args[1]));
       return;
     case Op::kStrLike: {
-      prog_.patterns.push_back(s->sval);
+      prog_.patterns.push_back(SplitLike(s->sval));
       Emit(BcOp::kStrLike, Reg(s), Reg(s->args[0]),
            static_cast<uint32_t>(prog_.patterns.size() - 1));
       return;
@@ -1104,7 +1092,7 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
       std::vector<uint32_t> regs;
       regs.reserve(s->args.size());
       for (const Stmt* a : s->args) regs.push_back(Reg(a));
-      Emit(BcOp::kRecNew, Reg(s), ExtraList(regs), prog_.rec_reg, 0,
+      Emit(BcOp::kRecNew, Reg(s), ExtraList(regs), prog_.state_reg, 0,
            static_cast<uint16_t>(regs.size()));
       return;
     }
@@ -1151,7 +1139,7 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
       return;
     case Op::kListAppend:
       Emit(BcOp::kListAppend, Reg(s->args[0]), Reg(s->args[1]),
-           prog_.stats_reg);
+           prog_.state_reg);
       return;
     case Op::kListForeach: {
       const Block* body = s->blocks[0];
@@ -1248,13 +1236,13 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
       return;
 
     case Op::kPoolAlloc:
-      Emit(BcOp::kPoolAlloc, Reg(s), Reg(s->args[0]), prog_.rec_reg);
+      Emit(BcOp::kPoolAlloc, Reg(s), Reg(s->args[0]), prog_.state_reg);
       return;
     case Op::kPoolRecNew: {
       std::vector<uint32_t> regs;
       regs.reserve(s->args.size() - 1);
       for (size_t i = 1; i < s->args.size(); ++i) regs.push_back(Reg(s->args[i]));
-      Emit(BcOp::kPoolRecNew, Reg(s), ExtraList(regs), prog_.rec_reg, 0,
+      Emit(BcOp::kPoolRecNew, Reg(s), ExtraList(regs), prog_.state_reg, 0,
            static_cast<uint16_t>(regs.size()));
       return;
     }
@@ -1296,7 +1284,7 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
         regs.push_back(Reg(s->args[i]));
         if (s->args[i]->type->kind == TypeKind::kStr) mask |= 1u << i;
       }
-      Emit(BcOp::kEmit, ExtraList(regs), prog_.out_reg, mask, 0,
+      Emit(BcOp::kEmit, ExtraList(regs), prog_.state_reg, mask, 0,
            static_cast<uint16_t>(regs.size()));
       return;
     }
@@ -1316,12 +1304,8 @@ void RunState::Bind(const BytecodeProgram& prog, ExecControl* ctl,
   gov.Attach(ctl, stats);
   gov.par = par;
   records.SetGovernor(&gov);
-  regs[prog.out_reg] = SlotP(&out);
-  regs[prog.stats_reg] = SlotP(stats);
-  regs[prog.rec_reg] = SlotP(&records);
-  // Governance context: GovState* + countdown through the register file
-  // (INT64_MAX when ungoverned — the safepoint slow path is unreachable).
-  regs[prog.gov_reg] = SlotP(&gov);
+  regs[prog.state_reg] = SlotP(this);
+  // INT64_MAX when ungoverned — the safepoint slow path is unreachable.
   regs[prog.gov_cnt_reg] = SlotI(gov.InitialCountdown());
 }
 
@@ -1425,13 +1409,11 @@ template <bool kHybrid>
 uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   const Insn* code = prog_->code.data();
   const Insn* I = nullptr;
-  // Governance safepoint state, reached through the reserved registers.
-  // Ungoverned runs preset the countdown to INT64_MAX, so back edges pay
-  // one dec + never-taken branch and the slow path is unreachable.
+  // Safepoint countdown, in its reserved register. Ungoverned runs preset
+  // it to INT64_MAX, so back edges pay one dec + never-taken branch and the
+  // slow path is unreachable.
   int64_t* const gov_cnt = &R[prog_->gov_cnt_reg].i;
-  GovState* const gov = static_cast<GovState*>(R[prog_->gov_reg].p);
 
-#if QC_BC_USE_CGOTO
   static const void* kTargets[] = {
 #define QC_BC_LABEL_ADDR(name) &&TGT_##name,
       QC_BC_OP_LIST(QC_BC_LABEL_ADDR)
@@ -1446,15 +1428,6 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
     goto* kTargets[I->op];                         \
   } while (0)
   DISPATCH();
-#else
-#define TARGET(name) case BcOp::name:
-#define DISPATCH() break
-  for (;;) {
-    if (kHybrid && jit_->HasEntry(pc)) return pc;
-    I = &code[pc];
-    ++pc;
-    switch (static_cast<BcOp>(I->op)) {
-#endif
 
   TARGET(kRet) { return jit::kRetPc; }
   TARGET(kJmp) { pc += I->d; }
@@ -1475,7 +1448,7 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
     if (++R[I->a].i < R[I->b].i) {
       pc += I->d;
       // Safepoint, fused into the taken back edge (exit paths need none).
-      if (--*gov_cnt <= 0 && qc_gov_safepoint(gov, gov_cnt) != 0) {
+      if (--*gov_cnt <= 0 && ops::Safepoint(&st, gov_cnt) != 0) {
         return jit::kAbortPc;
       }
     }
@@ -1484,14 +1457,14 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   TARGET(kIncJmp) {
     ++R[I->a].i;
     pc += I->d;
-    if (--*gov_cnt <= 0 && qc_gov_safepoint(gov, gov_cnt) != 0) {
+    if (--*gov_cnt <= 0 && ops::Safepoint(&st, gov_cnt) != 0) {
       return jit::kAbortPc;
     }
   }
   DISPATCH();
   TARGET(kJmpSp) {
     pc += I->d;
-    if (--*gov_cnt <= 0 && qc_gov_safepoint(gov, gov_cnt) != 0) {
+    if (--*gov_cnt <= 0 && ops::Safepoint(&st, gov_cnt) != 0) {
       return jit::kAbortPc;
     }
   }
@@ -1563,19 +1536,23 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   TARGET(kBitAnd) { R[I->a].i = R[I->b].i & R[I->c].i; }
   DISPATCH();
 
-  TARGET(kStrEq) { R[I->a].i = std::strcmp(R[I->b].s, R[I->c].s) == 0; }
+  TARGET(kStrEq) { R[I->a].i = ops::StrEq(R[I->b].s, R[I->c].s); }
   DISPATCH();
-  TARGET(kStrNe) { R[I->a].i = std::strcmp(R[I->b].s, R[I->c].s) != 0; }
+  TARGET(kStrNe) { R[I->a].i = ops::StrNe(R[I->b].s, R[I->c].s); }
   DISPATCH();
-  TARGET(kStrLt) { R[I->a].i = std::strcmp(R[I->b].s, R[I->c].s) < 0; }
+  TARGET(kStrLt) { R[I->a].i = ops::StrLt(R[I->b].s, R[I->c].s); }
   DISPATCH();
-  TARGET(kStrStarts) { R[I->a].i = StrStartsWith(R[I->b].s, R[I->c].s); }
+  TARGET(kStrStarts) { R[I->a].i = ops::StrStarts(R[I->b].s, R[I->c].s); }
   DISPATCH();
-  TARGET(kStrEnds) { R[I->a].i = StrEndsWith(R[I->b].s, R[I->c].s); }
+  TARGET(kStrEnds) { R[I->a].i = ops::StrEnds(R[I->b].s, R[I->c].s); }
   DISPATCH();
-  TARGET(kStrContains) { R[I->a].i = StrContains(R[I->b].s, R[I->c].s); }
+  TARGET(kStrContains) {
+    R[I->a].i = ops::StrContains(R[I->b].s, R[I->c].s);
+  }
   DISPATCH();
-  TARGET(kStrLike) { R[I->a].i = StrLike(R[I->b].s, prog_->patterns[I->c]); }
+  TARGET(kStrLike) {
+    R[I->a].i = ops::StrLike(R[I->b].s, &prog_->patterns[I->c]);
+  }
   DISPATCH();
   TARGET(kStrLen) {
     R[I->a].i = static_cast<int64_t>(std::strlen(R[I->b].s));
@@ -1591,25 +1568,17 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   DISPATCH();
 
   TARGET(kRecNew) {
-    Slot* rec = st.records.AllocHeap(I->n);
-    const uint32_t* argv = &prog_->extra[I->b];
-    for (uint16_t i = 0; i < I->n; ++i) rec[i] = R[argv[i]];
-    R[I->a] = SlotP(rec);
+    R[I->a] = SlotP(ops::RecNew(&st, R, &prog_->extra[I->b], I->n));
   }
   DISPATCH();
   TARGET(kRecGet) { R[I->a] = static_cast<Slot*>(R[I->b].p)[I->c]; }
   DISPATCH();
   TARGET(kRecSet) { static_cast<Slot*>(R[I->a].p)[I->b] = R[I->c]; }
   DISPATCH();
-  TARGET(kPoolAlloc) {
-    R[I->a] = SlotP(st.records.AllocPool(static_cast<size_t>(R[I->b].i)));
-  }
+  TARGET(kPoolAlloc) { R[I->a] = SlotP(ops::PoolAlloc(&st, R[I->b].i)); }
   DISPATCH();
   TARGET(kPoolRecNew) {
-    Slot* rec = st.records.AllocPool(I->n);
-    const uint32_t* argv = &prog_->extra[I->b];
-    for (uint16_t i = 0; i < I->n; ++i) rec[i] = R[argv[i]];
-    R[I->a] = SlotP(rec);
+    R[I->a] = SlotP(ops::PoolRecNew(&st, R, &prog_->extra[I->b], I->n));
   }
   DISPATCH();
 
@@ -1657,10 +1626,7 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   }
   DISPATCH();
   TARGET(kListAppend) {
-    RtList* l = static_cast<RtList*>(R[I->a].p);
-    size_t before = l->items.capacity();
-    l->items.push_back(R[I->b]);
-    st.stats->vector_bytes += (l->items.capacity() - before) * sizeof(Slot);
+    ops::ListAppend(static_cast<RtList*>(R[I->a].p), &st, R[I->b].i);
   }
   DISPATCH();
   TARGET(kListSize) {
@@ -1684,12 +1650,14 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   }
   DISPATCH();
   TARGET(kMapFind) {
-    R[I->a] = SlotP(static_cast<RtHashMap*>(R[I->b].p)->Find(R[I->c]));
+    R[I->a] = SlotP(ops::MapFind(static_cast<RtHashMap*>(R[I->b].p),
+                                 R[I->c].i));
   }
   DISPATCH();
   TARGET(kMapInsert) {
-    RtHashMap* m = static_cast<RtHashMap*>(R[I->b].p);
-    R[I->a] = SlotP(m->Insert(R[I->c], R[static_cast<uint32_t>(I->d)]));
+    R[I->a] = SlotP(ops::MapInsert(static_cast<RtHashMap*>(R[I->b].p),
+                                   R[I->c].i,
+                                   R[static_cast<uint32_t>(I->d)].i));
   }
   DISPATCH();
   TARGET(kMapNodeVal) {
@@ -1697,8 +1665,8 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   }
   DISPATCH();
   TARGET(kMapGetOrNull) {
-    RtHashMap::Node* n = static_cast<RtHashMap*>(R[I->b].p)->Find(R[I->c]);
-    R[I->a] = n == nullptr ? SlotP(nullptr) : n->value;
+    R[I->a].i =
+        ops::MapGetOrNull(static_cast<RtHashMap*>(R[I->b].p), R[I->c].i);
   }
   DISPATCH();
   TARGET(kMapSize) {
@@ -1719,11 +1687,12 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   }
   DISPATCH();
   TARGET(kMMapAdd) {
-    static_cast<RtMultiMap*>(R[I->a].p)->Add(R[I->b], R[I->c]);
+    ops::MMapAdd(static_cast<RtMultiMap*>(R[I->a].p), R[I->b].i, R[I->c].i);
   }
   DISPATCH();
   TARGET(kMMapGetOrNull) {
-    R[I->a] = SlotP(static_cast<RtMultiMap*>(R[I->b].p)->GetOrNull(R[I->c]));
+    R[I->a].i =
+        ops::MMapGetOrNull(static_cast<RtMultiMap*>(R[I->b].p), R[I->c].i);
   }
   DISPATCH();
 
@@ -1829,24 +1798,13 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   }
   DISPATCH();
 
-  TARGET(kEmit) {
-    const uint32_t* argv = &prog_->extra[I->a];
-    std::vector<Slot> row;
-    row.reserve(I->n);
-    uint32_t mask = I->c;
-    for (uint16_t i = 0; i < I->n; ++i) {
-      Slot v = R[argv[i]];
-      if (mask & (1u << i)) v = SlotS(st.out.InternString(v.s));
-      row.push_back(v);
-    }
-    st.out.AddRow(std::move(row));
-  }
+  TARGET(kEmit) { ops::Emit(&st, R, &prog_->extra[I->a], I->n, I->c); }
   DISPATCH();
 
   TARGET(kParLoop) {
     // Direct safepoint at loop dispatch: a query tripped between loops (or
     // pre-cancelled mid-statement) stops before fanning out new morsels.
-    if (gov != nullptr && gov->ctl != nullptr && gov->Poll() != 0) {
+    if (st.gov.ctl != nullptr && st.gov.Poll() != 0) {
       return jit::kAbortPc;
     }
     // Parallel header of a morsel-parallelizable scan loop. When the
@@ -1854,30 +1812,21 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
     // morsel, whose thread is one of the pool's) and the runtime gates
     // pass, the loop executes morsel-parallel and the sequential fallback
     // that follows is skipped; otherwise fall through into it.
-    if (gov != nullptr && gov->par != nullptr &&
-        parallel::RunForRange(*gov->par, *this, prog_->par_loops[I->a], st,
+    if (st.gov.par != nullptr &&
+        parallel::RunForRange(*st.gov.par, *this, prog_->par_loops[I->a], st,
                               R, prog_->num_regs)) {
       pc += I->d;
     }
   }
   DISPATCH();
   TARGET(kLogRow) {
-    std::vector<Slot>& lg = *static_cast<std::vector<Slot>*>(R[I->c].p);
-    const uint32_t* argv = &prog_->extra[I->b];
-    for (uint16_t i = 0; i < I->n; ++i) lg.push_back(R[argv[i]]);
+    ops::LogRow(static_cast<std::vector<Slot>*>(R[I->c].p), R,
+                &prog_->extra[I->b], I->n * sizeof(Slot));
   }
   DISPATCH();
 
-#if !QC_BC_USE_CGOTO
-      default:
-        std::fprintf(stderr, "bytecode vm: bad opcode %u\n", I->op);
-        std::abort();
-    }
-  }
-#else
   // Unreachable: every handler ends in DISPATCH() and kRet returns.
   return jit::kRetPc;
-#endif
 #undef TARGET
 #undef DISPATCH
 }

@@ -16,8 +16,7 @@
 //                     foreach) is lowered to relative jumps.
 //
 //   BytecodeVM        executes the flat code with computed-goto
-//                     direct-threaded dispatch (portable switch fallback
-//                     behind QC_BC_NO_COMPUTED_GOTO), type-specialized
+//                     direct-threaded dispatch, type-specialized
 //                     arithmetic opcodes (separate i64/f64 add/mul/cmp so
 //                     the per-op type->kind branch disappears) and fused
 //                     super-instructions for the hot scan idiom: column
@@ -34,12 +33,14 @@
 #define QC_EXEC_BYTECODE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/str.h"
 #include "exec/parallel.h"
 #include "exec/runtime.h"
 #include "ir/parallel.h"
@@ -86,13 +87,14 @@ class JitProgram;  // src/jit/engine.h
   X(kStrLike)   /* b = source reg, c = pattern-pool index */                \
   X(kStrLen)                                                                \
   X(kStrSubstr) /* b = source reg, c = start, d = length */                 \
-  /* records and pools (c on the allocating ops = register holding the     \
-     RecordHeap*, prog.rec_reg — lets JIT'd code allocate via helper) */    \
-  X(kRecNew)    /* a = dst, b = extra offset, c = heap reg, n = fields */   \
+  /* records and pools (c on the allocating ops = prog.state_reg, the      \
+     register holding the RunState* — lets JIT'd code allocate via the     \
+     shared op) */                                                          \
+  X(kRecNew)    /* a = dst, b = extra offset, c = state reg, n = fields */  \
   X(kRecGet)    /* a = dst, b = record reg, c = field index */              \
   X(kRecSet)    /* a = record reg, b = field index, c = src reg */          \
-  X(kPoolAlloc) /* a = dst, b = pool-handle reg (fields), c = heap reg */   \
-  X(kPoolRecNew) /* a = dst, b = extra offset, c = heap reg, n = fields */  \
+  X(kPoolAlloc) /* a = dst, b = pool-handle reg (fields), c = state reg */  \
+  X(kPoolRecNew) /* a = dst, b = extra offset, c = state reg, n = fields */ \
   /* arrays */                                                              \
   X(kArrNew) X(kMallocArr) /* a = dst, b = length reg */                    \
   X(kArrGet)  /* a = dst, b = array reg, c = index reg */                   \
@@ -101,8 +103,8 @@ class JitProgram;  // src/jit/engine.h
   X(kArrSort) /* a = array, b = n reg, c = cmp entry pc, d = extra off,    \
                  n = 1 when the comparator subroutine is pure (reads only) \
                  and the sort may therefore run morsel-parallel */          \
-  /* lists (kListAppend: a = list, b = value, c = register holding the     \
-     AllocStats*, prog.stats_reg — the append accounts vector growth) */    \
+  /* lists (kListAppend: a = list, b = value, c = prog.state_reg — the     \
+     append accounts vector growth in the run's AllocStats) */             \
   X(kListNew) X(kListAppend) X(kListSize) X(kListGet)                       \
   X(kListSort) /* a = list, c = cmp entry pc, d = extra off, n = pure-     \
                   comparator flag (see kArrSort) */                         \
@@ -145,7 +147,7 @@ class JitProgram;  // src/jit/engine.h
      arr: a = array reg, b = index reg, c = addend reg. */                  \
   X(kRecAccAddI) X(kRecAccAddF) X(kArrAccAddI) X(kArrAccAddF)               \
   /* result emission: n = arg count, a = extra offset, c = string mask,    \
-     b = register holding the ResultTable* (prog.out_reg) */                \
+     b = prog.state_reg (the row goes to the RunState's result table) */    \
   X(kEmit)                                                                  \
   /* morsel-parallel scan loops (see exec/parallel.h) */                    \
   X(kParLoop) /* a = par_loops index; on parallel run: pc += d (skips the  \
@@ -217,27 +219,26 @@ struct BytecodeProgram {
   std::vector<uint32_t> extra;           // variable-length operand lists
   std::vector<const void*> ptrs;         // pre-resolved column/index data
   std::vector<const ir::Type*> types;    // map/mmap key types
-  std::vector<std::string> patterns;     // kStrLike patterns
+  // kStrLike patterns, each split once into its '%'-delimited segments
+  // (SplitLike) at compile time; the JIT patches their addresses.
+  std::vector<std::vector<std::string>> patterns;
   std::deque<std::string> strings;       // owned string constants (stable)
   std::vector<storage::ColType> emit_types;
   std::vector<ParLoopCode> par_loops;  // morsel-parallelizable scan loops
   uint32_t num_regs = 0;
-  // Reserved context registers, written by RunState::Bind at Run entry and
-  // per morsel: the destination ResultTable* for kEmit,
-  // the AllocStats* for accounting appends, and the RecordHeap* for record
-  // allocation. They let JIT'd code reach all per-run mutable state through
-  // the register file alone — the same state-free property the deopt
-  // protocol relies on.
-  uint32_t out_reg = 0;
-  uint32_t stats_reg = 0;
-  uint32_t rec_reg = 0;
-  // Governance context: gov_reg holds the context's GovState*, gov_cnt_reg
-  // its safepoint countdown (int64). Allocated consecutively — the JIT's
-  // safepoint slow path relies on gov_cnt_reg == gov_reg + 1 to reach the
-  // GovState* from the countdown slot's address with one unpatched load.
-  // Ungoverned runs preset the countdown to INT64_MAX, making the slow
-  // path unreachable (back edges cost one dec + predictable branch).
-  uint32_t gov_reg = 0;
+  // The two reserved context registers, written by RunState::Bind at Run
+  // entry and per morsel. state_reg holds the context's RunState*: kEmit,
+  // the allocating ops, kListAppend and the sort sites name it, and the
+  // shared ops (ops:: below) reach the result table, record heap, stats
+  // and governance state through it — so JIT'd code reaches all per-run
+  // mutable state through the register file alone, the state-free property
+  // the deopt protocol relies on. gov_cnt_reg holds the safepoint
+  // countdown (int64) and is always state_reg + 1: the JIT's safepoint
+  // slow path reaches the RunState* from the countdown slot's address with
+  // one unpatched load. Ungoverned runs preset the countdown to INT64_MAX,
+  // making the slow path unreachable (back edges cost one dec +
+  // predictable branch).
+  uint32_t state_reg = 0;
   uint32_t gov_cnt_reg = 0;
   int fused = 0;  // number of super-instructions formed (introspection)
 };
@@ -245,6 +246,122 @@ struct BytecodeProgram {
 // Human-readable listing of a compiled program (one instruction per line,
 // "pc: op a b c d [-> target]"). Debugging and test aid.
 std::string Disassemble(const BytecodeProgram& prog);
+
+// The runtime ops both engines run as a C++ call, each defined once: the
+// VM handler calls the function, and the JIT template for the same opcode
+// passes the same function's address to its helper call (templates.cc), so
+// the engines cannot disagree on comparison, interning, append order or
+// accounting. Signatures are the template's call shape: pointers and Slot
+// payloads as int64_t bit patterns, which keeps the SysV classification
+// unambiguous. Ops that touch per-run state take the context's RunState*,
+// the register the instruction's context operand names (state_reg).
+namespace ops {
+
+inline int64_t StrEq(const char* a, const char* b) {
+  return std::strcmp(a, b) == 0 ? 1 : 0;
+}
+inline int64_t StrNe(const char* a, const char* b) {
+  return std::strcmp(a, b) != 0 ? 1 : 0;
+}
+inline int64_t StrLt(const char* a, const char* b) {
+  return std::strcmp(a, b) < 0 ? 1 : 0;
+}
+inline int64_t StrStarts(const char* s, const char* p) {
+  return StrStartsWith(s, p) ? 1 : 0;
+}
+inline int64_t StrEnds(const char* s, const char* p) {
+  return StrEndsWith(s, p) ? 1 : 0;
+}
+inline int64_t StrContains(const char* s, const char* p) {
+  return qc::StrContains(s, p) ? 1 : 0;
+}
+// LIKE over a pattern split at bytecode compile time (prog.patterns).
+inline int64_t StrLike(const char* s, const std::vector<std::string>* segs) {
+  return StrLikeSegs(s, *segs) ? 1 : 0;
+}
+
+// Hash probes through the typed SlotHasher. The JIT calls these for
+// string/record keys (kMapKeyOther); i64 keys probe inline there.
+inline void* MapFind(RtHashMap* m, int64_t key) {
+  return m->Find(SlotI(key));
+}
+inline int64_t MapGetOrNull(RtHashMap* m, int64_t key) {
+  RtHashMap::Node* n = m->Find(SlotI(key));
+  return n == nullptr ? 0 : n->value.i;
+}
+inline int64_t MMapGetOrNull(RtMultiMap* mm, int64_t key) {
+  return reinterpret_cast<int64_t>(mm->GetOrNull(SlotI(key)));
+}
+inline void* MapInsert(RtHashMap* m, int64_t key, int64_t val) {
+  return m->Insert(SlotI(key), SlotI(val));
+}
+inline void MMapAdd(RtMultiMap* mm, int64_t key, int64_t val) {
+  mm->Add(SlotI(key), SlotI(val));
+}
+inline void ListAppend(RtList* l, RunState* st, int64_t val) {
+  size_t before = l->items.capacity();
+  l->items.push_back(SlotI(val));
+  st->stats->vector_bytes += (l->items.capacity() - before) * sizeof(Slot);
+}
+
+// Record allocation; the fields are R[argv[0..n)].
+inline void* RecNew(RunState* st, const Slot* regs, const uint32_t* argv,
+                    uint64_t n) {
+  Slot* rec = st->records.AllocHeap(n);
+  for (uint64_t i = 0; i < n; ++i) rec[i] = regs[argv[i]];
+  return rec;
+}
+inline void* PoolRecNew(RunState* st, const Slot* regs, const uint32_t* argv,
+                        uint64_t n) {
+  Slot* rec = st->records.AllocPool(n);
+  for (uint64_t i = 0; i < n; ++i) rec[i] = regs[argv[i]];
+  return rec;
+}
+inline void* PoolAlloc(RunState* st, int64_t fields) {
+  return st->records.AllocPool(static_cast<size_t>(fields));
+}
+
+// Stages the row R[argv[0..n)] into the context's result table, interning
+// the columns whose bit is set in `mask`.
+inline void Emit(RunState* st, const Slot* regs, const uint32_t* argv,
+                 uint64_t n, uint64_t mask) {
+  std::vector<Slot> row;
+  row.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    Slot v = regs[argv[i]];
+    if (mask & (1ull << i)) v = SlotS(st->out.InternString(v.s));
+    row.push_back(v);
+  }
+  st->out.AddRow(std::move(row));
+}
+
+// Appends R[argv[...]] to a morsel's addend log. `nbytes` is the operand
+// count times sizeof(Slot) — the unit the JIT's inline pointer bump works
+// in, which calls this only when the bump would pass the log's capacity.
+inline void LogRow(std::vector<Slot>* lg, const Slot* regs,
+                   const uint32_t* argv, uint64_t nbytes) {
+  for (uint64_t i = 0; i < nbytes / sizeof(Slot); ++i) {
+    lg->push_back(regs[argv[i]]);
+  }
+}
+
+// The back-edge safepoint slow path: polls the context's governance state
+// (publishing memory growth, checking cancel/deadline/budget). `countdown`
+// is the context's countdown slot; on return it holds the refill value (1
+// once tripped so re-entry aborts immediately, INT64_MAX for ungoverned
+// state). Returns the trip code (0 = continue).
+inline int64_t Safepoint(RunState* st, int64_t* countdown) {
+  GovState& gov = st->gov;
+  if (gov.ctl == nullptr) {
+    *countdown = INT64_MAX;  // ungoverned: never take the slow path again
+    return 0;
+  }
+  int64_t trip = gov.Poll();
+  *countdown = trip != 0 ? 1 : gov.interval;
+  return trip;
+}
+
+}  // namespace ops
 
 // Flattens one verified function. The database is consulted at compile time
 // to pre-resolve column arrays, dictionaries and load-time indexes; the
@@ -358,7 +475,7 @@ class BytecodeVM {
   // pure VM) selects the hybrid driver: native where templated, deopting
   // back here elsewhere (src/jit/engine.h). `ctl` (null = ungoverned) and
   // `par` (null = sequential) are bound into the run's GovState, which
-  // JIT'd code and morsel fragments reach through prog.gov_reg.
+  // JIT'd code and morsel fragments reach through prog.state_reg.
   storage::ResultTable Run(const BytecodeProgram& prog,
                            const jit::JitProgram* jit, ExecControl* ctl,
                            parallel::Engine* par);

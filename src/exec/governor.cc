@@ -103,14 +103,4 @@ void GovState::TripResource() {
   }
 }
 
-extern "C" int64_t qc_gov_safepoint(GovState* g, int64_t* countdown) {
-  if (g == nullptr || g->ctl == nullptr) {
-    *countdown = INT64_MAX;  // ungoverned: never take the slow path again
-    return 0;
-  }
-  int64_t trip = g->Poll();
-  *countdown = (trip != 0) ? 1 : g->interval;
-  return trip;
-}
-
 }  // namespace qc::exec

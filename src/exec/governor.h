@@ -12,7 +12,7 @@
 //   * GovState — one per execution context (the main context plus one per
 //     morsel), binding an ExecControl to that context's AllocStats.  Loop
 //     back-edges decrement a countdown; only every `interval`-th edge takes
-//     the slow path (qc_gov_safepoint), which publishes memory growth and
+//     the slow path (exec::ops::Safepoint), which publishes memory growth and
 //     checks cancel/deadline/budget.  Ungoverned runs preset the countdown
 //     to INT64_MAX so the slow path is unreachable and governance costs one
 //     dec+branch per back edge.
@@ -106,9 +106,10 @@ struct ExecControl {
   }
 };
 
-// Per-execution-context governance state.  The bytecode VM and JIT keep the
-// countdown in a reserved register slot (BytecodeProgram::gov_cnt_reg) and
-// a pointer to this struct in the adjacent slot (gov_reg).
+// Per-execution-context governance state, one per RunState.  The bytecode
+// VM and JIT keep the countdown in a reserved register slot
+// (BytecodeProgram::gov_cnt_reg) and reach this struct through the
+// RunState* in the adjacent slot (state_reg).
 struct GovState {
   ExecControl* ctl = nullptr;
   // The pool kParLoop and parallel sorts fan out onto, set by
@@ -150,12 +151,6 @@ struct GovState {
   // attached control, if any.  Safe on ungoverned state (no-op).
   void TripResource();
 };
-
-// The VM/JIT safepoint slow path.  `countdown` is the context's countdown
-// slot; on return it holds the refill value (1 once tripped so re-entry
-// aborts immediately, INT64_MAX for ungoverned state).  Returns the trip
-// code (0 = continue).  extern "C" so the JIT can call it by address.
-extern "C" int64_t qc_gov_safepoint(GovState* g, int64_t* countdown);
 
 // Decorates a sort comparator with an abort check: once the query trips,
 // Less() returns false without running the inner comparator, so in-flight

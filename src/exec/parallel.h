@@ -81,9 +81,10 @@ struct RunState {
   std::vector<std::unique_ptr<parallel::MorselState>> morsels;
 
   // Attaches the control `ctl` and pool `par` (null = ungoverned /
-  // sequential) and writes the five reserved context registers of `prog`
-  // (out/stats/rec/gov/gov_cnt) into `regs`, so kEmit, the allocating ops,
-  // the safepoints and JIT'd code reach this state through the registers.
+  // sequential) and writes the two reserved context registers of `prog`
+  // into `regs` — state_reg = this, gov_cnt_reg = the safepoint countdown —
+  // so kEmit, the allocating ops, the safepoints and JIT'd code reach this
+  // state through the registers.
   void Bind(const BytecodeProgram& prog, ExecControl* ctl,
             parallel::Engine* par, Slot* regs);
 };

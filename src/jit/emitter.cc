@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/fault.h"
-#include "common/str.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
@@ -649,9 +648,9 @@ StitchResult StitchProgram(const BytecodeProgram& prog) {
   // The compiler emits [kJmp-skip, comparator..., kRet, sort], so the
   // region [insn.c, sort pc) is exactly the subroutine, nested
   // subroutines included.
-  // Sites are fully materialized here, before any patching — like
-  // like_patterns, the vector never grows once an address has been baked
-  // into code, so there is no cross-loop size invariant to get wrong.
+  // Sites are fully materialized here, before any patching — the vector
+  // never grows once an address has been baked into code, so there is no
+  // cross-loop size invariant to get wrong.
   std::vector<uint32_t> site_of(n, kNoEntry);
   for (size_t pc = 0; pc < n; ++pc) {
     const Insn& insn = prog.code[pc];
@@ -673,7 +672,7 @@ StitchResult StitchProgram(const BytecodeProgram& prog) {
     site.cmp_entry = static_cast<uint32_t>(entry);
     site.ps = prog.extra.data() + static_cast<uint32_t>(insn.d);
     site.num_regs = prog.num_regs;
-    site.gov_reg = prog.gov_reg;
+    site.state_reg = prog.state_reg;
     site_of[pc] = static_cast<uint32_t>(res.sort_sites.size());
     res.sort_sites.push_back(site);
   }
@@ -715,12 +714,12 @@ StitchResult StitchProgram(const BytecodeProgram& prog) {
   }
 
   // Governance abort thunk: back-edge safepoint templates branch here when
-  // qc_gov_safepoint reports a trip; the thunk returns the kAbortPc
-  // sentinel. Their slow path reaches the GovState* through
+  // ops::Safepoint reports a trip; the thunk returns the kAbortPc
+  // sentinel. Their slow path reaches the RunState* through
   // [countdown slot - 8], which is only valid under the reserved-register
   // adjacency the bytecode compiler guarantees.
-  assert(prog.gov_cnt_reg == prog.gov_reg + 1 &&
-         "governed templates assume gov_cnt_reg == gov_reg + 1");
+  assert(prog.gov_cnt_reg == prog.state_reg + 1 &&
+         "governed templates assume gov_cnt_reg == state_reg + 1");
   uint32_t abort_thunk = kNoEntry;
   for (size_t pc = 0; pc < n && abort_thunk == kNoEntry; ++pc) {
     if (sel[pc] == nullptr) continue;
@@ -732,12 +731,6 @@ StitchResult StitchProgram(const BytecodeProgram& prog) {
         break;
       }
     }
-  }
-
-  // Precompile LIKE patterns (kPatternC patches point at these).
-  res.like_patterns.reserve(prog.patterns.size());
-  for (const std::string& p : prog.patterns) {
-    res.like_patterns.push_back({SplitLikePattern(p)});
   }
 
   // Emit pass.
@@ -800,7 +793,7 @@ StitchResult StitchProgram(const BytecodeProgram& prog) {
           break;
         case PatchKind::kPatternC:
           Patch64(out, at,
-                  reinterpret_cast<uint64_t>(&res.like_patterns[insn.c]));
+                  reinterpret_cast<uint64_t>(&prog.patterns[insn.c]));
           break;
         case PatchKind::kSortSite:
           assert(site_of[pc] != kNoEntry);

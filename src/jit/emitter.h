@@ -220,14 +220,6 @@ class CodeBuffer {
 // Native offset table entry for "pc has no native code".
 constexpr uint32_t kNoEntry = 0xFFFFFFFFu;
 
-// A LIKE pattern pre-split into its '%'-delimited literal segments at
-// stitch time. The kStrLike template passes one of these to its helper, so
-// the per-row SplitLikePattern allocation the VM pays disappears from
-// JIT'd code — the JIT "compiles" the pattern.
-struct LikePattern {
-  std::vector<std::string> segs;
-};
-
 class JitProgram;  // engine.h
 
 // One kArrSort/kListSort instruction's resolved descriptor (kSortSite
@@ -245,8 +237,9 @@ struct JitSortSite {
   uint32_t cmp_entry = 0;  // comparator subroutine entry pc
   const uint32_t* ps = nullptr;  // {param0, param1, result} registers
   uint32_t num_regs = 0;         // register-file size (parallel ctx copies)
-  uint32_t gov_reg = 0;    // reserved register holding the GovState* (the
-                           // sort driver governs its comparators with it)
+  uint32_t state_reg = 0;  // reserved register holding the RunState* (the
+                           // sort driver governs its comparators with its
+                           // GovState)
   const JitProgram* jp = nullptr;  // backpatched after Install
 };
 
@@ -255,12 +248,9 @@ struct StitchResult {
   std::vector<uint8_t> code;    // prologue + instruction code + exit thunks
   std::vector<uint32_t> entry;  // per-pc blob offset, kNoEntry when deopt
   int num_native = 0;           // instructions that got native code
-  // One entry per prog.patterns element; kPatternC patches point into this
-  // vector, so its owner (JitProgram) must keep it alive with the code.
-  std::vector<LikePattern> like_patterns;
   // One entry per natively-stitched sort instruction, in pc order;
-  // kSortSite patches point into this vector (same ownership rule as
-  // like_patterns — reserved up front so element addresses never move).
+  // kSortSite patches point into this vector, so its owner (JitProgram)
+  // must keep it alive with the code.
   std::vector<JitSortSite> sort_sites;
 };
 

@@ -150,7 +150,6 @@ std::unique_ptr<JitProgram> JitProgram::Compile(const BytecodeProgram& prog,
   jp->entry_ = std::move(stitched.entry);
   // Element addresses survive the vector moves, so the imm64 patches the
   // installed code carries stay valid.
-  jp->like_patterns_ = std::move(stitched.like_patterns);
   jp->sort_sites_ = std::move(stitched.sort_sites);
   for (JitSortSite& s : jp->sort_sites_) s.jp = jp.get();
   jp->num_native_ = stitched.num_native;

@@ -107,8 +107,6 @@ class JitProgram {
   CodeBuffer buf_;
   EnterFn enter_ = nullptr;
   std::vector<uint32_t> entry_;
-  // Pre-split LIKE patterns the stitched code points into (kPatternC).
-  std::vector<LikePattern> like_patterns_;
   // Sort-site descriptors the stitched code points into (kSortSite);
   // their jp backlinks are patched in Compile once `this` exists.
   std::vector<JitSortSite> sort_sites_;

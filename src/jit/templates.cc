@@ -8,12 +8,9 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/str.h"
-#include "exec/governor.h"
 #include "jit/emitter.h"
 #include "jit/engine.h"
 #include "storage/database.h"
-#include "storage/result.h"
 
 namespace qc::exec::jit {
 
@@ -21,107 +18,10 @@ namespace {
 
 constexpr int kNumOps = static_cast<int>(BcOp::kNumOps);
 
-// ---------------------------------------------------------------------------
-// C++ helpers callable from templates (imm64 address + call-through-reg).
-// Each mirrors one VM handler exactly — same comparison, same interning,
-// same append order — so JIT results stay bit-identical.
-// ---------------------------------------------------------------------------
-
-int64_t HelpStrEq(const char* a, const char* b) {
-  return std::strcmp(a, b) == 0 ? 1 : 0;
-}
-int64_t HelpStrNe(const char* a, const char* b) {
-  return std::strcmp(a, b) != 0 ? 1 : 0;
-}
-int64_t HelpStrLt(const char* a, const char* b) {
-  return std::strcmp(a, b) < 0 ? 1 : 0;
-}
-int64_t HelpStrStarts(const char* s, const char* p) {
-  return StrStartsWith(s, p) ? 1 : 0;
-}
-int64_t HelpStrEnds(const char* s, const char* p) {
-  return StrEndsWith(s, p) ? 1 : 0;
-}
-int64_t HelpStrContains(const char* s, const char* p) {
-  return StrContains(s, p) ? 1 : 0;
-}
-// LIKE over a pattern pre-split at stitch time (LikePattern, emitter.h):
-// the matching core is shared with StrLike, so only the per-row
-// SplitLikePattern allocation disappears — the semantics cannot diverge.
-int64_t HelpStrLikePre(const char* str, const LikePattern* p) {
-  return StrLikeSegs(str, p->segs) ? 1 : 0;
-}
-
-// kLogRow grow path: the inline pointer-bump found end + nbytes > capacity
-// (only possible when a log channel appends more than once per row — inner
-// loops — since the runtime reserves one entry per morsel row up front).
-void HelpLogGrow(std::vector<Slot>* lg, const Slot* regs,
-                 const uint32_t* argv, uint64_t nbytes) {
-  uint64_t n = nbytes >> 3;
-  for (uint64_t i = 0; i < n; ++i) lg->push_back(regs[argv[i]]);
-}
-
-// Allocating opcodes: every piece of per-run mutable state these need is
-// reachable from an object the register file holds — the map/multimap
-// itself (which carries its AllocStats*), or the reserved context
-// registers (RecordHeap*, AllocStats*) the runtime writes at entry. Slot
-// payloads travel as int64_t bit patterns to keep the SysV classification
-// unambiguous.
-// Generic hash probes for string/record keys (the kMapKeyOther variants):
-// the typed SlotHasher runs in C++, but the probe is still a plain call
-// from native code — the surrounding loop never re-enters the interpreter.
-void* HelpMapFindGeneric(RtHashMap* m, int64_t key_bits) {
-  Slot k;
-  k.i = key_bits;
-  return m->Find(k);
-}
-int64_t HelpMapGetOrNullGeneric(RtHashMap* m, int64_t key_bits) {
-  Slot k;
-  k.i = key_bits;
-  RtHashMap::Node* n = m->Find(k);
-  return n == nullptr ? 0 : n->value.i;
-}
-int64_t HelpMMapGetOrNullGeneric(RtMultiMap* mm, int64_t key_bits) {
-  Slot k;
-  k.i = key_bits;
-  return reinterpret_cast<int64_t>(mm->GetOrNull(k));
-}
-
-void* HelpMapInsert(RtHashMap* m, int64_t key_bits, int64_t val_bits) {
-  Slot k, v;
-  k.i = key_bits;
-  v.i = val_bits;
-  return m->Insert(k, v);
-}
-void HelpMMapAdd(RtMultiMap* mm, int64_t key_bits, int64_t val_bits) {
-  Slot k, v;
-  k.i = key_bits;
-  v.i = val_bits;
-  mm->Add(k, v);
-}
-void HelpListAppend(RtList* l, AllocStats* stats, int64_t val_bits) {
-  Slot v;
-  v.i = val_bits;
-  size_t before = l->items.capacity();
-  l->items.push_back(v);
-  stats->vector_bytes += (l->items.capacity() - before) * sizeof(Slot);
-}
-void* HelpRecNew(RecordHeap* h, const Slot* regs, const uint32_t* argv,
-                 uint64_t n) {
-  Slot* rec = h->AllocHeap(n);
-  for (uint64_t i = 0; i < n; ++i) rec[i] = regs[argv[i]];
-  return rec;
-}
-void* HelpPoolRecNew(RecordHeap* h, const Slot* regs, const uint32_t* argv,
-                     uint64_t n) {
-  Slot* rec = h->AllocPool(n);
-  for (uint64_t i = 0; i < n; ++i) rec[i] = regs[argv[i]];
-  return rec;
-}
-void* HelpPoolAlloc(RecordHeap* h, int64_t fields) {
-  return h->AllocPool(static_cast<size_t>(fields));
-}
-
+// The JIT-only helpers: the native sort glue. Every other helper call in
+// the templates targets the shared op the VM handler for the same opcode
+// calls (exec/bytecode.h ops::).
+//
 // kArrSort/kListSort: the native sort helper. Stitched only when the whole
 // comparator subroutine is native (StitchProgram checks the region), so
 // every comparison is one trampoline call into the stitched comparator
@@ -154,28 +54,12 @@ void HelpSort(Slot* regs, const JitSortSite* site) {
   cmp.entry = site->cmp_entry;
   cmp.run = &RunNativeCmp;
   cmp.ctx = site->jp;
-  // The context's GovState travels in the reserved gov register (the same
-  // object the VM's sort path passes): a tripped query drains a JIT'd sort
-  // in linear time too, and fans out only onto the pool the run bound there.
-  parallel::SortSlots(site->par_safe,
-                      static_cast<GovState*>(regs[site->gov_reg].p), cmp,
-                      data, n);
-}
-
-// kEmit row staging: gather the argument slots, intern strings into the
-// destination table, append the row. `out` arrives through the program's
-// reserved out-register (BytecodeProgram::out_reg), so the helper works for
-// the main result table and for morsel-private tables alike.
-void HelpEmit(storage::ResultTable* out, const Slot* regs,
-              const uint32_t* argv, uint64_t n, uint64_t mask) {
-  std::vector<Slot> row;
-  row.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    Slot v = regs[argv[i]];
-    if (mask & (1ull << i)) v = SlotS(out->InternString(v.s));
-    row.push_back(v);
-  }
-  out->AddRow(std::move(row));
+  // The context's RunState travels in the reserved state register; its
+  // GovState is the object the VM's sort path passes: a tripped query
+  // drains a JIT'd sort in linear time too, and fans out only onto the pool
+  // the run bound there.
+  RunState* st = static_cast<RunState*>(regs[site->state_reg].p);
+  parallel::SortSlots(site->par_safe, &st->gov, cmp, data, n);
 }
 
 // The hash-probe template hard-codes the splitmix64 finalizer in machine
@@ -334,19 +218,19 @@ Store* BuildTemplates() {
   // Back-edge safepoint tail (governance, exec/governor.h): decrement the
   // reserved countdown slot; while it stays positive the cost is one dec +
   // a never-taken branch (ungoverned runs preset it to INT64_MAX). At zero
-  // the slow path calls qc_gov_safepoint — which polls the control and
+  // the slow path calls ops::Safepoint — which polls the control and
   // refills the countdown through the pointer — and branches to the
-  // program's abort thunk (returns kAbortPc) on a trip. The GovState* is
+  // program's abort thunk (returns kAbortPc) on a trip. The RunState* is
   // read from the slot below the countdown: the compiler reserves
-  // gov_cnt_reg == gov_reg + 1 (bytecode.h), which saves a patch kind.
+  // gov_cnt_reg == state_reg + 1 (bytecode.h), which saves a patch kind.
   auto safepoint = [](TB& t) {
     t.a.DecMem(kSlotBase, 0, true);
     t.Mark(PatchKind::kGovCnt);
     size_t fast = t.a.Jcc8(kCondG);
     t.a.LeaRegMem(RSI, kSlotBase, 0, true);  // rsi = &countdown slot
     t.Mark(PatchKind::kGovCnt);
-    t.a.MovRegMem(RDI, RSI, -8);             // rdi = GovState* (gov_reg)
-    t.CallHelper(reinterpret_cast<const void*>(&qc_gov_safepoint));
+    t.a.MovRegMem(RDI, RSI, -8);             // rdi = RunState* (state_reg)
+    t.CallHelper(reinterpret_cast<const void*>(&ops::Safepoint));
     t.a.TestRegReg(RAX, RAX);
     t.a.JccRel32(kCondNE);
     t.Mark(PatchKind::kJumpAbort);
@@ -808,12 +692,11 @@ Store* BuildTemplates() {
       t.StoreSlot(RAX, PatchKind::kSlotA);
     });
   };
-  generic_probe(BcOp::kMapFind,
-                reinterpret_cast<const void*>(&HelpMapFindGeneric));
+  generic_probe(BcOp::kMapFind, reinterpret_cast<const void*>(&ops::MapFind));
   generic_probe(BcOp::kMapGetOrNull,
-                reinterpret_cast<const void*>(&HelpMapGetOrNullGeneric));
+                reinterpret_cast<const void*>(&ops::MapGetOrNull));
   generic_probe(BcOp::kMMapGetOrNull,
-                reinterpret_cast<const void*>(&HelpMMapGetOrNullGeneric));
+                reinterpret_cast<const void*>(&ops::MMapGetOrNull));
   def(BcOp::kMapNodeVal, true, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotB);
     t.a.MovRegMem(RAX, RAX, 8);  // node->value
@@ -842,30 +725,30 @@ Store* BuildTemplates() {
     t.StoreSlot(RCX, PatchKind::kSlotA);
   });
   // Inserts and per-row allocation: helper calls — the state they mutate
-  // is reachable from the object or from the reserved context registers,
-  // so the hot loop never re-enters the interpreter for them.
+  // is reachable from the object or from the RunState* in state_reg, so
+  // the hot loop never re-enters the interpreter for them.
   def(BcOp::kMapInsert, false, [](TB& t) {
     t.LoadSlot(RDI, PatchKind::kSlotB);  // map
     t.LoadSlot(RSI, PatchKind::kSlotC);  // key bits
     t.LoadSlot(RDX, PatchKind::kSlotD);  // value bits
-    t.CallHelper(reinterpret_cast<const void*>(&HelpMapInsert));
+    t.CallHelper(reinterpret_cast<const void*>(&ops::MapInsert));
     t.StoreSlot(RAX, PatchKind::kSlotA);  // the new node
   });
   def(BcOp::kMMapAdd, false, [](TB& t) {
     t.LoadSlot(RDI, PatchKind::kSlotA);  // multimap
     t.LoadSlot(RSI, PatchKind::kSlotB);  // key bits
     t.LoadSlot(RDX, PatchKind::kSlotC);  // value bits
-    t.CallHelper(reinterpret_cast<const void*>(&HelpMMapAdd));
+    t.CallHelper(reinterpret_cast<const void*>(&ops::MMapAdd));
   });
   def(BcOp::kListAppend, false, [](TB& t) {
     t.LoadSlot(RDI, PatchKind::kSlotA);  // list
-    t.LoadSlot(RSI, PatchKind::kSlotC);  // AllocStats* (stats_reg)
+    t.LoadSlot(RSI, PatchKind::kSlotC);  // RunState* (state_reg)
     t.LoadSlot(RDX, PatchKind::kSlotB);  // value bits
-    t.CallHelper(reinterpret_cast<const void*>(&HelpListAppend));
+    t.CallHelper(reinterpret_cast<const void*>(&ops::ListAppend));
   });
   auto rec_new = [&](BcOp op, const void* helper) {
     def(op, false, [helper](TB& t) {
-      t.LoadSlot(RDI, PatchKind::kSlotC);  // RecordHeap* (rec_reg)
+      t.LoadSlot(RDI, PatchKind::kSlotC);  // RunState* (state_reg)
       t.a.MovRegReg(RSI, kSlotBase);
       t.a.MovImm64(RDX, 0);
       t.Mark(PatchKind::kExtraB);  // field operand list
@@ -875,12 +758,12 @@ Store* BuildTemplates() {
       t.StoreSlot(RAX, PatchKind::kSlotA);
     });
   };
-  rec_new(BcOp::kRecNew, reinterpret_cast<const void*>(&HelpRecNew));
-  rec_new(BcOp::kPoolRecNew, reinterpret_cast<const void*>(&HelpPoolRecNew));
+  rec_new(BcOp::kRecNew, reinterpret_cast<const void*>(&ops::RecNew));
+  rec_new(BcOp::kPoolRecNew, reinterpret_cast<const void*>(&ops::PoolRecNew));
   def(BcOp::kPoolAlloc, false, [](TB& t) {
-    t.LoadSlot(RDI, PatchKind::kSlotC);  // RecordHeap* (rec_reg)
+    t.LoadSlot(RDI, PatchKind::kSlotC);  // RunState* (state_reg)
     t.LoadSlot(RSI, PatchKind::kSlotB);  // field count
-    t.CallHelper(reinterpret_cast<const void*>(&HelpPoolAlloc));
+    t.CallHelper(reinterpret_cast<const void*>(&ops::PoolAlloc));
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
 
@@ -888,7 +771,7 @@ Store* BuildTemplates() {
   // An interned/constant operand makes pointer equality a common case for
   // kStrEq/kStrNe (dictionary-coded columns compare their pooled strings
   // against a preset constant), so those short-circuit before the strcmp
-  // call; every template falls back to a C++ helper mirroring the VM.
+  // call; every template falls back to the shared op the VM calls.
   // eq_result: value stored when both operands are the same pointer.
   auto str2 = [&](BcOp op, const void* helper, int eq_result) {
     def(op, false, [helper, eq_result](TB& t) {
@@ -904,18 +787,18 @@ Store* BuildTemplates() {
       t.StoreSlot(RAX, PatchKind::kSlotA);
     });
   };
-  str2(BcOp::kStrEq, reinterpret_cast<const void*>(&HelpStrEq), 1);
-  str2(BcOp::kStrNe, reinterpret_cast<const void*>(&HelpStrNe), 0);
-  str2(BcOp::kStrLt, reinterpret_cast<const void*>(&HelpStrLt), 0);
-  str2(BcOp::kStrStarts, reinterpret_cast<const void*>(&HelpStrStarts), 1);
-  str2(BcOp::kStrEnds, reinterpret_cast<const void*>(&HelpStrEnds), 1);
-  str2(BcOp::kStrContains,
-       reinterpret_cast<const void*>(&HelpStrContains), 1);
+  str2(BcOp::kStrEq, reinterpret_cast<const void*>(&ops::StrEq), 1);
+  str2(BcOp::kStrNe, reinterpret_cast<const void*>(&ops::StrNe), 0);
+  str2(BcOp::kStrLt, reinterpret_cast<const void*>(&ops::StrLt), 0);
+  str2(BcOp::kStrStarts, reinterpret_cast<const void*>(&ops::StrStarts), 1);
+  str2(BcOp::kStrEnds, reinterpret_cast<const void*>(&ops::StrEnds), 1);
+  str2(BcOp::kStrContains, reinterpret_cast<const void*>(&ops::StrContains),
+       1);
   def(BcOp::kStrLike, false, [](TB& t) {
     t.LoadSlot(RDI, PatchKind::kSlotB);
     t.a.MovImm64(RSI, 0);
-    t.Mark(PatchKind::kPatternC);
-    t.CallHelper(reinterpret_cast<const void*>(&HelpStrLikePre));
+    t.Mark(PatchKind::kPatternC);  // the pre-split prog.patterns entry
+    t.CallHelper(reinterpret_cast<const void*>(&ops::StrLike));
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
 
@@ -949,7 +832,7 @@ Store* BuildTemplates() {
     t.a.MovRegReg(RDI, R11);
     t.a.MovRegReg(RSI, kSlotBase);
     t.a.SubRegReg(RCX, RAX);  // byte count (rdx still holds argv)
-    t.CallHelper(reinterpret_cast<const void*>(&HelpLogGrow));
+    t.CallHelper(reinterpret_cast<const void*>(&ops::LogRow));
     t.a.PatchRel8(end);
   });
 
@@ -972,11 +855,12 @@ Store* BuildTemplates() {
   sort_op(BcOp::kListSort);
 
   // --- result emission -----------------------------------------------------
-  // One helper call staging the row straight into the ResultTable the
-  // out-register points at — works for any emit schema (the string mask
-  // routes interning), and for main and morsel-private tables alike.
+  // One helper call staging the row straight into the result table of the
+  // RunState the state register points at — works for any emit schema
+  // (the string mask routes interning), and for main and morsel-private
+  // tables alike.
   def(BcOp::kEmit, false, [](TB& t) {
-    t.LoadSlot(RDI, PatchKind::kSlotB);  // ResultTable* (prog.out_reg)
+    t.LoadSlot(RDI, PatchKind::kSlotB);  // RunState* (state_reg)
     t.a.MovRegReg(RSI, kSlotBase);       // the register file
     t.a.MovImm64(RDX, 0);
     t.Mark(PatchKind::kExtraA);  // operand list
@@ -984,7 +868,7 @@ Store* BuildTemplates() {
     t.Mark(PatchKind::kImmN);
     t.a.MovImm32(R8, 0);
     t.Mark(PatchKind::kImmCMask);
-    t.CallHelper(reinterpret_cast<const void*>(&HelpEmit));
+    t.CallHelper(reinterpret_cast<const void*>(&ops::Emit));
   });
 
   // Everything else (container construction into the engine's deques,

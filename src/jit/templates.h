@@ -19,12 +19,13 @@
 //     exactly like the bytecode VM's Slot array — which is what makes
 //     mid-program deopt re-entry trivial).
 //   * Templates may call C++ helpers through an imm64 address baked in at
-//     template build time (string predicates, log/emit staging, the sort
-//     driver): r12 is callee-saved and rsp stays 16-byte aligned, so the
-//     calls are ABI-clean and cost no deopt. Operations that genuinely
-//     need VM state the register file cannot reach (container
-//     construction into the engine's deques, morsel dispatch) still have
-//     no template and deopt to the VM (engine.h).
+//     template build time — the shared ops the VM handlers call
+//     (exec/bytecode.h ops::: string predicates, generic probes, inserts,
+//     allocation, log/emit staging, the safepoint) and the sort driver:
+//     r12 is callee-saved and rsp stays 16-byte aligned, so the calls are
+//     ABI-clean and cost no deopt. Container construction, kStrSubstr
+//     interning and morsel dispatch have no template yet and deopt to the
+//     VM (engine.h).
 //   * Fall-through is the next stitched instruction; taken branches are
 //     rel32 fields patched by the emitter's branch-fixup pass.
 #ifndef QC_JIT_TEMPLATES_H_
@@ -52,15 +53,15 @@ enum class PatchKind : uint8_t {
   kImmN,    // imm32 <- insn.n (operand count)
   kImmN8,   // imm32 <- insn.n * 8 (operand count in slot bytes)
   kImmCMask,   // imm32 <- insn.c (kEmit string-interning mask)
-  kPatternC,   // imm64 <- &like_patterns[insn.c], the pattern pre-split at
-               //          stitch time (kStrLike; see emitter.h LikePattern)
+  kPatternC,   // imm64 <- &prog.patterns[insn.c], the pattern pre-split at
+               //          bytecode compile time (kStrLike)
   kSortSite,   // imm64 <- &sort_sites[i] for this sort instruction's
                //          descriptor (kArrSort/kListSort; emitter.h
                //          JitSortSite — only stitched when the comparator
                //          subroutine is fully native)
   kGovCnt,     // disp32 <- prog.gov_cnt_reg * 8 (the governance countdown
-               //          slot; the safepoint slow path finds the GovState*
-               //          at [countdown slot - 8] — gov_cnt_reg==gov_reg+1)
+               //          slot; the safepoint slow path finds the RunState*
+               //          at [countdown slot - 8] — gov_cnt_reg==state_reg+1)
   kJumpAbort,  // rel32 <- the program's abort thunk (returns kAbortPc)
 };
 

@@ -12,8 +12,10 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bit_exact.h"
+#include "common/str.h"
 #include "compiler/compiler.h"
 #include "exec/bytecode.h"
 #include "exec/interp.h"
@@ -663,30 +665,58 @@ TEST(JitNative, StringKeyProbeUsesGenericVariant) {
 }
 
 // Non-dict string comparisons against constants (strcmp-helper path, with
-// the pointer-equality fast path for interned operands), plus the
-// pattern-precompiled kStrLike — all native, bit-exact with the VM.
+// the pointer-equality fast path for interned operands), plus kStrLike over
+// the patterns the bytecode compiler pre-split — all native, bit-exact with
+// the VM. The LIKE sweep covers the edge shapes of the '%'-only dialect
+// (empty, wildcard-only, anchored at both ends, adjacent '%'s, a pattern
+// longer than every input) on a second table, and holds each count on both
+// engines against StrLike over the same rows.
 TEST(JitNative, StringCompareTemplates) {
   storage::Database db = StrKeyDb();
+  storage::TableDef lt;
+  lt.name = "L";
+  lt.columns = {{"s", storage::ColType::kStr}};
+  storage::Table* words = db.AddTable(lt);
+  static const char* kWords[] = {"",     "a",   "ab",  "abc",  "axbyc",
+                                 "ba",   "cab", "abab", "acb", "aab",
+                                 "a%b",  "bca"};
+  for (const char* w : kWords) words->column(0).data.push_back(SlotS(w));
+  const std::vector<std::string> patterns = {
+      "", "%", "%%", "abc", "a%", "%a", "a%b%c", "a%%b", "abcabcabcabc"};
+
   TypeFactory types;
   Function fn("f", &types);
   Builder b(&fn);
   Stmt* eq_n = b.VarNew(b.I64(0));
   Stmt* like_n = b.VarNew(b.I64(0));
   Stmt* ptr_n = b.VarNew(b.I64(0));
+  std::vector<Stmt*> sweep_n;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    sweep_n.push_back(b.VarNew(b.I64(0)));
+  }
+  auto count_if = [&](Stmt* cond, Stmt* var) {
+    b.If(cond, [&] { b.VarAssign(var, b.Add(b.VarRead(var), b.I64(1))); });
+  };
   b.ForRange(b.I64(0), b.TableRows(0), [&](Stmt* row) {
     Stmt* k = b.ColGet(0, 0, row, types.Str());
     // Non-dict path: content comparison against an unrelated constant.
-    b.If(b.StrEq(k, b.StrC("beta")),
-         [&] { b.VarAssign(eq_n, b.Add(b.VarRead(eq_n), b.I64(1))); });
+    count_if(b.StrEq(k, b.StrC("beta")), eq_n);
     // Interned path: both operands are the same column read — the
     // template's pointer-equality fast path must still report equal.
     Stmt* k2 = b.ColGet(0, 0, row, types.Str());
-    b.If(b.StrEq(k, k2),
-         [&] { b.VarAssign(ptr_n, b.Add(b.VarRead(ptr_n), b.I64(1))); });
-    b.If(b.StrLike(k, "%t%a%"),
-         [&] { b.VarAssign(like_n, b.Add(b.VarRead(like_n), b.I64(1))); });
+    count_if(b.StrEq(k, k2), ptr_n);
+    count_if(b.StrLike(k, "%t%a%"), like_n);
   });
-  b.EmitRow({b.VarRead(eq_n), b.VarRead(ptr_n), b.VarRead(like_n)});
+  b.ForRange(b.I64(0), b.TableRows(1), [&](Stmt* row) {
+    Stmt* w = b.ColGet(1, 0, row, types.Str());
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      count_if(b.StrLike(w, patterns[i]), sweep_n[i]);
+    }
+  });
+  std::vector<Stmt*> out = {b.VarRead(eq_n), b.VarRead(ptr_n),
+                            b.VarRead(like_n)};
+  for (Stmt* v : sweep_n) out.push_back(b.VarRead(v));
+  b.EmitRow(out);
 
   BytecodeProgram prog = BytecodeCompiler(&db).Compile(fn);
   if (exec::jit::JitAvailable()) {
@@ -703,6 +733,12 @@ TEST(JitNative, StringCompareTemplates) {
   EXPECT_EQ(want.row(0)[0].i, 80);   // "beta" at i%5 in {1,4}
   EXPECT_EQ(want.row(0)[1].i, 200);  // self-compare always true
   EXPECT_EQ(want.row(0)[2].i, 120);  // %t%a%: beta (x2 per cycle), delta
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    int64_t expect = 0;
+    for (const char* w : kWords) expect += StrLike(w, patterns[i]) ? 1 : 0;
+    EXPECT_EQ(want.row(0)[3 + i].i, expect) << "pattern '" << patterns[i]
+                                            << "'";
+  }
 }
 
 // The Q13/Q20 shapes that previously ping-ponged between native code and
