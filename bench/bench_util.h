@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
@@ -35,20 +36,13 @@ struct NativeRun {
 
 // One in-process interpreter measurement (either engine).
 struct InterpRun {
-  bool ok = false;
   // Best-of-N execution time. Bytecode translation happens lazily inside
   // repetition 1's Run() and is discarded by best-of-N (reps >= 2).
   double query_ms = 0;
-  double compile_ms = 0;  // stack lowering (qc.Compile) only
-  int64_t rows = 0;
-  // kJit telemetry (Interpreter::last_jit_stats): native coverage in
-  // percent (templated pcs / total pcs) and deopt events of the last
-  // repetition; -1 when the engine was not kJit or the JIT degraded to the
-  // VM.
-  double jit_coverage = -1;
-  double jit_deopts = -1;
-  // Why a kJit run degraded to the VM (jit::JitFallback as int, 0 = it
-  // didn't) — keeps silent degradation visible in the bench artifact.
+  // kJit telemetry (Interpreter::last_jit_stats): deopt events of the last
+  // repetition, and why the run degraded to the VM (jit::JitFallback as
+  // int, 0 = it didn't).
+  uint64_t jit_deopts = 0;
   int jit_fallback = 0;
 };
 
@@ -62,7 +56,13 @@ class Harness {
       : db_(tpch::MakeTpchDatabase(scale_factor)),
         dir_("/tmp/qcstack_bench_" + tag),
         driver_(dir_) {
-    std::system(("mkdir -p " + dir_).c_str());
+    std::error_code ec;
+    std::filesystem::create_directories(dir_, ec);
+    if (ec) {
+      std::fprintf(stderr, "cannot create %s: %s\n", dir_.c_str(),
+                   ec.message().c_str());
+      std::exit(1);
+    }
     db_.ExportBinary(dir_);
   }
 
@@ -127,12 +127,10 @@ class Harness {
     qplan::PlanPtr plan = tpch::MakeQuery(query);
     qplan::ResolvePlan(plan.get(), db_);
 
-    Timer gen;
     ir::TypeFactory types;
     compiler::QueryCompiler qc(&db_, &types);
     compiler::CompileResult res =
         qc.Compile(*plan, cfg, "q" + std::to_string(query));
-    out.compile_ms = gen.ElapsedMs();
 
     exec::InterpOptions opts;
     opts.engine = engine;
@@ -143,7 +141,6 @@ class Harness {
       Timer t;
       storage::ResultTable result = interp.Run(*res.fn);
       best = std::min(best, t.ElapsedMs());
-      out.rows = static_cast<int64_t>(result.size());
     };
     for (int r = 0; r < repetitions; ++r) {
       if (hook) {
@@ -155,13 +152,9 @@ class Harness {
     out.query_ms = best;
     if (engine == exec::InterpOptions::Engine::kJit) {
       const exec::Interpreter::JitRunStats& js = interp.last_jit_stats();
-      if (js.jitted) {
-        out.jit_coverage = js.CoveragePct();
-        out.jit_deopts = static_cast<double>(js.deopts);
-      }
+      out.jit_deopts = js.deopts;
       out.jit_fallback = js.fallback_reason;
     }
-    out.ok = true;
     return out;
   }
 
@@ -170,14 +163,6 @@ class Harness {
   std::string dir_;
   cgen::CcDriver driver_;
 };
-
-// Path for machine-readable benchmark output, or "" when disabled. Set
-// QC_BENCH_JSON=1 for the default file name, or to an explicit path.
-inline std::string BenchJsonPath(const std::string& default_name) {
-  const char* v = KnobStr(Knob::kBenchJson);
-  if (v == nullptr || std::string(v) == "0") return "";
-  return std::string(v) == "1" ? default_name : std::string(v);
-}
 
 }  // namespace qc::bench
 

@@ -7,18 +7,21 @@
 // Knobs:
 //   QC_BENCH_SF    scale factor (default 0.01 — latency, not scan speed, is
 //                  what this bench measures)
-//   QC_BENCH_JSON  "1" or a path: write BENCH_serve.json
 // The load shape is fixed (kClients, kReqs, kWorkers, kFairHeavy,
-// kFairProbes below) so every run is comparable with the baseline.
+// kFairProbes below) so every run measures the same load.
+//
+// Before the server starts, the clients' request sequence runs directly,
+// back to back, on one warm JIT Interpreter; its p95 is the reference the
+// served p95 is bounded by, so the gate covers the server's own overhead
+// and queueing, not execution speed (perfbench's job).
 //
 // After the main mix, a fairness phase runs a 1-heavy/1-light tenant mix
 // (heavy floods the join-heavy query over several connections, light paces
-// short probes) and reports per-tenant p95 — the fair_light_p95_ms /
-// fair_heavy_p95_ms cells that check_bench_regression.py gates against
-// each other (a light p95 near the heavy p95 means FIFO-like starvation).
+// short probes) and reports per-tenant p95; a light p95 near the heavy p95
+// means FIFO-like starvation.
 //
-// The JSON feeds scripts/check_bench_regression.py --serve-current, which
-// gates p95 latency, the shed rate, and tenant fairness in CI.
+// The run ends with the gates of bench/gates.h (ok requests, shed rate,
+// fairness, served p95); the exit status is their verdict.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -35,7 +38,10 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util.h"
+#include "common/knobs.h"
+#include "exec/interp.h"
+#include "gates.h"
+#include "server/plan_cache.h"
 #include "server/server.h"
 #include "tpch/datagen.h"
 
@@ -100,11 +106,55 @@ constexpr int kWorkers = 2;      // server worker threads
 constexpr int kFairHeavy = 6;    // heavy-tenant connections, fairness phase
 constexpr int kFairProbes = 40;  // light-tenant probes, fairness phase
 
+// A short query mix: cheap aggregations + a join-heavy one, so the
+// latency distribution reflects both dispatch overhead and real work.
+// Client c's request i is kMix[(c + i) % kMixLen].
+constexpr int kMix[] = {1, 3, 6, 12};
+constexpr int kMixLen = 4;
+
 struct ClientResult {
   std::vector<int64_t> latencies_us;  // successful requests only
   int64_t ok = 0;
   int64_t err = 0;
 };
+
+// Percentile of sorted microsecond latencies, in ms.
+double Pct(const std::vector<int64_t>& v, double p) {
+  if (v.empty()) return 0;
+  size_t idx = static_cast<size_t>(p * (v.size() - 1));
+  return v[idx] / 1000.0;
+}
+
+// p95 (ms) of every client's request sequence run directly, back to back,
+// on one warm JIT Interpreter with the Programs the daemon builds (level 5,
+// one thread): the execution time the served latency is measured against.
+// -1 when a plan fails to build.
+double DirectP95Ms(qc::storage::Database* db) {
+  qc::server::PlanCache plans(db, /*parallel=*/false);
+  qc::exec::InterpOptions run;
+  run.engine = qc::exec::InterpOptions::Engine::kJit;
+  qc::exec::Interpreter interp(db, run);
+  const qc::exec::Program* progs[kMixLen];
+  for (int i = 0; i < kMixLen; ++i) {
+    std::string err;
+    progs[i] = plans.Get(kMix[i], 5, &err);
+    if (progs[i] == nullptr) {
+      std::fprintf(stderr, "serve_latency: Q%d: %s\n", kMix[i], err.c_str());
+      return -1;
+    }
+    interp.Run(*progs[i], run);
+  }
+  std::vector<int64_t> lat;
+  for (int c = 0; c < kClients; ++c) {
+    for (int i = 0; i < kReqs; ++i) {
+      int64_t t0 = NowUs();
+      interp.Run(*progs[(c + i) % kMixLen], run);
+      lat.push_back(NowUs() - t0);
+    }
+  }
+  std::sort(lat.begin(), lat.end());
+  return Pct(lat, 0.95);
+}
 
 }  // namespace
 
@@ -114,6 +164,8 @@ int main() {
   std::fprintf(stderr, "serve_latency: sf=%g clients=%d reqs=%d workers=%d\n",
                sf, kClients, kReqs, kWorkers);
   qc::storage::Database db = qc::tpch::MakeTpchDatabase(sf);
+  const double direct_p95 = DirectP95Ms(&db);
+  if (direct_p95 < 0) return 1;
 
   qc::server::ServerOptions opts;
   opts.port = 0;
@@ -126,11 +178,6 @@ int main() {
     return 1;
   }
   server.WarmPlans();
-
-  // A short query mix: cheap aggregations + a join-heavy one, so the
-  // latency distribution reflects both dispatch overhead and real work.
-  const int kMix[] = {1, 3, 6, 12};
-  const int kMixLen = 4;
 
   std::vector<ClientResult> results(kClients);
   const int64_t bench_t0 = NowUs();
@@ -169,14 +216,8 @@ int main() {
     err += r.err;
   }
   std::sort(lat.begin(), lat.end());
-  // Percentile of sorted microsecond latencies, in ms.
-  auto pct = [](const std::vector<int64_t>& v, double p) -> double {
-    if (v.empty()) return 0;
-    size_t idx = static_cast<size_t>(p * (v.size() - 1));
-    return v[idx] / 1000.0;
-  };
-  const double p50 = pct(lat, 0.50), p95 = pct(lat, 0.95),
-               p99 = pct(lat, 0.99);
+  const double p50 = Pct(lat, 0.50), p95 = Pct(lat, 0.95),
+               p99 = Pct(lat, 0.99);
   const double qps = wall_s > 0 ? ok / wall_s : 0;
 
   // --- fairness phase: one heavy tenant vs one light tenant ---------------
@@ -234,8 +275,8 @@ int main() {
     std::sort(heavy_lat.begin(), heavy_lat.end());
     std::sort(light_lat.begin(), light_lat.end());
   }
-  const double fair_light_p95 = pct(light_lat, 0.95);
-  const double fair_heavy_p95 = pct(heavy_lat, 0.95);
+  const double fair_light_p95 = Pct(light_lat, 0.95);
+  const double fair_heavy_p95 = Pct(heavy_lat, 0.95);
   std::printf("serve_fairness: heavy_conns=%d heavy_ok=%lld "
               "heavy_p95=%.2fms light_ok=%lld light_p95=%.2fms\n",
               kFairHeavy, static_cast<long long>(heavy_ok), fair_heavy_p95,
@@ -256,54 +297,11 @@ int main() {
               static_cast<unsigned long long>(st.retries.load()),
               static_cast<unsigned long long>(st.downshifts.load()));
 
-  std::string json = qc::bench::BenchJsonPath("BENCH_serve.json");
-  if (!json.empty()) {
-    FILE* f = std::fopen(json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "serve_latency: cannot write %s\n", json.c_str());
-      server.Stop();
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"bench\": \"serve_latency\",\n"
-        "  \"sf\": %g,\n"
-        "  \"clients\": %d,\n"
-        "  \"requests_per_client\": %d,\n"
-        "  \"workers\": %d,\n"
-        "  \"ok\": %lld,\n"
-        "  \"err\": %lld,\n"
-        "  \"qps\": %.2f,\n"
-        "  \"p50_ms\": %.3f,\n"
-        "  \"p95_ms\": %.3f,\n"
-        "  \"p99_ms\": %.3f,\n"
-        "  \"shed\": %llu,\n"
-        "  \"shed_rate\": %.4f,\n"
-        "  \"retries\": %llu,\n"
-        "  \"downshifts\": %llu,\n"
-        "  \"disconnect_cancels\": %llu,\n"
-        "  \"jit_fallbacks\": %llu,\n"
-        "  \"fair_heavy_conns\": %d,\n"
-        "  \"fair_heavy_ok\": %lld,\n"
-        "  \"fair_light_ok\": %lld,\n"
-        "  \"fair_heavy_p95_ms\": %.3f,\n"
-        "  \"fair_light_p95_ms\": %.3f\n"
-        "}\n",
-        sf, kClients, kReqs, kWorkers, static_cast<long long>(ok),
-        static_cast<long long>(err), qps, p50, p95, p99,
-        static_cast<unsigned long long>(shed), shed_rate,
-        static_cast<unsigned long long>(st.retries.load()),
-        static_cast<unsigned long long>(st.downshifts.load()),
-        static_cast<unsigned long long>(st.disconnect_cancels.load()),
-        static_cast<unsigned long long>(st.jit_fallbacks.load()), kFairHeavy,
-        static_cast<long long>(heavy_ok), static_cast<long long>(light_ok),
-        fair_heavy_p95, fair_light_p95);
-    std::fclose(f);
-    std::fprintf(stderr, "serve_latency: wrote %s\n", json.c_str());
-  }
   server.Stop();
-  // The bench itself gates nothing; zero ok responses still means the
-  // harness is broken and CI should notice.
-  return ok > 0 ? 0 : 1;
+  const double clients_per_worker = static_cast<double>(kClients) / kWorkers;
+  const bool pass = qc::bench::Report(qc::bench::ServeChecks(
+      {static_cast<long long>(ok), shed_rate, p95, direct_p95,
+       clients_per_worker, static_cast<long long>(light_ok), fair_light_p95,
+       fair_heavy_p95}));
+  return pass ? 0 : 1;
 }

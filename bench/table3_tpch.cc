@@ -7,14 +7,13 @@
 // (the paper's pipeline); times are query-only (loading excluded).
 //
 // Every interpreter row also measures the overhead pairs (kPairs below):
-// the same engine twice back to back, plain and instrumented, written as
-// `<name>-base` / `<name>` cells and listed under "pairs" in the JSON.
-// scripts/check_bench_regression.py bounds each pair's geomean ratio.
+// the same engine twice back to back, plain and instrumented. After the
+// table, each pair's geomean ratio over all rows is checked against its
+// bound (bench/gates.h), and the exit status is the verdict.
 //
 // Environment:
 //   QC_BENCH_SF           scale factor (default 0.05)
 //   QC_BENCH_INTERP_ONLY  skip the generated-C columns (no external cc)
-//   QC_BENCH_JSON         "1" or a path: also write BENCH_table3.json
 //   QC_BENCH_THREADS      comma list of interpreter thread counts
 //
 // Absolute numbers differ from the paper (different hardware, synthetic
@@ -26,6 +25,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -33,6 +33,8 @@
 #include "bench_util.h"
 #include "common/timer.h"
 #include "exec/governor.h"
+#include "gates.h"
+#include "jit/engine.h"
 #include "telemetry/trace.h"
 #include "volcano/volcano.h"
 
@@ -77,7 +79,7 @@ void Verify(bool on, exec::Interpreter&, const Rep& rep) {
   exec::analysis::SetVerifyEnabledOverride(-1);
 }
 
-// One overhead pair, written as `<name>-base` / `<name>` cells. Both sides
+// One overhead pair, measured as `<name>-base` / `<name>` cells. Both sides
 // run the same engine, best of kPairReps, back to back: the pair shares
 // machine state (frequency, caches, allocator), so the ratio isolates the
 // instrumentation cost instead of minutes of drift between distant cells.
@@ -97,38 +99,6 @@ const OverheadPair kPairs[] = {
     {"ir-jit-obs", Engine::kJit, Trace},
     {"ir-jit-verify", Engine::kJit, Verify},
 };
-
-struct Row {
-  int query = 0;
-  int threads = 1;
-  std::vector<std::pair<std::string, double>> cells;  // column -> ms
-};
-
-void WriteJson(const std::string& path, double sf,
-               const std::vector<Row>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"table3_tpch\",\n  \"sf\": %g,\n", sf);
-  std::fprintf(f, "  \"unit\": \"ms\",\n  \"pairs\": [");
-  for (const OverheadPair& p : kPairs) {
-    std::fprintf(f, "%s\"%s\"", &p == kPairs ? "" : ", ", p.name);
-  }
-  std::fprintf(f, "],\n  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(f, "    {\"query\": %d, \"threads\": %d", rows[i].query,
-                 rows[i].threads);
-    for (const auto& [name, ms] : rows[i].cells) {
-      std::fprintf(f, ", \"%s\": %.4f", name.c_str(), ms);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
 
 }  // namespace
 
@@ -152,63 +122,55 @@ int main() {
   }
   std::printf("\n");
 
-  std::vector<Row> json_rows;
+  // pair_cells[i]: kPairs[i]'s cells, one per interpreter row.
+  std::vector<std::vector<bench::PairCell>> pair_cells(std::size(kPairs));
   int dblab5_wins = 0, total = 0;
   double jit_log_sum = 0;
   int jit_count = 0;
-  double jit_deopt_sum = 0;  // total deopt events across all ir-jit runs
+  uint64_t jit_deopt_sum = 0;  // total deopt events across all ir-jit runs
   for (int q = 1; q <= tpch::kNumQueries; ++q) {
     std::printf("Q%-3d", q);
     // Interpretation baseline (in-process Volcano evaluator).
-    double volcano_ms;
     {
       qplan::PlanPtr plan = tpch::MakeQuery(q);
       qplan::ResolvePlan(plan.get(), harness.db());
       Timer t;
       storage::ResultTable r = volcano::Execute(*plan, harness.db());
-      volcano_ms = t.ElapsedMs();
-      std::printf(" %10.2f", volcano_ms);
+      std::printf(" %10.2f", t.ElapsedMs());
     }
     // The IR-engine rows: the same 5-level-stack function on the bytecode
     // VM and the JIT, plus the overhead pairs, at each requested thread
-    // count (QC_BENCH_THREADS; one JSON row per count). The first row also
-    // carries the volcano and native cells.
-    std::vector<Row> rows;
+    // count (QC_BENCH_THREADS). The first count fills the table's columns.
+    bool first = true;
     for (int threads : KnobIntList(Knob::kBenchThreads)) {
-      Row row;
-      row.query = q;
-      row.threads = threads;
-      if (rows.empty()) row.cells.emplace_back("volcano", volcano_ms);
       bench::InterpRun bc = harness.RunInterp(q, StackConfig::Level(5),
                                               Engine::kBytecode, 3, threads);
       bench::InterpRun jit = harness.RunInterp(q, StackConfig::Level(5),
                                                Engine::kJit, 3, threads);
-      row.cells.emplace_back("ir-bc", bc.query_ms);
-      row.cells.emplace_back("ir-jit", jit.query_ms);
-      // Degradation is never invisible: the artifact records why a kJit
-      // row ran on the VM (jit::JitFallback as int, 0 = native).
-      row.cells.emplace_back("ir-jit-fallback",
-                             static_cast<double>(jit.jit_fallback));
-      if (jit.jit_coverage >= 0) {
-        row.cells.emplace_back("ir-jit-coverage", jit.jit_coverage);
-        row.cells.emplace_back("ir-jit-deopts", jit.jit_deopts);
-        jit_deopt_sum += jit.jit_deopts;
+      // Degradation is never invisible: say why a kJit row ran on the VM.
+      if (jit.jit_fallback != 0) {
+        auto why = static_cast<exec::jit::JitFallback>(jit.jit_fallback);
+        std::fprintf(stderr, "Q%d threads=%d: ir-jit ran on the VM (%s)\n",
+                     q, threads, exec::jit::JitFallbackName(why));
       }
-      for (const OverheadPair& p : kPairs) {
-        for (bool on : {false, true}) {
-          bench::InterpRun r = harness.RunInterp(
-              q, StackConfig::Level(5), p.engine, kPairReps, threads,
-              [&](exec::Interpreter& interp, const Rep& rep) {
-                p.hook(on, interp, rep);
-              });
-          row.cells.emplace_back(on ? std::string(p.name)
-                                    : std::string(p.name) + "-base",
-                                 r.query_ms);
-        }
+      jit_deopt_sum += jit.jit_deopts;
+      for (size_t i = 0; i < std::size(kPairs); ++i) {
+        const OverheadPair& p = kPairs[i];
+        auto side_ms = [&](bool on) {
+          return harness
+              .RunInterp(q, StackConfig::Level(5), p.engine, kPairReps,
+                         threads,
+                         [&](exec::Interpreter& interp, const Rep& rep) {
+                           p.hook(on, interp, rep);
+                         })
+              .query_ms;
+        };
+        // A braced list evaluates left to right: the base side runs first.
+        pair_cells[i].push_back({side_ms(false), side_ms(true)});
       }
-      if (rows.empty()) {
+      if (first) {
         std::printf(" %10.2f %10.2f", bc.query_ms, jit.query_ms);
-        if (bc.ok && jit.ok && jit.query_ms > 0) {
+        if (jit.query_ms > 0) {
           jit_log_sum += std::log(bc.query_ms / jit.query_ms);
           ++jit_count;
         }
@@ -216,7 +178,7 @@ int main() {
         std::printf("  [t=%d: %0.2f %0.2f]", threads, bc.query_ms,
                     jit.query_ms);
       }
-      rows.push_back(std::move(row));
+      first = false;
     }
     double legobase_ms = 0, dblab5_ms = 0;
     if (!interp_only) {
@@ -224,8 +186,6 @@ int main() {
         bench::NativeRun run = harness.RunNative(q, cfg);
         std::printf(" %10.2f", run.ok ? run.query_ms : -1.0);
         std::fflush(stdout);
-        rows.front().cells.emplace_back(cfg.name,
-                                        run.ok ? run.query_ms : -1.0);
         if (cfg.name == "legobase") legobase_ms = run.query_ms;
         if (cfg.name == "dblab-lb-5") dblab5_ms = run.query_ms;
       }
@@ -234,7 +194,6 @@ int main() {
     }
     std::printf("\n");
     std::fflush(stdout);
-    for (Row& row : rows) json_rows.push_back(std::move(row));
   }
   if (jit_count > 0) {
     std::printf("\nJIT vs bytecode VM: %.2fx geomean speedup (%d queries)\n",
@@ -243,7 +202,8 @@ int main() {
   // The deopt trajectory: with native sorts, all remaining deopts should be
   // once-per-query (container construction) or once-per-output
   // (kStrSubstr interning) — nothing per-row or per-comparison.
-  std::printf("JIT deopt events, all queries/threads: %.0f\n", jit_deopt_sum);
+  std::printf("JIT deopt events, all queries/threads: %llu\n",
+              static_cast<unsigned long long>(jit_deopt_sum));
   if (!interp_only) {
     std::printf(
         "DBLAB/LB 5 at least comparable (<=1.1x) to LegoBase on %d/%d "
@@ -251,7 +211,9 @@ int main() {
         dblab5_wins, total);
     std::printf("(paper: 20/22 queries, avg 5x speedup over LegoBase)\n");
   }
-  std::string json = bench::BenchJsonPath("BENCH_table3.json");
-  if (!json.empty()) WriteJson(json, sf, json_rows);
-  return 0;
+  std::vector<bench::Check> checks;
+  for (size_t i = 0; i < std::size(kPairs); ++i) {
+    checks.push_back(bench::PairCheck(kPairs[i].name, pair_cells[i]));
+  }
+  return bench::Report(checks) ? 0 : 1;
 }

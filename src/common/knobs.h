@@ -56,7 +56,6 @@ enum class KnobKind { kFlag, kInt, kDouble, kIntList, kString };
   X(kBenchSf, "QC_BENCH_SF", kDouble, 0.05, 0, HUGE_VAL, "bench scale factor (serve_latency: 0.01)")       \
   X(kBenchInterpOnly, "QC_BENCH_INTERP_ONLY", kFlag, 0, 0, 1, "skip the generated-C columns")              \
   X(kBenchThreads, "QC_BENCH_THREADS", kIntList, 1, 1, 1024, "bench thread counts, one row each")          \
-  X(kBenchJson, "QC_BENCH_JSON", kString, 0, 0, 0, "bench JSON: 1 = default name, or a path")              \
   X(kBenchGitSha, "QC_BENCH_GIT_SHA", kString, 0, 0, 0, "result stamp, read by perfbench/")
 
 #define QC_KNOB_ENUM(id, name, kind, def, lo, hi, doc) id,

@@ -452,10 +452,54 @@ TEST(BytecodeVm, RepeatedRunsReuseCachedProgram) {
 // JIT backend (src/jit/): bit-exact agreement with the bytecode VM.
 // --------------------------------------------------------------------------
 
+// The JIT's work counts for one program: templated and total pcs, and the
+// deopt events of one run at threads 1 and 4.
+struct JitCounts {
+  int native_pcs;
+  int total_pcs;
+  uint64_t deopts_t1;
+  uint64_t deopts_t4;
+  bool operator==(const JitCounts& o) const {
+    return native_pcs == o.native_pcs && total_pcs == o.total_pcs &&
+           deopts_t1 == o.deopts_t1 && deopts_t4 == o.deopts_t4;
+  }
+};
+
+// Golden counts per TPC-H query (row q-1) at level 5, SF 0.01. They are
+// exact, so any drift is a change in what runs native: a lost template
+// lowers native_pcs, a new deopt site raises the deopts. A change that
+// alters them on purpose pastes the table the failing test prints and says
+// so in CHANGES.md.
+constexpr JitCounts kGoldenJitCounts[tpch::kNumQueries] = {
+    {142, 146, 1, 1},  // Q1
+    {451, 465, 2, 7},  // Q2
+    {169, 174, 1, 2},  // Q3
+    {92, 96, 1, 2},  // Q4
+    {303, 312, 1, 4},  // Q5
+    {30, 31, 0, 1},  // Q6
+    {319, 328, 2, 4},  // Q7
+    {320, 330, 2, 4},  // Q8
+    {155, 160, 1, 2},  // Q9
+    {187, 192, 1, 2},  // Q10
+    {270, 280, 3, 6},  // Q11
+    {134, 137, 1, 1},  // Q12
+    {105, 109, 1, 2},  // Q13
+    {57, 58, 0, 1},  // Q14
+    {237, 247, 3, 4},  // Q15
+    {161, 165, 1, 1},  // Q16
+    {125, 130, 1, 2},  // Q17
+    {257, 266, 1, 3},  // Q18
+    {152, 153, 0, 1},  // Q19
+    {220, 228, 1, 2},  // Q20
+    {187, 192, 1, 2},  // Q21
+    {189, 196, 60, 62},  // Q22
+};
+
 // All 22 TPC-H queries at SF 0.01, both stack levels (pipelined
 // ScaLite[Map,List] and the full 5-level stack), threads {1, 4}: the JIT
 // engine must agree with the sequential bytecode VM bit-for-bit, including
-// the Figure 8 AllocStats.
+// the Figure 8 AllocStats, and at level 5 its counts must match the golden
+// table.
 class JitTpchTest : public ::testing::TestWithParam<int> {
  protected:
   static storage::Database* db() {
@@ -464,17 +508,60 @@ class JitTpchTest : public ::testing::TestWithParam<int> {
     return db;
   }
 
-  static void CheckJitAgrees(const Function& fn, const std::string& tag) {
+  // Whether this build and host can run native code at all; QC_JIT_DISABLE
+  // does not count, so forcing the VM fails the counts.
+  static bool PlatformJits() {
+    return exec::jit::JitAvailable() ||
+           exec::jit::JitUnavailableReason() ==
+               exec::jit::JitFallback::kDisabledByEnv;
+  }
+
+  // Checks each JIT run of `fn` against the VM and returns its counts.
+  static JitCounts CheckJitAgrees(const Function& fn, const std::string& tag) {
     exec::Interpreter ref(db(), Bytecode());
     storage::ResultTable want = ref.Run(fn);
     exec::AllocStats want_stats = ref.stats();
+    JitCounts counts{};
     for (int threads : {1, 4}) {
       exec::Interpreter jit(db(), Jit(threads));
       storage::ResultTable got = jit.Run(fn);
       std::string t = tag + " jit threads=" + std::to_string(threads);
       ExpectBitExact(got, want, t);
       ExpectStatsEqual(jit.stats(), want_stats, t);
+      const exec::Interpreter::JitRunStats& js = jit.last_jit_stats();
+      if (PlatformJits()) {
+        EXPECT_TRUE(js.jitted) << t;
+      }
+      counts.native_pcs = js.native_pcs;
+      counts.total_pcs = js.total_pcs;
+      (threads == 1 ? counts.deopts_t1 : counts.deopts_t4) = js.deopts;
     }
+    return counts;
+  }
+
+  static JitCounts CheckLevel5(int q, const qplan::Plan& plan) {
+    ir::TypeFactory types;
+    QueryCompiler qc(db(), &types);
+    compiler::CompileResult res =
+        qc.Compile(plan, StackConfig::Level(5), "q" + std::to_string(q));
+    return CheckJitAgrees(*res.fn, "Q" + std::to_string(q) + " L5");
+  }
+
+  // Prints the golden table as this build measures it, ready to paste.
+  static void PrintGoldenTable() {
+    std::string table =
+        "constexpr JitCounts kGoldenJitCounts[tpch::kNumQueries] = {\n";
+    for (int q = 1; q <= tpch::kNumQueries; ++q) {
+      qplan::PlanPtr plan = tpch::MakeQuery(q);
+      qplan::ResolvePlan(plan.get(), *db());
+      JitCounts c = CheckLevel5(q, *plan);
+      table += "    {" + std::to_string(c.native_pcs) + ", " +
+               std::to_string(c.total_pcs) + ", " +
+               std::to_string(c.deopts_t1) + ", " +
+               std::to_string(c.deopts_t4) + "},  // Q" + std::to_string(q) +
+               "\n";
+    }
+    std::printf("%s};\n", table.c_str());
   }
 };
 
@@ -488,12 +575,20 @@ TEST_P(JitTpchTest, BitExactBothStackLevels) {
                                         "q" + std::to_string(q));
     CheckJitAgrees(*fn, "Q" + std::to_string(q) + " L3");
   }
-  {
-    ir::TypeFactory types;
-    QueryCompiler qc(db(), &types);
-    compiler::CompileResult res =
-        qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(q));
-    CheckJitAgrees(*res.fn, "Q" + std::to_string(q) + " L5");
+  JitCounts got = CheckLevel5(q, *plan);
+  if (!PlatformJits()) return;
+  const JitCounts& want = kGoldenJitCounts[q - 1];
+  const bool same = got == want;
+  EXPECT_TRUE(same)
+      << "Q" << q << " L5 counts {native_pcs, total_pcs, deopts@1, deopts@4}: "
+      << "want {" << want.native_pcs << ", " << want.total_pcs << ", "
+      << want.deopts_t1 << ", " << want.deopts_t4 << "}, got {"
+      << got.native_pcs << ", " << got.total_pcs << ", " << got.deopts_t1
+      << ", " << got.deopts_t4 << "}";
+  static bool printed = false;
+  if (!same && !printed) {
+    printed = true;
+    PrintGoldenTable();
   }
 }
 
