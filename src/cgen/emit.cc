@@ -381,6 +381,17 @@ class CEmitter {
     return Ref(s->args[0]) + " " + op + " " + Ref(s->args[1]);
   }
 
+  // Integer division by zero is 0, as in the VM and the JIT; a constant
+  // non-zero divisor needs no guard.
+  std::string IntDivSafe(const Stmt* s, const char* op) {
+    const Stmt* d = s->args[1];
+    if (s->type->kind == TypeKind::kF64 ||
+        (d->op == Op::kConst && !IsParam(d) && d->ival != 0)) {
+      return Bin(s, op);
+    }
+    return "(" + Ref(d) + " == 0 ? 0 : " + Bin(s, op) + ")";
+  }
+
   void EmitStmt(const Stmt* s) {
     switch (s->op) {
       case Op::kConst:
@@ -401,8 +412,8 @@ class CEmitter {
       case Op::kAdd: Decl(s, Bin(s, "+")); break;
       case Op::kSub: Decl(s, Bin(s, "-")); break;
       case Op::kMul: Decl(s, Bin(s, "*")); break;
-      case Op::kDiv: Decl(s, Bin(s, "/")); break;
-      case Op::kMod: Decl(s, Bin(s, "%")); break;
+      case Op::kDiv: Decl(s, IntDivSafe(s, "/")); break;
+      case Op::kMod: Decl(s, IntDivSafe(s, "%")); break;
       case Op::kNeg: Decl(s, "-" + Ref(s->args[0])); break;
       case Op::kCast:
         Decl(s, "(" + CType(s->type) + ")" + Ref(s->args[0]));

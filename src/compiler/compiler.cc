@@ -83,17 +83,20 @@ CompileResult QueryCompiler::Compile(const qplan::Plan& plan,
   });
   if (config.verify) ir::CheckLevel(*fn, ir::Level::kMapList);
 
-  if (config.string_dict) {
-    phase("string-dict", [&] {
-      fn = opt::ApplyStringDictionaries(*fn, db_);
+  // Index inference runs first: it inlines build-side filters and join
+  // residuals as column reads of the base table, which string dictionaries
+  // then turn into code compares.
+  if (config.index_inference) {
+    phase("index-inference", [&] {
+      fn = opt::InferIndexes(*fn, db_);
       opt::DeadCodeElimination(fn.get());
     });
     if (config.verify) ir::CheckLevel(*fn, ir::Level::kMapList);
   }
 
-  if (config.index_inference) {
-    phase("index-inference", [&] {
-      fn = opt::InferIndexes(*fn, db_);
+  if (config.string_dict) {
+    phase("string-dict", [&] {
+      fn = opt::ApplyStringDictionaries(*fn, db_);
       opt::DeadCodeElimination(fn.get());
     });
     if (config.verify) ir::CheckLevel(*fn, ir::Level::kMapList);

@@ -4,10 +4,17 @@
 // demanded by the transformation cohesion principle:
 //
 //   QPlan --pipelining--> ScaLite[Map,List]
-//         --string dictionaries, index inference--        (level-3 opts)
-//         --hash specialization--> ScaLite[List]          (4-level stack)
-//         --list specialization--> ScaLite                (5-level stack)
+//         --index inference, then string dictionaries--
+//         --hash specialization--> ScaLite[List]
+//         --list specialization--> ScaLite
 //         --pools, scalar replacement, &&-flattening--> C.Lite
+//
+// StackConfig::Level(n): level 3 turns on pools, scalar replacement and
+// &&-flattening; level 4 adds index inference, string dictionaries and hash
+// specialization; level 5 adds list specialization. Index inference runs
+// before string dictionaries because the build-side predicates it inlines
+// into a probe become base-table column reads, which dictionaries then turn
+// into integer code compares.
 //
 // With fewer levels enabled, the corresponding transformations simply cannot
 // be expressed and are skipped — reproducing the degenerate configurations

@@ -1,7 +1,7 @@
 #include "ir/type.h"
 
-#include <cassert>
 #include <cstdlib>
+#include <string>
 
 namespace qc::ir {
 
@@ -132,22 +132,29 @@ const Type* TypeFactory::Pool(const Type* elem) {
   return derived_[key] = Make(TypeKind::kPool, elem);
 }
 
+// A record name is a hint, not an identity: one factory can serve several
+// independently lowered queries whose name counters collide. A name is
+// reused only for an identical field list; otherwise the first free (or
+// matching) `name_k` is taken, so struct names stay unique in cgen.
 const Type* TypeFactory::Record(const std::string& name,
                                 std::vector<Field> fields) {
-  auto it = records_.find(name);
-  if (it != records_.end()) {
-    assert(it->second->record->fields.size() == fields.size() &&
-           "record redefined with different shape");
-    return it->second;
+  std::string unique = name;
+  for (int k = 1;; ++k) {
+    auto it = records_.find(unique);
+    if (it == records_.end()) break;
+    if (it->second->record->fields == fields) return it->second;
+    unique = name + "_" + std::to_string(k);
   }
-  schemas_.push_back(RecordSchema{name, std::move(fields)});
+  schemas_.push_back(RecordSchema{unique, std::move(fields)});
   storage_.push_back(Type{});
   Type& t = storage_.back();
   t.kind = TypeKind::kRecord;
   t.record = &schemas_.back();
-  return records_[name] = &t;
+  return records_[unique] = &t;
 }
 
+// `base` names are unique per field list (Record above), so the derived
+// name identifies the extension.
 const Type* TypeFactory::ExtendRecordWithSelfPtr(const Type* base,
                                                  const std::string& name,
                                                  const std::string& field_name) {

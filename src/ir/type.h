@@ -42,6 +42,10 @@ struct Type;
 struct Field {
   std::string name;
   const Type* type;
+
+  bool operator==(const Field& o) const {
+    return name == o.name && type == o.type;
+  }
 };
 
 // A record shape. Interned by name in the TypeFactory; lowering passes may
@@ -96,8 +100,9 @@ class TypeFactory {
   const Type* Ptr(const Type* elem);
   const Type* Pool(const Type* elem);
 
-  // Creates (or returns the previously created) record shape with this exact
-  // name. Field lists must match on re-use; mismatches abort.
+  // Creates (or returns the previously created) record shape named `name`.
+  // A name already taken by a different field list gets a `_k` suffix, so
+  // the returned type's name may differ from `name`.
   const Type* Record(const std::string& name, std::vector<Field> fields);
   // Returns the existing record type with this name, or nullptr.
   const Type* FindRecord(const std::string& name) const;

@@ -28,6 +28,25 @@ bool IsIntegralVal(ValType t) {
   return t == ValType::kI64 || t == ValType::kDate || t == ValType::kBool;
 }
 
+// The top-level conjuncts of `e`, left to right.
+std::vector<ExprPtr> Conjuncts(const ExprPtr& e) {
+  if (e->kind != qplan::ExprKind::kAnd) return {e};
+  std::vector<ExprPtr> out = Conjuncts(e->kids[0]);
+  for (ExprPtr& c : Conjuncts(e->kids[1])) out.push_back(std::move(c));
+  return out;
+}
+
+// True if every column `e` reads lies below index `n` of its input row.
+bool ReadsBelow(const ExprPtr& e, size_t n) {
+  if (e->kind == qplan::ExprKind::kCol) {
+    return static_cast<size_t>(e->col_idx) < n;
+  }
+  for (const ExprPtr& k : e->kids) {
+    if (!ReadsBelow(k, n)) return false;
+  }
+  return true;
+}
+
 class PipelineLowering {
  public:
   PipelineLowering(storage::Database& db, ir::TypeFactory* types)
@@ -164,11 +183,24 @@ class PipelineLowering {
   // Hash joins build a MultiMap over the *right* child and stream the left
   // child through it (first/second phase of Fig. 4d). Semi/anti joins check
   // match existence; outer joins track a `matched` flag and emit a padded
-  // row for unmatched probes.
+  // row for unmatched probes. An inner or semi join tests the residual's
+  // probe-only conjuncts before the lookup, so rows failing them never
+  // hash; anti and outer joins must see every probe row, so they keep the
+  // whole residual per match.
   void ProduceJoin(const Plan& p, const Consumer& consume) {
-    const qplan::Schema& lschema = p.children[0]->schema;
     const qplan::Schema& rschema = p.children[1]->schema;
     KeySpec spec = KeyTypeOf(p.right_keys);
+
+    std::vector<ExprPtr> probe_conj, match_conj;
+    if (p.predicate != nullptr) {
+      size_t nprobe = p.children[0]->schema.size();
+      bool split = p.join_kind == JoinKind::kInner ||
+                   p.join_kind == JoinKind::kSemi;
+      for (const ExprPtr& c : Conjuncts(p.predicate)) {
+        (split && ReadsBelow(c, nprobe) ? probe_conj : match_conj)
+            .push_back(c);
+      }
+    }
 
     std::vector<ir::Field> extras;
     if (spec.single_integral) {
@@ -190,68 +222,88 @@ class PipelineLowering {
 
     // Phase 2: probe.
     Produce(*p.children[0], [&](const Row& lrow) {
-      KeySpec lspec = spec;  // key representation must match the build side
-      Stmt* key = MakeKey(lspec, p.left_keys, lrow);
-      Stmt* lst = b().MMapGetOrNull(mm, key);
-
-      auto foreach_match = [&](const std::function<void(const Row&)>& on_match) {
-        b().If(b().Not(b().IsNull(lst)), [&] {
-          b().ListForeach(lst, [&](Stmt* rec) {
-            Row rrow = RecFields(rec, rschema.size());
-            if (p.predicate != nullptr) {
-              Row concat = lrow;
-              concat.insert(concat.end(), rrow.begin(), rrow.end());
-              Stmt* res = LowerExpr(b(), p.predicate, concat);
-              b().If(res, [&] { on_match(rrow); });
-            } else {
-              on_match(rrow);
-            }
-          });
-        });
-      };
-
-      switch (p.join_kind) {
-        case JoinKind::kInner: {
-          foreach_match([&](const Row& rrow) {
-            Row out = lrow;
-            out.insert(out.end(), rrow.begin(), rrow.end());
-            consume(out);
-          });
-          break;
-        }
-        case JoinKind::kSemi:
-        case JoinKind::kAnti: {
-          Stmt* found = b().VarNew(b().BoolC(false));
-          foreach_match([&](const Row&) {
-            b().VarAssign(found, b().BoolC(true));
-          });
-          Stmt* flag = b().VarRead(found);
-          if (p.join_kind == JoinKind::kAnti) flag = b().Not(flag);
-          b().If(flag, [&] { consume(lrow); });
-          break;
-        }
-        case JoinKind::kLeftOuter: {
-          Stmt* matched = b().VarNew(b().BoolC(false));
-          foreach_match([&](const Row& rrow) {
-            b().VarAssign(matched, b().BoolC(true));
-            Row out = lrow;
-            out.insert(out.end(), rrow.begin(), rrow.end());
-            out.push_back(b().BoolC(true));
-            consume(out);
-          });
-          b().If(b().Not(b().VarRead(matched)), [&] {
-            Row out = lrow;
-            for (const auto& c : rschema) {
-              out.push_back(DefaultValue(b(), LowerValType(types_, c.type)));
-            }
-            out.push_back(b().BoolC(false));
-            consume(out);
-          });
-          break;
-        }
+      auto probe = [&] { ProbeJoin(p, spec, mm, match_conj, lrow, consume); };
+      if (probe_conj.empty()) {
+        probe();
+      } else {
+        b().If(LowerConjunction(probe_conj, lrow), probe);
       }
     });
-    (void)lschema;
+  }
+
+  void ProbeJoin(const Plan& p, const KeySpec& spec, Stmt* mm,
+                 const std::vector<ExprPtr>& match_conj, const Row& lrow,
+                 const Consumer& consume) {
+    const qplan::Schema& rschema = p.children[1]->schema;
+    Stmt* key = MakeKey(spec, p.left_keys, lrow);
+    Stmt* lst = b().MMapGetOrNull(mm, key);
+
+    auto foreach_match = [&](const std::function<void(const Row&)>& on_match) {
+      b().If(b().Not(b().IsNull(lst)), [&] {
+        b().ListForeach(lst, [&](Stmt* rec) {
+          Row rrow = RecFields(rec, rschema.size());
+          if (!match_conj.empty()) {
+            Row concat = lrow;
+            concat.insert(concat.end(), rrow.begin(), rrow.end());
+            b().If(LowerConjunction(match_conj, concat),
+                   [&] { on_match(rrow); });
+          } else {
+            on_match(rrow);
+          }
+        });
+      });
+    };
+
+    switch (p.join_kind) {
+      case JoinKind::kInner: {
+        foreach_match([&](const Row& rrow) {
+          Row out = lrow;
+          out.insert(out.end(), rrow.begin(), rrow.end());
+          consume(out);
+        });
+        break;
+      }
+      case JoinKind::kSemi:
+      case JoinKind::kAnti: {
+        Stmt* found = b().VarNew(b().BoolC(false));
+        foreach_match([&](const Row&) {
+          b().VarAssign(found, b().BoolC(true));
+        });
+        Stmt* flag = b().VarRead(found);
+        if (p.join_kind == JoinKind::kAnti) flag = b().Not(flag);
+        b().If(flag, [&] { consume(lrow); });
+        break;
+      }
+      case JoinKind::kLeftOuter: {
+        Stmt* matched = b().VarNew(b().BoolC(false));
+        foreach_match([&](const Row& rrow) {
+          b().VarAssign(matched, b().BoolC(true));
+          Row out = lrow;
+          out.insert(out.end(), rrow.begin(), rrow.end());
+          out.push_back(b().BoolC(true));
+          consume(out);
+        });
+        b().If(b().Not(b().VarRead(matched)), [&] {
+          Row out = lrow;
+          for (const auto& c : rschema) {
+            out.push_back(DefaultValue(b(), LowerValType(types_, c.type)));
+          }
+          out.push_back(b().BoolC(false));
+          consume(out);
+        });
+        break;
+      }
+    }
+  }
+
+  // Left-to-right conjunction of `conj` (non-empty); every conjunct is
+  // evaluated, matching the unsplit lowering of kAnd.
+  Stmt* LowerConjunction(const std::vector<ExprPtr>& conj, const Row& row) {
+    Stmt* all = LowerExpr(b(), conj[0], row);
+    for (size_t i = 1; i < conj.size(); ++i) {
+      all = b().And(all, LowerExpr(b(), conj[i], row));
+    }
+    return all;
   }
 
   // Aggregation: grouped aggregation keeps one mutable record per group in a

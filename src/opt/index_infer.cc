@@ -29,6 +29,11 @@ struct InferredIndex {
   int table = -1;
   int column = -1;
   bool is_pk = false;
+  // The build body filters rows and the probe-driving scan reads at least
+  // as many rows as the build table: the filter is then evaluated once per
+  // build row into `flags`, and every probe tests flags[row] instead.
+  bool flagged = false;
+  Stmt* flags = nullptr;  // cloned arr_new, set when the build loop is seen
 };
 
 // True if every statement inside the loop is pure computation, an If-filter,
@@ -71,6 +76,16 @@ class IndexInferencePass : public ir::Cloner {
       }
     }
 
+    auto flag_it = flag_loops_.find(s);
+    if (flag_it != flag_loops_.end()) {
+      EmitFlags(flag_it->second);
+      return Drop();
+    }
+    if (flatten_.count(s) != 0) {
+      CloneBlockBody(s->blocks[0]);
+      return Drop();
+    }
+
     if (drop_.count(s) != 0) return Drop();
 
     auto it = probe_sites_.find(s);
@@ -81,7 +96,11 @@ class IndexInferencePass : public ir::Cloner {
 
     auto add_it = spliced_adds_.find(s);
     if (add_it != spliced_adds_.end()) {
-      SpliceForeachBody(*add_it->second);
+      if (add_it->second == filling_) {
+        b().ArrSet(filling_->flags, fill_row_, b().BoolC(true));
+      } else {
+        SpliceForeachBody(*add_it->second);
+      }
       return Drop();
     }
     return nullptr;
@@ -121,12 +140,14 @@ class IndexInferencePass : public ir::Cloner {
 
     // Locate the enclosing ForRange over table_rows(T) with row = loop var.
     const Stmt* p = info.build_add;
+    bool filtered = false;
     while (true) {
       auto pit = idx.parent.find(p);
       if (pit == idx.parent.end() || pit->second == nullptr) return;
       p = pit->second;
       if (p->op == Op::kForRange) break;
       if (p->op != Op::kIf) return;
+      filtered = true;
     }
     if (p->args[1]->op != Op::kTableRows || p->args[1]->aux0 != info.table) {
       return;
@@ -175,6 +196,8 @@ class IndexInferencePass : public ir::Cloner {
       if (u->op != Op::kRecGet) return;
     }
 
+    info.flagged = filtered && DrivingScanRows(info.probe_get, idx) >=
+                                   db_->table(info.table).rows();
     info.probe_isnull = isnull;
     info.probe_not = not_s;
     info.probe_if = if_s;
@@ -189,6 +212,7 @@ class IndexInferencePass : public ir::Cloner {
     drop_.insert(info.probe_not);
     probe_sites_[info.probe_if] = stored;
     spliced_adds_[info.build_add] = stored;
+    if (info.flagged) flag_loops_[info.build_loop] = stored;
 
     // Build the load-time index now: construction is charged to loading.
     if (info.is_pk) {
@@ -196,6 +220,31 @@ class IndexInferencePass : public ir::Cloner {
     } else {
       db_->Partition(info.table, info.column);
     }
+  }
+
+  // Rows of the base-table scan that runs `probe` once per row, i.e. whose
+  // loop body holds the probe directly; 0 when the probe sits behind a
+  // filter or another join, where the probe count is unknown.
+  int64_t DrivingScanRows(const Stmt* probe, const UseIndex& idx) const {
+    auto pit = idx.parent.find(probe);
+    if (pit == idx.parent.end() || pit->second == nullptr) return 0;
+    const Stmt* p = pit->second;
+    if (p->op != Op::kForRange || p->args[1]->op != Op::kTableRows) return 0;
+    return db_->table(p->args[1]->aux0).rows();
+  }
+
+  // Replaces a flagged build loop: one pass over the build table evaluates
+  // its filter per row and records the rows that reach the mmap_add.
+  void EmitFlags(InferredIndex* info) {
+    Stmt* n = b().TableRows(info->table);
+    info->flags = b().ArrNew(b().types()->Bool(), n);
+    b().ForRange(b().I64(0), n, [&](Stmt* row) {
+      filling_ = info;
+      fill_row_ = row;
+      Map(info->build_loop->blocks[0]->params[0], row);
+      CloneBlockBody(info->build_loop->blocks[0]);
+      filling_ = nullptr;
+    });
   }
 
   // Replaces the probe If: iterate matching base-table rows through the
@@ -216,9 +265,28 @@ class IndexInferencePass : public ir::Cloner {
 
   void InlineBuildBody(const InferredIndex& info, Stmt* row) {
     // Clone the build loop body with the loop variable bound to `row`; the
-    // registered mmap_add inside it splices the probe's foreach body.
+    // registered mmap_add inside it splices the probe's foreach body. A
+    // flagged body is guarded by flags[row] and its filters are dropped.
     Map(info.build_loop->blocks[0]->params[0], row);
-    CloneBlockBody(info.build_loop->blocks[0]);
+    if (!info.flagged) {
+      CloneBlockBody(info.build_loop->blocks[0]);
+      return;
+    }
+    std::vector<const Stmt*> ifs;
+    CollectIfs(info.build_loop->blocks[0], &ifs);
+    b().If(b().ArrGet(info.flags, row), [&] {
+      flatten_.insert(ifs.begin(), ifs.end());
+      CloneBlockBody(info.build_loop->blocks[0]);
+      for (const Stmt* s : ifs) flatten_.erase(s);
+    });
+  }
+
+  static void CollectIfs(const Block* blk, std::vector<const Stmt*>* out) {
+    for (const Stmt* s : blk->stmts) {
+      if (s->op != Op::kIf) continue;
+      out->push_back(s);
+      CollectIfs(s->blocks[0], out);
+    }
   }
 
   void SpliceForeachBody(const InferredIndex& info) {
@@ -242,7 +310,13 @@ class IndexInferencePass : public ir::Cloner {
   std::set<const Stmt*> drop_;
   std::map<const Stmt*, const InferredIndex*> probe_sites_;
   std::map<const Stmt*, const InferredIndex*> spliced_adds_;
+  std::map<const Stmt*, InferredIndex*> flag_loops_;
   std::vector<Splice> splice_stack_;
+  // Flagged build bodies: the filter Ifs inlined unconditionally at the
+  // probe, and the flag loop being emitted with its row variable.
+  std::set<const Stmt*> flatten_;
+  const InferredIndex* filling_ = nullptr;
+  Stmt* fill_row_ = nullptr;
 };
 
 }  // namespace

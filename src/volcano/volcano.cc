@@ -90,8 +90,9 @@ class Evaluator {
           case ExprKind::kAdd: return SlotI(a.i + b.i);
           case ExprKind::kSub: return SlotI(a.i - b.i);
           case ExprKind::kMul: return SlotI(a.i * b.i);
-          case ExprKind::kDiv: return SlotI(a.i / b.i);
-          case ExprKind::kMod: return SlotI(a.i % b.i);
+          // Integer division by zero is 0, as in every IR engine.
+          case ExprKind::kDiv: return SlotI(b.i == 0 ? 0 : a.i / b.i);
+          case ExprKind::kMod: return SlotI(b.i == 0 ? 0 : a.i % b.i);
           default: std::abort();
         }
       }

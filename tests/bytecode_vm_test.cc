@@ -472,26 +472,26 @@ struct JitCounts {
 // so in CHANGES.md.
 constexpr JitCounts kGoldenJitCounts[tpch::kNumQueries] = {
     {142, 146, 1, 1},  // Q1
-    {451, 465, 2, 7},  // Q2
+    {463, 479, 2, 9},  // Q2
     {169, 174, 1, 2},  // Q3
     {92, 96, 1, 2},  // Q4
-    {303, 312, 1, 4},  // Q5
+    {309, 319, 1, 5},  // Q5
     {30, 31, 0, 1},  // Q6
     {319, 328, 2, 4},  // Q7
-    {320, 330, 2, 4},  // Q8
-    {155, 160, 1, 2},  // Q9
+    {332, 344, 3, 6},  // Q8
+    {181, 188, 2, 3},  // Q9
     {187, 192, 1, 2},  // Q10
-    {270, 280, 3, 6},  // Q11
-    {134, 137, 1, 1},  // Q12
+    {282, 294, 3, 8},  // Q11
+    {149, 153, 1, 2},  // Q12
     {105, 109, 1, 2},  // Q13
-    {57, 58, 0, 1},  // Q14
+    {61, 62, 0, 1},  // Q14
     {237, 247, 3, 4},  // Q15
-    {161, 165, 1, 1},  // Q16
-    {125, 130, 1, 2},  // Q17
+    {151, 156, 1, 2},  // Q16
+    {129, 135, 2, 3},  // Q17
     {257, 266, 1, 3},  // Q18
-    {152, 153, 0, 1},  // Q19
-    {220, 228, 1, 2},  // Q20
-    {187, 192, 1, 2},  // Q21
+    {150, 151, 0, 1},  // Q19
+    {225, 234, 2, 3},  // Q20
+    {193, 199, 1, 3},  // Q21
     {189, 196, 60, 62},  // Q22
 };
 

@@ -88,6 +88,50 @@ TEST_P(CgenTest, GeneratedCMatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, CgenTest, ::testing::Range(1, 23));
 
+// Integer division by zero is 0 in generated C, as in the VM, the JIT and
+// the oracle. The inner join's residual divides by `o_orderkey % 3`; its
+// probe-only conjuncts now run before the lookup, on every orders row.
+class CgenZeroDivisorTest : public CgenTest {};
+
+TEST_F(CgenZeroDivisorTest, HoistedResidualDividesByZeroAsZero) {
+  using namespace qplan;  // NOLINT
+  PlanPtr plan = ProjectOp(
+      JoinOp(JoinKind::kInner, ScanOp("orders"), ScanOp("customer"),
+             {Col("o_custkey")}, {Col("c_custkey")},
+             And(Ge(DivE(I(1000), Mod(Col("o_orderkey"), I(3))), I(500)),
+                 Gt(Col("c_acctbal"), F(0.0)))),
+      {NamedExpr{"o_orderkey", Col("o_orderkey")},
+       NamedExpr{"k", Mod(I(7), Mod(Col("o_orderkey"), I(2)))}});
+  ResolvePlan(plan.get(), *db());
+  storage::ResultTable oracle = volcano::Execute(*plan, *db());
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    expected.push_back(oracle.RowToString(i));
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_FALSE(expected.empty());
+
+  for (int levels : {2, 5}) {
+    ir::TypeFactory types;
+    QueryCompiler qc(db(), &types);
+    compiler::CompileResult res =
+        qc.Compile(*plan, StackConfig::Level(levels), "zero_div");
+    std::string src = cgen::EmitProgram(*res.fn, *db(), WorkDir());
+    db()->ExportAux(WorkDir());
+    cgen::CcDriver driver(WorkDir());
+    double compile_ms = 0;
+    std::string error;
+    std::string bin = driver.Compile("zero_div_l" + std::to_string(levels),
+                                     src, &compile_ms, &error);
+    ASSERT_FALSE(bin.empty()) << "L" << levels << ":\n" << error;
+    cgen::RunOutput out = driver.Run(bin);
+    ASSERT_TRUE(out.ok) << "L" << levels << ": " << out.error;
+    std::vector<std::string> got = out.row_text;
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << "L" << levels;
+  }
+}
+
 // Binary-cache robustness: an injected failure of the cache-source write
 // (QC_FAULT=cc_cache_write) must surface as a clean Compile error without
 // installing a truncated .c for a later process to pick up — the atomic

@@ -4,12 +4,15 @@
 // compilation is deterministic.
 #include <gtest/gtest.h>
 
+#include "bit_exact.h"
 #include "compiler/compiler.h"
+#include "exec/interp.h"
 #include "ir/printer.h"
 #include "ir/verify.h"
 #include "legobase/legobase.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
+#include "volcano/volcano.h"
 
 namespace qc {
 namespace {
@@ -64,9 +67,10 @@ TEST(Compiler, PhasesFollowTheLoweringPath) {
 
   std::vector<std::string> names;
   for (const auto& [n, ms] : res.phase_ms) names.push_back(n);
-  // Cohesion: pipelining first, finalize last, dictionaries before hash
-  // specialization (they unlock partitioned keys), index inference before
-  // hash specialization (it consumes MultiMap patterns).
+  // Cohesion: pipelining first, finalize last, index inference before
+  // dictionaries (it exposes build-side columns to them), both before hash
+  // specialization (inference consumes MultiMap patterns, dictionaries
+  // unlock partitioned keys).
   ASSERT_GE(names.size(), 4u);
   EXPECT_EQ(names.front(), "pipelining");
   EXPECT_EQ(names.back(), "finalize");
@@ -76,6 +80,7 @@ TEST(Compiler, PhasesFollowTheLoweringPath) {
     }
     return -1;
   };
+  EXPECT_LT(pos("index-inference"), pos("string-dict"));
   EXPECT_LT(pos("string-dict"), pos("hash-specialization"));
   EXPECT_LT(pos("index-inference"), pos("hash-specialization"));
   EXPECT_LT(pos("hash-specialization"), pos("pool-hoisting"));
@@ -130,6 +135,37 @@ TEST(Compiler, HigherLevelsNeverAddGenericCollections) {
     int cur = count_lib(level);
     EXPECT_LE(cur, prev) << "level " << level;
     prev = cur;
+  }
+}
+
+// One QueryCompiler (one TypeFactory) serving several queries: every
+// lowering restarts its record-name counter, so Q3's `Key1`, `JoinTup*` and
+// `AggRec*` names collide with Q1's. Each query must still get its own
+// record shapes; aliasing them made hash probes read the wrong fields.
+TEST(Compiler, SharedTypeFactoryKeepsRecordShapesApart) {
+  ir::TypeFactory types;
+  QueryCompiler qc(Db(), &types);
+  const int queries[] = {1, 3, 6, 12};
+  std::vector<qplan::PlanPtr> plans;
+  std::vector<std::unique_ptr<ir::Function>> fns;
+  for (int q : queries) {
+    plans.push_back(tpch::MakeQuery(q));
+    qplan::ResolvePlan(plans.back().get(), *Db());
+    fns.push_back(qc.Compile(*plans.back(), StackConfig::Level(5),
+                             "q" + std::to_string(q))
+                      .fn);
+  }
+  for (size_t i = 0; i < fns.size(); ++i) {
+    storage::ResultTable oracle = volcano::Execute(*plans[i], *Db());
+    for (exec::InterpOptions::Engine engine : kEngines) {
+      exec::InterpOptions opts;
+      opts.engine = engine;
+      exec::Interpreter interp(Db(), opts);
+      storage::ResultTable got = interp.Run(*fns[i]);
+      std::string diff;
+      EXPECT_TRUE(got.SameRows(oracle, &diff))
+          << "Q" << queries[i] << " " << EngineName(engine) << ": " << diff;
+    }
   }
 }
 

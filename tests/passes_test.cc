@@ -5,6 +5,9 @@
 // integration tests.
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "ir/printer.h"
 #include "ir/verify.h"
@@ -16,6 +19,8 @@
 #include "opt/range.h"
 #include "opt/scalar_repl.h"
 #include "opt/string_dict.h"
+#include "tpch/datagen.h"
+#include "tpch/queries.h"
 
 namespace qc {
 namespace {
@@ -360,6 +365,130 @@ TEST(IndexInference, NonKeyColumnIsLeftAlone) {
   auto fn = JoinShape(&types, 1);
   auto out = opt::InferIndexes(*fn, &db2);
   EXPECT_TRUE(Contains(ir::PrintFunction(*out), "mmap_new"));
+}
+
+// --------------------------------------------------------------------------
+// Pass order at level 4+: index inference runs before string dictionaries,
+// so the predicates it inlines from a build side become code compares.
+// These pin the IR shapes that order (and the join-residual split and build
+// flags) produce on TPC-H, and fail if the passes drift back.
+// --------------------------------------------------------------------------
+
+class TpchShape : public ::testing::Test {
+ protected:
+  static storage::Database* Db() {
+    static storage::Database* db =
+        new storage::Database(tpch::MakeTpchDatabase(0.002, 5));
+    return db;
+  }
+
+  std::unique_ptr<Function> CompileL5(int q) {
+    qplan::PlanPtr plan = tpch::MakeQuery(q);
+    qplan::ResolvePlan(plan.get(), *Db());
+    compiler::QueryCompiler qc(Db(), &types_);
+    return qc
+        .Compile(*plan, compiler::StackConfig::Level(5),
+                 "q" + std::to_string(q))
+        .fn;
+  }
+
+  static int Col(const char* table, const char* column) {
+    return Db()->table(Db()->TableId(table)).def().ColumnIndex(column);
+  }
+  static bool IsCol(const Stmt* s, Op op, const char* table,
+                    const char* column) {
+    return s->op == op && s->aux0 == Db()->TableId(table) &&
+           s->aux1 == Col(table, column);
+  }
+
+  // Calls `fn(s, ancestors)` for every statement, `ancestors` being the
+  // block-carrying statements enclosing it, outermost first.
+  static void Walk(const ir::Block* b, std::vector<const Stmt*>* ancestors,
+                   const std::function<void(const Stmt*,
+                                            const std::vector<const Stmt*>&)>&
+                       fn) {
+    for (const Stmt* s : b->stmts) {
+      fn(s, *ancestors);
+      ancestors->push_back(s);
+      for (const ir::Block* nb : s->blocks) Walk(nb, ancestors, fn);
+      ancestors->pop_back();
+    }
+  }
+  static void WalkFn(const Function& f,
+                     const std::function<void(const Stmt*,
+                                              const std::vector<const Stmt*>&)>&
+                         fn) {
+    std::vector<const Stmt*> ancestors;
+    Walk(f.body(), &ancestors, fn);
+  }
+
+  // True if `s` computes from a statement satisfying `pred`.
+  static bool DependsOn(const Stmt* s,
+                        const std::function<bool(const Stmt*)>& pred) {
+    if (pred(s)) return true;
+    for (const Stmt* a : s->args) {
+      if (DependsOn(a, pred)) return true;
+    }
+    return false;
+  }
+
+  TypeFactory types_;
+};
+
+TEST_F(TpchShape, Q19ComparesDictionaryCodesNotStrings) {
+  std::unique_ptr<Function> fn = CompileL5(19);
+  int str_cmps_on_dict_cols = 0, dict_reads = 0;
+  WalkFn(*fn, [&](const Stmt* s, const std::vector<const Stmt*>&) {
+    if (s->op == Op::kColDict) ++dict_reads;
+    if (s->op != Op::kStrEq && s->op != Op::kStrNe) return;
+    for (const Stmt* a : s->args) {
+      if (a->op == Op::kColGet &&
+          Db()->Stats(a->aux0, a->aux1).distinct <=
+              opt::StringDictOptions().max_distinct) {
+        ++str_cmps_on_dict_cols;
+      }
+    }
+  });
+  EXPECT_EQ(str_cmps_on_dict_cols, 0) << ir::PrintFunction(*fn);
+  // l_shipmode, l_shipinstruct, p_brand and p_container.
+  EXPECT_GE(dict_reads, 4) << ir::PrintFunction(*fn);
+}
+
+TEST_F(TpchShape, Q19TestsProbeOnlyConjunctsBeforeThePartLookup) {
+  std::unique_ptr<Function> fn = CompileL5(19);
+  int lookups = 0;
+  WalkFn(*fn, [&](const Stmt* s, const std::vector<const Stmt*>& anc) {
+    if (!IsCol(s, Op::kIdxPkRow, "part", "p_partkey")) return;
+    ++lookups;
+    bool guarded_by = false;
+    for (const Stmt* a : anc) {
+      if (a->op != Op::kIf) continue;
+      guarded_by |= DependsOn(a->args[0], [](const Stmt* t) {
+        return IsCol(t, Op::kColDict, "lineitem", "l_shipmode");
+      }) && DependsOn(a->args[0], [](const Stmt* t) {
+        return IsCol(t, Op::kColDict, "lineitem", "l_shipinstruct");
+      });
+    }
+    EXPECT_TRUE(guarded_by) << ir::PrintFunction(*fn);
+  });
+  EXPECT_EQ(lookups, 1) << ir::PrintFunction(*fn);
+}
+
+TEST_F(TpchShape, Q9EvaluatesContainsOncePerPartRow) {
+  std::unique_ptr<Function> fn = CompileL5(9);
+  int contains = 0, in_lineitem_loop = 0;
+  WalkFn(*fn, [&](const Stmt* s, const std::vector<const Stmt*>& anc) {
+    if (s->op != Op::kStrContains) return;
+    ++contains;
+    for (const Stmt* a : anc) {
+      if (a->op == Op::kForRange && a->args[1]->op == Op::kTableRows &&
+          a->args[1]->aux0 == Db()->TableId("lineitem")) {
+        ++in_lineitem_loop;
+      }
+    }
+  });
+  EXPECT_EQ(contains, 1) << ir::PrintFunction(*fn);
+  EXPECT_EQ(in_lineitem_loop, 0) << ir::PrintFunction(*fn);
 }
 
 }  // namespace
