@@ -586,6 +586,14 @@ class Verifier {
       for (uint32_t r : plc.red_size_regs) chk(r, "reduction size reg");
       for (uint32_t r : plc.channel_var_regs) chk(r, "channel var reg");
       for (uint32_t r : plc.log_regs) chk(r, "log reg");
+      for (int t : plc.touched_log) {
+        if (t >= static_cast<int>(plc.log_regs.size())) {
+          Add(kNoPc, "fragment-isolation",
+              "par_loops[" + std::to_string(i) + "] touched-slot channel " +
+                  std::to_string(t) + " has no log register");
+          ok = false;
+        }
+      }
     }
     return ok;
   }
@@ -828,13 +836,22 @@ class Verifier {
         Add(pc, "fragment-isolation",
             "kLogRow outside any morsel fragment");
       } else {
+        // The channel's register is the one the runtime binds for it; a
+        // touched-slot channel appends exactly one slot index per store.
         const ParLoopCode& plc = prog_.par_loops[fragment_of_region_[rid]];
-        bool bound = false;
-        for (uint32_t r : plc.log_regs) bound |= (r == I.c);
-        if (!bound) {
+        if (I.a >= plc.log_regs.size() || plc.log_regs[I.a] != I.c) {
           Add(pc, "fragment-isolation",
               "kLogRow log operand r" + std::to_string(I.c) +
-                  " is not one of the fragment's bound addend logs");
+                  " is not the fragment's bound log of channel " +
+                  std::to_string(I.a));
+        }
+        bool touched = false;
+        for (int t : plc.touched_log) touched |= t == static_cast<int>(I.a);
+        if (touched && I.n != 1) {
+          Add(pc, "fragment-isolation",
+              "kLogRow to touched-slot channel " + std::to_string(I.a) +
+                  " appends " + std::to_string(I.n) +
+                  " operands, not one slot index");
         }
       }
     }

@@ -93,6 +93,32 @@ bool LogRowToForeignRegister(BytecodeProgram* prog) {
   return true;
 }
 
+bool TouchedAppendInMainStream(BytecodeProgram* prog) {
+  // A copy of a fragment's touched-slot append over the main stream's
+  // first kMov: the main run has no touched log to append to.
+  const Insn* touched = nullptr;
+  uint32_t main_end = static_cast<uint32_t>(prog->code.size());
+  for (const ParLoopCode& plc : prog->par_loops) {
+    if (plc.entry < main_end) main_end = plc.entry;
+    for (int t : plc.touched_log) {
+      if (t < 0) continue;
+      for (const Insn& insn : prog->code) {
+        if (IsOp(insn, BcOp::kLogRow) && insn.c == plc.log_regs[t]) {
+          touched = &insn;
+        }
+      }
+    }
+  }
+  if (touched == nullptr) return false;
+  for (uint32_t pc = 0; pc < main_end; ++pc) {
+    if (IsOp(prog->code[pc], BcOp::kMov)) {
+      prog->code[pc] = *touched;
+      return true;
+    }
+  }
+  return false;
+}
+
 // ---- stitched-image mutations ---------------------------------------------
 
 void Wr32(std::vector<uint8_t>* code, size_t at, uint32_t v) {
@@ -188,6 +214,8 @@ const std::vector<BcMutation>& BcMutations() {
       {"emit-to-wrong-register", "context-reg-contract", EmitToWrongRegister},
       {"logrow-to-foreign-register", "fragment-isolation",
        LogRowToForeignRegister},
+      {"touched-append-in-main-stream", "fragment-isolation",
+       TouchedAppendInMainStream},
   };
   return muts;
 }

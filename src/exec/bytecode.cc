@@ -323,8 +323,9 @@ BytecodeProgram BytecodeCompiler::Compile(const ir::Function& fn,
   Emit(BcOp::kRet);
   // Morsel body fragments of the parallelizable loops, after the main
   // stream: same body compilation with the f64-sum clusters replaced by
-  // kLogRow appends (the plan's action table), bounds in two fresh
-  // registers the runtime writes per morsel.
+  // kLogRow appends and the array stores followed by touched-slot appends
+  // (the plan's action table), bounds in two fresh registers the runtime
+  // writes per morsel.
   for (const auto& [loop, idx] : pending_par_) {
     ParLoopCode& plc = prog_.par_loops[idx];
     par_ = plc.plan;
@@ -338,7 +339,15 @@ BytecodeProgram BytecodeCompiler::Compile(const ir::Function& fn,
     for (size_t c = 0; c < plc.plan->logs.size(); ++c) {
       plc.log_regs.push_back(NewTemp());
     }
-    frag_log_regs_ = &plc.log_regs;
+    plc.touched_log.clear();
+    for (const ir::ParReduction& r : plc.plan->reductions) {
+      bool array = r.kind == ir::ParRedKind::kGroupArray ||
+                   r.kind == ir::ParRedKind::kBucketArray;
+      plc.touched_log.push_back(
+          array ? static_cast<int>(plc.log_regs.size()) : -1);
+      if (array) plc.log_regs.push_back(NewTemp());
+    }
+    frag_ = &plc;
     Emit(BcOp::kMov, ivar, plc.lo_reg);
     size_t guard = Emit(BcOp::kJgeI, ivar, plc.hi_reg);
     size_t body_start = prog_.code.size();
@@ -347,7 +356,7 @@ BytecodeProgram BytecodeCompiler::Compile(const ir::Function& fn,
     PatchToHere(guard);
     Emit(BcOp::kRet);
     par_ = nullptr;
-    frag_log_regs_ = nullptr;
+    frag_ = nullptr;
   }
   par_info_ = nullptr;
   prog_.num_regs = num_regs_;
@@ -402,6 +411,12 @@ void BytecodeCompiler::CompileBlock(const Block* b) {
     const Stmt* s = real[i];
     if (par_ != nullptr && par_->actions[s->id] == ir::ParAction::kLog) {
       EmitLogRow(s);
+      last_value_stmt_ = nullptr;
+      continue;
+    }
+    if (par_ != nullptr && par_->actions[s->id] == ir::ParAction::kTouch) {
+      CompileStmt(s);
+      EmitTouchRow(s);
       last_value_stmt_ = nullptr;
       continue;
     }
@@ -845,7 +860,13 @@ void BytecodeCompiler::EmitLogRow(const Stmt* s) {
     std::abort();
   }
   Emit(BcOp::kLogRow, static_cast<uint32_t>(ci), ExtraList(regs),
-       (*frag_log_regs_)[ci], 0, static_cast<uint16_t>(regs.size()));
+       frag_->log_regs[ci], 0, static_cast<uint16_t>(regs.size()));
+}
+
+void BytecodeCompiler::EmitTouchRow(const Stmt* s) {
+  int ci = frag_->touched_log[par_->action_channel[s->id]];
+  Emit(BcOp::kLogRow, static_cast<uint32_t>(ci), ExtraList({Reg(s->args[1])}),
+       frag_->log_regs[ci], 0, 1);
 }
 
 bool BytecodeCompiler::TryFuseColScan(const Stmt* s, const Stmt* next) {

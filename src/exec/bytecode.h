@@ -152,10 +152,12 @@ class JitProgram;  // src/jit/engine.h
   /* morsel-parallel scan loops (see exec/parallel.h) */                    \
   X(kParLoop) /* a = par_loops index; on parallel run: pc += d (skips the  \
                  sequential loop body that follows as the fallback) */      \
-  X(kLogRow)  /* a = log channel, b = extra offset, n = operand count,     \
-                 c = register holding the channel's addend log             \
-                 (std::vector<Slot>*, written per morsel by the runtime):  \
-                 append R[extra[b..b+n)] to that log */
+  X(kLogRow)  /* a = log channel (index into ParLoopCode::log_regs),        \
+                 b = extra offset, n = operand count, c = register holding  \
+                 the channel's log (std::vector<Slot>*, written per morsel  \
+                 by the runtime): append R[extra[b..b+n)] to that log. An   \
+                 addend log gets one f64-sum entry; a touched-slot log      \
+                 (n = 1) the slot index of a group/bucket array store */
 
 enum class BcOp : uint16_t {
 #define QC_BC_OP_ENUM(name) name,
@@ -189,7 +191,8 @@ static_assert(sizeof(Insn) == 20, "Insn must stay fixed-width and dense");
 // Compiled form of one morsel-parallelizable scan loop: the register
 // bindings the parallel runtime needs, plus the entry pc of the morsel
 // body fragment (compiled after the main stream's kRet, with the f64-sum
-// clusters replaced by kLogRow and terminated by kRet).
+// clusters replaced by kLogRow, each group/bucket array store followed by
+// a one-operand kLogRow of its slot index, and terminated by kRet).
 struct ParLoopCode {
   const ir::ParLoop* plan = nullptr;  // owned by the exec::Program
   uint32_t entry = 0;                 // morsel body fragment pc
@@ -200,11 +203,15 @@ struct ParLoopCode {
   std::vector<uint32_t> red_regs;           // per reduction: target register
   std::vector<uint32_t> red_size_regs;      // per reduction: array capacity
   std::vector<uint32_t> channel_var_regs;   // per log channel: scalar target
-  // Per log channel: the register the runtime points at the morsel's addend
-  // log (std::vector<Slot>*) before entering the fragment — the kLogRow
+  // Per log channel: the register the runtime points at the morsel's log
+  // (std::vector<Slot>*) before entering the fragment — the kLogRow
   // operand that lets both the VM handler and the JIT's native append reach
-  // the log without going through MorselState.
+  // the log without going through MorselState. The plan's addend channels
+  // come first, then one touched-slot log per array reduction.
   std::vector<uint32_t> log_regs;
+  // Per reduction: its touched-slot channel (an index into log_regs) for
+  // kGroupArray/kBucketArray, -1 for every other kind.
+  std::vector<int> touched_log;
 };
 
 // A compiled program. Owns every payload the instructions reference, so a
@@ -438,6 +445,9 @@ class BytecodeCompiler {
   size_t EmitWhileExit(const ir::Block* cond);
   // Appends one addend-log entry for a morsel fragment (ir::ParAction::kLog).
   void EmitLogRow(const ir::Stmt* s);
+  // Appends the slot index of a group/bucket array store to its reduction's
+  // touched-slot log (ir::ParAction::kTouch; the store is compiled first).
+  void EmitTouchRow(const ir::Stmt* s);
 
   storage::Database* db_;
   BytecodeProgram prog_;
@@ -448,7 +458,7 @@ class BytecodeCompiler {
   // stream), and the loops whose fragments are emitted after the main kRet.
   const ir::ParallelInfo* par_info_ = nullptr;
   const ir::ParLoop* par_ = nullptr;
-  const std::vector<uint32_t>* frag_log_regs_ = nullptr;  // current fragment
+  const ParLoopCode* frag_ = nullptr;  // its compiled form
   std::vector<std::pair<const ir::Stmt*, size_t>> pending_par_;
   // Statements folded into a fused while-exit branch (skipped when the
   // condition block is compiled).

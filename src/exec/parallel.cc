@@ -16,14 +16,17 @@ namespace qc::exec::parallel {
 
 namespace {
 
-// Cap on the summed capacity of privatized arrays across all morsels
-// (direct-addressed group tables can be sized by the key range; beyond
-// this, the loop falls back to sequential execution).
+// Cap on the summed capacity of the private arrays in flight, one set per
+// worker (direct-addressed group tables can be sized by the key range;
+// beyond this, the loop falls back to sequential execution).
 constexpr int64_t kPrivateArrayBudget = 128ll << 20;
 
-bool IsArrayRed(ir::ParRedKind k) {
-  return k == ir::ParRedKind::kGroupArray || k == ir::ParRedKind::kBucketArray;
-}
+// Arrays of at most morsel_rows / kOrderedMergeRatio slots fold in the
+// ordered merge; larger ones by slot range after the scan.
+constexpr int64_t kOrderedMergeRatio = 8;
+
+// Chunks of consecutive morsels per thread in a loop with a ranged array.
+constexpr int64_t kChunksPerThread = 2;
 
 bool SlotLess(Slot a, Slot b, bool is_f64) {
   return is_f64 ? a.d < b.d : a.i < b.i;
@@ -74,10 +77,265 @@ void CreditGroupRec(AllocStats* stats, const ir::ParReduction& red) {
   }
 }
 
+// Runs every task index of [0, count) on the pool with the caller thread
+// stealing, then synchronizes. Wait() establishes the happens-before edge
+// the next phase needs to read this phase's output.
+void RunTasks(Engine& eng, int count, const std::function<void(int)>& task) {
+  eng.pool.Begin(count, task);
+  int t;
+  while ((t = eng.pool.TrySteal()) >= 0) task(t);
+  eng.pool.Wait();
+}
+
+// The private arrays of a loop's array reductions, one set per worker in
+// flight. A chunk of morsels claims a set, runs against it, and compacts it
+// back to all-null (CompactChunk) before releasing it, so every set is
+// zero-filled once — by the first worker that claims it — and then reused.
+class ArraySets {
+ public:
+  ArraySets(const ParLoopCode& plc, const Slot* regs, int max_sets)
+      : plc_(plc), regs_(regs), sets_(max_sets) {}
+
+  std::vector<RtArray>* Claim() {
+    int idx;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!free_.empty()) {
+        std::vector<RtArray>* set = free_.back();
+        free_.pop_back();
+        return set;
+      }
+      idx = used_++;
+    }
+    // At most one set per thread is ever in flight.
+    if (idx >= static_cast<int>(sets_.size())) {
+      std::fprintf(stderr, "parallel: more private array sets than threads\n");
+      std::abort();
+    }
+    std::vector<RtArray>& set = sets_[idx];
+    set.resize(plc_.red_regs.size());
+    for (size_t i = 0; i < set.size(); ++i) {
+      if (plc_.touched_log[i] < 0) continue;
+      set[i].data.assign(regs_[plc_.red_size_regs[i]].i, SlotI(0));
+    }
+    return &set;
+  }
+
+  void Release(std::vector<RtArray>* set) {
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(set);
+  }
+
+ private:
+  const ParLoopCode& plc_;
+  const Slot* regs_;
+  std::vector<std::vector<RtArray>> sets_;  // sized up front: never moves
+  std::mutex mu_;
+  std::vector<std::vector<RtArray>*> free_;
+  int used_ = 0;
+};
+
+// Splits the slots [0, size) of an array into `parts` contiguous parts,
+// with one multiply and shift per slot: an integer division per entry
+// would cost more than folding it.
+class SlotSplit {
+ public:
+  SlotSplit(int64_t size, int parts)
+      : mult_(size > 0 ? (static_cast<uint64_t>(parts) << 32) /
+                             static_cast<uint64_t>(size)
+                       : 0) {}
+  // k * mult_ < parts * 2^32 for every k < size: no overflow.
+  int Part(int64_t k) const {
+    return static_cast<int>((static_cast<uint64_t>(k) * mult_) >> 32);
+  }
+
+ private:
+  uint64_t mult_;
+};
+
+// Groups `src`, entries of `stride` slots keyed by their first slot, into
+// the `parts` parts of `split`, keeping the entry order within each part.
+void PartitionBySlot(std::vector<Slot>&& src, size_t stride,
+                     const SlotSplit& split, int parts, SlotParts* out) {
+  size_t n = src.size() / stride * stride;
+  out->off.assign(parts + 1, 0);
+  if (parts == 1) {
+    out->off[1] = n;
+    out->data = std::move(src);
+    return;
+  }
+  for (size_t e = 0; e < n; e += stride) {
+    out->off[split.Part(src[e].i) + 1] += stride;
+  }
+  for (int p = 0; p < parts; ++p) out->off[p + 1] += out->off[p];
+  std::vector<size_t> pos(out->off.begin(), out->off.end() - 1);
+  out->data.resize(n);
+  for (size_t e = 0; e < n; e += stride) {
+    size_t& at = pos[split.Part(src[e].i)];
+    std::memcpy(&out->data[at], &src[e], stride * sizeof(Slot));
+    at += stride;
+  }
+  src = std::vector<Slot>();
+}
+
+size_t FoldStride(const ir::ParReduction& red) {
+  return red.kind == ir::ParRedKind::kBucketArray ? 3 : 2;
+}
+
+// Chunk end, on the worker that ran it: moves the slots that the chunk's
+// morsels `ran` touched out of the private arrays `arrs` into the first
+// morsel's entry lists — (slot, record) per group-array slot, (slot, chain
+// head, chain tail) per bucket-array slot — re-nulling each slot. The
+// entries of a ranged array, and each morsel's slot-keyed addend logs that
+// replay with it, are split into `parts` slot parts for the slot-range
+// merge.
+void CompactChunk(const ParLoopCode& plc, const std::vector<char>& ranged,
+                  int parts, const std::vector<MorselState*>& ran,
+                  std::vector<RtArray>& arrs) {
+  if (ran.empty()) return;
+  const ir::ParLoop& plan = *plc.plan;
+  auto split = [&](int red) {
+    return SlotSplit(static_cast<int64_t>(arrs[red].data.size()), parts);
+  };
+  ran[0]->folds.resize(plan.reductions.size());
+  for (size_t i = 0; i < plan.reductions.size(); ++i) {
+    if (plc.touched_log[i] < 0) continue;
+    const ir::ParReduction& red = plan.reductions[i];
+    Slot* arr = arrs[i].data.data();
+    bool bucket = red.kind == ir::ParRedKind::kBucketArray;
+    size_t n_touched = 0;
+    for (MorselState* ms : ran) {
+      n_touched += ms->logs[plc.touched_log[i]].size();
+    }
+    std::vector<Slot> entries;
+    entries.reserve(FoldStride(red) * n_touched);
+    for (MorselState* ms : ran) {
+      std::vector<Slot>& touched = ms->logs[plc.touched_log[i]];
+      for (Slot k : touched) {
+        Slot head = arr[k.i];
+        // A slot is logged once per store (a bucket once per prepend):
+        // later entries find it already moved out.
+        if (head.p == nullptr) continue;
+        arr[k.i] = SlotP(nullptr);
+        entries.push_back(k);
+        entries.push_back(head);
+        if (bucket) {
+          Slot* tail = static_cast<Slot*>(head.p);
+          while (tail[red.next_field].p != nullptr) {
+            tail = static_cast<Slot*>(tail[red.next_field].p);
+          }
+          entries.push_back(SlotP(tail));
+        }
+      }
+      touched = std::vector<Slot>();
+    }
+    PartitionBySlot(std::move(entries), FoldStride(red),
+                    split(static_cast<int>(i)), ranged[i] ? parts : 1,
+                    &ran[0]->folds[i]);
+  }
+  for (MorselState* ms : ran) {
+    ms->replays.resize(plan.logs.size());
+    for (size_t c = 0; c < plan.logs.size(); ++c) {
+      const ir::ParLogChannel& ch = plan.logs[c];
+      if (ch.array_red < 0 || !ranged[ch.array_red]) continue;
+      PartitionBySlot(std::move(ms->logs[c]), ch.Stride(),
+                      split(ch.array_red), parts, &ms->replays[c]);
+    }
+  }
+}
+
+// Folds the entries [e, end) of array reduction `red` (CompactChunk) into
+// the main array. Credits discarded duplicate records to `stats`; returns
+// the number of slots folded.
+int64_t FoldEntries(const ir::ParReduction& red, Slot* main, const Slot* e,
+                    const Slot* end, AllocStats* stats) {
+  bool bucket = red.kind == ir::ParRedKind::kBucketArray;
+  int64_t folded = (end - e) / static_cast<int64_t>(FoldStride(red));
+  for (; e < end; e += FoldStride(red)) {
+    Slot& mn = main[e[0].i];
+    Slot mv = e[1];
+    if (bucket) {
+      // Sequential builds prepend, so later rows sit in front: prepending
+      // each morsel's chain, morsels in order, reproduces the sequential
+      // chain.
+      static_cast<Slot*>(e[2].p)[red.next_field] = mn;
+      mn = mv;
+    } else if (mn.p == nullptr) {
+      mn = mv;  // adopt the morsel's record (its heap stays alive)
+    } else {
+      CombineGroupRec(static_cast<Slot*>(mn.p),
+                      static_cast<const Slot*>(mv.p), red);
+      CreditGroupRec(stats, red);
+    }
+  }
+  return folded;
+}
+
+// Replays the slot-keyed addend entries [e, end) of channel `ch` against
+// the merged records of the main array.
+void ReplaySlotLog(const ir::ParLogChannel& ch, const Slot* main,
+                   const Slot* e, const Slot* end) {
+  for (; e + ch.Stride() <= end; e += ch.Stride()) {
+    Slot* rec = static_cast<Slot*>(main[e[0].i].p);
+    for (size_t j = 0; j < ch.fields.size(); ++j) {
+      rec[ch.fields[j]].d += e[1 + ch.value_idx[j]].d;
+    }
+  }
+}
+
+Slot* ArrayData(const ParLoopCode& plc, const Slot* regs, int red) {
+  return static_cast<RtArray*>(regs[plc.red_regs[red]].p)->data.data();
+}
+
+// One task of the slot-range merge: folds slot part `part` of every ranged
+// array reduction over all morsels, in morsel order, then replays that
+// part's slot-keyed f64 addends, also in morsel (= row) order, so each
+// slot sees exactly the sequential fold. Parts share no slot, record or
+// chain, so they run concurrently; accounting credits go to `stats`.
+// Returns the number of slots folded.
+int64_t MergeSlotPart(const ParLoopCode& plc, const Slot* main_regs,
+                      const std::vector<char>& ranged,
+                      const std::vector<std::unique_ptr<MorselState>>& ms,
+                      int part, AllocStats* stats) {
+  const ir::ParLoop& plan = *plc.plan;
+  int64_t folded = 0;
+  for (size_t i = 0; i < plan.reductions.size(); ++i) {
+    if (!ranged[i]) continue;
+    const ir::ParReduction& red = plan.reductions[i];
+    Slot* main = ArrayData(plc, main_regs, static_cast<int>(i));
+    for (const std::unique_ptr<MorselState>& m : ms) {
+      if (m->folds.empty()) continue;  // skipped after a trip: never ran
+      const SlotParts& sp = m->folds[i];
+      folded += FoldEntries(red, main, sp.data.data() + sp.off[part],
+                            sp.data.data() + sp.off[part + 1], stats);
+    }
+  }
+  for (size_t c = 0; c < plan.logs.size(); ++c) {
+    const ir::ParLogChannel& ch = plan.logs[c];
+    if (ch.array_red < 0 || !ranged[ch.array_red]) continue;
+    const Slot* main = ArrayData(plc, main_regs, ch.array_red);
+    for (const std::unique_ptr<MorselState>& m : ms) {
+      if (m->replays.empty()) continue;
+      const SlotParts& sp = m->replays[c];
+      ReplaySlotLog(ch, main, sp.data.data() + sp.off[part],
+                    sp.data.data() + sp.off[part + 1]);
+    }
+  }
+  return folded;
+}
+
+// The ordered merge of everything but the ranged array reductions: folds
+// one morsel at a time, in morsel order, on the caller thread while the
+// scan still runs, and frees each log it has replayed.
 class Merger {
  public:
-  Merger(const ParLoopCode& plc, RunState& main, Slot* main_regs)
-      : plc_(plc), main_(main), main_regs_(main_regs) {}
+  Merger(const ParLoopCode& plc, RunState& main, Slot* main_regs,
+         const std::vector<char>& ranged)
+      : plc_(plc), main_(main), main_regs_(main_regs), ranged_(ranged) {
+    for (const ir::ParLogChannel& ch : plc.plan->logs) {
+      has_record_log_ |= ch.handle != nullptr && ch.array_red < 0;
+    }
+  }
 
   void MergeMorsel(MorselState& ms) {
     const ir::ParLoop& plan = *plc_.plan;
@@ -131,10 +389,15 @@ class Merger {
           MergeMMap(i, ms);
           break;
         case ir::ParRedKind::kGroupArray:
-          MergeGroupArray(i, ms);
-          break;
         case ir::ParRedKind::kBucketArray:
-          MergeBucketArray(i, ms);
+          // A chunk's entries sit with its first morsel.
+          if (!ranged_[i] && !ms.folds.empty()) {
+            const std::vector<Slot>& entries = ms.folds[i].data;
+            folded_ += FoldEntries(
+                r, ArrayData(plc_, main_regs_, static_cast<int>(i)),
+                entries.data(), entries.data() + entries.size(), main_.stats);
+            ms.folds[i] = SlotParts();
+          }
           break;
         case ir::ParRedKind::kVarSumF:  // replayed from the log below
         case ir::ParRedKind::kVarMin:
@@ -145,6 +408,9 @@ class Merger {
     ReplayLogs(ms);
     MergeEmits(ms);
   }
+
+  // Array slots folded so far (arrays merged in order only).
+  int64_t folded() const { return folded_; }
 
  private:
   void MergeList(size_t i, MorselState& ms) {
@@ -168,15 +434,16 @@ class Merger {
       // re-inserts (accounting a node of its own) or the group existed.
       main_.stats->CreditHeap(sizeof(RtHashMap::Node), 1);
       RtHashMap::Node* e = main->Find(n->key);
+      Slot* rec = static_cast<Slot*>(n->value.p);
       if (e == nullptr) {
         main->Insert(n->key, n->value);
-        remap_[n->value.p] = static_cast<Slot*>(n->value.p);
       } else {
-        CombineGroupRec(static_cast<Slot*>(e->value.p),
-                        static_cast<const Slot*>(n->value.p), red);
+        CombineGroupRec(static_cast<Slot*>(e->value.p), rec, red);
         CreditGroupRec(main_.stats, red);
-        remap_[n->value.p] = static_cast<Slot*>(e->value.p);
+        rec = static_cast<Slot*>(e->value.p);
       }
+      // Only a record-keyed addend log reads the morsel-to-main mapping.
+      if (has_record_log_) remap_[n->value.p] = rec;
     }
   }
 
@@ -196,85 +463,43 @@ class Merger {
     }
   }
 
-  void MergeGroupArray(size_t i, MorselState& ms) {
-    const ir::ParReduction& red = plc_.plan->reductions[i];
-    RtArray* main = static_cast<RtArray*>(main_regs_[plc_.red_regs[i]].p);
-    RtArray* priv = static_cast<RtArray*>(ms.priv[i].p);
-    for (size_t k = 0; k < priv->data.size(); ++k) {
-      Slot mv = priv->data[k];
-      if (mv.p == nullptr) continue;
-      Slot& mn = main->data[k];
-      if (mn.p == nullptr) {
-        mn = mv;  // adopt the morsel's record (heap stays alive)
-        remap_[mv.p] = static_cast<Slot*>(mv.p);
-      } else {
-        CombineGroupRec(static_cast<Slot*>(mn.p),
-                        static_cast<const Slot*>(mv.p), red);
-        CreditGroupRec(main_.stats, red);
-        remap_[mv.p] = static_cast<Slot*>(mn.p);
-      }
-    }
-  }
-
-  // Sequential builds prepend (rec.next = bucket; bucket = rec), so later
-  // rows sit in front. Prepending each morsel's complete chain, morsels in
-  // order, reproduces the exact sequential chain. The tail walk below
-  // traverses only the morsel's own private chain, exactly once per
-  // (bucket, morsel) — never the growing main chain — so the merge is
-  // O(total nodes) even under full key skew.
-  void MergeBucketArray(size_t i, MorselState& ms) {
-    const ir::ParReduction& red = plc_.plan->reductions[i];
-    RtArray* main = static_cast<RtArray*>(main_regs_[plc_.red_regs[i]].p);
-    RtArray* priv = static_cast<RtArray*>(ms.priv[i].p);
-    int nf = red.next_field;
-    for (size_t k = 0; k < priv->data.size(); ++k) {
-      Slot head = priv->data[k];
-      if (head.p == nullptr) continue;
-      Slot* tail = static_cast<Slot*>(head.p);
-      while (tail[nf].p != nullptr) tail = static_cast<Slot*>(tail[nf].p);
-      tail[nf] = main->data[k];
-      main->data[k] = head;
-    }
-  }
-
   // Replays the f64 additions of this morsel in row order, against the
   // merged accumulators, reproducing the sequential rounding bit for bit.
+  // The slot-keyed channels of ranged arrays replay in MergeSlotPart.
   void ReplayLogs(MorselState& ms) {
     const ir::ParLoop& plan = *plc_.plan;
     for (size_t c = 0; c < plan.logs.size(); ++c) {
       const ir::ParLogChannel& ch = plan.logs[c];
-      const std::vector<Slot>& log = ms.logs[c];
+      std::vector<Slot>& log = ms.logs[c];
       if (ch.var != nullptr) {
         Slot& acc = main_regs_[plc_.channel_var_regs[c]];
         for (Slot v : log) acc.d += v.d;
-        continue;
+      } else if (ch.array_red >= 0) {
+        if (ranged_[ch.array_red]) continue;
+        ReplaySlotLog(ch, ArrayData(plc_, main_regs_, ch.array_red),
+                      log.data(), log.data() + log.size());
+      } else {
+        ReplayRecordLog(ch, log);
       }
-      size_t stride = ch.Stride();
-      if (ch.array_red >= 0) {
-        // Slot-index-keyed: the merged record sits in the main array.
-        const Slot* slots =
-            static_cast<RtArray*>(
-                main_regs_[plc_.red_regs[ch.array_red]].p)
-                ->data.data();
-        for (size_t e = 0; e + stride <= log.size(); e += stride) {
-          Slot* rec = static_cast<Slot*>(slots[log[e].i].p);
-          for (size_t j = 0; j < ch.fields.size(); ++j) {
-            rec[ch.fields[j]].d += log[e + 1 + ch.value_idx[j]].d;
-          }
-        }
-        continue;
+      log = std::vector<Slot>();
+    }
+  }
+
+  // Record-keyed: the entry's handle is the morsel-local record, found in
+  // the main map through remap_.
+  void ReplayRecordLog(const ir::ParLogChannel& ch,
+                       const std::vector<Slot>& log) {
+    size_t stride = ch.Stride();
+    for (size_t e = 0; e + stride <= log.size(); e += stride) {
+      auto it = remap_.find(log[e].p);
+      if (it == remap_.end()) {
+        std::fprintf(stderr,
+                     "parallel merge: log entry for unknown group record\n");
+        std::abort();
       }
-      for (size_t e = 0; e + stride <= log.size(); e += stride) {
-        auto it = remap_.find(log[e].p);
-        if (it == remap_.end()) {
-          std::fprintf(stderr,
-                       "parallel merge: log entry for unknown group record\n");
-          std::abort();
-        }
-        Slot* rec = it->second;
-        for (size_t j = 0; j < ch.fields.size(); ++j) {
-          rec[ch.fields[j]].d += log[e + 1 + ch.value_idx[j]].d;
-        }
+      Slot* rec = it->second;
+      for (size_t j = 0; j < ch.fields.size(); ++j) {
+        rec[ch.fields[j]].d += log[e + 1 + ch.value_idx[j]].d;
       }
     }
   }
@@ -295,6 +520,9 @@ class Merger {
   const ParLoopCode& plc_;
   RunState& main_;
   Slot* main_regs_;
+  const std::vector<char>& ranged_;
+  bool has_record_log_ = false;
+  int64_t folded_ = 0;
   std::unordered_map<const void*, Slot*> remap_;
 };
 
@@ -421,27 +649,56 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
   }
   int64_t num_morsels = static_cast<int64_t>(ranges.size());
 
-  // Budget gate: privatizing huge direct-addressed tables per morsel would
-  // trade too much memory for the parallelism.
-  int64_t arr_bytes = 0;
+  bool has_arrays = false;
+  bool has_ranged = false;
+  std::vector<char> ranged(plan.reductions.size(), 0);
+  int64_t arr_slots = 0;
   for (size_t i = 0; i < plan.reductions.size(); ++i) {
-    if (!IsArrayRed(plan.reductions[i].kind)) continue;
+    if (plc.touched_log[i] < 0) continue;  // not an array reduction
     int64_t size = regs[plc.red_size_regs[i]].i;
     if (size < 0) return false;
-    arr_bytes += size * static_cast<int64_t>(sizeof(Slot)) * num_morsels;
+    has_arrays = true;
+    arr_slots += size;
+    // An array small next to a morsel folds at most `size` slots per
+    // morsel, so the ordered merge keeps pace with the scan and its
+    // slot-keyed replays stay overlapped with it. A larger one is merged
+    // by slot range after the scan.
+    ranged[i] = size * kOrderedMergeRatio > mr;
+    has_ranged |= ranged[i] != 0;
   }
-  if (arr_bytes > kPrivateArrayBudget) return false;
+  // A loop with a ranged array runs its morsels in chunks of consecutive
+  // morsels, about kChunksPerThread per thread: a chunk keeps its worker's
+  // private arrays across its morsels, so a group is created, compacted
+  // and folded once per chunk rather than once per morsel. Every other
+  // loop runs one morsel per task.
+  const int threads = eng.pool.threads();
+  int64_t chunk = 1;
+  if (has_ranged) {
+    chunk = num_morsels / (kChunksPerThread * threads);
+    if (chunk < 1) chunk = 1;
+  }
+  int64_t num_chunks = (num_morsels + chunk - 1) / chunk;
+
+  // Budget gate: privatizing huge direct-addressed tables per worker would
+  // trade too much memory for the parallelism.
+  int max_sets = threads;
+  if (max_sets > num_chunks) max_sets = static_cast<int>(num_chunks);
+  if (arr_slots * static_cast<int64_t>(sizeof(Slot)) * max_sets >
+      kPrivateArrayBudget) {
+    return false;
+  }
 
   // Private state per morsel. Privatized containers are runtime scratch:
   // they are created without AllocStats accounting (the sequential run
   // created the one real instance up front), while everything the body
-  // itself allocates lands in the morsel's own stats.
+  // itself allocates lands in the morsel's own stats. Array reductions get
+  // their worker's private arrays when the chunk starts.
   std::vector<std::unique_ptr<MorselState>> states;
   states.reserve(num_morsels);
   for (int64_t m = 0; m < num_morsels; ++m) {
     states.push_back(std::make_unique<MorselState>());
     MorselState& ms = *states.back();
-    ms.logs.resize(plan.logs.size());
+    ms.logs.resize(plc.log_regs.size());
     // Worst case one entry per morsel row: reserving up front avoids
     // repeated growth copies of multi-megabyte logs in the hot scan (and
     // keeps the JIT's pointer-bump append on its fast path).
@@ -473,10 +730,13 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
           break;
         case ir::ParRedKind::kGroupArray:
         case ir::ParRedKind::kBucketArray: {
-          ms.st.arrays.emplace_back();
-          RtArray& arr = ms.st.arrays.back();
-          arr.data.assign(regs[plc.red_size_regs[i]].i, SlotI(0));
-          ms.priv[i] = SlotP(&arr);
+          // One touched entry per created group (at most one per slot) or
+          // per bucket prepend (at most one per row).
+          int64_t size = regs[plc.red_size_regs[i]].i;
+          int64_t cap = r.kind == ir::ParRedKind::kGroupArray && size < m_rows
+                            ? size
+                            : m_rows;
+          ms.logs[plc.touched_log[i]].reserve(cap);
           break;
         }
       }
@@ -489,13 +749,13 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
   // strictly after a morsel's body ran (and after each merge), so traced
   // and untraced runs execute identical work in identical order.
   uint64_t trace_session = telemetry::CurrentTraceSession();
-  telemetry::ScopedSpan loop_span("par_loop", "par", "rows", rows);
+  int64_t loop_ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
 
-  // The workers scan morsels; the caller thread runs the ordered merge
+  // The workers scan chunks; the caller thread runs the ordered merge
   // concurrently, folding each morsel in as soon as it (and all earlier
   // ones) completed, and steals scan work only when no merge is ready. On
-  // multi-core hardware this takes the sequential merge off the critical
-  // path entirely whenever merging is cheaper than scanning.
+  // multi-core hardware this takes the ordered merge off the critical path
+  // entirely whenever merging is cheaper than scanning.
   std::mutex done_mu;
   std::condition_variable done_cv;
   std::unique_ptr<std::atomic<char>[]> done(
@@ -508,26 +768,51 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
   // registers in it concurrently.
   const std::vector<Slot> entry_regs(regs, regs + num_regs);
   const ExecControl* ctl = main.gov.ctl;
-  std::function<void(int)> scan = [&](int m) {
-    // Tripped queries skip morsels that have not started yet: the empty
-    // MorselState merges as a no-op, so the done/merge/Wait protocol runs
-    // to completion and the pool stays reusable.
-    if (ctl == nullptr || !ctl->Tripped()) {
+  ArraySets sets(plc, entry_regs.data(), max_sets);
+  std::function<void(int)> scan = [&](int t) {
+    int64_t first = t * chunk;
+    int64_t last = first + chunk < num_morsels ? first + chunk : num_morsels;
+    std::vector<RtArray>* arrs = has_arrays ? sets.Claim() : nullptr;
+    std::vector<MorselState*> ran;
+    for (int64_t m = first; m < last; ++m) {
+      // Tripped queries skip morsels that have not started yet: the empty
+      // MorselState merges as a no-op, so the done/merge/Wait protocol
+      // runs to completion and the pool stays reusable.
+      if (ctl != nullptr && ctl->Tripped()) break;
       int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
-      vm.RunMorsel(*states[m], plc, entry_regs, ranges[m].first,
-                   ranges[m].second);
+      MorselState& ms = *states[m];
+      if (arrs != nullptr) {
+        for (size_t i = 0; i < plan.reductions.size(); ++i) {
+          if (plc.touched_log[i] >= 0) ms.priv[i] = SlotP(&(*arrs)[i]);
+        }
+      }
+      vm.RunMorsel(ms, plc, entry_regs, ranges[m].first, ranges[m].second);
+      ran.push_back(&ms);
       if (trace_session != 0) {
         telemetry::TraceRecord(trace_session, "morsel", "par", ts,
                                telemetry::TraceNowNs() - ts, "morsel", m,
                                "rows", ranges[m].second - ranges[m].first);
       }
     }
-    done[m].store(1, std::memory_order_release);
+    if (arrs != nullptr) {
+      // Also after a trip: every array store was logged with it, so the
+      // set goes back all-null either way.
+      int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
+      CompactChunk(plc, ranged, threads, ran, *arrs);
+      sets.Release(arrs);
+      if (trace_session != 0) {
+        telemetry::TraceRecord(trace_session, "merge", "par", ts,
+                               telemetry::TraceNowNs() - ts, "chunk", t);
+      }
+    }
+    for (int64_t m = first; m < last; ++m) {
+      done[m].store(1, std::memory_order_release);
+    }
     { std::lock_guard<std::mutex> lock(done_mu); }
     done_cv.notify_one();
   };
 
-  Merger merger(plc, main, regs);
+  Merger merger(plc, main, regs, ranged);
   int64_t merged = 0;
   auto merge_ready = [&] {
     bool any = false;
@@ -545,19 +830,18 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
         }
       }
       states[merged]->ReleaseTransients();
-      main.morsels.push_back(std::move(states[merged]));
       ++merged;
       any = true;
     }
     return any;
   };
 
-  eng.pool.Begin(static_cast<int>(num_morsels), scan);
+  eng.pool.Begin(static_cast<int>(num_chunks), scan);
   while (merged < num_morsels) {
     if (merge_ready()) continue;
-    int m = eng.pool.TrySteal();
-    if (m >= 0) {
-      scan(m);
+    int t = eng.pool.TrySteal();
+    if (t >= 0) {
+      scan(t);
       continue;
     }
     std::unique_lock<std::mutex> lock(done_mu);
@@ -567,6 +851,40 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
   }
   eng.pool.Wait();
 
+  // Slot-range merge of the ranged arrays and their slot-keyed f64
+  // replays: one task per thread, each owning one slot part and walking
+  // the morsels in order, with its own AllocStats for the duplicate-record
+  // credits.
+  int64_t touched = merger.folded();
+  if (has_ranged) {
+    std::vector<AllocStats> range_stats(threads);
+    std::vector<int64_t> folded(threads, 0);
+    std::function<void(int)> fold = [&](int r) {
+      int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
+      folded[r] = MergeSlotPart(plc, regs, ranged, states, r,
+                                &range_stats[r]);
+      if (trace_session != 0) {
+        telemetry::TraceRecord(trace_session, "merge", "par", ts,
+                               telemetry::TraceNowNs() - ts, "range", r);
+      }
+    };
+    RunTasks(eng, threads, fold);
+    for (int r = 0; r < threads; ++r) {
+      main.stats->MergeFrom(range_stats[r]);
+      touched += folded[r];
+    }
+  }
+  for (std::unique_ptr<MorselState>& ms : states) {
+    ms->logs = std::vector<std::vector<Slot>>();
+    ms->folds = std::vector<SlotParts>();
+    ms->replays = std::vector<SlotParts>();
+    main.morsels.push_back(std::move(ms));
+  }
+  if (trace_session != 0) {
+    telemetry::TraceRecord(trace_session, "par_loop", "par", loop_ts,
+                           telemetry::TraceNowNs() - loop_ts, "rows", rows,
+                           "touched", touched);
+  }
   return true;
 }
 
@@ -575,16 +893,6 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
 // ---------------------------------------------------------------------------
 
 namespace {
-
-// Runs every task index of [0, count) on the pool with the caller thread
-// stealing, then synchronizes. Wait() establishes the happens-before edge
-// the next merge level needs to read this level's output.
-void RunTasks(Engine& eng, int count, const std::function<void(int)>& task) {
-  eng.pool.Begin(count, task);
-  int t;
-  while ((t = eng.pool.TrySteal()) >= 0) task(t);
-  eng.pool.Wait();
-}
 
 // A comparator subroutine over one register file: writes the parameter
 // slots, runs the subroutine, reads the result slot.

@@ -6,9 +6,24 @@
 // shared counter by a persistent worker pool. Each morsel runs the
 // unmodified loop body against *private* state: a private register file,
 // RunState (RecordHeap, runtime containers, result table), AllocStats, and
-// private instances of every reduction object (hash maps, group arrays,
-// lists, accumulators). A sequential merge phase then folds the per-morsel
-// states back into the main run state in morsel order.
+// private instances of every reduction object (hash maps, lists,
+// accumulators). Group and bucket arrays are private per *worker*, not per
+// morsel: each store into one logs its slot index, and at the end of its
+// task the worker moves the touched slots out into an entry list and
+// re-nulls them, so the array is zero-filled once and reused. A task is one
+// morsel, or, in a loop with an array larger than morsel_rows / 8 slots (a
+// "ranged" array), a chunk of consecutive morsels, about two per thread:
+// the chunk keeps the private arrays across its morsels, so a group is
+// created and moved out once per chunk.
+//
+// The merge has two phases, so its work follows what the morsels produced:
+//   1. the ordered merge — scalars, lists, maps, multimaps, arrays that are
+//      not ranged, f64 replays and emits — folds one morsel at a time in
+//      morsel order on the caller thread, overlapped with the scan;
+//   2. after the scan, the slot-range merge folds the ranged arrays and
+//      their slot-keyed f64 replays as one pool task per slot part. Each
+//      task walks the morsels in order over its own slots only, so every
+//      slot still folds in row order.
 //
 // Determinism contract: the merged result is bitwise identical to the
 // sequential run for any thread count and morsel size —
@@ -25,8 +40,10 @@
 // AllocStats accounting: each morsel's stats are folded in with MergeFrom,
 // then the merge credits back storage that a sequential run never
 // allocates (duplicate per-morsel group records, per-morsel hash nodes and
-// list buffers), so Figure 8 numbers are engine- and thread-count-
-// independent.
+// list buffers; a slot-range task credits into its own stats, folded in
+// after the tasks), so Figure 8 numbers are engine- and thread-count-
+// independent. Private arrays, touched-slot logs and entry lists are
+// unaccounted scratch.
 //
 // The post-aggregation sort driver lives here too (SortSlots): the VM and
 // the JIT's native sort helper differ only in how they run the comparator
@@ -91,6 +108,14 @@ struct RunState {
 
 namespace parallel {
 
+// One morsel's entries for an array reduction or a slot-keyed addend log,
+// grouped by slot part: part p is data[off[p], off[p + 1]), entries in row
+// order within a part. An array merged in order has a single part.
+struct SlotParts {
+  std::vector<Slot> data;
+  std::vector<size_t> off;
+};
+
 // All worker-local state of one morsel. Records and interned strings
 // survive the merge (group records and join tuples are adopted by the main
 // structures); everything else is released right after merging.
@@ -98,10 +123,24 @@ struct MorselState {
   AllocStats stats;
   RunState st{&stats};
   std::vector<Slot> regs;
-  std::vector<std::vector<Slot>> logs;  // one addend log per ParLogChannel
-  std::vector<Slot> priv;               // privatized object per reduction
+  // One log per ParLoopCode::log_regs channel: the addend logs of the
+  // plan's channels, then one touched-slot log per array reduction.
+  std::vector<std::vector<Slot>> logs;
+  // Privatized object per reduction; an array reduction's is its worker's
+  // private array, bound while the morsel runs.
+  std::vector<Slot> priv;
+  // Filled at task end from the touched-slot logs: per reduction, (slot,
+  // record) per touched group-array slot or (slot, chain head, chain tail)
+  // per touched bucket-array slot, held by the first morsel of a chunk;
+  // per addend channel, the slot-keyed log of a ranged array. Empty for
+  // every other reduction and channel, for the other morsels of a chunk,
+  // and for a morsel skipped after a trip.
+  std::vector<SlotParts> folds;
+  std::vector<SlotParts> replays;
 
-  // Frees everything the merged result does not reference.
+  // Frees the private containers, results and registers once the ordered
+  // merge is done with them. The merge frees the logs and entry lists it
+  // consumes; the slot-range merge's stay until the loop ends.
   void ReleaseTransients() {
     st.lists.clear();
     st.arrays.clear();
@@ -109,7 +148,6 @@ struct MorselState {
     st.mmaps.clear();
     st.out = storage::ResultTable();
     regs = std::vector<Slot>();
-    logs = std::vector<std::vector<Slot>>();
     priv = std::vector<Slot>();
   }
 };
@@ -164,12 +202,13 @@ struct Engine {
 
 // Runs the loop `plc` of the main run (state `main`, register file
 // `regs` of `num_regs` slots) morsel-parallel: splits its [lo, hi) into
-// morsels, runs each through vm.RunMorsel on the pool, and merges in morsel
-// order. Returns false (without executing anything) when the loop should
-// just run sequentially: too few rows for two morsels, or the
-// private-array budget would be exceeded. A governed run whose control
-// trips skips its still-unstarted morsels (their empty states merge as
-// no-ops, keeping the orchestration and Wait() protocol intact).
+// morsels, runs each through vm.RunMorsel on the pool, merges in morsel
+// order, then merges the ranged arrays by slot range on the pool.
+// Returns false (without executing anything) when the loop should just run
+// sequentially: too few rows for two morsels, or the private arrays of all
+// threads would exceed their budget. A governed run whose control trips
+// skips its still-unstarted morsels (their empty states merge as no-ops,
+// keeping the orchestration and Wait() protocol intact).
 bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
                  RunState& main, Slot* regs, uint32_t num_regs);
 

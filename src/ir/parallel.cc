@@ -459,6 +459,8 @@ class LoopAnalyzer {
     Claim(g0);
     Claim(rec);
     Claim(store);
+    SetAction(store, ParAction::kTouch,
+              static_cast<int>(out_.reductions.size() - 1));
     consumed_blocks_.insert(ifs->blocks[0]);
     if (ifs->blocks.size() > 1) consumed_blocks_.insert(ifs->blocks[1]);
     // The then-block statements still need parents for later checks.
@@ -505,6 +507,8 @@ class LoopAnalyzer {
     ParReduction* r = Register(ParRedKind::kBucketArray, arr);
     r->size = size;
     r->next_field = link->aux0;
+    SetAction(store, ParAction::kTouch,
+              static_cast<int>(out_.reductions.size() - 1));
     Claim(store);
     Claim(link);
     Claim(old);

@@ -29,6 +29,10 @@
 // sums — is handled by logging the per-row addends (ParLogChannel) during
 // the parallel phase and replaying the additions in global row order during
 // the merge, so floating-point results keep the exact sequential rounding.
+//
+// Group and bucket arrays are direct-addressed, so their merge works slot
+// by slot: the stores that fill a private array are marked kTouch, and the
+// executors fold only the logged slots, each slot in morsel order.
 #ifndef QC_IR_PARALLEL_H_
 #define QC_IR_PARALLEL_H_
 
@@ -44,6 +48,11 @@ enum class ParAction : uint8_t {
   kNormal = 0,  // execute as-is (against morsel-private state)
   kSkip,        // folded into a logged f64-sum cluster; do not execute
   kLog,         // append one entry to the designated addend log channel
+  // Execute, then append the store's slot index to the touched-slot log of
+  // the array reduction named by action_channel. Marks the group-array
+  // create store and the bucket-array prepend store: the merge then visits
+  // only the slots a morsel wrote, never the whole private array.
+  kTouch,
 };
 
 // Merge rule for one field of a group record.
@@ -118,7 +127,8 @@ struct ParLoop {
   bool has_emit = false;
   // Indexed by statement id (size = Function::num_stmts() at analysis time).
   std::vector<ParAction> actions;
-  std::vector<int> action_channel;  // kLog -> channel index, else -1
+  // kLog -> addend channel index, kTouch -> reduction index, else -1.
+  std::vector<int> action_channel;
 };
 
 struct ParallelInfo {

@@ -49,27 +49,41 @@ storage::Database* Db() {
   return db;
 }
 
-// Q3 at the full stack: scan + bucket-array build + probe + sort + emit,
-// with parallel-qualifying loops — the governance surface in one query.
+// TPC-H queries at the full stack, compiled once. Q3: scan + bucket-array
+// build + probe + sort + emit, with parallel-qualifying loops — the
+// governance surface in one query. Q18: a 15k-slot group array over
+// lineitem and two bucket-array builds, merged by slot range.
 struct CompiledQuery {
   ir::TypeFactory types;
   compiler::CompileResult res;
 };
+CompiledQuery* CompileLevel5(int q) {
+  auto* h = new CompiledQuery();
+  qplan::PlanPtr plan = tpch::MakeQuery(q);
+  qplan::ResolvePlan(plan.get(), *Db());
+  QueryCompiler qc(Db(), &h->types);
+  h->res = qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(q));
+  return h;
+}
 const ir::Function& Q3() {
-  static CompiledQuery* c = [] {
-    auto* h = new CompiledQuery();
-    qplan::PlanPtr plan = tpch::MakeQuery(3);
-    qplan::ResolvePlan(plan.get(), *Db());
-    QueryCompiler qc(Db(), &h->types);
-    h->res = qc.Compile(*plan, StackConfig::Level(5), "q3");
-    return h;
-  }();
+  static CompiledQuery* c = CompileLevel5(3);
   return *c->res.fn;
 }
 const storage::ResultTable& Q3Want() {
   static storage::ResultTable* want = [] {
     exec::Interpreter ref(Db(), Opts(InterpOptions::Engine::kBytecode, 1));
     return new storage::ResultTable(ref.Run(Q3()));
+  }();
+  return *want;
+}
+const ir::Function& Q18() {
+  static CompiledQuery* c = CompileLevel5(18);
+  return *c->res.fn;
+}
+const storage::ResultTable& Q18Want() {
+  static storage::ResultTable* want = [] {
+    exec::Interpreter ref(Db(), Opts(InterpOptions::Engine::kBytecode, 1));
+    return new storage::ResultTable(ref.Run(Q18()));
   }();
   return *want;
 }
@@ -286,6 +300,44 @@ TEST(GovernorTest, CancelSweepAcrossAwkwardBoundaries) {
         fault.Unset();
         ctl.Reset();
         ExpectBitExact(interp.Run(DupSort()), DupSortWant(), tag + " rerun");
+        fault.Set("gov_trip:" + std::to_string(nth));
+      }
+    }
+  }
+}
+
+// The same sweep over loops with array reductions (Q18): trips land in a
+// chunk's morsels, before chunks start (skipped morsels have no touched
+// list), in the ordered merge and in the probe loops after the slot-range
+// merge. Every trip must end kCancelled with no rows and leave the pool and
+// the reusable state clean for a bit-exact rerun.
+TEST(GovernorTest, CancelSweepAcrossArrayReductions) {
+  ScopedEnv interval("QC_GOV_INTERVAL", "1");
+  const long kNth[] = {1, 2, 3, 7, 50, 4000, 30000, 250000};
+  for (long nth : kNth) {
+    ScopedEnv fault("QC_FAULT", "gov_trip:" + std::to_string(nth));
+    for (InterpOptions::Engine engine : kEngines) {
+      for (int threads : {2, 4}) {
+        std::string tag = std::string(EngineName(engine)) + " threads=" +
+                          std::to_string(threads) + " nth=" +
+                          std::to_string(nth);
+        ExecControl ctl;
+        exec::Interpreter interp(Db(), Opts(engine, threads, &ctl));
+        FaultReArm();  // fresh occurrence count per run
+        storage::ResultTable r = interp.Run(Q18());
+        if (interp.last_status().ok()) {
+          ExpectBitExact(r, Q18Want(), tag + " (fault not reached)");
+        } else {
+          EXPECT_EQ(interp.last_status().code, QueryStatusCode::kCancelled)
+              << tag;
+          EXPECT_EQ(r.size(), 0u) << tag;
+        }
+        if (nth == 1) {
+          EXPECT_FALSE(interp.last_status().ok()) << tag;
+        }
+        fault.Unset();
+        ctl.Reset();
+        ExpectBitExact(interp.Run(Q18()), Q18Want(), tag + " rerun");
         fault.Set("gov_trip:" + std::to_string(nth));
       }
     }

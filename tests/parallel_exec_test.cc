@@ -228,6 +228,100 @@ TEST(ParallelSkewedKeyTest, HotKeyChainsMergeInRowOrder) {
   }
 }
 
+// The slot-range merge of a direct-addressed group array: keys cover every
+// slot — slot 0, slot size-1 and both sides of every part boundary for
+// T in {2, 3, 4} included — and every slot is hit by rows of many morsels.
+// Each group folds an f64 sum whose value depends on the order of its
+// addends (1e17 + 1.0 rounds to 1e17), a min and a max whose candidates
+// tie between -0.0 and 0.0 (only the first occurrence's sign may survive),
+// and an integral count. Rows and AllocStats must match the sequential run
+// bit for bit on both engines, at every thread count and morsel size.
+TEST(ParallelSlotRangeMergeTest, BoundarySlotsFoldInRowOrder) {
+  storage::Database db;
+  ir::TypeFactory types;
+  ir::Function fn("slot_ranges", &types);
+  ir::Builder b(&fn);
+  const ir::Type* f64 = types.F64();
+  const ir::Type* agg = types.Record(
+      "Agg", {{"key", types.I64()}, {"sum", f64}, {"mn", f64}, {"mx", f64},
+              {"cnt", types.I64()}});
+  const int64_t kSlots = 1201;  // > 8 x 777: merged by slot range
+  const int64_t kRows = 6000;
+  ir::Stmt* arr = b.ArrNew(agg, b.I64(kSlots));
+  ir::Stmt* create_store = nullptr;
+  b.ForRange(b.I64(0), b.I64(kRows), [&](ir::Stmt* i) {
+    ir::Stmt* key = b.Mod(b.Mul(i, b.I64(37)), b.I64(kSlots));
+    // A slot's rows are i0 + t * kSlots: its t-th row adds 1e17, -1e17,
+    // then 1.0 each. In row order the 1.0s land after the cancellation
+    // and survive; in any other order some fall below 1e17's spacing.
+    ir::Stmt* t = b.Div(i, b.I64(kSlots));
+    ir::Stmt* is0 = b.Div(b.Sub(b.I64(4), t), b.I64(4));
+    ir::Stmt* ge1 = b.Div(b.Add(t, b.I64(3)), b.I64(4));
+    ir::Stmt* ge2 = b.Div(b.Add(t, b.I64(2)), b.I64(4));
+    ir::Stmt* big = b.I64(100000000000000000);
+    ir::Stmt* addend = b.Cast(
+        b.Add(b.Mul(b.Sub(is0, b.Sub(ge1, ge2)), big), ge2), f64);
+    ir::Stmt* c = b.Mod(i, b.I64(3));
+    ir::Stmt* lo_cand = b.Mul(b.Cast(b.Sub(c, b.I64(1)), f64), b.F64(0.0));
+    ir::Stmt* hi_cand = b.Mul(b.Cast(b.Sub(b.I64(1), c), f64), b.F64(0.0));
+    b.If(b.IsNull(b.ArrGet(arr, key)), [&] {
+      ir::Stmt* rec = b.RecNew(
+          agg, {key, b.F64(0.0), b.F64(0.0), b.F64(0.0), b.I64(0)});
+      create_store = b.ArrSet(arr, key, rec);
+    });
+    ir::Stmt* h = b.ArrGet(arr, key);
+    ir::Stmt* n0 = b.RecGet(h, 4);
+    ir::Stmt* zero = b.I64(0);
+    b.If(b.Or(b.Eq(n0, zero), b.Lt(lo_cand, b.RecGet(h, 2))),
+         [&] { b.RecSet(h, 2, lo_cand); });
+    b.If(b.Or(b.Eq(n0, zero), b.Gt(hi_cand, b.RecGet(h, 3))),
+         [&] { b.RecSet(h, 3, hi_cand); });
+    b.RecSet(h, 1, b.Add(b.RecGet(h, 1), addend));
+    b.RecSet(h, 4, b.Add(n0, b.I64(1)));
+  });
+  b.ForRange(b.I64(0), b.I64(kSlots), [&](ir::Stmt* g) {
+    ir::Stmt* h = b.ArrGet(arr, g);
+    b.If(b.Not(b.IsNull(h)), [&] {
+      b.EmitRow({b.RecGet(h, 0), b.RecGet(h, 1), b.RecGet(h, 2),
+                 b.RecGet(h, 3), b.RecGet(h, 4)});
+    });
+  });
+
+  // The aggregation loop qualifies with one group array whose min/max and
+  // sums are recognized, and its create store logs the touched slot.
+  ir::ParallelInfo info = ir::AnalyzeParallelism(fn);
+  ASSERT_FALSE(info.loops.empty());
+  const ir::ParLoop& pl = info.loops[0];
+  ASSERT_EQ(pl.reductions.size(), 1u);
+  const ir::ParReduction& red = pl.reductions[0];
+  ASSERT_EQ(red.kind, ir::ParRedKind::kGroupArray);
+  EXPECT_EQ(red.fields[1], ir::ParFold::kSumF);
+  EXPECT_EQ(red.fields[2], ir::ParFold::kMin);
+  EXPECT_EQ(red.fields[3], ir::ParFold::kMax);
+  EXPECT_EQ(red.fields[4], ir::ParFold::kSumI);
+  ASSERT_NE(create_store, nullptr);
+  EXPECT_EQ(pl.actions[create_store->id], ir::ParAction::kTouch);
+  EXPECT_EQ(pl.action_channel[create_store->id], 0);
+
+  exec::Interpreter ref(&db, Opts(InterpOptions::Engine::kBytecode, 1));
+  storage::ResultTable want = ref.Run(fn);
+  ASSERT_EQ(want.size(), static_cast<size_t>(kSlots));
+  exec::AllocStats want_stats = ref.stats();
+  for (InterpOptions::Engine engine : kEngines) {
+    for (int threads : {1, 2, 3, 4}) {
+      for (int64_t morsel : {1, 7, 777}) {
+        exec::Interpreter interp(&db, Opts(engine, threads, morsel));
+        storage::ResultTable got = interp.Run(fn);
+        std::string t = std::string(EngineName(engine)) +
+                        " threads=" + std::to_string(threads) +
+                        " morsel=" + std::to_string(morsel);
+        ExpectBitExact(got, want, t);
+        ExpectStatsEqual(interp.stats(), want_stats, t);
+      }
+    }
+  }
+}
+
 // Two 4-thread runs must produce identical bytes (scheduling independence).
 TEST(ParallelDeterminismTest, FourThreadRunsIdentical) {
   storage::Database db = tpch::MakeTpchDatabase(0.01);
