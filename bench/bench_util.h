@@ -39,10 +39,8 @@ struct InterpRun {
   // Best-of-N execution time. Bytecode translation happens lazily inside
   // repetition 1's Run() and is discarded by best-of-N (reps >= 2).
   double query_ms = 0;
-  // kJit telemetry (Interpreter::last_jit_stats): deopt events of the last
-  // repetition, and why the run degraded to the VM (jit::JitFallback as
-  // int, 0 = it didn't).
-  uint64_t jit_deopts = 0;
+  // kJit telemetry (Interpreter::last_jit_stats): why the run degraded to
+  // the VM (jit::JitFallback as int, 0 = it didn't).
   int jit_fallback = 0;
 };
 
@@ -152,7 +150,6 @@ class Harness {
     out.query_ms = best;
     if (engine == exec::InterpOptions::Engine::kJit) {
       const exec::Interpreter::JitRunStats& js = interp.last_jit_stats();
-      out.jit_deopts = js.deopts;
       out.jit_fallback = js.fallback_reason;
     }
     return out;

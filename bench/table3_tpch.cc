@@ -127,7 +127,6 @@ int main() {
   int dblab5_wins = 0, total = 0;
   double jit_log_sum = 0;
   int jit_count = 0;
-  uint64_t jit_deopt_sum = 0;  // total deopt events across all ir-jit runs
   for (int q = 1; q <= tpch::kNumQueries; ++q) {
     std::printf("Q%-3d", q);
     // Interpretation baseline (in-process Volcano evaluator).
@@ -153,7 +152,6 @@ int main() {
         std::fprintf(stderr, "Q%d threads=%d: ir-jit ran on the VM (%s)\n",
                      q, threads, exec::jit::JitFallbackName(why));
       }
-      jit_deopt_sum += jit.jit_deopts;
       for (size_t i = 0; i < std::size(kPairs); ++i) {
         const OverheadPair& p = kPairs[i];
         auto side_ms = [&](bool on) {
@@ -199,11 +197,6 @@ int main() {
     std::printf("\nJIT vs bytecode VM: %.2fx geomean speedup (%d queries)\n",
                 std::exp(jit_log_sum / jit_count), jit_count);
   }
-  // The deopt trajectory: with native sorts, all remaining deopts should be
-  // once-per-query (container construction) or once-per-output
-  // (kStrSubstr interning) — nothing per-row or per-comparison.
-  std::printf("JIT deopt events, all queries/threads: %llu\n",
-              static_cast<unsigned long long>(jit_deopt_sum));
   if (!interp_only) {
     std::printf(
         "DBLAB/LB 5 at least comparable (<=1.1x) to LegoBase on %d/%d "

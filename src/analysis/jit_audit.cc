@@ -28,6 +28,8 @@ int PatchWidth(PatchKind k) {
     case PatchKind::kExtraB:
     case PatchKind::kPatternC:
     case PatchKind::kSortSite:
+    case PatchKind::kTypeB:
+    case PatchKind::kParLoopA:
       return 8;  // imm64
     default:
       return 4;  // disp32 / rel32 / imm32
@@ -49,11 +51,15 @@ const char* PatchKindName(PatchKind k) {
     case PatchKind::kExtraB: return "kExtraB";
     case PatchKind::kImmN: return "kImmN";
     case PatchKind::kImmN8: return "kImmN8";
-    case PatchKind::kImmCMask: return "kImmCMask";
+    case PatchKind::kImmC: return "kImmC";
+    case PatchKind::kImmD: return "kImmD";
     case PatchKind::kPatternC: return "kPatternC";
     case PatchKind::kSortSite: return "kSortSite";
     case PatchKind::kGovCnt: return "kGovCnt";
     case PatchKind::kJumpAbort: return "kJumpAbort";
+    case PatchKind::kState: return "kState";
+    case PatchKind::kTypeB: return "kTypeB";
+    case PatchKind::kParLoopA: return "kParLoopA";
   }
   return "?";
 }
@@ -67,7 +73,7 @@ uint64_t Rd64(const std::vector<uint8_t>& b, size_t at) {
   return uint64_t(Rd32(b, at)) | uint64_t(Rd32(b, at + 4)) << 32;
 }
 
-// Reference prologue and exit stub, rebuilt through the public encoder —
+// Reference prologue and abort thunk, rebuilt through the public encoder —
 // the same instruction sequence emitter.cc's file-local builders assemble,
 // so the byte patterns cannot drift apart silently.
 const std::vector<uint8_t>& PrologueRef() {
@@ -86,6 +92,7 @@ struct StubRef {
   size_t imm_off;
 };
 
+// mov eax, imm32; pop r12; ret — the abort thunk's shape.
 const StubRef& ExitStubRef() {
   static const StubRef ref = [] {
     jit::Asm a;
@@ -99,7 +106,7 @@ const StubRef& ExitStubRef() {
 }
 
 // Decodes an exit stub at `at`; returns false when the bytes there are not
-// a stub. On success *imm receives the pc the stub returns.
+// a stub. On success *imm receives the value the stub returns.
 bool DecodeStub(const std::vector<uint8_t>& code, size_t at, uint32_t* imm) {
   const StubRef& ref = ExitStubRef();
   if (at + ref.bytes.size() > code.size()) return false;
@@ -120,51 +127,52 @@ VerifyResult AuditTemplates() {
   std::vector<const OpTemplate*> seen;
   for (uint16_t op = 0; op < static_cast<uint16_t>(BcOp::kNumOps); ++op) {
     // Enumerate every selectable variant: the probe opcodes key on the map
-    // key kind (insn.d) and several templates are gated on the layout
-    // probe, so all four combinations reach the whole table.
+    // key kind (insn.d), so both kinds reach the whole table.
     for (int key = 0; key <= 1; ++key) {
-      for (int layout = 0; layout <= 1; ++layout) {
-        Insn insn{};
-        insn.op = op;
-        insn.d = key;
-        const OpTemplate* t = jit::SelectTemplate(insn, layout != 0);
-        if (t == nullptr) continue;
-        if (std::find(seen.begin(), seen.end(), t) != seen.end()) continue;
-        seen.push_back(t);
-        std::string name = BcOpName(static_cast<BcOp>(op));
-        if (key == 1) name += " (i64-key variant)";
-        auto add = [&](std::string detail) {
-          res.violations.push_back(
-              {op, "template-shape", name + ": " + std::move(detail)});
-        };
-        if (t->code == nullptr || t->size == 0) {
-          add("template has a null/empty code block");
+      Insn insn{};
+      insn.op = op;
+      insn.d = key;
+      std::string name = BcOpName(static_cast<BcOp>(op));
+      if (key == 1) name += " (i64-key variant)";
+      const OpTemplate* t = jit::SelectTemplate(insn);
+      if (t == nullptr) {
+        res.violations.push_back(
+            {op, "template-missing", name + ": no template is selected"});
+        continue;
+      }
+      if (std::find(seen.begin(), seen.end(), t) != seen.end()) continue;
+      seen.push_back(t);
+      auto add = [&](std::string detail) {
+        res.violations.push_back(
+            {op, "template-shape", name + ": " + std::move(detail)});
+      };
+      if (t->code == nullptr || t->size == 0) {
+        add("template has a null/empty code block");
+        continue;
+      }
+      if (t->num_patches > 8) {
+        add("num_patches " + std::to_string(t->num_patches) +
+            " exceeds the descriptor array");
+        continue;
+      }
+      std::vector<std::pair<uint32_t, uint32_t>> fields;
+      for (uint8_t i = 0; i < t->num_patches; ++i) {
+        uint32_t w = uint32_t(PatchWidth(t->patches[i].kind));
+        uint32_t lo = t->patches[i].offset;
+        if (lo + w > t->size) {
+          add(std::string(PatchKindName(t->patches[i].kind)) +
+              " patch at offset " + std::to_string(lo) + " (+" +
+              std::to_string(w) + ") overruns the " +
+              std::to_string(t->size) + "-byte template");
           continue;
         }
-        if (t->num_patches > 8) {
-          add("num_patches " + std::to_string(t->num_patches) +
-              " exceeds the descriptor array");
-          continue;
-        }
-        std::vector<std::pair<uint32_t, uint32_t>> fields;
-        for (uint8_t i = 0; i < t->num_patches; ++i) {
-          uint32_t w = uint32_t(PatchWidth(t->patches[i].kind));
-          uint32_t lo = t->patches[i].offset;
-          if (lo + w > t->size) {
-            add(std::string(PatchKindName(t->patches[i].kind)) +
-                " patch at offset " + std::to_string(lo) + " (+" +
-                std::to_string(w) + ") overruns the " +
-                std::to_string(t->size) + "-byte template");
-            continue;
-          }
-          fields.emplace_back(lo, lo + w);
-        }
-        std::sort(fields.begin(), fields.end());
-        for (size_t i = 1; i < fields.size(); ++i) {
-          if (fields[i].first < fields[i - 1].second) {
-            add("patch fields overlap at offset " +
-                std::to_string(fields[i].first));
-          }
+        fields.emplace_back(lo, lo + w);
+      }
+      std::sort(fields.begin(), fields.end());
+      for (size_t i = 1; i < fields.size(); ++i) {
+        if (fields[i].first < fields[i - 1].second) {
+          add("patch fields overlap at offset " +
+              std::to_string(fields[i].first));
         }
       }
     }
@@ -188,41 +196,35 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
   }
 
   // Re-derive the stitcher's template selection (deterministic per
-  // instruction) including the sort gating: a sort is native only when its
-  // whole comparator region is.
-  bool layout_ok = jit::RuntimeLayoutUsable();
+  // instruction) and its sort sites: one per sort instruction.
   std::vector<const OpTemplate*> sel(n, nullptr);
-  for (size_t pc = 0; pc < n; ++pc) {
-    sel[pc] = jit::SelectTemplate(prog.code[pc], layout_ok);
-  }
   std::vector<uint32_t> site_of(n, kNoEntry);
   uint32_t num_sites = 0;
   for (size_t pc = 0; pc < n; ++pc) {
-    BcOp op = static_cast<BcOp>(prog.code[pc].op);
-    if (op != BcOp::kArrSort && op != BcOp::kListSort) continue;
-    if (sel[pc] == nullptr) continue;
-    size_t entry = prog.code[pc].c;
-    bool ok = entry < pc;
-    for (size_t t = entry; ok && t < pc; ++t) ok = sel[t] != nullptr;
-    if (!ok) {
-      sel[pc] = nullptr;
-      continue;
+    sel[pc] = jit::SelectTemplate(prog.code[pc]);
+    if (sel[pc] == nullptr) {
+      add(static_cast<uint32_t>(pc), "template-missing",
+          std::string(BcOpName(static_cast<BcOp>(prog.code[pc].op))) +
+              " has no template");
     }
-    site_of[pc] = num_sites++;
+    BcOp op = static_cast<BcOp>(prog.code[pc].op);
+    if (op == BcOp::kArrSort || op == BcOp::kListSort) {
+      site_of[pc] = num_sites++;
+    }
   }
+  if (!res.ok()) return res;
 
   // Independent layout pass; the stitched entry table must match exactly.
   const std::vector<uint8_t>& prologue = PrologueRef();
   size_t off = prologue.size();
-  int num_native = 0;
   std::vector<uint32_t> want_entry(n, kNoEntry);
+  bool has_abort_patch = false;
   for (size_t pc = 0; pc < n; ++pc) {
-    if (sel[pc] == nullptr) continue;
     want_entry[pc] = static_cast<uint32_t>(off);
     off += sel[pc]->size;
-    ++num_native;
-    bool segment_end = pc + 1 >= n || sel[pc + 1] == nullptr;
-    if (segment_end && pc + 1 < n) off += StubSize();
+    for (uint8_t i = 0; i < sel[pc]->num_patches; ++i) {
+      has_abort_patch |= sel[pc]->patches[i].kind == PatchKind::kJumpAbort;
+    }
   }
   for (size_t pc = 0; pc < n; ++pc) {
     if (stitched.entry[pc] != want_entry[pc]) {
@@ -232,44 +234,26 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
               std::to_string(want_entry[pc]) + ")");
     }
   }
-  if (num_native != stitched.num_native) {
+  if (stitched.num_native != static_cast<int>(n)) {
     add(kNoPc, "entry-layout",
         "num_native " + std::to_string(stitched.num_native) +
-            " does not match the derived count " +
-            std::to_string(num_native));
+            " is not the program's " + std::to_string(n) + " pcs");
   }
   if (!res.ok()) return res;  // layout disagreement: bytes are meaningless
-  if (num_native == 0) {
-    if (!code.empty()) {
-      add(kNoPc, "entry-layout", "nothing templated but code is non-empty");
-    }
-    return res;
-  }
 
-  // Thunk layout (ascending target order, then one abort thunk).
-  std::vector<uint8_t> needs_thunk(n, 0);
-  bool has_abort_patch = false;
+  // Branch targets must be instructions; then one abort thunk.
   for (size_t pc = 0; pc < n; ++pc) {
-    if (sel[pc] == nullptr) continue;
     const OpTemplate& t = *sel[pc];
     const Insn& insn = prog.code[pc];
     for (uint8_t i = 0; i < t.num_patches; ++i) {
-      if (t.patches[i].kind == PatchKind::kJumpAbort) has_abort_patch = true;
       if (t.patches[i].kind != PatchKind::kJumpD) continue;
       int64_t target = int64_t(pc) + 1 + insn.d;
       if (target < 0 || target >= int64_t(n)) {
         add(static_cast<uint32_t>(pc), "jump-fixup",
             "branch target " + std::to_string(target) +
                 " is not an instruction index");
-        continue;
-      }
-      if (want_entry[size_t(target)] == kNoEntry) {
-        needs_thunk[size_t(target)] = 1;
       }
     }
-  }
-  for (size_t t = 0; t < n; ++t) {
-    if (needs_thunk[t]) off += StubSize();
   }
   if (has_abort_patch) off += StubSize();
   if (code.size() != off) {
@@ -288,9 +272,8 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
   }
   if (!res.ok()) return res;
 
-  // Byte-level audit of every native instruction.
+  // Byte-level audit of every instruction.
   for (size_t pc = 0; pc < n; ++pc) {
-    if (sel[pc] == nullptr) continue;
     const OpTemplate& t = *sel[pc];
     const Insn& insn = prog.code[pc];
     BcOp op = static_cast<BcOp>(insn.op);
@@ -392,9 +375,31 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
         case PatchKind::kImmN8:
           want32(p, uint32_t(insn.n) * 8u, "operand byte count");
           break;
-        case PatchKind::kImmCMask: want32(p, insn.c, "intern mask"); break;
+        case PatchKind::kImmC: want32(p, insn.c, "immediate c"); break;
+        case PatchKind::kImmD:
+          want32(p, static_cast<uint32_t>(insn.d), "immediate d");
+          break;
         case PatchKind::kGovCnt:
           want32(p, prog.gov_cnt_reg * 8u, "governance countdown slot");
+          break;
+        case PatchKind::kState:
+          slot(p, prog.state_reg);
+          break;
+        case PatchKind::kTypeB:
+          if (insn.b >= prog.types.size()) {
+            add(upc, "patch-value", "kTypeB index outside the type pool");
+          } else {
+            want64(p, reinterpret_cast<uint64_t>(prog.types[insn.b]),
+                   "key type");
+          }
+          break;
+        case PatchKind::kParLoopA:
+          if (insn.a >= prog.par_loops.size()) {
+            add(upc, "patch-value", "kParLoopA index outside par_loops");
+          } else {
+            want64(p, reinterpret_cast<uint64_t>(&prog.par_loops[insn.a]),
+                   "parallel-loop descriptor address");
+          }
           break;
         case PatchKind::kPatternC:
           if (insn.c >= prog.patterns.size()) {
@@ -408,7 +413,7 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
           if (site_of[pc] == kNoEntry ||
               site_of[pc] >= stitched.sort_sites.size()) {
             add(upc, "sort-site",
-                "sort stitched natively without a derived descriptor");
+                "sort without a derived descriptor");
             break;
           }
           const jit::JitSortSite& s = stitched.sort_sites[site_of[pc]];
@@ -416,18 +421,10 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
           auto site_bad = [&](std::string detail) {
             add(upc, "sort-site", std::move(detail));
           };
-          if (s.cmp_entry != insn.c) {
+          if (s.cmp_entry != insn.c || insn.c >= pc) {
             site_bad("descriptor comparator entry " +
                      std::to_string(s.cmp_entry) + " != insn operand " +
-                     std::to_string(insn.c));
-          }
-          for (uint32_t cp = s.cmp_entry; cp < pc && cp < n; ++cp) {
-            if (want_entry[cp] == kNoEntry) {
-              site_bad("comparator pc " + std::to_string(cp) +
-                       " is not native but the sort site claims a fully "
-                       "native comparator");
-              break;
-            }
+                     std::to_string(insn.c) + " or not before the sort");
           }
           if (insn.d < 0 ||
               size_t(uint32_t(insn.d)) + 3 > prog.extra.size()) {
@@ -458,26 +455,12 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
           uint32_t target = static_cast<uint32_t>(t64);
           uint32_t rel = Rd32(code, at);
           size_t dest = size_t(uint32_t(at) + 4u + rel);  // wraps as emitted
-          if (want_entry[target] != kNoEntry) {
-            if (dest != want_entry[target]) {
-              add(upc, "jump-fixup",
-                  std::string(BcOpName(op)) + " branch to pc " +
-                      std::to_string(target) + " resolves to blob offset " +
-                      std::to_string(dest) + ", native entry is at " +
-                      std::to_string(want_entry[target]));
-            }
-          } else {
-            uint32_t imm = 0;
-            if (!DecodeStub(code, dest, &imm)) {
-              add(upc, "deopt-thunk",
-                  std::string(BcOpName(op)) + " branch to non-native pc " +
-                      std::to_string(target) +
-                      " does not land on an exit stub");
-            } else if (imm != target) {
-              add(upc, "deopt-thunk",
-                  "deopt thunk returns pc " + std::to_string(imm) +
-                      ", branch target is pc " + std::to_string(target));
-            }
+          if (dest != want_entry[target]) {
+            add(upc, "jump-fixup",
+                std::string(BcOpName(op)) + " branch to pc " +
+                    std::to_string(target) + " resolves to blob offset " +
+                    std::to_string(dest) + ", native entry is at " +
+                    std::to_string(want_entry[target]));
           }
           break;
         }
@@ -499,19 +482,6 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
       }
     }
 
-    // Fall-through exit at every segment end must return pc + 1.
-    bool segment_end = pc + 1 >= n || sel[pc + 1] == nullptr;
-    if (segment_end && pc + 1 < n) {
-      uint32_t imm = 0;
-      if (!DecodeStub(code, at0 + t.size, &imm)) {
-        add(upc, "deopt-thunk",
-            "segment end is not followed by a fall-through exit stub");
-      } else if (imm != upc + 1) {
-        add(upc, "deopt-thunk",
-            "fall-through exit stub returns pc " + std::to_string(imm) +
-                ", want " + std::to_string(upc + 1));
-      }
-    }
   }
   return res;
 }

@@ -9,30 +9,28 @@
 // not be installed.
 //
 // Checked invariants (each violation names one):
+//   template-missing every opcode x map-key kind selects a template, so
+//                    every instruction of every program stitches
 //   template-shape   every template is self-consistent: non-empty code,
 //                    patch count within the descriptor array, every patch
 //                    field (4 bytes for disp32/rel32/imm32, 8 for imm64)
 //                    inside the template, no two fields overlapping
 //   entry-layout     per-pc entry offsets are exactly the stitcher's
-//                    layout: prologue first, native segments in pc order,
-//                    every entry + template size inside the blob,
-//                    num_native consistent with the entry table
+//                    layout: prologue first, every instruction in pc
+//                    order, then the abort thunk; num_native equal to the
+//                    program's pc count
 //   patch-value      every non-branch patch byte-compares to the value the
 //                    descriptor demands (slot displacements in range of
 //                    the register file, resolved pointers/constants/extra
 //                    addresses, LIKE-pattern and sort-site descriptor
 //                    addresses pointing into the result's own vectors)
-//   jump-fixup       every rel32 branch lands on the native entry of its
-//                    bytecode target when one exists
-//   deopt-thunk      branches into non-native territory land on an exit
-//                    stub returning exactly the target pc, and that pc is
-//                    a real instruction index
+//   jump-fixup       every rel32 branch targets a real instruction index
+//                    and lands on that instruction's native entry
 //   abort-thunk      governance abort branches land on an exit stub
 //                    returning the kAbortPc sentinel
-//   sort-site        natively-stitched sorts have fully-native comparator
-//                    regions and descriptors whose fields match the
-//                    instruction (entry, param/result triple, register-
-//                    file size, governance register)
+//   sort-site        every sort has a descriptor whose fields match the
+//                    instruction (comparator entry, param/result triple,
+//                    register-file size, governance register)
 //   wx-policy        installed code pages are readable/executable and not
 //                    writable (W^X held after mprotect)
 //
@@ -50,7 +48,7 @@
 namespace qc::exec::analysis {
 
 // Validates every template reachable through jit::SelectTemplate (all
-// opcodes, both map-key kinds, both layout-probe outcomes). Violations use
+// opcodes, both map-key kinds) and that none is missing. Violations use
 // pc = opcode value for attribution. Cheap enough to run once per process
 // at first JIT compile.
 VerifyResult AuditTemplates();

@@ -138,10 +138,8 @@ uint32_t Rd32(const std::vector<uint8_t>& code, size_t at) {
 size_t FindPatchField(const BytecodeProgram& prog,
                       const jit::StitchResult& st, jit::PatchKind kind,
                       uint32_t* pc_out) {
-  bool layout_ok = jit::RuntimeLayoutUsable();
   for (size_t pc = 0; pc < prog.code.size(); ++pc) {
-    if (st.entry[pc] == jit::kNoEntry) continue;
-    const jit::OpTemplate* t = jit::SelectTemplate(prog.code[pc], layout_ok);
+    const jit::OpTemplate* t = jit::SelectTemplate(prog.code[pc]);
     if (t == nullptr) continue;
     for (uint8_t i = 0; i < t->num_patches; ++i) {
       if (t->patches[i].kind != kind) continue;
@@ -159,13 +157,9 @@ bool TruncateBlob(const BytecodeProgram&, jit::StitchResult* st) {
 }
 
 bool CorruptEntryOffset(const BytecodeProgram&, jit::StitchResult* st) {
-  for (uint32_t& e : st->entry) {
-    if (e != jit::kNoEntry) {
-      e += 1;
-      return true;
-    }
-  }
-  return false;
+  if (st->entry.empty()) return false;
+  st->entry[0] += 1;
+  return true;
 }
 
 bool CorruptNumNative(const BytecodeProgram&, jit::StitchResult* st) {
@@ -225,7 +219,7 @@ const std::vector<JitMutation>& JitMutations() {
       {"truncated-blob", "entry-layout", TruncateBlob},
       {"corrupted-entry-offset", "entry-layout", CorruptEntryOffset},
       {"corrupted-num-native", "entry-layout", CorruptNumNative},
-      {"corrupted-branch-rel32", "jump-fixup|deopt-thunk",
+      {"corrupted-branch-rel32", "jump-fixup",
        CorruptBranchRel32},
       {"corrupted-slot-displacement", "patch-value", CorruptSlotDisplacement},
       {"corrupted-sort-site", "sort-site", CorruptSortSiteEntry},

@@ -111,11 +111,11 @@ CompileResult QueryCompiler::Compile(const qplan::Plan& plan,
     });
   }
 
+  // Pool hoisting swaps kRecNew for kPoolRecNew one for one and uses every
+  // pool it adds, so it leaves nothing dead; no DCE follows it.
   if (config.pool_hoist) {
-    phase("pool-hoisting", [&] {
-      fn = opt::HoistMemoryAllocations(*fn, *db_);
-      opt::DeadCodeElimination(fn.get());
-    });
+    phase("pool-hoisting",
+          [&] { fn = opt::HoistMemoryAllocations(*fn, *db_); });
   }
 
   if (config.scalar_repl) {
@@ -129,11 +129,10 @@ CompileResult QueryCompiler::Compile(const qplan::Plan& plan,
     });
   }
 
+  // Finalize's DCE cleans up after condition flattening (marking library
+  // collections in between only sets lib_call).
   if (config.cond_flatten) {
-    phase("condition-flattening", [&] {
-      fn = opt::FlattenConditions(*fn);
-      opt::DeadCodeElimination(fn.get());
-    });
+    phase("condition-flattening", [&] { fn = opt::FlattenConditions(*fn); });
   }
 
   phase("finalize", [&] {

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/fault.h"
 #include "common/str.h"
 #include "ir/numbering.h"
 #include "jit/engine.h"
@@ -1336,10 +1335,10 @@ storage::ResultTable BytecodeVM::Run(const BytecodeProgram& prog,
                                      parallel::Engine* par) {
   prog_ = &prog;
   jit_ = jit;
+  state_.vm = this;
   // Release the previous run's working set (emitted rows own their strings,
   // so nothing in an already-returned result points in here). Stats keep
   // accumulating: they account lifetime totals.
-  state_.deopts.store(0, std::memory_order_relaxed);
   state_.morsels.clear();
   state_.lists.clear();
   state_.arrays.clear();
@@ -1378,8 +1377,8 @@ void BytecodeVM::RunMorsel(parallel::MorselState& ms, const ParLoopCode& plc,
 
 void BytecodeVM::Sort(RunState& st, Slot* regs, Slot* data, int64_t n,
                       const Insn& insn) {
-  // The comparator runs through Exec — natively under the hybrid JIT
-  // driver — on the given state and register file.
+  // The comparator runs through the interpreter on the given state and
+  // register file (a JIT run sorts through its own helper, templates.cc).
   struct Ctx {
     BytecodeVM* vm;
     RunState* st;
@@ -1391,43 +1390,31 @@ void BytecodeVM::Sort(RunState& st, Slot* regs, Slot* data, int64_t n,
   cmp.entry = insn.c;
   cmp.run = [](const void* c, Slot* r, uint32_t pc) {
     const Ctx* x = static_cast<const Ctx*>(c);
-    x->vm->Exec(*x->st, r, pc);
+    x->vm->Interpret(*x->st, r, pc);
   };
   cmp.ctx = &ctx;
   parallel::SortSlots(insn.n != 0, &st.gov, cmp, data, n);
 }
 
 void BytecodeVM::Exec(RunState& st, Slot* regs, uint32_t pc) {
-  // Hybrid JIT driver: alternate between native segments and interpreted
-  // deopt runs until the program (or subroutine/fragment) returns. All
-  // state lives in (st, regs), so the same loop serves the main program,
-  // sort comparators, and per-worker morsel fragments.
   if (jit_ != nullptr) {
-    while (pc != jit::kRetPc && pc != jit::kAbortPc) {
-      if (jit_->HasEntry(pc)) {
-        // Forced mid-query deopt (QC_FAULT=jit_deopt:<n>): interpret the
-        // rest of the fragment instead of entering native code — the
-        // state-free deopt contract makes this bit-exact.
-        if (FaultPoint("jit_deopt")) {
-          st.deopts.fetch_add(1, std::memory_order_relaxed);
-          pc = ExecImpl<false>(st, regs, pc);
-          continue;
-        }
-        pc = jit_->Run(regs, pc);
-      } else {
-        // One interpreted run = one deopt event (the jit_stats deopts count;
-        // cold entries into non-native prologue code count too).
-        st.deopts.fetch_add(1, std::memory_order_relaxed);
-        pc = ExecImpl<true>(st, regs, pc);
-      }
-    }
-    return;
+    jit_->Run(regs, pc);
+  } else {
+    Interpret(st, regs, pc);
   }
-  ExecImpl<false>(st, regs, pc);
 }
 
-template <bool kHybrid>
-uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
+int64_t ops::ParLoop(RunState* st, Slot* regs, const ParLoopCode* plc) {
+  if (st->gov.ctl != nullptr && st->gov.Poll() != 0) return kParLoopAbort;
+  if (st->gov.par == nullptr) return kParLoopSequential;
+  BytecodeVM& vm = *st->vm;
+  return parallel::RunForRange(*st->gov.par, vm, *plc, *st, regs,
+                               vm.program().num_regs)
+             ? kParLoopDone
+             : kParLoopSequential;
+}
+
+void BytecodeVM::Interpret(RunState& st, Slot* R, uint32_t pc) {
   const Insn* code = prog_->code.data();
   const Insn* I = nullptr;
   // Safepoint countdown, in its reserved register. Ungoverned runs preset
@@ -1441,16 +1428,15 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
 #undef QC_BC_LABEL_ADDR
   };
 #define TARGET(name) TGT_##name:
-#define DISPATCH()                                 \
-  do {                                             \
-    if (kHybrid && jit_->HasEntry(pc)) return pc;  \
-    I = &code[pc];                                 \
-    ++pc;                                          \
-    goto* kTargets[I->op];                         \
+#define DISPATCH()         \
+  do {                     \
+    I = &code[pc];         \
+    ++pc;                  \
+    goto* kTargets[I->op]; \
   } while (0)
   DISPATCH();
 
-  TARGET(kRet) { return jit::kRetPc; }
+  TARGET(kRet) { return; }
   TARGET(kJmp) { pc += I->d; }
   DISPATCH();
   TARGET(kJz) {
@@ -1469,25 +1455,19 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
     if (++R[I->a].i < R[I->b].i) {
       pc += I->d;
       // Safepoint, fused into the taken back edge (exit paths need none).
-      if (--*gov_cnt <= 0 && ops::Safepoint(&st, gov_cnt) != 0) {
-        return jit::kAbortPc;
-      }
+      if (--*gov_cnt <= 0 && ops::Safepoint(&st, gov_cnt) != 0) return;
     }
   }
   DISPATCH();
   TARGET(kIncJmp) {
     ++R[I->a].i;
     pc += I->d;
-    if (--*gov_cnt <= 0 && ops::Safepoint(&st, gov_cnt) != 0) {
-      return jit::kAbortPc;
-    }
+    if (--*gov_cnt <= 0 && ops::Safepoint(&st, gov_cnt) != 0) return;
   }
   DISPATCH();
   TARGET(kJmpSp) {
     pc += I->d;
-    if (--*gov_cnt <= 0 && ops::Safepoint(&st, gov_cnt) != 0) {
-      return jit::kAbortPc;
-    }
+    if (--*gov_cnt <= 0 && ops::Safepoint(&st, gov_cnt) != 0) return;
   }
   DISPATCH();
 
@@ -1575,16 +1555,10 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
     R[I->a].i = ops::StrLike(R[I->b].s, &prog_->patterns[I->c]);
   }
   DISPATCH();
-  TARGET(kStrLen) {
-    R[I->a].i = static_cast<int64_t>(std::strlen(R[I->b].s));
-  }
+  TARGET(kStrLen) { R[I->a].i = ops::StrLen(R[I->b].s); }
   DISPATCH();
   TARGET(kStrSubstr) {
-    const char* str = R[I->b].s;
-    size_t len = std::strlen(str);
-    size_t start = std::min<size_t>(I->c, len);
-    size_t cnt = std::min<size_t>(I->d, len - start);
-    R[I->a] = SlotS(Intern(st, std::string(str + start, cnt)));
+    R[I->a] = SlotS(ops::StrSubstr(&st, R[I->b].s, I->c, I->d));
   }
   DISPATCH();
 
@@ -1603,24 +1577,9 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   }
   DISPATCH();
 
-  TARGET(kArrNew) {
-    st.arrays.emplace_back();
-    RtArray& arr = st.arrays.back();
-    int64_t n = R[I->b].i;
-    arr.data.assign(n, SlotI(0));
-    st.stats->vector_bytes += n * sizeof(Slot);
-    R[I->a] = SlotP(&arr);
-  }
+  TARGET(kArrNew) { R[I->a] = SlotP(ops::ArrNew(&st, R[I->b].i)); }
   DISPATCH();
-  TARGET(kMallocArr) {
-    st.arrays.emplace_back();
-    RtArray& arr = st.arrays.back();
-    int64_t n = R[I->b].i;
-    arr.data.assign(n, SlotI(0));
-    st.stats->heap_bytes += n * sizeof(Slot);
-    ++st.stats->heap_allocs;
-    R[I->a] = SlotP(&arr);
-  }
+  TARGET(kMallocArr) { R[I->a] = SlotP(ops::MallocArr(&st, R[I->b].i)); }
   DISPATCH();
   TARGET(kArrGet) {
     R[I->a] = static_cast<RtArray*>(R[I->b].p)->data[R[I->c].i];
@@ -1641,10 +1600,7 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   }
   DISPATCH();
 
-  TARGET(kListNew) {
-    st.lists.emplace_back();
-    R[I->a] = SlotP(&st.lists.back());
-  }
+  TARGET(kListNew) { R[I->a] = SlotP(ops::ListNew(&st)); }
   DISPATCH();
   TARGET(kListAppend) {
     ops::ListAppend(static_cast<RtList*>(R[I->a].p), &st, R[I->b].i);
@@ -1665,10 +1621,7 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   }
   DISPATCH();
 
-  TARGET(kMapNew) {
-    st.maps.emplace_back(prog_->types[I->b], st.stats);
-    R[I->a] = SlotP(&st.maps.back());
-  }
+  TARGET(kMapNew) { R[I->a] = SlotP(ops::MapNew(&st, prog_->types[I->b])); }
   DISPATCH();
   TARGET(kMapFind) {
     R[I->a] = SlotP(ops::MapFind(static_cast<RtHashMap*>(R[I->b].p),
@@ -1703,8 +1656,7 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   DISPATCH();
 
   TARGET(kMMapNew) {
-    st.mmaps.emplace_back(prog_->types[I->b], st.stats);
-    R[I->a] = SlotP(&st.mmaps.back());
+    R[I->a] = SlotP(ops::MMapNew(&st, prog_->types[I->b]));
   }
   DISPATCH();
   TARGET(kMMapAdd) {
@@ -1823,21 +1775,9 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   DISPATCH();
 
   TARGET(kParLoop) {
-    // Direct safepoint at loop dispatch: a query tripped between loops (or
-    // pre-cancelled mid-statement) stops before fanning out new morsels.
-    if (st.gov.ctl != nullptr && st.gov.Poll() != 0) {
-      return jit::kAbortPc;
-    }
-    // Parallel header of a morsel-parallelizable scan loop. When the
-    // context has a pool bound (the main run at threads > 1; never a
-    // morsel, whose thread is one of the pool's) and the runtime gates
-    // pass, the loop executes morsel-parallel and the sequential fallback
-    // that follows is skipped; otherwise fall through into it.
-    if (st.gov.par != nullptr &&
-        parallel::RunForRange(*st.gov.par, *this, prog_->par_loops[I->a], st,
-                              R, prog_->num_regs)) {
-      pc += I->d;
-    }
+    int64_t ran = ops::ParLoop(&st, R, &prog_->par_loops[I->a]);
+    if (ran == ops::kParLoopAbort) return;
+    if (ran == ops::kParLoopDone) pc += I->d;  // skip the sequential loop
   }
   DISPATCH();
   TARGET(kLogRow) {
@@ -1847,12 +1787,8 @@ uint32_t BytecodeVM::ExecImpl(RunState& st, Slot* R, uint32_t pc) {
   DISPATCH();
 
   // Unreachable: every handler ends in DISPATCH() and kRet returns.
-  return jit::kRetPc;
 #undef TARGET
 #undef DISPATCH
 }
-
-template uint32_t BytecodeVM::ExecImpl<false>(RunState&, Slot*, uint32_t);
-template uint32_t BytecodeVM::ExecImpl<true>(RunState&, Slot*, uint32_t);
 
 }  // namespace qc::exec

@@ -24,14 +24,15 @@
 //                     check + back edge.
 //
 // The copy-and-patch JIT (src/jit/) goes one step further down the same
-// road: it stitches these programs into native code and uses this VM as its
-// deopt target (BytecodeVM::Run's `jit`), sharing the runtime data
-// structures (exec/runtime.h) and the AllocStats accounting, so results —
-// including the Figure 8 memory numbers — are bit-identical across the
-// engines.
+// road: it stitches every instruction of these programs into native code
+// (BytecodeVM::Run's `jit`), sharing the runtime data structures
+// (exec/runtime.h), the ops:: below and the AllocStats accounting, so
+// results — including the Figure 8 memory numbers — are bit-identical
+// across the engines. A run is all native or all VM.
 #ifndef QC_EXEC_BYTECODE_H_
 #define QC_EXEC_BYTECODE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -167,9 +168,9 @@ enum class BcOp : uint16_t {
 };
 
 // Key-kind metadata on the hash-probe instructions (field d): the JIT only
-// stitches its native i64 probe when the map's key hashes as a plain
+// stitches its inline i64 probe when the map's key hashes as a plain
 // integral slot (HashMix over .i, equality on .i) — strings and records
-// keep deopting into the typed SlotHasher.
+// call the typed SlotHasher through the shared op.
 constexpr int32_t kMapKeyOther = 0;
 constexpr int32_t kMapKeyI64 = 1;
 
@@ -238,8 +239,8 @@ struct BytecodeProgram {
   // the allocating ops, kListAppend and the sort sites name it, and the
   // shared ops (ops:: below) reach the result table, record heap, stats
   // and governance state through it — so JIT'd code reaches all per-run
-  // mutable state through the register file alone, the state-free property
-  // the deopt protocol relies on. gov_cnt_reg holds the safepoint
+  // mutable state through the register file alone, which is what lets one
+  // stitched image serve concurrent runs. gov_cnt_reg holds the safepoint
   // countdown (int64) and is always state_reg + 1: the JIT's safepoint
   // slow path reaches the RunState* from the countdown slot's address with
   // one unpatched load. Ungoverned runs preset the countdown to INT64_MAX,
@@ -286,6 +287,19 @@ inline int64_t StrContains(const char* s, const char* p) {
 inline int64_t StrLike(const char* s, const std::vector<std::string>* segs) {
   return StrLikeSegs(s, *segs) ? 1 : 0;
 }
+inline int64_t StrLen(const char* s) {
+  return static_cast<int64_t>(std::strlen(s));
+}
+// s[start, start + count), both clamped to the string, interned into the
+// context's string arena.
+inline const char* StrSubstr(RunState* st, const char* s, uint32_t start,
+                             int32_t count) {
+  size_t len = std::strlen(s);
+  size_t from = std::min<size_t>(start, len);
+  size_t cnt = std::min<size_t>(count, len - from);
+  st->strings.emplace_back(s + from, cnt);
+  return st->strings.back().c_str();
+}
 
 // Hash probes through the typed SlotHasher. The JIT calls these for
 // string/record keys (kMapKeyOther); i64 keys probe inline there.
@@ -328,6 +342,30 @@ inline void* PoolAlloc(RunState* st, int64_t fields) {
   return st->records.AllocPool(static_cast<size_t>(fields));
 }
 
+// Container construction into the context's engine-owned deques. kArrNew
+// accounts its zero-filled slots as vector growth, kMallocArr as one heap
+// allocation.
+inline void* ArrNew(RunState* st, int64_t n) {
+  RtArray& arr = st->arrays.emplace_back();
+  arr.data.assign(n, SlotI(0));
+  st->stats->vector_bytes += n * sizeof(Slot);
+  return &arr;
+}
+inline void* MallocArr(RunState* st, int64_t n) {
+  RtArray& arr = st->arrays.emplace_back();
+  arr.data.assign(n, SlotI(0));
+  st->stats->heap_bytes += n * sizeof(Slot);
+  ++st->stats->heap_allocs;
+  return &arr;
+}
+inline void* ListNew(RunState* st) { return &st->lists.emplace_back(); }
+inline void* MapNew(RunState* st, const ir::Type* key) {
+  return &st->maps.emplace_back(key, st->stats);
+}
+inline void* MMapNew(RunState* st, const ir::Type* key) {
+  return &st->mmaps.emplace_back(key, st->stats);
+}
+
 // Stages the row R[argv[0..n)] into the context's result table, interning
 // the columns whose bit is set in `mask`.
 inline void Emit(RunState* st, const Slot* regs, const uint32_t* argv,
@@ -367,6 +405,20 @@ inline int64_t Safepoint(RunState* st, int64_t* countdown) {
   *countdown = trip != 0 ? 1 : gov.interval;
   return trip;
 }
+
+// kParLoop's outcomes: fall through into the sequential loop, skip it (the
+// morsels ran it), or abort the query (a safepoint tripped).
+constexpr int64_t kParLoopSequential = 0;
+constexpr int64_t kParLoopDone = 1;
+constexpr int64_t kParLoopAbort = 2;
+
+// The header of a morsel-parallelizable scan loop: polls the governor (a
+// query tripped between loops stops before fanning out), then runs the
+// loop `plc` through parallel::RunForRange when the context has a pool
+// bound (the main run at threads > 1; never a morsel, whose thread is one
+// of the pool's) and the runtime gates pass. Defined with the VM, whose
+// RunMorsel the morsels run on (bytecode.cc).
+int64_t ParLoop(RunState* st, Slot* regs, const ParLoopCode* plc);
 
 }  // namespace ops
 
@@ -481,17 +533,16 @@ class BytecodeVM {
  public:
   explicit BytecodeVM(AllocStats* stats) : state_(stats) {}
 
-  // Runs `prog` on the main RunState. `jit` (stitched from `prog`; null =
-  // pure VM) selects the hybrid driver: native where templated, deopting
-  // back here elsewhere (src/jit/engine.h). `ctl` (null = ungoverned) and
+  // Runs `prog` on the main RunState: natively when `jit` (stitched from
+  // `prog`) is non-null, else interpreted. `ctl` (null = ungoverned) and
   // `par` (null = sequential) are bound into the run's GovState, which
   // JIT'd code and morsel fragments reach through prog.state_reg.
   storage::ResultTable Run(const BytecodeProgram& prog,
                            const jit::JitProgram* jit, ExecControl* ctl,
                            parallel::Engine* par);
 
-  // Deopt events of the most recent Run (morsels folded in).
-  uint64_t deopts() const { return state_.deopts.load(); }
+  // The program of the current Run.
+  const BytecodeProgram& program() const { return *prog_; }
 
   // Morsel entry of parallel::RunForRange (worker threads, concurrently):
   // runs the body fragment of `plc` over rows [lo, hi) against `ms`, on a
@@ -501,22 +552,15 @@ class BytecodeVM {
                  const std::vector<Slot>& entry_regs, int64_t lo, int64_t hi);
 
  private:
+  // Runs from `pc` through its kRet (or a governance abort): the main
+  // program or a morsel fragment, natively when the Run has a JIT image.
   void Exec(RunState& st, Slot* regs, uint32_t pc);
-  // The dispatch loop. kHybrid adds a per-instruction "native code exists
-  // for this pc" check and returns that pc (or jit::kRetPc after kRet) so
-  // the hybrid driver can re-enter native code; the kHybrid = false
-  // instantiation is byte-for-byte the pre-JIT interpreter loop.
-  template <bool kHybrid>
-  uint32_t ExecImpl(RunState& st, Slot* R, uint32_t pc);
+  // The dispatch loop.
+  void Interpret(RunState& st, Slot* R, uint32_t pc);
   // kArrSort/kListSort through parallel::SortSlots, morsel-parallel only
   // when the context has a pool bound (the main run at threads > 1) and the
   // comparator is compiler-proven pure (insn.n).
   void Sort(RunState& st, Slot* regs, Slot* data, int64_t n, const Insn& insn);
-
-  static const char* Intern(RunState& st, std::string s) {
-    st.strings.push_back(std::move(s));
-    return st.strings.back().c_str();
-  }
 
   const BytecodeProgram* prog_ = nullptr;  // both set for one Run
   const jit::JitProgram* jit_ = nullptr;

@@ -141,10 +141,6 @@ storage::ResultTable Interpreter::Run(const Program& prog,
       jit_stats_.jitted = true;
       jit_stats_.native_pcs = jp->num_native();
       jit_stats_.total_pcs = jp->total_pcs();
-      jit_stats_.deopts = vm_.deopts();
-      if (jit_stats_.deopts > 0) {
-        telemetry::JitDeoptEvents().Add(jit_stats_.deopts);
-      }
     }
     if (telemetry::LogEnabled(telemetry::LogLevel::kDebug)) {
       telemetry::Log(
@@ -153,7 +149,6 @@ storage::ResultTable Interpreter::Run(const Program& prog,
            {"coverage_pct", jit_stats_.CoveragePct()},
            {"native_pcs", jit_stats_.native_pcs},
            {"total_pcs", jit_stats_.total_pcs},
-           {"deopts", static_cast<unsigned long long>(jit_stats_.deopts)},
            {"engine", jit_stats_.jitted ? "jit" : "vm_degraded"}});
     }
   }

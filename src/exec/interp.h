@@ -9,12 +9,11 @@
 // One executor sits behind this facade: the function is flattened once into
 // register bytecode — an immutable Program, built and verified once and
 // shared by every run — and runs on the direct-threaded VM
-// (exec/bytecode.h). The engine option only selects the VM's driver:
-//   * kBytecode (default) — the plain interpreter loop.
-//   * kJit — the VM's hybrid driver over native x86-64 stitched from the
-//     same bytecode by the copy-and-patch backend (src/jit/), deopting
-//     into the interpreter per instruction; degrades silently to kBytecode
-//     where unsupported.
+// (exec/bytecode.h). The engine option only selects how the VM runs it:
+//   * kBytecode (default) — the interpreter loop.
+//   * kJit — native x86-64 stitched from every instruction of the same
+//     bytecode by the copy-and-patch backend (src/jit/); degrades silently,
+//     for the whole program, to kBytecode where unsupported.
 //
 // Either way, morsel-driven parallel execution of qualifying scan loops
 // (exec/parallel.h) goes through the VM: num_threads > 1 runs on the
@@ -45,10 +44,10 @@ namespace qc::exec {
 struct InterpOptions {
   enum class Engine {
     kBytecode,  // register bytecode on the direct-threaded VM
-    kJit,       // bytecode stitched to native x86-64 (src/jit/), with
-                // per-instruction deopt into the VM; degrades silently to
-                // kBytecode on platforms without executable-page support
-                // or when QC_JIT_DISABLE is set — safe to select anywhere
+    kJit,       // bytecode stitched to native x86-64 (src/jit/); degrades
+                // silently to kBytecode on platforms without executable-
+                // page support or when QC_JIT_DISABLE is set — safe to
+                // select anywhere
   };
   Engine engine = Engine::kBytecode;
 
@@ -146,14 +145,15 @@ class Interpreter {
   void SetControl(ExecControl* ctl) { opts_.control = ctl; }
 
   // JIT telemetry for the most recent kJit Run (QC_LOG=debug also logs it
-  // as a jit_stats record): native coverage (templated pcs / total pcs) and
-  // the number of deopt events — interpreted runs of the hybrid driver —
-  // during that Run. `jitted` is false when the engine degraded to the
-  // plain VM (then the other fields are zero).
+  // as a jit_stats record): native coverage (templated pcs / total pcs).
+  // `jitted` is false when the engine degraded to the plain VM (then the
+  // other fields are zero).
   struct JitRunStats {
     bool jitted = false;
     int native_pcs = 0;
     int total_pcs = 0;
+    // Always 0: a JIT run never returns to the VM mid-run. Kept for the
+    // benchmark harness, which reports it.
     uint64_t deopts = 0;
     // Why the engine degraded to the plain VM (jit::JitFallback as int;
     // 0 = it didn't). Non-zero implies !jitted; surfaced in the bench

@@ -340,8 +340,6 @@ class Merger {
   void MergeMorsel(MorselState& ms) {
     const ir::ParLoop& plan = *plc_.plan;
     main_.stats->MergeFrom(ms.stats);
-    main_.deopts.fetch_add(ms.st.deopts.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
     remap_.clear();
 
     // Scalar accumulators fold in the morsel's *register* value: the body

@@ -91,9 +91,10 @@ struct RunState {
   std::deque<std::string> strings;
   storage::ResultTable out;
   GovState gov;  // governance over `stats` (may be unattached)
-  // Hybrid-driver deopt events. Atomic: parallel sort tasks share their
-  // context's RunState; morsel counts fold in at merge, like AllocStats.
-  std::atomic<uint64_t> deopts{0};
+  // The VM whose main run this is: kParLoop fans its morsels out through
+  // it (ops::ParLoop). Null in morsels, which never fan out (gov.par is
+  // null there).
+  BytecodeVM* vm = nullptr;
   // Merged morsels whose records were adopted here (freed at next reset).
   std::vector<std::unique_ptr<parallel::MorselState>> morsels;
 

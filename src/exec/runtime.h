@@ -147,8 +147,8 @@ class RtHashMap {
   // Byte offsets of the bucket-pointer and insertion-order vectors inside a
   // live map object, for the JIT's native hash-probe and entry-iteration
   // templates (src/jit/templates.cc). Probed from an instance — never
-  // assumed — so a layout change makes the probe fail (and the probe
-  // opcodes deopt) instead of reading garbage.
+  // assumed — so a layout change makes the probe fail (and the program run
+  // on the VM) instead of reading garbage.
   static size_t BucketsOffsetForJit();
   static size_t EntriesOffsetForJit();
 

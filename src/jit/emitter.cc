@@ -1,6 +1,8 @@
 #include "jit/emitter.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/fault.h"
@@ -582,12 +584,12 @@ bool CodeBuffer::Install(const std::vector<uint8_t>& code) {
 
 namespace {
 
-// Exit thunk: mov eax, <pc>; pop r12; ret. Built with the encoder so the
-// layout pass (which only needs the size) and the emit pass can never
-// disagree about the byte count.
-std::vector<uint8_t> BuildExitStub(uint32_t pc) {
+// Abort thunk: mov eax, kAbortPc; pop r12; ret — the one exit besides
+// kRet's. Built with the encoder so the layout pass (which only needs the
+// size) and the emit pass can never disagree about the byte count.
+std::vector<uint8_t> BuildAbortThunk() {
   Asm a;
-  a.MovImm32(RAX, pc);
+  a.MovImm32(RAX, 0xFFFFFFFEu);  // jit::kAbortPc (engine.h)
   a.PopR12();
   a.Ret();
   return a.bytes();
@@ -595,23 +597,13 @@ std::vector<uint8_t> BuildExitStub(uint32_t pc) {
 
 // Prologue (the trampoline target): uint32_t fn(Slot* regs /*rdi*/,
 // const void* target /*rsi*/) — save r12, bind the register file, tail
-// into the requested entry point. Exit stubs undo it.
+// into the requested entry point. kRet and the abort thunk undo it.
 std::vector<uint8_t> BuildPrologue() {
   Asm a;
   a.PushR12();
   a.MovRegReg(R12, RDI);
   a.JmpReg(RSI);
   return a.bytes();
-}
-
-size_t ExitStubSize() {
-  static const size_t size = BuildExitStub(0).size();
-  return size;
-}
-
-void EmitExitStub(std::vector<uint8_t>& out, uint32_t pc) {
-  std::vector<uint8_t> stub = BuildExitStub(pc);
-  out.insert(out.end(), stub.begin(), stub.end());
 }
 
 void Patch32(std::vector<uint8_t>& out, size_t at, uint32_t v) {
@@ -630,46 +622,37 @@ void Patch64(std::vector<uint8_t>& out, size_t at, uint64_t v) {
 
 StitchResult StitchProgram(const BytecodeProgram& prog) {
   StitchResult res;
-  bool layout_ok = RuntimeLayoutUsable();
   size_t n = prog.code.size();
   res.entry.assign(n, kNoEntry);
 
   // Template selection is per instruction, not just per opcode: probe
   // instructions pick the inline-i64 or generic-call variant on their key
-  // kind (templates.h SelectTemplate). Null means deopt.
+  // kind (templates.h SelectTemplate).
   std::vector<const OpTemplate*> sel(n, nullptr);
   for (size_t pc = 0; pc < n; ++pc) {
-    sel[pc] = SelectTemplate(prog.code[pc], layout_ok);
+    sel[pc] = SelectTemplate(prog.code[pc]);
+    if (sel[pc] == nullptr) {
+      std::fprintf(stderr, "jit: no template for %s\n",
+                   BcOpName(static_cast<BcOp>(prog.code[pc].op)));
+      std::abort();  // a template bug, not a runtime condition
+    }
   }
 
-  // Sort instructions stay native only when every pc of the comparator
-  // subroutine stitched natively — the sort helper drives the comparator
-  // segment through JitProgram::Run and has no way to continue a deopt.
-  // The compiler emits [kJmp-skip, comparator..., kRet, sort], so the
-  // region [insn.c, sort pc) is exactly the subroutine, nested
-  // subroutines included.
-  // Sites are fully materialized here, before any patching — the vector
-  // never grows once an address has been baked into code, so there is no
-  // cross-loop size invariant to get wrong.
+  // One sort site per sort instruction. The compiler emits [kJmp-skip,
+  // comparator..., kRet, sort], so the comparator subroutine starts at
+  // insn.c. Sites are fully materialized here, before any patching — the
+  // vector never grows once an address has been baked into code.
   std::vector<uint32_t> site_of(n, kNoEntry);
   for (size_t pc = 0; pc < n; ++pc) {
     const Insn& insn = prog.code[pc];
     BcOp op = static_cast<BcOp>(insn.op);
     if (op != BcOp::kArrSort && op != BcOp::kListSort) continue;
-    if (sel[pc] == nullptr) continue;
-    size_t entry = insn.c;
-    bool ok = entry < pc;
-    for (size_t t = entry; ok && t < pc; ++t) ok = sel[t] != nullptr;
-    if (!ok) {
-      sel[pc] = nullptr;  // comparator would deopt: the sort deopts whole
-      continue;
-    }
     JitSortSite site;
     site.obj_reg = insn.a;
     site.n_reg = insn.b;
     site.is_list = op == BcOp::kListSort;
     site.par_safe = insn.n != 0;
-    site.cmp_entry = static_cast<uint32_t>(entry);
+    site.cmp_entry = insn.c;
     site.ps = prog.extra.data() + static_cast<uint32_t>(insn.d);
     site.num_regs = prog.num_regs;
     site.state_reg = prog.state_reg;
@@ -677,61 +660,29 @@ StitchResult StitchProgram(const BytecodeProgram& prog) {
     res.sort_sites.push_back(site);
   }
 
-  // Layout pass: assign per-pc blob offsets (template sizes are fixed), a
-  // fall-through exit stub at every segment end, then one deopt thunk per
-  // distinct non-native branch target.
+  // Layout pass: per-pc blob offsets (template sizes are fixed), then the
+  // abort thunk when any template branches to it.
   const std::vector<uint8_t> prologue = BuildPrologue();
   size_t off = prologue.size();
+  bool needs_abort = false;
   for (size_t pc = 0; pc < n; ++pc) {
-    if (sel[pc] == nullptr) continue;
     res.entry[pc] = static_cast<uint32_t>(off);
     off += sel[pc]->size;
-    ++res.num_native;
-    bool segment_end = pc + 1 >= n || sel[pc + 1] == nullptr;
-    if (segment_end && pc + 1 < n) off += ExitStubSize();
-  }
-  if (res.num_native == 0) return res;
-
-  // Branch targets that need a deopt thunk (target pc has no native code).
-  // Offsets are assigned — and the thunks later emitted — in ascending
-  // target order.
-  std::vector<uint8_t> needs_thunk(n, 0);
-  for (size_t pc = 0; pc < n; ++pc) {
-    if (sel[pc] == nullptr) continue;
-    const OpTemplate& t = *sel[pc];
-    const Insn& insn = prog.code[pc];
-    for (uint8_t i = 0; i < t.num_patches; ++i) {
-      if (t.patches[i].kind != PatchKind::kJumpD) continue;
-      uint32_t target = static_cast<uint32_t>(pc + 1 + insn.d);
-      if (res.entry[target] == kNoEntry) needs_thunk[target] = 1;
+    for (uint8_t i = 0; i < sel[pc]->num_patches; ++i) {
+      needs_abort |= sel[pc]->patches[i].kind == PatchKind::kJumpAbort;
     }
   }
-  std::vector<uint32_t> thunk_of(n, kNoEntry);
-  for (size_t t = 0; t < n; ++t) {
-    if (!needs_thunk[t]) continue;
-    thunk_of[t] = static_cast<uint32_t>(off);
-    off += ExitStubSize();
-  }
+  res.num_native = static_cast<int>(n);
 
-  // Governance abort thunk: back-edge safepoint templates branch here when
-  // ops::Safepoint reports a trip; the thunk returns the kAbortPc
-  // sentinel. Their slow path reaches the RunState* through
-  // [countdown slot - 8], which is only valid under the reserved-register
-  // adjacency the bytecode compiler guarantees.
+  // Governance abort thunk: back-edge safepoint templates and kParLoop
+  // branch here when the query tripped. The safepoint slow path reaches
+  // the RunState* through [countdown slot - 8], which is only valid under
+  // the reserved-register adjacency the bytecode compiler guarantees.
   assert(prog.gov_cnt_reg == prog.state_reg + 1 &&
          "governed templates assume gov_cnt_reg == state_reg + 1");
-  uint32_t abort_thunk = kNoEntry;
-  for (size_t pc = 0; pc < n && abort_thunk == kNoEntry; ++pc) {
-    if (sel[pc] == nullptr) continue;
-    const OpTemplate& t = *sel[pc];
-    for (uint8_t i = 0; i < t.num_patches; ++i) {
-      if (t.patches[i].kind == PatchKind::kJumpAbort) {
-        abort_thunk = static_cast<uint32_t>(off);
-        off += ExitStubSize();
-        break;
-      }
-    }
-  }
+  const std::vector<uint8_t> abort_code = BuildAbortThunk();
+  const uint32_t abort_thunk = static_cast<uint32_t>(off);
+  if (needs_abort) off += abort_code.size();
 
   // Emit pass.
   std::vector<uint8_t>& out = res.code;
@@ -739,7 +690,6 @@ StitchResult StitchProgram(const BytecodeProgram& prog) {
   out.insert(out.end(), prologue.begin(), prologue.end());
 
   for (size_t pc = 0; pc < n; ++pc) {
-    if (sel[pc] == nullptr) continue;
     const OpTemplate& t = *sel[pc];
     const Insn& insn = prog.code[pc];
     size_t start = out.size();
@@ -788,48 +738,48 @@ StitchResult StitchProgram(const BytecodeProgram& prog) {
         case PatchKind::kImmN8:
           Patch32(out, at, static_cast<uint32_t>(insn.n) * 8u);
           break;
-        case PatchKind::kImmCMask:
+        case PatchKind::kImmC:
           Patch32(out, at, insn.c);
+          break;
+        case PatchKind::kImmD:
+          Patch32(out, at, static_cast<uint32_t>(insn.d));
           break;
         case PatchKind::kPatternC:
           Patch64(out, at,
                   reinterpret_cast<uint64_t>(&prog.patterns[insn.c]));
           break;
         case PatchKind::kSortSite:
-          assert(site_of[pc] != kNoEntry);
           Patch64(out, at,
                   reinterpret_cast<uint64_t>(&res.sort_sites[site_of[pc]]));
           break;
         case PatchKind::kGovCnt:
           Patch32(out, at, prog.gov_cnt_reg * 8u);
           break;
+        case PatchKind::kState:
+          Patch32(out, at, prog.state_reg * 8u);
+          break;
+        case PatchKind::kTypeB:
+          Patch64(out, at, reinterpret_cast<uint64_t>(prog.types[insn.b]));
+          break;
+        case PatchKind::kParLoopA:
+          Patch64(out, at,
+                  reinterpret_cast<uint64_t>(&prog.par_loops[insn.a]));
+          break;
         case PatchKind::kJumpAbort:
-          assert(abort_thunk != kNoEntry);
           Patch32(out, at, abort_thunk - static_cast<uint32_t>(at) - 4);
           break;
         case PatchKind::kJumpD: {
           uint32_t target = static_cast<uint32_t>(pc + 1 + insn.d);
-          uint32_t dest = res.entry[target] != kNoEntry ? res.entry[target]
-                                                        : thunk_of[target];
           Patch32(out, at,
-                  dest - static_cast<uint32_t>(at) - 4);
+                  res.entry[target] - static_cast<uint32_t>(at) - 4);
           break;
         }
       }
     }
-    bool segment_end = pc + 1 >= n || sel[pc + 1] == nullptr;
-    if (segment_end && pc + 1 < n) {
-      EmitExitStub(out, static_cast<uint32_t>(pc + 1));
-    }
   }
-  for (size_t t = 0; t < n; ++t) {
-    if (thunk_of[t] == kNoEntry) continue;
-    assert(out.size() == thunk_of[t]);
-    EmitExitStub(out, static_cast<uint32_t>(t));
-  }
-  if (abort_thunk != kNoEntry) {
+  if (needs_abort) {
     assert(out.size() == abort_thunk);
-    EmitExitStub(out, 0xFFFFFFFEu);  // jit::kAbortPc (engine.h)
+    out.insert(out.end(), abort_code.begin(), abort_code.end());
   }
   assert(out.size() == off);
   return res;

@@ -10,14 +10,11 @@
 //                field into a patch point.
 //
 //   StitchProgram  copies the pre-built per-opcode templates into one
-//                contiguous code blob in bytecode order, fills every patch
-//                point from the instruction operands (register-file
-//                displacements, pre-resolved pointers, constants), and
-//                resolves branch fixups: a branch whose target has native
-//                code becomes a direct rel32 jump, a branch into
-//                non-templated territory lands on a synthesized exit thunk
-//                that returns the target pc to the interpreter (the deopt
-//                protocol, see engine.h).
+//                contiguous code blob in bytecode order — every
+//                instruction has one — fills every patch point from the
+//                instruction operands (register-file displacements,
+//                pre-resolved pointers, constants), and resolves branch
+//                fixups to direct rel32 jumps between native entries.
 //
 //   CodeBuffer   W^X executable memory: the blob is written into a
 //                PROT_READ|PROT_WRITE anonymous mapping which is then
@@ -217,18 +214,17 @@ class CodeBuffer {
   size_t size_ = 0;
 };
 
-// Native offset table entry for "pc has no native code".
+// "No such entry" in the stitcher's per-pc tables.
 constexpr uint32_t kNoEntry = 0xFFFFFFFFu;
 
 class JitProgram;  // engine.h
 
 // One kArrSort/kListSort instruction's resolved descriptor (kSortSite
-// patches point at these). Created at stitch time — only when the whole
-// comparator subroutine [cmp_entry, its kRet] stitched natively — and
-// completed after installation: `jp` is backpatched once the code buffer
-// exists. The sort helper (templates.cc) drives the comparator segment
-// through jp->Run, so a JIT'd sort executes with zero deopts; its worker
-// pool comes from the running context's GovState, never from the site.
+// patches point at these). Created at stitch time and completed after
+// installation: `jp` is backpatched once the code buffer exists. The sort
+// helper (templates.cc) drives the comparator subroutine through jp->Run;
+// its worker pool comes from the running context's GovState, never from
+// the site.
 struct JitSortSite {
   uint32_t obj_reg = 0;    // register holding the RtArray* / RtList*
   uint32_t n_reg = 0;      // kArrSort: register holding the element count
@@ -245,18 +241,18 @@ struct JitSortSite {
 
 // A stitched (but not yet installed) program image.
 struct StitchResult {
-  std::vector<uint8_t> code;    // prologue + instruction code + exit thunks
-  std::vector<uint32_t> entry;  // per-pc blob offset, kNoEntry when deopt
-  int num_native = 0;           // instructions that got native code
+  std::vector<uint8_t> code;    // prologue + instruction code + abort thunk
+  std::vector<uint32_t> entry;  // per-pc blob offset
+  int num_native = 0;           // instructions that got native code (all)
   // One entry per natively-stitched sort instruction, in pc order;
   // kSortSite patches point into this vector, so its owner (JitProgram)
   // must keep it alive with the code.
   std::vector<JitSortSite> sort_sites;
 };
 
-// Stitches every templated instruction of `prog` into one blob. Offsets in
-// `entry` are valid entry points for any templated pc (re-entry after a
-// deopt). Returns num_native == 0 when nothing was templated.
+// Stitches every instruction of `prog` into one blob. Offsets in `entry`
+// are valid entry points for any pc (the program start, comparator
+// subroutines, morsel fragments).
 StitchResult StitchProgram(const BytecodeProgram& prog);
 
 }  // namespace qc::exec::jit

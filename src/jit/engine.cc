@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
@@ -12,7 +11,6 @@
 #include "analysis/jit_audit.h"
 #include "common/knobs.h"
 #include "jit/templates.h"
-#include "telemetry/log.h"
 
 // The backend emits x86-64 SysV machine code and enters it through a
 // plain function-pointer call; both are gated here. Everything else in
@@ -60,7 +58,7 @@ const char* JitFallbackName(JitFallback f) {
     case JitFallback::kDisabledByEnv: return "disabled_by_env";
     case JitFallback::kPlatformUnsupported: return "platform_unsupported";
     case JitFallback::kExecPagesDenied: return "exec_pages_denied";
-    case JitFallback::kNothingTemplated: return "nothing_templated";
+    case JitFallback::kLayoutUnsupported: return "layout_unsupported";
     case JitFallback::kInstallFailed: return "install_failed";
     case JitFallback::kAuditFailed: return "audit_failed";
   }
@@ -82,16 +80,15 @@ std::unique_ptr<JitProgram> JitProgram::Compile(const BytecodeProgram& prog,
   JitFallback local = JitFallback::kNone;
   JitFallback& reason = why != nullptr ? *why : local;
   reason = JitFallback::kNone;
-  if (!JitAvailable() || prog.code.empty()) {
-    reason = JitAvailable() ? JitFallback::kNothingTemplated
-                            : JitUnavailableReason();
+  if (!JitAvailable()) {
+    reason = JitUnavailableReason();
+    return nullptr;
+  }
+  if (!RuntimeLayoutUsable()) {
+    reason = JitFallback::kLayoutUnsupported;
     return nullptr;
   }
   StitchResult stitched = StitchProgram(prog);
-  if (stitched.num_native == 0) {
-    reason = JitFallback::kNothingTemplated;
-    return nullptr;
-  }
   if (analysis::VerifyEnabled()) {
     // Template-table shape is process-wide; audit it once, loudly — a bad
     // template poisons every program it is ever stitched into.
@@ -112,24 +109,6 @@ std::unique_ptr<JitProgram> JitProgram::Compile(const BytecodeProgram& prog,
       reason = JitFallback::kAuditFailed;
       return nullptr;
     }
-  }
-  if (telemetry::LogEnabled(telemetry::LogLevel::kDebug)) {
-    // Deopt-site histogram: which opcodes lack native code in this program.
-    int counts[static_cast<int>(BcOp::kNumOps)] = {};
-    for (size_t pc = 0; pc < prog.code.size(); ++pc) {
-      if (stitched.entry[pc] == kNoEntry) ++counts[prog.code[pc].op];
-    }
-    std::string pcs;
-    for (int op = 0; op < static_cast<int>(BcOp::kNumOps); ++op) {
-      if (counts[op] > 0) {
-        if (!pcs.empty()) pcs += ' ';
-        pcs += BcOpName(static_cast<BcOp>(op));
-        pcs += '=';
-        pcs += std::to_string(counts[op]);
-      }
-    }
-    telemetry::Log(telemetry::LogLevel::kDebug, "jit_deopt_pcs",
-                   {{"pcs", std::move(pcs)}});
   }
   std::unique_ptr<JitProgram> jp(new JitProgram());
   if (!jp->buf_.Install(stitched.code)) {  // W^X refused

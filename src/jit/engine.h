@@ -1,30 +1,22 @@
 // In-process copy-and-patch JIT backend for the bytecode VM.
 //
 // A JitProgram is the native companion of one BytecodeProgram: every
-// instruction with a template (templates.h) gets stitched machine code and
-// a per-pc entry offset; everything else deopts. Execution is a hybrid
-// loop driven by BytecodeVM::Exec:
+// instruction gets stitched machine code from its template (templates.h)
+// and a per-pc entry offset. A run is all native: BytecodeVM::Exec enters
+// the image at the program start, a comparator subroutine or a morsel
+// fragment, and the code runs through that region's kRet (kRetPc) or a
+// governance abort (kAbortPc). When the JIT cannot run here, the whole
+// program runs on the bytecode VM instead (JitFallback).
 //
-//   pc = 0
-//   while pc != kRetPc:
-//     if jit has native code at pc:   pc = jit.Run(regs, pc)    // native
-//     else:                          pc = vm.interpret from pc  // until the
-//                                    // next native entry (or kRet)
-//
-// The deopt protocol is symmetric and state-free: all VM state lives in
-// the Slot register file (plus the shared runtime heaps), native code
-// reads and writes exactly the same slots the interpreter does, so
-// crossing the boundary in either direction — mid-loop, mid-expression,
-// per instruction — needs no spilling or reconstruction beyond the pc.
-// Exit stubs return the interpreter pc to resume at; kRetPc means the
-// program (or subroutine/morsel fragment) executed its kRet.
-//
-// Morsel parallelism composes for free: worker threads run the same
-// hybrid loop against their private MorselState register files — the
-// native code is immutable and position-independent with respect to the
-// register file (its base is the runtime argument). A JitProgram holds no
-// run state (deopts count into the running RunState, sort sites find their
-// pool in its GovState), so one image serves any number of concurrent runs.
+// All run state lives in the Slot register file (plus the shared runtime
+// heaps reached through the RunState* in it): native code reads and
+// writes exactly the slots the interpreter does. Morsel parallelism
+// composes for free: worker threads enter the same image against their
+// private MorselState register files — the native code is immutable and
+// position-independent with respect to the register file (its base is the
+// runtime argument). A JitProgram holds no run state (sort sites find
+// their pool in the running GovState), so one image serves any number of
+// concurrent runs.
 #ifndef QC_JIT_ENGINE_H_
 #define QC_JIT_ENGINE_H_
 
@@ -41,10 +33,8 @@ namespace qc::exec::jit {
 constexpr uint32_t kRetPc = 0xFFFFFFFFu;
 
 // Sentinel "pc" meaning a governance safepoint tripped (cancellation,
-// deadline, memory budget — exec/governor.h): the query must unwind. Both
-// the VM's fused back-edge checks and the JIT's abort thunk return it; the
-// hybrid driver treats it like kRetPc and the engine surfaces the
-// structured QueryStatus.
+// deadline, memory budget — exec/governor.h): the query must unwind. The
+// abort thunk returns it; the engine surfaces the structured QueryStatus.
 constexpr uint32_t kAbortPc = 0xFFFFFFFEu;
 
 // True when JIT'd code can run here: x86-64 SysV build, executable pages
@@ -60,7 +50,9 @@ enum class JitFallback : int {
   kDisabledByEnv = 1,       // QC_JIT_DISABLE set
   kPlatformUnsupported = 2, // not an x86-64 SysV build
   kExecPagesDenied = 3,     // mmap/mprotect refused executable pages
-  kNothingTemplated = 4,    // no instruction of the program has a template
+  kLayoutUnsupported = 4,   // the standard-library layout the templates
+                            // compile against did not match
+                            // (RuntimeLayoutUsable)
   kInstallFailed = 5,       // W^X install of the stitched code failed
   kAuditFailed = 6,         // stitch/W^X audit rejected the image
                             // (src/analysis/jit_audit.h; QC_VERIFY gating)
@@ -74,19 +66,19 @@ JitFallback JitUnavailableReason();
 class JitProgram {
  public:
   // Stitches and installs native code for `prog`. Returns null — callers
-  // degrade to the plain bytecode VM — when JIT is unavailable, nothing
-  // was templated, or executable memory was refused. The program holds
+  // degrade to the plain bytecode VM — when JIT is unavailable, the
+  // runtime layout probe failed, or executable memory was refused. The
+  // program holds
   // raw pointers resolved from `prog` (columns, constants), so it is
   // valid exactly as long as `prog` and its database are. `why` (optional)
   // receives the structured fallback reason on null return.
   static std::unique_ptr<JitProgram> Compile(const BytecodeProgram& prog,
                                              JitFallback* why = nullptr);
 
-  bool HasEntry(uint32_t pc) const { return entry_[pc] != kNoEntry; }
-
-  // Enters native code at `pc` (which must have an entry) with the given
-  // register file; returns the next interpreter pc, or kRetPc. Thread-safe:
-  // all mutable state is behind `regs`.
+  // Enters native code at `pc` with the given register file and runs
+  // through that region's kRet; returns kRetPc, or kAbortPc when a
+  // governance safepoint tripped. Thread-safe: all mutable state is behind
+  // `regs`.
   uint32_t Run(Slot* regs, uint32_t pc) const {
     return enter_(regs, buf_.base() + entry_[pc]);
   }

@@ -22,16 +22,11 @@ constexpr int kNumOps = static_cast<int>(BcOp::kNumOps);
 // the templates targets the shared op the VM handler for the same opcode
 // calls (exec/bytecode.h ops::).
 //
-// kArrSort/kListSort: the native sort helper. Stitched only when the whole
-// comparator subroutine is native (StitchProgram checks the region), so
-// every comparison is one trampoline call into the stitched comparator
-// segment — the sort never re-enters the VM dispatch loop and costs zero
-// deopt events. The driver (parallel::SortSlots) is the one the VM runs,
-// so results stay bit-exact across engines and thread counts.
+// kArrSort/kListSort: the native sort helper. Every comparison is one
+// trampoline call into the stitched comparator subroutine, which runs
+// through its kRet. The driver (parallel::SortSlots) is the one the VM
+// runs, so results stay bit-exact across engines and thread counts.
 void RunNativeCmp(const void* jp, Slot* regs, uint32_t entry) {
-  // The comparator region is fully native: Run executes from the entry
-  // through the subroutine's kRet and returns the kRetPc sentinel, so no
-  // interpreter continuation can be needed here.
   static_cast<const JitProgram*>(jp)->Run(regs, entry);
 }
 
@@ -129,6 +124,11 @@ struct TB {
     a.AndImm8(RAX, 1);
     StoreSlot(RAX, PatchKind::kSlotA);
   }
+  // The context's RunState*, from the reserved state register.
+  void LoadState(Reg r) {
+    a.MovRegMem(r, kSlotBase, 0, true);
+    Mark(PatchKind::kState);
+  }
   // Call a C++ helper whose address is known at template build time.
   // Arguments follow SysV (rdi, rsi, rdx, rcx, r8); the result is in rax.
   void CallHelper(const void* fn) {
@@ -140,7 +140,6 @@ struct TB {
 struct Built {
   std::vector<uint8_t> bytes;
   std::vector<PatchPoint> patches;
-  bool needs_probe = false;
 };
 
 struct Store {
@@ -173,43 +172,40 @@ Store* BuildTemplates() {
   Store* s = new Store();
   std::vector<Built> built(kNumOps);
   std::vector<Built> built_alt(kNumOps);
-  auto build_into = [](std::vector<Built>& dst, BcOp op, bool needs_probe,
+  auto build_into = [](std::vector<Built>& dst, BcOp op,
                        const std::function<void(TB&)>& fn) {
     TB t;
     fn(t);
     Built& b = dst[static_cast<int>(op)];
     b.bytes = t.a.bytes();
     b.patches = t.patches;
-    b.needs_probe = needs_probe;
   };
-  auto def = [&](BcOp op, bool needs_probe,
-                 const std::function<void(TB&)>& fn) {
-    build_into(built, op, needs_probe, fn);
+  auto def = [&](BcOp op, const std::function<void(TB&)>& fn) {
+    build_into(built, op, fn);
   };
-  auto defalt = [&](BcOp op, bool needs_probe,
-                    const std::function<void(TB&)>& fn) {
-    build_into(built_alt, op, needs_probe, fn);
+  auto defalt = [&](BcOp op, const std::function<void(TB&)>& fn) {
+    build_into(built_alt, op, fn);
   };
 
   // --- control flow --------------------------------------------------------
-  // kRet is itself the deopt exit shape with the "returned" sentinel.
-  def(BcOp::kRet, false, [](TB& t) {
+  // kRet leaves the activation with the "returned" sentinel.
+  def(BcOp::kRet, [](TB& t) {
     t.a.MovImm32(RAX, 0xFFFFFFFFu);  // jit::kRetPc
     t.a.PopR12();
     t.a.Ret();
   });
-  def(BcOp::kJmp, false, [](TB& t) { t.JumpAlways(); });
-  def(BcOp::kJz, false, [](TB& t) {
+  def(BcOp::kJmp, [](TB& t) { t.JumpAlways(); });
+  def(BcOp::kJz, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotA);
     t.a.TestRegReg(RAX, RAX);
     t.Jump(kCondE);
   });
-  def(BcOp::kJnz, false, [](TB& t) {
+  def(BcOp::kJnz, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotA);
     t.a.TestRegReg(RAX, RAX);
     t.Jump(kCondNE);
   });
-  def(BcOp::kJgeI, false, [](TB& t) {
+  def(BcOp::kJgeI, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotA);
     t.a.CmpRegMem(RAX, kSlotBase, 0, true);
     t.Mark(PatchKind::kSlotB);
@@ -236,7 +232,7 @@ Store* BuildTemplates() {
     t.Mark(PatchKind::kJumpAbort);
     t.a.PatchRel8(fast);
   };
-  def(BcOp::kForNext, false, [&](TB& t) {
+  def(BcOp::kForNext, [&](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotA);
     t.a.IncReg(RAX);
     t.StoreSlot(RAX, PatchKind::kSlotA);
@@ -247,7 +243,7 @@ Store* BuildTemplates() {
     t.JumpAlways();
     t.a.PatchRel8(done);
   });
-  def(BcOp::kIncJmp, false, [&](TB& t) {
+  def(BcOp::kIncJmp, [&](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotA);
     t.a.IncReg(RAX);
     t.StoreSlot(RAX, PatchKind::kSlotA);
@@ -256,25 +252,25 @@ Store* BuildTemplates() {
   });
   // While-loop back edge: an unconditional jump that carries the safepoint
   // (the compiler lowers while back edges to kJmpSp, bytecode.cc).
-  def(BcOp::kJmpSp, false, [&](TB& t) {
+  def(BcOp::kJmpSp, [&](TB& t) {
     safepoint(t);
     t.JumpAlways();
   });
 
   // --- moves ---------------------------------------------------------------
-  def(BcOp::kLoadK, false, [](TB& t) {
+  def(BcOp::kLoadK, [](TB& t) {
     t.a.MovImm64(RAX, 0);
     t.Mark(PatchKind::kConstB);
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
-  def(BcOp::kMov, false, [](TB& t) {
+  def(BcOp::kMov, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotB);
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
 
   // --- i64 arithmetic ------------------------------------------------------
   auto alu_i = [&](BcOp op, void (Asm::*alu)(Reg, Reg, int32_t, bool)) {
-    def(op, false, [alu](TB& t) {
+    def(op, [alu](TB& t) {
       t.LoadSlot(RAX, PatchKind::kSlotB);
       (t.a.*alu)(RAX, kSlotBase, 0, true);
       t.Mark(PatchKind::kSlotC);
@@ -286,7 +282,7 @@ Store* BuildTemplates() {
   alu_i(BcOp::kMulI, &Asm::ImulRegMem);
   alu_i(BcOp::kBitAnd, &Asm::AndRegMem);
   auto div_i = [&](BcOp op, bool want_rem) {
-    def(op, false, [want_rem](TB& t) {
+    def(op, [want_rem](TB& t) {
       t.LoadSlot(RAX, PatchKind::kSlotB);
       t.LoadSlot(RCX, PatchKind::kSlotC);
       t.a.TestRegReg(RCX, RCX);
@@ -303,7 +299,7 @@ Store* BuildTemplates() {
   };
   div_i(BcOp::kDivI, false);
   div_i(BcOp::kModI, true);
-  def(BcOp::kNegI, false, [](TB& t) {
+  def(BcOp::kNegI, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotB);
     t.a.NegReg(RAX);
     t.StoreSlot(RAX, PatchKind::kSlotA);
@@ -311,7 +307,7 @@ Store* BuildTemplates() {
 
   // --- f64 arithmetic ------------------------------------------------------
   auto alu_f = [&](BcOp op, uint8_t sse_opcode) {
-    def(op, false, [sse_opcode](TB& t) {
+    def(op, [sse_opcode](TB& t) {
       t.LoadSlotSd(XMM0, PatchKind::kSlotB);
       t.a.ArithsdXmmMem(sse_opcode, XMM0, kSlotBase, 0, true);
       t.Mark(PatchKind::kSlotC);
@@ -322,19 +318,19 @@ Store* BuildTemplates() {
   alu_f(BcOp::kSubF, 0x5C);
   alu_f(BcOp::kMulF, 0x59);
   alu_f(BcOp::kDivF, 0x5E);
-  def(BcOp::kNegF, false, [](TB& t) {
+  def(BcOp::kNegF, [](TB& t) {
     // IEEE negation is a sign-bit flip — identical to what -x compiles to.
     t.LoadSlot(RAX, PatchKind::kSlotB);
     t.a.MovImm64(RCX, 0x8000000000000000ull);
     t.a.XorRegReg(RAX, RCX);
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
-  def(BcOp::kCastIF, false, [](TB& t) {
+  def(BcOp::kCastIF, [](TB& t) {
     t.a.Cvtsi2sdXmmMem(XMM0, kSlotBase, 0, true);
     t.Mark(PatchKind::kSlotB);
     t.StoreSlotSd(XMM0, PatchKind::kSlotA);
   });
-  def(BcOp::kCastFI, false, [](TB& t) {
+  def(BcOp::kCastFI, [](TB& t) {
     t.a.Cvttsd2siRegMem(RAX, kSlotBase, 0, true);
     t.Mark(PatchKind::kSlotB);
     t.StoreSlot(RAX, PatchKind::kSlotA);
@@ -346,13 +342,13 @@ Store* BuildTemplates() {
   const BcOp cmp_f[] = {BcOp::kEqF, BcOp::kNeF, BcOp::kLtF,
                         BcOp::kLeF, BcOp::kGtF, BcOp::kGeF};
   for (int i = 0; i < 6; ++i) {
-    def(cmp_i[i], false, [i](TB& t) {
+    def(cmp_i[i], [i](TB& t) {
       t.LoadSlot(RAX, PatchKind::kSlotB);
       t.a.CmpRegMem(RAX, kSlotBase, 0, true);
       t.Mark(PatchKind::kSlotC);
       t.StoreBool(ValCond(i));
     });
-    def(cmp_f[i], false, [i](TB& t) {
+    def(cmp_f[i], [i](TB& t) {
       PatchKind lhs = FSwapped(i) ? PatchKind::kSlotC : PatchKind::kSlotB;
       PatchKind rhs = FSwapped(i) ? PatchKind::kSlotB : PatchKind::kSlotC;
       t.LoadSlotSd(XMM0, lhs);
@@ -364,7 +360,7 @@ Store* BuildTemplates() {
 
   // --- booleans ------------------------------------------------------------
   auto bool_ab = [&](BcOp op, bool is_or) {
-    def(op, false, [is_or](TB& t) {
+    def(op, [is_or](TB& t) {
       t.LoadSlot(RAX, PatchKind::kSlotB);
       t.a.TestRegReg(RAX, RAX);
       t.a.Setcc(kCondNE, RAX);
@@ -383,7 +379,7 @@ Store* BuildTemplates() {
   bool_ab(BcOp::kAnd, false);
   bool_ab(BcOp::kOr, true);
   auto is_zero = [&](BcOp op) {
-    def(op, false, [](TB& t) {
+    def(op, [](TB& t) {
       t.LoadSlot(RAX, PatchKind::kSlotB);
       t.a.TestRegReg(RAX, RAX);
       t.StoreBool(kCondE);
@@ -393,25 +389,25 @@ Store* BuildTemplates() {
   is_zero(BcOp::kIsNull);  // null == 0: same shape
 
   // --- records -------------------------------------------------------------
-  def(BcOp::kRecGet, false, [](TB& t) {
+  def(BcOp::kRecGet, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotB);
     t.a.MovRegMem(RAX, RAX, 0, true);
     t.Mark(PatchKind::kFieldC);
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
-  def(BcOp::kRecSet, false, [](TB& t) {
+  def(BcOp::kRecSet, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotA);
     t.LoadSlot(RCX, PatchKind::kSlotC);
     t.a.MovMemReg(RAX, 0, RCX, true);
     t.Mark(PatchKind::kFieldB);
   });
-  def(BcOp::kRecAccAddI, false, [](TB& t) {
+  def(BcOp::kRecAccAddI, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotA);
     t.LoadSlot(RCX, PatchKind::kSlotC);
     t.a.AddMemReg(RAX, 0, RCX, true);
     t.Mark(PatchKind::kFieldB);
   });
-  def(BcOp::kRecAccAddF, false, [](TB& t) {
+  def(BcOp::kRecAccAddF, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotA);
     t.a.MovsdXmmMem(XMM0, RAX, 0, true);
     t.Mark(PatchKind::kFieldB);
@@ -421,24 +417,24 @@ Store* BuildTemplates() {
     t.Mark(PatchKind::kFieldB);
   });
 
-  // --- arrays / lists (std::vector layout — behind the probe) -------------
+  // --- arrays / lists (std::vector layout, checked by the layout probe) ---
   // RtArray/RtList hold their std::vector at offset 0; begin pointer at
   // vector offset 0, end pointer at offset 8 (RuntimeLayoutUsable checks).
-  def(BcOp::kArrGet, true, [](TB& t) {
+  def(BcOp::kArrGet, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotB);
     t.a.MovRegMem(RAX, RAX, 0);  // data.begin
     t.LoadSlot(RCX, PatchKind::kSlotC);
     t.a.MovRegMemIdx(RAX, RAX, RCX, 3);
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
-  def(BcOp::kListGet, true, [](TB& t) {
+  def(BcOp::kListGet, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotB);
     t.a.MovRegMem(RAX, RAX, 0);
     t.LoadSlot(RCX, PatchKind::kSlotC);
     t.a.MovRegMemIdx(RAX, RAX, RCX, 3);
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
-  def(BcOp::kArrSet, true, [](TB& t) {
+  def(BcOp::kArrSet, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotA);
     t.a.MovRegMem(RAX, RAX, 0);
     t.LoadSlot(RCX, PatchKind::kSlotB);
@@ -446,7 +442,7 @@ Store* BuildTemplates() {
     t.a.MovMemIdxReg(RAX, RCX, 3, 0, RDX);
   });
   auto vec_len = [&](BcOp op) {
-    def(op, true, [](TB& t) {
+    def(op, [](TB& t) {
       t.LoadSlot(RAX, PatchKind::kSlotB);
       t.a.MovRegMem(RCX, RAX, 8);  // end
       t.a.SubRegMem(RCX, RAX, 0);  // - begin
@@ -456,14 +452,14 @@ Store* BuildTemplates() {
   };
   vec_len(BcOp::kArrLen);
   vec_len(BcOp::kListSize);
-  def(BcOp::kArrAccAddI, true, [](TB& t) {
+  def(BcOp::kArrAccAddI, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotA);
     t.a.MovRegMem(RAX, RAX, 0);
     t.LoadSlot(RCX, PatchKind::kSlotB);
     t.LoadSlot(RDX, PatchKind::kSlotC);
     t.a.AddMemIdxReg(RAX, RCX, 3, 0, RDX);
   });
-  def(BcOp::kArrAccAddF, true, [](TB& t) {
+  def(BcOp::kArrAccAddF, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotA);
     t.a.MovRegMem(RAX, RAX, 0);
     t.LoadSlot(RCX, PatchKind::kSlotB);
@@ -474,21 +470,22 @@ Store* BuildTemplates() {
   });
 
   // --- base-table access ---------------------------------------------------
-  def(BcOp::kColGet, false, [](TB& t) {
+  def(BcOp::kColGet, [](TB& t) {
     t.LoadPtr(R11);
     t.LoadSlot(RAX, PatchKind::kSlotC);
     t.a.MovRegMemIdx(RAX, R11, RAX, 3);
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
-  def(BcOp::kColDict, false, [](TB& t) {
+  def(BcOp::kColDict, [](TB& t) {
     t.LoadPtr(R11);
     t.LoadSlot(RAX, PatchKind::kSlotC);
     t.a.MovsxdRegMemIdx(RAX, R11, RAX);  // int32 codes, sign-extended
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
-  // Load-time indexes (struct offsets behind the probe). The unsigned
-  // compare folds the key < 0 and key > max_key range checks into one.
-  def(BcOp::kIdxBucketLen, true, [](TB& t) {
+  // Load-time indexes (struct offsets checked by the layout probe). The
+  // unsigned compare folds the key < 0 and key > max_key range checks into
+  // one.
+  def(BcOp::kIdxBucketLen, [](TB& t) {
     t.LoadPtr(R11);
     t.LoadSlot(RAX, PatchKind::kSlotC);
     t.a.XorReg32(RCX);
@@ -500,7 +497,7 @@ Store* BuildTemplates() {
     t.a.PatchRel8(out);
     t.StoreSlot(RCX, PatchKind::kSlotA);
   });
-  def(BcOp::kIdxBucketRow, true, [](TB& t) {
+  def(BcOp::kIdxBucketRow, [](TB& t) {
     t.LoadPtr(R11);
     t.LoadSlot(RAX, PatchKind::kSlotC);  // key
     t.a.MovRegMem(RDX, R11, 8);          // offsets.begin
@@ -511,7 +508,7 @@ Store* BuildTemplates() {
     t.a.MovRegMemIdx(RAX, RDX, RAX, 3);
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
-  def(BcOp::kIdxPkRow, true, [](TB& t) {
+  def(BcOp::kIdxPkRow, [](TB& t) {
     t.LoadPtr(R11);
     t.LoadSlot(RAX, PatchKind::kSlotC);
     t.a.MovImmSext32(RCX, -1);
@@ -540,7 +537,7 @@ Store* BuildTemplates() {
                           BcOp::kJnColLeF, BcOp::kJnColGtF, BcOp::kJnColGeF};
   for (int i = 0; i < 6; ++i) {
     // R[a] = col[R[c]] CMP R[d]
-    def(colcmp_i[i], false, [i](TB& t) {
+    def(colcmp_i[i], [i](TB& t) {
       t.LoadPtr(R11);
       t.LoadSlot(RAX, PatchKind::kSlotC);
       t.a.MovRegMemIdx(RAX, R11, RAX, 3);
@@ -548,7 +545,7 @@ Store* BuildTemplates() {
       t.Mark(PatchKind::kSlotD);
       t.StoreBool(ValCond(i));
     });
-    def(colcmp_f[i], false, [i](TB& t) {
+    def(colcmp_f[i], [i](TB& t) {
       t.LoadPtr(R11);
       t.LoadSlot(RAX, PatchKind::kSlotC);
       if (FSwapped(i)) {
@@ -562,13 +559,13 @@ Store* BuildTemplates() {
       t.StoreFBool();
     });
     // if (!(R[a] CMP R[b])) jump
-    def(jn_i[i], false, [i](TB& t) {
+    def(jn_i[i], [i](TB& t) {
       t.LoadSlot(RAX, PatchKind::kSlotA);
       t.a.CmpRegMem(RAX, kSlotBase, 0, true);
       t.Mark(PatchKind::kSlotB);
       t.Jump(NegCond(i));
     });
-    def(jn_f[i], false, [i](TB& t) {
+    def(jn_f[i], [i](TB& t) {
       PatchKind lhs = FSwapped(i) ? PatchKind::kSlotB : PatchKind::kSlotA;
       PatchKind rhs = FSwapped(i) ? PatchKind::kSlotA : PatchKind::kSlotB;
       t.LoadSlotSd(XMM0, lhs);
@@ -579,7 +576,7 @@ Store* BuildTemplates() {
       t.Jump(kCondE);  // comparison false -> take the branch
     });
     // if (!(col[R[c]] CMP R[a])) jump
-    def(jncol_i[i], false, [i](TB& t) {
+    def(jncol_i[i], [i](TB& t) {
       t.LoadPtr(R11);
       t.LoadSlot(RAX, PatchKind::kSlotC);
       t.a.MovRegMemIdx(RAX, R11, RAX, 3);
@@ -587,7 +584,7 @@ Store* BuildTemplates() {
       t.Mark(PatchKind::kSlotA);
       t.Jump(NegCond(i));
     });
-    def(jncol_f[i], false, [i](TB& t) {
+    def(jncol_f[i], [i](TB& t) {
       t.LoadPtr(R11);
       t.LoadSlot(RAX, PatchKind::kSlotC);
       if (FSwapped(i)) {
@@ -611,7 +608,7 @@ Store* BuildTemplates() {
   // SlotHasher's default branch). The probe is self-contained: the bucket
   // array pointer and mask are loaded from the live map object on every
   // execution, so rehashing between (or during) loops needs no code
-  // invalidation, and only the insert/create path ever deopts.
+  // invalidation.
   size_t map_boff = RtHashMap::BucketsOffsetForJit();
   size_t mmap_moff = RtMultiMap::MapOffsetForJit();
   // rax = key, r11 = RtHashMap*; leaves r11 = matching node or null.
@@ -651,7 +648,7 @@ Store* BuildTemplates() {
     t.a.PatchRel8(miss);
     t.a.PatchRel8(hit);
   };
-  def(BcOp::kMapFind, true, [&emit_probe](TB& t) {
+  def(BcOp::kMapFind, [&emit_probe](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotC);
     t.LoadSlot(R11, PatchKind::kSlotB);
     emit_probe(t);
@@ -666,13 +663,13 @@ Store* BuildTemplates() {
     t.a.PatchRel8(nul);
     t.StoreSlot(R11, PatchKind::kSlotA);
   };
-  def(BcOp::kMapGetOrNull, true, [&emit_probe, &node_value](TB& t) {
+  def(BcOp::kMapGetOrNull, [&emit_probe, &node_value](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotC);
     t.LoadSlot(R11, PatchKind::kSlotB);
     emit_probe(t);
     node_value(t);
   });
-  def(BcOp::kMMapGetOrNull, true,
+  def(BcOp::kMMapGetOrNull,
       [&emit_probe, &node_value, mmap_moff](TB& t) {
         t.LoadSlot(RAX, PatchKind::kSlotC);
         t.LoadSlot(R11, PatchKind::kSlotB);
@@ -685,7 +682,7 @@ Store* BuildTemplates() {
   // Generic variants for string/record keys (SelectTemplate picks them
   // when insn.d != kMapKeyI64): one helper call running the typed probe.
   auto generic_probe = [&](BcOp op, const void* helper) {
-    defalt(op, false, [helper](TB& t) {
+    defalt(op, [helper](TB& t) {
       t.LoadSlot(RDI, PatchKind::kSlotB);  // map / multimap
       t.LoadSlot(RSI, PatchKind::kSlotC);  // key bits
       t.CallHelper(helper);
@@ -697,7 +694,7 @@ Store* BuildTemplates() {
                 reinterpret_cast<const void*>(&ops::MapGetOrNull));
   generic_probe(BcOp::kMMapGetOrNull,
                 reinterpret_cast<const void*>(&ops::MMapGetOrNull));
-  def(BcOp::kMapNodeVal, true, [](TB& t) {
+  def(BcOp::kMapNodeVal, [](TB& t) {
     t.LoadSlot(RAX, PatchKind::kSlotB);
     t.a.MovRegMem(RAX, RAX, 8);  // node->value
     t.StoreSlot(RAX, PatchKind::kSlotA);
@@ -705,7 +702,7 @@ Store* BuildTemplates() {
   // Entry iteration (kMapForeach lowering) and size: pure loads through the
   // insertion-order vector.
   size_t map_eoff = RtHashMap::EntriesOffsetForJit();
-  def(BcOp::kMapEntryKV, true, [map_eoff](TB& t) {
+  def(BcOp::kMapEntryKV, [map_eoff](TB& t) {
     int32_t eo = static_cast<int32_t>(map_eoff);
     t.LoadSlot(R11, PatchKind::kSlotC);  // map
     t.LoadSlot(RAX, PatchKind::kSlotD);  // entry index
@@ -716,7 +713,7 @@ Store* BuildTemplates() {
     t.a.MovRegMem(RCX, R11, 8);          // value
     t.StoreSlot(RCX, PatchKind::kSlotB);
   });
-  def(BcOp::kMapSize, true, [map_eoff](TB& t) {
+  def(BcOp::kMapSize, [map_eoff](TB& t) {
     int32_t eo = static_cast<int32_t>(map_eoff);
     t.LoadSlot(RAX, PatchKind::kSlotB);
     t.a.MovRegMem(RCX, RAX, eo + 8);  // entries.end
@@ -724,30 +721,30 @@ Store* BuildTemplates() {
     t.a.SarImm8(RCX, 3);
     t.StoreSlot(RCX, PatchKind::kSlotA);
   });
-  // Inserts and per-row allocation: helper calls — the state they mutate
-  // is reachable from the object or from the RunState* in state_reg, so
-  // the hot loop never re-enters the interpreter for them.
-  def(BcOp::kMapInsert, false, [](TB& t) {
+  // Inserts, container construction and per-row allocation: helper calls —
+  // the state they mutate is reachable from the object or from the
+  // RunState* in state_reg.
+  def(BcOp::kMapInsert, [](TB& t) {
     t.LoadSlot(RDI, PatchKind::kSlotB);  // map
     t.LoadSlot(RSI, PatchKind::kSlotC);  // key bits
     t.LoadSlot(RDX, PatchKind::kSlotD);  // value bits
     t.CallHelper(reinterpret_cast<const void*>(&ops::MapInsert));
     t.StoreSlot(RAX, PatchKind::kSlotA);  // the new node
   });
-  def(BcOp::kMMapAdd, false, [](TB& t) {
+  def(BcOp::kMMapAdd, [](TB& t) {
     t.LoadSlot(RDI, PatchKind::kSlotA);  // multimap
     t.LoadSlot(RSI, PatchKind::kSlotB);  // key bits
     t.LoadSlot(RDX, PatchKind::kSlotC);  // value bits
     t.CallHelper(reinterpret_cast<const void*>(&ops::MMapAdd));
   });
-  def(BcOp::kListAppend, false, [](TB& t) {
+  def(BcOp::kListAppend, [](TB& t) {
     t.LoadSlot(RDI, PatchKind::kSlotA);  // list
     t.LoadSlot(RSI, PatchKind::kSlotC);  // RunState* (state_reg)
     t.LoadSlot(RDX, PatchKind::kSlotB);  // value bits
     t.CallHelper(reinterpret_cast<const void*>(&ops::ListAppend));
   });
   auto rec_new = [&](BcOp op, const void* helper) {
-    def(op, false, [helper](TB& t) {
+    def(op, [helper](TB& t) {
       t.LoadSlot(RDI, PatchKind::kSlotC);  // RunState* (state_reg)
       t.a.MovRegReg(RSI, kSlotBase);
       t.a.MovImm64(RDX, 0);
@@ -760,12 +757,38 @@ Store* BuildTemplates() {
   };
   rec_new(BcOp::kRecNew, reinterpret_cast<const void*>(&ops::RecNew));
   rec_new(BcOp::kPoolRecNew, reinterpret_cast<const void*>(&ops::PoolRecNew));
-  def(BcOp::kPoolAlloc, false, [](TB& t) {
+  def(BcOp::kPoolAlloc, [](TB& t) {
     t.LoadSlot(RDI, PatchKind::kSlotC);  // RunState* (state_reg)
     t.LoadSlot(RSI, PatchKind::kSlotB);  // field count
     t.CallHelper(reinterpret_cast<const void*>(&ops::PoolAlloc));
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
+  auto arr_new = [&](BcOp op, const void* helper) {
+    def(op, [helper](TB& t) {
+      t.LoadState(RDI);
+      t.LoadSlot(RSI, PatchKind::kSlotB);  // length
+      t.CallHelper(helper);
+      t.StoreSlot(RAX, PatchKind::kSlotA);
+    });
+  };
+  arr_new(BcOp::kArrNew, reinterpret_cast<const void*>(&ops::ArrNew));
+  arr_new(BcOp::kMallocArr, reinterpret_cast<const void*>(&ops::MallocArr));
+  def(BcOp::kListNew, [](TB& t) {
+    t.LoadState(RDI);
+    t.CallHelper(reinterpret_cast<const void*>(&ops::ListNew));
+    t.StoreSlot(RAX, PatchKind::kSlotA);
+  });
+  auto map_new = [&](BcOp op, const void* helper) {
+    def(op, [helper](TB& t) {
+      t.LoadState(RDI);
+      t.a.MovImm64(RSI, 0);
+      t.Mark(PatchKind::kTypeB);  // key type
+      t.CallHelper(helper);
+      t.StoreSlot(RAX, PatchKind::kSlotA);
+    });
+  };
+  map_new(BcOp::kMapNew, reinterpret_cast<const void*>(&ops::MapNew));
+  map_new(BcOp::kMMapNew, reinterpret_cast<const void*>(&ops::MMapNew));
 
   // --- string comparisons (helper calls) -----------------------------------
   // An interned/constant operand makes pointer equality a common case for
@@ -774,7 +797,7 @@ Store* BuildTemplates() {
   // call; every template falls back to the shared op the VM calls.
   // eq_result: value stored when both operands are the same pointer.
   auto str2 = [&](BcOp op, const void* helper, int eq_result) {
-    def(op, false, [helper, eq_result](TB& t) {
+    def(op, [helper, eq_result](TB& t) {
       t.LoadSlot(RDI, PatchKind::kSlotB);
       t.LoadSlot(RSI, PatchKind::kSlotC);
       t.a.CmpRegReg(RDI, RSI);
@@ -794,11 +817,26 @@ Store* BuildTemplates() {
   str2(BcOp::kStrEnds, reinterpret_cast<const void*>(&ops::StrEnds), 1);
   str2(BcOp::kStrContains, reinterpret_cast<const void*>(&ops::StrContains),
        1);
-  def(BcOp::kStrLike, false, [](TB& t) {
+  def(BcOp::kStrLike, [](TB& t) {
     t.LoadSlot(RDI, PatchKind::kSlotB);
     t.a.MovImm64(RSI, 0);
     t.Mark(PatchKind::kPatternC);  // the pre-split prog.patterns entry
     t.CallHelper(reinterpret_cast<const void*>(&ops::StrLike));
+    t.StoreSlot(RAX, PatchKind::kSlotA);
+  });
+  def(BcOp::kStrLen, [](TB& t) {
+    t.LoadSlot(RDI, PatchKind::kSlotB);
+    t.CallHelper(reinterpret_cast<const void*>(&ops::StrLen));
+    t.StoreSlot(RAX, PatchKind::kSlotA);
+  });
+  def(BcOp::kStrSubstr, [](TB& t) {
+    t.LoadState(RDI);
+    t.LoadSlot(RSI, PatchKind::kSlotB);  // source
+    t.a.MovImm32(RDX, 0);
+    t.Mark(PatchKind::kImmC);  // start
+    t.a.MovImm32(RCX, 0);
+    t.Mark(PatchKind::kImmD);  // length
+    t.CallHelper(reinterpret_cast<const void*>(&ops::StrSubstr));
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
 
@@ -807,8 +845,8 @@ Store* BuildTemplates() {
   // through the log register, insn.c). Fast path is a pure pointer bump —
   // the runtime reserves one entry per morsel row, so growth only happens
   // for channels appending from inner loops — and the grow path is a helper
-  // call, not a deopt: the scan loop stays native either way.
-  def(BcOp::kLogRow, true, [](TB& t) {
+  // call.
+  def(BcOp::kLogRow, [](TB& t) {
     t.LoadSlot(R11, PatchKind::kSlotC);  // the log: std::vector<Slot>*
     t.a.MovImm64(RDX, 0);
     t.Mark(PatchKind::kExtraB);  // operand list
@@ -839,12 +877,10 @@ Store* BuildTemplates() {
   // --- sorts ---------------------------------------------------------------
   // One helper call: regs + the instruction's JitSortSite descriptor. The
   // helper reads the container/count through the register file, drives the
-  // native comparator segment per comparison, and shares the stable merge
-  // core (and the morsel-parallel run/merge tree) with the VM. The stitcher
-  // only uses this template when the comparator region is fully native
-  // (emitter.cc); otherwise the sort deopts as before.
+  // native comparator subroutine per comparison, and shares the stable
+  // merge core (and the morsel-parallel run/merge tree) with the VM.
   auto sort_op = [&](BcOp op) {
-    def(op, false, [](TB& t) {
+    def(op, [](TB& t) {
       t.a.MovRegReg(RDI, kSlotBase);
       t.a.MovImm64(RSI, 0);
       t.Mark(PatchKind::kSortSite);
@@ -859,7 +895,7 @@ Store* BuildTemplates() {
   // RunState the state register points at — works for any emit schema
   // (the string mask routes interning), and for main and morsel-private
   // tables alike.
-  def(BcOp::kEmit, false, [](TB& t) {
+  def(BcOp::kEmit, [](TB& t) {
     t.LoadSlot(RDI, PatchKind::kSlotB);  // RunState* (state_reg)
     t.a.MovRegReg(RSI, kSlotBase);       // the register file
     t.a.MovImm64(RDX, 0);
@@ -867,12 +903,31 @@ Store* BuildTemplates() {
     t.a.MovImm32(RCX, 0);
     t.Mark(PatchKind::kImmN);
     t.a.MovImm32(R8, 0);
-    t.Mark(PatchKind::kImmCMask);
+    t.Mark(PatchKind::kImmC);
     t.CallHelper(reinterpret_cast<const void*>(&ops::Emit));
   });
 
-  // Everything else (container construction into the engine's deques,
-  // kStrSubstr interning, morsel dispatch) deopts: code stays nullptr.
+  // --- morsel dispatch -----------------------------------------------------
+  // The shared op decides and runs the loop (exec/bytecode.h ops::ParLoop);
+  // its outcome selects fall-through into the sequential loop, the skip
+  // branch past it, or the abort thunk.
+  def(BcOp::kParLoop, [](TB& t) {
+    t.LoadState(RDI);
+    t.a.MovRegReg(RSI, kSlotBase);
+    t.a.MovImm64(RDX, 0);
+    t.Mark(PatchKind::kParLoopA);
+    t.CallHelper(reinterpret_cast<const void*>(&ops::ParLoop));
+    static_assert(ops::kParLoopSequential == 0 && ops::kParLoopDone == 1 &&
+                      ops::kParLoopAbort == 2,
+                  "the kParLoop template decodes the outcome as 0/1/2");
+    t.a.TestRegReg(RAX, RAX);
+    size_t seq = t.a.Jcc8(kCondE);
+    t.a.DecReg(RAX);
+    t.Jump(kCondE);  // ran morsel-parallel: skip the sequential loop
+    t.a.JmpRel32();
+    t.Mark(PatchKind::kJumpAbort);
+    t.a.PatchRel8(seq);
+  });
 
   // Flatten into stable storage: concatenate all template bytes (main
   // table first, then variants), then resolve the code pointers against
@@ -892,7 +947,6 @@ Store* BuildTemplates() {
       t.size = static_cast<uint16_t>(b.bytes.size());
       t.num_patches = static_cast<uint8_t>(b.patches.size());
       for (size_t i = 0; i < b.patches.size(); ++i) t.patches[i] = b.patches[i];
-      t.needs_layout_probe = b.needs_probe;
       s->bytes.insert(s->bytes.end(), b.bytes.begin(), b.bytes.end());
     }
   };
@@ -918,24 +972,20 @@ const Store* GetStore() {
 
 }  // namespace
 
-const OpTemplate* SelectTemplate(const Insn& insn, bool layout_ok) {
+const OpTemplate* SelectTemplate(const Insn& insn) {
   const Store* s = GetStore();
   const OpTemplate* t = &s->table[insn.op];
   switch (static_cast<BcOp>(insn.op)) {
     case BcOp::kMapFind:
     case BcOp::kMapGetOrNull:
     case BcOp::kMMapGetOrNull:
-      // Non-i64 keys take the generic helper-call probe; so do i64 keys
-      // when the layout probe failed — the helper runs the typed C++
-      // probe and needs no raw layout, keeping probe loops native.
-      if (insn.d != kMapKeyI64 || !layout_ok) t = &s->alt[insn.op];
+      // Non-i64 keys take the generic helper-call probe.
+      if (insn.d != kMapKeyI64) t = &s->alt[insn.op];
       break;
     default:
       break;
   }
-  if (t->code == nullptr) return nullptr;
-  if (t->needs_layout_probe && !layout_ok) return nullptr;
-  return t;
+  return t->code != nullptr ? t : nullptr;
 }
 
 bool RuntimeLayoutUsable() {

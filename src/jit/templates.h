@@ -16,16 +16,16 @@
 //     [r12 + k*8], always addressed with a patchable disp32.
 //   * every caller-saved register is scratch; nothing is preserved across
 //     templates except the register file itself (state lives in memory,
-//     exactly like the bytecode VM's Slot array — which is what makes
-//     mid-program deopt re-entry trivial).
+//     exactly like the bytecode VM's Slot array — which is what lets any
+//     pc be an entry point: subroutines and morsel fragments).
 //   * Templates may call C++ helpers through an imm64 address baked in at
 //     template build time — the shared ops the VM handlers call
-//     (exec/bytecode.h ops::: string predicates, generic probes, inserts,
-//     allocation, log/emit staging, the safepoint) and the sort driver:
-//     r12 is callee-saved and rsp stays 16-byte aligned, so the calls are
-//     ABI-clean and cost no deopt. Container construction, kStrSubstr
-//     interning and morsel dispatch have no template yet and deopt to the
-//     VM (engine.h).
+//     (exec/bytecode.h ops::: strings, generic probes, inserts, container
+//     construction and allocation, log/emit staging, the safepoint, morsel
+//     dispatch) and the sort driver: r12 is callee-saved and rsp stays
+//     16-byte aligned, so the calls are ABI-clean.
+//   * Every opcode has a template, so a stitched program is native at
+//     every pc (analysis/jit_audit.h's template-missing check).
 //   * Fall-through is the next stitched instruction; taken branches are
 //     rel32 fields patched by the emitter's branch-fixup pass.
 #ifndef QC_JIT_TEMPLATES_H_
@@ -52,7 +52,9 @@ enum class PatchKind : uint8_t {
   kExtraB,  // imm64 <- &prog.extra[insn.b]
   kImmN,    // imm32 <- insn.n (operand count)
   kImmN8,   // imm32 <- insn.n * 8 (operand count in slot bytes)
-  kImmCMask,   // imm32 <- insn.c (kEmit string-interning mask)
+  kImmC,       // imm32 <- insn.c (kEmit string-interning mask, kStrSubstr
+               //          start)
+  kImmD,       // imm32 <- uint32(insn.d) (kStrSubstr length)
   kPatternC,   // imm64 <- &prog.patterns[insn.c], the pattern pre-split at
                //          bytecode compile time (kStrLike)
   kSortSite,   // imm64 <- &sort_sites[i] for this sort instruction's
@@ -63,6 +65,10 @@ enum class PatchKind : uint8_t {
                //          slot; the safepoint slow path finds the RunState*
                //          at [countdown slot - 8] — gov_cnt_reg==state_reg+1)
   kJumpAbort,  // rel32 <- the program's abort thunk (returns kAbortPc)
+  kState,      // disp32 <- prog.state_reg * 8 (the RunState* slot, for ops
+               //           whose instruction names no context operand)
+  kTypeB,      // imm64 <- prog.types[insn.b] (kMapNew/kMMapNew key type)
+  kParLoopA,   // imm64 <- &prog.par_loops[insn.a] (kParLoop)
 };
 
 struct PatchPoint {
@@ -70,16 +76,12 @@ struct PatchPoint {
   PatchKind kind;
 };
 
-// One opcode's template. code == nullptr means "no template": the
-// instruction deopts to the bytecode VM.
+// One opcode's template.
 struct OpTemplate {
   const uint8_t* code = nullptr;
   uint16_t size = 0;
   uint8_t num_patches = 0;
   PatchPoint patches[8];  // governed kForNext carries 8 patch points
-  // Template dereferences std::vector / index-struct internals and is only
-  // stitched when RuntimeLayoutUsable() confirmed the layout probe.
-  bool needs_layout_probe = false;
 };
 
 // Template selection for one concrete instruction — the only lookup into
@@ -87,17 +89,15 @@ struct OpTemplate {
 // the main entry, or a variant keyed on instruction metadata — the
 // hash-probe opcodes (kMapFind/kMapGetOrNull/kMMapGetOrNull) use the
 // inline i64 probe for kMapKeyI64 instructions and a generic helper-call
-// probe (typed SlotHasher in C++, no deopt) for string/record keys; the
-// generic variant also serves i64 keys when the layout probe failed, so
-// probe loops stay native even there. Returns nullptr when the
-// instruction must deopt (no template, or probe-gated with no variant).
-const OpTemplate* SelectTemplate(const Insn& insn, bool layout_ok);
+// probe (typed SlotHasher in C++) for string/record keys. Returns nullptr
+// only for an opcode without a template, which the template audit rejects.
+const OpTemplate* SelectTemplate(const Insn& insn);
 
-// One-time probe of the standard-library memory layout the container
-// templates compile against (vector = {begin, end, cap} pointers; RtArray/
-// RtList payload at offset 0; PartitionedIndex/PkIndex field offsets).
-// When the probe fails those templates are skipped — their opcodes deopt —
-// and everything still runs correctly.
+// One-time probe of the standard-library memory layout the templates
+// compile against (vector = {begin, end, cap} pointers; RtArray/RtList
+// payload at offset 0; hash-map node and member offsets; PartitionedIndex/
+// PkIndex field offsets). When the probe fails nothing is stitched: the
+// whole program runs on the bytecode VM (JitFallback::kLayoutUnsupported).
 bool RuntimeLayoutUsable();
 
 }  // namespace qc::exec::jit

@@ -207,13 +207,6 @@ Counter& JitFallbacks() {
   return c;
 }
 
-Counter& JitDeoptEvents() {
-  static Counter& c = GlobalCounter(
-      "qc_jit_deopt_events_total",
-      "Native-to-VM deopt transfers observed during JIT runs.");
-  return c;
-}
-
 Counter& GovSafepointTrips() {
   static Counter& c = GlobalCounter(
       "qc_gov_safepoint_trips_total",

@@ -164,7 +164,6 @@ class MetricsRegistry {
 // Process-wide engine-layer counters, registered in Global() on first use.
 Counter& JitCompiles();        // qc_jit_compiles_total
 Counter& JitFallbacks();       // qc_jit_fallbacks_total
-Counter& JitDeoptEvents();     // qc_jit_deopt_events_total
 Counter& GovSafepointTrips();  // qc_gov_safepoint_trips_total
 Counter& PlanCacheHits();      // qc_plan_cache_hits_total
 Counter& PlanCacheMisses();    // qc_plan_cache_misses_total

@@ -4,9 +4,9 @@
 // configuration, plus unit tests for the bytecode compiler itself — jump
 // lowering, constant presets, and the fused super-instructions.
 //
-// At SF 0.01 the JIT is additionally locked against the VM on both stack
-// levels at threads {1, 4} with exact AllocStats, plus deopt-boundary and
-// degraded-mode tests. Volcano (stack_equivalence_test) is the independent
+// At SF 0.01 the JIT is additionally locked against the VM at stack levels
+// 2-5 and threads {1, 4} with exact AllocStats and native code at every pc,
+// plus template and degraded-mode tests. Volcano (stack_equivalence_test) is the independent
 // plan-level oracle both engines answer to.
 #include <gtest/gtest.h>
 
@@ -452,54 +452,41 @@ TEST(BytecodeVm, RepeatedRunsReuseCachedProgram) {
 // JIT backend (src/jit/): bit-exact agreement with the bytecode VM.
 // --------------------------------------------------------------------------
 
-// The JIT's work counts for one program: templated and total pcs, and the
-// deopt events of one run at threads 1 and 4.
-struct JitCounts {
-  int native_pcs;
-  int total_pcs;
-  uint64_t deopts_t1;
-  uint64_t deopts_t4;
-  bool operator==(const JitCounts& o) const {
-    return native_pcs == o.native_pcs && total_pcs == o.total_pcs &&
-           deopts_t1 == o.deopts_t1 && deopts_t4 == o.deopts_t4;
-  }
+// Golden total_pcs per TPC-H query (row q-1) of the level-5 program at SF
+// 0.01, as the four-thread run builds it (morsel fragments included). They
+// are exact, so any drift is a change in what the bytecode compiler emits.
+// A change that alters them on purpose pastes the table the failing test
+// prints and says so in CHANGES.md.
+constexpr int kGoldenJitCounts[tpch::kNumQueries] = {
+    147,  // Q1
+    485,  // Q2
+    175,  // Q3
+    97,  // Q4
+    322,  // Q5
+    31,  // Q6
+    331,  // Q7
+    348,  // Q8
+    189,  // Q9
+    193,  // Q10
+    297,  // Q11
+    154,  // Q12
+    109,  // Q13
+    62,  // Q14
+    250,  // Q15
+    156,  // Q16
+    137,  // Q17
+    269,  // Q18
+    151,  // Q19
+    236,  // Q20
+    200,  // Q21
+    196,  // Q22
 };
 
-// Golden counts per TPC-H query (row q-1) at level 5, SF 0.01. They are
-// exact, so any drift is a change in what runs native: a lost template
-// lowers native_pcs, a new deopt site raises the deopts. A change that
-// alters them on purpose pastes the table the failing test prints and says
-// so in CHANGES.md.
-constexpr JitCounts kGoldenJitCounts[tpch::kNumQueries] = {
-    {143, 147, 1, 1},  // Q1
-    {469, 485, 2, 9},  // Q2
-    {170, 175, 1, 2},  // Q3
-    {93, 97, 1, 2},  // Q4
-    {312, 322, 1, 5},  // Q5
-    {30, 31, 0, 1},  // Q6
-    {322, 331, 2, 4},  // Q7
-    {336, 348, 3, 6},  // Q8
-    {182, 189, 2, 3},  // Q9
-    {188, 193, 1, 2},  // Q10
-    {285, 297, 3, 8},  // Q11
-    {150, 154, 1, 2},  // Q12
-    {105, 109, 1, 2},  // Q13
-    {61, 62, 0, 1},  // Q14
-    {240, 250, 3, 4},  // Q15
-    {151, 156, 1, 2},  // Q16
-    {131, 137, 2, 3},  // Q17
-    {260, 269, 1, 3},  // Q18
-    {150, 151, 0, 1},  // Q19
-    {227, 236, 2, 3},  // Q20
-    {194, 200, 1, 3},  // Q21
-    {189, 196, 60, 62},  // Q22
-};
-
-// All 22 TPC-H queries at SF 0.01, both stack levels (pipelined
-// ScaLite[Map,List] and the full 5-level stack), threads {1, 4}: the JIT
-// engine must agree with the sequential bytecode VM bit-for-bit, including
-// the Figure 8 AllocStats, and at level 5 its counts must match the golden
-// table.
+// All 22 TPC-H queries at SF 0.01, stack levels 2-5, threads {1, 4}: the
+// JIT engine must agree with the sequential bytecode VM bit-for-bit,
+// including the Figure 8 AllocStats, run native code at every pc (main
+// stream, comparator subroutines and morsel fragments alike), and at
+// level 5 match the golden pc count.
 class JitTpchTest : public ::testing::TestWithParam<int> {
  protected:
   static storage::Database* db() {
@@ -509,19 +496,20 @@ class JitTpchTest : public ::testing::TestWithParam<int> {
   }
 
   // Whether this build and host can run native code at all; QC_JIT_DISABLE
-  // does not count, so forcing the VM fails the counts.
+  // does not count, so forcing the VM fails the checks.
   static bool PlatformJits() {
     return exec::jit::JitAvailable() ||
            exec::jit::JitUnavailableReason() ==
                exec::jit::JitFallback::kDisabledByEnv;
   }
 
-  // Checks each JIT run of `fn` against the VM and returns its counts.
-  static JitCounts CheckJitAgrees(const Function& fn, const std::string& tag) {
+  // Checks each JIT run of `fn` against the VM; returns the total pcs of
+  // the four-thread run.
+  static int CheckJitAgrees(const Function& fn, const std::string& tag) {
     exec::Interpreter ref(db(), Bytecode());
     storage::ResultTable want = ref.Run(fn);
     exec::AllocStats want_stats = ref.stats();
-    JitCounts counts{};
+    int total_pcs = 0;
     for (int threads : {1, 4}) {
       exec::Interpreter jit(db(), Jit(threads));
       storage::ResultTable got = jit.Run(fn);
@@ -531,62 +519,47 @@ class JitTpchTest : public ::testing::TestWithParam<int> {
       const exec::Interpreter::JitRunStats& js = jit.last_jit_stats();
       if (PlatformJits()) {
         EXPECT_TRUE(js.jitted) << t;
+        EXPECT_EQ(js.native_pcs, js.total_pcs) << t;
       }
-      counts.native_pcs = js.native_pcs;
-      counts.total_pcs = js.total_pcs;
-      (threads == 1 ? counts.deopts_t1 : counts.deopts_t4) = js.deopts;
+      total_pcs = js.total_pcs;
     }
-    return counts;
+    return total_pcs;
   }
 
-  static JitCounts CheckLevel5(int q, const qplan::Plan& plan) {
+  static int CheckLevel(int q, const qplan::Plan& plan, int level) {
     ir::TypeFactory types;
     QueryCompiler qc(db(), &types);
-    compiler::CompileResult res =
-        qc.Compile(plan, StackConfig::Level(5), "q" + std::to_string(q));
-    return CheckJitAgrees(*res.fn, "Q" + std::to_string(q) + " L5");
+    compiler::CompileResult res = qc.Compile(
+        plan, StackConfig::Level(level), "q" + std::to_string(q));
+    return CheckJitAgrees(*res.fn, "Q" + std::to_string(q) + " L" +
+                                       std::to_string(level));
   }
 
   // Prints the golden table as this build measures it, ready to paste.
   static void PrintGoldenTable() {
     std::string table =
-        "constexpr JitCounts kGoldenJitCounts[tpch::kNumQueries] = {\n";
+        "constexpr int kGoldenJitCounts[tpch::kNumQueries] = {\n";
     for (int q = 1; q <= tpch::kNumQueries; ++q) {
       qplan::PlanPtr plan = tpch::MakeQuery(q);
       qplan::ResolvePlan(plan.get(), *db());
-      JitCounts c = CheckLevel5(q, *plan);
-      table += "    {" + std::to_string(c.native_pcs) + ", " +
-               std::to_string(c.total_pcs) + ", " +
-               std::to_string(c.deopts_t1) + ", " +
-               std::to_string(c.deopts_t4) + "},  // Q" + std::to_string(q) +
-               "\n";
+      table += "    " + std::to_string(CheckLevel(q, *plan, 5)) +
+               ",  // Q" + std::to_string(q) + "\n";
     }
     std::printf("%s};\n", table.c_str());
   }
 };
 
-TEST_P(JitTpchTest, BitExactBothStackLevels) {
+TEST_P(JitTpchTest, NativeAndBitExactAtEveryLevel) {
   int q = GetParam();
   qplan::PlanPtr plan = tpch::MakeQuery(q);
   qplan::ResolvePlan(plan.get(), *db());
-  {
-    ir::TypeFactory types;
-    auto fn = lower::LowerPlanPipelined(*plan, *db(), &types,
-                                        "q" + std::to_string(q));
-    CheckJitAgrees(*fn, "Q" + std::to_string(q) + " L3");
-  }
-  JitCounts got = CheckLevel5(q, *plan);
+  for (int level : {2, 3, 4}) CheckLevel(q, *plan, level);
+  int got = CheckLevel(q, *plan, 5);
   if (!PlatformJits()) return;
-  const JitCounts& want = kGoldenJitCounts[q - 1];
-  const bool same = got == want;
-  EXPECT_TRUE(same)
-      << "Q" << q << " L5 counts {native_pcs, total_pcs, deopts@1, deopts@4}: "
-      << "want {" << want.native_pcs << ", " << want.total_pcs << ", "
-      << want.deopts_t1 << ", " << want.deopts_t4 << "}, got {"
-      << got.native_pcs << ", " << got.total_pcs << ", " << got.deopts_t1
-      << ", " << got.deopts_t4 << "}";
+  const int want = kGoldenJitCounts[q - 1];
+  EXPECT_EQ(got, want) << "Q" << q << " L5 total_pcs";
   static bool printed = false;
-  if (!same && !printed) {
+  if (got != want && !printed) {
     printed = true;
     PrintGoldenTable();
   }
@@ -594,67 +567,60 @@ TEST_P(JitTpchTest, BitExactBothStackLevels) {
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, JitTpchTest, ::testing::Range(1, 23));
 
-// A template-less opcode (kStrLen) in the middle of an otherwise JIT'able
-// loop forces a deopt boundary every iteration: native -> VM -> native.
-// Results must stay identical, and the stitched program must show the hole.
-TEST(JitDeopt, TemplateLessOpcodeMidFunction) {
+// The opcodes TPC-H never emits have templates too: kStrLen, kMallocArr and
+// kStrSubstr — including a start past the end, a length past the end and
+// an empty source — run native at every pc and agree with the VM bit for
+// bit, AllocStats included.
+TEST(JitTemplates, OpcodesTpchNeverEmitsMatchVm) {
   storage::Database db;
+  storage::TableDef t;
+  t.name = "W";
+  t.columns = {{"s", storage::ColType::kStr}};
+  storage::Table* words = db.AddTable(t);
+  for (const char* w : {"", "a", "query", "compiler"}) {
+    words->column(0).data.push_back(SlotS(w));
+  }
   TypeFactory types;
   Function fn("f", &types);
   Builder b(&fn);
-  Stmt* s = b.StrC("deopt boundary");
-  Stmt* sum = b.VarNew(b.I64(0));
-  b.ForRange(b.I64(0), b.I64(100), [&](Stmt* i) {
-    Stmt* len = b.StrLen(s);  // no template: re-enters the VM mid-loop
-    b.VarAssign(sum, b.Add(b.VarRead(sum), b.Mul(i, len)));
+  Stmt* lens = b.Malloc(types.I64(), b.TableRows(0));
+  b.ForRange(b.I64(0), b.TableRows(0), [&](Stmt* row) {
+    Stmt* w = b.ColGet(0, 0, row, types.Str());
+    b.ArrSet(lens, row, b.StrLen(w));
+    b.EmitRow({b.StrSubstr(w, 1, 3), b.StrSubstr(w, 2, 100),
+               b.StrSubstr(w, 40, 2), b.ArrGet(lens, row)});
   });
-  b.EmitRow({b.VarRead(sum)});
 
   BytecodeProgram prog = BytecodeCompiler(&db).Compile(fn);
+  for (BcOp op : {BcOp::kStrLen, BcOp::kMallocArr, BcOp::kStrSubstr}) {
+    EXPECT_GT(CountOp(prog, op), 0) << BcOpName(op) << " absent";
+  }
   if (exec::jit::JitAvailable()) {
     auto jp = exec::jit::JitProgram::Compile(prog);
     ASSERT_NE(jp, nullptr);
-    EXPECT_GT(jp->num_native(), 0);
-    bool strlen_deopts = false;
-    bool neighbors_native = true;
-    for (size_t pc = 0; pc < prog.code.size(); ++pc) {
-      if (prog.code[pc].op == static_cast<uint16_t>(BcOp::kStrLen)) {
-        strlen_deopts = !jp->HasEntry(static_cast<uint32_t>(pc));
-        if (pc > 0) neighbors_native &= jp->HasEntry(pc - 1);
-        neighbors_native &= jp->HasEntry(pc + 1);
-      }
-    }
-    EXPECT_TRUE(strlen_deopts);
-    EXPECT_TRUE(neighbors_native);
+    EXPECT_EQ(jp->num_native(), jp->total_pcs());
   }
   exec::Interpreter bc(&db, Bytecode());
   exec::Interpreter jit(&db, Jit());
   storage::ResultTable want = bc.Run(fn);
   storage::ResultTable got = jit.Run(fn);
-  ExpectBitExact(got, want, "deopt boundary");
-  EXPECT_EQ(want.row(0)[0].i, 4950 * 14);
-}
-
-// Sort comparators run as subroutines from a deopt'd sort instruction; the
-// comparator body itself re-enters native code. Interleaves both directions.
-TEST(JitDeopt, SortComparatorCrossesBoundary) {
-  storage::Database db;
-  TypeFactory types;
-  Function fn("f", &types);
-  Builder b(&fn);
-  Stmt* list = b.ListNew(types.I64());
-  int64_t vals[] = {5, 3, 9, 1, 12, 7, 2};
-  for (int64_t v : vals) b.ListAppend(list, b.I64(v));
-  b.ListSortBy(list, [&](Stmt* x, Stmt* y) { return b.Gt(x, y); });
-  b.ListForeach(list, [&](Stmt* e) { b.EmitRow({e}); });
-  exec::Interpreter bc(&db, Bytecode());
-  exec::Interpreter jit(&db, Jit());
-  ExpectBitExact(jit.Run(fn), bc.Run(fn), "jit sort comparator");
+  ExpectBitExact(got, want, "template-only opcodes");
+  ExpectStatsEqual(jit.stats(), bc.stats(), "template-only opcodes");
+  ASSERT_EQ(want.size(), 4u);
+  const char* kWant[][3] = {
+      {"", "", ""}, {"", "", ""}, {"uer", "ery", ""}, {"omp", "mpiler", ""}};
+  for (size_t r = 0; r < 4; ++r) {
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_STREQ(want.row(r)[c].s, kWant[r][c]) << "row " << r;
+    }
+  }
+  EXPECT_EQ(want.row(3)[3].i, 8);
+  EXPECT_EQ(bc.stats().heap_allocs, 1u);
 }
 
 // --------------------------------------------------------------------------
-// Native templates for the deopt-dominated families: hash probes, string
-// comparisons, kLogRow, kEmit, and the allocating helper-call opcodes.
+// Native templates for the hot families: hash probes, string comparisons,
+// kLogRow, kEmit, and the allocating helper-call opcodes.
 // --------------------------------------------------------------------------
 
 std::vector<uint32_t> PcsOf(const BytecodeProgram& prog, BcOp op) {
@@ -667,13 +633,11 @@ std::vector<uint32_t> PcsOf(const BytecodeProgram& prog, BcOp op) {
   return pcs;
 }
 
+// `op` occurs in `prog`, and every pc of `prog` has native code.
 void ExpectOpNative(const BytecodeProgram& prog,
                     const exec::jit::JitProgram& jp, BcOp op) {
-  std::vector<uint32_t> pcs = PcsOf(prog, op);
-  EXPECT_FALSE(pcs.empty()) << BcOpName(op) << " absent from program";
-  for (uint32_t pc : pcs) {
-    EXPECT_TRUE(jp.HasEntry(pc)) << BcOpName(op) << " deopts at pc " << pc;
-  }
+  EXPECT_GT(CountOp(prog, op), 0) << BcOpName(op) << " absent from program";
+  EXPECT_EQ(jp.num_native(), jp.total_pcs());
 }
 
 // GOEU probe loop over i64 keys: 1000 distinct keys grow the map through
@@ -727,8 +691,7 @@ storage::Database StrKeyDb() {
 }
 
 // String-keyed maps take the *generic* probe variant (typed SlotHasher via
-// helper call): the probe pcs are still native — no deopt — but flagged
-// kMapKeyOther by the compiler.
+// helper call), flagged kMapKeyOther by the compiler.
 TEST(JitNative, StringKeyProbeUsesGenericVariant) {
   storage::Database db = StrKeyDb();
   TypeFactory types;
@@ -836,78 +799,9 @@ TEST(JitNative, StringCompareTemplates) {
   }
 }
 
-// The Q13/Q20 shapes that previously ping-ponged between native code and
-// the VM: every probe, string, allocation, and emit pc must be native at
-// the 5-level stack, and results stay bit-exact at threads {1, 4}.
-TEST(JitNative, Q13Q20DeoptGapClosed) {
-  storage::Database db = tpch::MakeTpchDatabase(0.01);
-  for (int q : {13, 20}) {
-    qplan::PlanPtr plan = tpch::MakeQuery(q);
-    qplan::ResolvePlan(plan.get(), db);
-    ir::TypeFactory types;
-    QueryCompiler qc(&db, &types);
-    compiler::CompileResult res =
-        qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(q));
-    ir::ParallelInfo par = ir::AnalyzeParallelism(*res.fn);
-    BytecodeProgram prog = BytecodeCompiler(&db).Compile(*res.fn, &par);
-    if (exec::jit::JitAvailable()) {
-      auto jp = exec::jit::JitProgram::Compile(prog);
-      ASSERT_NE(jp, nullptr);
-      for (BcOp op : {BcOp::kMapFind, BcOp::kMapGetOrNull,
-                      BcOp::kMMapGetOrNull, BcOp::kStrLike, BcOp::kStrEq,
-                      BcOp::kEmit, BcOp::kRecNew, BcOp::kPoolRecNew,
-                      BcOp::kMapInsert, BcOp::kMMapAdd, BcOp::kListAppend,
-                      BcOp::kMapEntryKV}) {
-        for (uint32_t pc : PcsOf(prog, op)) {
-          EXPECT_TRUE(jp->HasEntry(pc))
-              << "Q" << q << ": " << BcOpName(op) << " deopts at pc " << pc;
-        }
-      }
-    }
-    exec::Interpreter bc(&db, Bytecode());
-    storage::ResultTable want = bc.Run(*res.fn);
-    for (int threads : {1, 4}) {
-      exec::Interpreter jit(&db, Jit(threads));
-      ExpectBitExact(jit.Run(*res.fn), want,
-                     "Q" + std::to_string(q) + " t" + std::to_string(threads));
-    }
-  }
-}
-
-// Morsel-fragment scan loops must be deopt-free: with kLogRow (and the
-// allocating ops) native, every pc of every fragment — entry through its
-// kRet — has native code on Q1 and Q6 at the 5-level stack.
-TEST(JitNative, MorselFragmentsDeoptFree) {
-  if (!exec::jit::JitAvailable()) GTEST_SKIP();
-  storage::Database db = tpch::MakeTpchDatabase(0.01);
-  for (int q : {1, 6}) {
-    qplan::PlanPtr plan = tpch::MakeQuery(q);
-    qplan::ResolvePlan(plan.get(), db);
-    ir::TypeFactory types;
-    QueryCompiler qc(&db, &types);
-    compiler::CompileResult res =
-        qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(q));
-    ir::ParallelInfo par = ir::AnalyzeParallelism(*res.fn);
-    BytecodeProgram prog = BytecodeCompiler(&db).Compile(*res.fn, &par);
-    ASSERT_FALSE(prog.par_loops.empty()) << "Q" << q;
-    auto jp = exec::jit::JitProgram::Compile(prog);
-    ASSERT_NE(jp, nullptr);
-    for (const exec::ParLoopCode& plc : prog.par_loops) {
-      uint32_t pc = plc.entry;
-      while (true) {
-        EXPECT_TRUE(jp->HasEntry(pc))
-            << "Q" << q << " fragment deopts at pc " << pc << " ("
-            << BcOpName(static_cast<BcOp>(prog.code[pc].op)) << ")";
-        if (prog.code[pc].op == static_cast<uint16_t>(BcOp::kRet)) break;
-        ++pc;
-      }
-    }
-  }
-}
-
 // kLogRow grow path: a channel appending from an inner loop logs more
 // than one entry per row, overflowing the one-entry-per-row reserve — the
-// native append's grow helper (not a deopt) must keep results and
+// native append's grow helper must keep results and
 // AllocStats bit-identical across engines and thread counts.
 TEST(JitLogRow, InnerLoopChannelGrowsPastReserve) {
   storage::Database db = ScanDb();
@@ -944,7 +838,7 @@ TEST(JitLogRow, InnerLoopChannelGrowsPastReserve) {
 
 // QC_JIT_DISABLE degrades kJit to the plain bytecode VM — selecting the
 // engine must stay safe (and correct) with the JIT forced off.
-TEST(JitDeopt, DisableKnobDegradesToBytecode) {
+TEST(JitFallback, DisableKnobDegradesToBytecode) {
   ScopedEnv off("QC_JIT_DISABLE", "1");
   EXPECT_FALSE(exec::jit::JitAvailable());
   storage::Database db;

@@ -344,26 +344,6 @@ TEST(GovernorTest, CancelSweepAcrossArrayReductions) {
   }
 }
 
-TEST(GovernorTest, JitDeoptThenCancelIsClean) {
-  // Force a genuine mid-query deopt out of a native segment, then cancel at
-  // the first safepoint the VM reaches: the JIT/VM boundary crossing must
-  // not lose the abort.
-  ScopedEnv interval("QC_GOV_INTERVAL", "1");
-  for (int threads : {1, 4}) {
-    ScopedEnv fault("QC_FAULT", "jit_deopt:1,gov_trip:1");
-    std::string tag = "jit threads=" + std::to_string(threads);
-    ExecControl ctl;
-    exec::Interpreter interp(Db(),
-                             Opts(InterpOptions::Engine::kJit, threads, &ctl));
-    storage::ResultTable r = interp.Run(Q3());
-    EXPECT_EQ(r.size(), 0u) << tag;
-    EXPECT_EQ(interp.last_status().code, QueryStatusCode::kCancelled) << tag;
-    fault.Unset();
-    ctl.Reset();
-    ExpectBitExact(interp.Run(Q3()), Q3Want(), tag + " rerun");
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Chaos sweep: every injection site x engines x threads. Each armed run
 // must end in exactly one of two states — bit-exact success (the site was
@@ -376,7 +356,7 @@ TEST(GovernorTest, JitDeoptThenCancelIsClean) {
 
 TEST(GovernorChaosTest, EverySiteEveryEngineFailsCleanOrSucceedsExact) {
   const char* kSites[] = {"gov_trip",  "alloc_heap",   "alloc_pool",
-                          "worker_spawn", "jit_deopt", "jit_mmap",
+                          "worker_spawn", "jit_mmap",
                           "jit_mprotect", "cc_cache_write"};
   for (const char* site : kSites) {
     for (long nth : {1L, 5L}) {

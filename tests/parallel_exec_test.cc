@@ -345,10 +345,10 @@ TEST(ParallelDeterminismTest, FourThreadRunsIdentical) {
 // Compile once, run anywhere: one Program, built parallel, run by two
 // threads at once, each driving its own Interpreter, at threads 1 and 4 on
 // both engines. Every run must match the single-owner run of the same
-// Program bit for bit, with equal AllocStats and the same deopt count:
-// deopts count into each run's own RunState, so a concurrent run of the
-// shared JIT image never leaks into another run's count. Q22 deopts
-// dozens of times per run; Q3 ends in a (forced parallel) ORDER BY sort.
+// Program bit for bit, with equal AllocStats: all run state lives in each
+// run's own RunState and register file, never in the shared JIT image.
+// Q22 builds containers and interns substrings; Q3 ends in a (forced
+// parallel) ORDER BY sort.
 TEST(SharedProgramTest, ConcurrentRunsMatchSingleOwnerRun) {
   ScopedEnv min_rows("QC_PAR_SORT_MIN", "64");
   storage::Database db = tpch::MakeTpchDatabase(0.01);
@@ -373,15 +373,9 @@ TEST(SharedProgramTest, ConcurrentRunsMatchSingleOwnerRun) {
                                 std::to_string(threads);
         exec::Interpreter owner(&db);
         ExpectBitExact(owner.Run(*prog, o), want, tag + " single owner");
-        const uint64_t deopts = owner.last_jit_stats().deopts;
-        if (q == 22 && engine == InterpOptions::Engine::kJit &&
-            exec::jit::JitAvailable()) {
-          EXPECT_GT(deopts, 0u) << tag << ": the deopt check went vacuous";
-        }
         struct Out {
           storage::ResultTable rows;
           exec::AllocStats stats;
-          uint64_t deopts = 0;
         } out[2];
         std::thread runners[2];
         for (int i = 0; i < 2; ++i) {
@@ -389,7 +383,6 @@ TEST(SharedProgramTest, ConcurrentRunsMatchSingleOwnerRun) {
             exec::Interpreter interp(&db);
             out[i].rows = interp.Run(*prog, o);
             out[i].stats = interp.stats();
-            out[i].deopts = interp.last_jit_stats().deopts;
           });
         }
         for (std::thread& t : runners) t.join();
@@ -397,7 +390,6 @@ TEST(SharedProgramTest, ConcurrentRunsMatchSingleOwnerRun) {
           const std::string t = tag + " runner " + std::to_string(i);
           ExpectBitExact(out[i].rows, want, t);
           ExpectStatsEqual(out[i].stats, owner.stats(), t);
-          EXPECT_EQ(out[i].deopts, deopts) << t;
         }
       }
     }

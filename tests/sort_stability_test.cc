@@ -17,7 +17,6 @@
 #include "compiler/compiler.h"
 #include "exec/interp.h"
 #include "ir/builder.h"
-#include "jit/engine.h"
 #include "lower/pipeline.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
@@ -310,44 +309,6 @@ TEST_P(SortHeavyTpchTest, BothStackLevelsBitExact) {
 
 INSTANTIATE_TEST_SUITE_P(OrderByQueries, SortHeavyTpchTest,
                          ::testing::Values(1, 3, 10, 16, 18));
-
-// The tentpole's JIT claim, asserted structurally: on the sort-heavy
-// queries every kArrSort/kListSort instruction — and every pc of its
-// comparator subroutine — stitches natively, so sorts contribute zero
-// deopt events (the comparator segment is driven by the native merge sort,
-// never by the hybrid VM driver).
-TEST(SortStability, JitSortSitesFullyNativeOnSortQueries) {
-  if (!exec::jit::JitAvailable()) {
-    GTEST_SKIP() << "JIT unavailable on this platform/configuration";
-  }
-  storage::Database db = tpch::MakeTpchDatabase(0.002);
-  for (int q : {1, 3, 10, 16, 18}) {
-    qplan::PlanPtr plan = tpch::MakeQuery(q);
-    qplan::ResolvePlan(plan.get(), db);
-    ir::TypeFactory types;
-    QueryCompiler qc(&db, &types);
-    compiler::CompileResult res =
-        qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(q));
-    exec::BytecodeProgram prog = exec::BytecodeCompiler(&db).Compile(*res.fn);
-    auto jp = exec::jit::JitProgram::Compile(prog);
-    ASSERT_NE(jp, nullptr) << "Q" << q;
-    size_t sort_insns = 0;
-    for (size_t pc = 0; pc < prog.code.size(); ++pc) {
-      exec::BcOp op = static_cast<exec::BcOp>(prog.code[pc].op);
-      if (op != exec::BcOp::kArrSort && op != exec::BcOp::kListSort) continue;
-      ++sort_insns;
-      EXPECT_TRUE(jp->HasEntry(static_cast<uint32_t>(pc)))
-          << "Q" << q << ": sort at pc " << pc << " deopts";
-      for (uint32_t t = prog.code[pc].c; t < pc; ++t) {
-        EXPECT_TRUE(jp->HasEntry(t))
-            << "Q" << q << ": comparator pc " << t << " of sort at " << pc
-            << " deopts";
-      }
-    }
-    EXPECT_GT(sort_insns, 0u) << "Q" << q << " should contain a sort";
-    EXPECT_EQ(jp->num_sort_sites(), sort_insns) << "Q" << q;
-  }
-}
 
 }  // namespace
 }  // namespace qc
