@@ -141,30 +141,6 @@ JumpInfo JumpKind(BcOp op) {
   return j;
 }
 
-// Read-only per the handler bodies: no allocation, no interning, no emit,
-// no log append, no store through a pointer, no morsel dispatch. This is
-// the independent re-derivation of what may run concurrently over private
-// register files (the parallel-sort comparator contract); it deliberately
-// does not share code with BytecodeCompiler::SubroutineParallelSafe.
-bool PureForParallel(BcOp op) {
-  switch (op) {
-    case BcOp::kStrSubstr:   // interns into the context string arena
-    case BcOp::kRecNew: case BcOp::kRecSet:
-    case BcOp::kPoolAlloc: case BcOp::kPoolRecNew:
-    case BcOp::kArrNew: case BcOp::kMallocArr: case BcOp::kArrSet:
-    case BcOp::kArrSort:
-    case BcOp::kListNew: case BcOp::kListAppend: case BcOp::kListSort:
-    case BcOp::kMapNew: case BcOp::kMapInsert:
-    case BcOp::kMMapNew: case BcOp::kMMapAdd:
-    case BcOp::kRecAccAddI: case BcOp::kRecAccAddF:
-    case BcOp::kArrAccAddI: case BcOp::kArrAccAddF:
-    case BcOp::kEmit: case BcOp::kParLoop: case BcOp::kLogRow:
-      return false;
-    default:
-      return true;
-  }
-}
-
 Effects InsnEffects(const Insn& I) {
   Effects e;
   auto R = [&](uint32_t reg, Abs need) { e.reads[e.nreads++] = {reg, need}; };
@@ -504,7 +480,6 @@ class Verifier {
     // operands or branch targets already failed and is not analyzable.
     if (!bounds_clean_) return std::move(result_);
     DataflowAll();
-    PurityPass();
     return std::move(result_);
   }
 
@@ -1047,50 +1022,6 @@ class Verifier {
                     " stores through r" + std::to_string(r) +
                     ", which references state shared across morsels");
           }
-        }
-      }
-    }
-  }
-
-  // --- independent purity re-proof ---------------------------------------
-  void PurityPass() {
-    for (const SortSite& s : sort_sites_) {
-      const Insn& I = prog_.code[s.pc];
-      if (I.n == 0) continue;   // sequential sort: no concurrency claim
-      if (s.entry >= s.pc) continue;  // shape violation already reported
-      int rid = region_[s.entry];
-      // CFG reachability from the comparator entry (deliberately a
-      // different method than the compiler's linear scan over the emitted
-      // range — drift in either direction is caught).
-      std::vector<uint8_t> seen(prog_.code.size(), 0);
-      std::deque<uint32_t> work{s.entry};
-      seen[s.entry] = 1;
-      while (!work.empty()) {
-        uint32_t pc = work.front();
-        work.pop_front();
-        if (region_[pc] != rid) continue;
-        const Insn& sub = prog_.code[pc];
-        BcOp op = static_cast<BcOp>(sub.op);
-        if (!PureForParallel(op)) {
-          Add(pc, "comparator-purity",
-              std::string(BcOpName(op)) +
-                  " reachable in a comparator marked parallel-safe "
-                  "(sort at pc " + std::to_string(s.pc) + ")");
-        }
-        if (op == BcOp::kRet) continue;
-        JumpInfo j = JumpKind(op);
-        auto push = [&](int64_t t) {
-          if (t < 0 || t >= int64_t(prog_.code.size())) return;
-          if (!seen[size_t(t)]) {
-            seen[size_t(t)] = 1;
-            work.push_back(uint32_t(t));
-          }
-        };
-        if (j.is_jump) {
-          push(int64_t(pc) + 1 + sub.d);
-          if (!j.unconditional) push(int64_t(pc) + 1);
-        } else {
-          push(int64_t(pc) + 1);
         }
       }
     }

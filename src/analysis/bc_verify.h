@@ -4,13 +4,13 @@
 // (ir/verify.h: ANF discipline + the expressibility principle). Below the
 // IR, every invariant the engines rely on — slot def-before-use, safepoint
 // coverage on loop back edges, the reserved-context-register contract,
-// comparator purity for parallel sorts, morsel-fragment isolation — was
-// previously enforced only by convention in the bytecode compiler and
-// caught after the fact by sanitizers at runtime. This verifier extends
-// the per-level checkability discipline down to the bytecode: an abstract
-// interpretation over BytecodeProgram that proves, per instruction, that
-// the program a compiler handed the VM/JIT cannot step outside the
-// machine model the handlers and templates assume.
+// morsel-fragment isolation — was previously enforced only by convention
+// in the bytecode compiler and caught after the fact by sanitizers at
+// runtime. This verifier extends the per-level checkability discipline
+// down to the bytecode: an abstract interpretation over BytecodeProgram
+// that proves, per instruction, that the program a compiler handed the
+// VM/JIT cannot step outside the machine model the handlers and templates
+// assume.
 //
 // Checked invariants (each violation names one):
 //   operand-bounds       register/pool indices inside their pools
@@ -34,10 +34,6 @@
 //                        slot that only ever held an integer, string
 //                        predicates never read a non-string, pointer
 //                        dereferences never read plain scalars
-//   comparator-purity    an independent re-proof (CFG-reachability based,
-//                        not the compiler's linear scan) that every sort
-//                        comparator flagged parallel-safe (insn.n == 1)
-//                        only executes read-only whitelisted operations
 //   comparator-result    every comparator exit path defined its result reg
 //   subroutine-shape     comparator regions are well-formed ([entry,
 //                        sort pc) terminated by kRet, entry before the
@@ -46,9 +42,7 @@
 //                        log only to their bound addend logs, and only
 //                        write through pointers established inside the
 //                        fragment or rebound per morsel by the runtime
-//                        (fragment-private state); a fragment's sorts may
-//                        carry the pure-comparator flag, because a morsel
-//                        binds no pool and so never fans a sort out
+//                        (fragment-private state)
 //
 // Verification is compile-time-only: it runs where programs are created
 // (exec::Program::Build, which the Interpreter and the server's plan cache

@@ -439,13 +439,9 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
           if (s.is_list != (op == BcOp::kListSort)) {
             site_bad("descriptor kind does not match the opcode");
           }
-          if (s.par_safe != (insn.n != 0)) {
-            site_bad("descriptor purity flag does not match the "
-                     "instruction's parallel-safe bit");
-          }
-          if (s.num_regs != prog.num_regs || s.state_reg != prog.state_reg) {
-            site_bad("descriptor register-file/governance binding does not "
-                     "match the program");
+          if (s.state_reg != prog.state_reg) {
+            site_bad("descriptor governance binding does not match the "
+                     "program");
           }
           break;
         }

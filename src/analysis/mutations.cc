@@ -243,32 +243,17 @@ BytecodeProgram SyntheticBase() {
 }
 
 Insn MakeInsn(BcOp op, uint32_t a = 0, uint32_t b = 0, uint32_t c = 0,
-              int32_t d = 0, uint16_t n = 0) {
+              int32_t d = 0) {
   Insn insn{};
   insn.op = Op(op);
   insn.a = a;
   insn.b = b;
   insn.c = c;
   insn.d = d;
-  insn.n = n;
   return insn;
 }
 
 }  // namespace
-
-BytecodeProgram SyntheticImpureParallelSort() {
-  // [kJmp skip, comparator, kRet, sort, kRet] where the comparator
-  // allocates from the record heap — impure — yet the sort instruction
-  // claims a parallel-safe comparator (n = 1).
-  BytecodeProgram p = SyntheticBase();
-  p.extra = {5, 6, 7};  // {param0, param1, result}
-  p.code.push_back(MakeInsn(BcOp::kJmp, 0, 0, 0, +2));
-  p.code.push_back(MakeInsn(BcOp::kPoolAlloc, 7, 5, p.state_reg));
-  p.code.push_back(MakeInsn(BcOp::kRet));
-  p.code.push_back(MakeInsn(BcOp::kArrSort, 0, 1, 1, 0, 1));
-  p.code.push_back(MakeInsn(BcOp::kRet));
-  return p;
-}
 
 BytecodeProgram SyntheticTypeConfusion() {
   // r2 provably holds an i64 (comparison result); kAddF then reads it as
@@ -289,7 +274,7 @@ BytecodeProgram SyntheticCrossRegionJump() {
   p.code.push_back(MakeInsn(BcOp::kJmp, 0, 0, 0, +2));
   p.code.push_back(MakeInsn(BcOp::kMov, 7, 5));        // comparator body
   p.code.push_back(MakeInsn(BcOp::kRet));
-  p.code.push_back(MakeInsn(BcOp::kArrSort, 0, 1, 2, 0, 0));
+  p.code.push_back(MakeInsn(BcOp::kArrSort, 0, 1, 2));
   p.code.push_back(MakeInsn(BcOp::kRet));
   return p;
 }

@@ -40,7 +40,6 @@ const std::vector<JitMutation>& JitMutations();
 // Hand-built invalid programs for invariants that are awkward to reach by
 // mutating a correct program. Each returns a program whose verification
 // must report the named invariant.
-BytecodeProgram SyntheticImpureParallelSort();   // comparator-purity
 BytecodeProgram SyntheticTypeConfusion();        // type-mismatch
 BytecodeProgram SyntheticCrossRegionJump();      // jump-region
 

@@ -188,8 +188,6 @@ int RunSelfTest() {
     const char* invariant;
     BytecodeProgram prog;
   } synthetic[] = {
-      {"impure-parallel-comparator", "comparator-purity",
-       exec::analysis::SyntheticImpureParallelSort()},
       {"type-confusion", "type-mismatch",
        exec::analysis::SyntheticTypeConfusion()},
       {"cross-region-jump", "jump-region",

@@ -29,7 +29,6 @@ enum class KnobKind { kFlag, kInt, kDouble, kIntList, kString };
 #define QC_KNOB_LIST(X)                                                                                    \
   X(kJitDisable, "QC_JIT_DISABLE", kFlag, 0, 0, 1, "run the bytecode VM instead of the JIT")               \
   X(kGovInterval, "QC_GOV_INTERVAL", kInt, 4096, 1, 1 << 30, "loop back edges between governor polls")     \
-  X(kParSortMin, "QC_PAR_SORT_MIN", kInt, 2048, 2, 1ll << 40, "min rows per parallel sort chunk")          \
   X(kVerify, "QC_VERIFY", kFlag, QC_KNOB_VERIFY_DEFAULT, 0, 1, "verify bytecode and JIT images")           \
   X(kFault, "QC_FAULT", kString, 0, 0, 0, "fault injection: site:nth[,site:nth...]")                       \
   X(kCcCacheDir, "QC_CC_CACHE_DIR", kString, 0, 0, 0, "generated-C binary cache directory")                \

@@ -706,72 +706,6 @@ uint32_t BytecodeCompiler::CompileSubroutine(const Block* b) {
   return entry;
 }
 
-bool BytecodeCompiler::SubroutineParallelSafe(uint32_t entry) const {
-  // Whitelist: control flow, register moves/arithmetic (registers are
-  // private per execution context), reads of shared containers/columns,
-  // and the non-interning string predicates. Anything that allocates,
-  // interns (kStrSubstr), emits, logs, or stores into shared records/
-  // arrays/lists/maps disqualifies the comparator from running on worker
-  // threads. The scan covers [entry, current code end) — everything the
-  // just-finished CompileSubroutine emitted — rather than stopping at the
-  // first kRet, which would terminate early on a nested subroutine's kRet
-  // and skip the rest of the outer comparator (e.g. a nested, non-
-  // whitelisted sort instruction).
-  for (size_t pc = entry; pc < prog_.code.size(); ++pc) {
-    switch (static_cast<BcOp>(prog_.code[pc].op)) {
-      case BcOp::kRet:
-        break;  // subroutine terminators (outer or nested) carry no effect
-      case BcOp::kJmp:
-      case BcOp::kJz:
-      case BcOp::kJnz:
-      case BcOp::kJgeI:
-      case BcOp::kForNext:
-      case BcOp::kIncJmp:
-      case BcOp::kJmpSp:
-      case BcOp::kLoadK:
-      case BcOp::kMov:
-      case BcOp::kAddI: case BcOp::kSubI: case BcOp::kMulI:
-      case BcOp::kDivI: case BcOp::kModI: case BcOp::kNegI:
-      case BcOp::kAddF: case BcOp::kSubF: case BcOp::kMulF:
-      case BcOp::kDivF: case BcOp::kNegF:
-      case BcOp::kCastIF: case BcOp::kCastFI:
-      case BcOp::kEqI: case BcOp::kNeI: case BcOp::kLtI:
-      case BcOp::kLeI: case BcOp::kGtI: case BcOp::kGeI:
-      case BcOp::kEqF: case BcOp::kNeF: case BcOp::kLtF:
-      case BcOp::kLeF: case BcOp::kGtF: case BcOp::kGeF:
-      case BcOp::kAnd: case BcOp::kOr: case BcOp::kNot: case BcOp::kBitAnd:
-      case BcOp::kStrEq: case BcOp::kStrNe: case BcOp::kStrLt:
-      case BcOp::kStrStarts: case BcOp::kStrEnds: case BcOp::kStrContains:
-      case BcOp::kStrLike: case BcOp::kStrLen:
-      case BcOp::kRecGet:
-      case BcOp::kArrGet: case BcOp::kArrLen:
-      case BcOp::kListSize: case BcOp::kListGet:
-      case BcOp::kMapFind: case BcOp::kMapNodeVal:
-      case BcOp::kMapGetOrNull: case BcOp::kMapSize: case BcOp::kMapEntryKV:
-      case BcOp::kMMapGetOrNull:
-      case BcOp::kIsNull:
-      case BcOp::kColGet: case BcOp::kColDict:
-      case BcOp::kIdxBucketLen: case BcOp::kIdxBucketRow: case BcOp::kIdxPkRow:
-      case BcOp::kColGetEqI: case BcOp::kColGetNeI: case BcOp::kColGetLtI:
-      case BcOp::kColGetLeI: case BcOp::kColGetGtI: case BcOp::kColGetGeI:
-      case BcOp::kColGetEqF: case BcOp::kColGetNeF: case BcOp::kColGetLtF:
-      case BcOp::kColGetLeF: case BcOp::kColGetGtF: case BcOp::kColGetGeF:
-      case BcOp::kJnEqI: case BcOp::kJnNeI: case BcOp::kJnLtI:
-      case BcOp::kJnLeI: case BcOp::kJnGtI: case BcOp::kJnGeI:
-      case BcOp::kJnEqF: case BcOp::kJnNeF: case BcOp::kJnLtF:
-      case BcOp::kJnLeF: case BcOp::kJnGtF: case BcOp::kJnGeF:
-      case BcOp::kJnColEqI: case BcOp::kJnColNeI: case BcOp::kJnColLtI:
-      case BcOp::kJnColLeI: case BcOp::kJnColGtI: case BcOp::kJnColGeI:
-      case BcOp::kJnColEqF: case BcOp::kJnColNeF: case BcOp::kJnColLtF:
-      case BcOp::kJnColLeF: case BcOp::kJnColGtF: case BcOp::kJnColGeF:
-        break;
-      default:
-        return false;
-    }
-  }
-  return true;
-}
-
 size_t BytecodeCompiler::EmitWhileExit(const Block* b) {
   const Stmt* res = b->result;
   auto in_b = [&](const Stmt* s) {
@@ -1146,11 +1080,8 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
       PatchToHere(skip);
       uint32_t off = ExtraList(
           {Reg(cmp->params[0]), Reg(cmp->params[1]), Reg(cmp->result)});
-      // The flag says only that the comparator is pure. Whether a sort may
-      // fan out is the run's call: a morsel binds no pool, so fragment
-      // copies of this sort stay sequential on both engines.
       Emit(BcOp::kArrSort, Reg(s->args[0]), Reg(s->args[1]), entry,
-           static_cast<int32_t>(off), SubroutineParallelSafe(entry) ? 1 : 0);
+           static_cast<int32_t>(off));
       return;
     }
 
@@ -1194,7 +1125,7 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
       uint32_t off = ExtraList(
           {Reg(cmp->params[0]), Reg(cmp->params[1]), Reg(cmp->result)});
       Emit(BcOp::kListSort, Reg(s->args[0]), 0, entry,
-           static_cast<int32_t>(off), SubroutineParallelSafe(entry) ? 1 : 0);
+           static_cast<int32_t>(off));
       return;
     }
 
@@ -1383,9 +1314,8 @@ void BytecodeVM::Sort(RunState& st, Slot* regs, Slot* data, int64_t n,
     BytecodeVM* vm;
     RunState* st;
   } ctx{this, &st};
-  parallel::SortComparator cmp;
+  SortComparator cmp;
   cmp.regs = regs;
-  cmp.num_regs = prog_->num_regs;
   cmp.ps = &prog_->extra[insn.d];
   cmp.entry = insn.c;
   cmp.run = [](const void* c, Slot* r, uint32_t pc) {
@@ -1393,7 +1323,7 @@ void BytecodeVM::Sort(RunState& st, Slot* regs, Slot* data, int64_t n,
     x->vm->Interpret(*x->st, r, pc);
   };
   cmp.ctx = &ctx;
-  parallel::SortSlots(insn.n != 0, &st.gov, cmp, data, n);
+  SortSlots(&st.gov, cmp, data, n);
 }
 
 void BytecodeVM::Exec(RunState& st, Slot* regs, uint32_t pc) {

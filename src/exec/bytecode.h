@@ -101,14 +101,11 @@ class JitProgram;  // src/jit/engine.h
   X(kArrGet)  /* a = dst, b = array reg, c = index reg */                   \
   X(kArrSet)  /* a = array reg, b = index reg, c = src reg */               \
   X(kArrLen)                                                                \
-  X(kArrSort) /* a = array, b = n reg, c = cmp entry pc, d = extra off,    \
-                 n = 1 when the comparator subroutine is pure (reads only) \
-                 and the sort may therefore run morsel-parallel */          \
+  X(kArrSort) /* a = array, b = n reg, c = cmp entry pc, d = extra off */ \
   /* lists (kListAppend: a = list, b = value, c = prog.state_reg — the     \
      append accounts vector growth in the run's AllocStats) */             \
   X(kListNew) X(kListAppend) X(kListSize) X(kListGet)                       \
-  X(kListSort) /* a = list, c = cmp entry pc, d = extra off, n = pure-     \
-                  comparator flag (see kArrSort) */                         \
+  X(kListSort) /* a = list, c = cmp entry pc, d = extra off */              \
   /* generic hash maps. Probe instructions carry the map's key kind in d   \
      (kMapKeyOther / kMapKeyI64) — the "map layout id" the JIT stitcher    \
      keys its i64 hash-probe specialization on; the VM ignores it. */       \
@@ -485,11 +482,6 @@ class BytecodeCompiler {
   // Compiles a comparator block as a skipped-over subroutine; returns its
   // entry pc.
   uint32_t CompileSubroutine(const ir::Block* b);
-  // True when the subroutine at [entry, its kRet] only reads shared state
-  // (registers are private per execution context): such a comparator can
-  // run concurrently over private register files, which is what gates the
-  // morsel-parallel sort (the pure-comparator flag on kArrSort/kListSort).
-  bool SubroutineParallelSafe(uint32_t entry) const;
   // While-condition branch fusion: emits the loop-exit branch for the
   // condition block without materializing its boolean result when the
   // result is a fusible tail (Not(IsNull(p)), IsNull, Not, or a numeric
@@ -557,9 +549,8 @@ class BytecodeVM {
   void Exec(RunState& st, Slot* regs, uint32_t pc);
   // The dispatch loop.
   void Interpret(RunState& st, Slot* R, uint32_t pc);
-  // kArrSort/kListSort through parallel::SortSlots, morsel-parallel only
-  // when the context has a pool bound (the main run at threads > 1) and the
-  // comparator is compiler-proven pure (insn.n).
+  // kArrSort/kListSort through SortSlots (exec/runtime.h), on this
+  // context's thread.
   void Sort(RunState& st, Slot* regs, Slot* data, int64_t n, const Insn& insn);
 
   const BytecodeProgram* prog_ = nullptr;  // both set for one Run

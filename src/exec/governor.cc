@@ -38,9 +38,8 @@ void GovState::Attach(ExecControl* c, const AllocStats* s) {
   interval = KnobInt(Knob::kGovInterval);
   // Budget accounting is growth-relative: only allocation after Attach
   // counts against this query (stats blocks hold lifetime totals).
-  published.store(s != nullptr ? static_cast<int64_t>(s->TotalBytes()) : 0,
-                  std::memory_order_relaxed);
-  abort_flag.store(false, std::memory_order_relaxed);
+  published = s != nullptr ? static_cast<int64_t>(s->TotalBytes()) : 0;
+  abort_flag = false;
 }
 
 namespace {
@@ -59,8 +58,8 @@ int64_t CheckControl(GovState* g, bool publish_mem) {
         ctl->Trip(QueryStatusCode::kDeadlineExceeded);
       } else if (publish_mem && g->stats != nullptr) {
         int64_t cur = static_cast<int64_t>(g->stats->TotalBytes());
-        int64_t delta =
-            cur - g->published.exchange(cur, std::memory_order_relaxed);
+        int64_t delta = cur - g->published;
+        g->published = cur;
         int64_t seen =
             ctl->mem_observed.fetch_add(delta, std::memory_order_relaxed) +
             delta;
@@ -75,9 +74,9 @@ int64_t CheckControl(GovState* g, bool publish_mem) {
     trip = ctl->tripped.load(std::memory_order_acquire);
   }
   // Count one safepoint trip per GovState on the false→true transition —
-  // cold path only: once tripped the exchange is re-run but never counts.
-  if (trip != 0 &&
-      !g->abort_flag.exchange(true, std::memory_order_relaxed)) {
+  // cold path only: once the latch is set, later trips never count.
+  if (trip != 0 && !g->abort_flag) {
+    g->abort_flag = true;
     telemetry::GovSafepointTrips().Inc();
   }
   return trip;
@@ -98,7 +97,8 @@ int64_t GovState::PollNoMem() {
 void GovState::TripResource() {
   if (ctl == nullptr) return;
   ctl->Trip(QueryStatusCode::kResourceFailure);
-  if (!abort_flag.exchange(true, std::memory_order_relaxed)) {
+  if (!abort_flag) {
+    abort_flag = true;
     telemetry::GovSafepointTrips().Inc();
   }
 }

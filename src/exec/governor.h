@@ -112,24 +112,24 @@ struct ExecControl {
 // RunState* in the adjacent slot (state_reg).
 struct GovState {
   ExecControl* ctl = nullptr;
-  // The pool kParLoop and parallel sorts fan out onto, set by
-  // RunState::Bind: null for morsels and at threads = 1.
+  // The pool kParLoop fans its morsels out onto, set by RunState::Bind:
+  // null for morsels and at threads = 1.
   parallel::Engine* par = nullptr;
   const AllocStats* stats = nullptr;
-  // Memory already published to ctl->mem_observed from `stats`.  Atomic
-  // because parallel sort comparators run on worker threads with copied
-  // register files that still point at the main context's GovState.
-  std::atomic<int64_t> published{0};
+  // Memory already published to ctl->mem_observed from `stats`.  Only the
+  // thread running this context touches it (every context, sorts
+  // included, runs on one thread); ExecControl is what threads share.
+  int64_t published = 0;
   int64_t interval = 1;  // safepoint interval (QC_GOV_INTERVAL)
   // Cached "this query is dead" flag so aborted contexts (notably sort
   // comparators) stop without re-polling.
-  std::atomic<bool> abort_flag{false};
+  bool abort_flag = false;
 
   // Binds this context to a control (nullptr = ungoverned) and the stats
   // block whose growth it publishes.  Clears the abort latch.
   void Attach(ExecControl* c, const AllocStats* s);
 
-  bool aborted() const { return abort_flag.load(std::memory_order_relaxed); }
+  bool aborted() const { return abort_flag; }
 
   // Countdown preset for register-file contexts: `interval` when governed,
   // INT64_MAX when not (slow path unreachable).
@@ -142,9 +142,9 @@ struct GovState {
   // latches abort_flag on trip.
   int64_t Poll();
 
-  // Cancel/deadline-only poll (no memory publish): for comparator contexts
-  // that may run on worker threads while stats are still being written
-  // elsewhere.  Returns the trip code and latches abort_flag like Poll().
+  // Cancel/deadline-only poll (no memory publish): for sort comparators,
+  // whose context publishes its memory at its own safepoints.  Returns the
+  // trip code and latches abort_flag like Poll().
   int64_t PollNoMem();
 
   // Records a resource failure (allocation/spawn fault) against the
@@ -153,12 +153,11 @@ struct GovState {
 };
 
 // Decorates a sort comparator with an abort check: once the query trips,
-// Less() returns false without running the inner comparator, so in-flight
-// StableSortSlots/MergeSortedRuns calls drain in linear time (they stay
-// memory-safe under any comparator — the output is merely some permutation,
-// which the aborted query never observes).  Polls the control every
-// `interval` comparisons but never publishes memory (comparators may run on
-// worker threads whose stats are merged later).
+// Less() returns false without running the inner comparator, so an
+// in-flight StableSortSlots drains in linear time (it stays memory-safe
+// under any comparator — the output is merely some permutation, which the
+// aborted query never observes).  Polls the control every `interval`
+// comparisons but never publishes memory (PollNoMem).
 class GovernedCmp : public SlotCmp {
  public:
   GovernedCmp(SlotCmp& inner, GovState* gov)

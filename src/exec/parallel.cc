@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/fault.h"
-#include "common/knobs.h"
 #include "exec/bytecode.h"
 #include "telemetry/log.h"
 #include "telemetry/trace.h"
@@ -884,146 +883,6 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
                            "touched", touched);
   }
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Parallel stable sort
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// A comparator subroutine over one register file: writes the parameter
-// slots, runs the subroutine, reads the result slot.
-class SubroutineCmp final : public SlotCmp {
- public:
-  SubroutineCmp(const SortComparator& sc, Slot* regs) : sc_(sc), regs_(regs) {}
-
-  bool Less(Slot a, Slot b) override {
-    regs_[sc_.ps[0]] = a;
-    regs_[sc_.ps[1]] = b;
-    sc_.run(sc_.ctx, regs_, sc_.entry);
-    return regs_[sc_.ps[2]].i != 0;
-  }
-
- private:
-  const SortComparator& sc_;
-  Slot* regs_;
-};
-
-// One parallel sort task's comparator: a private copy of the register file
-// (comparator temporaries are subroutine-local, so the live file needs none
-// of the task's writes), governed like the sequential path.
-struct TaskCmp {
-  TaskCmp(const SortComparator& sc, GovState* gov)
-      : regs(sc.regs, sc.regs + sc.num_regs),
-        inner(sc, regs.data()),
-        governed(inner, gov) {}
-  TaskCmp(const TaskCmp&) = delete;  // inner and governed point into *this
-  TaskCmp& operator=(const TaskCmp&) = delete;
-
-  std::vector<Slot> regs;
-  SubroutineCmp inner;
-  GovernedCmp governed;
-};
-
-// Morsel-parallel half of SortSlots. Returns false (nothing executed) when
-// the input is too small for two chunks or the pool has no workers.
-bool ParallelStableSort(Engine& eng, GovState* gov, const SortComparator& sc,
-                        Slot* data, int64_t n) {
-  int threads = eng.pool.threads();
-  // Minimum rows per sorted run, clamped to >= 2: smaller sorts stay
-  // sequential, the run/merge bookkeeping would cost more than it saves.
-  // Read per call, not cached: sorts run once per query, and tests flip the
-  // knob between runs.
-  int64_t min_chunk = KnobInt(Knob::kParSortMin);
-  if (threads < 2 || n < 2 * min_chunk) return false;
-
-  // Contiguous chunk boundaries. The decomposition affects only wall-clock:
-  // stable per-chunk sorts folded by stable ordered merges produce the
-  // unique stable ordering whatever the chunk count, so determinism does
-  // not depend on `threads` even though the chunk count does.
-  int64_t chunks = n / min_chunk;
-  int64_t max_chunks = static_cast<int64_t>(threads) * 4;
-  if (chunks > max_chunks) chunks = max_chunks;
-  std::vector<int64_t> bounds(static_cast<size_t>(chunks) + 1);
-  for (int64_t c = 0; c <= chunks; ++c) {
-    bounds[static_cast<size_t>(c)] = n * c / chunks;
-  }
-
-  // Session captured on the submitting thread (workers record chunk/merge
-  // slices into their own rings); see RunForRange.
-  uint64_t trace_session = telemetry::CurrentTraceSession();
-  telemetry::ScopedSpan sort_span("par_sort", "par", "n", n);
-
-  // One full-size scratch buffer for both phases: each chunk sort merges
-  // through its own disjoint slice, so phase 1 costs no per-task
-  // allocation on the workers.
-  std::vector<Slot> scratch(static_cast<size_t>(n));
-
-  // Phase 1: one stable sorted run per chunk, each task on its own
-  // comparator (private register file).
-  std::function<void(int)> sort_chunk = [&](int c) {
-    int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
-    TaskCmp cmp(sc, gov);
-    StableSortSlots(data + bounds[c], bounds[c + 1] - bounds[c], cmp.governed,
-                    scratch.data() + bounds[c]);
-    if (trace_session != 0) {
-      telemetry::TraceRecord(trace_session, "sort_chunk", "par", ts,
-                             telemetry::TraceNowNs() - ts, "chunk", c, "n",
-                             bounds[c + 1] - bounds[c]);
-    }
-  };
-  RunTasks(eng, static_cast<int>(chunks), sort_chunk);
-
-  // Phase 2: tree of ordered merges, ping-ponging between the data and the
-  // same scratch buffer. Each level pairs adjacent runs; an odd trailing
-  // run is copied through so every element lives in the level's output
-  // buffer.
-  Slot* src = data;
-  Slot* dst = scratch.data();
-  while (bounds.size() > 2) {
-    size_t pairs = (bounds.size() - 1) / 2;
-    bool odd = (bounds.size() - 1) % 2 != 0;
-    std::function<void(int)> merge_pair = [&](int p) {
-      int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
-      TaskCmp cmp(sc, gov);
-      MergeSortedRuns(src, bounds[2 * p], bounds[2 * p + 1],
-                      bounds[2 * p + 2], dst, cmp.governed);
-      if (trace_session != 0) {
-        telemetry::TraceRecord(trace_session, "sort_merge", "par", ts,
-                               telemetry::TraceNowNs() - ts, "pair", p);
-      }
-    };
-    RunTasks(eng, static_cast<int>(pairs), merge_pair);
-    if (odd) {
-      int64_t lo = bounds[bounds.size() - 2];
-      std::memcpy(dst + lo, src + lo,
-                  static_cast<size_t>(n - lo) * sizeof(Slot));
-    }
-    std::vector<int64_t> next;
-    next.reserve(pairs + 2);
-    for (size_t b = 0; b < bounds.size(); b += 2) next.push_back(bounds[b]);
-    if (next.back() != n) next.push_back(n);
-    bounds = std::move(next);
-    std::swap(src, dst);
-  }
-  if (src != data) {
-    std::memcpy(data, src, static_cast<size_t>(n) * sizeof(Slot));
-  }
-  return true;
-}
-
-}  // namespace
-
-void SortSlots(bool parallel, GovState* gov, const SortComparator& cmp,
-               Slot* data, int64_t n) {
-  if (parallel && gov->par != nullptr &&
-      ParallelStableSort(*gov->par, gov, cmp, data, n)) {
-    return;
-  }
-  SubroutineCmp live(cmp, cmp.regs);
-  GovernedCmp governed(live, gov);
-  StableSortSlots(data, n, governed);
 }
 
 }  // namespace qc::exec::parallel

@@ -45,9 +45,9 @@
 // independent. Private arrays, touched-slot logs and entry lists are
 // unaccounted scratch.
 //
-// The post-aggregation sort driver lives here too (SortSlots): the VM and
-// the JIT's native sort helper differ only in how they run the comparator
-// subroutine, which they pass in as a callback.
+// Sorts do not fan out: every kArrSort/kListSort runs on the thread of its
+// context through exec/runtime.h SortSlots (a sort inside a morsel fragment
+// runs on that morsel's worker).
 #ifndef QC_EXEC_PARALLEL_H_
 #define QC_EXEC_PARALLEL_H_
 
@@ -77,8 +77,7 @@ struct ParLoopCode;
 
 // All per-run mutable state of one execution context: the main run (owned
 // by the BytecodeVM) and every morsel (a MorselState) each own one. The
-// register file is separate — Exec takes it alongside — so a parallel sort
-// task shares its context's RunState and copies only the registers.
+// register file is separate — Exec takes it alongside.
 struct RunState {
   explicit RunState(AllocStats* s) : stats(s), records(s) {}
 
@@ -212,35 +211,6 @@ struct Engine {
 // keeping the orchestration and Wait() protocol intact).
 bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
                  RunState& main, Slot* regs, uint32_t num_regs);
-
-// Executes the subroutine at `entry` over the register file `regs` through
-// its kRet: the VM passes its Exec, the JIT its stitched native code.
-using RunSubroutine = void (*)(const void* ctx, Slot* regs, uint32_t entry);
-
-// The comparator subroutine of one kArrSort/kListSort and how to run it.
-struct SortComparator {
-  Slot* regs = nullptr;          // live register file of the sorting context
-  uint32_t num_regs = 0;         // its size (parallel tasks sort over copies)
-  const uint32_t* ps = nullptr;  // {param0, param1, result} registers
-  uint32_t entry = 0;            // subroutine entry pc
-  RunSubroutine run = nullptr;
-  const void* ctx = nullptr;     // run's first argument
-};
-
-// The kArrSort/kListSort driver: a governed stable sort of data[0, n).
-// When `parallel` (a compiler-proven pure comparator), the context's
-// GovState has a pool bound (never in morsel runs) and there are two chunks
-// of QC_PAR_SORT_MIN rows, contiguous chunks are sorted per task
-// (StableSortSlots) and folded by a tree of ordered merges
-// (MergeSortedRuns) on the pool, caller thread stealing throughout; each
-// task compares over a private copy of the register file, so the live file
-// is never written and its post-sort state equals sort entry. Otherwise the
-// sequential core runs over the live file. Stability of both phases makes
-// the result the unique stable ordering — bitwise identical for any thread
-// count and chunk decomposition. Every comparator is wrapped in
-// GovernedCmp, so once the query trips the sort drains in linear time.
-void SortSlots(bool parallel, GovState* gov, const SortComparator& cmp,
-               Slot* data, int64_t n);
 
 }  // namespace parallel
 }  // namespace qc::exec

@@ -28,8 +28,8 @@ void InsertionSortSlots(Slot* data, int64_t lo, int64_t hi, SlotCmp& cmp) {
   }
 }
 
-}  // namespace
-
+// Stable ordered merge of the adjacent sorted runs src[lo, mid) and
+// src[mid, hi) into dst[lo, hi).
 void MergeSortedRuns(const Slot* src, int64_t lo, int64_t mid, int64_t hi,
                      Slot* dst, SlotCmp& cmp) {
   int64_t i = lo;
@@ -68,6 +68,8 @@ void StableSortSlots(Slot* data, int64_t n, SlotCmp& cmp, Slot* scratch) {
   if (src != data) std::memcpy(data, src, static_cast<size_t>(n) * sizeof(Slot));
 }
 
+}  // namespace
+
 void StableSortSlots(Slot* data, int64_t n, SlotCmp& cmp) {
   if (n <= kSortRunWidth) {
     InsertionSortSlots(data, 0, n, cmp);
@@ -77,6 +79,11 @@ void StableSortSlots(Slot* data, int64_t n, SlotCmp& cmp) {
   // was not either.
   std::vector<Slot> scratch(static_cast<size_t>(n));
   StableSortSlots(data, n, cmp, scratch.data());
+}
+
+void SortSlots(GovState* gov, SortComparator& cmp, Slot* data, int64_t n) {
+  GovernedCmp governed(cmp, gov);
+  StableSortSlots(data, n, governed);
 }
 
 uint64_t SlotHasher::HashTyped(const ir::Type* t, Slot v) {

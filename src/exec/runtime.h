@@ -61,11 +61,9 @@ struct RtList {
 };
 
 // Strict-weak-order over slots: the interface of the sort core below.
-// parallel::SortSlots implements it over a comparator subroutine (run by
-// the VM, or as the JIT's stitched native segment) and decorates it with
-// GovernedCmp. Distinct instances must be usable concurrently — the
-// parallel sort gives every worker task its own instance over a private
-// register file.
+// SortComparator implements it over a comparator subroutine (run by the VM,
+// or as the JIT's stitched native segment) and SortSlots decorates it with
+// GovernedCmp.
 class SlotCmp {
  public:
   virtual ~SlotCmp() = default;
@@ -82,19 +80,37 @@ class SlotCmp {
 // the same guarantee std::stable_sort gave the engines before; the explicit
 // core exists so the JIT can drive its native comparator segment from plain
 // C++ instead of re-entering the VM dispatch loop per comparison.
-//
-// The scratch overload merges through caller-provided storage of at least
-// `n` slots (the parallel sort slices one full-size buffer across its
-// concurrent chunk sorts); the two-argument form allocates its own.
 void StableSortSlots(Slot* data, int64_t n, SlotCmp& cmp);
-void StableSortSlots(Slot* data, int64_t n, SlotCmp& cmp, Slot* scratch);
 
-// Stable ordered merge of the adjacent sorted runs src[lo, mid) and
-// src[mid, hi) into dst[lo, hi): ties take the left (earlier) run, which is
-// what makes merging per-worker sorted runs reproduce the full stable sort
-// for any run decomposition (exec/parallel.h SortSlots).
-void MergeSortedRuns(const Slot* src, int64_t lo, int64_t mid, int64_t hi,
-                     Slot* dst, SlotCmp& cmp);
+// Executes the subroutine at `entry` over the register file `regs` through
+// its kRet: the VM passes its interpreter, the JIT its stitched native code.
+using RunSubroutine = void (*)(const void* ctx, Slot* regs, uint32_t entry);
+
+// The comparator subroutine of one kArrSort/kListSort, run over the live
+// register file of the sorting context: each Less writes the two parameter
+// registers, runs the subroutine and reads the result register.
+struct SortComparator final : SlotCmp {
+  Slot* regs = nullptr;          // live register file of the sorting context
+  const uint32_t* ps = nullptr;  // {param0, param1, result} registers
+  uint32_t entry = 0;            // subroutine entry pc
+  RunSubroutine run = nullptr;
+  const void* ctx = nullptr;     // run's first argument
+
+  bool Less(Slot a, Slot b) override {
+    regs[ps[0]] = a;
+    regs[ps[1]] = b;
+    run(ctx, regs, entry);
+    return regs[ps[2]].i != 0;
+  }
+};
+
+struct GovState;  // exec/governor.h
+
+// The kArrSort/kListSort driver, shared by the VM's sort handler and the
+// JIT's native sort helper: a stable sort of data[0, n) on the calling
+// thread, the comparator wrapped in GovernedCmp so that once the query
+// trips the sort drains in linear time.
+void SortSlots(GovState* gov, SortComparator& cmp, Slot* data, int64_t n);
 
 // Fixed array of slots.
 struct RtArray {

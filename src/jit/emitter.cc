@@ -651,10 +651,8 @@ StitchResult StitchProgram(const BytecodeProgram& prog) {
     site.obj_reg = insn.a;
     site.n_reg = insn.b;
     site.is_list = op == BcOp::kListSort;
-    site.par_safe = insn.n != 0;
     site.cmp_entry = insn.c;
     site.ps = prog.extra.data() + static_cast<uint32_t>(insn.d);
-    site.num_regs = prog.num_regs;
     site.state_reg = prog.state_reg;
     site_of[pc] = static_cast<uint32_t>(res.sort_sites.size());
     res.sort_sites.push_back(site);

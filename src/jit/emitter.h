@@ -222,17 +222,13 @@ class JitProgram;  // engine.h
 // One kArrSort/kListSort instruction's resolved descriptor (kSortSite
 // patches point at these). Created at stitch time and completed after
 // installation: `jp` is backpatched once the code buffer exists. The sort
-// helper (templates.cc) drives the comparator subroutine through jp->Run;
-// its worker pool comes from the running context's GovState, never from
-// the site.
+// helper (templates.cc) drives the comparator subroutine through jp->Run.
 struct JitSortSite {
   uint32_t obj_reg = 0;    // register holding the RtArray* / RtList*
   uint32_t n_reg = 0;      // kArrSort: register holding the element count
   bool is_list = false;    // kListSort sorts the list's full extent
-  bool par_safe = false;   // compiler-proven pure comparator (insn.n)
   uint32_t cmp_entry = 0;  // comparator subroutine entry pc
   const uint32_t* ps = nullptr;  // {param0, param1, result} registers
-  uint32_t num_regs = 0;         // register-file size (parallel ctx copies)
   uint32_t state_reg = 0;  // reserved register holding the RunState* (the
                            // sort driver governs its comparators with its
                            // GovState)

@@ -24,8 +24,8 @@ constexpr int kNumOps = static_cast<int>(BcOp::kNumOps);
 //
 // kArrSort/kListSort: the native sort helper. Every comparison is one
 // trampoline call into the stitched comparator subroutine, which runs
-// through its kRet. The driver (parallel::SortSlots) is the one the VM
-// runs, so results stay bit-exact across engines and thread counts.
+// through its kRet. The driver (SortSlots, exec/runtime.h) is the one the
+// VM runs, so results stay bit-exact across engines and thread counts.
 void RunNativeCmp(const void* jp, Slot* regs, uint32_t entry) {
   static_cast<const JitProgram*>(jp)->Run(regs, entry);
 }
@@ -42,19 +42,17 @@ void HelpSort(Slot* regs, const JitSortSite* site) {
     data = a->data.data();
     n = regs[site->n_reg].i;
   }
-  parallel::SortComparator cmp;
+  SortComparator cmp;
   cmp.regs = regs;
-  cmp.num_regs = site->num_regs;
   cmp.ps = site->ps;
   cmp.entry = site->cmp_entry;
   cmp.run = &RunNativeCmp;
   cmp.ctx = site->jp;
   // The context's RunState travels in the reserved state register; its
-  // GovState is the object the VM's sort path passes: a tripped query
-  // drains a JIT'd sort in linear time too, and fans out only onto the pool
-  // the run bound there.
+  // GovState is the object the VM's sort path passes, so a tripped query
+  // drains a JIT'd sort in linear time too.
   RunState* st = static_cast<RunState*>(regs[site->state_reg].p);
-  parallel::SortSlots(site->par_safe, &st->gov, cmp, data, n);
+  SortSlots(&st->gov, cmp, data, n);
 }
 
 // The hash-probe template hard-codes the splitmix64 finalizer in machine
@@ -877,8 +875,8 @@ Store* BuildTemplates() {
   // --- sorts ---------------------------------------------------------------
   // One helper call: regs + the instruction's JitSortSite descriptor. The
   // helper reads the container/count through the register file, drives the
-  // native comparator subroutine per comparison, and shares the stable
-  // merge core (and the morsel-parallel run/merge tree) with the VM.
+  // native comparator subroutine per comparison, and shares the sort
+  // driver with the VM.
   auto sort_op = [&](BcOp op) {
     def(op, [](TB& t) {
       t.a.MovRegReg(RDI, kSlotBase);

@@ -113,10 +113,10 @@ const ir::Function& LongLoop() {
   return *b->fn;
 }
 
-// Duplicate-key list sort (build loop + parallel stable sort + emit): the
-// function the boundary sweep drives trips into morsel scans, the sort's
-// comparator safepoints, the merge tree, and kEmit staging depending on
-// where the armed occurrence lands.
+// Duplicate-key list sort (build loop + stable sort + emit): the function
+// the boundary sweep drives trips into morsel scans, the sort's governed
+// comparator, and kEmit staging depending on where the armed occurrence
+// lands.
 const ir::Function& DupSort() {
   static BuiltFn* b = [] {
     auto* h = new BuiltFn();
@@ -262,15 +262,13 @@ TEST(GovernorTest, MemoryBudgetTripsOnTrackedGrowth) {
 // ---------------------------------------------------------------------------
 // Awkward-boundary cancellation: QC_GOV_INTERVAL=1 polls at every back edge
 // and the armed gov_trip occurrence is swept across the run — morsel scans,
-// the parallel sort's comparators and merge tree, emit staging. Every
-// landing spot must produce either a clean kCancelled abort or (when the
-// occurrence is never reached) the bit-exact result; afterwards the same
-// Interpreter must run clean.
+// the 20k-row sort's governed comparator, emit staging. Every landing spot
+// must produce either a clean kCancelled abort or (when the occurrence is
+// never reached) the bit-exact result; afterwards the same Interpreter must
+// run clean.
 // ---------------------------------------------------------------------------
 
 TEST(GovernorTest, CancelSweepAcrossAwkwardBoundaries) {
-  // The 20k-row sort runs morsel-parallel.
-  ScopedEnv sort_min("QC_PAR_SORT_MIN", "256");
   ScopedEnv interval("QC_GOV_INTERVAL", "1");
   const long kNth[] = {1, 2, 3, 7, 50, 4000, 30000, 250000};
   for (long nth : kNth) {

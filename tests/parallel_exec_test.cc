@@ -20,7 +20,6 @@
 #include "ir/builder.h"
 #include "ir/parallel.h"
 #include "lower/pipeline.h"
-#include "scoped_env.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
 
@@ -347,10 +346,9 @@ TEST(ParallelDeterminismTest, FourThreadRunsIdentical) {
 // both engines. Every run must match the single-owner run of the same
 // Program bit for bit, with equal AllocStats: all run state lives in each
 // run's own RunState and register file, never in the shared JIT image.
-// Q22 builds containers and interns substrings; Q3 ends in a (forced
-// parallel) ORDER BY sort.
+// Q22 builds containers and interns substrings; Q3 ends in an ORDER BY
+// sort.
 TEST(SharedProgramTest, ConcurrentRunsMatchSingleOwnerRun) {
-  ScopedEnv min_rows("QC_PAR_SORT_MIN", "64");
   storage::Database db = tpch::MakeTpchDatabase(0.01);
   for (int q : {22, 3}) {
     qplan::PlanPtr plan = tpch::MakeQuery(q);
