@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/bc_verify.h"
 #include "bench_util.h"
 #include "common/timer.h"
 #include "exec/governor.h"
@@ -70,15 +69,6 @@ void Trace(bool on, exec::Interpreter&, const Rep& rep) {
   if (session != 0) telemetry::TraceEndSession(session);
 }
 
-// Static verifier layer (src/analysis/) forced on vs off. It runs once at
-// program-cache fill (first repetition); the steady state must be the same
-// execution path, so a gap means a check leaked into the per-row path.
-void Verify(bool on, exec::Interpreter&, const Rep& rep) {
-  exec::analysis::SetVerifyEnabledOverride(on ? 1 : 0);
-  rep();
-  exec::analysis::SetVerifyEnabledOverride(-1);
-}
-
 // One overhead pair, measured as `<name>-base` / `<name>` cells. Both sides
 // run the same engine, best of kPairReps, back to back: the pair shares
 // machine state (frequency, caches, allocator), so the ratio isolates the
@@ -97,7 +87,6 @@ const OverheadPair kPairs[] = {
     {"ir-bc-gov", Engine::kBytecode, Govern},
     {"ir-jit-gov", Engine::kJit, Govern},
     {"ir-jit-obs", Engine::kJit, Trace},
-    {"ir-jit-verify", Engine::kJit, Verify},
 };
 
 }  // namespace

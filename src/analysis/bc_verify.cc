@@ -263,11 +263,6 @@ Effects InsnEffects(const Insn& I) {
       R(I.c, Abs::kAny);
       S(I.a);
       break;
-    case BcOp::kPoolAlloc:
-      R(I.b, Abs::kI64);
-      R(I.c, Abs::kPtr);
-      W(I.a, Abs::kPtr);
-      break;
     case BcOp::kPoolRecNew:
       R(I.c, Abs::kPtr);
       W(I.a, Abs::kPtr);
@@ -389,18 +384,6 @@ Effects InsnEffects(const Insn& I) {
       R(dreg, Abs::kI64);
       W(I.a, Abs::kI64);
       break;
-    case BcOp::kColGetEqI: case BcOp::kColGetNeI: case BcOp::kColGetLtI:
-    case BcOp::kColGetLeI: case BcOp::kColGetGtI: case BcOp::kColGetGeI:
-      R(I.c, Abs::kI64);
-      R(dreg, Abs::kI64);
-      W(I.a, Abs::kI64);
-      break;
-    case BcOp::kColGetEqF: case BcOp::kColGetNeF: case BcOp::kColGetLtF:
-    case BcOp::kColGetLeF: case BcOp::kColGetGtF: case BcOp::kColGetGeF:
-      R(I.c, Abs::kI64);
-      R(dreg, Abs::kF64);
-      W(I.a, Abs::kI64);
-      break;
     case BcOp::kJnEqI: case BcOp::kJnNeI: case BcOp::kJnLtI:
     case BcOp::kJnLeI: case BcOp::kJnGtI: case BcOp::kJnGeI:
       R(I.a, Abs::kI64);
@@ -428,18 +411,6 @@ Effects InsnEffects(const Insn& I) {
       break;
     case BcOp::kRecAccAddF:
       R(I.a, Abs::kPtr);
-      R(I.c, Abs::kF64);
-      S(I.a);
-      break;
-    case BcOp::kArrAccAddI:
-      R(I.a, Abs::kPtr);
-      R(I.b, Abs::kI64);
-      R(I.c, Abs::kI64);
-      S(I.a);
-      break;
-    case BcOp::kArrAccAddF:
-      R(I.a, Abs::kPtr);
-      R(I.b, Abs::kI64);
       R(I.c, Abs::kF64);
       S(I.a);
       break;
@@ -668,10 +639,6 @@ class Verifier {
       case BcOp::kColGet: case BcOp::kColDict:
       case BcOp::kIdxBucketLen: case BcOp::kIdxBucketRow:
       case BcOp::kIdxPkRow:
-      case BcOp::kColGetEqI: case BcOp::kColGetNeI: case BcOp::kColGetLtI:
-      case BcOp::kColGetLeI: case BcOp::kColGetGtI: case BcOp::kColGetGeI:
-      case BcOp::kColGetEqF: case BcOp::kColGetNeF: case BcOp::kColGetLtF:
-      case BcOp::kColGetLeF: case BcOp::kColGetGtF: case BcOp::kColGetGeF:
       case BcOp::kJnColEqI: case BcOp::kJnColNeI: case BcOp::kJnColLtI:
       case BcOp::kJnColLeI: case BcOp::kJnColGtI: case BcOp::kJnColGeI:
       case BcOp::kJnColEqF: case BcOp::kJnColNeF: case BcOp::kJnColLtF:
@@ -785,7 +752,7 @@ class Verifier {
     // a stray register silently corrupts an unrelated slot.
     uint32_t ctx;
     switch (op) {
-      case BcOp::kRecNew: case BcOp::kPoolAlloc: case BcOp::kPoolRecNew:
+      case BcOp::kRecNew: case BcOp::kPoolRecNew:
       case BcOp::kListAppend:
         ctx = I.c;
         break;

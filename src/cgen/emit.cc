@@ -665,12 +665,6 @@ class CEmitter {
                     ty + "))");
         break;
       }
-      case Op::kPoolAlloc: {
-        std::string ty = "struct " + Sanitize(s->type->record->name);
-        Decl(s, "(" + ty + "*)qc_pool_alloc(&" + Ref(s->args[0]) +
-                    ", sizeof(" + ty + "))");
-        break;
-      }
 
       case Op::kTableRows:
         Decl(s, "rows_" + TableName(s->aux0));

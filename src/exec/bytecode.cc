@@ -427,11 +427,6 @@ void BytecodeCompiler::CompileBlock(const Block* b) {
       continue;
     }
     const Stmt* next = i + 1 < real.size() ? real[i + 1] : nullptr;
-    if (TryFuseColScan(s, next)) {
-      last_value_stmt_ = next;  // fused insn writes the compare's register
-      ++i;
-      continue;
-    }
     // kVarRead forwarding: when the single consumer is the adjacent
     // statement and reads it as a direct argument, the read can alias the
     // variable's register — no intervening assignment is possible. Loop
@@ -646,7 +641,7 @@ size_t BytecodeCompiler::TryFuseAccumulate(
   const Stmt* ld = st[i];
   const Stmt* add = st[i + 1];
   const Stmt* store = st[i + 2];
-  if (ld->op != Op::kRecGet && ld->op != Op::kArrGet) return 0;
+  if (ld->op != Op::kRecGet) return 0;
   if (add->op != Op::kAdd) return 0;
   const Stmt* x = nullptr;
   if (add->args[0] == ld && add->args[1] != ld) {
@@ -657,22 +652,13 @@ size_t BytecodeCompiler::TryFuseAccumulate(
     return 0;
   }
   if (!SoleUseBy(ld, add) || !SoleUseBy(add, store)) return 0;
-  bool is_f = add->type->kind == TypeKind::kF64;
-  if (ld->op == Op::kRecGet) {
-    if (store->op != Op::kRecSet || store->args[0] != ld->args[0] ||
-        store->aux0 != ld->aux0 || store->args[1] != add) {
-      return 0;
-    }
-    Emit(is_f ? BcOp::kRecAccAddF : BcOp::kRecAccAddI, Reg(ld->args[0]),
-         static_cast<uint32_t>(ld->aux0), Reg(x));
-  } else {
-    if (store->op != Op::kArrSet || store->args[0] != ld->args[0] ||
-        store->args[1] != ld->args[1] || store->args[2] != add) {
-      return 0;
-    }
-    Emit(is_f ? BcOp::kArrAccAddF : BcOp::kArrAccAddI, Reg(ld->args[0]),
-         Reg(ld->args[1]), Reg(x));
+  if (store->op != Op::kRecSet || store->args[0] != ld->args[0] ||
+      store->aux0 != ld->aux0 || store->args[1] != add) {
+    return 0;
   }
+  bool is_f = add->type->kind == TypeKind::kF64;
+  Emit(is_f ? BcOp::kRecAccAddF : BcOp::kRecAccAddI, Reg(ld->args[0]),
+       static_cast<uint32_t>(ld->aux0), Reg(x));
   prog_.fused += 2;
   return 3;
 }
@@ -800,51 +786,6 @@ void BytecodeCompiler::EmitTouchRow(const Stmt* s) {
   int ci = frag_->touched_log[par_->action_channel[s->id]];
   Emit(BcOp::kLogRow, static_cast<uint32_t>(ci), ExtraList({Reg(s->args[1])}),
        frag_->log_regs[ci], 0, 1);
-}
-
-bool BytecodeCompiler::TryFuseColScan(const Stmt* s, const Stmt* next) {
-  if (s->op != Op::kColGet || next == nullptr) return false;
-  switch (next->op) {
-    case Op::kEq:
-    case Op::kNe:
-    case Op::kLt:
-    case Op::kLe:
-    case Op::kGt:
-    case Op::kGe:
-      break;
-    default:
-      return false;
-  }
-  if (uses_[s->id] != 1) return false;
-  const Stmt* other = nullptr;
-  bool col_is_lhs = false;
-  if (next->args[0] == s && next->args[1] != s) {
-    other = next->args[1];
-    col_is_lhs = true;
-  } else if (next->args[1] == s && next->args[0] != s) {
-    other = next->args[0];
-  } else {
-    return false;
-  }
-  TypeKind kind = next->args[0]->type->kind;
-  if (kind == TypeKind::kStr) return false;
-  bool is_f = kind == TypeKind::kF64;
-  Op cmp = col_is_lhs ? next->op : SwapCmp(next->op);
-  BcOp bop;
-  switch (cmp) {
-    case Op::kEq: bop = is_f ? BcOp::kColGetEqF : BcOp::kColGetEqI; break;
-    case Op::kNe: bop = is_f ? BcOp::kColGetNeF : BcOp::kColGetNeI; break;
-    case Op::kLt: bop = is_f ? BcOp::kColGetLtF : BcOp::kColGetLtI; break;
-    case Op::kLe: bop = is_f ? BcOp::kColGetLeF : BcOp::kColGetLeI; break;
-    case Op::kGt: bop = is_f ? BcOp::kColGetGtF : BcOp::kColGetGtI; break;
-    case Op::kGe: bop = is_f ? BcOp::kColGetGeF : BcOp::kColGetGeI; break;
-    default: return false;
-  }
-  const void* col = db_->table(s->aux0).column(s->aux1).data.data();
-  Emit(bop, Reg(next), PtrIdx(col), Reg(s->args[0]),
-       static_cast<int32_t>(Reg(other)));
-  ++prog_.fused;
-  return true;
 }
 
 void BytecodeCompiler::CompileStmt(const Stmt* s) {
@@ -1186,9 +1127,6 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
       Emit(BcOp::kIsNull, Reg(s), Reg(s->args[0]));
       return;
 
-    case Op::kPoolAlloc:
-      Emit(BcOp::kPoolAlloc, Reg(s), Reg(s->args[0]), prog_.state_reg);
-      return;
     case Op::kPoolRecNew: {
       std::vector<uint32_t> regs;
       regs.reserve(s->args.size() - 1);
@@ -1500,8 +1438,6 @@ void BytecodeVM::Interpret(RunState& st, Slot* R, uint32_t pc) {
   DISPATCH();
   TARGET(kRecSet) { static_cast<Slot*>(R[I->a].p)[I->b] = R[I->c]; }
   DISPATCH();
-  TARGET(kPoolAlloc) { R[I->a] = SlotP(ops::PoolAlloc(&st, R[I->b].i)); }
-  DISPATCH();
   TARGET(kPoolRecNew) {
     R[I->a] = SlotP(ops::PoolRecNew(&st, R, &prog_->extra[I->b], I->n));
   }
@@ -1626,29 +1562,6 @@ void BytecodeVM::Interpret(RunState& st, Slot* R, uint32_t pc) {
   }
   DISPATCH();
 
-#define QC_BC_FUSED(NAME, FIELD, CMP)                                     \
-  TARGET(NAME) {                                                          \
-    const Slot* col = static_cast<const Slot*>(prog_->ptrs[I->b]);        \
-    R[I->a].i =                                                           \
-        (col[R[I->c].i].FIELD CMP R[static_cast<uint32_t>(I->d)].FIELD)   \
-            ? 1                                                           \
-            : 0;                                                          \
-  }                                                                       \
-  DISPATCH();
-  QC_BC_FUSED(kColGetEqI, i, ==)
-  QC_BC_FUSED(kColGetNeI, i, !=)
-  QC_BC_FUSED(kColGetLtI, i, <)
-  QC_BC_FUSED(kColGetLeI, i, <=)
-  QC_BC_FUSED(kColGetGtI, i, >)
-  QC_BC_FUSED(kColGetGeI, i, >=)
-  QC_BC_FUSED(kColGetEqF, d, ==)
-  QC_BC_FUSED(kColGetNeF, d, !=)
-  QC_BC_FUSED(kColGetLtF, d, <)
-  QC_BC_FUSED(kColGetLeF, d, <=)
-  QC_BC_FUSED(kColGetGtF, d, >)
-  QC_BC_FUSED(kColGetGeF, d, >=)
-#undef QC_BC_FUSED
-
 #define QC_BC_JN(NAME, FIELD, CMP)                              \
   TARGET(NAME) {                                                \
     if (!(R[I->a].FIELD CMP R[I->b].FIELD)) pc += I->d;         \
@@ -1691,14 +1604,6 @@ void BytecodeVM::Interpret(RunState& st, Slot* R, uint32_t pc) {
   TARGET(kRecAccAddI) { static_cast<Slot*>(R[I->a].p)[I->b].i += R[I->c].i; }
   DISPATCH();
   TARGET(kRecAccAddF) { static_cast<Slot*>(R[I->a].p)[I->b].d += R[I->c].d; }
-  DISPATCH();
-  TARGET(kArrAccAddI) {
-    static_cast<RtArray*>(R[I->a].p)->data[R[I->b].i].i += R[I->c].i;
-  }
-  DISPATCH();
-  TARGET(kArrAccAddF) {
-    static_cast<RtArray*>(R[I->a].p)->data[R[I->b].i].d += R[I->c].d;
-  }
   DISPATCH();
 
   TARGET(kEmit) { ops::Emit(&st, R, &prog_->extra[I->a], I->n, I->c); }

@@ -18,10 +18,11 @@
 //   BytecodeVM        executes the flat code with computed-goto
 //                     direct-threaded dispatch, type-specialized
 //                     arithmetic opcodes (separate i64/f64 add/mul/cmp so
-//                     the per-op type->kind branch disappears) and fused
-//                     super-instructions for the hot scan idiom: column
-//                     read + compare, and loop-index increment + bound
-//                     check + back edge.
+//                     the per-op type->kind branch disappears) and the
+//                     fused super-instructions the compiler forms: loop-
+//                     index increment + bound check + back edge, compare +
+//                     branch-if-false (optionally folding the column read),
+//                     and record-field accumulate.
 //
 // The copy-and-patch JIT (src/jit/) goes one step further down the same
 // road: it stitches every instruction of these programs into native code
@@ -94,7 +95,6 @@ class JitProgram;  // src/jit/engine.h
   X(kRecNew)    /* a = dst, b = extra offset, c = state reg, n = fields */  \
   X(kRecGet)    /* a = dst, b = record reg, c = field index */              \
   X(kRecSet)    /* a = record reg, b = field index, c = src reg */          \
-  X(kPoolAlloc) /* a = dst, b = pool-handle reg (fields), c = state reg */  \
   X(kPoolRecNew) /* a = dst, b = extra offset, c = state reg, n = fields */ \
   /* arrays */                                                              \
   X(kArrNew) X(kMallocArr) /* a = dst, b = length reg */                    \
@@ -125,11 +125,6 @@ class JitProgram;  // src/jit/engine.h
   X(kIdxBucketLen) /* a = dst, b = ptr index, c = key reg */                \
   X(kIdxBucketRow) /* a = dst, b = ptr index, c = key reg, d = j reg */     \
   X(kIdxPkRow)                                                              \
-  /* fused scan super-instructions: column read + compare */                \
-  X(kColGetEqI) X(kColGetNeI) X(kColGetLtI)                                 \
-  X(kColGetLeI) X(kColGetGtI) X(kColGetGeI)                                 \
-  X(kColGetEqF) X(kColGetNeF) X(kColGetLtF)                                 \
-  X(kColGetLeF) X(kColGetGtF) X(kColGetGeF)                                 \
   /* fused filter branches: jump (d) when the comparison is FALSE.         \
      kJn*: a = lhs reg, b = rhs reg. */                                     \
   X(kJnEqI) X(kJnNeI) X(kJnLtI) X(kJnLeI) X(kJnGtI) X(kJnGeI)               \
@@ -140,10 +135,9 @@ class JitProgram;  // src/jit/engine.h
   X(kJnColLeI) X(kJnColGtI) X(kJnColGeI)                                    \
   X(kJnColEqF) X(kJnColNeF) X(kJnColLtF)                                    \
   X(kJnColLeF) X(kJnColGtF) X(kJnColGeF)                                    \
-  /* fused aggregate updates: load + add + store back.                     \
-     rec: a = record reg, b = field, c = addend reg.                       \
-     arr: a = array reg, b = index reg, c = addend reg. */                  \
-  X(kRecAccAddI) X(kRecAccAddF) X(kArrAccAddI) X(kArrAccAddF)               \
+  /* fused aggregate updates: record-field load + add + store back.        \
+     a = record reg, b = field, c = addend reg. */                          \
+  X(kRecAccAddI) X(kRecAccAddF)                                             \
   /* result emission: n = arg count, a = extra offset, c = string mask,    \
      b = prog.state_reg (the row goes to the RunState's result table) */    \
   X(kEmit)                                                                  \
@@ -335,9 +329,6 @@ inline void* PoolRecNew(RunState* st, const Slot* regs, const uint32_t* argv,
   for (uint64_t i = 0; i < n; ++i) rec[i] = regs[argv[i]];
   return rec;
 }
-inline void* PoolAlloc(RunState* st, int64_t fields) {
-  return st->records.AllocPool(static_cast<size_t>(fields));
-}
 
 // Container construction into the context's engine-owned deques. kArrNew
 // accounts its zero-filled slots as vector growth, kMallocArr as one heap
@@ -455,7 +446,6 @@ class BytecodeCompiler {
   // preceding instruction and has no other use — retargets that
   // instruction's destination instead (write-back elimination).
   void EmitMovOrRetarget(uint32_t dst, const ir::Stmt* src);
-  bool TryFuseColScan(const ir::Stmt* s, const ir::Stmt* next);
   // Filter fusion over the preset-filtered statement view: recognizes a run
   // of pure condition statements (column reads, comparisons, BitAnd chains,
   // null tests) feeding a kIf — the shape cond_flatten produces — and
@@ -464,8 +454,8 @@ class BytecodeCompiler {
   // kIf's blocks are compiled as part of the fusion.
   size_t TryFuseBranch(const std::vector<const ir::Stmt*>& stmts, size_t i,
                        const ir::Stmt* block_result);
-  // Fuses [x = load(container, k)] -> [y = add(x, v)] -> [store(container,
-  // k, y)] into one accumulate instruction. Returns statements consumed.
+  // Fuses [x = rec_get(r, f)] -> [y = add(x, v)] -> [rec_set(r, f, y)] into
+  // one accumulate instruction. Returns statements consumed.
   size_t TryFuseAccumulate(const std::vector<const ir::Stmt*>& stmts,
                            size_t i);
   // Emits the branch-if-false instruction for one conjunct of a fused

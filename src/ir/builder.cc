@@ -415,9 +415,6 @@ Stmt* Builder::Free(Stmt* ptr) {
 Stmt* Builder::PoolNew(const Type* elem, Stmt* capacity) {
   return Emit(Op::kPoolNew, types()->Pool(elem), {capacity});
 }
-Stmt* Builder::PoolAlloc(Stmt* pool) {
-  return Emit(Op::kPoolAlloc, pool->type->elem, {pool});
-}
 
 // --- catalog access ---------------------------------------------------------
 

@@ -141,7 +141,6 @@ class Builder {
   Stmt* Malloc(const Type* elem, Stmt* count);
   Stmt* Free(Stmt* ptr);
   Stmt* PoolNew(const Type* elem, Stmt* capacity);
-  Stmt* PoolAlloc(Stmt* pool);
 
   // --- catalog access ------------------------------------------------------
   Stmt* TableRows(int table);

@@ -98,12 +98,13 @@ namespace qc::ir {
   X(kMMapGetOrNull, "mmap_get_or_null", false, false, 3, 3)    \
   /* null tests */                                             \
   X(kIsNull, "is_null", false, false, 0, 3)                    \
-  /* C.Lite memory management — bottom level only */           \
+  /* C.Lite memory management — bottom level only. A pool      \
+     record is allocated and initialized in one statement:     \
+     pool hoisting turns each rec_new into a pool_rec_new      \
+     (args: pool, fields). */                                  \
   X(kMalloc, "malloc", true, false, 0, 0)                      \
   X(kFree, "free", true, false, 0, 0)                          \
   X(kPoolNew, "pool_new", true, false, 0, 0)                   \
-  X(kPoolAlloc, "pool_alloc", true, false, 0, 0)               \
-  /* pool-allocate a record and initialize its fields (args: pool, fields) */ \
   X(kPoolRecNew, "pool_rec_new", true, false, 0, 0)            \
   /* base table access (catalog-resolved; aux0=table, aux1=column) */ \
   X(kTableRows, "table_rows", false, true, 0, 3)               \

@@ -135,7 +135,6 @@ class LoopAnalyzer {
       case Op::kVarNew:
       case Op::kFree:
       case Op::kPoolNew:
-      case Op::kPoolAlloc:
       case Op::kMalloc:
       case Op::kArrNew:
       case Op::kListNew:

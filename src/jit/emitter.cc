@@ -192,13 +192,6 @@ void Asm::AddMemReg(Reg base, int32_t disp, Reg src, bool force_disp32) {
   Mem(src, base, disp, force_disp32);
 }
 
-void Asm::AddMemIdxReg(Reg base, Reg index, uint8_t scale, int32_t disp,
-                       Reg src) {
-  Rex(true, src, index, base);
-  buf_.push_back(0x01);
-  MemIdx(src, base, index, scale, disp);
-}
-
 void Asm::CmpRegReg(Reg a, Reg b) {
   Rex(true, b, 0, a);
   buf_.push_back(0x39);  // cmp r/m64, r64: a compared with b
@@ -374,14 +367,6 @@ void Asm::MovsdXmmMemIdx(Xmm dst, Reg base, Reg index, uint8_t scale) {
   MemIdx(dst, base, index, scale, 0);
 }
 
-void Asm::MovsdMemIdxXmm(Reg base, Reg index, uint8_t scale, Xmm src) {
-  buf_.push_back(0xF2);
-  Rex(false, src, index, base);
-  buf_.push_back(0x0F);
-  buf_.push_back(0x11);
-  MemIdx(src, base, index, scale, 0);
-}
-
 void Asm::ArithsdXmmMem(uint8_t opcode, Xmm dst, Reg base, int32_t disp,
                         bool force_disp32) {
   buf_.push_back(0xF2);
@@ -389,15 +374,6 @@ void Asm::ArithsdXmmMem(uint8_t opcode, Xmm dst, Reg base, int32_t disp,
   buf_.push_back(0x0F);
   buf_.push_back(opcode);
   Mem(dst, base, disp, force_disp32);
-}
-
-void Asm::ArithsdXmmMemIdx(uint8_t opcode, Xmm dst, Reg base, Reg index,
-                           uint8_t scale) {
-  buf_.push_back(0xF2);
-  Rex(false, dst, index, base);
-  buf_.push_back(0x0F);
-  buf_.push_back(opcode);
-  MemIdx(dst, base, index, scale, 0);
 }
 
 void Asm::CmpsdXmmMem(Xmm dst, Reg base, int32_t disp, FCmp pred,

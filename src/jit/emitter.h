@@ -109,7 +109,6 @@ class Asm {
   void AndRegMem(Reg dst, Reg base, int32_t disp, bool force_disp32 = false);
   void SubRegMemIdx(Reg dst, Reg base, Reg index, uint8_t scale);
   void AddMemReg(Reg base, int32_t disp, Reg src, bool force_disp32 = false);
-  void AddMemIdxReg(Reg base, Reg index, uint8_t scale, int32_t disp, Reg src);
   void CmpRegReg(Reg a, Reg b);
   void TestRegReg(Reg a, Reg b);
   void XorRegReg(Reg dst, Reg src);  // xor r64, r64
@@ -141,12 +140,9 @@ class Asm {
   void MovsdXmmMem(Xmm dst, Reg base, int32_t disp, bool force_disp32 = false);
   void MovsdMemXmm(Reg base, int32_t disp, Xmm src, bool force_disp32 = false);
   void MovsdXmmMemIdx(Xmm dst, Reg base, Reg index, uint8_t scale);
-  void MovsdMemIdxXmm(Reg base, Reg index, uint8_t scale, Xmm src);
   // F2 0F 58/5C/59/5E: addsd/subsd/mulsd/divsd xmm, [base+disp]
   void ArithsdXmmMem(uint8_t opcode, Xmm dst, Reg base, int32_t disp,
                      bool force_disp32 = false);
-  void ArithsdXmmMemIdx(uint8_t opcode, Xmm dst, Reg base, Reg index,
-                        uint8_t scale);
   void CmpsdXmmMem(Xmm dst, Reg base, int32_t disp, FCmp pred,
                    bool force_disp32 = false);
   void CmpsdXmmMemIdx(Xmm dst, Reg base, Reg index, uint8_t scale, FCmp pred);

@@ -450,22 +450,6 @@ Store* BuildTemplates() {
   };
   vec_len(BcOp::kArrLen);
   vec_len(BcOp::kListSize);
-  def(BcOp::kArrAccAddI, [](TB& t) {
-    t.LoadSlot(RAX, PatchKind::kSlotA);
-    t.a.MovRegMem(RAX, RAX, 0);
-    t.LoadSlot(RCX, PatchKind::kSlotB);
-    t.LoadSlot(RDX, PatchKind::kSlotC);
-    t.a.AddMemIdxReg(RAX, RCX, 3, 0, RDX);
-  });
-  def(BcOp::kArrAccAddF, [](TB& t) {
-    t.LoadSlot(RAX, PatchKind::kSlotA);
-    t.a.MovRegMem(RAX, RAX, 0);
-    t.LoadSlot(RCX, PatchKind::kSlotB);
-    t.a.MovsdXmmMemIdx(XMM0, RAX, RCX, 3);
-    t.a.ArithsdXmmMem(0x58, XMM0, kSlotBase, 0, true);
-    t.Mark(PatchKind::kSlotC);
-    t.a.MovsdMemIdxXmm(RAX, RCX, 3, XMM0);
-  });
 
   // --- base-table access ---------------------------------------------------
   def(BcOp::kColGet, [](TB& t) {
@@ -519,12 +503,6 @@ Store* BuildTemplates() {
   });
 
   // --- fused super-instructions -------------------------------------------
-  const BcOp colcmp_i[] = {BcOp::kColGetEqI, BcOp::kColGetNeI,
-                           BcOp::kColGetLtI, BcOp::kColGetLeI,
-                           BcOp::kColGetGtI, BcOp::kColGetGeI};
-  const BcOp colcmp_f[] = {BcOp::kColGetEqF, BcOp::kColGetNeF,
-                           BcOp::kColGetLtF, BcOp::kColGetLeF,
-                           BcOp::kColGetGtF, BcOp::kColGetGeF};
   const BcOp jn_i[] = {BcOp::kJnEqI, BcOp::kJnNeI, BcOp::kJnLtI,
                        BcOp::kJnLeI, BcOp::kJnGtI, BcOp::kJnGeI};
   const BcOp jn_f[] = {BcOp::kJnEqF, BcOp::kJnNeF, BcOp::kJnLtF,
@@ -534,28 +512,6 @@ Store* BuildTemplates() {
   const BcOp jncol_f[] = {BcOp::kJnColEqF, BcOp::kJnColNeF, BcOp::kJnColLtF,
                           BcOp::kJnColLeF, BcOp::kJnColGtF, BcOp::kJnColGeF};
   for (int i = 0; i < 6; ++i) {
-    // R[a] = col[R[c]] CMP R[d]
-    def(colcmp_i[i], [i](TB& t) {
-      t.LoadPtr(R11);
-      t.LoadSlot(RAX, PatchKind::kSlotC);
-      t.a.MovRegMemIdx(RAX, R11, RAX, 3);
-      t.a.CmpRegMem(RAX, kSlotBase, 0, true);
-      t.Mark(PatchKind::kSlotD);
-      t.StoreBool(ValCond(i));
-    });
-    def(colcmp_f[i], [i](TB& t) {
-      t.LoadPtr(R11);
-      t.LoadSlot(RAX, PatchKind::kSlotC);
-      if (FSwapped(i)) {
-        t.LoadSlotSd(XMM0, PatchKind::kSlotD);
-        t.a.CmpsdXmmMemIdx(XMM0, R11, RAX, 3, FPred(i));
-      } else {
-        t.a.MovsdXmmMemIdx(XMM0, R11, RAX, 3);
-        t.a.CmpsdXmmMem(XMM0, kSlotBase, 0, FPred(i), true);
-        t.Mark(PatchKind::kSlotD);
-      }
-      t.StoreFBool();
-    });
     // if (!(R[a] CMP R[b])) jump
     def(jn_i[i], [i](TB& t) {
       t.LoadSlot(RAX, PatchKind::kSlotA);
@@ -755,12 +711,6 @@ Store* BuildTemplates() {
   };
   rec_new(BcOp::kRecNew, reinterpret_cast<const void*>(&ops::RecNew));
   rec_new(BcOp::kPoolRecNew, reinterpret_cast<const void*>(&ops::PoolRecNew));
-  def(BcOp::kPoolAlloc, [](TB& t) {
-    t.LoadSlot(RDI, PatchKind::kSlotC);  // RunState* (state_reg)
-    t.LoadSlot(RSI, PatchKind::kSlotB);  // field count
-    t.CallHelper(reinterpret_cast<const void*>(&ops::PoolAlloc));
-    t.StoreSlot(RAX, PatchKind::kSlotA);
-  });
   auto arr_new = [&](BcOp op, const void* helper) {
     def(op, [helper](TB& t) {
       t.LoadState(RDI);

@@ -76,7 +76,7 @@ TEST(BenchGate, PairSkipsBaseCellsUnderFloor) {
   // The sub-floor row would read +100% on its own; the others read 0%.
   std::vector<PairCell> cells = Pair(1.0);
   cells.push_back({0.05, 0.10});
-  EXPECT_TRUE(PairCheck("ir-jit-verify", cells).ok);
+  EXPECT_TRUE(PairCheck("ir-jit-obs", cells).ok);
 }
 
 TEST(BenchGate, ShedRateOverAllowanceFails) {
