@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <system_error>
-#include <unordered_map>
 
 #include "common/fault.h"
 #include "exec/bytecode.h"
@@ -26,6 +25,14 @@ constexpr int64_t kOrderedMergeRatio = 8;
 
 // Chunks of consecutive morsels per thread in a loop with a ranged array.
 constexpr int64_t kChunksPerThread = 2;
+
+// Hash parts of the map and multimap merge. A key's part is its hash &
+// (kHashParts - 1), and every bucket index of the main table keeps those
+// bits, so a part task owns its buckets at any table size.
+constexpr int kHashPartBits = 4;
+constexpr int kHashParts = 1 << kHashPartBits;
+static_assert(kHashParts == RtHashMap::kMinBuckets,
+              "a hash part must own whole buckets at every table size");
 
 bool SlotLess(Slot a, Slot b, bool is_f64) {
   return is_f64 ? a.d < b.d : a.i < b.i;
@@ -76,13 +83,23 @@ void CreditGroupRec(AllocStats* stats, const ir::ParReduction& red) {
   }
 }
 
-// Runs every task index of [0, count) on the pool with the caller thread
-// stealing, then synchronizes. Wait() establishes the happens-before edge
-// the next phase needs to read this phase's output.
-void RunTasks(Engine& eng, int count, const std::function<void(int)>& task) {
-  eng.pool.Begin(count, task);
+// Runs every task index of [0, count) of a merge phase on the pool with the
+// caller thread stealing, each in a `merge` span whose arg `arg` is the
+// index, then synchronizes. Wait() establishes the happens-before edge the
+// next phase needs to read this phase's output.
+void RunTasks(Engine& eng, int count, uint64_t trace_session,
+              const char* arg, const std::function<void(int)>& task) {
+  std::function<void(int)> traced = [&](int t) {
+    int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
+    task(t);
+    if (trace_session != 0) {
+      telemetry::TraceRecord(trace_session, "merge", "par", ts,
+                             telemetry::TraceNowNs() - ts, arg, t);
+    }
+  };
+  eng.pool.Begin(count, traced);
   int t;
-  while ((t = eng.pool.TrySteal()) >= 0) task(t);
+  while ((t = eng.pool.TrySteal()) >= 0) traced(t);
   eng.pool.Wait();
 }
 
@@ -152,10 +169,12 @@ class SlotSplit {
   uint64_t mult_;
 };
 
-// Groups `src`, entries of `stride` slots keyed by their first slot, into
-// the `parts` parts of `split`, keeping the entry order within each part.
-void PartitionBySlot(std::vector<Slot>&& src, size_t stride,
-                     const SlotSplit& split, int parts, SlotParts* out) {
+// Groups `src`, entries of `stride` slots, into `parts` parts by the part
+// `part_of` gives their first slot, keeping the entry order within each
+// part.
+template <typename PartOf>
+void Partition(std::vector<Slot>&& src, size_t stride, int parts,
+               PartOf part_of, SlotParts* out) {
   size_t n = src.size() / stride * stride;
   out->off.assign(parts + 1, 0);
   if (parts == 1) {
@@ -164,17 +183,24 @@ void PartitionBySlot(std::vector<Slot>&& src, size_t stride,
     return;
   }
   for (size_t e = 0; e < n; e += stride) {
-    out->off[split.Part(src[e].i) + 1] += stride;
+    out->off[part_of(src[e]) + 1] += stride;
   }
   for (int p = 0; p < parts; ++p) out->off[p + 1] += out->off[p];
   std::vector<size_t> pos(out->off.begin(), out->off.end() - 1);
   out->data.resize(n);
   for (size_t e = 0; e < n; e += stride) {
-    size_t& at = pos[split.Part(src[e].i)];
+    size_t& at = pos[part_of(src[e])];
     std::memcpy(&out->data[at], &src[e], stride * sizeof(Slot));
     at += stride;
   }
   src = std::vector<Slot>();
+}
+
+// The same, by slot part of `split`: entries keyed by an array slot.
+void PartitionBySlot(std::vector<Slot>&& src, size_t stride,
+                     const SlotSplit& split, int parts, SlotParts* out) {
+  Partition(std::move(src), stride, parts,
+            [&](Slot k) { return split.Part(k.i); }, out);
 }
 
 size_t FoldStride(const ir::ParReduction& red) {
@@ -270,16 +296,24 @@ int64_t FoldEntries(const ir::ParReduction& red, Slot* main, const Slot* e,
   return folded;
 }
 
-// Replays the slot-keyed addend entries [e, end) of channel `ch` against
-// the merged records of the main array.
-void ReplaySlotLog(const ir::ParLogChannel& ch, const Slot* main,
-                   const Slot* e, const Slot* end) {
+// Replays the addend entries [e, end) of channel `ch` in order against the
+// merged records, `rec_of` mapping an entry's handle to its record.
+template <typename RecOf>
+void ReplayEntries(const ir::ParLogChannel& ch, const Slot* e,
+                   const Slot* end, RecOf rec_of) {
   for (; e + ch.Stride() <= end; e += ch.Stride()) {
-    Slot* rec = static_cast<Slot*>(main[e[0].i].p);
+    Slot* rec = rec_of(e[0]);
     for (size_t j = 0; j < ch.fields.size(); ++j) {
       rec[ch.fields[j]].d += e[1 + ch.value_idx[j]].d;
     }
   }
+}
+
+// The slot-keyed entries of a group array: the handle is the slot.
+void ReplaySlotLog(const ir::ParLogChannel& ch, const Slot* main,
+                   const Slot* e, const Slot* end) {
+  ReplayEntries(ch, e, end,
+                [&](Slot k) { return static_cast<Slot*>(main[k.i].p); });
 }
 
 Slot* ArrayData(const ParLoopCode& plc, const Slot* regs, int red) {
@@ -323,23 +357,326 @@ int64_t MergeSlotPart(const ParLoopCode& plc, const Slot* main_regs,
   return folded;
 }
 
-// The ordered merge of everything but the ranged array reductions: folds
-// one morsel at a time, in morsel order, on the caller thread while the
-// scan still runs, and frees each log it has replayed.
+bool IsHashed(const ir::ParReduction& red) {
+  return red.kind == ir::ParRedKind::kMap || red.kind == ir::ParRedKind::kMMap;
+}
+
+// The key table of a kMap or kMMap reduction object: the map itself, or
+// the multimap's key map.
+RtHashMap* KeyMap(const ir::ParReduction& red, Slot obj) {
+  if (red.kind == ir::ParRedKind::kMMap) {
+    return &static_cast<RtMultiMap*>(obj.p)->key_map();
+  }
+  return static_cast<RtHashMap*>(obj.p);
+}
+
+// Rewrites the record-keyed log `c` of morsel `ms` to record positions and
+// scatters it by hash part. A morsel never stores its records' f64 sum
+// fields (it logs their additions instead), so the first of them holds
+// each private record's position while the handles are rewritten and gets
+// its value back afterwards: one load per entry, no lookup.
+void RouteRecordLog(const ir::ParLogChannel& ch, size_t c,
+                    const RtHashMap& priv, MorselState& ms) {
+  const HashParts& hp = ms.hashed[ch.map_red];
+  const std::vector<RtHashMap::Node*>& es = priv.entries();
+  const int f = ch.fields[0];
+  std::vector<Slot> saved(es.size());
+  for (size_t j = 0; j < es.size(); ++j) {
+    Slot* rec = static_cast<Slot*>(es[j]->value.p);
+    saved[j] = rec[f];
+    rec[f] = SlotI(hp.pos[j]);
+  }
+  std::vector<Slot>& log = ms.logs[c];
+  const size_t stride = ch.Stride();
+  bool known = true;
+  for (size_t e = 0; e + stride <= log.size(); e += stride) {
+    const void* rec = log[e].p;
+    int64_t a = static_cast<const Slot*>(rec)[f].i;
+    known &= a >= 0 && a < static_cast<int64_t>(es.size()) &&
+             es[hp.entry[a]]->value.p == rec;
+    if (!known) break;
+    log[e] = SlotI(a);
+  }
+  for (size_t j = 0; j < es.size(); ++j) {
+    static_cast<Slot*>(es[j]->value.p)[f] = saved[j];
+  }
+  if (!known) {
+    std::fprintf(stderr,
+                 "parallel merge: log entry for unknown group record\n");
+    std::abort();
+  }
+  Partition(std::move(log), stride, kHashParts,
+            [&](Slot a) { return hp.hash[a.i] & (kHashParts - 1); },
+            &ms.replays[c]);
+}
+
+// Task end, on the worker that ran it: hashes each key of the private maps
+// and multimaps of the morsels `ran` once and scatters the entries into the
+// kHashParts hash parts, then routes each map's record-keyed f64 log to
+// the parts of its records' keys.
+void HashChunk(const ParLoopCode& plc, const std::vector<MorselState*>& ran) {
+  const ir::ParLoop& plan = *plc.plan;
+  std::vector<uint64_t> hashes;
+  for (MorselState* ms : ran) {
+    ms->hashed.resize(plan.reductions.size());
+    ms->replays.resize(plan.logs.size());
+    for (size_t i = 0; i < plan.reductions.size(); ++i) {
+      if (!IsHashed(plan.reductions[i])) continue;
+      const RtHashMap& priv = *KeyMap(plan.reductions[i], ms->priv[i]);
+      const std::vector<RtHashMap::Node*>& es = priv.entries();
+      const size_t n = es.size();
+      HashParts& hp = ms->hashed[i];
+      hashes.resize(n);
+      hp.off.assign(kHashParts + 1, 0);
+      for (size_t j = 0; j < n; ++j) {
+        hashes[j] = priv.hasher().Hash(es[j]->key);
+        ++hp.off[(hashes[j] & (kHashParts - 1)) + 1];
+      }
+      for (int p = 0; p < kHashParts; ++p) hp.off[p + 1] += hp.off[p];
+      std::vector<size_t> at(hp.off.begin(), hp.off.end() - 1);
+      hp.hash.resize(n);
+      hp.entry.resize(n);
+      hp.pos.resize(n);
+      for (size_t j = 0; j < n; ++j) {
+        size_t a = at[hashes[j] & (kHashParts - 1)]++;
+        hp.hash[a] = hashes[j];
+        hp.entry[a] = static_cast<uint32_t>(j);
+        hp.pos[j] = static_cast<uint32_t>(a);
+      }
+      hp.into.assign(n, nullptr);
+      hp.created.assign(n, 0);
+    }
+    for (size_t c = 0; c < plan.logs.size(); ++c) {
+      const ir::ParLogChannel& ch = plan.logs[c];
+      if (ch.map_red < 0) continue;
+      RouteRecordLog(ch, c, *KeyMap(plan.reductions[ch.map_red],
+                                    ms->priv[ch.map_red]),
+                     *ms);
+    }
+  }
+}
+
+// Appends a later morsel's values of a multimap key to the key's list, as
+// the sequential per-row appends would, and frees the morsel's list.
+void AppendValues(RtList* to, RtList* from, AllocStats* stats) {
+  stats->CreditVector(from->items.capacity() * sizeof(Slot));
+  for (Slot v : from->items) RtMultiMap::Append(to, v, stats);
+  from->items = std::vector<Slot>();
+}
+
+// The hash-part merge of a loop's maps and multimaps and their record-keyed
+// f64 replays, after the scan. The main tables first grow to hold every
+// morsel entry. Then one pool task per hash part walks the morsels in
+// order over its part's entries, so each key meets its entries in row
+// order: a key's first entry links its private node, with its record or
+// value list, straight into the part's own buckets, where later entries
+// and the keys held before the loop find it; a later entry combines into
+// it (or appends its values). The task then replays the part's addends in
+// morsel (= row) order. Parts share no key, record, list or bucket, so
+// they run concurrently. The last part through a morsel frees its private
+// maps and, once every earlier morsel is through, appends the morsel's new
+// keys to entries(): the sequential first-occurrence order, from flags,
+// with no hashing. Where duplicates left a table larger than the
+// sequential inserts make it, one task per part then moves its chains.
+class HashMerger {
+ public:
+  HashMerger(const ParLoopCode& plc, Slot* main_regs,
+             const std::vector<std::unique_ptr<MorselState>>& ms)
+      : plc_(plc),
+        plan_(*plc.plan),
+        main_regs_(main_regs),
+        ms_(ms),
+        left_(new std::atomic<int>[ms.size()]),
+        through_(ms.size(), 0) {
+    for (size_t m = 0; m < ms.size(); ++m) {
+      // A morsel skipped after a trip has nothing to merge.
+      bool ran = !ms[m]->hashed.empty();
+      left_[m].store(ran ? kHashParts : 0, std::memory_order_relaxed);
+      through_[m] = !ran;
+    }
+  }
+
+  // Merges on the pool. Folds the tasks' credits into `stats`; returns the
+  // number of map entries and multimap keys merged.
+  int64_t Run(Engine& eng, AllocStats* stats, uint64_t trace_session) {
+    const size_t num_reds = plan_.reductions.size();
+    for (size_t i = 0; i < num_reds; ++i) {
+      if (!IsHashed(plan_.reductions[i])) continue;
+      size_t n = Keys(i)->size();
+      for (const std::unique_ptr<MorselState>& m : ms_) {
+        if (!m->hashed.empty()) n += m->hashed[i].pos.size();
+      }
+      Keys(i)->Reserve(n);
+    }
+    std::vector<PartResult> parts(kHashParts);
+    RunTasks(eng, kHashParts, trace_session, "part",
+             [&](int p) { MergePart(p, &parts[p]); });
+    int64_t merged = 0;
+    for (const PartResult& r : parts) {
+      stats->MergeFrom(r.credits);
+      merged += r.merged;
+    }
+    // Per reduction, the full bucket array of a table that shrinks. Every
+    // morsel is ordered by now, so size() is the table's final count.
+    std::vector<std::vector<RtHashMap::Node*>> full(num_reds);
+    bool relink = false;
+    for (size_t i = 0; i < num_reds; ++i) {
+      if (IsHashed(plan_.reductions[i])) relink |= Keys(i)->Shrink(&full[i]);
+    }
+    if (relink) {
+      RunTasks(eng, kHashParts, trace_session, "relink", [&](int p) {
+        for (size_t i = 0; i < num_reds; ++i) {
+          if (!full[i].empty()) Keys(i)->Relink(full[i], p);
+        }
+      });
+    }
+    return merged;
+  }
+
+ private:
+  // One part task's output, written once, at its end: the tasks' outputs
+  // share cache lines.
+  struct PartResult {
+    AllocStats credits;
+    int64_t merged = 0;
+  };
+
+  RtHashMap* Keys(size_t red) const {
+    return KeyMap(plan_.reductions[red], main_regs_[plc_.red_regs[red]]);
+  }
+
+  void MergePart(int part, PartResult* out) {
+    AllocStats credits;
+    int64_t merged = 0;
+    for (size_t m = 0; m < ms_.size(); ++m) {
+      MorselState& ms = *ms_[m];
+      if (ms.hashed.empty()) continue;
+      for (size_t i = 0; i < plan_.reductions.size(); ++i) {
+        const ir::ParReduction& red = plan_.reductions[i];
+        if (!IsHashed(red)) continue;
+        RtHashMap& main = *Keys(i);
+        HashParts& hp = ms.hashed[i];
+        const std::vector<RtHashMap::Node*>& es =
+            KeyMap(red, ms.priv[i])->entries();
+        merged += static_cast<int64_t>(hp.off[part + 1] - hp.off[part]);
+        for (size_t a = hp.off[part]; a < hp.off[part + 1]; ++a) {
+          RtHashMap::Node* pn = es[hp.entry[a]];
+          RtHashMap::Node* e = main.Find(pn->key, hp.hash[a]);
+          if (e == nullptr) {
+            // First occurrence: the private node, with its record or value
+            // list, moves to the main table.
+            e = pn;
+            main.Link(e, hp.hash[a]);
+            hp.created[a] = 1;
+          } else {
+            credits.CreditHeap(sizeof(RtHashMap::Node), 1);
+            if (red.kind == ir::ParRedKind::kMap) {
+              CombineGroupRec(static_cast<Slot*>(e->value.p),
+                              static_cast<const Slot*>(pn->value.p), red);
+              CreditGroupRec(&credits, red);
+            } else {
+              AppendValues(static_cast<RtList*>(e->value.p),
+                           static_cast<RtList*>(pn->value.p), &credits);
+            }
+          }
+          hp.into[a] = e;
+        }
+      }
+      PassMorsel(m);
+    }
+    for (size_t c = 0; c < plan_.logs.size(); ++c) {
+      const ir::ParLogChannel& ch = plan_.logs[c];
+      if (ch.map_red < 0) continue;
+      for (const std::unique_ptr<MorselState>& m : ms_) {
+        if (m->hashed.empty()) continue;
+        const HashParts& hp = m->hashed[ch.map_red];
+        const SlotParts& sp = m->replays[c];
+        ReplayEntries(ch, sp.data.data() + sp.off[part],
+                      sp.data.data() + sp.off[part + 1], [&](Slot a) {
+                        return static_cast<Slot*>(hp.into[a.i]->value.p);
+                      });
+      }
+    }
+    out->credits = credits;
+    out->merged = merged;
+  }
+
+  // A part task is through morsel `m`. The last one hands the morsel's
+  // value lists to the main multimaps, orders every morsel that is now
+  // through in sequence, and frees the morsel's private maps.
+  void PassMorsel(size_t m) {
+    if (left_[m].fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    MorselState& ms = *ms_[m];
+    {
+      std::lock_guard<std::mutex> lock(order_mu_);
+      for (size_t i = 0; i < plan_.reductions.size(); ++i) {
+        if (plan_.reductions[i].kind != ir::ParRedKind::kMMap) continue;
+        static_cast<RtMultiMap*>(main_regs_[plc_.red_regs[i]].p)
+            ->AdoptLists(*static_cast<RtMultiMap*>(ms.priv[i].p));
+      }
+      through_[m] = 1;
+      for (; ordered_ < ms_.size() && through_[ordered_]; ++ordered_) {
+        OrderEntries(*ms_[ordered_]);
+      }
+    }
+    FreePrivateMaps(ms);
+  }
+
+  // Appends the keys morsel `ms` created to the main tables' entries().
+  void OrderEntries(const MorselState& ms) {
+    if (ms.hashed.empty()) return;
+    for (size_t i = 0; i < plan_.reductions.size(); ++i) {
+      if (!IsHashed(plan_.reductions[i])) continue;
+      const HashParts& hp = ms.hashed[i];
+      RtHashMap* keys = Keys(i);
+      for (uint32_t a : hp.pos) {
+        if (hp.created[a]) keys->Append(hp.into[a]);
+      }
+    }
+  }
+
+  // Deletes the private nodes of `ms` that no main table took over, then
+  // the private maps and multimaps.
+  void FreePrivateMaps(MorselState& ms) {
+    for (size_t i = 0; i < plan_.reductions.size(); ++i) {
+      if (!IsHashed(plan_.reductions[i])) continue;
+      const HashParts& hp = ms.hashed[i];
+      std::vector<RtHashMap::Node*> nodes =
+          KeyMap(plan_.reductions[i], ms.priv[i])->Release();
+      for (size_t j = 0; j < nodes.size(); ++j) {
+        if (!hp.created[hp.pos[j]]) delete nodes[j];
+      }
+    }
+    ms.st.maps.clear();
+    ms.st.mmaps.clear();
+  }
+
+  const ParLoopCode& plc_;
+  const ir::ParLoop& plan_;
+  Slot* main_regs_;
+  const std::vector<std::unique_ptr<MorselState>>& ms_;
+  // Per morsel: the part tasks not yet through it.
+  std::unique_ptr<std::atomic<int>[]> left_;
+  std::mutex order_mu_;
+  // Guarded by order_mu_: per morsel, whether every part is through it,
+  // and the morsels whose new keys are in entries().
+  std::vector<char> through_;
+  size_t ordered_ = 0;
+};
+
+// The ordered merge of everything but the ranged array reductions, the
+// maps and the multimaps: folds one morsel at a time, in morsel order, on
+// the caller thread while the scan still runs, and frees each log it has
+// replayed.
 class Merger {
  public:
   Merger(const ParLoopCode& plc, RunState& main, Slot* main_regs,
          const std::vector<char>& ranged)
-      : plc_(plc), main_(main), main_regs_(main_regs), ranged_(ranged) {
-    for (const ir::ParLogChannel& ch : plc.plan->logs) {
-      has_record_log_ |= ch.handle != nullptr && ch.array_red < 0;
-    }
-  }
+      : plc_(plc), main_(main), main_regs_(main_regs), ranged_(ranged) {}
 
   void MergeMorsel(MorselState& ms) {
     const ir::ParLoop& plan = *plc_.plan;
     main_.stats->MergeFrom(ms.stats);
-    remap_.clear();
 
     // Scalar accumulators fold in the morsel's *register* value: the body
     // rebinds the accumulator register to the identity and accumulates
@@ -379,12 +716,6 @@ class Merger {
         case ir::ParRedKind::kList:
           MergeList(i, ms);
           break;
-        case ir::ParRedKind::kMap:
-          MergeMap(i, ms);
-          break;
-        case ir::ParRedKind::kMMap:
-          MergeMMap(i, ms);
-          break;
         case ir::ParRedKind::kGroupArray:
         case ir::ParRedKind::kBucketArray:
           // A chunk's entries sit with its first morsel.
@@ -399,6 +730,8 @@ class Merger {
         case ir::ParRedKind::kVarSumF:  // replayed from the log below
         case ir::ParRedKind::kVarMin:
         case ir::ParRedKind::kVarMax:
+        case ir::ParRedKind::kMap:  // merged by hash part after the scan
+        case ir::ParRedKind::kMMap:
           break;
       }
     }
@@ -422,47 +755,10 @@ class Merger {
     }
   }
 
-  void MergeMap(size_t i, MorselState& ms) {
-    const ir::ParReduction& red = plc_.plan->reductions[i];
-    RtHashMap* main = static_cast<RtHashMap*>(main_regs_[plc_.red_regs[i]].p);
-    RtHashMap* priv = static_cast<RtHashMap*>(ms.priv[i].p);
-    for (RtHashMap::Node* n : priv->entries()) {
-      // The morsel-local node never survives: either the main map
-      // re-inserts (accounting a node of its own) or the group existed.
-      main_.stats->CreditHeap(sizeof(RtHashMap::Node), 1);
-      RtHashMap::Node* e = main->Find(n->key);
-      Slot* rec = static_cast<Slot*>(n->value.p);
-      if (e == nullptr) {
-        main->Insert(n->key, n->value);
-      } else {
-        CombineGroupRec(static_cast<Slot*>(e->value.p), rec, red);
-        CreditGroupRec(main_.stats, red);
-        rec = static_cast<Slot*>(e->value.p);
-      }
-      // Only a record-keyed addend log reads the morsel-to-main mapping.
-      if (has_record_log_) remap_[n->value.p] = rec;
-    }
-  }
-
-  void MergeMMap(size_t i, MorselState& ms) {
-    RtMultiMap* main =
-        static_cast<RtMultiMap*>(main_regs_[plc_.red_regs[i]].p);
-    RtMultiMap* priv = static_cast<RtMultiMap*>(ms.priv[i].p);
-    for (RtHashMap::Node* n : priv->key_map().entries()) {
-      RtList* vals = static_cast<RtList*>(n->value.p);
-      main_.stats->CreditHeap(sizeof(RtHashMap::Node), 1);
-      main_.stats->CreditVector(vals->items.capacity() * sizeof(Slot));
-      // One probe per (key, morsel), holding the key's value list (the
-      // tail) across the whole chain — not one Find per merged value,
-      // which re-walked the key's hash chain per value and made merging a
-      // skewed key's long chain quadratic in the chain length.
-      main->AddAll(n->key, vals->items.data(), vals->items.size());
-    }
-  }
-
   // Replays the f64 additions of this morsel in row order, against the
   // merged accumulators, reproducing the sequential rounding bit for bit.
-  // The slot-keyed channels of ranged arrays replay in MergeSlotPart.
+  // The slot-keyed channels of ranged arrays replay in MergeSlotPart, the
+  // record-keyed channels of maps in MergeHashPart.
   void ReplayLogs(MorselState& ms) {
     const ir::ParLoop& plan = *plc_.plan;
     for (size_t c = 0; c < plan.logs.size(); ++c) {
@@ -471,33 +767,13 @@ class Merger {
       if (ch.var != nullptr) {
         Slot& acc = main_regs_[plc_.channel_var_regs[c]];
         for (Slot v : log) acc.d += v.d;
-      } else if (ch.array_red >= 0) {
-        if (ranged_[ch.array_red]) continue;
+      } else if (ch.array_red >= 0 && !ranged_[ch.array_red]) {
         ReplaySlotLog(ch, ArrayData(plc_, main_regs_, ch.array_red),
                       log.data(), log.data() + log.size());
       } else {
-        ReplayRecordLog(ch, log);
+        continue;
       }
       log = std::vector<Slot>();
-    }
-  }
-
-  // Record-keyed: the entry's handle is the morsel-local record, found in
-  // the main map through remap_.
-  void ReplayRecordLog(const ir::ParLogChannel& ch,
-                       const std::vector<Slot>& log) {
-    size_t stride = ch.Stride();
-    for (size_t e = 0; e + stride <= log.size(); e += stride) {
-      auto it = remap_.find(log[e].p);
-      if (it == remap_.end()) {
-        std::fprintf(stderr,
-                     "parallel merge: log entry for unknown group record\n");
-        std::abort();
-      }
-      Slot* rec = it->second;
-      for (size_t j = 0; j < ch.fields.size(); ++j) {
-        rec[ch.fields[j]].d += log[e + 1 + ch.value_idx[j]].d;
-      }
     }
   }
 
@@ -518,9 +794,7 @@ class Merger {
   RunState& main_;
   Slot* main_regs_;
   const std::vector<char>& ranged_;
-  bool has_record_log_ = false;
   int64_t folded_ = 0;
-  std::unordered_map<const void*, Slot*> remap_;
 };
 
 }  // namespace
@@ -648,9 +922,11 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
 
   bool has_arrays = false;
   bool has_ranged = false;
+  bool has_hashed = false;
   std::vector<char> ranged(plan.reductions.size(), 0);
   int64_t arr_slots = 0;
   for (size_t i = 0; i < plan.reductions.size(); ++i) {
+    has_hashed |= IsHashed(plan.reductions[i]);
     if (plc.touched_log[i] < 0) continue;  // not an array reduction
     int64_t size = regs[plc.red_size_regs[i]].i;
     if (size < 0) return false;
@@ -791,12 +1067,15 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
                                "rows", ranges[m].second - ranges[m].first);
       }
     }
-    if (arrs != nullptr) {
-      // Also after a trip: every array store was logged with it, so the
-      // set goes back all-null either way.
+    if (arrs != nullptr || has_hashed) {
       int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
-      CompactChunk(plc, ranged, threads, ran, *arrs);
-      sets.Release(arrs);
+      if (arrs != nullptr) {
+        // Also after a trip: every array store was logged with it, so the
+        // set goes back all-null either way.
+        CompactChunk(plc, ranged, threads, ran, *arrs);
+        sets.Release(arrs);
+      }
+      if (has_hashed) HashChunk(plc, ran);
       if (trace_session != 0) {
         telemetry::TraceRecord(trace_session, "merge", "par", ts,
                                telemetry::TraceNowNs() - ts, "chunk", t);
@@ -856,25 +1135,26 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
   if (has_ranged) {
     std::vector<AllocStats> range_stats(threads);
     std::vector<int64_t> folded(threads, 0);
-    std::function<void(int)> fold = [&](int r) {
-      int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
+    RunTasks(eng, threads, trace_session, "range", [&](int r) {
       folded[r] = MergeSlotPart(plc, regs, ranged, states, r,
                                 &range_stats[r]);
-      if (trace_session != 0) {
-        telemetry::TraceRecord(trace_session, "merge", "par", ts,
-                               telemetry::TraceNowNs() - ts, "range", r);
-      }
-    };
-    RunTasks(eng, threads, fold);
+    });
     for (int r = 0; r < threads; ++r) {
       main.stats->MergeFrom(range_stats[r]);
       touched += folded[r];
     }
   }
+
+  if (has_hashed) {
+    touched += HashMerger(plc, regs, states).Run(eng, main.stats,
+                                                 trace_session);
+  }
   for (std::unique_ptr<MorselState>& ms : states) {
     ms->logs = std::vector<std::vector<Slot>>();
     ms->folds = std::vector<SlotParts>();
     ms->replays = std::vector<SlotParts>();
+    ms->hashed = std::vector<HashParts>();
+    ms->priv = std::vector<Slot>();
     main.morsels.push_back(std::move(ms));
   }
   if (trace_session != 0) {

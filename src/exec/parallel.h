@@ -14,16 +14,29 @@
 // morsel, or, in a loop with an array larger than morsel_rows / 8 slots (a
 // "ranged" array), a chunk of consecutive morsels, about two per thread:
 // the chunk keeps the private arrays across its morsels, so a group is
-// created and moved out once per chunk.
+// created and moved out once per chunk. Hash maps and multimaps are
+// private per morsel; at the end of its task the worker hashes each
+// private key once and scatters the entries into 16 hash parts
+// (RtHashMap::kMinBuckets, so a part owns a fixed set of main buckets at
+// every table size), and routes each map's record-keyed f64 log to the
+// parts of its records' keys.
 //
-// The merge has two phases, so its work follows what the morsels produced:
-//   1. the ordered merge — scalars, lists, maps, multimaps, arrays that are
-//      not ranged, f64 replays and emits — folds one morsel at a time in
-//      morsel order on the caller thread, overlapped with the scan;
+// The merge has three phases, so its work follows what the morsels
+// produced:
+//   1. the ordered merge — scalars, lists, arrays that are not ranged,
+//      their f64 replays and emits — folds one morsel at a time in morsel
+//      order on the caller thread, overlapped with the scan;
 //   2. after the scan, the slot-range merge folds the ranged arrays and
 //      their slot-keyed f64 replays as one pool task per slot part. Each
 //      task walks the morsels in order over its own slots only, so every
-//      slot still folds in row order.
+//      slot still folds in row order;
+//   3. then the hash-part merge folds the maps and multimaps and their
+//      record-keyed f64 replays as one pool task per hash part, each
+//      walking the morsels in order over its own keys and moving each new
+//      key's private node into its own buckets of the main table. The
+//      last task through a morsel appends the morsel's new keys to the
+//      main tables' entries(), in morsel order, so entries() keeps the
+//      sequential first-occurrence order.
 //
 // Determinism contract: the merged result is bitwise identical to the
 // sequential run for any thread count and morsel size —
@@ -40,10 +53,10 @@
 // AllocStats accounting: each morsel's stats are folded in with MergeFrom,
 // then the merge credits back storage that a sequential run never
 // allocates (duplicate per-morsel group records, per-morsel hash nodes and
-// list buffers; a slot-range task credits into its own stats, folded in
-// after the tasks), so Figure 8 numbers are engine- and thread-count-
-// independent. Private arrays, touched-slot logs and entry lists are
-// unaccounted scratch.
+// list buffers; a slot-range or hash-part task credits into its own stats,
+// folded in after the tasks), so Figure 8 numbers are engine- and
+// thread-count-independent. Private arrays, touched-slot logs, entry lists
+// and hash parts are unaccounted scratch.
 //
 // Sorts do not fan out: every kArrSort/kListSort runs on the thread of its
 // context through exec/runtime.h SortSlots (a sort inside a morsel fragment
@@ -116,9 +129,23 @@ struct SlotParts {
   std::vector<size_t> off;
 };
 
+// One morsel's private entries of a kMap or kMMap reduction, scattered by
+// hash part at task end: part p holds the positions [off[p], off[p + 1]),
+// in entry order. `into` and `created` are the part tasks' output.
+struct HashParts {
+  std::vector<size_t> off;
+  std::vector<uint64_t> hash;   // per position: hasher().Hash of the key
+  std::vector<uint32_t> entry;  // per position: index into entries()
+  std::vector<uint32_t> pos;    // per entry: its position
+  // Per position: the main node the entry merged into, and whether the
+  // entry created it (the key's first occurrence in the loop).
+  std::vector<RtHashMap::Node*> into;
+  std::vector<char> created;
+};
+
 // All worker-local state of one morsel. Records and interned strings
 // survive the merge (group records and join tuples are adopted by the main
-// structures); everything else is released right after merging.
+// structures); everything else is released once merged.
 struct MorselState {
   AllocStats stats;
   RunState st{&stats};
@@ -134,21 +161,25 @@ struct MorselState {
   // per touched bucket-array slot, held by the first morsel of a chunk;
   // per addend channel, the slot-keyed log of a ranged array. Empty for
   // every other reduction and channel, for the other morsels of a chunk,
-  // and for a morsel skipped after a trip.
+  // and for a morsel skipped after a trip. The record-keyed log of a map
+  // moves to `replays` too, by hash part, each entry's handle replaced by
+  // its record's position in `hashed`.
   std::vector<SlotParts> folds;
   std::vector<SlotParts> replays;
+  // Filled at task end, per kMap/kMMap reduction (empty for the others and
+  // for a morsel skipped after a trip).
+  std::vector<HashParts> hashed;
 
-  // Frees the private containers, results and registers once the ordered
-  // merge is done with them. The merge frees the logs and entry lists it
-  // consumes; the slot-range merge's stay until the loop ends.
+  // Frees the private lists, arrays, results and registers once the
+  // ordered merge is done with them. The private maps and multimaps (and
+  // `priv`, which points at them) live until the hash-part tasks finish;
+  // the merge frees the logs and entry lists it consumes, the part tasks'
+  // stay until the loop ends.
   void ReleaseTransients() {
     st.lists.clear();
     st.arrays.clear();
-    st.maps.clear();
-    st.mmaps.clear();
     st.out = storage::ResultTable();
     regs = std::vector<Slot>();
-    priv = std::vector<Slot>();
   }
 };
 
@@ -203,7 +234,8 @@ struct Engine {
 // Runs the loop `plc` of the main run (state `main`, register file
 // `regs` of `num_regs` slots) morsel-parallel: splits its [lo, hi) into
 // morsels, runs each through vm.RunMorsel on the pool, merges in morsel
-// order, then merges the ranged arrays by slot range on the pool.
+// order, then merges the ranged arrays by slot range and the maps and
+// multimaps by hash part on the pool.
 // Returns false (without executing anything) when the loop should just run
 // sequentially: too few rows for two morsels, or the private arrays of all
 // threads would exceed their budget. A governed run whose control trips

@@ -68,6 +68,15 @@ void StableSortSlots(Slot* data, int64_t n, SlotCmp& cmp, Slot* scratch) {
   if (src != data) std::memcpy(data, src, static_cast<size_t>(n) * sizeof(Slot));
 }
 
+// Insert doubles the buckets before an insert finds all of them used, so
+// n entries end with the least power of two >= n, and at least
+// kMinBuckets.
+size_t BucketsFor(size_t n) {
+  size_t buckets = RtHashMap::kMinBuckets;
+  while (buckets < n) buckets *= 2;
+  return buckets;
+}
+
 }  // namespace
 
 void StableSortSlots(Slot* data, int64_t n, SlotCmp& cmp) {
@@ -126,9 +135,8 @@ RtHashMap::~RtHashMap() {
   for (Node* n : entries_) delete n;
 }
 
-RtHashMap::Node* RtHashMap::Find(Slot key) const {
-  uint64_t h = hasher_.Hash(key);
-  Node* n = buckets_[h & (buckets_.size() - 1)];
+RtHashMap::Node* RtHashMap::Find(Slot key, uint64_t hash) const {
+  Node* n = buckets_[hash & (buckets_.size() - 1)];
   while (n != nullptr) {
     if (hasher_.Equal(n->key, key)) return n;
     n = n->next;
@@ -137,7 +145,7 @@ RtHashMap::Node* RtHashMap::Find(Slot key) const {
 }
 
 RtHashMap::Node* RtHashMap::Insert(Slot key, Slot value) {
-  MaybeRehash();
+  if (size_ >= buckets_.size()) Rehash(buckets_.size() * 2);
   uint64_t h = hasher_.Hash(key);
   size_t b = h & (buckets_.size() - 1);
   Node* n = new Node{key, value, buckets_[b]};
@@ -172,9 +180,43 @@ size_t RtMultiMap::MapOffsetForJit() {
       reinterpret_cast<const unsigned char*>(&m));
 }
 
-void RtHashMap::MaybeRehash() {
-  if (size_ < buckets_.size()) return;
-  std::vector<Node*> nb(buckets_.size() * 2, nullptr);
+std::vector<RtHashMap::Node*> RtHashMap::Release() {
+  std::vector<Node*> nodes = std::move(entries_);
+  entries_.clear();
+  buckets_.assign(kMinBuckets, nullptr);
+  size_ = 0;
+  return nodes;
+}
+
+void RtHashMap::Reserve(size_t n) {
+  size_t buckets = BucketsFor(n);
+  if (buckets > buckets_.size()) Rehash(buckets);
+}
+
+bool RtHashMap::Shrink(std::vector<Node*>* old) {
+  size_t buckets = BucketsFor(size_);
+  if (buckets >= buckets_.size()) return false;
+  *old = std::move(buckets_);
+  buckets_.assign(buckets, nullptr);
+  return true;
+}
+
+void RtHashMap::Relink(const std::vector<Node*>& old, size_t part) {
+  // Both sizes are powers of two, so a chain of `old` lands whole in the
+  // bucket its index keeps below the new size.
+  size_t mask = buckets_.size() - 1;
+  for (size_t b = part; b < old.size(); b += kMinBuckets) {
+    for (Node* n = old[b]; n != nullptr;) {
+      Node* next = n->next;
+      n->next = buckets_[b & mask];
+      buckets_[b & mask] = n;
+      n = next;
+    }
+  }
+}
+
+void RtHashMap::Rehash(size_t buckets) {
+  std::vector<Node*> nb(buckets, nullptr);
   for (Node* n : entries_) {
     size_t b = hasher_.Hash(n->key) & (nb.size() - 1);
     n->next = nb[b];
@@ -183,10 +225,7 @@ void RtHashMap::MaybeRehash() {
   buckets_ = std::move(nb);
 }
 
-void RtMultiMap::Add(Slot key, Slot value) { AddAll(key, &value, 1); }
-
-void RtMultiMap::AddAll(Slot key, const Slot* values, size_t count) {
-  if (count == 0) return;
+void RtMultiMap::Add(Slot key, Slot value) {
   RtHashMap::Node* n = map_.Find(key);
   RtList* list;
   if (n == nullptr) {
@@ -196,14 +235,18 @@ void RtMultiMap::AddAll(Slot key, const Slot* values, size_t count) {
   } else {
     list = static_cast<RtList*>(n->value.p);
   }
-  // Per-element push_back, not a ranged insert: the sequential engine grows
-  // the list one row at a time, and vector_bytes must account the exact
-  // same capacity steps (a ranged insert may size the buffer differently).
-  for (size_t i = 0; i < count; ++i) {
-    size_t before = list->items.capacity();
-    list->items.push_back(values[i]);
-    stats_->vector_bytes += (list->items.capacity() - before) * sizeof(Slot);
-  }
+  Append(list, value, stats_);
+}
+
+void RtMultiMap::Append(RtList* list, Slot v, AllocStats* stats) {
+  size_t before = list->items.capacity();
+  list->items.push_back(v);
+  stats->vector_bytes += (list->items.capacity() - before) * sizeof(Slot);
+}
+
+void RtMultiMap::AdoptLists(RtMultiMap& from) {
+  adopted_.push_back(std::move(from.lists_));
+  from.lists_.clear();
 }
 
 RecordHeap::~RecordHeap() {

@@ -142,9 +142,15 @@ class RtHashMap {
     Node* next;
   };
 
+  // The bucket count is a power of two of at least kMinBuckets, so the
+  // hash part Hash(key) & (kMinBuckets - 1) picks a fixed set of buckets at
+  // every table size: the parallel merge (exec/parallel.cc) merges one such
+  // part per task, and parts never share a bucket.
+  static constexpr size_t kMinBuckets = 16;
+
   RtHashMap(const ir::Type* key_type, AllocStats* stats)
       : hasher_(key_type), stats_(stats) {
-    buckets_.assign(16, nullptr);
+    buckets_.assign(kMinBuckets, nullptr);
   }
   ~RtHashMap();
 
@@ -152,10 +158,40 @@ class RtHashMap {
   RtHashMap& operator=(const RtHashMap&) = delete;
 
   // Returns the node for `key`, or nullptr.
-  Node* Find(Slot key) const;
+  Node* Find(Slot key) const { return Find(key, hasher_.Hash(key)); }
+  // The same, for a key whose hasher().Hash is `hash`.
+  Node* Find(Slot key, uint64_t hash) const;
   // Inserts (key must not be present) and returns the new node.
   Node* Insert(Slot key, Slot value);
   size_t size() const { return size_; }
+  const SlotHasher& hasher() const { return hasher_; }
+
+  // The parallel merge (exec/parallel.cc) inserts without Insert, moving
+  // nodes over from morsel-private maps: Release empties a map and hands
+  // its nodes, in entries() order, to the caller, who deletes those it
+  // does not link elsewhere. Reserve grows the bucket array to the count
+  // `n` entries reach through Insert. Link puts node `n`, whose key hashes
+  // to `hash`, at the head of its bucket; tasks linking disjoint hash parts
+  // may run concurrently. Append adds a linked node to entries(), which the
+  // map then owns; accounting it is the caller's. A merge that reserved for
+  // more entries than it kept calls Shrink: if size() entries reach fewer
+  // buckets through Insert, the map takes an empty array of that size and
+  // hands the full one back in `old` (else Shrink returns false), and
+  // Relink moves the chains of hash part `part` of `old` into it, parts
+  // again concurrently.
+  std::vector<Node*> Release();
+  void Reserve(size_t n);
+  void Link(Node* n, uint64_t hash) {
+    Node*& head = buckets_[hash & (buckets_.size() - 1)];
+    n->next = head;
+    head = n;
+  }
+  void Append(Node* n) {
+    entries_.push_back(n);
+    ++size_;
+  }
+  bool Shrink(std::vector<Node*>* old);
+  void Relink(const std::vector<Node*>& old, size_t part);
 
   // In insertion order (deterministic iteration for reproducible output).
   const std::vector<Node*>& entries() const { return entries_; }
@@ -169,7 +205,7 @@ class RtHashMap {
   static size_t EntriesOffsetForJit();
 
  private:
-  void MaybeRehash();
+  void Rehash(size_t buckets);
 
   SlotHasher hasher_;
   AllocStats* stats_;
@@ -191,17 +227,24 @@ class RtMultiMap {
 
   void Add(Slot key, Slot value);
 
-  // Bulk variant for the parallel ordered merge: one key lookup (and at
-  // most one insert) per (key, morsel) instead of one Find per merged
-  // value, so merging a long value chain is O(values) even when the key's
-  // hash chain is long (skewed keys). Appends one value at a time so the
-  // list's capacity growth — and with it AllocStats::vector_bytes — stays
-  // bitwise identical to the sequential per-row Add path.
-  void AddAll(Slot key, const Slot* values, size_t count);
+  // Appends `v` to `list`, accounting its capacity growth to `stats`. Add
+  // grows a list one value at a time, and the parallel merge appends a
+  // morsel's values through this too, so vector_bytes takes the same
+  // capacity steps on every path (a ranged insert may size the buffer
+  // differently).
+  static void Append(RtList* list, Slot v, AllocStats* stats);
 
-  // Key-grouped contents in first-insertion order (the parallel merge walks
-  // worker-local multimaps through this).
+  // Key-grouped contents in first-insertion order; the node values are the
+  // RtList* of each key. The parallel merge builds the main multimap's
+  // keys through the non-const overload.
   const RtHashMap& key_map() const { return map_; }
+  RtHashMap& key_map() { return map_; }
+
+  // Takes ownership of the value lists of `from`, a morsel's private
+  // multimap: the parallel merge points each key that a morsel created
+  // first at that morsel's list and appends the later morsels' values to
+  // it. The lists move as one block, so their addresses stay valid.
+  void AdoptLists(RtMultiMap& from);
 
   // Byte offset of the embedded key map (JIT probe, see RtHashMap).
   static size_t MapOffsetForJit();
@@ -210,6 +253,9 @@ class RtMultiMap {
   RtHashMap map_;
   AllocStats* stats_;
   std::deque<RtList> lists_;
+  // A deque: unlike a vector's, its growth never moves (or, for want of a
+  // noexcept move, copies) the adopted lists.
+  std::deque<std::deque<RtList>> adopted_;
 };
 
 struct GovState;  // exec/governor.h

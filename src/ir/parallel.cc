@@ -615,12 +615,15 @@ class LoopAnalyzer {
       for (const Stmt* h2 : handles) {
         if (h2 != h && handles_.at(h2) == red_idx) return false;
       }
-      // Group arrays log the slot index instead of the record pointer:
-      // replay becomes a direct array load instead of a remap hash lookup.
+      // Group arrays log the slot index instead of the record pointer, so
+      // replay is a direct array load; a map's channel names its
+      // reduction, whose hash parts the merge routes the entries to.
       const ParReduction& red = out_.reductions[red_idx];
       if (red.kind == ParRedKind::kGroupArray) {
         ch.handle = red.group_index;
         ch.array_red = red_idx;
+      } else {
+        ch.map_red = red_idx;
       }
       ch.append_at = last;
       SetAction(last, ParAction::kLog, static_cast<int>(out_.logs.size()));

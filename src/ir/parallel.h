@@ -72,9 +72,11 @@ struct ParLogChannel {
   // Group identification, logged as the entry's first slot: for group
   // arrays the array index (array_red >= 0 names the reduction — replay is
   // a direct load, no hashing); for hash maps the morsel-local record
-  // pointer (replay goes through the merge's pointer remap).
+  // pointer (map_red >= 0 names the kMap reduction whose hash parts the
+  // merge routes the entry to).
   const Stmt* handle = nullptr;     // null for scalar channels
   int array_red = -1;
+  int map_red = -1;
   const Stmt* var = nullptr;        // accumulator variable (scalar channels)
   // Distinct addend statements logged per entry (a statement feeding two
   // sum fields is logged once), and per target field the index of its

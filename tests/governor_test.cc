@@ -88,6 +88,32 @@ const storage::ResultTable& Q18Want() {
   return *want;
 }
 
+// Q10: after an orders bucket-array build, a lineitem aggregation into a
+// hash map keyed by a record, with a record-keyed f64 sum. Q9: first of
+// all, a partsupp multimap build. Both merge by hash part.
+const ir::Function& Q10() {
+  static CompiledQuery* c = CompileLevel5(10);
+  return *c->res.fn;
+}
+const storage::ResultTable& Q10Want() {
+  static storage::ResultTable* want = [] {
+    exec::Interpreter ref(Db(), Opts(InterpOptions::Engine::kBytecode, 1));
+    return new storage::ResultTable(ref.Run(Q10()));
+  }();
+  return *want;
+}
+const ir::Function& Q9() {
+  static CompiledQuery* c = CompileLevel5(9);
+  return *c->res.fn;
+}
+const storage::ResultTable& Q9Want() {
+  static storage::ResultTable* want = [] {
+    exec::Interpreter ref(Db(), Opts(InterpOptions::Engine::kBytecode, 1));
+    return new storage::ResultTable(ref.Run(Q9()));
+  }();
+  return *want;
+}
+
 // A pure compute loop long enough that every engine is still inside it when
 // a few-millisecond deadline expires (while-loop body so the VM/JIT path
 // crosses kJmpSp back edges too).
@@ -337,6 +363,50 @@ TEST(GovernorTest, CancelSweepAcrossArrayReductions) {
         ctl.Reset();
         ExpectBitExact(interp.Run(Q18()), Q18Want(), tag + " rerun");
         fault.Set("gov_trip:" + std::to_string(nth));
+      }
+    }
+  }
+}
+
+// The same sweep over the hash-part merge of maps and multimaps. At SF
+// 0.01, Q10's map loop takes about the 16k-th to the 80k-th poll and Q9's
+// multimap build the first 8k, so every armed occurrence lands before
+// that loop ends — in a morsel, before later morsels start, or earlier in
+// the run. Every run must end kCancelled with no rows: the part tasks
+// merge the morsels that ran and find the skipped ones empty. The rerun
+// on the same Interpreter must be bit-exact.
+TEST(GovernorTest, CancelSweepAcrossHashMapMerges) {
+  ScopedEnv interval("QC_GOV_INTERVAL", "1");
+  struct Case {
+    const char* name;
+    const ir::Function& (*fn)();
+    const storage::ResultTable& (*want)();
+    std::vector<long> nth;
+  };
+  const Case kCases[] = {
+      {"Q10", Q10, Q10Want, {1, 2, 50, 17000, 30000, 50000, 70000}},
+      {"Q9", Q9, Q9Want, {1, 2, 3, 7, 50, 500, 4000, 7000}},
+  };
+  for (const Case& c : kCases) {
+    for (long nth : c.nth) {
+      ScopedEnv fault("QC_FAULT", "gov_trip:" + std::to_string(nth));
+      for (InterpOptions::Engine engine : kEngines) {
+        for (int threads : {1, 2, 4}) {
+          std::string tag = std::string(c.name) + " " + EngineName(engine) +
+                            " threads=" + std::to_string(threads) +
+                            " nth=" + std::to_string(nth);
+          ExecControl ctl;
+          exec::Interpreter interp(Db(), Opts(engine, threads, &ctl));
+          FaultReArm();  // fresh occurrence count per run
+          storage::ResultTable r = interp.Run(c.fn());
+          EXPECT_EQ(interp.last_status().code, QueryStatusCode::kCancelled)
+              << tag;
+          EXPECT_EQ(r.size(), 0u) << tag;
+          fault.Unset();
+          ctl.Reset();
+          ExpectBitExact(interp.Run(c.fn()), c.want(), tag + " rerun");
+          fault.Set("gov_trip:" + std::to_string(nth));
+        }
       }
     }
   }

@@ -175,9 +175,10 @@ TEST(ParallelScalarReductionTest, SumCountMinMaxMatchSequential) {
 }
 
 // Skewed-key multimap build: a handful of hot keys whose value chains span
-// every morsel. Locks the ordered merge's per-key bulk append (one probe
-// per key per morsel, RtMultiMap::AddAll) — the values must recombine in
-// exact sequential row order, with AllocStats to the byte, at every thread
+// every morsel. Locks the hash-part merge's per-key appends (each morsel's
+// values of a key go onto the first creator's list in one pass) — the
+// values must recombine in exact sequential row order, with AllocStats to
+// the byte, at every thread
 // count and for a decomposition into many morsels.
 TEST(ParallelSkewedKeyTest, HotKeyChainsMergeInRowOrder) {
   storage::Database db;
@@ -316,6 +317,140 @@ TEST(ParallelSlotRangeMergeTest, BoundarySlotsFoldInRowOrder) {
                         " morsel=" + std::to_string(morsel);
         ExpectBitExact(got, want, t);
         ExpectStatsEqual(interp.stats(), want_stats, t);
+      }
+    }
+  }
+}
+
+// The hash-part merge of hash maps and multimaps. A map aggregation mixes
+// hot keys hit by every morsel, keys hit a few times and single-row keys.
+// Each group folds an order-sensitive f64 sum (a hot key's rows add 1e17,
+// -1e17, then 1.0 each: in row order the 1.0s survive the cancellation), a
+// min and a max whose candidates tie between -0.0 and 0.0, and an integral
+// count. A second parallel loop aggregates into the same, already filled
+// map, half into keys the first loop made. A multimap gets two or three
+// values for each of 2,500 keys from rows far apart. The map is emitted in
+// iteration order, which shows its entries() order, and the multimap key by
+// key. Rows and AllocStats must match the sequential run bit for bit on
+// both engines, at every thread count and morsel size.
+TEST(ParallelMapMergeTest, KeysMergeByHashPartInRowOrder) {
+  storage::Database db;
+  ir::TypeFactory types;
+  ir::Function fn("hash_parts", &types);
+  ir::Builder b(&fn);
+  const ir::Type* i64 = types.I64();
+  const ir::Type* f64 = types.F64();
+  const ir::Type* agg = types.Record(
+      "Agg", {{"key", i64}, {"sum", f64}, {"mn", f64}, {"mx", f64},
+              {"cnt", i64}});
+  const int64_t kRows = 6000;
+  const int64_t kMMapKeys = 2500;
+  ir::Stmt* map = b.MapNew(i64, agg);
+  ir::Stmt* mm = b.MMapNew(i64, i64);
+  // One row's fold into the group of `key`: f64 sum, guarded min/max over
+  // -0.0/0.0 candidates (c in {0, 1, 2}) and count.
+  auto fold = [&](ir::Stmt* key, ir::Stmt* addend, ir::Stmt* c) {
+    ir::Stmt* h = b.MapGetOrElseUpdate(map, key, [&] {
+      return b.RecNew(agg, {key, b.F64(0.0), b.F64(0.0), b.F64(0.0),
+                            b.I64(0)});
+    });
+    ir::Stmt* lo_cand = b.Mul(b.Cast(b.Sub(c, b.I64(1)), f64), b.F64(0.0));
+    ir::Stmt* hi_cand = b.Mul(b.Cast(b.Sub(b.I64(1), c), f64), b.F64(0.0));
+    ir::Stmt* n0 = b.RecGet(h, 4);
+    ir::Stmt* zero = b.I64(0);
+    b.If(b.Or(b.Eq(n0, zero), b.Lt(lo_cand, b.RecGet(h, 2))),
+         [&] { b.RecSet(h, 2, lo_cand); });
+    b.If(b.Or(b.Eq(n0, zero), b.Gt(hi_cand, b.RecGet(h, 3))),
+         [&] { b.RecSet(h, 3, hi_cand); });
+    b.RecSet(h, 1, b.Add(b.RecGet(h, 1), addend));
+    b.RecSet(h, 4, b.Add(n0, b.I64(1)));
+  };
+  b.ForRange(b.I64(0), b.I64(kRows), [&](ir::Stmt* i) {
+    // r == 0: hot key i % 3; r == 1: key 10 + i % 997, hit once or twice;
+    // r >= 2: single-row key 2000 + i.
+    ir::Stmt* r = b.Mod(i, b.I64(4));
+    ir::Stmt* one = b.I64(1);
+    ir::Stmt* hot = b.Sub(one, b.Div(b.Add(r, b.I64(3)), b.I64(4)));
+    ir::Stmt* single = b.Div(b.Add(r, b.I64(2)), b.I64(4));
+    ir::Stmt* med = b.Sub(b.Sub(one, hot), single);
+    ir::Stmt* key = b.Add(
+        b.Add(b.Mul(hot, b.Mod(i, b.I64(3))),
+              b.Mul(med, b.Add(b.I64(10), b.Mod(i, b.I64(997))))),
+        b.Mul(single, b.Add(b.I64(2000), i)));
+    // A hot key's t-th row adds 1e17, -1e17, then 1.0 (t = i / 12 < 1000);
+    // every other row adds 1e17.
+    ir::Stmt* t = b.Mul(hot, b.Div(i, b.I64(12)));
+    ir::Stmt* ge1 = b.Div(b.Add(t, b.I64(999)), b.I64(1000));
+    ir::Stmt* ge2 = b.Div(b.Add(t, b.I64(998)), b.I64(1000));
+    ir::Stmt* big = b.I64(100000000000000000);
+    ir::Stmt* addend = b.Cast(
+        b.Add(b.Mul(b.Sub(b.Sub(one, ge1), b.Sub(ge1, ge2)), big), ge2),
+        f64);
+    fold(key, addend, b.Mod(i, b.I64(3)));
+  });
+  b.ForRange(b.I64(0), b.I64(kRows / 2), [&](ir::Stmt* j) {
+    // Even rows: keys 0..49 (the hot keys, medium keys and keys 3..9,
+    // which the first loop never made); odd rows: new single-row keys.
+    ir::Stmt* odd = b.Mod(j, b.I64(2));
+    ir::Stmt* key =
+        b.Add(b.Mul(b.Sub(b.I64(1), odd), b.Mod(b.Div(j, b.I64(2)), b.I64(50))),
+              b.Mul(odd, b.Add(b.I64(100000), j)));
+    ir::Stmt* addend =
+        b.Mul(b.Cast(b.Sub(b.Mod(j, b.I64(7)), b.I64(3)), f64), b.F64(0.1));
+    fold(key, addend, b.Mod(j, b.I64(3)));
+  });
+  b.ForRange(b.I64(0), b.I64(kRows), [&](ir::Stmt* i) {
+    b.MMapAdd(mm, b.Mod(b.Mul(i, b.I64(7)), b.I64(kMMapKeys)),
+              b.Mul(i, b.I64(3)));
+  });
+  b.MapForeach(map, [&](ir::Stmt* k, ir::Stmt* v) {
+    b.EmitRow({k, b.RecGet(v, 1), b.RecGet(v, 2), b.RecGet(v, 3),
+               b.RecGet(v, 4)});
+  });
+  b.ForRange(b.I64(0), b.I64(kMMapKeys), [&](ir::Stmt* k) {
+    ir::Stmt* vals = b.MMapGetOrNull(mm, k);
+    b.If(b.Not(b.IsNull(vals)), [&] {
+      b.ListForeach(vals, [&](ir::Stmt* v) {
+        b.EmitRow({k, b.Cast(v, f64), b.F64(0.0), b.F64(0.0), v});
+      });
+    });
+  });
+
+  // Both aggregation loops qualify with the map reduction and a
+  // record-keyed f64 channel; the build loop with the multimap.
+  ir::ParallelInfo info = ir::AnalyzeParallelism(fn);
+  ASSERT_GE(info.loops.size(), 3u);
+  for (int l = 0; l < 2; ++l) {
+    const ir::ParLoop& pl = info.loops[l];
+    ASSERT_EQ(pl.reductions.size(), 1u) << "loop " << l;
+    const ir::ParReduction& red = pl.reductions[0];
+    ASSERT_EQ(red.kind, ir::ParRedKind::kMap) << "loop " << l;
+    EXPECT_EQ(red.fields[1], ir::ParFold::kSumF);
+    EXPECT_EQ(red.fields[2], ir::ParFold::kMin);
+    EXPECT_EQ(red.fields[3], ir::ParFold::kMax);
+    EXPECT_EQ(red.fields[4], ir::ParFold::kSumI);
+    ASSERT_EQ(pl.logs.size(), 1u) << "loop " << l;
+    EXPECT_EQ(pl.logs[0].map_red, 0) << "loop " << l;
+  }
+  ASSERT_EQ(info.loops[2].reductions.size(), 1u);
+  EXPECT_EQ(info.loops[2].reductions[0].kind, ir::ParRedKind::kMMap);
+
+  exec::Interpreter ref(&db, Opts(InterpOptions::Engine::kBytecode, 1));
+  storage::ResultTable want = ref.Run(fn);
+  // Every map group and every multimap value is a row.
+  ASSERT_EQ(want.size(), static_cast<size_t>(3 + 997 + 3000 + 7 + 1500 +
+                                             kRows));
+  exec::AllocStats want_stats = ref.stats();
+  for (InterpOptions::Engine engine : kEngines) {
+    for (int threads : {1, 2, 3, 4}) {
+      for (int64_t morsel : {1, 7, 777}) {
+        exec::Interpreter interp(&db, Opts(engine, threads, morsel));
+        storage::ResultTable got = interp.Run(fn);
+        std::string tag = std::string(EngineName(engine)) +
+                          " threads=" + std::to_string(threads) +
+                          " morsel=" + std::to_string(morsel);
+        ExpectBitExact(got, want, tag);
+        ExpectStatsEqual(interp.stats(), want_stats, tag);
       }
     }
   }

@@ -10,6 +10,8 @@
 // execution.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -369,15 +371,17 @@ struct CompiledQuery {
   compiler::CompileResult res;
 };
 
+CompiledQuery* CompileLevel5(int q) {
+  auto* h = new CompiledQuery();
+  qplan::PlanPtr plan = tpch::MakeQuery(q);
+  qplan::ResolvePlan(plan.get(), *Db());
+  QueryCompiler qc(Db(), &h->types);
+  h->res = qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(q));
+  return h;
+}
+
 const ir::Function& Q1() {
-  static CompiledQuery* c = [] {
-    auto* h = new CompiledQuery();
-    qplan::PlanPtr plan = tpch::MakeQuery(1);
-    qplan::ResolvePlan(plan.get(), *Db());
-    QueryCompiler qc(Db(), &h->types);
-    h->res = qc.Compile(*plan, StackConfig::Level(5), "q1");
-    return h;
-  }();
+  static CompiledQuery* c = CompileLevel5(1);
   return *c->res.fn;
 }
 
@@ -430,6 +434,54 @@ TEST(TraceEndToEnd, TracedRunIsBitExact) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t r = 0; r < got.size(); ++r) {
     EXPECT_EQ(got.RowToString(r), want.RowToString(r)) << "row " << r;
+  }
+}
+
+// The integer arg `key` of one trace event's JSON text, or -1.
+int64_t EventArg(const std::string& event, const std::string& key) {
+  size_t at = event.find("\"" + key + "\":");
+  if (at == std::string::npos) return -1;
+  return std::strtoll(event.c_str() + at + key.size() + 3, nullptr, 10);
+}
+
+// The par_loop span's `touched` arg is the merge-work ruler: array slots
+// folded, plus map entries and multimap keys merged by hash part. Pinned
+// for one map loop (Q10's lineitem aggregation by customer: every morsel's
+// entries) and one multimap loop (Q9's partsupp build: one key per row),
+// at SF 0.01, level 5, 4 threads and 256-row morsels. The counts follow
+// from the morsel size alone, not from the scheduling.
+TEST(TraceEndToEnd, ParLoopTouchedCountsHashPartMerges) {
+  struct Case {
+    int q;
+    int64_t rows;     // the loop's row count, which identifies it
+    int64_t touched;  // its map entries or multimap keys merged
+  };
+  for (const Case& c : {Case{10, 60148, 526}, Case{9, 8000, 8000}}) {
+    std::unique_ptr<CompiledQuery> compiled(CompileLevel5(c.q));
+    const ir::Function& fn = *compiled->res.fn;
+    InterpOptions o;
+    o.engine = InterpOptions::Engine::kJit;
+    o.num_threads = 4;
+    o.morsel_rows = 256;
+    exec::Interpreter interp(Db(), o);
+    uint64_t s = telemetry::TraceBeginSession();
+    {
+      telemetry::TraceScope scope(s);
+      interp.Run(fn);
+    }
+    std::string json = telemetry::TraceEndSession(s);
+    int64_t touched = -1;
+    const std::string kName = "\"name\":\"par_loop\"";
+    for (size_t at = json.find(kName); at != std::string::npos;
+         at = json.find(kName, at + 1)) {
+      std::string event = json.substr(at, json.find('}', at) - at);
+      if (EventArg(event, "rows") == c.rows) {
+        EXPECT_EQ(touched, -1) << "Q" << c.q << ": two loops of "
+                               << c.rows << " rows";
+        touched = EventArg(event, "touched");
+      }
+    }
+    EXPECT_EQ(touched, c.touched) << "Q" << c.q;
   }
 }
 
