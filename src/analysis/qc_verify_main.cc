@@ -6,7 +6,10 @@
 //                          program (src/analysis/bc_verify.h) and audit
 //                          every stitched JIT image
 //                          (src/analysis/jit_audit.h); print a violation
-//                          report; exit non-zero on any violation.
+//                          report and, per program, the top-level loops
+//                          left sequential with what rejected them
+//                          (ir::FormatRejections); exit non-zero on any
+//                          violation.
 //   qc_verify --self-test  run the mutation suite (src/analysis/
 //                          mutations.h): deliberately corrupted programs
 //                          and images must each be rejected with the
@@ -75,6 +78,10 @@ size_t VerifyOne(storage::Database* db, const ir::Function& fn,
     std::printf("ok   %s (%zu insns, %d native)\n", tag.c_str(),
                 prog.code.size(), stitched.num_native);
   }
+  // Why not parallel: one line per loop the analysis left sequential.
+  const std::string seq =
+      ir::FormatRejections(par, "     " + tag + " sequential loop ");
+  std::printf("%s", seq.c_str());
   return bad;
 }
 

@@ -1,5 +1,7 @@
 #include "common/str.h"
 
+#include <cstring>
+
 namespace qc {
 
 bool StrStartsWith(std::string_view s, std::string_view prefix) {
@@ -30,26 +32,28 @@ std::vector<std::string> SplitLike(std::string_view pattern) {
   return segments;
 }
 
-bool StrLike(std::string_view s, std::string_view pattern) {
+bool StrLike(const char* s, std::string_view pattern) {
   return StrLikeSegs(s, SplitLike(pattern));
 }
 
-bool StrLikeSegs(std::string_view s, const std::vector<std::string>& segs) {
+bool StrLikeSegs(const char* s, const std::vector<std::string>& segs) {
   // segs has k+1 entries for k '%' wildcards. First segment is anchored at
   // the start, last at the end, middles must appear in order.
-  if (segs.size() == 1) return s == segs[0];
-  if (!StrStartsWith(s, segs.front())) return false;
-  size_t pos = segs.front().size();
+  if (segs.size() == 1) return std::strcmp(s, segs[0].c_str()) == 0;
+  const std::string& first = segs.front();
+  if (std::strncmp(s, first.c_str(), first.size()) != 0) return false;
+  const char* pos = s + first.size();
   for (size_t i = 1; i + 1 < segs.size(); ++i) {
     if (segs[i].empty()) continue;
-    size_t found = s.find(segs[i], pos);
-    if (found == std::string_view::npos) return false;
+    const char* found = std::strstr(pos, segs[i].c_str());
+    if (found == nullptr) return false;
     pos = found + segs[i].size();
   }
   const std::string& last = segs.back();
   if (last.empty()) return true;
-  if (s.size() < pos + last.size()) return false;
-  return s.substr(s.size() - last.size()) == last;
+  size_t rest = std::strlen(pos);
+  if (rest < last.size()) return false;
+  return std::memcmp(pos + rest - last.size(), last.data(), last.size()) == 0;
 }
 
 }  // namespace qc

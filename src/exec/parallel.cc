@@ -1,5 +1,6 @@
 #include "exec/parallel.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +26,13 @@ constexpr int64_t kOrderedMergeRatio = 8;
 
 // Chunks of consecutive morsels per thread in a loop with a ranged array.
 constexpr int64_t kChunksPerThread = 2;
+
+// A loop with an inner loop (ir::ParLoop::nested) costs many rows' work per
+// row, so it is cut into at least kNestedMorselsPerThread morsels per
+// thread, each of at least kMinNestedMorselRows rows. A loop that already
+// has that many morsels keeps morsel_rows.
+constexpr int64_t kNestedMorselsPerThread = 2;
+constexpr int64_t kMinNestedMorselRows = 512;
 
 // Hash parts of the map and multimap merge. A key's part is its hash &
 // (kHashParts - 1), and every bucket index of the main table keeps those
@@ -898,7 +906,12 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
   int64_t lo = regs[plc.src_lo_reg].i;
   int64_t hi = regs[plc.src_hi_reg].i;
   int64_t rows = hi - lo;
+  const int threads = eng.pool.threads();
   int64_t mr = eng.morsel_rows < 1 ? 1 : eng.morsel_rows;
+  if (plan.nested) {
+    mr = std::min(mr, std::max(kMinNestedMorselRows,
+                               rows / (kNestedMorselsPerThread * threads)));
+  }
   if (rows < 2 * mr) return false;
 
   // Adaptive tail sizing: the final ~eighth of the iteration space is cut
@@ -944,7 +957,6 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
   // private arrays across its morsels, so a group is created, compacted
   // and folded once per chunk rather than once per morsel. Every other
   // loop runs one morsel per task.
-  const int threads = eng.pool.threads();
   int64_t chunk = 1;
   if (has_ranged) {
     chunk = num_morsels / (kChunksPerThread * threads);

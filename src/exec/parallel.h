@@ -3,7 +3,10 @@
 //
 // A qualifying top-level scan loop (ir/parallel.h decides which qualify) is
 // split into fixed-size row-range morsels pulled work-stealing-style off a
-// shared counter by a persistent worker pool. Each morsel runs the
+// shared counter by a persistent worker pool. A loop whose body holds an
+// inner loop (ir::ParLoop::nested) costs many rows' work per row, so its
+// morsels shrink to min(morsel_rows, max(512, rows / (2 * threads))) rows:
+// at least two per thread, unless that would cut them under 512 rows. Each morsel runs the
 // unmodified loop body against *private* state: a private register file,
 // RunState (RecordHeap, runtime containers, result table), AllocStats, and
 // private instances of every reduction object (hash maps, lists,
@@ -237,7 +240,8 @@ struct Engine {
 // order, then merges the ranged arrays by slot range and the maps and
 // multimaps by hash part on the pool.
 // Returns false (without executing anything) when the loop should just run
-// sequentially: too few rows for two morsels, or the private arrays of all
+// sequentially: too few rows for two morsels (of the nested-loop size when
+// the body holds an inner loop), or the private arrays of all
 // threads would exceed their budget. A governed run whose control trips
 // skips its still-unstarted morsels (their empty states merge as no-ops,
 // keeping the orchestration and Wait() protocol intact).

@@ -1,9 +1,11 @@
 #include "ir/parallel.h"
 
+#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "ir/numbering.h"
+#include "ir/ops.h"
 
 namespace qc::ir {
 
@@ -42,6 +44,37 @@ bool IsPureOp(Op op) {
   }
 }
 
+// Ops whose value depends on their arguments and payload alone, never on
+// mutable state: two of them over equal arguments yield equal values.
+bool IsValueOp(Op op) {
+  switch (op) {
+    case Op::kVarRead: case Op::kRecGet: case Op::kArrGet: case Op::kArrLen:
+    case Op::kListSize: case Op::kListGet:
+    case Op::kMapGetOrNull: case Op::kMapSize: case Op::kMMapGetOrNull:
+      return false;
+    default:
+      return IsPureOp(op);
+  }
+}
+
+// Structural equality of two value statements: the same op, type and
+// payload over structurally equal arguments, so constants compare by
+// value. Block parameters are equal only to themselves.
+bool SameValue(const Stmt* a, const Stmt* b) {
+  if (a == b) return true;
+  if (IsParam(a) || IsParam(b)) return false;
+  if (a->op != b->op || a->type != b->type || !IsValueOp(a->op)) return false;
+  if (a->ival != b->ival || a->sval != b->sval || a->aux0 != b->aux0 ||
+      a->aux1 != b->aux1 || a->args.size() != b->args.size() ||
+      std::memcmp(&a->fval, &b->fval, sizeof(double)) != 0) {
+    return false;
+  }
+  for (size_t i = 0; i < a->args.size(); ++i) {
+    if (!SameValue(a->args[i], b->args[i])) return false;
+  }
+  return true;
+}
+
 // Analyzes one top-level kForRange. Builds the ParLoop incrementally and
 // reports failure (-> sequential execution) on the first unrecognized
 // effect.
@@ -51,19 +84,32 @@ class LoopAnalyzer {
                const Stmt* loop)
       : fn_(fn), uses_(uses), loop_(loop) {}
 
-  bool Run(ParLoop* out) {
+  // On failure fills `why` with the statement or post-pass that rejected
+  // the loop.
+  bool Run(ParLoop* out, ParReject* why) {
     out_.loop = loop_;
     out_.actions.assign(fn_.num_stmts(), ParAction::kNormal);
     out_.action_channel.assign(fn_.num_stmts(), -1);
     MarkInLoop(loop_->blocks[0]);
-    if (!Walk(loop_->blocks[0])) return false;
-    if (!BuildChannels()) return false;
-    if (!ValidateGuards()) return false;
-    if (!ValidateInits()) return false;
-    if (!ValidateReads(loop_->blocks[0])) return false;
-    if (out_.reductions.empty() && !out_.has_emit) return false;
-    *out = std::move(out_);
-    return true;
+    *why = ParReject{loop_, nullptr, nullptr};
+    if (!Walk(loop_->blocks[0])) {
+      why->at = failed_;
+      why->rule = "visit";
+    } else if (!BuildChannels()) {
+      why->rule = "channels";
+    } else if (!ValidateGuards()) {
+      why->rule = "guards";
+    } else if (!ValidateInits()) {
+      why->rule = "inits";
+    } else if (!ValidateReads(loop_->blocks[0])) {
+      why->rule = "reads";
+    } else if (out_.reductions.empty() && !out_.has_emit) {
+      why->rule = "no-effect";
+    } else {
+      *out = std::move(out_);
+      return true;
+    }
+    return false;
   }
 
  private:
@@ -115,7 +161,10 @@ class LoopAnalyzer {
   bool Walk(const Block* b) {
     for (const Stmt* s : b->stmts) {
       parent_[s] = b;
-      if (!Visit(s)) return false;
+      if (!Visit(s)) {
+        failed_ = s;
+        return false;
+      }
       for (const Block* nb : s->blocks) {
         // Blocks of a matched group-create kIf were fully consumed by the
         // matcher; walking them again would reject the claimed kArrSet.
@@ -217,6 +266,7 @@ class LoopAnalyzer {
       case Op::kMapForeach:
         // Safe iff the iterated container passes read validation and the
         // nested statements pass this walk (handled by the caller).
+        out_.nested = true;
         return true;
 
       default:
@@ -258,6 +308,8 @@ class LoopAnalyzer {
       } else if (out_.reductions[idx].kind != ParRedKind::kVarSumI) {
         return false;
       }
+      partials_.insert(read);
+      partials_.insert(val);
     }
     Claim(read);
     Claim(val);
@@ -368,7 +420,13 @@ class LoopAnalyzer {
     ParReduction& red = out_.reductions[red_idx];
     int f = set->aux0;
     if (f < 0 || f >= static_cast<int>(red.fields.size())) return false;
-    if (red.fields[f] != ParFold::kKeepFirst) return false;
+    bool is_f = red.field_is_f64[f];
+    // An integral sum field takes any number of stores (a second create
+    // site folds into it too); every other fold owns its field alone.
+    if (red.fields[f] != ParFold::kKeepFirst &&
+        (is_f || red.fields[f] != ParFold::kSumI)) {
+      return false;
+    }
     const Stmt* val = set->args[1];
     if (val->op != Op::kAdd || !InLoop(val)) return false;
     const Stmt* get = nullptr;
@@ -384,7 +442,6 @@ class LoopAnalyzer {
       }
     }
     if (get == nullptr) return false;
-    bool is_f = red.field_is_f64[f];
     if (is_f) {
       if (uses_[get->id] != 1 || uses_[val->id] != 1) return false;
       f64_sets_.push_back(F64Set{set, get, val, addend, h, nullptr, f});
@@ -392,6 +449,8 @@ class LoopAnalyzer {
     } else {
       red.fields[f] = ParFold::kSumI;
       field_sum_sets_.emplace_back(h, f, parent_.at(set));
+      partials_.insert(get);
+      partials_.insert(val);
     }
     Claim(get);
     Claim(val);
@@ -437,29 +496,45 @@ class LoopAnalyzer {
     if (size == nullptr || size->op != Op::kConst || IsParam(size)) {
       return false;
     }
-    if (FindReduction(arr) >= 0) return false;
-    ParReduction* r = Register(ParRedKind::kGroupArray, arr);
-    r->size = size;
-    r->group_index = idx;
-    r->pool_rec = rec->op == Op::kPoolRecNew;
-    r->fields.assign(elem->record->fields.size(), ParFold::kKeepFirst);
-    r->field_is_f64.resize(elem->record->fields.size());
-    for (size_t i = 0; i < elem->record->fields.size(); ++i) {
-      r->field_is_f64[i] =
-          elem->record->fields[i].type->kind == TypeKind::kF64;
+    int red_idx = FindReduction(arr);
+    if (red_idx < 0) {
+      ParReduction* r = Register(ParRedKind::kGroupArray, arr);
+      r->size = size;
+      r->group_index = idx;
+      r->pool_rec = rec->op == Op::kPoolRecNew;
+      r->fields.assign(elem->record->fields.size(), ParFold::kKeepFirst);
+      r->field_is_f64.resize(elem->record->fields.size());
+      for (size_t i = 0; i < elem->record->fields.size(); ++i) {
+        r->field_is_f64[i] =
+            elem->record->fields[i].type->kind == TypeKind::kF64;
+      }
+      red_idx = static_cast<int>(out_.reductions.size() - 1);
+      group_inits_[red_idx] = rec;
+    } else {
+      // A second create site (an outer join's count creates the group in
+      // the match loop and again after it when no row matched) joins the
+      // reduction when it creates the same record in the same slot: the
+      // same allocation over the same init arguments, at a slot index
+      // structurally equal to the first site's, so the merge need not know
+      // which site created a group.
+      const ParReduction& r = out_.reductions[red_idx];
+      if (r.kind != ParRedKind::kGroupArray) return false;
+      const Stmt* first = group_inits_.at(red_idx);
+      if (rec->op != first->op || rec->args != first->args ||
+          !SameValue(idx, r.group_index)) {
+        return false;
+      }
+      multi_site_.insert(red_idx);
     }
-    group_inits_[out_.reductions.size() - 1] = rec;
     init_recs_.insert(rec);
     // Every arr_get(arr, idx) in the iteration is a handle to the group
     // record; field clusters attach through MatchFieldSum / MatchMinMax.
-    RegisterArrayHandles(loop_->blocks[0], arr, idx,
-                         static_cast<int>(out_.reductions.size() - 1));
+    RegisterArrayHandles(loop_->blocks[0], arr, idx, red_idx);
     Claim(isnull);
     Claim(g0);
     Claim(rec);
     Claim(store);
-    SetAction(store, ParAction::kTouch,
-              static_cast<int>(out_.reductions.size() - 1));
+    SetAction(store, ParAction::kTouch, red_idx);
     consumed_blocks_.insert(ifs->blocks[0]);
     if (ifs->blocks.size() > 1) consumed_blocks_.insert(ifs->blocks[1]);
     // The then-block statements still need parents for later checks.
@@ -651,7 +726,11 @@ class LoopAnalyzer {
         has_minmax |= (f == ParFold::kMin || f == ParFold::kMax);
       }
       if (has_minmax) {
-        if (r.n_field < 0 || r.fields[r.n_field] != ParFold::kSumI) {
+        // A count bumped by a create site without the min/max guard would
+        // let the merge fold a record's untouched init value as a
+        // candidate, so min/max needs a single create site.
+        if (r.n_field < 0 || r.fields[r.n_field] != ParFold::kSumI ||
+            multi_site_.count(static_cast<int>(i)) != 0) {
           return false;
         }
       }
@@ -698,15 +777,17 @@ class LoopAnalyzer {
   }
 
   // No statement outside the recognized clusters may touch a privatized
-  // target, a group-record handle, an init record, or a skipped statement.
+  // target, a group-record handle, an init record, an integral sum's
+  // morsel-partial read or add, or a skipped statement.
   bool ValidateReads(const Block* b) {
     for (const Stmt* s : b->stmts) {
       bool s_claimed = Claimed(s);
       ParAction sa = out_.actions[s->id];
       for (const Stmt* a : s->args) {
         if (!s_claimed && FindReduction(a) >= 0) return false;
-        if (!s_claimed && (handles_.count(a) != 0 ||
-                           init_recs_.count(a) != 0)) {
+        if (!s_claimed &&
+            (handles_.count(a) != 0 || init_recs_.count(a) != 0 ||
+             partials_.count(a) != 0)) {
           return false;
         }
         if (sa == ParAction::kNormal && !s_claimed && InLoop(a) &&
@@ -733,6 +814,11 @@ class LoopAnalyzer {
   std::unordered_map<const Stmt*, const Block*> parent_;
   std::unordered_map<const Stmt*, int> handles_;   // handle stmt -> reduction
   std::unordered_map<int, const Stmt*> group_inits_;  // reduction -> rec
+  std::unordered_set<int> multi_site_;  // group arrays with two create sites
+  // Reads and adds of integral sums: in a morsel they see the morsel's
+  // partial sum, not the running total.
+  std::unordered_set<const Stmt*> partials_;
+  const Stmt* failed_ = nullptr;        // the statement Visit rejected
   std::vector<std::pair<int, const Block*>> minmax_guard_blocks_;
   std::vector<const Stmt*> rec_minmax_handles_;
   // (handle, field, block) of every integral-sum store on a group record.
@@ -749,9 +835,27 @@ ParallelInfo AnalyzeParallelism(const Function& fn) {
     if (s->op != Op::kForRange) continue;
     LoopAnalyzer analyzer(fn, uses, s);
     ParLoop pl;
-    if (analyzer.Run(&pl)) info.loops.push_back(std::move(pl));
+    ParReject why;
+    if (analyzer.Run(&pl, &why)) {
+      info.loops.push_back(std::move(pl));
+    } else {
+      info.rejected.push_back(why);
+    }
   }
   return info;
+}
+
+std::string FormatRejections(const ParallelInfo& info,
+                             const std::string& prefix) {
+  std::string out;
+  for (const ParReject& r : info.rejected) {
+    out += prefix + "x" + std::to_string(r.loop->id) + " " + r.rule;
+    if (r.at != nullptr) {
+      out += " at x" + std::to_string(r.at->id) + " " + OpName(r.at->op);
+    }
+    out += "\n";
+  }
+  return out;
 }
 
 }  // namespace qc::ir

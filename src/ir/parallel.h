@@ -32,11 +32,15 @@
 //
 // Group and bucket arrays are direct-addressed, so their merge works slot
 // by slot: the stores that fill a private array are marked kTouch, and the
-// executors fold only the logged slots, each slot in morsel order.
+// executors fold only the logged slots, each slot in morsel order. A group
+// array may have two create sites (an outer join's count creates its group
+// in the match loop and again after it when no row matched) when both
+// create the same record in the same slot; each site's store is kTouch.
 #ifndef QC_IR_PARALLEL_H_
 #define QC_IR_PARALLEL_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ir/stmt.h"
@@ -127,14 +131,29 @@ struct ParLoop {
   std::vector<ParReduction> reductions;
   std::vector<ParLogChannel> logs;
   bool has_emit = false;
+  // The body contains an inner loop, so a row may cost many rows' work
+  // (Q13: a customer and an index probe over its orders); the runtime
+  // sizes such a loop's morsels by its row and thread counts.
+  bool nested = false;
   // Indexed by statement id (size = Function::num_stmts() at analysis time).
   std::vector<ParAction> actions;
   // kLog -> addend channel index, kTouch -> reduction index, else -1.
   std::vector<int> action_channel;
 };
 
+// Why a top-level kForRange runs sequentially: the statement whose visit
+// failed (rule "visit"), or the post-pass that rejected the loop
+// ("channels", "guards", "inits", "reads"; "no-effect" when the body has
+// no reduction and no emit).
+struct ParReject {
+  const Stmt* loop = nullptr;
+  const Stmt* at = nullptr;  // rule "visit" only
+  const char* rule = nullptr;
+};
+
 struct ParallelInfo {
   std::vector<ParLoop> loops;
+  std::vector<ParReject> rejected;  // every other top-level kForRange
 
   const ParLoop* Find(const Stmt* loop) const {
     for (const ParLoop& pl : loops) {
@@ -147,6 +166,11 @@ struct ParallelInfo {
 // Analyzes every top-level kForRange of `fn`. Loops absent from the result
 // must run sequentially. `fn` must be verified and densely numbered.
 ParallelInfo AnalyzeParallelism(const Function& fn);
+
+// The "why not parallel" listing: one line per rejected loop,
+// "<prefix>x<loop> <rule>" plus " at x<id> <op>" for a failed visit.
+std::string FormatRejections(const ParallelInfo& info,
+                             const std::string& prefix = "");
 
 }  // namespace qc::ir
 

@@ -481,7 +481,7 @@ constexpr int kGoldenJitCounts[tpch::kNumQueries] = {
     193,  // Q10
     297,  // Q11
     156,  // Q12
-    109,  // Q13
+    160,  // Q13
     62,  // Q14
     250,  // Q15
     156,  // Q16

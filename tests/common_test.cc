@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "cgen/qc_runtime.h"
 #include "common/arena.h"
 #include "common/backoff.h"
 #include "common/date.h"
@@ -21,8 +22,11 @@
 #include "common/rng.h"
 #include "common/str.h"
 #include "jit/engine.h"
+#include "qplan/plan.h"
 #include "scoped_env.h"
 #include "server/server.h"
+#include "storage/database.h"
+#include "volcano/volcano.h"
 
 namespace qc {
 namespace {
@@ -113,6 +117,74 @@ TEST(StrHelpers, PrefixSuffixInfix) {
   EXPECT_FALSE(StrEndsWith("BRASS", "ECONOMY ANODIZED BRASS"));
   EXPECT_TRUE(StrContains("dark green ivory", "green"));
   EXPECT_FALSE(StrContains("dark grey ivory", "green"));
+}
+
+// The LIKE edge sweep: the one matching core of the VM and the JIT
+// (StrLikeSegs over the pattern split once, as the bytecode compiler does),
+// the generated C's qc_str_like and the Volcano oracle must all give the
+// SQL answer on the '%'-dialect's edge shapes: empty segments, segments
+// that overlap in the text, patterns longer than the text, '%' alone, no
+// '%', and an anchored prefix and suffix that overlap.
+TEST(StrLikeEdgeSweep, RuntimeGeneratedCAndVolcanoAgree) {
+  const char* kTexts[] = {"", "a", "aa", "ab", "aba", "abab", "abba",
+                          "abc", "abcc", "ba", "xabcx"};
+  struct Case {
+    const char* pattern;
+    std::vector<const char*> matches;  // the texts it matches
+  };
+  const Case kCases[] = {
+      // '%' only, and no '%' at all.
+      {"%", {"", "a", "aa", "ab", "aba", "abab", "abba", "abc", "abcc", "ba",
+             "xabcx"}},
+      {"", {""}},
+      {"ab", {"ab"}},
+      // Empty segments: adjacent and repeated '%'s.
+      {"%%", {"", "a", "aa", "ab", "aba", "abab", "abba", "abc", "abcc",
+              "ba", "xabcx"}},
+      {"a%%c", {"abc", "abcc"}},
+      {"%%b%%", {"ab", "aba", "abab", "abba", "abc", "abcc", "ba", "xabcx"}},
+      // Middle segments must not overlap each other or the suffix.
+      {"%ab%ba%", {"abba"}},
+      {"%bc%c", {"abcc"}},
+      {"ab%bc%", {}},
+      // Anchored prefix and suffix that overlap in short texts.
+      {"ab%ba", {"abba"}},
+      {"a%a", {"aa", "aba", "abba"}},
+      {"ab%b", {"abab"}},
+      // Patterns longer than every text.
+      {"abcabc", {}},
+      {"%abcabc%", {}},
+      {"abcab%", {}},
+      {"%cabcc", {}},
+  };
+
+  storage::Database db;
+  storage::TableDef def;
+  def.name = "T";
+  def.columns = {{"s", storage::ColType::kStr}};
+  storage::Table* t = db.AddTable(def);
+  for (const char* text : kTexts) {
+    t->column(0).data.push_back(SlotS(t->InternString(text)));
+  }
+  for (const Case& c : kCases) {
+    const std::vector<std::string> segs = SplitLike(c.pattern);
+    qplan::PlanPtr plan = qplan::ProjectOp(
+        qplan::ScanOp("T"),
+        {{"m", qplan::Like(qplan::Col("s"), c.pattern)}});
+    qplan::ResolvePlan(plan.get(), db);
+    storage::ResultTable volcano_out = volcano::Execute(*plan, db);
+    ASSERT_EQ(volcano_out.size(), std::size(kTexts)) << c.pattern;
+    for (size_t i = 0; i < std::size(kTexts); ++i) {
+      const char* text = kTexts[i];
+      bool want = false;
+      for (const char* m : c.matches) want |= std::strcmp(m, text) == 0;
+      const std::string tag =
+          std::string("'") + text + "' LIKE '" + c.pattern + "'";
+      EXPECT_EQ(StrLikeSegs(text, segs), want) << tag << " (runtime)";
+      EXPECT_EQ(qc_str_like(text, c.pattern) != 0, want) << tag << " (cgen)";
+      EXPECT_EQ(volcano_out.row(i)[0].i != 0, want) << tag << " (volcano)";
+    }
+  }
 }
 
 TEST(Arena, AllocatesAlignedAndTracks) {

@@ -114,6 +114,20 @@ const storage::ResultTable& Q9Want() {
   return *want;
 }
 
+// Q13: the customer loop has an inner loop per row (an index probe over
+// the customer's orders) and two create sites of one group array.
+const ir::Function& Q13() {
+  static CompiledQuery* c = CompileLevel5(13);
+  return *c->res.fn;
+}
+const storage::ResultTable& Q13Want() {
+  static storage::ResultTable* want = [] {
+    exec::Interpreter ref(Db(), Opts(InterpOptions::Engine::kBytecode, 1));
+    return new storage::ResultTable(ref.Run(Q13()));
+  }();
+  return *want;
+}
+
 // A pure compute loop long enough that every engine is still inside it when
 // a few-millisecond deadline expires (while-loop body so the VM/JIT path
 // crosses kJmpSp back edges too).
@@ -368,13 +382,16 @@ TEST(GovernorTest, CancelSweepAcrossArrayReductions) {
   }
 }
 
-// The same sweep over the hash-part merge of maps and multimaps. At SF
-// 0.01, Q10's map loop takes about the 16k-th to the 80k-th poll and Q9's
-// multimap build the first 8k, so every armed occurrence lands before
-// that loop ends — in a morsel, before later morsels start, or earlier in
-// the run. Every run must end kCancelled with no rows: the part tasks
-// merge the morsels that ran and find the skipped ones empty. The rerun
-// on the same Interpreter must be bit-exact.
+// The same sweep over the hash-part merge of maps and multimaps, and over
+// a loop with an inner loop. At SF 0.01, Q10's map loop takes about the
+// 16k-th to the 80k-th poll, Q9's multimap build the first 8k, and Q13's
+// customer loop, whose inner back edges poll too, the first 16.5k, so
+// every armed occurrence lands before that loop ends — in a morsel (for
+// Q13, in its inner loop), before later morsels start, or earlier in the
+// run. Q13's 1,500 customers run as morsels of at most 512 rows
+// (ir::ParLoop::nested). Every run must end kCancelled with no rows: the
+// merges take the morsels that ran and find the skipped ones empty. The
+// rerun on the same Interpreter must be bit-exact.
 TEST(GovernorTest, CancelSweepAcrossHashMapMerges) {
   ScopedEnv interval("QC_GOV_INTERVAL", "1");
   struct Case {
@@ -386,6 +403,7 @@ TEST(GovernorTest, CancelSweepAcrossHashMapMerges) {
   const Case kCases[] = {
       {"Q10", Q10, Q10Want, {1, 2, 50, 17000, 30000, 50000, 70000}},
       {"Q9", Q9, Q9Want, {1, 2, 3, 7, 50, 500, 4000, 7000}},
+      {"Q13", Q13, Q13Want, {1, 2, 3, 50, 500, 4000, 9000, 15000}},
   };
   for (const Case& c : kCases) {
     for (long nth : c.nth) {
@@ -407,6 +425,46 @@ TEST(GovernorTest, CancelSweepAcrossHashMapMerges) {
           ExpectBitExact(interp.Run(c.fn()), c.want(), tag + " rerun");
           fault.Set("gov_trip:" + std::to_string(nth));
         }
+      }
+    }
+  }
+}
+
+// A deadline over a loop with an inner loop: Q13's customer loop (see
+// above), with QC_GOV_INTERVAL=1 so every inner back edge polls. Swept from
+// long past to later than the run, the deadline must end the run
+// kDeadlineExceeded with no rows or, when the run beats it, bit-exact; a
+// past deadline must trip. Every rerun on the same Interpreter must be
+// bit-exact.
+TEST(GovernorTest, DeadlineSweepAcrossNestedLoopMorsels) {
+  ScopedEnv interval("QC_GOV_INTERVAL", "1");
+  for (InterpOptions::Engine engine : kEngines) {
+    for (int threads : {1, 2, 4}) {
+      for (int64_t after_ns : {int64_t{-1}, int64_t{20000}, int64_t{100000},
+                               int64_t{300000}, int64_t{1000000},
+                               int64_t{100000000}}) {
+        const std::string tag = std::string("Q13 ") + EngineName(engine) +
+                                " threads=" + std::to_string(threads) +
+                                " deadline_ns=" + std::to_string(after_ns);
+        ExecControl ctl;
+        exec::Interpreter interp(Db(), Opts(engine, threads, &ctl));
+        if (after_ns < 0) {
+          ctl.deadline_ns.store(1);  // monotonic epoch + 1ns: long past
+        } else {
+          ctl.SetDeadlineAfterNs(after_ns);
+        }
+        storage::ResultTable r = interp.Run(Q13());
+        if (interp.last_status().ok()) {
+          EXPECT_GE(after_ns, 0) << tag << ": a past deadline must trip";
+          ExpectBitExact(r, Q13Want(), tag + " (deadline not reached)");
+        } else {
+          EXPECT_EQ(interp.last_status().code,
+                    QueryStatusCode::kDeadlineExceeded)
+              << tag;
+          EXPECT_EQ(r.size(), 0u) << tag;
+        }
+        ctl.Reset();
+        ExpectBitExact(interp.Run(Q13()), Q13Want(), tag + " rerun");
       }
     }
   }

@@ -18,6 +18,7 @@
 #include "compiler/compiler.h"
 #include "exec/interp.h"
 #include "ir/builder.h"
+#include "ir/ops.h"
 #include "ir/parallel.h"
 #include "lower/pipeline.h"
 #include "tpch/datagen.h"
@@ -456,6 +457,200 @@ TEST(ParallelMapMergeTest, KeysMergeByHashPartInRowOrder) {
   }
 }
 
+// Q13's outer-join count writes its group array from two create sites:
+// in the order loop, and after it when no order matched. Both join one
+// group-array reduction, so the customer loop qualifies, with both create
+// stores logging touched slots. It has an inner loop, so the runtime cuts
+// its 1,500 rows at SF 0.01 into morsels of at most max(512, rows / (2 x
+// threads)) rows: results and AllocStats must be bit-exact at every level,
+// engine, thread count and morsel size.
+TEST(ParallelOuterJoinTest, Q13CustomerLoopQualifiesAndStaysBitExact) {
+  storage::Database db = tpch::MakeTpchDatabase(0.01);
+  qplan::PlanPtr plan = tpch::MakeQuery(13);
+  qplan::ResolvePlan(plan.get(), db);
+  {
+    ir::TypeFactory types;
+    QueryCompiler qc(&db, &types);
+    compiler::CompileResult res =
+        qc.Compile(*plan, StackConfig::Level(5), "q13");
+    ir::ParallelInfo info = ir::AnalyzeParallelism(*res.fn);
+    EXPECT_TRUE(info.rejected.empty()) << ir::FormatRejections(info);
+    const ir::ParLoop* customers = nullptr;
+    for (const ir::ParLoop& pl : info.loops) {
+      for (const ir::ParReduction& r : pl.reductions) {
+        if (r.kind == ir::ParRedKind::kGroupArray) customers = &pl;
+      }
+    }
+    ASSERT_NE(customers, nullptr) << "Q13 L5 customer loop must qualify";
+    EXPECT_TRUE(customers->nested);
+    ASSERT_EQ(customers->reductions.size(), 1u);
+    int touch = 0;
+    for (size_t id = 0; id < customers->actions.size(); ++id) {
+      if (customers->actions[id] != ir::ParAction::kTouch) continue;
+      ++touch;
+      EXPECT_EQ(customers->action_channel[id], 0);
+    }
+    EXPECT_EQ(touch, 2) << "one kTouch store per create site";
+  }
+  for (int level = 2; level <= 5; ++level) {
+    ir::TypeFactory types;
+    QueryCompiler qc(&db, &types);
+    compiler::CompileResult res =
+        qc.Compile(*plan, StackConfig::Level(level), "q13");
+    exec::Interpreter ref(&db, Opts(InterpOptions::Engine::kBytecode, 1));
+    storage::ResultTable want = ref.Run(*res.fn);
+    exec::AllocStats want_stats = ref.stats();
+    for (InterpOptions::Engine engine : kEngines) {
+      for (int threads : {1, 2, 4}) {
+        for (int64_t morsel : {97, 2048}) {
+          exec::Interpreter interp(&db, Opts(engine, threads, morsel));
+          storage::ResultTable got = interp.Run(*res.fn);
+          std::string t = "Q13 L" + std::to_string(level) + " " +
+                          EngineName(engine) + " threads=" +
+                          std::to_string(threads) +
+                          " morsel=" + std::to_string(morsel);
+          ExpectBitExact(got, want, t);
+          ExpectStatsEqual(interp.stats(), want_stats, t);
+        }
+      }
+    }
+  }
+}
+
+// Hand-built Q13 shapes pin which second create sites may join a group
+// array. The base shape (the same record at a structurally equal slot,
+// integral sums from both sites) qualifies; every variant must leave the
+// loop sequential, rejected where the listing says, and still run
+// bit-exact at four threads. The last two read an integral sum's running
+// value per row, which a morsel sees as its partial sum.
+TEST(ParallelOuterJoinTest, SecondCreateSiteRejections) {
+  enum class Variant { kBase, kOtherInit, kOtherSlot, kF64BothSites,
+                       kF64EachSite, kMinMax, kRunningField, kRunningVar };
+  struct Case {
+    Variant v;
+    const char* name;
+    const char* rule;  // expected rejection rule, null = qualifies
+    const char* op;    // rule "visit": the op of the rejected statement
+  };
+  const Case kCases[] = {
+      {Variant::kBase, "base", nullptr, nullptr},
+      {Variant::kOtherInit, "other init arguments", "visit", "arr_set"},
+      {Variant::kOtherSlot, "other slot index", "visit", "arr_set"},
+      {Variant::kF64BothSites, "f64 sum from both sites", "visit", "rec_set"},
+      {Variant::kF64EachSite, "an f64 sum at each site", "channels", nullptr},
+      {Variant::kMinMax, "min from one of two sites", "guards", nullptr},
+      {Variant::kRunningField, "a running group count read", "reads",
+       nullptr},
+      {Variant::kRunningVar, "a running scalar count read", "reads",
+       nullptr},
+  };
+  const int64_t kRows = 6000;
+  const int64_t kKeys = 300;
+  for (const Case& c : kCases) {
+    storage::Database db;
+    ir::TypeFactory types;
+    ir::Function fn("outer_count", &types);
+    ir::Builder b(&fn);
+    const ir::Type* i64 = types.I64();
+    const ir::Type* f64 = types.F64();
+    const ir::Type* agg = types.Record(
+        "Agg", {{"key", i64}, {"cnt", i64}, {"n", i64}, {"fa", f64},
+                {"fb", f64}, {"mn", i64}});
+    ir::Stmt* zero = b.I64(0);
+    ir::Stmt* fzero = b.F64(0.0);
+    ir::Stmt* arr = b.ArrNew(agg, b.I64(kKeys));
+    ir::Stmt* seen = b.VarNew(b.I64(0));
+    ir::Stmt* loop = b.ForRange(b.I64(0), b.I64(kRows), [&](ir::Stmt* i) {
+      ir::Stmt* key = b.Add(b.Mod(b.Mul(i, b.I64(7)), b.I64(kKeys)),
+                            b.I64(1));
+      ir::Stmt* matched = b.VarNew(b.BoolC(false));
+      auto create = [&](ir::Stmt* slot, ir::Stmt* key_init) {
+        b.If(b.IsNull(b.ArrGet(arr, slot)), [&] {
+          b.ArrSet(arr, slot,
+                   b.RecNew(agg, {key_init, zero, zero, fzero, fzero, zero}));
+        });
+        return b.ArrGet(arr, slot);
+      };
+      // Rows i with i % 3 == 0 have no inner rows: only the second site.
+      b.ForRange(b.I64(0), b.Mod(i, b.I64(3)), [&](ir::Stmt* j) {
+        b.VarAssign(matched, b.BoolC(true));
+        ir::Stmt* h = create(b.Sub(key, b.I64(1)), key);
+        ir::Stmt* n0 = b.RecGet(h, 2);
+        if (c.v == Variant::kMinMax) {
+          ir::Stmt* w = b.Mod(b.Add(i, j), b.I64(11));
+          b.If(b.Or(b.Eq(n0, b.I64(0)), b.Lt(w, b.RecGet(h, 5))),
+               [&] { b.RecSet(h, 5, w); });
+        }
+        b.RecSet(h, 1, b.Add(b.RecGet(h, 1), b.I64(1)));
+        if (c.v == Variant::kF64BothSites || c.v == Variant::kF64EachSite) {
+          b.RecSet(h, 3, b.Add(b.RecGet(h, 3), b.F64(0.5)));
+        }
+        b.RecSet(h, 2, b.Add(n0, b.I64(1)));
+      });
+      b.If(b.Not(b.VarRead(matched)), [&] {
+        ir::Stmt* slot = c.v == Variant::kOtherSlot
+                             ? b.Mod(key, b.I64(kKeys))
+                             : b.Sub(key, b.I64(1));
+        ir::Stmt* h = create(slot, c.v == Variant::kOtherInit ? i : key);
+        if (c.v == Variant::kF64BothSites) {
+          b.RecSet(h, 3, b.Add(b.RecGet(h, 3), b.F64(0.25)));
+        }
+        if (c.v == Variant::kF64EachSite) {
+          b.RecSet(h, 4, b.Add(b.RecGet(h, 4), b.F64(0.25)));
+        }
+        ir::Stmt* n = b.RecGet(h, 2);
+        b.RecSet(h, 2, b.Add(n, b.I64(1)));
+        if (c.v == Variant::kRunningField) {
+          b.If(b.Eq(n, b.I64(5)),
+               [&] { b.EmitRow({key, i, n, fzero, fzero, zero}); });
+        }
+        if (c.v == Variant::kRunningVar) {
+          ir::Stmt* s0 = b.VarRead(seen);
+          b.VarAssign(seen, b.Add(s0, b.I64(1)));
+          b.If(b.Eq(s0, b.I64(50)),
+               [&] { b.EmitRow({key, i, s0, fzero, fzero, zero}); });
+        }
+      });
+    });
+    b.ForRange(b.I64(0), b.I64(kKeys), [&](ir::Stmt* g) {
+      ir::Stmt* h = b.ArrGet(arr, g);
+      b.If(b.Not(b.IsNull(h)), [&] {
+        b.EmitRow({b.RecGet(h, 0), b.RecGet(h, 1), b.RecGet(h, 2),
+                   b.RecGet(h, 3), b.RecGet(h, 4), b.RecGet(h, 5)});
+      });
+    });
+
+    ir::ParallelInfo info = ir::AnalyzeParallelism(fn);
+    const ir::ParLoop* pl = info.Find(loop);
+    if (c.rule == nullptr) {
+      ASSERT_NE(pl, nullptr) << c.name << ": " << ir::FormatRejections(info);
+      ASSERT_EQ(pl->reductions.size(), 1u) << c.name;
+      EXPECT_EQ(pl->reductions[0].fields[1], ir::ParFold::kSumI) << c.name;
+      EXPECT_EQ(pl->reductions[0].fields[2], ir::ParFold::kSumI) << c.name;
+    } else {
+      EXPECT_EQ(pl, nullptr) << c.name;
+      ASSERT_FALSE(info.rejected.empty()) << c.name;
+      const ir::ParReject& why = info.rejected[0];
+      EXPECT_EQ(why.loop, loop) << c.name;
+      EXPECT_STREQ(why.rule, c.rule) << c.name;
+      if (c.op != nullptr) {
+        ASSERT_NE(why.at, nullptr) << c.name;
+        EXPECT_STREQ(ir::OpName(why.at->op), c.op) << c.name;
+      }
+    }
+
+    exec::Interpreter ref(&db, Opts(InterpOptions::Engine::kBytecode, 1));
+    storage::ResultTable want = ref.Run(fn);
+    for (InterpOptions::Engine engine : kEngines) {
+      exec::Interpreter interp(&db, Opts(engine, 4, 500));
+      storage::ResultTable got = interp.Run(fn);
+      const std::string t = std::string(c.name) + " " + EngineName(engine);
+      ExpectBitExact(got, want, t);
+      ExpectStatsEqual(interp.stats(), ref.stats(), t);
+    }
+  }
+}
+
 // Two 4-thread runs must produce identical bytes (scheduling independence).
 TEST(ParallelDeterminismTest, FourThreadRunsIdentical) {
   storage::Database db = tpch::MakeTpchDatabase(0.01);
@@ -626,6 +821,37 @@ TEST(ParallelAnalysisTest, FlagshipLoopsQualify) {
     }
     EXPECT_TRUE(min) << "Q2 L5 min aggregation must qualify";
   }
+}
+
+// The "why not parallel" listing of all 22 queries at level 5, on
+// qc_verify's database (SF 0.002, seed 7): every top-level loop left
+// sequential, with the statement or post-pass that rejected it. All are
+// flag loops, which store `true` into an Array[bool] that no reduction
+// shape covers; Q13's outer-join count (two create sites) is not among
+// them. A change to this listing is a change to what runs in parallel.
+TEST(ParallelAnalysisTest, WhyNotParallelListing) {
+  storage::Database db = tpch::MakeTpchDatabase(0.002, 7);
+  std::string listing;
+  for (int q = 1; q <= tpch::kNumQueries; ++q) {
+    qplan::PlanPtr plan = tpch::MakeQuery(q);
+    qplan::ResolvePlan(plan.get(), db);
+    ir::TypeFactory types;
+    QueryCompiler qc(&db, &types);
+    compiler::CompileResult res =
+        qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(q));
+    listing += ir::FormatRejections(ir::AnalyzeParallelism(*res.fn),
+                                    "Q" + std::to_string(q) + " ");
+  }
+  EXPECT_EQ(listing,
+            "Q2 x20 visit at x27 arr_set\n"
+            "Q2 x158 visit at x165 arr_set\n"
+            "Q5 x18 visit at x25 arr_set\n"
+            "Q8 x41 visit at x48 arr_set\n"
+            "Q8 x118 visit at x125 arr_set\n"
+            "Q9 x23 visit at x30 arr_set\n"
+            "Q16 x12 visit at x52 arr_set\n"
+            "Q17 x48 visit at x59 arr_set\n"
+            "Q20 x59 visit at x69 arr_set\n");
 }
 
 }  // namespace

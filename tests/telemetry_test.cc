@@ -10,6 +10,7 @@
 // execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -483,6 +484,43 @@ TEST(TraceEndToEnd, ParLoopTouchedCountsHashPartMerges) {
     }
     EXPECT_EQ(touched, c.touched) << "Q" << c.q;
   }
+}
+
+// A loop with an inner loop gets morsels sized by its rows and threads:
+// Q13's customer loop (1,500 rows at SF 0.01, an index probe over each
+// customer's orders) runs in parallel at the default morsel_rows of 16384
+// as three morsels of at most max(512, 1500 / (2 x 4)) = 512 rows, and
+// its merge folds one group per customer.
+TEST(TraceEndToEnd, NestedLoopMorselsSizedByRowsAndThreads) {
+  std::unique_ptr<CompiledQuery> compiled(CompileLevel5(13));
+  InterpOptions o;
+  o.engine = InterpOptions::Engine::kJit;
+  o.num_threads = 4;
+  exec::Interpreter interp(Db(), o);
+  uint64_t s = telemetry::TraceBeginSession();
+  {
+    telemetry::TraceScope scope(s);
+    interp.Run(*compiled->res.fn);
+  }
+  std::string json = telemetry::TraceEndSession(s);
+  std::vector<int64_t> loop_rows, touched, morsel_rows;
+  for (const char* name : {"par_loop", "morsel"}) {
+    const std::string key = std::string("\"name\":\"") + name + "\"";
+    for (size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+      std::string event = json.substr(at, json.find('}', at) - at);
+      if (std::string(name) == "morsel") {
+        morsel_rows.push_back(EventArg(event, "rows"));
+      } else {
+        loop_rows.push_back(EventArg(event, "rows"));
+        touched.push_back(EventArg(event, "touched"));
+      }
+    }
+  }
+  EXPECT_EQ(loop_rows, std::vector<int64_t>{1500});
+  EXPECT_EQ(touched, std::vector<int64_t>{1500});
+  std::sort(morsel_rows.begin(), morsel_rows.end());
+  EXPECT_EQ(morsel_rows, (std::vector<int64_t>{476, 512, 512}));
 }
 
 // QC_LOG=debug is what turns on the per-run jit_stats record.
