@@ -44,26 +44,16 @@ bool IsPureOp(Op op) {
   }
 }
 
-// Ops whose value depends on their arguments and payload alone, never on
-// mutable state: two of them over equal arguments yield equal values.
-bool IsValueOp(Op op) {
-  switch (op) {
-    case Op::kVarRead: case Op::kRecGet: case Op::kArrGet: case Op::kArrLen:
-    case Op::kListSize: case Op::kListGet:
-    case Op::kMapGetOrNull: case Op::kMapSize: case Op::kMMapGetOrNull:
-      return false;
-    default:
-      return IsPureOp(op);
-  }
-}
-
-// Structural equality of two value statements: the same op, type and
-// payload over structurally equal arguments, so constants compare by
-// value. Block parameters are equal only to themselves.
+// Structural equality of two value statements: the same CSE-able op (its
+// value depends on its arguments and payload alone), type and payload over
+// structurally equal arguments, so constants compare by value. Block
+// parameters are equal only to themselves.
 bool SameValue(const Stmt* a, const Stmt* b) {
   if (a == b) return true;
   if (IsParam(a) || IsParam(b)) return false;
-  if (a->op != b->op || a->type != b->type || !IsValueOp(a->op)) return false;
+  if (a->op != b->op || a->type != b->type || !OpIsCseable(a->op)) {
+    return false;
+  }
   if (a->ival != b->ival || a->sval != b->sval || a->aux0 != b->aux0 ||
       a->aux1 != b->aux1 || a->args.size() != b->args.size() ||
       std::memcmp(&a->fval, &b->fval, sizeof(double)) != 0) {
@@ -500,7 +490,6 @@ class LoopAnalyzer {
     if (red_idx < 0) {
       ParReduction* r = Register(ParRedKind::kGroupArray, arr);
       r->size = size;
-      r->group_index = idx;
       r->pool_rec = rec->op == Op::kPoolRecNew;
       r->fields.assign(elem->record->fields.size(), ParFold::kKeepFirst);
       r->field_is_f64.resize(elem->record->fields.size());
@@ -510,6 +499,7 @@ class LoopAnalyzer {
       }
       red_idx = static_cast<int>(out_.reductions.size() - 1);
       group_inits_[red_idx] = rec;
+      group_slots_[red_idx] = idx;
     } else {
       // A second create site (an outer join's count creates the group in
       // the match loop and again after it when no row matched) joins the
@@ -521,7 +511,7 @@ class LoopAnalyzer {
       if (r.kind != ParRedKind::kGroupArray) return false;
       const Stmt* first = group_inits_.at(red_idx);
       if (rec->op != first->op || rec->args != first->args ||
-          !SameValue(idx, r.group_index)) {
+          !SameValue(idx, group_slots_.at(red_idx))) {
         return false;
       }
       multi_site_.insert(red_idx);
@@ -691,11 +681,13 @@ class LoopAnalyzer {
         if (h2 != h && handles_.at(h2) == red_idx) return false;
       }
       // Group arrays log the slot index instead of the record pointer, so
-      // replay is a direct array load; a map's channel names its
-      // reduction, whose hash parts the merge routes the entries to.
+      // replay is a direct array load. It is the handle's own index: with
+      // two create sites, the other site's index is not computed on every
+      // row. A map's channel names its reduction, whose hash parts the
+      // merge routes the entries to.
       const ParReduction& red = out_.reductions[red_idx];
       if (red.kind == ParRedKind::kGroupArray) {
-        ch.handle = red.group_index;
+        ch.handle = h->args[1];
         ch.array_red = red_idx;
       } else {
         ch.map_red = red_idx;
@@ -814,6 +806,8 @@ class LoopAnalyzer {
   std::unordered_map<const Stmt*, const Block*> parent_;
   std::unordered_map<const Stmt*, int> handles_;   // handle stmt -> reduction
   std::unordered_map<int, const Stmt*> group_inits_;  // reduction -> rec
+  // Group array -> its first create site's slot index.
+  std::unordered_map<int, const Stmt*> group_slots_;
   std::unordered_set<int> multi_site_;  // group arrays with two create sites
   // Reads and adds of integral sums: in a morsel they see the morsel's
   // partial sum, not the running total.

@@ -121,7 +121,6 @@ struct ParReduction {
 
   // Arrays (kGroupArray / kBucketArray).
   const Stmt* size = nullptr;       // kConst capacity of the array
-  const Stmt* group_index = nullptr;  // kGroupArray: the slot-index stmt
   int next_field = -1;              // kBucketArray: intrusive link field
 };
 

@@ -519,13 +519,16 @@ TEST(ParallelOuterJoinTest, Q13CustomerLoopQualifiesAndStaysBitExact) {
 
 // Hand-built Q13 shapes pin which second create sites may join a group
 // array. The base shape (the same record at a structurally equal slot,
-// integral sums from both sites) qualifies; every variant must leave the
-// loop sequential, rejected where the listing says, and still run
-// bit-exact at four threads. The last two read an integral sum's running
-// value per row, which a morsel sees as its partial sum.
+// integral sums from both sites) qualifies, and so does an f64 sum written
+// at the second site only: its channel logs that site's slot index, which
+// rows without an inner match compute too. Every other variant must leave
+// the loop sequential, rejected where the listing says. All run bit-exact
+// at four threads. The last two read an integral sum's running value per
+// row, which a morsel sees as its partial sum.
 TEST(ParallelOuterJoinTest, SecondCreateSiteRejections) {
   enum class Variant { kBase, kOtherInit, kOtherSlot, kF64BothSites,
-                       kF64EachSite, kMinMax, kRunningField, kRunningVar };
+                       kF64EachSite, kF64SecondSiteOnly, kMinMax,
+                       kRunningField, kRunningVar };
   struct Case {
     Variant v;
     const char* name;
@@ -538,6 +541,8 @@ TEST(ParallelOuterJoinTest, SecondCreateSiteRejections) {
       {Variant::kOtherSlot, "other slot index", "visit", "arr_set"},
       {Variant::kF64BothSites, "f64 sum from both sites", "visit", "rec_set"},
       {Variant::kF64EachSite, "an f64 sum at each site", "channels", nullptr},
+      {Variant::kF64SecondSiteOnly, "an f64 sum at the second site only",
+       nullptr, nullptr},
       {Variant::kMinMax, "min from one of two sites", "guards", nullptr},
       {Variant::kRunningField, "a running group count read", "reads",
        nullptr},
@@ -598,6 +603,10 @@ TEST(ParallelOuterJoinTest, SecondCreateSiteRejections) {
         if (c.v == Variant::kF64EachSite) {
           b.RecSet(h, 4, b.Add(b.RecGet(h, 4), b.F64(0.25)));
         }
+        if (c.v == Variant::kF64SecondSiteOnly) {
+          b.RecSet(h, 4, b.Add(b.RecGet(h, 4),
+                               b.Mul(b.Cast(i, f64), b.F64(0.1))));
+        }
         ir::Stmt* n = b.RecGet(h, 2);
         b.RecSet(h, 2, b.Add(n, b.I64(1)));
         if (c.v == Variant::kRunningField) {
@@ -627,6 +636,11 @@ TEST(ParallelOuterJoinTest, SecondCreateSiteRejections) {
       ASSERT_EQ(pl->reductions.size(), 1u) << c.name;
       EXPECT_EQ(pl->reductions[0].fields[1], ir::ParFold::kSumI) << c.name;
       EXPECT_EQ(pl->reductions[0].fields[2], ir::ParFold::kSumI) << c.name;
+      if (c.v == Variant::kF64SecondSiteOnly) {
+        EXPECT_EQ(pl->reductions[0].fields[4], ir::ParFold::kSumF);
+        ASSERT_EQ(pl->logs.size(), 1u);
+        EXPECT_EQ(pl->logs[0].array_red, 0);
+      }
     } else {
       EXPECT_EQ(pl, nullptr) << c.name;
       ASSERT_FALSE(info.rejected.empty()) << c.name;
