@@ -27,12 +27,13 @@ constexpr int64_t kOrderedMergeRatio = 8;
 // Chunks of consecutive morsels per thread in a loop with a ranged array.
 constexpr int64_t kChunksPerThread = 2;
 
-// A loop with an inner loop (ir::ParLoop::nested) costs many rows' work per
-// row, so it is cut into at least kNestedMorselsPerThread morsels per
-// thread, each of at least kMinNestedMorselRows rows. A loop that already
-// has that many morsels keeps morsel_rows.
-constexpr int64_t kNestedMorselsPerThread = 2;
-constexpr int64_t kMinNestedMorselRows = 512;
+// A loop is cut into at least kMinMorselsPerThread morsels per thread, each
+// of at least kMinMorselRows rows, so a loop of fewer than two morsel_rows
+// morsels per thread still spreads over the pool (Q13 and Q22 scan 15,000
+// customers at SF 0.1, and a Q13 row probes the customer's orders). A loop
+// that already has that many morsels keeps morsel_rows.
+constexpr int64_t kMinMorselsPerThread = 2;
+constexpr int64_t kMinMorselRows = 512;
 
 // Hash parts of the map and multimap merge. A key's part is its hash &
 // (kHashParts - 1), and every bucket index of the main table keeps those
@@ -908,10 +909,8 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
   int64_t rows = hi - lo;
   const int threads = eng.pool.threads();
   int64_t mr = eng.morsel_rows < 1 ? 1 : eng.morsel_rows;
-  if (plan.nested) {
-    mr = std::min(mr, std::max(kMinNestedMorselRows,
-                               rows / (kNestedMorselsPerThread * threads)));
-  }
+  mr = std::min(
+      mr, std::max(kMinMorselRows, rows / (kMinMorselsPerThread * threads)));
   if (rows < 2 * mr) return false;
 
   // Adaptive tail sizing: the final ~eighth of the iteration space is cut

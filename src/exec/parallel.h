@@ -2,27 +2,25 @@
 // with it of the JIT, which runs through the VM's own Exec.
 //
 // A qualifying top-level scan loop (ir/parallel.h decides which qualify) is
-// split into fixed-size row-range morsels pulled work-stealing-style off a
-// shared counter by a persistent worker pool. A loop whose body holds an
-// inner loop (ir::ParLoop::nested) costs many rows' work per row, so its
-// morsels shrink to min(morsel_rows, max(512, rows / (2 * threads))) rows:
-// at least two per thread, unless that would cut them under 512 rows. Each morsel runs the
-// unmodified loop body against *private* state: a private register file,
-// RunState (RecordHeap, runtime containers, result table), AllocStats, and
-// private instances of every reduction object (hash maps, lists,
-// accumulators). Group and bucket arrays are private per *worker*, not per
-// morsel: each store into one logs its slot index, and at the end of its
-// task the worker moves the touched slots out into an entry list and
-// re-nulls them, so the array is zero-filled once and reused. A task is one
-// morsel, or, in a loop with an array larger than morsel_rows / 8 slots (a
-// "ranged" array), a chunk of consecutive morsels, about two per thread:
-// the chunk keeps the private arrays across its morsels, so a group is
-// created and moved out once per chunk. Hash maps and multimaps are
-// private per morsel; at the end of its task the worker hashes each
-// private key once and scatters the entries into 16 hash parts
-// (RtHashMap::kMinBuckets, so a part owns a fixed set of main buckets at
-// every table size), and routes each map's record-keyed f64 log to the
-// parts of its records' keys.
+// split into row-range morsels pulled work-stealing-style off a shared counter
+// by a persistent worker pool. A morsel is
+// min(morsel_rows, max(512, rows / (2 * threads))) rows: a loop too short for
+// two morsel_rows morsels per thread still gets two per thread, unless that
+// would cut them under 512 rows. Each morsel runs the unmodified loop body
+// against *private* state: a private register file, RunState (RecordHeap,
+// runtime containers, result table), AllocStats, and private instances of every
+// reduction object (hash maps, lists, accumulators). Group and bucket arrays
+// are private per *worker*, not per morsel: each store into one logs its slot
+// index, and at the end of its task the worker moves the touched slots out into
+// an entry list and re-nulls them, so the array is zero-filled once and reused.
+// A task is one morsel, or, in a loop with an array larger than morsel_rows / 8
+// slots (a "ranged" array), a chunk of consecutive morsels, about two per
+// thread: the chunk keeps the private arrays across its morsels, so a group is
+// created and moved out once per chunk. Hash maps and multimaps are private per
+// morsel; at the end of its task the worker hashes each private key once and
+// scatters the entries into 16 hash parts (RtHashMap::kMinBuckets, so a part
+// owns a fixed set of main buckets at every table size), and routes each map's
+// record-keyed f64 log to the parts of its records' keys.
 //
 // The merge has three phases, so its work follows what the morsels
 // produced:
@@ -240,8 +238,7 @@ struct Engine {
 // order, then merges the ranged arrays by slot range and the maps and
 // multimaps by hash part on the pool.
 // Returns false (without executing anything) when the loop should just run
-// sequentially: too few rows for two morsels (of the nested-loop size when
-// the body holds an inner loop), or the private arrays of all
+// sequentially: too few rows for two morsels, or the private arrays of all
 // threads would exceed their budget. A governed run whose control trips
 // skips its still-unstarted morsels (their empty states merge as no-ops,
 // keeping the orchestration and Wait() protocol intact).

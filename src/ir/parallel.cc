@@ -256,7 +256,6 @@ class LoopAnalyzer {
       case Op::kMapForeach:
         // Safe iff the iterated container passes read validation and the
         // nested statements pass this walk (handled by the caller).
-        out_.nested = true;
         return true;
 
       default:

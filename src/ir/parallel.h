@@ -130,10 +130,6 @@ struct ParLoop {
   std::vector<ParReduction> reductions;
   std::vector<ParLogChannel> logs;
   bool has_emit = false;
-  // The body contains an inner loop, so a row may cost many rows' work
-  // (Q13: a customer and an index probe over its orders); the runtime
-  // sizes such a loop's morsels by its row and thread counts.
-  bool nested = false;
   // Indexed by statement id (size = Function::num_stmts() at analysis time).
   std::vector<ParAction> actions;
   // kLog -> addend channel index, kTouch -> reduction index, else -1.

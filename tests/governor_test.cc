@@ -389,9 +389,9 @@ TEST(GovernorTest, CancelSweepAcrossArrayReductions) {
 // every armed occurrence lands before that loop ends — in a morsel (for
 // Q13, in its inner loop), before later morsels start, or earlier in the
 // run. Q13's 1,500 customers run as morsels of at most 512 rows
-// (ir::ParLoop::nested). Every run must end kCancelled with no rows: the
-// merges take the morsels that ran and find the skipped ones empty. The
-// rerun on the same Interpreter must be bit-exact.
+// (max(512, rows / (2 x threads))). Every run must end kCancelled with no
+// rows: the merges take the morsels that ran and find the skipped ones
+// empty. The rerun on the same Interpreter must be bit-exact.
 TEST(GovernorTest, CancelSweepAcrossHashMapMerges) {
   ScopedEnv interval("QC_GOV_INTERVAL", "1");
   struct Case {

@@ -486,12 +486,13 @@ TEST(TraceEndToEnd, ParLoopTouchedCountsHashPartMerges) {
   }
 }
 
-// A loop with an inner loop gets morsels sized by its rows and threads:
-// Q13's customer loop (1,500 rows at SF 0.01, an index probe over each
-// customer's orders) runs in parallel at the default morsel_rows of 16384
-// as three morsels of at most max(512, 1500 / (2 x 4)) = 512 rows, and
-// its merge folds one group per customer.
-TEST(TraceEndToEnd, NestedLoopMorselsSizedByRowsAndThreads) {
+// A loop shorter than two morsel_rows morsels per thread gets morsels sized
+// by its rows and threads. At SF 0.01 and the default morsel_rows of 16384,
+// both of Q13's 1,500-row loops run in parallel as three morsels of at most
+// max(512, 1500 / (2 x 4)) = 512 rows: the customer loop (an index probe
+// over each customer's orders), whose merge folds one group per customer,
+// and the loop over its groups that counts customers per order count.
+TEST(TraceEndToEnd, ShortLoopMorselsSizedByRowsAndThreads) {
   std::unique_ptr<CompiledQuery> compiled(CompileLevel5(13));
   InterpOptions o;
   o.engine = InterpOptions::Engine::kJit;
@@ -517,10 +518,11 @@ TEST(TraceEndToEnd, NestedLoopMorselsSizedByRowsAndThreads) {
       }
     }
   }
-  EXPECT_EQ(loop_rows, std::vector<int64_t>{1500});
-  EXPECT_EQ(touched, std::vector<int64_t>{1500});
+  EXPECT_EQ(loop_rows, (std::vector<int64_t>{1500, 1500}));
+  EXPECT_EQ(touched, (std::vector<int64_t>{1500, 68}));
   std::sort(morsel_rows.begin(), morsel_rows.end());
-  EXPECT_EQ(morsel_rows, (std::vector<int64_t>{476, 512, 512}));
+  EXPECT_EQ(morsel_rows,
+            (std::vector<int64_t>{476, 476, 512, 512, 512, 512}));
 }
 
 // QC_LOG=debug is what turns on the per-run jit_stats record.
