@@ -126,12 +126,8 @@ JumpInfo JumpKind(BcOp op) {
     case BcOp::kJz: case BcOp::kJnz: case BcOp::kJgeI:
     case BcOp::kJnEqI: case BcOp::kJnNeI: case BcOp::kJnLtI:
     case BcOp::kJnLeI: case BcOp::kJnGtI: case BcOp::kJnGeI:
-    case BcOp::kJnEqF: case BcOp::kJnNeF: case BcOp::kJnLtF:
-    case BcOp::kJnLeF: case BcOp::kJnGtF: case BcOp::kJnGeF:
     case BcOp::kJnColEqI: case BcOp::kJnColNeI: case BcOp::kJnColLtI:
     case BcOp::kJnColLeI: case BcOp::kJnColGtI: case BcOp::kJnColGeI:
-    case BcOp::kJnColEqF: case BcOp::kJnColNeF: case BcOp::kJnColLtF:
-    case BcOp::kJnColLeF: case BcOp::kJnColGtF: case BcOp::kJnColGeF:
     case BcOp::kParLoop:
       j = {true, false, false};
       break;
@@ -389,29 +385,14 @@ Effects InsnEffects(const Insn& I) {
       R(I.a, Abs::kI64);
       R(I.b, Abs::kI64);
       break;
-    case BcOp::kJnEqF: case BcOp::kJnNeF: case BcOp::kJnLtF:
-    case BcOp::kJnLeF: case BcOp::kJnGtF: case BcOp::kJnGeF:
-      R(I.a, Abs::kF64);
-      R(I.b, Abs::kF64);
-      break;
     case BcOp::kJnColEqI: case BcOp::kJnColNeI: case BcOp::kJnColLtI:
     case BcOp::kJnColLeI: case BcOp::kJnColGtI: case BcOp::kJnColGeI:
       R(I.a, Abs::kI64);
       R(I.c, Abs::kI64);
       break;
-    case BcOp::kJnColEqF: case BcOp::kJnColNeF: case BcOp::kJnColLtF:
-    case BcOp::kJnColLeF: case BcOp::kJnColGtF: case BcOp::kJnColGeF:
-      R(I.a, Abs::kF64);
-      R(I.c, Abs::kI64);
-      break;
     case BcOp::kRecAccAddI:
       R(I.a, Abs::kPtr);
       R(I.c, Abs::kI64);
-      S(I.a);
-      break;
-    case BcOp::kRecAccAddF:
-      R(I.a, Abs::kPtr);
-      R(I.c, Abs::kF64);
       S(I.a);
       break;
     case BcOp::kEmit:
@@ -423,10 +404,8 @@ Effects InsnEffects(const Insn& I) {
     case BcOp::kParLoop:
       break;
     case BcOp::kLogRow:
+      R(I.b, Abs::kI64);
       R(I.c, Abs::kPtr);
-      e.reads_extra = true;
-      e.extra_off = I.b;
-      e.extra_n = I.n;
       break;
     case BcOp::kNumOps:
       break;
@@ -530,16 +509,7 @@ class Verifier {
       chk(plc.hi_reg, "hi_reg");
       for (uint32_t r : plc.red_regs) chk(r, "reduction reg");
       for (uint32_t r : plc.red_size_regs) chk(r, "reduction size reg");
-      for (uint32_t r : plc.channel_var_regs) chk(r, "channel var reg");
       for (uint32_t r : plc.log_regs) chk(r, "log reg");
-      for (int t : plc.touched_log) {
-        if (t >= static_cast<int>(plc.log_regs.size())) {
-          Add(kNoPc, "fragment-isolation",
-              "par_loops[" + std::to_string(i) + "] touched-slot channel " +
-                  std::to_string(t) + " has no log register");
-          ok = false;
-        }
-      }
     }
     return ok;
   }
@@ -641,8 +611,6 @@ class Verifier {
       case BcOp::kIdxPkRow:
       case BcOp::kJnColEqI: case BcOp::kJnColNeI: case BcOp::kJnColLtI:
       case BcOp::kJnColLeI: case BcOp::kJnColGtI: case BcOp::kJnColGeI:
-      case BcOp::kJnColEqF: case BcOp::kJnColNeF: case BcOp::kJnColLtF:
-      case BcOp::kJnColLeF: case BcOp::kJnColGtF: case BcOp::kJnColGeF:
         if (I.b >= prog_.ptrs.size()) bad("ptrs", I.b, prog_.ptrs.size());
         break;
       case BcOp::kRecNew: case BcOp::kPoolRecNew:
@@ -652,10 +620,6 @@ class Verifier {
       case BcOp::kEmit:
         if (size_t(I.a) + I.n > prog_.extra.size())
           bad("extra", size_t(I.a) + I.n, prog_.extra.size());
-        break;
-      case BcOp::kLogRow:
-        if (size_t(I.b) + I.n > prog_.extra.size())
-          bad("extra", size_t(I.b) + I.n, prog_.extra.size());
         break;
       case BcOp::kArrSort: case BcOp::kListSort:
         if (I.d < 0 || size_t(uint32_t(I.d)) + 3 > prog_.extra.size())
@@ -778,22 +742,13 @@ class Verifier {
         Add(pc, "fragment-isolation",
             "kLogRow outside any morsel fragment");
       } else {
-        // The channel's register is the one the runtime binds for it; a
-        // touched-slot channel appends exactly one slot index per store.
+        // The log register is the one the runtime binds for the channel.
         const ParLoopCode& plc = prog_.par_loops[fragment_of_region_[rid]];
         if (I.a >= plc.log_regs.size() || plc.log_regs[I.a] != I.c) {
           Add(pc, "fragment-isolation",
               "kLogRow log operand r" + std::to_string(I.c) +
                   " is not the fragment's bound log of channel " +
                   std::to_string(I.a));
-        }
-        bool touched = false;
-        for (int t : plc.touched_log) touched |= t == static_cast<int>(I.a);
-        if (touched && I.n != 1) {
-          Add(pc, "fragment-isolation",
-              "kLogRow to touched-slot channel " + std::to_string(I.a) +
-                  " appends " + std::to_string(I.n) +
-                  " operands, not one slot index");
         }
       }
     }

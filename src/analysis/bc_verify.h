@@ -39,7 +39,7 @@
 //                        sort pc) terminated by kRet, entry before the
 //                        sort instruction)
 //   fragment-isolation   morsel fragments contain no nested kParLoop,
-//                        log only to their bound addend logs, and only
+//                        log only to their bound touched-slot logs, and only
 //                        write through pointers established inside the
 //                        fragment or rebound per morsel by the runtime
 //                        (fragment-private state)

@@ -50,7 +50,6 @@ const char* PatchKindName(PatchKind k) {
     case PatchKind::kExtraA: return "kExtraA";
     case PatchKind::kExtraB: return "kExtraB";
     case PatchKind::kImmN: return "kImmN";
-    case PatchKind::kImmN8: return "kImmN8";
     case PatchKind::kImmC: return "kImmC";
     case PatchKind::kImmD: return "kImmD";
     case PatchKind::kPatternC: return "kPatternC";
@@ -372,9 +371,6 @@ VerifyResult AuditStitch(const BytecodeProgram& prog,
           }
           break;
         case PatchKind::kImmN: want32(p, insn.n, "operand count"); break;
-        case PatchKind::kImmN8:
-          want32(p, uint32_t(insn.n) * 8u, "operand byte count");
-          break;
         case PatchKind::kImmC: want32(p, insn.c, "immediate c"); break;
         case PatchKind::kImmD:
           want32(p, static_cast<uint32_t>(insn.d), "immediate d");

@@ -89,7 +89,7 @@ bool EmitToWrongRegister(BytecodeProgram* prog) {
 bool LogRowToForeignRegister(BytecodeProgram* prog) {
   Insn* insn = FindOp(prog, BcOp::kLogRow);
   if (insn == nullptr) return false;
-  insn->c = prog->state_reg;  // state_reg is never a bound addend log
+  insn->c = prog->state_reg;  // state_reg is never a bound touched-slot log
   return true;
 }
 
@@ -100,12 +100,9 @@ bool TouchedAppendInMainStream(BytecodeProgram* prog) {
   uint32_t main_end = static_cast<uint32_t>(prog->code.size());
   for (const ParLoopCode& plc : prog->par_loops) {
     if (plc.entry < main_end) main_end = plc.entry;
-    for (int t : plc.touched_log) {
-      if (t < 0) continue;
-      for (const Insn& insn : prog->code) {
-        if (IsOp(insn, BcOp::kLogRow) && insn.c == plc.log_regs[t]) {
-          touched = &insn;
-        }
+    for (const Insn& insn : prog->code) {
+      for (uint32_t r : plc.log_regs) {
+        if (IsOp(insn, BcOp::kLogRow) && insn.c == r) touched = &insn;
       }
     }
   }

@@ -134,7 +134,7 @@ int RunVerifyAll() {
 // --------------------------------------------------------------------------
 
 // The canonical corpus program: Q1 at the full stack level, compiled with
-// parallelism info (so it has morsel fragments, f64 addend logs, governed
+// parallelism info (so it has morsel fragments, touched-slot logs, governed
 // loops, a comparator subroutine — every feature the mutations target).
 BytecodeProgram CorpusProgram(storage::Database* db,
                               ir::TypeFactory* types,

@@ -343,8 +343,7 @@ class CEmitter {
       std::string sep = i + 1 < n ? "|" : "\\n";
       switch (emit_types_[i]->kind) {
         case TypeKind::kF64:
-          Line("printf(\"%.2f" + sep + "\", " + slot + ".d + (" + slot +
-               ".d >= 0 ? 1e-9 : -1e-9));");
+          Line("printf(\"%.2f" + sep + "\", " + slot + ".d);");
           break;
         case TypeKind::kStr:
           Line("printf(\"%s" + sep + "\", " + slot + ".s);");

@@ -126,16 +126,23 @@ bool UsesStmtDeep(const Stmt* user, const Stmt* s) {
   return false;
 }
 
-// Branch-if-false opcode for a comparison (register lhs/rhs form).
-BcOp CmpBranchOp(Op cmp, bool is_f) {
+// Branch-if-false opcode for an integral comparison (register lhs/rhs
+// form). Only integral compares fuse: TPC-H money is a decimal, and an f64
+// compare (Q17's and Q22's against an average) stays compare + kJz.
+BcOp CmpBranchOp(Op cmp) {
   switch (cmp) {
-    case Op::kEq: return is_f ? BcOp::kJnEqF : BcOp::kJnEqI;
-    case Op::kNe: return is_f ? BcOp::kJnNeF : BcOp::kJnNeI;
-    case Op::kLt: return is_f ? BcOp::kJnLtF : BcOp::kJnLtI;
-    case Op::kLe: return is_f ? BcOp::kJnLeF : BcOp::kJnLeI;
-    case Op::kGt: return is_f ? BcOp::kJnGtF : BcOp::kJnGtI;
-    default: return is_f ? BcOp::kJnGeF : BcOp::kJnGeI;
+    case Op::kEq: return BcOp::kJnEqI;
+    case Op::kNe: return BcOp::kJnNeI;
+    case Op::kLt: return BcOp::kJnLtI;
+    case Op::kLe: return BcOp::kJnLeI;
+    case Op::kGt: return BcOp::kJnGtI;
+    default: return BcOp::kJnGeI;
   }
+}
+
+// True for an operand type a fused compare-branch takes.
+bool FusesCompare(const Type* t) {
+  return t->kind != TypeKind::kStr && t->kind != TypeKind::kF64;
 }
 
 // Key-kind flag (field d of the hash-probe instructions): matches
@@ -149,14 +156,14 @@ int32_t MapKeyKind(const Type* key) {
 }
 
 // Branch-if-false opcode for a fused column-read comparison.
-BcOp ColCmpBranchOp(Op cmp, bool is_f) {
+BcOp ColCmpBranchOp(Op cmp) {
   switch (cmp) {
-    case Op::kEq: return is_f ? BcOp::kJnColEqF : BcOp::kJnColEqI;
-    case Op::kNe: return is_f ? BcOp::kJnColNeF : BcOp::kJnColNeI;
-    case Op::kLt: return is_f ? BcOp::kJnColLtF : BcOp::kJnColLtI;
-    case Op::kLe: return is_f ? BcOp::kJnColLeF : BcOp::kJnColLeI;
-    case Op::kGt: return is_f ? BcOp::kJnColGtF : BcOp::kJnColGtI;
-    default: return is_f ? BcOp::kJnColGeF : BcOp::kJnColGeI;
+    case Op::kEq: return BcOp::kJnColEqI;
+    case Op::kNe: return BcOp::kJnColNeI;
+    case Op::kLt: return BcOp::kJnColLtI;
+    case Op::kLe: return BcOp::kJnColLeI;
+    case Op::kGt: return BcOp::kJnColGtI;
+    default: return BcOp::kJnColGeI;
   }
 }
 
@@ -193,14 +200,9 @@ std::string Disassemble(const BytecodeProgram& prog) {
 #define QC_BC_DIS_JMP(name) case BcOp::name:
         QC_BC_DIS_JMP(kJnEqI) QC_BC_DIS_JMP(kJnNeI) QC_BC_DIS_JMP(kJnLtI)
         QC_BC_DIS_JMP(kJnLeI) QC_BC_DIS_JMP(kJnGtI) QC_BC_DIS_JMP(kJnGeI)
-        QC_BC_DIS_JMP(kJnEqF) QC_BC_DIS_JMP(kJnNeF) QC_BC_DIS_JMP(kJnLtF)
-        QC_BC_DIS_JMP(kJnLeF) QC_BC_DIS_JMP(kJnGtF) QC_BC_DIS_JMP(kJnGeF)
         QC_BC_DIS_JMP(kJnColEqI) QC_BC_DIS_JMP(kJnColNeI)
         QC_BC_DIS_JMP(kJnColLtI) QC_BC_DIS_JMP(kJnColLeI)
         QC_BC_DIS_JMP(kJnColGtI) QC_BC_DIS_JMP(kJnColGeI)
-        QC_BC_DIS_JMP(kJnColEqF) QC_BC_DIS_JMP(kJnColNeF)
-        QC_BC_DIS_JMP(kJnColLtF) QC_BC_DIS_JMP(kJnColLeF)
-        QC_BC_DIS_JMP(kJnColGtF) QC_BC_DIS_JMP(kJnColGeF)
 #undef QC_BC_DIS_JMP
         std::snprintf(line, sizeof(line), "  -> %zd",
                       static_cast<ptrdiff_t>(pc) + 1 + insn.d);
@@ -321,10 +323,9 @@ BytecodeProgram BytecodeCompiler::Compile(const ir::Function& fn,
   CompileBlock(fn.body());
   Emit(BcOp::kRet);
   // Morsel body fragments of the parallelizable loops, after the main
-  // stream: same body compilation with the f64-sum clusters replaced by
-  // kLogRow appends and the array stores followed by touched-slot appends
-  // (the plan's action table), bounds in two fresh registers the runtime
-  // writes per morsel.
+  // stream: same body compilation with the array stores followed by
+  // touched-slot appends (ir::ParLoop::touch), bounds in two fresh
+  // registers the runtime writes per morsel.
   for (const auto& [loop, idx] : pending_par_) {
     ParLoopCode& plc = prog_.par_loops[idx];
     par_ = plc.plan;
@@ -335,16 +336,8 @@ BytecodeProgram BytecodeCompiler::Compile(const ir::Function& fn,
     plc.lo_reg = NewTemp();
     plc.hi_reg = NewTemp();
     plc.log_regs.clear();
-    for (size_t c = 0; c < plc.plan->logs.size(); ++c) {
+    for (size_t i = 0; i < plc.plan->reductions.size(); ++i) {
       plc.log_regs.push_back(NewTemp());
-    }
-    plc.touched_log.clear();
-    for (const ir::ParReduction& r : plc.plan->reductions) {
-      bool array = r.kind == ir::ParRedKind::kGroupArray ||
-                   r.kind == ir::ParRedKind::kBucketArray;
-      plc.touched_log.push_back(
-          array ? static_cast<int>(plc.log_regs.size()) : -1);
-      if (array) plc.log_regs.push_back(NewTemp());
     }
     frag_ = &plc;
     Emit(BcOp::kMov, ivar, plc.lo_reg);
@@ -369,16 +362,11 @@ void BytecodeCompiler::CompileBlock(const Block* b) {
   last_value_stmt_ = nullptr;
   // Preset-only statements emit no instructions; compile them up front
   // (their values are position-independent) and pattern-match over the
-  // instruction-producing rest. In a morsel fragment, statements folded
-  // into an addend log (ir::ParAction::kSkip) vanish here, as do condition
-  // statements folded into a fused while-exit branch.
+  // instruction-producing rest. Condition statements folded into a fused
+  // while-exit branch vanish here.
   std::vector<const Stmt*> real;
   real.reserve(b->stmts.size());
   for (const Stmt* s : b->stmts) {
-    if (par_ != nullptr &&
-        par_->actions[s->id] == ir::ParAction::kSkip) {
-      continue;
-    }
     if (!fuse_skip_.empty() && Contains(fuse_skip_, s)) continue;
     if (IsTransparent(s)) {
       CompileStmt(s);
@@ -408,12 +396,7 @@ void BytecodeCompiler::CompileBlock(const Block* b) {
   }
   for (size_t i = 0; i < real.size(); ++i) {
     const Stmt* s = real[i];
-    if (par_ != nullptr && par_->actions[s->id] == ir::ParAction::kLog) {
-      EmitLogRow(s);
-      last_value_stmt_ = nullptr;
-      continue;
-    }
-    if (par_ != nullptr && par_->actions[s->id] == ir::ParAction::kTouch) {
+    if (par_ != nullptr && par_->touch[s->id] >= 0) {
       CompileStmt(s);
       EmitTouchRow(s);
       last_value_stmt_ = nullptr;
@@ -482,9 +465,8 @@ size_t BytecodeCompiler::EmitLeafBranch(
   // Comparison leaf: branch directly on the operands, optionally folding a
   // single-use column read into the branch itself.
   if (in_window && IsCmp(leaf->op) && uses_[leaf->id] == 1 &&
-      leaf->args[0]->type->kind != TypeKind::kStr) {
+      FusesCompare(leaf->args[0]->type)) {
     folded->push_back(leaf);
-    bool is_f = leaf->args[0]->type->kind == TypeKind::kF64;
     const Stmt* lhs = leaf->args[0];
     const Stmt* rhs = leaf->args[1];
     for (int side = 0; side < 2; ++side) {
@@ -495,13 +477,13 @@ size_t BytecodeCompiler::EmitLeafBranch(
         folded->push_back(col);
         Op op = side == 0 ? leaf->op : SwapCmp(leaf->op);
         prog_.fused += 2;
-        return Emit(ColCmpBranchOp(op, is_f), Reg(other),
+        return Emit(ColCmpBranchOp(op), Reg(other),
                     PtrIdx(db_->table(col->aux0).column(col->aux1).data.data()),
                     Reg(col->args[0]));
       }
     }
     ++prog_.fused;
-    return Emit(CmpBranchOp(leaf->op, is_f), Reg(lhs), Reg(rhs));
+    return Emit(CmpBranchOp(leaf->op), Reg(lhs), Reg(rhs));
   }
   // not(is_null(p)) — the hash-probe hit test: skip when p is null.
   if (in_window && leaf->op == Op::kNot && uses_[leaf->id] == 1) {
@@ -656,9 +638,10 @@ size_t BytecodeCompiler::TryFuseAccumulate(
       store->aux0 != ld->aux0 || store->args[1] != add) {
     return 0;
   }
-  bool is_f = add->type->kind == TypeKind::kF64;
-  Emit(is_f ? BcOp::kRecAccAddF : BcOp::kRecAccAddI, Reg(ld->args[0]),
-       static_cast<uint32_t>(ld->aux0), Reg(x));
+  // An f64 sum stays three instructions: no TPC-H query has one.
+  if (add->type->kind == TypeKind::kF64) return 0;
+  Emit(BcOp::kRecAccAddI, Reg(ld->args[0]), static_cast<uint32_t>(ld->aux0),
+       Reg(x));
   prog_.fused += 2;
   return 3;
 }
@@ -734,8 +717,7 @@ size_t BytecodeCompiler::EmitWhileExit(const Block* b) {
       skip = {res};
       lhs = res->args[0];
       shape = Shape::kExitIfNonZero;
-    } else if (IsCmp(res->op) &&
-               res->args[0]->type->kind != TypeKind::kStr) {
+    } else if (IsCmp(res->op) && FusesCompare(res->args[0]->type)) {
       skip = {res};
       lhs = res->args[0];
       rhs = res->args[1];
@@ -758,34 +740,14 @@ size_t BytecodeCompiler::EmitWhileExit(const Block* b) {
     case Shape::kExitIfNonZero:
       return Emit(BcOp::kJnz, Reg(lhs));
     default:
-      return Emit(
-          CmpBranchOp(cmp, res->args[0]->type->kind == TypeKind::kF64),
-          Reg(lhs), Reg(rhs));
+      return Emit(CmpBranchOp(cmp), Reg(lhs), Reg(rhs));
   }
-}
-
-void BytecodeCompiler::EmitLogRow(const Stmt* s) {
-  int ci = par_->action_channel[s->id];
-  const ir::ParLogChannel& ch = par_->logs[ci];
-  std::vector<uint32_t> regs;
-  if (ch.handle != nullptr) regs.push_back(Reg(ch.handle));
-  for (const Stmt* v : ch.values) regs.push_back(Reg(v));
-  if (regs.empty()) {
-    // The JIT's kLogRow fast path is a do-while over the operands; a
-    // zero-operand channel would make it scribble past the log. No channel
-    // shape produces one (values is never empty) — fail loudly if that
-    // invariant ever breaks instead of emitting corrupting code.
-    std::fprintf(stderr, "bytecode: empty log channel %d\n", ci);
-    std::abort();
-  }
-  Emit(BcOp::kLogRow, static_cast<uint32_t>(ci), ExtraList(regs),
-       frag_->log_regs[ci], 0, static_cast<uint16_t>(regs.size()));
 }
 
 void BytecodeCompiler::EmitTouchRow(const Stmt* s) {
-  int ci = frag_->touched_log[par_->action_channel[s->id]];
-  Emit(BcOp::kLogRow, static_cast<uint32_t>(ci), ExtraList({Reg(s->args[1])}),
-       frag_->log_regs[ci], 0, 1);
+  int red = par_->touch[s->id];
+  Emit(BcOp::kLogRow, static_cast<uint32_t>(red), Reg(s->args[1]),
+       frag_->log_regs[red]);
 }
 
 void BytecodeCompiler::CompileStmt(const Stmt* s) {
@@ -954,10 +916,6 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
           for (const ir::ParReduction& r : plan->reductions) {
             plc.red_regs.push_back(Reg(r.target));
             plc.red_size_regs.push_back(r.size != nullptr ? Reg(r.size) : 0);
-          }
-          for (const ir::ParLogChannel& ch : plan->logs) {
-            plc.channel_var_regs.push_back(ch.var != nullptr ? Reg(ch.var)
-                                                             : 0);
           }
           prog_.par_loops.push_back(std::move(plc));
           pending_par_.emplace_back(s, prog_.par_loops.size() - 1);
@@ -1573,12 +1531,6 @@ void BytecodeVM::Interpret(RunState& st, Slot* R, uint32_t pc) {
   QC_BC_JN(kJnLeI, i, <=)
   QC_BC_JN(kJnGtI, i, >)
   QC_BC_JN(kJnGeI, i, >=)
-  QC_BC_JN(kJnEqF, d, ==)
-  QC_BC_JN(kJnNeF, d, !=)
-  QC_BC_JN(kJnLtF, d, <)
-  QC_BC_JN(kJnLeF, d, <=)
-  QC_BC_JN(kJnGtF, d, >)
-  QC_BC_JN(kJnGeF, d, >=)
 #undef QC_BC_JN
 
 #define QC_BC_JNCOL(NAME, FIELD, CMP)                                 \
@@ -1593,17 +1545,11 @@ void BytecodeVM::Interpret(RunState& st, Slot* R, uint32_t pc) {
   QC_BC_JNCOL(kJnColLeI, i, <=)
   QC_BC_JNCOL(kJnColGtI, i, >)
   QC_BC_JNCOL(kJnColGeI, i, >=)
-  QC_BC_JNCOL(kJnColEqF, d, ==)
-  QC_BC_JNCOL(kJnColNeF, d, !=)
-  QC_BC_JNCOL(kJnColLtF, d, <)
-  QC_BC_JNCOL(kJnColLeF, d, <=)
-  QC_BC_JNCOL(kJnColGtF, d, >)
-  QC_BC_JNCOL(kJnColGeF, d, >=)
 #undef QC_BC_JNCOL
 
   TARGET(kRecAccAddI) { static_cast<Slot*>(R[I->a].p)[I->b].i += R[I->c].i; }
   DISPATCH();
-  TARGET(kRecAccAddF) { static_cast<Slot*>(R[I->a].p)[I->b].d += R[I->c].d; }
+
   DISPATCH();
 
   TARGET(kEmit) { ops::Emit(&st, R, &prog_->extra[I->a], I->n, I->c); }
@@ -1616,8 +1562,7 @@ void BytecodeVM::Interpret(RunState& st, Slot* R, uint32_t pc) {
   }
   DISPATCH();
   TARGET(kLogRow) {
-    ops::LogRow(static_cast<std::vector<Slot>*>(R[I->c].p), R,
-                &prog_->extra[I->b], I->n * sizeof(Slot));
+    ops::LogRow(static_cast<std::vector<Slot>*>(R[I->c].p), R[I->b]);
   }
   DISPATCH();
 

@@ -128,28 +128,23 @@ class JitProgram;  // src/jit/engine.h
   /* fused filter branches: jump (d) when the comparison is FALSE.         \
      kJn*: a = lhs reg, b = rhs reg. */                                     \
   X(kJnEqI) X(kJnNeI) X(kJnLtI) X(kJnLeI) X(kJnGtI) X(kJnGeI)               \
-  X(kJnEqF) X(kJnNeF) X(kJnLtF) X(kJnLeF) X(kJnGtF) X(kJnGeF)               \
   /* fused scan filters: column read + compare + branch-if-false.          \
      a = rhs reg, b = ptr-pool index, c = row reg. */                       \
   X(kJnColEqI) X(kJnColNeI) X(kJnColLtI)                                    \
   X(kJnColLeI) X(kJnColGtI) X(kJnColGeI)                                    \
-  X(kJnColEqF) X(kJnColNeF) X(kJnColLtF)                                    \
-  X(kJnColLeF) X(kJnColGtF) X(kJnColGeF)                                    \
   /* fused aggregate updates: record-field load + add + store back.        \
      a = record reg, b = field, c = addend reg. */                          \
-  X(kRecAccAddI) X(kRecAccAddF)                                             \
+  X(kRecAccAddI)                                                            \
   /* result emission: n = arg count, a = extra offset, c = string mask,    \
      b = prog.state_reg (the row goes to the RunState's result table) */    \
   X(kEmit)                                                                  \
   /* morsel-parallel scan loops (see exec/parallel.h) */                    \
   X(kParLoop) /* a = par_loops index; on parallel run: pc += d (skips the  \
                  sequential loop body that follows as the fallback) */      \
-  X(kLogRow)  /* a = log channel (index into ParLoopCode::log_regs),        \
-                 b = extra offset, n = operand count, c = register holding  \
-                 the channel's log (std::vector<Slot>*, written per morsel  \
-                 by the runtime): append R[extra[b..b+n)] to that log. An   \
-                 addend log gets one f64-sum entry; a touched-slot log      \
-                 (n = 1) the slot index of a group/bucket array store */
+  X(kLogRow)  /* a = array reduction (index into ParLoopCode::log_regs),  \
+                 b = register holding a group/bucket array store's slot    \
+                 index, c = register holding the log (std::vector<Slot>*,  \
+                 written per morsel by the runtime): append R[b] to it */
 
 enum class BcOp : uint16_t {
 #define QC_BC_OP_ENUM(name) name,
@@ -182,9 +177,9 @@ static_assert(sizeof(Insn) == 20, "Insn must stay fixed-width and dense");
 
 // Compiled form of one morsel-parallelizable scan loop: the register
 // bindings the parallel runtime needs, plus the entry pc of the morsel
-// body fragment (compiled after the main stream's kRet, with the f64-sum
-// clusters replaced by kLogRow, each group/bucket array store followed by
-// a one-operand kLogRow of its slot index, and terminated by kRet).
+// body fragment (compiled after the main stream's kRet, with each
+// group/bucket array store followed by a kLogRow of its slot index, and
+// terminated by kRet).
 struct ParLoopCode {
   const ir::ParLoop* plan = nullptr;  // owned by the exec::Program
   uint32_t entry = 0;                 // morsel body fragment pc
@@ -194,16 +189,12 @@ struct ParLoopCode {
   uint32_t hi_reg = 0;
   std::vector<uint32_t> red_regs;           // per reduction: target register
   std::vector<uint32_t> red_size_regs;      // per reduction: array capacity
-  std::vector<uint32_t> channel_var_regs;   // per log channel: scalar target
-  // Per log channel: the register the runtime points at the morsel's log
-  // (std::vector<Slot>*) before entering the fragment — the kLogRow
-  // operand that lets both the VM handler and the JIT's native append reach
-  // the log without going through MorselState. The plan's addend channels
-  // come first, then one touched-slot log per array reduction.
+  // Per reduction: the register the runtime points at the morsel's
+  // touched-slot log (std::vector<Slot>*) before entering the fragment —
+  // the kLogRow operand that lets both the VM handler and the JIT's native
+  // append reach the log without going through MorselState. Only array
+  // reductions (ir::ParReduction::size set) append to theirs.
   std::vector<uint32_t> log_regs;
-  // Per reduction: its touched-slot channel (an index into log_regs) for
-  // kGroupArray/kBucketArray, -1 for every other kind.
-  std::vector<int> touched_log;
 };
 
 // A compiled program. Owns every payload the instructions reference, so a
@@ -368,15 +359,9 @@ inline void Emit(RunState* st, const Slot* regs, const uint32_t* argv,
   st->out.AddRow(std::move(row));
 }
 
-// Appends R[argv[...]] to a morsel's addend log. `nbytes` is the operand
-// count times sizeof(Slot) — the unit the JIT's inline pointer bump works
-// in, which calls this only when the bump would pass the log's capacity.
-inline void LogRow(std::vector<Slot>* lg, const Slot* regs,
-                   const uint32_t* argv, uint64_t nbytes) {
-  for (uint64_t i = 0; i < nbytes / sizeof(Slot); ++i) {
-    lg->push_back(regs[argv[i]]);
-  }
-}
+// Appends a store's slot index to a morsel's touched-slot log (the JIT's
+// inline pointer bump calls this only when the log is full).
+inline void LogRow(std::vector<Slot>* lg, Slot slot) { lg->push_back(slot); }
 
 // The back-edge safepoint slow path: polls the context's governance state
 // (publishing memory growth, checking cancel/deadline/budget). `countdown`
@@ -477,10 +462,8 @@ class BytecodeCompiler {
   // result is a fusible tail (Not(IsNull(p)), IsNull, Not, or a numeric
   // comparison). Returns the branch's pc (to be patched to the loop exit).
   size_t EmitWhileExit(const ir::Block* cond);
-  // Appends one addend-log entry for a morsel fragment (ir::ParAction::kLog).
-  void EmitLogRow(const ir::Stmt* s);
   // Appends the slot index of a group/bucket array store to its reduction's
-  // touched-slot log (ir::ParAction::kTouch; the store is compiled first).
+  // touched-slot log (ir::ParLoop::touch; the store is compiled first).
   void EmitTouchRow(const ir::Stmt* s);
 
   storage::Database* db_;
@@ -529,7 +512,8 @@ class BytecodeVM {
   // Morsel entry of parallel::RunForRange (worker threads, concurrently):
   // runs the body fragment of `plc` over rows [lo, hi) against `ms`, on a
   // copy of the loop-entry register file with the reduction targets, loop
-  // bounds, context registers and addend logs rebound to the morsel's own.
+  // bounds, context registers and touched-slot logs rebound to the
+  // morsel's own.
   void RunMorsel(parallel::MorselState& ms, const ParLoopCode& plc,
                  const std::vector<Slot>& entry_regs, int64_t lo, int64_t hi);
 

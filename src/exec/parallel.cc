@@ -140,7 +140,7 @@ class ArraySets {
     std::vector<RtArray>& set = sets_[idx];
     set.resize(plc_.red_regs.size());
     for (size_t i = 0; i < set.size(); ++i) {
-      if (plc_.touched_log[i] < 0) continue;
+      if (plc_.plan->reductions[i].size == nullptr) continue;  // not an array
       set[i].data.assign(regs_[plc_.red_size_regs[i]].i, SlotI(0));
     }
     return &set;
@@ -178,12 +178,11 @@ class SlotSplit {
   uint64_t mult_;
 };
 
-// Groups `src`, entries of `stride` slots, into `parts` parts by the part
-// `part_of` gives their first slot, keeping the entry order within each
-// part.
-template <typename PartOf>
-void Partition(std::vector<Slot>&& src, size_t stride, int parts,
-               PartOf part_of, SlotParts* out) {
+// Groups `src`, entries of `stride` slots keyed by an array slot, into
+// `parts` parts by the slot part of `split`, keeping the entry order within
+// each part.
+void PartitionBySlot(std::vector<Slot>&& src, size_t stride,
+                     const SlotSplit& split, int parts, SlotParts* out) {
   size_t n = src.size() / stride * stride;
   out->off.assign(parts + 1, 0);
   if (parts == 1) {
@@ -192,24 +191,17 @@ void Partition(std::vector<Slot>&& src, size_t stride, int parts,
     return;
   }
   for (size_t e = 0; e < n; e += stride) {
-    out->off[part_of(src[e]) + 1] += stride;
+    out->off[split.Part(src[e].i) + 1] += stride;
   }
   for (int p = 0; p < parts; ++p) out->off[p + 1] += out->off[p];
   std::vector<size_t> pos(out->off.begin(), out->off.end() - 1);
   out->data.resize(n);
   for (size_t e = 0; e < n; e += stride) {
-    size_t& at = pos[part_of(src[e])];
+    size_t& at = pos[split.Part(src[e].i)];
     std::memcpy(&out->data[at], &src[e], stride * sizeof(Slot));
     at += stride;
   }
   src = std::vector<Slot>();
-}
-
-// The same, by slot part of `split`: entries keyed by an array slot.
-void PartitionBySlot(std::vector<Slot>&& src, size_t stride,
-                     const SlotSplit& split, int parts, SlotParts* out) {
-  Partition(std::move(src), stride, parts,
-            [&](Slot k) { return split.Part(k.i); }, out);
 }
 
 size_t FoldStride(const ir::ParReduction& red) {
@@ -220,31 +212,25 @@ size_t FoldStride(const ir::ParReduction& red) {
 // morsels `ran` touched out of the private arrays `arrs` into the first
 // morsel's entry lists — (slot, record) per group-array slot, (slot, chain
 // head, chain tail) per bucket-array slot — re-nulling each slot. The
-// entries of a ranged array, and each morsel's slot-keyed addend logs that
-// replay with it, are split into `parts` slot parts for the slot-range
-// merge.
+// entries of a ranged array are split into `parts` slot parts for the
+// slot-range merge.
 void CompactChunk(const ParLoopCode& plc, const std::vector<char>& ranged,
                   int parts, const std::vector<MorselState*>& ran,
                   std::vector<RtArray>& arrs) {
   if (ran.empty()) return;
   const ir::ParLoop& plan = *plc.plan;
-  auto split = [&](int red) {
-    return SlotSplit(static_cast<int64_t>(arrs[red].data.size()), parts);
-  };
   ran[0]->folds.resize(plan.reductions.size());
   for (size_t i = 0; i < plan.reductions.size(); ++i) {
-    if (plc.touched_log[i] < 0) continue;
     const ir::ParReduction& red = plan.reductions[i];
+    if (red.size == nullptr) continue;  // not an array
     Slot* arr = arrs[i].data.data();
     bool bucket = red.kind == ir::ParRedKind::kBucketArray;
     size_t n_touched = 0;
-    for (MorselState* ms : ran) {
-      n_touched += ms->logs[plc.touched_log[i]].size();
-    }
+    for (MorselState* ms : ran) n_touched += ms->logs[i].size();
     std::vector<Slot> entries;
     entries.reserve(FoldStride(red) * n_touched);
     for (MorselState* ms : ran) {
-      std::vector<Slot>& touched = ms->logs[plc.touched_log[i]];
+      std::vector<Slot>& touched = ms->logs[i];
       for (Slot k : touched) {
         Slot head = arr[k.i];
         // A slot is logged once per store (a bucket once per prepend):
@@ -264,17 +250,9 @@ void CompactChunk(const ParLoopCode& plc, const std::vector<char>& ranged,
       touched = std::vector<Slot>();
     }
     PartitionBySlot(std::move(entries), FoldStride(red),
-                    split(static_cast<int>(i)), ranged[i] ? parts : 1,
-                    &ran[0]->folds[i]);
-  }
-  for (MorselState* ms : ran) {
-    ms->replays.resize(plan.logs.size());
-    for (size_t c = 0; c < plan.logs.size(); ++c) {
-      const ir::ParLogChannel& ch = plan.logs[c];
-      if (ch.array_red < 0 || !ranged[ch.array_red]) continue;
-      PartitionBySlot(std::move(ms->logs[c]), ch.Stride(),
-                      split(ch.array_red), parts, &ms->replays[c]);
-    }
+                    SlotSplit(static_cast<int64_t>(arrs[i].data.size()),
+                              parts),
+                    ranged[i] ? parts : 1, &ran[0]->folds[i]);
   }
 }
 
@@ -305,35 +283,14 @@ int64_t FoldEntries(const ir::ParReduction& red, Slot* main, const Slot* e,
   return folded;
 }
 
-// Replays the addend entries [e, end) of channel `ch` in order against the
-// merged records, `rec_of` mapping an entry's handle to its record.
-template <typename RecOf>
-void ReplayEntries(const ir::ParLogChannel& ch, const Slot* e,
-                   const Slot* end, RecOf rec_of) {
-  for (; e + ch.Stride() <= end; e += ch.Stride()) {
-    Slot* rec = rec_of(e[0]);
-    for (size_t j = 0; j < ch.fields.size(); ++j) {
-      rec[ch.fields[j]].d += e[1 + ch.value_idx[j]].d;
-    }
-  }
-}
-
-// The slot-keyed entries of a group array: the handle is the slot.
-void ReplaySlotLog(const ir::ParLogChannel& ch, const Slot* main,
-                   const Slot* e, const Slot* end) {
-  ReplayEntries(ch, e, end,
-                [&](Slot k) { return static_cast<Slot*>(main[k.i].p); });
-}
-
 Slot* ArrayData(const ParLoopCode& plc, const Slot* regs, int red) {
   return static_cast<RtArray*>(regs[plc.red_regs[red]].p)->data.data();
 }
 
 // One task of the slot-range merge: folds slot part `part` of every ranged
-// array reduction over all morsels, in morsel order, then replays that
-// part's slot-keyed f64 addends, also in morsel (= row) order, so each
-// slot sees exactly the sequential fold. Parts share no slot, record or
-// chain, so they run concurrently; accounting credits go to `stats`.
+// array reduction over all morsels, in morsel order, so each slot sees
+// exactly the sequential fold. Parts share no slot, record or chain, so
+// they run concurrently; accounting credits go to `stats`.
 // Returns the number of slots folded.
 int64_t MergeSlotPart(const ParLoopCode& plc, const Slot* main_regs,
                       const std::vector<char>& ranged,
@@ -352,17 +309,6 @@ int64_t MergeSlotPart(const ParLoopCode& plc, const Slot* main_regs,
                             sp.data.data() + sp.off[part + 1], stats);
     }
   }
-  for (size_t c = 0; c < plan.logs.size(); ++c) {
-    const ir::ParLogChannel& ch = plan.logs[c];
-    if (ch.array_red < 0 || !ranged[ch.array_red]) continue;
-    const Slot* main = ArrayData(plc, main_regs, ch.array_red);
-    for (const std::unique_ptr<MorselState>& m : ms) {
-      if (m->replays.empty()) continue;
-      const SlotParts& sp = m->replays[c];
-      ReplaySlotLog(ch, main, sp.data.data() + sp.off[part],
-                    sp.data.data() + sp.off[part + 1]);
-    }
-  }
   return folded;
 }
 
@@ -379,56 +325,14 @@ RtHashMap* KeyMap(const ir::ParReduction& red, Slot obj) {
   return static_cast<RtHashMap*>(obj.p);
 }
 
-// Rewrites the record-keyed log `c` of morsel `ms` to record positions and
-// scatters it by hash part. A morsel never stores its records' f64 sum
-// fields (it logs their additions instead), so the first of them holds
-// each private record's position while the handles are rewritten and gets
-// its value back afterwards: one load per entry, no lookup.
-void RouteRecordLog(const ir::ParLogChannel& ch, size_t c,
-                    const RtHashMap& priv, MorselState& ms) {
-  const HashParts& hp = ms.hashed[ch.map_red];
-  const std::vector<RtHashMap::Node*>& es = priv.entries();
-  const int f = ch.fields[0];
-  std::vector<Slot> saved(es.size());
-  for (size_t j = 0; j < es.size(); ++j) {
-    Slot* rec = static_cast<Slot*>(es[j]->value.p);
-    saved[j] = rec[f];
-    rec[f] = SlotI(hp.pos[j]);
-  }
-  std::vector<Slot>& log = ms.logs[c];
-  const size_t stride = ch.Stride();
-  bool known = true;
-  for (size_t e = 0; e + stride <= log.size(); e += stride) {
-    const void* rec = log[e].p;
-    int64_t a = static_cast<const Slot*>(rec)[f].i;
-    known &= a >= 0 && a < static_cast<int64_t>(es.size()) &&
-             es[hp.entry[a]]->value.p == rec;
-    if (!known) break;
-    log[e] = SlotI(a);
-  }
-  for (size_t j = 0; j < es.size(); ++j) {
-    static_cast<Slot*>(es[j]->value.p)[f] = saved[j];
-  }
-  if (!known) {
-    std::fprintf(stderr,
-                 "parallel merge: log entry for unknown group record\n");
-    std::abort();
-  }
-  Partition(std::move(log), stride, kHashParts,
-            [&](Slot a) { return hp.hash[a.i] & (kHashParts - 1); },
-            &ms.replays[c]);
-}
-
 // Task end, on the worker that ran it: hashes each key of the private maps
 // and multimaps of the morsels `ran` once and scatters the entries into the
-// kHashParts hash parts, then routes each map's record-keyed f64 log to
-// the parts of its records' keys.
+// kHashParts hash parts.
 void HashChunk(const ParLoopCode& plc, const std::vector<MorselState*>& ran) {
   const ir::ParLoop& plan = *plc.plan;
   std::vector<uint64_t> hashes;
   for (MorselState* ms : ran) {
     ms->hashed.resize(plan.reductions.size());
-    ms->replays.resize(plan.logs.size());
     for (size_t i = 0; i < plan.reductions.size(); ++i) {
       if (!IsHashed(plan.reductions[i])) continue;
       const RtHashMap& priv = *KeyMap(plan.reductions[i], ms->priv[i]);
@@ -455,13 +359,6 @@ void HashChunk(const ParLoopCode& plc, const std::vector<MorselState*>& ran) {
       hp.into.assign(n, nullptr);
       hp.created.assign(n, 0);
     }
-    for (size_t c = 0; c < plan.logs.size(); ++c) {
-      const ir::ParLogChannel& ch = plan.logs[c];
-      if (ch.map_red < 0) continue;
-      RouteRecordLog(ch, c, *KeyMap(plan.reductions[ch.map_red],
-                                    ms->priv[ch.map_red]),
-                     *ms);
-    }
   }
 }
 
@@ -473,16 +370,14 @@ void AppendValues(RtList* to, RtList* from, AllocStats* stats) {
   from->items = std::vector<Slot>();
 }
 
-// The hash-part merge of a loop's maps and multimaps and their record-keyed
-// f64 replays, after the scan. The main tables first grow to hold every
+// The hash-part merge of a loop's maps and multimaps, after the scan. The main tables first grow to hold every
 // morsel entry. Then one pool task per hash part walks the morsels in
 // order over its part's entries, so each key meets its entries in row
 // order: a key's first entry links its private node, with its record or
 // value list, straight into the part's own buckets, where later entries
 // and the keys held before the loop find it; a later entry combines into
-// it (or appends its values). The task then replays the part's addends in
-// morsel (= row) order. Parts share no key, record, list or bucket, so
-// they run concurrently. The last part through a morsel frees its private
+// it (or appends its values). Parts share no key, record, list or bucket,
+// so they run concurrently. The last part through a morsel frees its private
 // maps and, once every earlier morsel is through, appends the morsel's new
 // keys to entries(): the sequential first-occurrence order, from flags,
 // with no hashing. Where duplicates left a table larger than the
@@ -593,19 +488,6 @@ class HashMerger {
       }
       PassMorsel(m);
     }
-    for (size_t c = 0; c < plan_.logs.size(); ++c) {
-      const ir::ParLogChannel& ch = plan_.logs[c];
-      if (ch.map_red < 0) continue;
-      for (const std::unique_ptr<MorselState>& m : ms_) {
-        if (m->hashed.empty()) continue;
-        const HashParts& hp = m->hashed[ch.map_red];
-        const SlotParts& sp = m->replays[c];
-        ReplayEntries(ch, sp.data.data() + sp.off[part],
-                      sp.data.data() + sp.off[part + 1], [&](Slot a) {
-                        return static_cast<Slot*>(hp.into[a.i]->value.p);
-                      });
-      }
-    }
     out->credits = credits;
     out->merged = merged;
   }
@@ -675,8 +557,7 @@ class HashMerger {
 
 // The ordered merge of everything but the ranged array reductions, the
 // maps and the multimaps: folds one morsel at a time, in morsel order, on
-// the caller thread while the scan still runs, and frees each log it has
-// replayed.
+// the caller thread while the scan still runs.
 class Merger {
  public:
   Merger(const ParLoopCode& plc, RunState& main, Slot* main_regs,
@@ -736,7 +617,6 @@ class Merger {
             ms.folds[i] = SlotParts();
           }
           break;
-        case ir::ParRedKind::kVarSumF:  // replayed from the log below
         case ir::ParRedKind::kVarMin:
         case ir::ParRedKind::kVarMax:
         case ir::ParRedKind::kMap:  // merged by hash part after the scan
@@ -744,7 +624,6 @@ class Merger {
           break;
       }
     }
-    ReplayLogs(ms);
     MergeEmits(ms);
   }
 
@@ -761,28 +640,6 @@ class Merger {
       main->items.push_back(v);
       main_.stats->vector_bytes +=
           (main->items.capacity() - before) * sizeof(Slot);
-    }
-  }
-
-  // Replays the f64 additions of this morsel in row order, against the
-  // merged accumulators, reproducing the sequential rounding bit for bit.
-  // The slot-keyed channels of ranged arrays replay in MergeSlotPart, the
-  // record-keyed channels of maps in MergeHashPart.
-  void ReplayLogs(MorselState& ms) {
-    const ir::ParLoop& plan = *plc_.plan;
-    for (size_t c = 0; c < plan.logs.size(); ++c) {
-      const ir::ParLogChannel& ch = plan.logs[c];
-      std::vector<Slot>& log = ms.logs[c];
-      if (ch.var != nullptr) {
-        Slot& acc = main_regs_[plc_.channel_var_regs[c]];
-        for (Slot v : log) acc.d += v.d;
-      } else if (ch.array_red >= 0 && !ranged_[ch.array_red]) {
-        ReplaySlotLog(ch, ArrayData(plc_, main_regs_, ch.array_red),
-                      log.data(), log.data() + log.size());
-      } else {
-        continue;
-      }
-      log = std::vector<Slot>();
     }
   }
 
@@ -939,15 +796,14 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
   int64_t arr_slots = 0;
   for (size_t i = 0; i < plan.reductions.size(); ++i) {
     has_hashed |= IsHashed(plan.reductions[i]);
-    if (plc.touched_log[i] < 0) continue;  // not an array reduction
+    if (plan.reductions[i].size == nullptr) continue;  // not an array
     int64_t size = regs[plc.red_size_regs[i]].i;
     if (size < 0) return false;
     has_arrays = true;
     arr_slots += size;
     // An array small next to a morsel folds at most `size` slots per
-    // morsel, so the ordered merge keeps pace with the scan and its
-    // slot-keyed replays stay overlapped with it. A larger one is merged
-    // by slot range after the scan.
+    // morsel, so the ordered merge keeps pace with the scan. A larger one
+    // is merged by slot range after the scan.
     ranged[i] = size * kOrderedMergeRatio > mr;
     has_ranged |= ranged[i] != 0;
   }
@@ -983,22 +839,15 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
     states.push_back(std::make_unique<MorselState>());
     MorselState& ms = *states.back();
     ms.logs.resize(plc.log_regs.size());
-    // Worst case one entry per morsel row: reserving up front avoids
-    // repeated growth copies of multi-megabyte logs in the hot scan (and
-    // keeps the JIT's pointer-bump append on its fast path).
     int64_t m_rows = ranges[m].second - ranges[m].first;
-    for (size_t c = 0; c < plan.logs.size(); ++c) {
-      ms.logs[c].reserve(plan.logs[c].Stride() * m_rows);
-    }
     ms.priv.resize(plan.reductions.size(), SlotI(0));
     for (size_t i = 0; i < plan.reductions.size(); ++i) {
       const ir::ParReduction& r = plan.reductions[i];
       switch (r.kind) {
         case ir::ParRedKind::kVarSumI:
-        case ir::ParRedKind::kVarSumF:
         case ir::ParRedKind::kVarMin:
         case ir::ParRedKind::kVarMax:
-          ms.priv[i] = SlotI(0);  // fold identity (0.0 shares the bits)
+          ms.priv[i] = SlotI(0);  // fold identity
           break;
         case ir::ParRedKind::kList:
           ms.st.lists.emplace_back();
@@ -1015,12 +864,13 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
         case ir::ParRedKind::kGroupArray:
         case ir::ParRedKind::kBucketArray: {
           // One touched entry per created group (at most one per slot) or
-          // per bucket prepend (at most one per row).
+          // per bucket prepend (at most one per row): reserving up front
+          // keeps the JIT's pointer-bump append on its fast path.
           int64_t size = regs[plc.red_size_regs[i]].i;
           int64_t cap = r.kind == ir::ParRedKind::kGroupArray && size < m_rows
                             ? size
                             : m_rows;
-          ms.logs[plc.touched_log[i]].reserve(cap);
+          ms.logs[i].reserve(cap);
           break;
         }
       }
@@ -1067,7 +917,9 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
       MorselState& ms = *states[m];
       if (arrs != nullptr) {
         for (size_t i = 0; i < plan.reductions.size(); ++i) {
-          if (plc.touched_log[i] >= 0) ms.priv[i] = SlotP(&(*arrs)[i]);
+          if (plan.reductions[i].size != nullptr) {
+            ms.priv[i] = SlotP(&(*arrs)[i]);
+          }
         }
       }
       vm.RunMorsel(ms, plc, entry_regs, ranges[m].first, ranges[m].second);
@@ -1138,10 +990,9 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
   }
   eng.pool.Wait();
 
-  // Slot-range merge of the ranged arrays and their slot-keyed f64
-  // replays: one task per thread, each owning one slot part and walking
-  // the morsels in order, with its own AllocStats for the duplicate-record
-  // credits.
+  // Slot-range merge of the ranged arrays: one task per thread, each
+  // owning one slot part and walking the morsels in order, with its own
+  // AllocStats for the duplicate-record credits.
   int64_t touched = merger.folded();
   if (has_ranged) {
     std::vector<AllocStats> range_stats(threads);
@@ -1163,7 +1014,6 @@ bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
   for (std::unique_ptr<MorselState>& ms : states) {
     ms->logs = std::vector<std::vector<Slot>>();
     ms->folds = std::vector<SlotParts>();
-    ms->replays = std::vector<SlotParts>();
     ms->hashed = std::vector<HashParts>();
     ms->priv = std::vector<Slot>();
     main.morsels.push_back(std::move(ms));

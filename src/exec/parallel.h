@@ -19,37 +19,33 @@
 // created and moved out once per chunk. Hash maps and multimaps are private per
 // morsel; at the end of its task the worker hashes each private key once and
 // scatters the entries into 16 hash parts (RtHashMap::kMinBuckets, so a part
-// owns a fixed set of main buckets at every table size), and routes each map's
-// record-keyed f64 log to the parts of its records' keys.
+// owns a fixed set of main buckets at every table size).
 //
 // The merge has three phases, so its work follows what the morsels
 // produced:
-//   1. the ordered merge — scalars, lists, arrays that are not ranged,
-//      their f64 replays and emits — folds one morsel at a time in morsel
-//      order on the caller thread, overlapped with the scan;
-//   2. after the scan, the slot-range merge folds the ranged arrays and
-//      their slot-keyed f64 replays as one pool task per slot part. Each
-//      task walks the morsels in order over its own slots only, so every
-//      slot still folds in row order;
-//   3. then the hash-part merge folds the maps and multimaps and their
-//      record-keyed f64 replays as one pool task per hash part, each
-//      walking the morsels in order over its own keys and moving each new
-//      key's private node into its own buckets of the main table. The
-//      last task through a morsel appends the morsel's new keys to the
-//      main tables' entries(), in morsel order, so entries() keeps the
-//      sequential first-occurrence order.
+//   1. the ordered merge — scalars, lists, arrays that are not ranged and
+//      emits — folds one morsel at a time in morsel order on the caller
+//      thread, overlapped with the scan;
+//   2. after the scan, the slot-range merge folds the ranged arrays as one
+//      pool task per slot part. Each task walks the morsels in order over
+//      its own slots only, so every slot still folds in row order;
+//   3. then the hash-part merge folds the maps and multimaps as one pool
+//      task per hash part, each walking the morsels in order over its own
+//      keys and moving each new key's private node into its own buckets of
+//      the main table. The last task through a morsel appends the morsel's
+//      new keys to the main tables' entries(), in morsel order, so
+//      entries() keeps the sequential first-occurrence order.
 //
 // Determinism contract: the merged result is bitwise identical to the
 // sequential run for any thread count and morsel size —
 //   * list appends, multimap inserts, emits, and intrusive bucket chains
 //     recombine in morsel order, reproducing the exact sequential
 //     append/insert order;
-//   * integral sums are exact and associative, min/max merges keep the
-//     sequential first-occurrence semantics via the shared count; and
-//   * f64 sums — the one non-associative fold — are not merged from
-//     partials at all: the parallel phase logs the per-row addends
-//     (ir::ParLogChannel) and the merge replays the additions in global
-//     row order, keeping the sequential floating-point rounding.
+//   * integral sums (integers and decimals) are exact and associative:
+//     main += morsel partial; and
+//   * min/max merges keep the sequential first-occurrence semantics via
+//     the shared count.
+// A loop with an f64 sum never gets here: ir/parallel.h rejects it.
 //
 // AllocStats accounting: each morsel's stats are folded in with MergeFrom,
 // then the merge credits back storage that a sequential run never
@@ -122,9 +118,9 @@ struct RunState {
 
 namespace parallel {
 
-// One morsel's entries for an array reduction or a slot-keyed addend log,
-// grouped by slot part: part p is data[off[p], off[p + 1]), entries in row
-// order within a part. An array merged in order has a single part.
+// One morsel's entries for an array reduction, grouped by slot part: part
+// p is data[off[p], off[p + 1]), entries in row order within a part. An
+// array merged in order has a single part.
 struct SlotParts {
   std::vector<Slot> data;
   std::vector<size_t> off;
@@ -151,22 +147,18 @@ struct MorselState {
   AllocStats stats;
   RunState st{&stats};
   std::vector<Slot> regs;
-  // One log per ParLoopCode::log_regs channel: the addend logs of the
-  // plan's channels, then one touched-slot log per array reduction.
+  // One touched-slot log per reduction (ParLoopCode::log_regs), filled by
+  // the array reductions.
   std::vector<std::vector<Slot>> logs;
   // Privatized object per reduction; an array reduction's is its worker's
   // private array, bound while the morsel runs.
   std::vector<Slot> priv;
   // Filled at task end from the touched-slot logs: per reduction, (slot,
   // record) per touched group-array slot or (slot, chain head, chain tail)
-  // per touched bucket-array slot, held by the first morsel of a chunk;
-  // per addend channel, the slot-keyed log of a ranged array. Empty for
-  // every other reduction and channel, for the other morsels of a chunk,
-  // and for a morsel skipped after a trip. The record-keyed log of a map
-  // moves to `replays` too, by hash part, each entry's handle replaced by
-  // its record's position in `hashed`.
+  // per touched bucket-array slot, held by the first morsel of a chunk.
+  // Empty for every other reduction, for the other morsels of a chunk, and
+  // for a morsel skipped after a trip.
   std::vector<SlotParts> folds;
-  std::vector<SlotParts> replays;
   // Filled at task end, per kMap/kMMap reduction (empty for the others and
   // for a morsel skipped after a trip).
   std::vector<HashParts> hashed;

@@ -78,15 +78,12 @@ class LoopAnalyzer {
   // the loop.
   bool Run(ParLoop* out, ParReject* why) {
     out_.loop = loop_;
-    out_.actions.assign(fn_.num_stmts(), ParAction::kNormal);
-    out_.action_channel.assign(fn_.num_stmts(), -1);
+    out_.touch.assign(fn_.num_stmts(), -1);
     MarkInLoop(loop_->blocks[0]);
     *why = ParReject{loop_, nullptr, nullptr};
     if (!Walk(loop_->blocks[0])) {
       why->at = failed_;
-      why->rule = "visit";
-    } else if (!BuildChannels()) {
-      why->rule = "channels";
+      why->rule = f64_sum_ ? "f64-sum" : "visit";
     } else if (!ValidateGuards()) {
       why->rule = "guards";
     } else if (!ValidateInits()) {
@@ -103,16 +100,6 @@ class LoopAnalyzer {
   }
 
  private:
-  struct F64Set {
-    const Stmt* set;
-    const Stmt* get;
-    const Stmt* add;
-    const Stmt* addend;
-    const Stmt* handle;  // null for scalar vars
-    const Stmt* var;     // null for group records
-    int field = -1;
-  };
-
   bool InLoop(const Stmt* s) const {
     return s->id >= 0 && s->id < static_cast<int>(in_loop_.size()) &&
            in_loop_[s->id] != 0;
@@ -265,41 +252,29 @@ class LoopAnalyzer {
 
   // --- cluster matchers -----------------------------------------------------
 
-  // var = var + w  (integral: merged as partial sums; f64: addends logged).
+  // var = var + w over an integral var: merged as partial sums.
   bool MatchVarSum(const Stmt* assign, const Stmt* var) {
     const Stmt* val = assign->args[1];
     if (val->op != Op::kAdd || !InLoop(val)) return false;
     const Stmt* read = nullptr;
-    const Stmt* addend = nullptr;
     for (int side = 0; side < 2; ++side) {
       const Stmt* a = val->args[side];
-      const Stmt* b = val->args[1 - side];
-      if (a->op == Op::kVarRead && a->args[0] == var && InLoop(a) && b != a) {
+      if (a->op == Op::kVarRead && a->args[0] == var && InLoop(a) &&
+          val->args[1 - side] != a) {
         read = a;
-        addend = b;
         break;
       }
     }
     if (read == nullptr) return false;
-    bool is_f = var->type->kind == TypeKind::kF64;
+    if (var->type->kind == TypeKind::kF64) return RejectF64Sum();
     int idx = FindReduction(var);
-    if (is_f) {
-      // The read and add are skipped during morsel runs, so they must have
-      // no other consumers, and only one fold site may exist per variable
-      // (two logs would lose the in-row interleaving of the additions).
-      if (idx >= 0) return false;
-      if (uses_[read->id] != 1 || uses_[val->id] != 1) return false;
-      Register(ParRedKind::kVarSumF, var);
-      f64_sets_.push_back(F64Set{assign, read, val, addend, nullptr, var, -1});
-    } else {
-      if (idx < 0) {
-        Register(ParRedKind::kVarSumI, var);
-      } else if (out_.reductions[idx].kind != ParRedKind::kVarSumI) {
-        return false;
-      }
-      partials_.insert(read);
-      partials_.insert(val);
+    if (idx < 0) {
+      Register(ParRedKind::kVarSumI, var);
+    } else if (out_.reductions[idx].kind != ParRedKind::kVarSumI) {
+      return false;
     }
+    partials_.insert(read);
+    partials_.insert(val);
     Claim(read);
     Claim(val);
     Claim(assign);
@@ -409,38 +384,29 @@ class LoopAnalyzer {
     ParReduction& red = out_.reductions[red_idx];
     int f = set->aux0;
     if (f < 0 || f >= static_cast<int>(red.fields.size())) return false;
-    bool is_f = red.field_is_f64[f];
     // An integral sum field takes any number of stores (a second create
     // site folds into it too); every other fold owns its field alone.
     if (red.fields[f] != ParFold::kKeepFirst &&
-        (is_f || red.fields[f] != ParFold::kSumI)) {
+        red.fields[f] != ParFold::kSumI) {
       return false;
     }
     const Stmt* val = set->args[1];
     if (val->op != Op::kAdd || !InLoop(val)) return false;
     const Stmt* get = nullptr;
-    const Stmt* addend = nullptr;
     for (int side = 0; side < 2; ++side) {
       const Stmt* a = val->args[side];
-      const Stmt* b = val->args[1 - side];
       if (a->op == Op::kRecGet && a->args[0] == h && a->aux0 == f &&
-          InLoop(a) && b != a) {
+          InLoop(a) && val->args[1 - side] != a) {
         get = a;
-        addend = b;
         break;
       }
     }
     if (get == nullptr) return false;
-    if (is_f) {
-      if (uses_[get->id] != 1 || uses_[val->id] != 1) return false;
-      f64_sets_.push_back(F64Set{set, get, val, addend, h, nullptr, f});
-      red.fields[f] = ParFold::kSumF;
-    } else {
-      red.fields[f] = ParFold::kSumI;
-      field_sum_sets_.emplace_back(h, f, parent_.at(set));
-      partials_.insert(get);
-      partials_.insert(val);
-    }
+    if (red.field_is_f64[f]) return RejectF64Sum();
+    red.fields[f] = ParFold::kSumI;
+    field_sum_sets_.emplace_back(h, f, parent_.at(set));
+    partials_.insert(get);
+    partials_.insert(val);
     Claim(get);
     Claim(val);
     Claim(set);
@@ -523,7 +489,7 @@ class LoopAnalyzer {
     Claim(g0);
     Claim(rec);
     Claim(store);
-    SetAction(store, ParAction::kTouch, red_idx);
+    out_.touch[store->id] = red_idx;
     consumed_blocks_.insert(ifs->blocks[0]);
     if (ifs->blocks.size() > 1) consumed_blocks_.insert(ifs->blocks[1]);
     // The then-block statements still need parents for later checks.
@@ -570,8 +536,7 @@ class LoopAnalyzer {
     ParReduction* r = Register(ParRedKind::kBucketArray, arr);
     r->size = size;
     r->next_field = link->aux0;
-    SetAction(store, ParAction::kTouch,
-              static_cast<int>(out_.reductions.size() - 1));
+    out_.touch[store->id] = static_cast<int>(out_.reductions.size() - 1);
     Claim(store);
     Claim(link);
     Claim(old);
@@ -618,89 +583,11 @@ class LoopAnalyzer {
 
   // --- post passes ----------------------------------------------------------
 
-  // Groups the collected f64-sum stores into per-handle log channels, picks
-  // the last store of each channel as the appender, and skips the rest.
-  bool BuildChannels() {
-    // Scalar channels: one per kVarSumF cluster.
-    for (const F64Set& fs : f64_sets_) {
-      if (fs.var == nullptr) continue;
-      ParLogChannel ch;
-      ch.append_at = fs.set;
-      ch.var = fs.var;
-      ch.values.push_back(fs.addend);
-      SetAction(fs.get, ParAction::kSkip);
-      SetAction(fs.add, ParAction::kSkip);
-      SetAction(fs.set, ParAction::kLog,
-                static_cast<int>(out_.logs.size()));
-      int red = FindReduction(fs.var);
-      out_.reductions[red].log_channel = static_cast<int>(out_.logs.size());
-      out_.logs.push_back(std::move(ch));
-    }
-    // Grouped channels: all f64 sums of one handle share one channel, in
-    // store order, so the merge replays the exact sequential additions.
-    std::vector<const Stmt*> handles;
-    for (const F64Set& fs : f64_sets_) {
-      if (fs.handle == nullptr) continue;
-      bool seen = false;
-      for (const Stmt* h : handles) seen |= (h == fs.handle);
-      if (!seen) handles.push_back(fs.handle);
-    }
-    for (const Stmt* h : handles) {
-      ParLogChannel ch;
-      ch.handle = h;
-      const Stmt* last = nullptr;
-      const Block* block = nullptr;
-      int red_idx = handles_.at(h);
-      for (const F64Set& fs : f64_sets_) {
-        if (fs.handle != h) continue;
-        int vi = -1;
-        for (size_t k = 0; k < ch.values.size(); ++k) {
-          if (ch.values[k] == fs.addend) vi = static_cast<int>(k);
-        }
-        if (vi < 0) {
-          vi = static_cast<int>(ch.values.size());
-          ch.values.push_back(fs.addend);
-        }
-        ch.value_idx.push_back(vi);
-        ch.fields.push_back(fs.field);
-        // All stores must be unconditional in the handle's own block — the
-        // log entry for a row is appended exactly once, at the last store.
-        if (block == nullptr) block = parent_.at(fs.set);
-        if (parent_.at(fs.set) != block || block != parent_.at(h)) {
-          return false;
-        }
-        SetAction(fs.get, ParAction::kSkip);
-        SetAction(fs.add, ParAction::kSkip);
-        SetAction(fs.set, ParAction::kSkip);
-        last = fs.set;
-      }
-      // Two handles of one reduction would interleave their additions
-      // within a row; a single channel per reduction keeps replay exact.
-      for (const Stmt* h2 : handles) {
-        if (h2 != h && handles_.at(h2) == red_idx) return false;
-      }
-      // Group arrays log the slot index instead of the record pointer, so
-      // replay is a direct array load. It is the handle's own index: with
-      // two create sites, the other site's index is not computed on every
-      // row. A map's channel names its reduction, whose hash parts the
-      // merge routes the entries to.
-      const ParReduction& red = out_.reductions[red_idx];
-      if (red.kind == ParRedKind::kGroupArray) {
-        ch.handle = h->args[1];
-        ch.array_red = red_idx;
-      } else {
-        ch.map_red = red_idx;
-      }
-      ch.append_at = last;
-      SetAction(last, ParAction::kLog, static_cast<int>(out_.logs.size()));
-      out_.logs.push_back(std::move(ch));
-    }
-    return true;
-  }
-
-  void SetAction(const Stmt* s, ParAction a, int channel = -1) {
-    out_.actions[s->id] = a;
-    out_.action_channel[s->id] = channel;
+  // An f64 sum is not associative: its partial sums would not merge into
+  // the sequential rounding, so the loop runs sequentially.
+  bool RejectF64Sum() {
+    f64_sum_ = true;
+    return false;
   }
 
   bool ValidateGuards() {
@@ -768,21 +655,14 @@ class LoopAnalyzer {
   }
 
   // No statement outside the recognized clusters may touch a privatized
-  // target, a group-record handle, an init record, an integral sum's
-  // morsel-partial read or add, or a skipped statement.
+  // target, a group-record handle, an init record, or an integral sum's
+  // morsel-partial read or add.
   bool ValidateReads(const Block* b) {
     for (const Stmt* s : b->stmts) {
-      bool s_claimed = Claimed(s);
-      ParAction sa = out_.actions[s->id];
       for (const Stmt* a : s->args) {
-        if (!s_claimed && FindReduction(a) >= 0) return false;
-        if (!s_claimed &&
-            (handles_.count(a) != 0 || init_recs_.count(a) != 0 ||
-             partials_.count(a) != 0)) {
-          return false;
-        }
-        if (sa == ParAction::kNormal && !s_claimed && InLoop(a) &&
-            out_.actions[a->id] == ParAction::kSkip) {
+        if (!Claimed(s) &&
+            (FindReduction(a) >= 0 || handles_.count(a) != 0 ||
+             init_recs_.count(a) != 0 || partials_.count(a) != 0)) {
           return false;
         }
       }
@@ -816,7 +696,7 @@ class LoopAnalyzer {
   std::vector<const Stmt*> rec_minmax_handles_;
   // (handle, field, block) of every integral-sum store on a group record.
   std::vector<std::tuple<const Stmt*, int, const Block*>> field_sum_sets_;
-  std::vector<F64Set> f64_sets_;
+  bool f64_sum_ = false;  // the failed visit is an f64 sum
 };
 
 }  // namespace

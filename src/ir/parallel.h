@@ -24,18 +24,21 @@
 //
 // Determinism contract: the executors guarantee that a morsel-parallel run
 // produces *bitwise identical* results to the sequential engine, for any
-// thread count and morsel size. Exact integer folds and first-occurrence
-// min/max merge cleanly per morsel; the one non-associative case — f64
-// sums — is handled by logging the per-row addends (ParLogChannel) during
-// the parallel phase and replaying the additions in global row order during
-// the merge, so floating-point results keep the exact sequential rounding.
+// thread count and morsel size. Every fold the analysis accepts is exact:
+// integral sums (integers and scale-int64 decimals, qplan::ValType::kDec)
+// are associative, so each morsel's partial sum merges in any order, and
+// first-occurrence min/max merge through the shared count. An f64 sum is
+// not associative, so a loop with one is rejected (rule "f64-sum") and runs
+// sequentially, exact by construction. No TPC-H loop has one: every money
+// column is a decimal.
 //
 // Group and bucket arrays are direct-addressed, so their merge works slot
-// by slot: the stores that fill a private array are marked kTouch, and the
-// executors fold only the logged slots, each slot in morsel order. A group
+// by slot: the stores that fill a private array are marked in
+// ParLoop::touch, and the executors fold only the logged slots, each slot
+// in morsel order. A group
 // array may have two create sites (an outer join's count creates its group
 // in the match loop and again after it when no row matched) when both
-// create the same record in the same slot; each site's store is kTouch.
+// create the same record in the same slot; each site's store is marked.
 #ifndef QC_IR_PARALLEL_H_
 #define QC_IR_PARALLEL_H_
 
@@ -47,53 +50,16 @@
 
 namespace qc::ir {
 
-// Per-statement behavior when the surrounding loop body runs over a morsel.
-enum class ParAction : uint8_t {
-  kNormal = 0,  // execute as-is (against morsel-private state)
-  kSkip,        // folded into a logged f64-sum cluster; do not execute
-  kLog,         // append one entry to the designated addend log channel
-  // Execute, then append the store's slot index to the touched-slot log of
-  // the array reduction named by action_channel. Marks the group-array
-  // create store and the bucket-array prepend store: the merge then visits
-  // only the slots a morsel wrote, never the whole private array.
-  kTouch,
-};
-
 // Merge rule for one field of a group record.
 enum class ParFold : uint8_t {
   kKeepFirst,  // group key / init-only field: the first creator's value
   kSumI,       // exact integral sum: main += morsel partial
-  kSumF,       // f64 sum: replayed from the addend log, field never stored
   kMin,        // first-occurrence min, guarded by the shared count field
   kMax,
 };
 
-// One ordered f64-addend log. During a morsel run, executing `append_at`
-// appends [handle?, values...] to the channel instead of storing the sums;
-// the merge replays `main[field] += value` in morsel (= row) order.
-struct ParLogChannel {
-  const Stmt* append_at = nullptr;  // kRecSet / kVarAssign that logs
-  // Group identification, logged as the entry's first slot: for group
-  // arrays the array index (array_red >= 0 names the reduction — replay is
-  // a direct load, no hashing); for hash maps the morsel-local record
-  // pointer (map_red >= 0 names the kMap reduction whose hash parts the
-  // merge routes the entry to).
-  const Stmt* handle = nullptr;     // null for scalar channels
-  int array_red = -1;
-  int map_red = -1;
-  const Stmt* var = nullptr;        // accumulator variable (scalar channels)
-  // Distinct addend statements logged per entry (a statement feeding two
-  // sum fields is logged once), and per target field the index of its
-  // addend in `values`.
-  std::vector<const Stmt*> values;
-  std::vector<int> fields;     // record fields, in store order (grouped)
-  std::vector<int> value_idx;  // parallel to fields: index into values
-  size_t Stride() const { return values.size() + (handle != nullptr ? 1 : 0); }
-};
-
 enum class ParRedKind : uint8_t {
   kVarSumI,      // integral sum variable (also the shared row count)
-  kVarSumF,      // f64 sum variable — merged via a log channel
   kVarMin,       // min variable guarded by count_var
   kVarMax,
   kList,         // append-only list
@@ -110,7 +76,6 @@ struct ParReduction {
 
   // Scalar accumulators.
   const Stmt* count_var = nullptr;  // shared count read by min/max guards
-  int log_channel = -1;             // kVarSumF: its addend channel
   bool is_f64 = false;              // kVarMin/kVarMax comparison width
 
   // Group records (kMap / kGroupArray).
@@ -128,21 +93,22 @@ struct ParReduction {
 struct ParLoop {
   const Stmt* loop = nullptr;
   std::vector<ParReduction> reductions;
-  std::vector<ParLogChannel> logs;
   bool has_emit = false;
-  // Indexed by statement id (size = Function::num_stmts() at analysis time).
-  std::vector<ParAction> actions;
-  // kLog -> addend channel index, kTouch -> reduction index, else -1.
-  std::vector<int> action_channel;
+  // Indexed by statement id (size = Function::num_stmts() at analysis
+  // time): the array reduction whose touched-slot log a morsel appends the
+  // store's slot index to, after executing it, else -1. Marks the
+  // group-array create stores and the bucket-array prepend store, so the
+  // merge visits only the slots a morsel wrote, never the whole array.
+  std::vector<int> touch;
 };
 
 // Why a top-level kForRange runs sequentially: the statement whose visit
-// failed (rule "visit"), or the post-pass that rejected the loop
-// ("channels", "guards", "inits", "reads"; "no-effect" when the body has
-// no reduction and no emit).
+// failed (rule "visit", or "f64-sum" for a sum into an f64 accumulator),
+// or the post-pass that rejected the loop ("guards", "inits", "reads";
+// "no-effect" when the body has no reduction and no emit).
 struct ParReject {
   const Stmt* loop = nullptr;
-  const Stmt* at = nullptr;  // rule "visit" only
+  const Stmt* at = nullptr;  // rules "visit" and "f64-sum" only
   const char* rule = nullptr;
 };
 

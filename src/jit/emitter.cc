@@ -359,14 +359,6 @@ void Asm::MovsdMemXmm(Reg base, int32_t disp, Xmm src, bool force_disp32) {
   Mem(src, base, disp, force_disp32);
 }
 
-void Asm::MovsdXmmMemIdx(Xmm dst, Reg base, Reg index, uint8_t scale) {
-  buf_.push_back(0xF2);
-  Rex(false, dst, index, base);
-  buf_.push_back(0x0F);
-  buf_.push_back(0x10);
-  MemIdx(dst, base, index, scale, 0);
-}
-
 void Asm::ArithsdXmmMem(uint8_t opcode, Xmm dst, Reg base, int32_t disp,
                         bool force_disp32) {
   buf_.push_back(0xF2);
@@ -383,16 +375,6 @@ void Asm::CmpsdXmmMem(Xmm dst, Reg base, int32_t disp, FCmp pred,
   buf_.push_back(0x0F);
   buf_.push_back(0xC2);
   Mem(dst, base, disp, force_disp32);
-  buf_.push_back(pred);
-}
-
-void Asm::CmpsdXmmMemIdx(Xmm dst, Reg base, Reg index, uint8_t scale,
-                         FCmp pred) {
-  buf_.push_back(0xF2);
-  Rex(false, dst, index, base);
-  buf_.push_back(0x0F);
-  buf_.push_back(0xC2);
-  MemIdx(dst, base, index, scale, 0);
   buf_.push_back(pred);
 }
 
@@ -708,9 +690,6 @@ StitchResult StitchProgram(const BytecodeProgram& prog) {
           break;
         case PatchKind::kImmN:
           Patch32(out, at, insn.n);
-          break;
-        case PatchKind::kImmN8:
-          Patch32(out, at, static_cast<uint32_t>(insn.n) * 8u);
           break;
         case PatchKind::kImmC:
           Patch32(out, at, insn.c);

@@ -139,13 +139,11 @@ class Asm {
   // --- SSE2 --------------------------------------------------------------
   void MovsdXmmMem(Xmm dst, Reg base, int32_t disp, bool force_disp32 = false);
   void MovsdMemXmm(Reg base, int32_t disp, Xmm src, bool force_disp32 = false);
-  void MovsdXmmMemIdx(Xmm dst, Reg base, Reg index, uint8_t scale);
   // F2 0F 58/5C/59/5E: addsd/subsd/mulsd/divsd xmm, [base+disp]
   void ArithsdXmmMem(uint8_t opcode, Xmm dst, Reg base, int32_t disp,
                      bool force_disp32 = false);
   void CmpsdXmmMem(Xmm dst, Reg base, int32_t disp, FCmp pred,
                    bool force_disp32 = false);
-  void CmpsdXmmMemIdx(Xmm dst, Reg base, Reg index, uint8_t scale, FCmp pred);
   void MovqRegXmm(Reg dst, Xmm src);
   void Cvtsi2sdXmmMem(Xmm dst, Reg base, int32_t disp,
                       bool force_disp32 = false);

@@ -405,15 +405,6 @@ Store* BuildTemplates() {
     t.a.AddMemReg(RAX, 0, RCX, true);
     t.Mark(PatchKind::kFieldB);
   });
-  def(BcOp::kRecAccAddF, [](TB& t) {
-    t.LoadSlot(RAX, PatchKind::kSlotA);
-    t.a.MovsdXmmMem(XMM0, RAX, 0, true);
-    t.Mark(PatchKind::kFieldB);
-    t.a.ArithsdXmmMem(0x58, XMM0, kSlotBase, 0, true);
-    t.Mark(PatchKind::kSlotC);
-    t.a.MovsdMemXmm(RAX, 0, XMM0, true);
-    t.Mark(PatchKind::kFieldB);
-  });
 
   // --- arrays / lists (std::vector layout, checked by the layout probe) ---
   // RtArray/RtList hold their std::vector at offset 0; begin pointer at
@@ -505,12 +496,8 @@ Store* BuildTemplates() {
   // --- fused super-instructions -------------------------------------------
   const BcOp jn_i[] = {BcOp::kJnEqI, BcOp::kJnNeI, BcOp::kJnLtI,
                        BcOp::kJnLeI, BcOp::kJnGtI, BcOp::kJnGeI};
-  const BcOp jn_f[] = {BcOp::kJnEqF, BcOp::kJnNeF, BcOp::kJnLtF,
-                       BcOp::kJnLeF, BcOp::kJnGtF, BcOp::kJnGeF};
   const BcOp jncol_i[] = {BcOp::kJnColEqI, BcOp::kJnColNeI, BcOp::kJnColLtI,
                           BcOp::kJnColLeI, BcOp::kJnColGtI, BcOp::kJnColGeI};
-  const BcOp jncol_f[] = {BcOp::kJnColEqF, BcOp::kJnColNeF, BcOp::kJnColLtF,
-                          BcOp::kJnColLeF, BcOp::kJnColGtF, BcOp::kJnColGeF};
   for (int i = 0; i < 6; ++i) {
     // if (!(R[a] CMP R[b])) jump
     def(jn_i[i], [i](TB& t) {
@@ -518,16 +505,6 @@ Store* BuildTemplates() {
       t.a.CmpRegMem(RAX, kSlotBase, 0, true);
       t.Mark(PatchKind::kSlotB);
       t.Jump(NegCond(i));
-    });
-    def(jn_f[i], [i](TB& t) {
-      PatchKind lhs = FSwapped(i) ? PatchKind::kSlotB : PatchKind::kSlotA;
-      PatchKind rhs = FSwapped(i) ? PatchKind::kSlotA : PatchKind::kSlotB;
-      t.LoadSlotSd(XMM0, lhs);
-      t.a.CmpsdXmmMem(XMM0, kSlotBase, 0, FPred(i), true);
-      t.Mark(rhs);
-      t.a.MovqRegXmm(RAX, XMM0);
-      t.a.TestRegReg(RAX, RAX);
-      t.Jump(kCondE);  // comparison false -> take the branch
     });
     // if (!(col[R[c]] CMP R[a])) jump
     def(jncol_i[i], [i](TB& t) {
@@ -537,21 +514,6 @@ Store* BuildTemplates() {
       t.a.CmpRegMem(RAX, kSlotBase, 0, true);
       t.Mark(PatchKind::kSlotA);
       t.Jump(NegCond(i));
-    });
-    def(jncol_f[i], [i](TB& t) {
-      t.LoadPtr(R11);
-      t.LoadSlot(RAX, PatchKind::kSlotC);
-      if (FSwapped(i)) {
-        t.LoadSlotSd(XMM0, PatchKind::kSlotA);
-        t.a.CmpsdXmmMemIdx(XMM0, R11, RAX, 3, FPred(i));
-      } else {
-        t.a.MovsdXmmMemIdx(XMM0, R11, RAX, 3);
-        t.a.CmpsdXmmMem(XMM0, kSlotBase, 0, FPred(i), true);
-        t.Mark(PatchKind::kSlotA);
-      }
-      t.a.MovqRegXmm(RAX, XMM0);
-      t.a.TestRegReg(RAX, RAX);
-      t.Jump(kCondE);
     });
   }
 
@@ -788,36 +750,24 @@ Store* BuildTemplates() {
     t.StoreSlot(RAX, PatchKind::kSlotA);
   });
 
-  // --- morsel addend logs --------------------------------------------------
-  // kLogRow appends R[extra[b..b+n)] to the channel's vector<Slot> (reached
-  // through the log register, insn.c). Fast path is a pure pointer bump —
-  // the runtime reserves one entry per morsel row, so growth only happens
-  // for channels appending from inner loops — and the grow path is a helper
-  // call.
+  // --- morsel touched-slot logs ------------------------------------------
+  // kLogRow appends R[b], a group/bucket array store's slot index, to the
+  // reduction's vector<Slot> (reached through the log register, insn.c).
+  // Fast path is a pure pointer bump — the runtime reserves the log up
+  // front — and the grow path is a helper call.
   def(BcOp::kLogRow, [](TB& t) {
     t.LoadSlot(R11, PatchKind::kSlotC);  // the log: std::vector<Slot>*
-    t.a.MovImm64(RDX, 0);
-    t.Mark(PatchKind::kExtraB);  // operand list
-    t.a.MovRegMem(RAX, R11, 8);  // end
-    t.a.MovImm32(RCX, 0);
-    t.Mark(PatchKind::kImmN8);  // n * sizeof(Slot)
-    t.a.AddRegReg(RCX, RAX);    // proposed new end
-    t.a.CmpRegMem(RCX, R11, 16);  // vs capacity end
-    size_t slow = t.a.Jcc8(kCondA);
-    size_t copy = t.a.here();  // n >= 1 always (channels log >= 1 value)
-    t.a.Mov32RegMem(RSI, RDX, 0);             // operand register index
-    t.a.MovRegMemIdx(R10, kSlotBase, RSI, 3); // its slot
+    t.LoadSlot(R10, PatchKind::kSlotB);  // the slot index
+    t.a.MovRegMem(RAX, R11, 8);          // end
+    t.a.CmpRegMem(RAX, R11, 16);         // vs capacity end
+    size_t slow = t.a.Jcc8(kCondAE);
     t.a.MovMemReg(RAX, 0, R10);
     t.a.AddImm8(RAX, 8);
-    t.a.AddImm8(RDX, 4);
-    t.a.CmpRegReg(RAX, RCX);
-    t.a.Jcc8Back(kCondNE, copy);
-    t.a.MovMemReg(R11, 8, RCX);  // commit the new end
+    t.a.MovMemReg(R11, 8, RAX);  // commit the new end
     size_t end = t.a.Jmp8();
     t.a.PatchRel8(slow);
     t.a.MovRegReg(RDI, R11);
-    t.a.MovRegReg(RSI, kSlotBase);
-    t.a.SubRegReg(RCX, RAX);  // byte count (rdx still holds argv)
+    t.a.MovRegReg(RSI, R10);
     t.CallHelper(reinterpret_cast<const void*>(&ops::LogRow));
     t.a.PatchRel8(end);
   });

@@ -51,7 +51,6 @@ enum class PatchKind : uint8_t {
   kExtraA,  // imm64 <- &prog.extra[insn.a] (variable-length operand list)
   kExtraB,  // imm64 <- &prog.extra[insn.b]
   kImmN,    // imm32 <- insn.n (operand count)
-  kImmN8,   // imm32 <- insn.n * 8 (operand count in slot bytes)
   kImmC,       // imm32 <- insn.c (kEmit string-interning mask, kStrSubstr
                //          start)
   kImmD,       // imm32 <- uint32(insn.d) (kStrSubstr length)

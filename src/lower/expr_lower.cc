@@ -13,8 +13,9 @@ using qplan::ExprPtr;
 using qplan::ValType;
 
 const Type* LowerValType(ir::TypeFactory* types, ValType t) {
-  switch (t) {
-    case ValType::kI64: return types->I64();
+  switch (t.kind) {
+    case ValType::kI64:
+    case ValType::kDec: return types->I64();
     case ValType::kF64: return types->F64();
     case ValType::kStr: return types->Str();
     case ValType::kDate: return types->DateT();
@@ -35,7 +36,55 @@ Stmt* DefaultValue(Builder& b, const Type* t) {
   }
 }
 
+Stmt* ToF64(Builder& b, Stmt* x, ValType t) {
+  if (t == ValType::kF64) return x;
+  Stmt* d = b.Cast(x, b.types()->F64());
+  if (t.kind != ValType::kDec || t.scale == 0) return d;
+  return b.Div(d, b.F64(static_cast<double>(qplan::Pow10(t.scale))));
+}
+
+const Type* AggAccType(ir::TypeFactory* types, const qplan::AggSpec& a) {
+  if (a.fn == qplan::AggFn::kCount) return types->I64();
+  return LowerValType(types, a.arg->type);
+}
+
+Stmt* AvgOf(Builder& b, Stmt* sum, ValType arg, Stmt* n) {
+  return b.Div(ToF64(b, sum, arg), b.Cast(n, b.types()->F64()));
+}
+
+void EmitResult(Builder& b, const std::vector<Stmt*>& row,
+                const qplan::Schema& schema) {
+  std::vector<Stmt*> out = row;
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (schema[i].type.kind == ValType::kDec) {
+      out[i] = ToF64(b, out[i], schema[i].type);
+    }
+  }
+  b.EmitRow(out);
+}
+
 namespace {
+
+// Lowers kid `i` of `e` and converts it to `to`: a decimal target rescales
+// an exact operand by a constant multiply, or a literal at compile time
+// (but for a product, whose scales add); an f64 target converts a decimal.
+// Every other operand is left to the builder's promotion.
+Stmt* LowerAs(Builder& b, const ExprPtr& e, size_t i,
+              const std::vector<Stmt*>& row, ValType to) {
+  const ExprPtr& kid = e->kids[i];
+  ValType from = kid->type;
+  int up = to.kind == ValType::kDec && e->kind != ExprKind::kMul
+               ? to.scale - qplan::ScaleOf(from)
+               : 0;
+  if (up > 0 && (kid->kind == ExprKind::kIntLit ||
+                 kid->kind == ExprKind::kFloatLit)) {
+    return b.I64(kid->ival * qplan::Pow10(up));  // scaled at compile time
+  }
+  Stmt* x = LowerExpr(b, kid, row);
+  if (up > 0) return b.Mul(x, b.I64(qplan::Pow10(up)));
+  if (to == ValType::kF64 && from.kind == ValType::kDec) return ToF64(b, x, from);
+  return x;
+}
 
 // String comparisons are expressed with the minimal primitive set
 // {str_eq, str_ne, str_lt} so the string-dictionary pass has few shapes to
@@ -60,19 +109,24 @@ Stmt* LowerExpr(Builder& b, const ExprPtr& e, const std::vector<Stmt*>& row) {
       assert(e->col_idx >= 0 && static_cast<size_t>(e->col_idx) < row.size());
       return row[e->col_idx];
     case ExprKind::kIntLit: return b.I64(e->ival);
-    case ExprKind::kFloatLit: return b.F64(e->fval);
+    case ExprKind::kFloatLit:
+      return e->type.kind == ValType::kDec ? b.I64(e->ival) : b.F64(e->fval);
     case ExprKind::kStrLit: return b.StrC(e->name);
     case ExprKind::kDateLit: return b.DateC(static_cast<int32_t>(e->ival));
     case ExprKind::kBoolLit: return b.BoolC(e->ival != 0);
 
     case ExprKind::kAdd:
-      return b.Add(LowerExpr(b, e->kids[0], row), LowerExpr(b, e->kids[1], row));
+      return b.Add(LowerAs(b, e, 0, row, e->type),
+                   LowerAs(b, e, 1, row, e->type));
     case ExprKind::kSub:
-      return b.Sub(LowerExpr(b, e->kids[0], row), LowerExpr(b, e->kids[1], row));
+      return b.Sub(LowerAs(b, e, 0, row, e->type),
+                   LowerAs(b, e, 1, row, e->type));
     case ExprKind::kMul:
-      return b.Mul(LowerExpr(b, e->kids[0], row), LowerExpr(b, e->kids[1], row));
+      return b.Mul(LowerAs(b, e, 0, row, e->type),
+                   LowerAs(b, e, 1, row, e->type));
     case ExprKind::kDiv:
-      return b.Div(LowerExpr(b, e->kids[0], row), LowerExpr(b, e->kids[1], row));
+      return b.Div(LowerAs(b, e, 0, row, e->type),
+                   LowerAs(b, e, 1, row, e->type));
     case ExprKind::kMod:
       return b.Mod(LowerExpr(b, e->kids[0], row), LowerExpr(b, e->kids[1], row));
     case ExprKind::kNeg:
@@ -84,11 +138,14 @@ Stmt* LowerExpr(Builder& b, const ExprPtr& e, const std::vector<Stmt*>& row) {
     case ExprKind::kLe:
     case ExprKind::kGt:
     case ExprKind::kGe: {
-      Stmt* x = LowerExpr(b, e->kids[0], row);
-      Stmt* y = LowerExpr(b, e->kids[1], row);
       if (e->kids[0]->type == ValType::kStr) {
+        Stmt* x = LowerExpr(b, e->kids[0], row);
+        Stmt* y = LowerExpr(b, e->kids[1], row);
         return LowerStrCmp(b, e->kind, x, y);
       }
+      ValType ct = qplan::CommonType(e->kids[0]->type, e->kids[1]->type);
+      Stmt* x = LowerAs(b, e, 0, row, ct);
+      Stmt* y = LowerAs(b, e, 1, row, ct);
       switch (e->kind) {
         case ExprKind::kEq: return b.Eq(x, y);
         case ExprKind::kNe: return b.Ne(x, y);
@@ -127,11 +184,11 @@ Stmt* LowerExpr(Builder& b, const ExprPtr& e, const std::vector<Stmt*>& row) {
       b.If(
           cond,
           [&] {
-            Stmt* v = b.Cast(LowerExpr(b, e->kids[1], row), t);
+            Stmt* v = b.Cast(LowerAs(b, e, 1, row, e->type), t);
             b.VarAssign(var, v);
           },
           [&] {
-            Stmt* v = b.Cast(LowerExpr(b, e->kids[2], row), t);
+            Stmt* v = b.Cast(LowerAs(b, e, 2, row, e->type), t);
             b.VarAssign(var, v);
           });
       return b.VarRead(var);

@@ -25,7 +25,8 @@ using Row = std::vector<Stmt*>;
 using Consumer = std::function<void(const Row&)>;
 
 bool IsIntegralVal(ValType t) {
-  return t == ValType::kI64 || t == ValType::kDate || t == ValType::kBool;
+  return t == ValType::kI64 || t == ValType::kDate || t == ValType::kBool ||
+         t.kind == ValType::kDec;
 }
 
 // The top-level conjuncts of `e`, left to right.
@@ -57,7 +58,7 @@ class PipelineLowering {
     auto fn = std::make_unique<ir::Function>(name, types_);
     Builder builder(fn.get());
     b_ = &builder;
-    Produce(plan, [&](const Row& row) { b_->EmitRow(row); });
+    Produce(plan, [&](const Row& row) { EmitResult(b(), row, plan.schema); });
     b_ = nullptr;
     return fn;
   }
@@ -67,7 +68,8 @@ class PipelineLowering {
 
   const Type* LowerColType(storage::ColType t) {
     switch (t) {
-      case storage::ColType::kI64: return types_->I64();
+      case storage::ColType::kI64:
+      case storage::ColType::kDec: return types_->I64();
       case storage::ColType::kF64: return types_->F64();
       case storage::ColType::kStr: return types_->Str();
       case storage::ColType::kDate: return types_->DateT();
@@ -327,13 +329,8 @@ class PipelineLowering {
           LowerValType(types_, p.group_by[i].expr->type)});
     }
     for (size_t a = 0; a < p.aggs.size(); ++a) {
-      const Type* acc_t =
-          p.aggs[a].fn == AggFn::kCount
-              ? types_->I64()
-              : (p.aggs[a].fn == AggFn::kAvg
-                     ? types_->F64()
-                     : LowerValType(types_, p.aggs[a].arg->type));
-      fields.push_back(ir::Field{"a" + std::to_string(a), acc_t});
+      fields.push_back(
+          ir::Field{"a" + std::to_string(a), AggAccType(types_, p.aggs[a])});
     }
     fields.push_back(ir::Field{"n", types_->I64()});
     const Type* agg_rec =
@@ -411,8 +408,7 @@ class PipelineLowering {
             out.push_back(n);
             break;
           case AggFn::kAvg:
-            out.push_back(
-                b().Div(b().RecGet(rec, fidx), b().Cast(n, types_->F64())));
+            out.push_back(AvgOf(b(), b().RecGet(rec, fidx), sp.arg->type, n));
             break;
           default:
             out.push_back(b().RecGet(rec, fidx));
@@ -427,11 +423,7 @@ class PipelineLowering {
     std::vector<const Type*> acc_types(p.aggs.size(), nullptr);
     for (size_t a = 0; a < p.aggs.size(); ++a) {
       const qplan::AggSpec& sp = p.aggs[a];
-      acc_types[a] = sp.fn == AggFn::kCount
-                         ? types_->I64()
-                         : (sp.fn == AggFn::kAvg
-                                ? types_->F64()
-                                : LowerValType(types_, sp.arg->type));
+      acc_types[a] = AggAccType(types_, sp);
       accs[a] = b().VarNew(DefaultValue(b(), acc_types[a]));
     }
     Stmt* n_var = b().VarNew(b().I64(0));
@@ -477,8 +469,8 @@ class PipelineLowering {
           // Guard the empty-input case: average of zero rows is 0.
           Stmt* res = b().VarNew(b().F64(0.0));
           b().If(b().Gt(n, b().I64(0)), [&] {
-            b().VarAssign(res, b().Div(b().VarRead(accs[a]),
-                                       b().Cast(n, types_->F64())));
+            b().VarAssign(res, AvgOf(b(), b().VarRead(accs[a]),
+                                     sp.arg->type, n));
           });
           out.push_back(b().VarRead(res));
           break;

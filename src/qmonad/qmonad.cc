@@ -13,6 +13,7 @@ namespace qc::qmonad {
 using ir::Builder;
 using ir::Stmt;
 using ir::Type;
+using lower::EmitResult;
 using lower::LowerExpr;
 using lower::LowerValType;
 using qplan::AggFn;
@@ -104,14 +105,7 @@ void ResolveMonad(MonadOp* op, const storage::Database& db) {
       if (op->table_id < 0) Fail("unknown table '" + op->table + "'");
       const storage::TableDef& def = db.table(op->table_id).def();
       for (const auto& c : def.columns) {
-        ValType t = ValType::kI64;
-        switch (c.type) {
-          case storage::ColType::kF64: t = ValType::kF64; break;
-          case storage::ColType::kStr: t = ValType::kStr; break;
-          case storage::ColType::kDate: t = ValType::kDate; break;
-          default: break;
-        }
-        op->schema.push_back(qplan::OutCol{c.name, t});
+        op->schema.push_back(qplan::OutCol{c.name, qplan::FromColumn(c)});
       }
       break;
     }
@@ -182,12 +176,12 @@ class MonadLowering {
     Builder builder(fn.get());
     b_ = &builder;
     if (fused_) {
-      Produce(op, [&](const Row& row) { b_->EmitRow(row); });
+      Produce(op, [&](const Row& row) { EmitResult(b(), row, op.schema); });
     } else {
       // Materializing semantics: the final list is traversed for emission.
       auto [lst, tup] = Materialize(op);
       b_->ListForeach(lst, [&](Stmt* rec) {
-        b_->EmitRow(RecFields(rec, op.schema.size()));
+        EmitResult(b(), RecFields(rec, op.schema.size()), op.schema);
       });
       (void)tup;
     }
@@ -321,11 +315,7 @@ class MonadLowering {
       std::vector<Stmt*> accs;
       std::vector<const Type*> ts;
       for (const auto& a : op.aggs) {
-        const Type* t =
-            a.fn == AggFn::kCount
-                ? types_->I64()
-                : (a.fn == AggFn::kAvg ? types_->F64()
-                                       : LowerValType(types_, a.arg->type));
+        const Type* t = lower::AggAccType(types_, a);
         ts.push_back(t);
         accs.push_back(b().VarNew(lower::DefaultValue(b(), t)));
       }
@@ -363,8 +353,8 @@ class MonadLowering {
         } else if (op.aggs[a].fn == AggFn::kAvg) {
           Stmt* r = b().VarNew(b().F64(0.0));
           b().If(b().Gt(n, b().I64(0)), [&] {
-            b().VarAssign(r, b().Div(b().VarRead(accs[a]),
-                                     b().Cast(n, types_->F64())));
+            b().VarAssign(r, lower::AvgOf(b(), b().VarRead(accs[a]),
+                                          op.aggs[a].arg->type, n));
           });
           out.push_back(b().VarRead(r));
         } else {
@@ -383,13 +373,8 @@ class MonadLowering {
           LowerValType(types_, op.group_by[i].expr->type)});
     }
     for (size_t a = 0; a < op.aggs.size(); ++a) {
-      const Type* t =
-          op.aggs[a].fn == AggFn::kCount
-              ? types_->I64()
-              : (op.aggs[a].fn == AggFn::kAvg
-                     ? types_->F64()
-                     : LowerValType(types_, op.aggs[a].arg->type));
-      fields.push_back(ir::Field{"a" + std::to_string(a), t});
+      fields.push_back(ir::Field{"a" + std::to_string(a),
+                                 lower::AggAccType(types_, op.aggs[a])});
     }
     fields.push_back(ir::Field{"n", types_->I64()});
     const Type* agg_rec = types_->Record(
@@ -472,8 +457,8 @@ class MonadLowering {
         if (op.aggs[a].fn == AggFn::kCount) {
           out.push_back(n);
         } else if (op.aggs[a].fn == AggFn::kAvg) {
-          out.push_back(
-              b().Div(b().RecGet(rec, fidx), b().Cast(n, types_->F64())));
+          out.push_back(lower::AvgOf(b(), b().RecGet(rec, fidx),
+                                     op.aggs[a].arg->type, n));
         } else {
           out.push_back(b().RecGet(rec, fidx));
         }

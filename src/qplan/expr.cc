@@ -1,19 +1,32 @@
 #include "qplan/expr.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace qc::qplan {
 
 const char* ValTypeName(ValType t) {
-  switch (t) {
+  switch (t.kind) {
     case ValType::kI64: return "i64";
     case ValType::kF64: return "f64";
     case ValType::kStr: return "str";
     case ValType::kDate: return "date";
     case ValType::kBool: return "bool";
+    case ValType::kDec: return "dec";
   }
   return "?";
+}
+
+bool IsExactNumeric(ValType t) {
+  return t.kind != ValType::kF64 && t.kind != ValType::kStr;
+}
+
+int64_t Pow10(int scale) {
+  int64_t p = 1;
+  for (int i = 0; i < scale; ++i) p *= 10;
+  return p;
 }
 
 int SchemaIndex(const Schema& s, const std::string& name) {
@@ -31,12 +44,30 @@ namespace {
 }
 
 bool IsNumeric(ValType t) {
-  return t == ValType::kI64 || t == ValType::kF64 || t == ValType::kDate;
+  return t == ValType::kI64 || t == ValType::kF64 || t == ValType::kDate ||
+         t.kind == ValType::kDec;
 }
 
-ValType Promote(ValType a, ValType b) {
-  if (a == ValType::kF64 || b == ValType::kF64) return ValType::kF64;
-  return ValType::kI64;
+// A float literal next to a decimal operand becomes a decimal literal of
+// the smallest scale that holds it exactly, so `1.0 - l_discount` or
+// `l_discount >= 0.05` stays integral. A literal no scale holds stays f64.
+void CoerceLiteral(const ExprPtr& lit, ValType other) {
+  if (lit->kind != ExprKind::kFloatLit || other.kind != ValType::kDec) return;
+  for (int s = 0; s <= 9; ++s) {
+    double p = static_cast<double>(Pow10(s));
+    double v = std::nearbyint(lit->fval * p);
+    if (std::fabs(v) < 1e15 && v / p == lit->fval) {
+      lit->type = ValType::Dec(s);
+      lit->ival = static_cast<int64_t>(v);
+      return;
+    }
+  }
+}
+
+// Coerces either side of a binary numeric operation toward the other.
+void CoercePair(const ExprPtr& a, const ExprPtr& b) {
+  CoerceLiteral(a, b->type);
+  CoerceLiteral(b, a->type);
 }
 
 ExprPtr MakeExpr(ExprKind k, std::vector<ExprPtr> kids = {}) {
@@ -47,6 +78,17 @@ ExprPtr MakeExpr(ExprKind k, std::vector<ExprPtr> kids = {}) {
 }
 
 }  // namespace
+
+ValType CommonType(ValType a, ValType b) {
+  if (a == ValType::kF64 || b == ValType::kF64) return ValType::kF64;
+  if (a.kind == ValType::kDec || b.kind == ValType::kDec) {
+    if (a == ValType::kDate || b == ValType::kDate) {
+      Fail("date arithmetic with a decimal");
+    }
+    return ValType::Dec(std::max(ScaleOf(a), ScaleOf(b)));
+  }
+  return ValType::kI64;
+}
 
 void Resolve(const ExprPtr& e, const Schema& schema) {
   for (const ExprPtr& k : e->kids) Resolve(k, schema);
@@ -67,12 +109,24 @@ void Resolve(const ExprPtr& e, const Schema& schema) {
     case ExprKind::kSub:
     case ExprKind::kMul:
     case ExprKind::kDiv:
-    case ExprKind::kMod:
-      if (!IsNumeric(e->kids[0]->type) || !IsNumeric(e->kids[1]->type)) {
+    case ExprKind::kMod: {
+      CoercePair(e->kids[0], e->kids[1]);
+      ValType a = e->kids[0]->type, b = e->kids[1]->type;
+      if (!IsNumeric(a) || !IsNumeric(b)) {
         Fail("arithmetic on non-numeric operands");
       }
-      e->type = Promote(e->kids[0]->type, e->kids[1]->type);
+      e->type = CommonType(a, b);
+      if (e->type.kind != ValType::kDec) break;
+      if (e->kind == ExprKind::kMul) {
+        e->type = ValType::Dec(ScaleOf(a) + ScaleOf(b));
+      } else if (e->kind == ExprKind::kDiv) {
+        e->type = ValType::kF64;
+      } else if (e->kind == ExprKind::kMod) {
+        Fail("modulo of a decimal");
+      }
+      if (e->type.scale > 18) Fail("decimal scale above 18");
       break;
+    }
     case ExprKind::kNeg:
       e->type = e->kids[0]->type;
       break;
@@ -86,6 +140,10 @@ void Resolve(const ExprPtr& e, const Schema& schema) {
       bool both_str = a == ValType::kStr && b == ValType::kStr;
       bool both_num = IsNumeric(a) && IsNumeric(b);
       if (!both_str && !both_num) Fail("incomparable operand types");
+      if (both_num) {
+        CoercePair(e->kids[0], e->kids[1]);
+        CommonType(e->kids[0]->type, e->kids[1]->type);  // date vs dec
+      }
       e->type = ValType::kBool;
       break;
     }
@@ -110,11 +168,12 @@ void Resolve(const ExprPtr& e, const Schema& schema) {
       break;
     case ExprKind::kCase: {
       if (e->kids[0]->type != ValType::kBool) Fail("CASE condition not bool");
+      CoercePair(e->kids[1], e->kids[2]);
       ValType t = e->kids[1]->type, f = e->kids[2]->type;
       if (t == f) {
         e->type = t;
       } else if (IsNumeric(t) && IsNumeric(f)) {
-        e->type = Promote(t, f);
+        e->type = CommonType(t, f);
       } else {
         Fail("CASE branches with incompatible types");
       }

@@ -15,9 +15,36 @@
 
 namespace qc::qplan {
 
-enum class ValType { kI64, kF64, kStr, kDate, kBool };
+// A value type. kDec is an exact decimal with a static scale: the value is
+// an int64 count of 10^-scale units (TPC-H money, rates and quantities).
+// Decimal arithmetic stays integral — + and - align scales, * adds them —
+// and only avg, / and a mix with an f64 operand convert to f64.
+struct ValType {
+  enum Kind : uint8_t { kI64, kF64, kStr, kDate, kBool, kDec };
+  Kind kind;
+  int scale;  // kDec only: at most 18, so 10^scale fits int64
+
+  // Implicit, so ValType::kF64 etc. are types.
+  constexpr ValType(Kind k = kI64, int s = 0) : kind(k), scale(s) {}  // NOLINT
+  static constexpr ValType Dec(int s) { return ValType(kDec, s); }
+  friend bool operator==(ValType a, ValType b) {
+    return a.kind == b.kind && a.scale == b.scale;
+  }
+  friend bool operator!=(ValType a, ValType b) { return !(a == b); }
+};
 
 const char* ValTypeName(ValType t);
+
+// True for the types held as an exact int64 (i64, date, bool, decimal).
+bool IsExactNumeric(ValType t);
+// Scale of an exact value: an integer is a decimal of scale 0.
+inline int ScaleOf(ValType t) { return t.kind == ValType::kDec ? t.scale : 0; }
+// 10^scale as an int64.
+int64_t Pow10(int scale);
+// Common type of two numeric operands of +, -, a comparison or a CASE:
+// f64 wins, then the decimal of the larger scale, else i64. Aborts on a
+// date mixed with a decimal.
+ValType CommonType(ValType a, ValType b);
 
 enum class ExprKind {
   kCol,
@@ -58,7 +85,9 @@ struct Expr {
   std::vector<ExprPtr> kids;
 
   std::string name;   // kCol column name / kStrLit and kLike payload
-  int64_t ival = 0;   // kIntLit / kDateLit / kBoolLit payload
+  // kIntLit / kDateLit / kBoolLit payload, and a kFloatLit's scaled value
+  // once Resolve has typed it as a decimal (next to a decimal operand).
+  int64_t ival = 0;
   double fval = 0.0;  // kFloatLit payload
   int aux0 = 0, aux1 = 0;  // kSubstr start/len
 

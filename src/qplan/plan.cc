@@ -29,23 +29,25 @@ PlanPtr MakePlan(PlanKind k) {
   return p;
 }
 
-ValType FromColType(storage::ColType t) {
-  switch (t) {
+}  // namespace
+
+ValType FromColumn(const storage::ColumnDef& c) {
+  switch (c.type) {
     case storage::ColType::kI64: return ValType::kI64;
     case storage::ColType::kF64: return ValType::kF64;
     case storage::ColType::kStr: return ValType::kStr;
     case storage::ColType::kDate: return ValType::kDate;
+    case storage::ColType::kDec: return ValType::Dec(c.scale);
   }
   return ValType::kI64;
 }
 
-}  // namespace
-
 storage::ColType ToColType(ValType t) {
-  switch (t) {
+  switch (t.kind) {
     case ValType::kI64:
     case ValType::kBool: return storage::ColType::kI64;
-    case ValType::kF64: return storage::ColType::kF64;
+    case ValType::kF64:
+    case ValType::kDec: return storage::ColType::kF64;
     case ValType::kStr: return storage::ColType::kStr;
     case ValType::kDate: return storage::ColType::kDate;
   }
@@ -108,8 +110,10 @@ PlanPtr LimitOp(PlanPtr child, int64_t n) {
   return p;
 }
 
-void ResolvePlan(Plan* plan, const storage::Database& db) {
-  for (auto& c : plan->children) ResolvePlan(c.get(), db);
+namespace {
+
+void ResolveNode(Plan* plan, const storage::Database& db) {
+  for (auto& c : plan->children) ResolveNode(c.get(), db);
   switch (plan->kind) {
     case PlanKind::kScan: {
       plan->table_id = db.TableId(plan->table);
@@ -117,7 +121,7 @@ void ResolvePlan(Plan* plan, const storage::Database& db) {
       const storage::TableDef& def = db.table(plan->table_id).def();
       plan->schema.clear();
       for (const auto& c : def.columns) {
-        plan->schema.push_back(OutCol{c.name, FromColType(c.type)});
+        plan->schema.push_back(OutCol{c.name, FromColumn(c)});
       }
       break;
     }
@@ -150,7 +154,13 @@ void ResolvePlan(Plan* plan, const storage::Database& db) {
         ValType a = plan->left_keys[i]->type;
         ValType b = plan->right_keys[i]->type;
         bool ok = (a == b) || (a != ValType::kStr && b != ValType::kStr);
-        if (!ok) Fail("join key type mismatch");
+        // Keys hash and compare as raw slots: a decimal key joins only an
+        // exact key of the same scale.
+        bool dec = a.kind == ValType::kDec || b.kind == ValType::kDec;
+        if (!ok || (dec && (!IsExactNumeric(a) || !IsExactNumeric(b) ||
+                            ScaleOf(a) != ScaleOf(b)))) {
+          Fail("join key type mismatch");
+        }
       }
       Schema concat = l;
       concat.insert(concat.end(), r.begin(), r.end());
@@ -206,6 +216,14 @@ void ResolvePlan(Plan* plan, const storage::Database& db) {
       break;
     }
   }
+}
+
+}  // namespace
+
+void ResolvePlan(Plan* plan, const storage::Database& db) {
+  ResolveNode(plan, db);
+  std::string overflow = ExactOverflow(*plan, db);
+  if (!overflow.empty()) Fail("exact arithmetic may overflow: " + overflow);
 }
 
 std::string Plan::ToString(int indent) const {

@@ -110,11 +110,23 @@ inline AggSpec Avg(ExprPtr e, const std::string& name) {
 inline SortKey Asc(ExprPtr e) { return SortKey{std::move(e), false}; }
 inline SortKey Desc(ExprPtr e) { return SortKey{std::move(e), true}; }
 
-// Resolves table ids, column references and output schemas bottom-up.
-// Aborts with a readable message on errors (plans are developer-authored).
+// Resolves table ids, column references and output schemas bottom-up, then
+// checks ExactOverflow. Aborts with a readable message on errors (plans are
+// developer-authored), before any engine runs the plan.
 void ResolvePlan(Plan* plan, const storage::Database& db);
 
-// Maps a ValType to the result-table column type.
+// The overflow policy of exact (i64 and decimal) arithmetic (bounds.cc):
+// empty when interval arithmetic over `db`'s column min/max proves that
+// every exact expression and every SUM of the typed `plan` fits int64 —
+// a SUM bounded by its input's row bound times its addend's magnitude —
+// else a description of the first value that may not.
+std::string ExactOverflow(const Plan& plan, const storage::Database& db);
+
+// The type of a base-table column.
+ValType FromColumn(const storage::ColumnDef& c);
+
+// Maps a ValType to the result-table column type. A decimal leaves the
+// plan as f64 (value / 10^scale, converted once per result row).
 storage::ColType ToColType(ValType t);
 
 }  // namespace qc::qplan

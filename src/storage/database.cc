@@ -124,10 +124,7 @@ const ColumnStats& Database::Stats(int table, int column) {
     std::unordered_set<int64_t> seen;
     bool first = true;
     for (const Slot& s : col.data) {
-      int64_t v = s.i;
-      if (col.def.type == ColType::kF64) {
-        std::memcpy(&v, &s.d, sizeof(v));
-      }
+      int64_t v = s.i;  // an f64's bit pattern
       if (first || v < st.min_i64) st.min_i64 = v;
       if (first || v > st.max_i64) st.max_i64 = v;
       first = false;

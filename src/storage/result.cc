@@ -23,11 +23,10 @@ std::string ResultTable::RowToString(size_t i) const {
       case ColType::kI64:
         out << r[c].i;
         break;
-      case ColType::kF64: {
+      case ColType::kF64:
+      case ColType::kDec: {  // a result never holds a decimal (ToColType)
         char buf[64];
-        // Round-half-away-from-zero at 2 decimals; tolerate tiny FP noise
-        // by nudging toward zero-distance bucket boundaries.
-        std::snprintf(buf, sizeof(buf), "%.2f", r[c].d + (r[c].d >= 0 ? 1e-9 : -1e-9));
+        std::snprintf(buf, sizeof(buf), "%.2f", r[c].d);
         out << buf;
         break;
       }

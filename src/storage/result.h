@@ -35,8 +35,9 @@ class ResultTable {
   // copies them into storage owned by the result.
   const char* InternString(const std::string& s);
 
-  // Canonical text form of one row: doubles rounded to 2 decimals (TPC-H
-  // money semantics), dates as yyyy-mm-dd.
+  // Canonical text form of one row: doubles printed to 2 decimals (TPC-H
+  // money semantics; every engine computes them bit for bit alike, so no
+  // rounding slack is needed), dates as yyyy-mm-dd.
   std::string RowToString(size_t i) const;
   std::string ToString(size_t max_rows = 100) const;
 

@@ -8,6 +8,7 @@ const char* ColTypeName(ColType t) {
     case ColType::kF64: return "f64";
     case ColType::kStr: return "str";
     case ColType::kDate: return "date";
+    case ColType::kDec: return "dec";
   }
   return "?";
 }

@@ -10,13 +10,15 @@
 
 namespace qc::storage {
 
-enum class ColType { kI64, kF64, kStr, kDate };
+// kDec columns hold exact decimals as int64 counts of 10^-scale units.
+enum class ColType { kI64, kF64, kStr, kDate, kDec };
 
 const char* ColTypeName(ColType t);
 
 struct ColumnDef {
   std::string name;
   ColType type = ColType::kI64;
+  int scale = 0;  // kDec only
 };
 
 struct ForeignKey {
@@ -29,6 +31,9 @@ struct TableDef {
   std::string name;
   std::vector<ColumnDef> columns;
   int primary_key = -1;  // single-column integer PK, or -1
+  // Columns that together identify a row, for a table without a
+  // single-column PK (partsupp, lineitem); bounds join cardinalities.
+  std::vector<int> unique_key;
   std::vector<ForeignKey> foreign_keys;
 
   int ColumnIndex(const std::string& cname) const;

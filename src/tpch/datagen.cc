@@ -111,10 +111,10 @@ class Generator {
     return s;
   }
 
-  double Money(double lo, double hi) {
+  // A money amount in cents (a scale-2 decimal).
+  int64_t Money(double lo, double hi) {
     return rng_.Uniform(static_cast<int64_t>(lo * 100),
-                        static_cast<int64_t>(hi * 100)) /
-           100.0;
+                        static_cast<int64_t>(hi * 100));
   }
 
   Date RandomDate(Date lo, Date hi) {
@@ -165,7 +165,7 @@ class Generator {
       t.column(2).data.push_back(SlotS(Str(t, RandomText(3))));
       t.column(3).data.push_back(SlotI(nation));
       t.column(4).data.push_back(SlotS(Str(t, Phone(nation))));
-      t.column(5).data.push_back(SlotD(Money(-999.99, 9999.99)));
+      t.column(5).data.push_back(SlotI(Money(-999.99, 9999.99)));
       // A deterministic ~3% of suppliers carry the Q16 complaint marker
       // (deterministic so the predicate is populated at every scale).
       std::string comment = RandomText(6);
@@ -190,7 +190,7 @@ class Generator {
       t.column(2).data.push_back(SlotS(Str(t, RandomText(3))));
       t.column(3).data.push_back(SlotI(nation));
       t.column(4).data.push_back(SlotS(Str(t, Phone(nation))));
-      t.column(5).data.push_back(SlotD(Money(-999.99, 9999.99)));
+      t.column(5).data.push_back(SlotI(Money(-999.99, 9999.99)));
       t.column(6).data.push_back(
           SlotS(Str(t, kSegments[rng_.Uniform(0, 4)])));
       t.column(7).data.push_back(SlotS(Str(t, RandomText(8))));
@@ -227,8 +227,8 @@ class Generator {
       t.column(5).data.push_back(SlotI(rng_.Uniform(1, 50)));
       t.column(6).data.push_back(SlotS(Str(t, container)));
       // dbgen: retailprice derived from the key.
-      double price = 90000 + ((i / 10) % 20001) + 100 * (i % 1000);
-      t.column(7).data.push_back(SlotD(price / 100.0));
+      int64_t cents = 90000 + ((i / 10) % 20001) + 100 * (i % 1000);
+      t.column(7).data.push_back(SlotI(cents));
       t.column(8).data.push_back(SlotS(Str(t, RandomText(4))));
     }
   }
@@ -244,7 +244,7 @@ class Generator {
         t.column(0).data.push_back(SlotI(p));
         t.column(1).data.push_back(SlotI(s));
         t.column(2).data.push_back(SlotI(rng_.Uniform(1, 9999)));
-        t.column(3).data.push_back(SlotD(Money(1.00, 1000.00)));
+        t.column(3).data.push_back(SlotI(Money(1.00, 1000.00)));
         t.column(4).data.push_back(SlotS(Str(t, RandomText(10))));
       }
     }
@@ -272,12 +272,18 @@ class Generator {
         int64_t supp = 1 + (part + j * (num_suppliers_ / 4 +
                                         (part - 1) / num_suppliers_)) %
                                num_suppliers_;
-        double qty = static_cast<double>(rng_.Uniform(1, 50));
-        double retail =
-            (90000 + ((part / 10) % 20001) + 100 * (part % 1000)) / 100.0;
-        double extprice = qty * retail / 10.0;
-        double discount = rng_.Uniform(0, 10) / 100.0;
-        double tax = rng_.Uniform(0, 8) / 100.0;
+        // Decimals: quantity (scale 0), extended price in tenths of a cent
+        // (scale 3: quantity * retail cents / 10 dollars), discount and
+        // tax in hundredths. o_totalprice stays the double it always was.
+        int64_t qty = rng_.Uniform(1, 50);
+        int64_t retail_cents =
+            90000 + ((part / 10) % 20001) + 100 * (part % 1000);
+        int64_t disc_pct = rng_.Uniform(0, 10);
+        int64_t tax_pct = rng_.Uniform(0, 8);
+        double extprice =
+            static_cast<double>(qty) * (retail_cents / 100.0) / 10.0;
+        double discount = disc_pct / 100.0;
+        double tax = tax_pct / 100.0;
         Date shipdate = DateAddDays(odate, static_cast<int>(rng_.Uniform(1, 121)));
         Date commitdate =
             DateAddDays(odate, static_cast<int>(rng_.Uniform(30, 90)));
@@ -295,10 +301,10 @@ class Generator {
         l.column(1).data.push_back(SlotI(part));
         l.column(2).data.push_back(SlotI(supp));
         l.column(3).data.push_back(SlotI(ln));
-        l.column(4).data.push_back(SlotD(qty));
-        l.column(5).data.push_back(SlotD(extprice));
-        l.column(6).data.push_back(SlotD(discount));
-        l.column(7).data.push_back(SlotD(tax));
+        l.column(4).data.push_back(SlotI(qty));
+        l.column(5).data.push_back(SlotI(qty * retail_cents));
+        l.column(6).data.push_back(SlotI(disc_pct));
+        l.column(7).data.push_back(SlotI(tax_pct));
         l.column(8).data.push_back(SlotS(Str(l, returnflag)));
         l.column(9).data.push_back(SlotS(Str(l, linestatus)));
         l.column(10).data.push_back(SlotI(shipdate));

@@ -35,7 +35,7 @@ TableDef Supplier() {
   t.name = "supplier";
   t.columns = {{"s_suppkey", ColType::kI64},   {"s_name", ColType::kStr},
                {"s_address", ColType::kStr},   {"s_nationkey", ColType::kI64},
-               {"s_phone", ColType::kStr},     {"s_acctbal", ColType::kF64},
+               {"s_phone", ColType::kStr},     {"s_acctbal", ColType::kDec, 2},
                {"s_comment", ColType::kStr}};
   t.primary_key = 0;
   t.foreign_keys = {ForeignKey{3, "nation", 0}};
@@ -47,7 +47,7 @@ TableDef Customer() {
   t.name = "customer";
   t.columns = {{"c_custkey", ColType::kI64},    {"c_name", ColType::kStr},
                {"c_address", ColType::kStr},    {"c_nationkey", ColType::kI64},
-               {"c_phone", ColType::kStr},      {"c_acctbal", ColType::kF64},
+               {"c_phone", ColType::kStr},      {"c_acctbal", ColType::kDec, 2},
                {"c_mktsegment", ColType::kStr}, {"c_comment", ColType::kStr}};
   t.primary_key = 0;
   t.foreign_keys = {ForeignKey{3, "nation", 0}};
@@ -64,7 +64,7 @@ TableDef Part() {
                {"p_type", ColType::kStr},
                {"p_size", ColType::kI64},
                {"p_container", ColType::kStr},
-               {"p_retailprice", ColType::kF64},
+               {"p_retailprice", ColType::kDec, 2},
                {"p_comment", ColType::kStr}};
   t.primary_key = 0;
   return t;
@@ -76,8 +76,9 @@ TableDef PartSupp() {
   t.columns = {{"ps_partkey", ColType::kI64},
                {"ps_suppkey", ColType::kI64},
                {"ps_availqty", ColType::kI64},
-               {"ps_supplycost", ColType::kF64},
+               {"ps_supplycost", ColType::kDec, 2},
                {"ps_comment", ColType::kStr}};
+  t.unique_key = {0, 1};
   t.foreign_keys = {ForeignKey{0, "part", 0}, ForeignKey{1, "supplier", 0}};
   return t;
 }
@@ -88,6 +89,8 @@ TableDef Orders() {
   t.columns = {{"o_orderkey", ColType::kI64},
                {"o_custkey", ColType::kI64},
                {"o_orderstatus", ColType::kStr},
+               // A sum of rounded products in double (datagen.cc); no
+               // query sums it, Q18 outputs and sorts it.
                {"o_totalprice", ColType::kF64},
                {"o_orderdate", ColType::kDate},
                {"o_orderpriority", ColType::kStr},
@@ -106,10 +109,10 @@ TableDef Lineitem() {
                {"l_partkey", ColType::kI64},
                {"l_suppkey", ColType::kI64},
                {"l_linenumber", ColType::kI64},
-               {"l_quantity", ColType::kF64},
-               {"l_extendedprice", ColType::kF64},
-               {"l_discount", ColType::kF64},
-               {"l_tax", ColType::kF64},
+               {"l_quantity", ColType::kDec, 0},
+               {"l_extendedprice", ColType::kDec, 3},
+               {"l_discount", ColType::kDec, 2},
+               {"l_tax", ColType::kDec, 2},
                {"l_returnflag", ColType::kStr},
                {"l_linestatus", ColType::kStr},
                {"l_shipdate", ColType::kDate},
@@ -118,6 +121,7 @@ TableDef Lineitem() {
                {"l_shipinstruct", ColType::kStr},
                {"l_shipmode", ColType::kStr},
                {"l_comment", ColType::kStr}};
+  t.unique_key = {0, 3};
   t.foreign_keys = {ForeignKey{0, "orders", 0}, ForeignKey{1, "part", 0},
                     ForeignKey{2, "supplier", 0}};
   return t;

@@ -27,6 +27,16 @@ namespace {
 
 using Row = std::vector<Slot>;
 
+// The IR engines' lower::ToF64, operation for operation.
+double ToF64(ValType t, Slot v) {
+  if (t == ValType::kF64) return v.d;
+  double d = static_cast<double>(v.i);
+  if (t.kind == ValType::kDec && t.scale > 0) {
+    d /= static_cast<double>(qplan::Pow10(t.scale));
+  }
+  return d;
+}
+
 struct Relation {
   const Schema* schema = nullptr;
   std::vector<Row> rows;
@@ -57,8 +67,10 @@ class Evaluator {
  private:
   // --- expression evaluation ------------------------------------------------
 
-  double AsF64(const ExprPtr& e, const Slot& v) {
-    return e->type == ValType::kF64 ? v.d : static_cast<double>(v.i);
+  // An exact value of `e` rescaled to `scale` (the IR's constant multiply).
+  static int64_t Align(const ExprPtr& e, const Slot& v, int scale) {
+    int s = qplan::ScaleOf(e->type);
+    return scale > s ? v.i * qplan::Pow10(scale - s) : v.i;
   }
 
   Slot EvalExpr(const ExprPtr& e, const Row& row) {
@@ -67,7 +79,8 @@ class Evaluator {
       case ExprKind::kIntLit:
       case ExprKind::kDateLit:
       case ExprKind::kBoolLit: return SlotI(e->ival);
-      case ExprKind::kFloatLit: return SlotD(e->fval);
+      case ExprKind::kFloatLit:
+        return e->type.kind == ValType::kDec ? SlotI(e->ival) : SlotD(e->fval);
       case ExprKind::kStrLit: return SlotS(e->name.c_str());
       case ExprKind::kAdd:
       case ExprKind::kSub:
@@ -77,7 +90,7 @@ class Evaluator {
         Slot a = EvalExpr(e->kids[0], row);
         Slot b = EvalExpr(e->kids[1], row);
         if (e->type == ValType::kF64) {
-          double x = AsF64(e->kids[0], a), y = AsF64(e->kids[1], b);
+          double x = ToF64(e->kids[0]->type, a), y = ToF64(e->kids[1]->type, b);
           switch (e->kind) {
             case ExprKind::kAdd: return SlotD(x + y);
             case ExprKind::kSub: return SlotD(x - y);
@@ -85,6 +98,10 @@ class Evaluator {
             case ExprKind::kDiv: return SlotD(x / y);
             default: std::abort();
           }
+        }
+        if (e->type.kind == ValType::kDec && e->kind != ExprKind::kMul) {
+          a = SlotI(Align(e->kids[0], a, e->type.scale));
+          b = SlotI(Align(e->kids[1], b, e->type.scale));
         }
         switch (e->kind) {
           case ExprKind::kAdd: return SlotI(a.i + b.i);
@@ -113,10 +130,14 @@ class Evaluator {
           cmp = std::strcmp(a.s, b.s);
         } else if (e->kids[0]->type == ValType::kF64 ||
                    e->kids[1]->type == ValType::kF64) {
-          double x = AsF64(e->kids[0], a), y = AsF64(e->kids[1], b);
+          double x = ToF64(e->kids[0]->type, a), y = ToF64(e->kids[1]->type, b);
           cmp = x < y ? -1 : (x > y ? 1 : 0);
         } else {
-          cmp = a.i < b.i ? -1 : (a.i > b.i ? 1 : 0);
+          int scale = qplan::ScaleOf(
+              qplan::CommonType(e->kids[0]->type, e->kids[1]->type));
+          int64_t x = Align(e->kids[0], a, scale);
+          int64_t y = Align(e->kids[1], b, scale);
+          cmp = x < y ? -1 : (x > y ? 1 : 0);
         }
         bool r = false;
         switch (e->kind) {
@@ -157,8 +178,9 @@ class Evaluator {
         bool c = EvalExpr(e->kids[0], row).i != 0;
         const ExprPtr& branch = c ? e->kids[1] : e->kids[2];
         Slot v = EvalExpr(branch, row);
-        if (e->type == ValType::kF64 && branch->type != ValType::kF64) {
-          return SlotD(static_cast<double>(v.i));
+        if (e->type == ValType::kF64) return SlotD(ToF64(branch->type, v));
+        if (e->type.kind == ValType::kDec) {
+          return SlotI(Align(branch, v, e->type.scale));
         }
         return v;
       }
@@ -301,8 +323,7 @@ class Evaluator {
 
     struct Group {
       Row key_values;
-      std::vector<double> facc;  // sum / min / max as doubles
-      std::vector<int64_t> iacc;
+      std::vector<Slot> acc;  // sum / min / max, f64 or int64 by type
       std::vector<int64_t> count;
       bool seen = false;
     };
@@ -324,8 +345,7 @@ class Evaluator {
           if (ge.expr->type == ValType::kStr) v = SlotS(Intern(v.s));
           g.key_values.push_back(v);
         }
-        g.facc.assign(plan.aggs.size(), 0.0);
-        g.iacc.assign(plan.aggs.size(), 0);
+        g.acc.assign(plan.aggs.size(), SlotI(0));
         g.count.assign(plan.aggs.size(), 0);
       }
       for (size_t a = 0; a < plan.aggs.size(); ++a) {
@@ -336,26 +356,22 @@ class Evaluator {
         }
         Slot v = EvalExpr(spec.arg, r);
         bool is_f = spec.arg->type == ValType::kF64;
-        double dv = is_f ? v.d : static_cast<double>(v.i);
+        Slot& acc = g.acc[a];
+        auto less = [&](Slot x, Slot y) { return is_f ? x.d < y.d : x.i < y.i; };
         switch (spec.fn) {
           case AggFn::kSum:
           case AggFn::kAvg:
-            g.facc[a] += dv;
-            // Only integral outputs read iacc; adding an f64 argument's bit
-            // pattern as int64 would be signed overflow.
-            if (!is_f) g.iacc[a] += v.i;
+            if (is_f) {
+              acc.d += v.d;
+            } else {
+              acc.i += v.i;
+            }
             break;
           case AggFn::kMin:
-            if (g.count[a] == 0 || dv < g.facc[a]) {
-              g.facc[a] = dv;
-              g.iacc[a] = v.i;
-            }
+            if (g.count[a] == 0 || less(v, acc)) acc = v;
             break;
           case AggFn::kMax:
-            if (g.count[a] == 0 || dv > g.facc[a]) {
-              g.facc[a] = dv;
-              g.iacc[a] = v.i;
-            }
+            if (g.count[a] == 0 || less(acc, v)) acc = v;
             break;
           case AggFn::kCount:
             break;
@@ -367,8 +383,7 @@ class Evaluator {
     // Global aggregation produces a zero row even on empty input.
     if (plan.group_by.empty() && groups.empty()) {
       Group g;
-      g.facc.assign(plan.aggs.size(), 0.0);
-      g.iacc.assign(plan.aggs.size(), 0);
+      g.acc.assign(plan.aggs.size(), SlotI(0));
       g.count.assign(plan.aggs.size(), 0);
       groups[""] = g;
       order.push_back("");
@@ -379,21 +394,19 @@ class Evaluator {
       Row r = g.key_values;
       for (size_t a = 0; a < plan.aggs.size(); ++a) {
         const qplan::AggSpec& spec = plan.aggs[a];
-        ValType out_t = plan.schema[plan.group_by.size() + a].type;
         switch (spec.fn) {
           case AggFn::kCount:
             r.push_back(SlotI(g.count[a]));
             break;
           case AggFn::kAvg:
-            r.push_back(
-                SlotD(g.count[a] == 0 ? 0.0 : g.facc[a] / g.count[a]));
+            // lower::AvgOf: the sum as f64, then divided by the count.
+            r.push_back(SlotD(g.count[a] == 0
+                                  ? 0.0
+                                  : ToF64(spec.arg->type, g.acc[a]) /
+                                        static_cast<double>(g.count[a])));
             break;
           default:
-            if (out_t == ValType::kF64) {
-              r.push_back(SlotD(g.facc[a]));
-            } else {
-              r.push_back(SlotI(g.iacc[a]));
-            }
+            r.push_back(g.acc[a]);
         }
       }
       out.rows.push_back(std::move(r));
@@ -453,6 +466,8 @@ storage::ResultTable Execute(const qplan::Plan& plan, storage::Database& db) {
     for (size_t c = 0; c < row.size(); ++c) {
       if (plan.schema[c].type == ValType::kStr) {
         row[c] = SlotS(out.InternString(row[c].s));
+      } else if (plan.schema[c].type.kind == ValType::kDec) {
+        row[c] = SlotD(ToF64(plan.schema[c].type, row[c]));
       }
     }
     out.AddRow(std::move(row));

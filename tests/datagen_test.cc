@@ -4,6 +4,8 @@
 // behind each query's predicates.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 
@@ -155,6 +157,28 @@ TEST(Datagen, PredicateDomainsPopulated) {
     EXPECT_GT(complaints, 0);
   }
   {
+    // Q6's discount band (0.05..0.07) and quantity bound (< 24), read as
+    // decimals: hundredths and whole units.
+    const auto& li = db.table(db.TableId("lineitem"));
+    ASSERT_EQ(li.column(4).def.type, storage::ColType::kDec);
+    ASSERT_EQ(li.column(6).def.scale, 2);
+    int q6 = 0;
+    for (int64_t r = 0; r < li.rows(); ++r) {
+      int64_t disc = li.column(6).data[r].i;
+      q6 += disc >= 5 && disc <= 7 && li.column(4).data[r].i < 24;
+    }
+    EXPECT_GT(q6, 0);
+    EXPECT_LT(q6, li.rows());
+  }
+  {
+    // Q22's positive account balances, in cents.
+    const auto& c = db.table(db.TableId("customer"));
+    int positive = 0;
+    for (int64_t r = 0; r < c.rows(); ++r) positive += c.column(5).data[r].i > 0;
+    EXPECT_GT(positive, 0);
+    EXPECT_LT(positive, c.rows());
+  }
+  {
     // Q22 phone country codes are two digits derived from the nation.
     const auto& c = db.table(db.TableId("customer"));
     for (int64_t r = 0; r < std::min<int64_t>(c.rows(), 50); ++r) {
@@ -162,6 +186,76 @@ TEST(Datagen, PredicateDomainsPopulated) {
       int code = std::stoi(phone.substr(0, 2));
       EXPECT_EQ(code, c.column(3).data[r].i + 10);
     }
+  }
+}
+
+// The decimal columns hold exactly what the f64 columns before them held:
+// every cell is llround(old x 10^scale), where `old` is the double the
+// generator used to store. p_retailprice and l_extendedprice are
+// recomputed here with the old formulas; every column is also pinned by a
+// checksum of the old generator's values (SF 0.01, seed 1), and the one
+// money column that stays f64, o_totalprice, by a checksum of its bits.
+TEST(Datagen, DecimalsEqualTheOldDoubles) {
+  storage::Database db = tpch::MakeTpchDatabase(0.01, 1);
+  auto col = [&](const char* t, const char* c) -> const storage::Column& {
+    const storage::Table& tab = db.table(db.TableId(t));
+    return tab.column(tab.def().ColumnIndex(c));
+  };
+  // The old formulas: retail = cents / 100.0 from the part key, extended
+  // price = quantity * retail / 10.0 (three decimals).
+  auto old_retail = [](int64_t part) {
+    return (90000 + ((part / 10) % 20001) + 100 * (part % 1000)) / 100.0;
+  };
+  const storage::Column& retail = col("part", "p_retailprice");
+  for (size_t r = 0; r < retail.data.size(); ++r) {
+    ASSERT_EQ(retail.data[r].i,
+              std::llround(old_retail(static_cast<int64_t>(r) + 1) * 100))
+        << "part row " << r;
+  }
+  const storage::Column& qty = col("lineitem", "l_quantity");
+  const storage::Column& part = col("lineitem", "l_partkey");
+  const storage::Column& ext = col("lineitem", "l_extendedprice");
+  for (size_t r = 0; r < ext.data.size(); ++r) {
+    double old = static_cast<double>(qty.data[r].i) *
+                 old_retail(part.data[r].i) / 10.0;
+    ASSERT_EQ(ext.data[r].i, std::llround(old * 1000)) << "lineitem row " << r;
+  }
+
+  struct Pinned {
+    const char* table;
+    const char* column;
+    int scale;  // -1: an f64 column, hashed by its bits
+    size_t rows;
+    uint64_t hash;
+  };
+  // FNV-1a over llround(old x 10^scale), taken from the f64 generator.
+  const Pinned kPinned[] = {
+      {"supplier", "s_acctbal", 2, 100, 0x8166b634620e8e74ull},
+      {"customer", "c_acctbal", 2, 1500, 0x2350e8d03adf709eull},
+      {"part", "p_retailprice", 2, 2000, 0x0ea24b991271e10bull},
+      {"partsupp", "ps_supplycost", 2, 8000, 0x7cbfead9424ed0ccull},
+      {"lineitem", "l_quantity", 0, 59970, 0xde5549546c1c78fdull},
+      {"lineitem", "l_extendedprice", 3, 59970, 0x6b5bc76249b7fe59ull},
+      {"lineitem", "l_discount", 2, 59970, 0x975082db8219ea1full},
+      {"lineitem", "l_tax", 2, 59970, 0xda050f000076bd40ull},
+      {"orders", "o_totalprice", -1, 15000, 0x2566ee4e0ddd9770ull},
+  };
+  for (const Pinned& p : kPinned) {
+    const storage::Column& c = col(p.table, p.column);
+    if (p.scale < 0) {
+      EXPECT_EQ(c.def.type, storage::ColType::kF64) << p.column;
+    } else {
+      EXPECT_EQ(c.def.type, storage::ColType::kDec) << p.column;
+      EXPECT_EQ(c.def.scale, p.scale) << p.column;
+    }
+    ASSERT_EQ(c.data.size(), p.rows) << p.column;
+    uint64_t h = 1469598103934665603ull;
+    for (const Slot& s : c.data) {
+      uint64_t v;
+      std::memcpy(&v, &s, sizeof(v));
+      h = (h ^ v) * 1099511628211ull;
+    }
+    EXPECT_EQ(h, p.hash) << p.table << "." << p.column;
   }
 }
 

@@ -2,9 +2,9 @@
 // BITWISE identical to the sequential engines — same row order, same f64
 // bit patterns, same string contents — for every TPC-H query, at every
 // tested thread count and morsel size, on both engines (bytecode VM and
-// JIT). The f64-addend replay makes this exact (not approximate) even for
-// floating-point sums, so these tests compare bit patterns, not canonical
-// text.
+// JIT). Every sum that runs in parallel is integral (TPC-H money is a
+// scaled-int64 decimal) and a loop with an f64 sum runs sequentially, so
+// these tests compare bit patterns, not canonical text.
 //
 // Figure 8 accounting is asserted too: AllocStats of a parallel run must
 // equal the sequential run's exactly (AllocStats::MergeFrom + the merge
@@ -111,7 +111,8 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, ParallelExecTpchTest,
                          ::testing::Range(1, 23));
 
 // Hand-built global-aggregation shapes (sum / count / guarded min / max /
-// f64 sum), exactly as lower/pipeline.cc lowers them: the scalar-reduction
+// a second, decimal-like sum of cents), exactly as lower/pipeline.cc
+// lowers them: the scalar-reduction
 // merges must fold the morsel accumulators correctly. Guards against the
 // scalar paths regressing while the TPC-H suite happens not to exercise
 // them (its scalar folds are shadowed by grouped shapes).
@@ -121,7 +122,7 @@ TEST(ParallelScalarReductionTest, SumCountMinMaxMatchSequential) {
   ir::Function fn("scalar_aggs", &types);
   ir::Builder b(&fn);
   ir::Stmt* sum = b.VarNew(b.I64(0));
-  ir::Stmt* fsum = b.VarNew(b.F64(0.0));
+  ir::Stmt* csum = b.VarNew(b.I64(0));
   ir::Stmt* cnt = b.VarNew(b.I64(0));
   ir::Stmt* mn = b.VarNew(b.I64(0));
   ir::Stmt* mx = b.VarNew(b.I64(0));
@@ -131,7 +132,7 @@ TEST(ParallelScalarReductionTest, SumCountMinMaxMatchSequential) {
       ir::Stmt* n0 = b.VarRead(cnt);
       ir::Stmt* v = b.Mul(b.Sub(b.I64(50000), i), b.I64(3));
       b.VarAssign(sum, b.Add(b.VarRead(sum), v));
-      b.VarAssign(fsum, b.Add(b.VarRead(fsum), b.Cast(v, types.F64())));
+      b.VarAssign(csum, b.Add(b.VarRead(csum), b.Mul(v, b.I64(100))));
       b.If(b.Or(b.Eq(n0, b.I64(0)), b.Lt(v, b.VarRead(mn))),
            [&] { b.VarAssign(mn, v); });
       b.If(b.Or(b.Eq(n0, b.I64(0)), b.Gt(v, b.VarRead(mx))),
@@ -139,7 +140,7 @@ TEST(ParallelScalarReductionTest, SumCountMinMaxMatchSequential) {
       b.VarAssign(cnt, b.Add(n0, b.I64(1)));
     });
   });
-  b.EmitRow({b.VarRead(sum), b.VarRead(fsum), b.VarRead(cnt), b.VarRead(mn),
+  b.EmitRow({b.VarRead(sum), b.VarRead(csum), b.VarRead(cnt), b.VarRead(mn),
              b.VarRead(mx)});
 
   // The loop must actually qualify, with all five scalar reductions.
@@ -147,13 +148,12 @@ TEST(ParallelScalarReductionTest, SumCountMinMaxMatchSequential) {
   ASSERT_EQ(info.loops.size(), 1u);
   ASSERT_EQ(info.loops[0].reductions.size(), 5u);
 
-  int64_t want_sum = 0, want_cnt = 0, want_mn = 0, want_mx = 0;
-  double want_fsum = 0.0;
+  int64_t want_sum = 0, want_csum = 0, want_cnt = 0, want_mn = 0, want_mx = 0;
   for (int64_t i = 0; i < kRows; ++i) {
     if (i % 7 != 3) continue;
     int64_t v = (50000 - i) * 3;
     want_sum += v;
-    want_fsum += static_cast<double>(v);
+    want_csum += v * 100;
     if (want_cnt == 0 || v < want_mn) want_mn = v;
     if (want_cnt == 0 || v > want_mx) want_mx = v;
     ++want_cnt;
@@ -167,11 +167,61 @@ TEST(ParallelScalarReductionTest, SumCountMinMaxMatchSequential) {
                       " threads=" + std::to_string(threads);
       ASSERT_EQ(r.size(), 1u) << t;
       EXPECT_EQ(r.row(0)[0].i, want_sum) << "sum, " << t;
-      EXPECT_EQ(r.row(0)[1].d, want_fsum) << "fsum, " << t;
+      EXPECT_EQ(r.row(0)[1].i, want_csum) << "csum, " << t;
       EXPECT_EQ(r.row(0)[2].i, want_cnt) << "count, " << t;
       EXPECT_EQ(r.row(0)[3].i, want_mn) << "min, " << t;
       EXPECT_EQ(r.row(0)[4].i, want_mx) << "max, " << t;
     }
+  }
+}
+
+// An f64 sum is not associative: morsel partial sums would not add up to
+// the sequential rounding. A loop with one is rejected by name ("f64-sum",
+// at its store) and runs sequentially, so every engine and thread count
+// reproduces the one-thread bits: 1e17 + 1.0 rounds to 1e17, so row 0's
+// 1e17 swallows the 1.0s of every row before the last row's -1e17, while
+// any partial sum of later rows would keep them.
+TEST(ParallelF64SumTest, LoopWithF64SumRunsSequentiallyAndExact) {
+  storage::Database db;
+  ir::TypeFactory types;
+  ir::Function fn("f64_sum", &types);
+  ir::Builder b(&fn);
+  const int64_t kRows = 20000;
+  ir::Stmt* fsum = b.VarNew(b.F64(0.0));
+  ir::Stmt* cnt = b.VarNew(b.I64(0));
+  ir::Stmt* loop = b.ForRange(b.I64(0), b.I64(kRows), [&](ir::Stmt* i) {
+    // first = (i == 0), last = (i == kRows - 1), as integer arithmetic.
+    ir::Stmt* first = b.Sub(b.I64(1), b.Div(b.Add(i, b.I64(kRows - 1)),
+                                            b.I64(kRows)));
+    ir::Stmt* last = b.Div(i, b.I64(kRows - 1));
+    ir::Stmt* big = b.I64(100000000000000000);
+    ir::Stmt* addend = b.Cast(
+        b.Add(b.Mul(b.Sub(first, last), big),
+              b.Sub(b.Sub(b.I64(1), first), last)),
+        types.F64());
+    b.VarAssign(fsum, b.Add(b.VarRead(fsum), addend));
+    b.VarAssign(cnt, b.Add(b.VarRead(cnt), b.I64(1)));
+  });
+  b.EmitRow({b.VarRead(fsum), b.VarRead(cnt)});
+
+  ir::ParallelInfo info = ir::AnalyzeParallelism(fn);
+  EXPECT_TRUE(info.loops.empty());
+  ASSERT_EQ(info.rejected.size(), 1u);
+  const ir::ParReject& why = info.rejected[0];
+  EXPECT_EQ(why.loop, loop);
+  EXPECT_STREQ(why.rule, "f64-sum");
+  ASSERT_NE(why.at, nullptr);
+  EXPECT_STREQ(ir::OpName(why.at->op), "var_assign");
+
+  exec::Interpreter ref(&db, Opts(InterpOptions::Engine::kBytecode, 1));
+  storage::ResultTable want = ref.Run(fn);
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(want.row(0)[0].d, 0.0) << "row order swallows every 1.0";
+  for (InterpOptions::Engine engine : kEngines) {
+    exec::Interpreter interp(&db, Opts(engine, 4, 512));
+    const std::string t = std::string(EngineName(engine)) + " threads=4";
+    ExpectBitExact(interp.Run(fn), want, t);
+    ExpectStatsEqual(interp.stats(), ref.stats(), t);
   }
 }
 
@@ -232,10 +282,11 @@ TEST(ParallelSkewedKeyTest, HotKeyChainsMergeInRowOrder) {
 // The slot-range merge of a direct-addressed group array: keys cover every
 // slot — slot 0, slot size-1 and both sides of every part boundary for
 // T in {2, 3, 4} included — and every slot is hit by rows of many morsels.
-// Each group folds an f64 sum whose value depends on the order of its
-// addends (1e17 + 1.0 rounds to 1e17), a min and a max whose candidates
-// tie between -0.0 and 0.0 (only the first occurrence's sign may survive),
-// and an integral count. Rows and AllocStats must match the sequential run
+// Each group folds an integral sum (as a decimal column sums) of addends
+// 1e17, -1e17 and 1 that only an exact merge keeps (in f64, 1e17 + 1.0
+// rounds to 1e17), a min and a max whose candidates tie between -0.0 and
+// 0.0 (only the first occurrence's sign may survive), and an integral
+// count. Rows and AllocStats must match the sequential run
 // bit for bit on both engines, at every thread count and morsel size.
 TEST(ParallelSlotRangeMergeTest, BoundarySlotsFoldInRowOrder) {
   storage::Database db;
@@ -244,8 +295,8 @@ TEST(ParallelSlotRangeMergeTest, BoundarySlotsFoldInRowOrder) {
   ir::Builder b(&fn);
   const ir::Type* f64 = types.F64();
   const ir::Type* agg = types.Record(
-      "Agg", {{"key", types.I64()}, {"sum", f64}, {"mn", f64}, {"mx", f64},
-              {"cnt", types.I64()}});
+      "Agg", {{"key", types.I64()}, {"sum", types.I64()}, {"mn", f64},
+              {"mx", f64}, {"cnt", types.I64()}});
   const int64_t kSlots = 1201;  // > 8 x 777: merged by slot range
   const int64_t kRows = 6000;
   ir::Stmt* arr = b.ArrNew(agg, b.I64(kSlots));
@@ -253,21 +304,19 @@ TEST(ParallelSlotRangeMergeTest, BoundarySlotsFoldInRowOrder) {
   b.ForRange(b.I64(0), b.I64(kRows), [&](ir::Stmt* i) {
     ir::Stmt* key = b.Mod(b.Mul(i, b.I64(37)), b.I64(kSlots));
     // A slot's rows are i0 + t * kSlots: its t-th row adds 1e17, -1e17,
-    // then 1.0 each. In row order the 1.0s land after the cancellation
-    // and survive; in any other order some fall below 1e17's spacing.
+    // then 1 each.
     ir::Stmt* t = b.Div(i, b.I64(kSlots));
     ir::Stmt* is0 = b.Div(b.Sub(b.I64(4), t), b.I64(4));
     ir::Stmt* ge1 = b.Div(b.Add(t, b.I64(3)), b.I64(4));
     ir::Stmt* ge2 = b.Div(b.Add(t, b.I64(2)), b.I64(4));
     ir::Stmt* big = b.I64(100000000000000000);
-    ir::Stmt* addend = b.Cast(
-        b.Add(b.Mul(b.Sub(is0, b.Sub(ge1, ge2)), big), ge2), f64);
+    ir::Stmt* addend = b.Add(b.Mul(b.Sub(is0, b.Sub(ge1, ge2)), big), ge2);
     ir::Stmt* c = b.Mod(i, b.I64(3));
     ir::Stmt* lo_cand = b.Mul(b.Cast(b.Sub(c, b.I64(1)), f64), b.F64(0.0));
     ir::Stmt* hi_cand = b.Mul(b.Cast(b.Sub(b.I64(1), c), f64), b.F64(0.0));
     b.If(b.IsNull(b.ArrGet(arr, key)), [&] {
       ir::Stmt* rec = b.RecNew(
-          agg, {key, b.F64(0.0), b.F64(0.0), b.F64(0.0), b.I64(0)});
+          agg, {key, b.I64(0), b.F64(0.0), b.F64(0.0), b.I64(0)});
       create_store = b.ArrSet(arr, key, rec);
     });
     ir::Stmt* h = b.ArrGet(arr, key);
@@ -296,13 +345,12 @@ TEST(ParallelSlotRangeMergeTest, BoundarySlotsFoldInRowOrder) {
   ASSERT_EQ(pl.reductions.size(), 1u);
   const ir::ParReduction& red = pl.reductions[0];
   ASSERT_EQ(red.kind, ir::ParRedKind::kGroupArray);
-  EXPECT_EQ(red.fields[1], ir::ParFold::kSumF);
+  EXPECT_EQ(red.fields[1], ir::ParFold::kSumI);
   EXPECT_EQ(red.fields[2], ir::ParFold::kMin);
   EXPECT_EQ(red.fields[3], ir::ParFold::kMax);
   EXPECT_EQ(red.fields[4], ir::ParFold::kSumI);
   ASSERT_NE(create_store, nullptr);
-  EXPECT_EQ(pl.actions[create_store->id], ir::ParAction::kTouch);
-  EXPECT_EQ(pl.action_channel[create_store->id], 0);
+  EXPECT_EQ(pl.touch[create_store->id], 0);
 
   exec::Interpreter ref(&db, Opts(InterpOptions::Engine::kBytecode, 1));
   storage::ResultTable want = ref.Run(fn);
@@ -325,10 +373,9 @@ TEST(ParallelSlotRangeMergeTest, BoundarySlotsFoldInRowOrder) {
 
 // The hash-part merge of hash maps and multimaps. A map aggregation mixes
 // hot keys hit by every morsel, keys hit a few times and single-row keys.
-// Each group folds an order-sensitive f64 sum (a hot key's rows add 1e17,
-// -1e17, then 1.0 each: in row order the 1.0s survive the cancellation), a
-// min and a max whose candidates tie between -0.0 and 0.0, and an integral
-// count. A second parallel loop aggregates into the same, already filled
+// Each group folds an integral sum (a hot key's rows add 1e17, -1e17, then
+// 1 each, which only an exact merge keeps), a min and a max whose
+// candidates tie between -0.0 and 0.0, and an integral count. A second parallel loop aggregates into the same, already filled
 // map, half into keys the first loop made. A multimap gets two or three
 // values for each of 2,500 keys from rows far apart. The map is emitted in
 // iteration order, which shows its entries() order, and the multimap key by
@@ -342,17 +389,17 @@ TEST(ParallelMapMergeTest, KeysMergeByHashPartInRowOrder) {
   const ir::Type* i64 = types.I64();
   const ir::Type* f64 = types.F64();
   const ir::Type* agg = types.Record(
-      "Agg", {{"key", i64}, {"sum", f64}, {"mn", f64}, {"mx", f64},
+      "Agg", {{"key", i64}, {"sum", i64}, {"mn", f64}, {"mx", f64},
               {"cnt", i64}});
   const int64_t kRows = 6000;
   const int64_t kMMapKeys = 2500;
   ir::Stmt* map = b.MapNew(i64, agg);
   ir::Stmt* mm = b.MMapNew(i64, i64);
-  // One row's fold into the group of `key`: f64 sum, guarded min/max over
-  // -0.0/0.0 candidates (c in {0, 1, 2}) and count.
+  // One row's fold into the group of `key`: integral sum, guarded min/max
+  // over -0.0/0.0 candidates (c in {0, 1, 2}) and count.
   auto fold = [&](ir::Stmt* key, ir::Stmt* addend, ir::Stmt* c) {
     ir::Stmt* h = b.MapGetOrElseUpdate(map, key, [&] {
-      return b.RecNew(agg, {key, b.F64(0.0), b.F64(0.0), b.F64(0.0),
+      return b.RecNew(agg, {key, b.I64(0), b.F64(0.0), b.F64(0.0),
                             b.I64(0)});
     });
     ir::Stmt* lo_cand = b.Mul(b.Cast(b.Sub(c, b.I64(1)), f64), b.F64(0.0));
@@ -378,15 +425,14 @@ TEST(ParallelMapMergeTest, KeysMergeByHashPartInRowOrder) {
         b.Add(b.Mul(hot, b.Mod(i, b.I64(3))),
               b.Mul(med, b.Add(b.I64(10), b.Mod(i, b.I64(997))))),
         b.Mul(single, b.Add(b.I64(2000), i)));
-    // A hot key's t-th row adds 1e17, -1e17, then 1.0 (t = i / 12 < 1000);
+    // A hot key's t-th row adds 1e17, -1e17, then 1 (t = i / 12 < 1000);
     // every other row adds 1e17.
     ir::Stmt* t = b.Mul(hot, b.Div(i, b.I64(12)));
     ir::Stmt* ge1 = b.Div(b.Add(t, b.I64(999)), b.I64(1000));
     ir::Stmt* ge2 = b.Div(b.Add(t, b.I64(998)), b.I64(1000));
     ir::Stmt* big = b.I64(100000000000000000);
-    ir::Stmt* addend = b.Cast(
-        b.Add(b.Mul(b.Sub(b.Sub(one, ge1), b.Sub(ge1, ge2)), big), ge2),
-        f64);
+    ir::Stmt* addend =
+        b.Add(b.Mul(b.Sub(b.Sub(one, ge1), b.Sub(ge1, ge2)), big), ge2);
     fold(key, addend, b.Mod(i, b.I64(3)));
   });
   b.ForRange(b.I64(0), b.I64(kRows / 2), [&](ir::Stmt* j) {
@@ -396,8 +442,7 @@ TEST(ParallelMapMergeTest, KeysMergeByHashPartInRowOrder) {
     ir::Stmt* key =
         b.Add(b.Mul(b.Sub(b.I64(1), odd), b.Mod(b.Div(j, b.I64(2)), b.I64(50))),
               b.Mul(odd, b.Add(b.I64(100000), j)));
-    ir::Stmt* addend =
-        b.Mul(b.Cast(b.Sub(b.Mod(j, b.I64(7)), b.I64(3)), f64), b.F64(0.1));
+    ir::Stmt* addend = b.Sub(b.Mod(j, b.I64(7)), b.I64(3));
     fold(key, addend, b.Mod(j, b.I64(3)));
   });
   b.ForRange(b.I64(0), b.I64(kRows), [&](ir::Stmt* i) {
@@ -412,13 +457,13 @@ TEST(ParallelMapMergeTest, KeysMergeByHashPartInRowOrder) {
     ir::Stmt* vals = b.MMapGetOrNull(mm, k);
     b.If(b.Not(b.IsNull(vals)), [&] {
       b.ListForeach(vals, [&](ir::Stmt* v) {
-        b.EmitRow({k, b.Cast(v, f64), b.F64(0.0), b.F64(0.0), v});
+        b.EmitRow({k, v, b.F64(0.0), b.F64(0.0), v});
       });
     });
   });
 
-  // Both aggregation loops qualify with the map reduction and a
-  // record-keyed f64 channel; the build loop with the multimap.
+  // Both aggregation loops qualify with the map reduction; the build loop
+  // with the multimap.
   ir::ParallelInfo info = ir::AnalyzeParallelism(fn);
   ASSERT_GE(info.loops.size(), 3u);
   for (int l = 0; l < 2; ++l) {
@@ -426,12 +471,10 @@ TEST(ParallelMapMergeTest, KeysMergeByHashPartInRowOrder) {
     ASSERT_EQ(pl.reductions.size(), 1u) << "loop " << l;
     const ir::ParReduction& red = pl.reductions[0];
     ASSERT_EQ(red.kind, ir::ParRedKind::kMap) << "loop " << l;
-    EXPECT_EQ(red.fields[1], ir::ParFold::kSumF);
+    EXPECT_EQ(red.fields[1], ir::ParFold::kSumI);
     EXPECT_EQ(red.fields[2], ir::ParFold::kMin);
     EXPECT_EQ(red.fields[3], ir::ParFold::kMax);
     EXPECT_EQ(red.fields[4], ir::ParFold::kSumI);
-    ASSERT_EQ(pl.logs.size(), 1u) << "loop " << l;
-    EXPECT_EQ(pl.logs[0].map_red, 0) << "loop " << l;
   }
   ASSERT_EQ(info.loops[2].reductions.size(), 1u);
   EXPECT_EQ(info.loops[2].reductions[0].kind, ir::ParRedKind::kMMap);
@@ -484,10 +527,10 @@ TEST(ParallelOuterJoinTest, Q13CustomerLoopQualifiesAndStaysBitExact) {
     ASSERT_NE(customers, nullptr) << "Q13 L5 customer loop must qualify";
     ASSERT_EQ(customers->reductions.size(), 1u);
     int touch = 0;
-    for (size_t id = 0; id < customers->actions.size(); ++id) {
-      if (customers->actions[id] != ir::ParAction::kTouch) continue;
+    for (int red : customers->touch) {
+      if (red < 0) continue;
       ++touch;
-      EXPECT_EQ(customers->action_channel[id], 0);
+      EXPECT_EQ(red, 0);
     }
     EXPECT_EQ(touch, 2) << "one kTouch store per create site";
   }
@@ -518,12 +561,11 @@ TEST(ParallelOuterJoinTest, Q13CustomerLoopQualifiesAndStaysBitExact) {
 
 // Hand-built Q13 shapes pin which second create sites may join a group
 // array. The base shape (the same record at a structurally equal slot,
-// integral sums from both sites) qualifies, and so does an f64 sum written
-// at the second site only: its channel logs that site's slot index, which
-// rows without an inner match compute too. Every other variant must leave
-// the loop sequential, rejected where the listing says. All run bit-exact
-// at four threads. The last two read an integral sum's running value per
-// row, which a morsel sees as its partial sum.
+// integral sums from both sites) qualifies. Every other variant must leave
+// the loop sequential, rejected where the listing says; an f64 sum at
+// either site rejects by name. All run bit-exact at four threads. The last
+// two read an integral sum's running value per row, which a morsel sees as
+// its partial sum.
 TEST(ParallelOuterJoinTest, SecondCreateSiteRejections) {
   enum class Variant { kBase, kOtherInit, kOtherSlot, kF64BothSites,
                        kF64EachSite, kF64SecondSiteOnly, kMinMax,
@@ -538,10 +580,12 @@ TEST(ParallelOuterJoinTest, SecondCreateSiteRejections) {
       {Variant::kBase, "base", nullptr, nullptr},
       {Variant::kOtherInit, "other init arguments", "visit", "arr_set"},
       {Variant::kOtherSlot, "other slot index", "visit", "arr_set"},
-      {Variant::kF64BothSites, "f64 sum from both sites", "visit", "rec_set"},
-      {Variant::kF64EachSite, "an f64 sum at each site", "channels", nullptr},
+      {Variant::kF64BothSites, "f64 sum from both sites", "f64-sum",
+       "rec_set"},
+      {Variant::kF64EachSite, "an f64 sum at each site", "f64-sum",
+       "rec_set"},
       {Variant::kF64SecondSiteOnly, "an f64 sum at the second site only",
-       nullptr, nullptr},
+       "f64-sum", "rec_set"},
       {Variant::kMinMax, "min from one of two sites", "guards", nullptr},
       {Variant::kRunningField, "a running group count read", "reads",
        nullptr},
@@ -635,11 +679,6 @@ TEST(ParallelOuterJoinTest, SecondCreateSiteRejections) {
       ASSERT_EQ(pl->reductions.size(), 1u) << c.name;
       EXPECT_EQ(pl->reductions[0].fields[1], ir::ParFold::kSumI) << c.name;
       EXPECT_EQ(pl->reductions[0].fields[2], ir::ParFold::kSumI) << c.name;
-      if (c.v == Variant::kF64SecondSiteOnly) {
-        EXPECT_EQ(pl->reductions[0].fields[4], ir::ParFold::kSumF);
-        ASSERT_EQ(pl->logs.size(), 1u);
-        EXPECT_EQ(pl->logs[0].array_red, 0);
-      }
     } else {
       EXPECT_EQ(pl, nullptr) << c.name;
       ASSERT_FALSE(info.rejected.empty()) << c.name;
@@ -757,17 +796,15 @@ TEST(ParallelAnalysisTest, FlagshipLoopsQualify) {
     return ir::AnalyzeParallelism(*res.fn);
   };
 
-  // Q6: global f64 sum — one loop, one kVarSumF reduction with a log.
+  // Q6: global decimal sum — one loop, one integral kVarSumI reduction.
   {
     ir::ParallelInfo info = analyze(6, 5);
     ASSERT_EQ(info.loops.size(), 1u) << "Q6 L5 scan loop must qualify";
     const ir::ParLoop& pl = info.loops[0];
     ASSERT_EQ(pl.reductions.size(), 1u);
-    EXPECT_EQ(pl.reductions[0].kind, ir::ParRedKind::kVarSumF);
-    ASSERT_EQ(pl.logs.size(), 1u);
-    EXPECT_EQ(pl.logs[0].values.size(), 1u);
+    EXPECT_EQ(pl.reductions[0].kind, ir::ParRedKind::kVarSumI);
   }
-  // Q1 L5: direct-addressed group array with f64-sum fields + count.
+  // Q1 L5: direct-addressed group array with decimal-sum fields + count.
   {
     ir::ParallelInfo info = analyze(1, 5);
     bool found = false;
@@ -775,14 +812,9 @@ TEST(ParallelAnalysisTest, FlagshipLoopsQualify) {
       for (const ir::ParReduction& r : pl.reductions) {
         if (r.kind == ir::ParRedKind::kGroupArray) {
           found = true;
-          int sum_f = 0, sum_i = 0;
-          for (ir::ParFold f : r.fields) {
-            sum_f += f == ir::ParFold::kSumF;
-            sum_i += f == ir::ParFold::kSumI;
-          }
-          EXPECT_EQ(sum_f, 7) << "Q1 has 7 f64 accumulator fields";
-          EXPECT_GE(sum_i, 1) << "shared count field";
-          EXPECT_FALSE(pl.logs.empty());
+          int sum_i = 0;
+          for (ir::ParFold f : r.fields) sum_i += f == ir::ParFold::kSumI;
+          EXPECT_EQ(sum_i, 8) << "Q1's 7 decimal sums and the shared count";
         }
       }
     }
@@ -836,6 +868,59 @@ TEST(ParallelAnalysisTest, FlagshipLoopsQualify) {
   }
 }
 
+// An f64 accumulate inside `b`: var = var + w or rec[f] = rec[f] + w in
+// f64. Appends "<tag> x<id>" per hit to `out`.
+void FindF64Sums(const ir::Block* b, const std::string& tag,
+                 std::string* out) {
+  for (const ir::Stmt* s : b->stmts) {
+    bool store = s->op == ir::Op::kVarAssign || s->op == ir::Op::kRecSet;
+    const ir::Stmt* val = store ? s->args[1] : nullptr;
+    if (val != nullptr && val->op == ir::Op::kAdd &&
+        val->type->kind == ir::TypeKind::kF64) {
+      for (const ir::Stmt* a : val->args) {
+        bool reread =
+            s->op == ir::Op::kVarAssign
+                ? a->op == ir::Op::kVarRead && a->args[0] == s->args[0]
+                : a->op == ir::Op::kRecGet && a->args[0] == s->args[0] &&
+                      a->aux0 == s->aux0;
+        if (reread) *out += tag + " x" + std::to_string(s->id) + "\n";
+      }
+    }
+    for (const ir::Block* nb : s->blocks) FindF64Sums(nb, tag, out);
+  }
+}
+
+// The census behind the determinism contract: with every TPC-H money,
+// rate and quantity column a decimal, no top-level loop of any query at
+// any stack level sums into an f64 variable or record field, so none is
+// rejected for one ("f64-sum") and every sum merges as a partial sum.
+TEST(ParallelAnalysisTest, NoTpchLoopHasAnF64Sum) {
+  storage::Database db = tpch::MakeTpchDatabase(0.002, 7);
+  std::string found;
+  for (int q = 1; q <= tpch::kNumQueries; ++q) {
+    qplan::PlanPtr plan = tpch::MakeQuery(q);
+    qplan::ResolvePlan(plan.get(), db);
+    for (int level = 2; level <= 5; ++level) {
+      ir::TypeFactory types;
+      QueryCompiler qc(&db, &types);
+      compiler::CompileResult res =
+          qc.Compile(*plan, StackConfig::Level(level), "q");
+      const std::string tag =
+          "Q" + std::to_string(q) + " L" + std::to_string(level);
+      for (const ir::Stmt* s : res.fn->body()->stmts) {
+        if (s->op == ir::Op::kForRange) FindF64Sums(s->blocks[0], tag, &found);
+      }
+      for (const ir::ParReject& r :
+           ir::AnalyzeParallelism(*res.fn).rejected) {
+        if (std::string(r.rule) == "f64-sum") {
+          found += tag + " rejected x" + std::to_string(r.loop->id) + "\n";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(found, "");
+}
+
 // The "why not parallel" listing of all 22 queries at level 5, on
 // qc_verify's database (SF 0.002, seed 7): every top-level loop left
 // sequential, with the statement or post-pass that rejected it. All are
@@ -857,14 +942,14 @@ TEST(ParallelAnalysisTest, WhyNotParallelListing) {
   }
   EXPECT_EQ(listing,
             "Q2 x20 visit at x27 arr_set\n"
-            "Q2 x158 visit at x165 arr_set\n"
+            "Q2 x157 visit at x164 arr_set\n"
             "Q5 x18 visit at x25 arr_set\n"
             "Q8 x41 visit at x48 arr_set\n"
             "Q8 x118 visit at x125 arr_set\n"
             "Q9 x23 visit at x30 arr_set\n"
             "Q16 x12 visit at x52 arr_set\n"
             "Q17 x48 visit at x59 arr_set\n"
-            "Q20 x59 visit at x69 arr_set\n");
+            "Q20 x58 visit at x68 arr_set\n");
 }
 
 }  // namespace
