@@ -1,6 +1,6 @@
 #include "lower/expr_lower.h"
 
-#include <cassert>
+#include <cstdio>
 #include <cstdlib>
 
 namespace qc::lower {
@@ -106,7 +106,16 @@ Stmt* LowerStrCmp(Builder& b, ExprKind kind, Stmt* x, Stmt* y) {
 Stmt* LowerExpr(Builder& b, const ExprPtr& e, const std::vector<Stmt*>& row) {
   switch (e->kind) {
     case ExprKind::kCol:
-      assert(e->col_idx >= 0 && static_cast<size_t>(e->col_idx) < row.size());
+      if (e->col_idx < 0 || static_cast<size_t>(e->col_idx) >= row.size() ||
+          row[e->col_idx] == nullptr) {
+        // A wrong needed-column set must stop here, not as a null
+        // statement deeper in the compiler.
+        std::fprintf(stderr,
+                     "lowering error: column %s (#%d of %zu) is not "
+                     "materialized in this row\n",
+                     e->name.c_str(), e->col_idx, row.size());
+        std::abort();
+      }
       return row[e->col_idx];
     case ExprKind::kIntLit: return b.I64(e->ival);
     case ExprKind::kFloatLit:
@@ -177,9 +186,13 @@ Stmt* LowerExpr(Builder& b, const ExprPtr& e, const std::vector<Stmt*>& row) {
 
     case ExprKind::kCase: {
       // CASE lowers to a mutable variable assigned in both branches: kIf in
-      // the IR is statement-only, conditional *values* go through vars.
+      // the IR is statement-only, conditional *values* go through vars. A
+      // constant condition (an outer join's `matched`) lowers to its arm.
       const Type* t = LowerValType(b.types(), e->type);
       Stmt* cond = LowerExpr(b, e->kids[0], row);
+      if (cond->op == ir::Op::kConst && !ir::IsParam(cond)) {
+        return b.Cast(LowerAs(b, e, cond->ival != 0 ? 1 : 2, row, e->type), t);
+      }
       Stmt* var = b.VarNew(DefaultValue(b, t));
       b.If(
           cond,

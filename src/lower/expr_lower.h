@@ -19,7 +19,9 @@ namespace qc::lower {
 const ir::Type* LowerValType(ir::TypeFactory* types, qplan::ValType t);
 
 // Emits IR computing `e` over `row` (one symbol per input-schema column,
-// positions matching the schema the expression was resolved against).
+// positions matching the schema the expression was resolved against; null
+// for a column the pipelining pruned). Reading a null column aborts with a
+// readable message.
 ir::Stmt* LowerExpr(ir::Builder& b, const qplan::ExprPtr& e,
                     const std::vector<ir::Stmt*>& row);
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/builder.h"
@@ -21,8 +22,12 @@ using qplan::ValType;
 
 namespace {
 
+// One symbol per column of an operator's schema, at its schema position;
+// null for a column no ancestor reads (see Need).
 using Row = std::vector<Stmt*>;
 using Consumer = std::function<void(const Row&)>;
+// Per column of a schema: true when the column must be materialized.
+using Need = std::vector<bool>;
 
 bool IsIntegralVal(ValType t) {
   return t == ValType::kI64 || t == ValType::kDate || t == ValType::kBool ||
@@ -48,6 +53,17 @@ bool ReadsBelow(const ExprPtr& e, size_t n) {
   return true;
 }
 
+// Marks in `need` every column `e` reads, shifted down by `base`; a column
+// outside [base, base + need->size()) belongs to another input.
+void MarkReads(const ExprPtr& e, Need* need, size_t base = 0) {
+  if (e->kind == qplan::ExprKind::kCol) {
+    size_t c = static_cast<size_t>(e->col_idx);
+    if (c >= base && c - base < need->size()) (*need)[c - base] = true;
+    return;
+  }
+  for (const ExprPtr& k : e->kids) MarkReads(k, need, base);
+}
+
 class PipelineLowering {
  public:
   PipelineLowering(storage::Database& db, ir::TypeFactory* types)
@@ -58,6 +74,7 @@ class PipelineLowering {
     auto fn = std::make_unique<ir::Function>(name, types_);
     Builder builder(fn.get());
     b_ = &builder;
+    MarkNeeds(plan, Need(plan.schema.size(), true));
     Produce(plan, [&](const Row& row) { EmitResult(b(), row, plan.schema); });
     b_ = nullptr;
     return fn;
@@ -77,13 +94,15 @@ class PipelineLowering {
     return types_->I64();
   }
 
-  // Fresh record type for a schema (field names keep the column name for
-  // debuggability; extras are appended, e.g. the embedded join key).
-  const Type* TupleType(const qplan::Schema& schema, const std::string& base,
+  // Fresh record type holding the columns of `schema` that `keep` marks, in
+  // schema order (field names keep the column's position and name for
+  // debuggability), then `extras`, e.g. the embedded join key.
+  const Type* TupleType(const qplan::Schema& schema, const Need& keep,
+                        const std::string& base,
                         const std::vector<ir::Field>& extras = {}) {
     std::vector<ir::Field> fields;
-    fields.reserve(schema.size() + extras.size());
     for (size_t i = 0; i < schema.size(); ++i) {
+      if (!keep[i]) continue;
       fields.push_back(ir::Field{"f" + std::to_string(i) + "_" +
                                      schema[i].name,
                                  LowerValType(types_, schema[i].type)});
@@ -92,13 +111,85 @@ class PipelineLowering {
     return types_->Record(base + std::to_string(counter_++), std::move(fields));
   }
 
-  Row RecFields(Stmt* rec, size_t n) {
-    Row row;
-    row.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      row.push_back(b().RecGet(rec, static_cast<int>(i)));
+  // The kept entries of `row`, the field values of a TupleType record.
+  static Row KeptFields(const Row& row, const Need& keep) {
+    Row fields;
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (keep[i]) fields.push_back(row[i]);
+    }
+    return fields;
+  }
+
+  // The row a TupleType record stores: its fields at their schema
+  // positions, null where `keep` pruned the column.
+  Row RecFields(Stmt* rec, const Need& keep) {
+    Row row(keep.size(), nullptr);
+    int field = 0;
+    for (size_t i = 0; i < keep.size(); ++i) {
+      if (keep[i]) row[i] = b().RecGet(rec, field++);
     }
     return row;
+  }
+
+  // Needed columns, top-down, before any IR is emitted: the root needs its
+  // whole schema, each operator adds the columns its own expressions read,
+  // and a join splits its need between its children. Each operator then
+  // materializes only what an ancestor reads.
+  void MarkNeeds(const Plan& p, Need need) {
+    std::vector<Need> kids;
+    switch (p.kind) {
+      case PlanKind::kScan:
+        break;
+      case PlanKind::kSelect:
+        kids = {need};
+        MarkReads(p.predicate, &kids[0]);
+        break;
+      case PlanKind::kLimit:
+        kids = {need};
+        break;
+      case PlanKind::kSort:
+        kids = {need};
+        for (const qplan::SortKey& k : p.sort_keys) MarkReads(k.expr, &kids[0]);
+        break;
+      case PlanKind::kProject:
+        kids = {Need(p.children[0]->schema.size())};
+        for (size_t i = 0; i < p.projections.size(); ++i) {
+          if (need[i]) MarkReads(p.projections[i].expr, &kids[0]);
+        }
+        break;
+      case PlanKind::kAgg:
+        kids = {Need(p.children[0]->schema.size())};
+        for (const qplan::NamedExpr& g : p.group_by) {
+          MarkReads(g.expr, &kids[0]);
+        }
+        for (const qplan::AggSpec& a : p.aggs) {
+          if (a.arg != nullptr) MarkReads(a.arg, &kids[0]);
+        }
+        break;
+      case PlanKind::kJoin: {
+        size_t nl = p.children[0]->schema.size();
+        Need left(need.begin(), need.begin() + nl);
+        Need right(p.children[1]->schema.size());
+        if (need.size() > nl) {  // inner and outer: left ++ right (++ matched)
+          for (size_t j = 0; j < right.size(); ++j) right[j] = need[nl + j];
+        }
+        if (p.predicate != nullptr) {
+          MarkReads(p.predicate, &left);
+          MarkReads(p.predicate, &right, nl);
+        }
+        // The build tuple stores what is read above the join or by the
+        // residual; the keys are computed from the child row.
+        stored_[&p] = right;
+        for (const ExprPtr& k : p.left_keys) MarkReads(k, &left);
+        for (const ExprPtr& k : p.right_keys) MarkReads(k, &right);
+        kids = {std::move(left), std::move(right)};
+        break;
+      }
+    }
+    for (size_t i = 0; i < kids.size(); ++i) {
+      MarkNeeds(*p.children[i], std::move(kids[i]));
+    }
+    need_[&p] = std::move(need);
   }
 
   // Hash-key shape, decidable statically: a single integral key is carried
@@ -152,13 +243,14 @@ class PipelineLowering {
 
   void ProduceScan(const Plan& p, const Consumer& consume) {
     const storage::Table& t = db_.table(p.table_id);
+    const Need& need = need_.at(&p);
     Stmt* n = b().TableRows(p.table_id);
     b().ForRange(b().I64(0), n, [&](Stmt* i) {
-      Row row;
-      row.reserve(t.num_columns());
+      Row row(t.num_columns(), nullptr);
       for (size_t c = 0; c < t.num_columns(); ++c) {
-        row.push_back(b().ColGet(p.table_id, static_cast<int>(c), i,
-                                 LowerColType(t.def().columns[c].type)));
+        if (!need[c]) continue;
+        row[c] = b().ColGet(p.table_id, static_cast<int>(c), i,
+                            LowerColType(t.def().columns[c].type));
       }
       consume(row);
     });
@@ -172,11 +264,11 @@ class PipelineLowering {
   }
 
   void ProduceProject(const Plan& p, const Consumer& consume) {
+    const Need& need = need_.at(&p);
     Produce(*p.children[0], [&](const Row& row) {
-      Row out;
-      out.reserve(p.projections.size());
-      for (const auto& ne : p.projections) {
-        out.push_back(LowerExpr(b(), ne.expr, row));
+      Row out(p.projections.size(), nullptr);
+      for (size_t i = 0; i < p.projections.size(); ++i) {
+        if (need[i]) out[i] = LowerExpr(b(), p.projections[i].expr, row);
       }
       consume(out);
     });
@@ -188,9 +280,11 @@ class PipelineLowering {
   // row for unmatched probes. An inner or semi join tests the residual's
   // probe-only conjuncts before the lookup, so rows failing them never
   // hash; anti and outer joins must see every probe row, so they keep the
-  // whole residual per match.
+  // whole residual per match. The build tuple stores only the right columns
+  // an ancestor or the residual reads, plus the single integral key.
   void ProduceJoin(const Plan& p, const Consumer& consume) {
     const qplan::Schema& rschema = p.children[1]->schema;
+    const Need& stored = stored_.at(&p);
     KeySpec spec = KeyTypeOf(p.right_keys);
 
     std::vector<ExprPtr> probe_conj, match_conj;
@@ -208,15 +302,17 @@ class PipelineLowering {
     if (spec.single_integral) {
       extras.push_back(ir::Field{"__key", types_->I64()});
     }
-    const Type* tup = TupleType(rschema, "JoinTup", extras);
+    const Type* tup = TupleType(rschema, stored, "JoinTup", extras);
 
     Stmt* mm = b().MMapNew(spec.type, tup);
-    mm->aux0 = spec.single_integral ? static_cast<int>(rschema.size()) : -1;
+    mm->aux0 = spec.single_integral
+                   ? static_cast<int>(tup->record->fields.size()) - 1
+                   : -1;
 
     // Phase 1: build.
     Produce(*p.children[1], [&](const Row& row) {
       Stmt* key = MakeKey(spec, p.right_keys, row);
-      Row fields = row;
+      Row fields = KeptFields(row, stored);
       if (spec.single_integral) fields.push_back(key);
       Stmt* rec = b().RecNew(tup, fields);
       b().MMapAdd(mm, key, rec);
@@ -237,13 +333,14 @@ class PipelineLowering {
                  const std::vector<ExprPtr>& match_conj, const Row& lrow,
                  const Consumer& consume) {
     const qplan::Schema& rschema = p.children[1]->schema;
+    const Need& stored = stored_.at(&p);
     Stmt* key = MakeKey(spec, p.left_keys, lrow);
     Stmt* lst = b().MMapGetOrNull(mm, key);
 
     auto foreach_match = [&](const std::function<void(const Row&)>& on_match) {
       b().If(b().Not(b().IsNull(lst)), [&] {
         b().ListForeach(lst, [&](Stmt* rec) {
-          Row rrow = RecFields(rec, rschema.size());
+          Row rrow = RecFields(rec, stored);
           if (!match_conj.empty()) {
             Row concat = lrow;
             concat.insert(concat.end(), rrow.begin(), rrow.end());
@@ -287,8 +384,9 @@ class PipelineLowering {
         });
         b().If(b().Not(b().VarRead(matched)), [&] {
           Row out = lrow;
-          for (const auto& c : rschema) {
-            out.push_back(DefaultValue(b(), LowerValType(types_, c.type)));
+          for (size_t j = 0; j < rschema.size(); ++j) {
+            const Type* t = LowerValType(types_, rschema[j].type);
+            out.push_back(stored[j] ? DefaultValue(b(), t) : nullptr);
           }
           out.push_back(b().BoolC(false));
           consume(out);
@@ -483,19 +581,20 @@ class PipelineLowering {
   }
 
   // Sort materializes child rows as records in a List, sorts it with a
-  // lexicographic comparator over the sort keys, then streams it.
+  // lexicographic comparator over the sort keys, then streams it. A record
+  // stores the needed columns and the sort keys' columns.
   void ProduceSort(const Plan& p, const Consumer& consume) {
-    const qplan::Schema& schema = p.children[0]->schema;
-    const Type* tup = TupleType(schema, "SortTup");
+    const Need& keep = need_.at(p.children[0].get());
+    const Type* tup = TupleType(p.children[0]->schema, keep, "SortTup");
     Stmt* lst = b().ListNew(tup);
 
     Produce(*p.children[0], [&](const Row& row) {
-      b().ListAppend(lst, b().RecNew(tup, row));
+      b().ListAppend(lst, b().RecNew(tup, KeptFields(row, keep)));
     });
 
     b().ListSortBy(lst, [&](Stmt* x, Stmt* y) -> Stmt* {
-      Row rx = RecFields(x, schema.size());
-      Row ry = RecFields(y, schema.size());
+      Row rx = RecFields(x, keep);
+      Row ry = RecFields(y, keep);
       // Lexicographic: less = k0<k0' || (k0==k0' && (k1<k1' || ...)).
       Stmt* less = b().BoolC(false);
       for (size_t i = p.sort_keys.size(); i-- > 0;) {
@@ -517,7 +616,7 @@ class PipelineLowering {
     });
 
     b().ListForeach(lst, [&](Stmt* rec) {
-      consume(RecFields(rec, schema.size()));
+      consume(RecFields(rec, keep));
     });
   }
 
@@ -536,6 +635,10 @@ class PipelineLowering {
   ir::TypeFactory* types_;
   Builder* b_ = nullptr;
   int counter_ = 0;
+  // MarkNeeds' result: the columns of each operator's output an ancestor
+  // reads, and of each join's right schema those its build tuple stores.
+  std::unordered_map<const Plan*, Need> need_;
+  std::unordered_map<const Plan*, Need> stored_;
 };
 
 }  // namespace

@@ -9,6 +9,17 @@
 // because the operator encoding *is* the transformation; here it is the
 // plan-to-IR lowering itself.
 //
+// Each operator materializes only the columns an ancestor reads: a
+// top-down needed-columns analysis runs once before any IR is emitted (the
+// root needs its whole schema, each operator adds what its own expressions
+// read, a join splits its need between its children). Scans read only
+// needed columns and projections compute only needed outputs; a join's
+// build record stores only the right columns read above the join or by its
+// residual, and a sort record the needed columns plus the sort keys'. Rows
+// keep their schema positions, with a null entry for a pruned column, and
+// a record's fields are its kept columns in schema order, so every stored
+// field is one that some operator reads.
+//
 // The emitted IR is at DSL level 3 (ScaLite[Map, List]): abstract HashMap /
 // MultiMap / List constructs that later lowerings specialize.
 #ifndef QC_LOWER_PIPELINE_H_
@@ -33,7 +44,8 @@ std::unique_ptr<ir::Function> LowerPlanPipelined(const qplan::Plan& plan,
 // Annotation conventions produced by this lowering and consumed by the
 // data-structure specialization passes:
 //  * kMMapNew.aux0 — field index of the join key copied into each stored
-//    build record (single integral keys only), or -1.
+//    build record (single integral keys only; the last field, after the
+//    kept right columns), or -1.
 //  * kMapNew.aux0  — field index of the grouping key inside the aggregation
 //    record (0 for single integral keys), or -1; kMapNew.aux1 — number of
 //    grouping fields.

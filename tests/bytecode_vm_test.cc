@@ -470,26 +470,26 @@ TEST(BytecodeVm, RepeatedRunsReuseCachedProgram) {
 // prints and says so in CHANGES.md.
 constexpr int kGoldenJitCounts[tpch::kNumQueries] = {
     170,  // Q1
-    487,  // Q2
-    177,  // Q3
+    433,  // Q2
+    151,  // Q3
     97,  // Q4
-    324,  // Q5
+    254,  // Q5
     33,  // Q6
-    333,  // Q7
-    357,  // Q8
-    193,  // Q9
-    197,  // Q10
-    297,  // Q11
+    275,  // Q7
+    309,  // Q8
+    189,  // Q9
+    183,  // Q10
+    261,  // Q11
     156,  // Q12
-    160,  // Q13
+    136,  // Q13
     65,  // Q14
     252,  // Q15
     156,  // Q16
     149,  // Q17
-    272,  // Q18
+    250,  // Q18
     153,  // Q19
-    236,  // Q20
-    200,  // Q21
+    228,  // Q20
+    184,  // Q21
     207,  // Q22
 };
 

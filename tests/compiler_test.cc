@@ -4,12 +4,17 @@
 // compilation is deterministic.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <set>
+
 #include "bit_exact.h"
 #include "compiler/compiler.h"
 #include "exec/interp.h"
 #include "ir/printer.h"
 #include "ir/verify.h"
 #include "legobase/legobase.h"
+#include "lower/expr_lower.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
 #include "volcano/volcano.h"
@@ -167,6 +172,120 @@ TEST(Compiler, SharedTypeFactoryKeepsRecordShapesApart) {
           << "Q" << queries[i] << " " << EngineName(engine) << ": " << diff;
     }
   }
+}
+
+// Calls `fn` on every statement of `b`, nested blocks included.
+void ForEachStmt(const ir::Block* b,
+                 const std::function<void(const ir::Stmt*)>& fn) {
+  for (const ir::Stmt* s : b->stmts) {
+    fn(s);
+    for (const ir::Block* nb : s->blocks) ForEachStmt(nb, fn);
+  }
+}
+
+// Required-column pruning: a join build tuple or a sort record stores only
+// what some operator reads. Over 22 queries and every stack configuration,
+// each field of each JoinTup*/SortTup* record the final IR allocates is
+// read by a rec_get, but for the join-key and intrusive-list links.
+TEST(Compiler, NoStoredFieldIsDead) {
+  int records = 0;
+  for (int q = 1; q <= tpch::kNumQueries; ++q) {
+    qplan::PlanPtr plan = tpch::MakeQuery(q);
+    qplan::ResolvePlan(plan.get(), *Db());
+    for (const StackConfig& cfg :
+         {StackConfig::Level(2), StackConfig::Level(3), StackConfig::Level(4),
+          StackConfig::Level(5), StackConfig::Compliant(),
+          StackConfig::LegoBase()}) {
+      ir::TypeFactory types;
+      QueryCompiler qc(Db(), &types);
+      compiler::CompileResult res =
+          qc.Compile(*plan, cfg, "q" + std::to_string(q));
+      std::set<const ir::RecordSchema*> allocated;
+      std::map<const ir::RecordSchema*, std::set<int>> read;
+      ForEachStmt(res.fn->body(), [&](const ir::Stmt* s) {
+        if (s->op == ir::Op::kRecNew || s->op == ir::Op::kPoolRecNew) {
+          allocated.insert(s->type->record);
+        } else if (s->op == ir::Op::kRecGet) {
+          const ir::Type* t = s->args[0]->type;
+          if (t->kind == ir::TypeKind::kPtr) t = t->elem;
+          read[t->record].insert(s->aux0);
+        }
+      });
+      for (const ir::RecordSchema* rec : allocated) {
+        if (rec->name.rfind("JoinTup", 0) != 0 &&
+            rec->name.rfind("SortTup", 0) != 0) {
+          continue;
+        }
+        ++records;
+        for (size_t f = 0; f < rec->fields.size(); ++f) {
+          const std::string& name = rec->fields[f].name;
+          if (name == "__key" || name == "__next") continue;
+          EXPECT_EQ(read[rec].count(static_cast<int>(f)), 1u)
+              << "Q" << q << " " << cfg.name << ": " << rec->name << "."
+              << name << " is stored but never read";
+        }
+      }
+    }
+  }
+  EXPECT_GT(records, 0);
+}
+
+// A CASE on a constant condition lowers to the taken arm alone: no var,
+// no if, no var_read. An outer join's `matched` column is such a constant
+// on each of its two paths, so no TPC-H program at level 5 branches on a
+// constant (Q13's count did, twice).
+TEST(Compiler, ConstantCaseLowersToItsArm) {
+  using namespace qplan;  // NOLINT
+  qplan::Schema schema = {{"a", ValType::kI64}, {"b", ValType::kI64}};
+  for (bool cond : {true, false}) {
+    ExprPtr e = Case(B(cond), Add(Col("a"), I(1)), Col("b"));
+    Resolve(e, schema);
+    ir::TypeFactory types;
+    ir::Function fn("case", &types);
+    ir::Builder b(&fn);
+    std::vector<ir::Stmt*> row = {b.I64(10), b.I64(20)};
+    ir::Stmt* v = lower::LowerExpr(b, e, row);
+    if (cond) {
+      EXPECT_EQ(v->op, ir::Op::kAdd);
+    } else {
+      EXPECT_EQ(v, row[1]);
+    }
+    ForEachStmt(fn.body(), [&](const ir::Stmt* s) {
+      EXPECT_NE(s->op, ir::Op::kVarNew);
+      EXPECT_NE(s->op, ir::Op::kIf);
+      EXPECT_NE(s->op, ir::Op::kVarRead);
+    });
+  }
+  for (int q = 1; q <= tpch::kNumQueries; ++q) {
+    qplan::PlanPtr plan = tpch::MakeQuery(q);
+    ResolvePlan(plan.get(), *Db());
+    ir::TypeFactory types;
+    QueryCompiler qc(Db(), &types);
+    compiler::CompileResult res =
+        qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(q));
+    ForEachStmt(res.fn->body(), [&](const ir::Stmt* s) {
+      if (s->op != ir::Op::kIf) return;
+      const ir::Stmt* c = s->args[0];
+      EXPECT_FALSE(c->op == ir::Op::kConst && !ir::IsParam(c))
+          << "Q" << q << " branches on a constant";
+    });
+  }
+}
+
+// A read of a column the needed-column analysis pruned aborts with a
+// readable message in every build type; it never hands a null statement to
+// the rest of the compiler.
+TEST(CompilerDeathTest, PrunedColumnReadAborts) {
+  qplan::Schema schema = {{"a", qplan::ValType::kI64},
+                          {"b", qplan::ValType::kI64}};
+  qplan::ExprPtr e = qplan::Add(qplan::Col("a"), qplan::Col("b"));
+  qplan::Resolve(e, schema);
+  ir::TypeFactory types;
+  ir::Function fn("pruned", &types);
+  ir::Builder b(&fn);
+  std::vector<ir::Stmt*> row = {b.I64(1), nullptr};
+  EXPECT_DEATH(lower::LowerExpr(b, e, row),
+               "column b \\(#1 of 2\\) is not materialized");
 }
 
 TEST(LegoBase, MonolithicFacadeCompilesAndRuns) {

@@ -942,11 +942,11 @@ TEST(ParallelAnalysisTest, WhyNotParallelListing) {
   }
   EXPECT_EQ(listing,
             "Q2 x20 visit at x27 arr_set\n"
-            "Q2 x157 visit at x164 arr_set\n"
+            "Q2 x140 visit at x147 arr_set\n"
             "Q5 x18 visit at x25 arr_set\n"
-            "Q8 x41 visit at x48 arr_set\n"
-            "Q8 x118 visit at x125 arr_set\n"
-            "Q9 x23 visit at x30 arr_set\n"
+            "Q8 x35 visit at x42 arr_set\n"
+            "Q8 x94 visit at x101 arr_set\n"
+            "Q9 x21 visit at x28 arr_set\n"
             "Q16 x12 visit at x52 arr_set\n"
             "Q17 x48 visit at x59 arr_set\n"
             "Q20 x58 visit at x68 arr_set\n");

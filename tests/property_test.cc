@@ -1,10 +1,15 @@
 // Randomized property testing: generates random (but type-correct) query
 // plans over the TPC-H schema — filters with random predicates, FK joins of
-// random shape, random grouped/global aggregations — and checks that every
-// stack configuration produces exactly the Volcano oracle's rows. This
-// sweeps plan shapes the hand-written TPC-H queries do not cover.
+// random shape, then either a random grouped/global aggregation or a sort
+// under a projection of a random column subset (of both sides after an
+// inner join) — and checks that every stack level produces exactly the
+// Volcano oracle's rows, and that the JIT at 1 and 4 threads matches the VM
+// bit for bit, AllocStats included. The projection endings read build-side
+// columns above a join, so they reach join and sort records that store only
+// some columns.
 #include <gtest/gtest.h>
 
+#include "bit_exact.h"
 #include "common/rng.h"
 #include "compiler/compiler.h"
 #include "exec/interp.h"
@@ -69,10 +74,35 @@ TEST_P(RandomPlanTest, AllConfigsMatchOracle) {
     plan = JoinOp(kind, std::move(plan), ScanOp(t.fk_table), {Col(t.fk_col)},
                   {Col(t.fk_pk)});
     joined = kind == JoinKind::kInner;
-    (void)joined;
   }
-  // Random aggregation: global or grouped by the low-cardinality column.
-  if (rng.Uniform(0, 1) == 0) {
+  // Random ending: a sort under a projection of random columns (sort keys
+  // may be projected away), or a global or grouped aggregation.
+  if (rng.Uniform(0, joined ? 1 : 3) == 0) {
+    std::vector<std::string> cols;
+    for (const char* name : {t.name, joined ? t.fk_table : nullptr}) {
+      if (name == nullptr) continue;
+      for (const auto& c : Db()->table(Db()->TableId(name)).def().columns) {
+        cols.push_back(c.name);
+      }
+    }
+    auto pick = [&] {
+      return cols[rng.Uniform(0, static_cast<int64_t>(cols.size()) - 1)];
+    };
+    std::vector<SortKey> keys;
+    for (int k = rng.Uniform(1, 2); k > 0; --k) {
+      keys.push_back(SortKey{Col(pick()), rng.Uniform(0, 1) == 1});
+    }
+    std::vector<NamedExpr> proj;
+    for (const std::string& c : cols) {
+      if (rng.Uniform(0, 3) == 0) proj.push_back(NamedExpr{c, Col(c)});
+    }
+    if (proj.empty()) {
+      std::string c = pick();
+      proj.push_back(NamedExpr{c, Col(c)});
+    }
+    plan = ProjectOp(SortOp(std::move(plan), std::move(keys)),
+                     std::move(proj));
+  } else if (rng.Uniform(0, 1) == 0) {
     plan = AggOp(std::move(plan), {},
                  {Sum(Col(t.f64_col), "s"), Count("n"),
                   Min(Col(t.f64_col), "mn"), Max(Col(t.f64_col), "mx")});
@@ -90,12 +120,24 @@ TEST_P(RandomPlanTest, AllConfigsMatchOracle) {
   for (int levels = 2; levels <= 5; ++levels) {
     compiler::CompileResult res = qc.Compile(
         *plan, compiler::StackConfig::Level(levels), "rand");
-    exec::Interpreter interp(Db());
-    storage::ResultTable got = interp.Run(*res.fn);
+    exec::Interpreter vm(Db());
+    storage::ResultTable got = vm.Run(*res.fn);
     std::string diff;
     EXPECT_TRUE(got.SameRows(oracle, &diff))
         << "seed " << GetParam() << " level " << levels << "\n"
         << plan->ToString() << diff;
+    for (int threads : {1, 4}) {
+      exec::InterpOptions opts;
+      opts.engine = exec::InterpOptions::Engine::kJit;
+      opts.num_threads = threads;
+      opts.morsel_rows = 1024;
+      exec::Interpreter jit(Db(), opts);
+      const std::string tag = "seed " + std::to_string(GetParam()) +
+                              " level " + std::to_string(levels) +
+                              " jit threads " + std::to_string(threads);
+      ExpectBitExact(jit.Run(*res.fn), got, tag);
+      ExpectStatsEqual(jit.stats(), vm.stats(), tag);
+    }
   }
 }
 

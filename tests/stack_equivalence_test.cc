@@ -3,7 +3,12 @@
 // baseline) must produce exactly the rows the Volcano oracle produces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "bit_exact.h"
+#include "cgen/cc_driver.h"
+#include "cgen/emit.h"
 #include "compiler/compiler.h"
 #include "exec/interp.h"
 #include "ir/printer.h"
@@ -196,6 +201,193 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ResidualCase>& p) {
       return std::string(p.param.name) + "_shape" +
              std::to_string(p.param.shape);
+    });
+
+// Required-column pruning at its edges: each plan stores fewer fields than
+// its input has, in the shapes most likely to read a pruned column. The
+// record count pins what the pipelined lowering stores (the build tuple of
+// the join, or the sort record). Every plan runs at L2-L5 on both engines
+// at 1 and 4 threads, bit-exact and with equal AllocStats, and through the
+// generated C; ordered plans compare in order.
+struct PruneCase {
+  const char* name;
+  PlanPtr (*make)();
+  bool ordered;
+  const char* record;  // "JoinTup" or "SortTup"
+  size_t fields;       // fields of that record, links included
+};
+
+void PrintTo(const PruneCase& c, std::ostream* os) { *os << c.name; }
+
+// Only `matched` (inside a CASE) and a left column are read above the
+// outer join: the build tuple keeps only its key.
+PlanPtr OuterMatchedOnly() {
+  using namespace qplan;  // NOLINT
+  PlanPtr oj = JoinOp(JoinKind::kLeftOuter, ScanOp("orders"),
+                      SelectOp(ScanOp("customer"),
+                               Ne(Col("c_mktsegment"), S("BUILDING"))),
+                      {Col("o_custkey")}, {Col("c_custkey")});
+  return AggOp(std::move(oj), {NamedExpr{"p", Col("o_orderpriority")}},
+               {Sum(Case(Col("matched"), I(1), I(0)), "hits"), Count("n")});
+}
+
+// The residual reads ps_suppkey and ps_availqty, which the output drops;
+// unmatched rows pad only the stored columns.
+PlanPtr ResidualReadsDroppedColumn() {
+  using namespace qplan;  // NOLINT
+  PlanPtr oj = JoinOp(
+      JoinKind::kLeftOuter, ScanOp("lineitem"), ScanOp("partsupp"),
+      {Col("l_partkey")}, {Col("ps_partkey")},
+      And(Eq(Col("l_suppkey"), Col("ps_suppkey")),
+          Gt(Col("ps_availqty"), I(1000))));
+  return ProjectOp(std::move(oj),
+                   {NamedExpr{"l_orderkey", Col("l_orderkey")},
+                    NamedExpr{"l_linenumber", Col("l_linenumber")},
+                    NamedExpr{"ps_supplycost", Col("ps_supplycost")},
+                    NamedExpr{"matched", Col("matched")}});
+}
+
+// The sort keys are projected away above the sort, which must still store
+// them.
+PlanPtr SortKeyProjectedAway() {
+  using namespace qplan;  // NOLINT
+  PlanPtr sorted = SortOp(
+      SelectOp(ScanOp("customer"), Gt(Col("c_acctbal"), F(0.0))),
+      {Asc(Col("c_nationkey")), Desc(Col("c_acctbal")),
+       Asc(Col("c_custkey"))});
+  return ProjectOp(std::move(sorted), {NamedExpr{"c_name", Col("c_name")}});
+}
+
+PlanPtr LimitOverSort() {
+  using namespace qplan;  // NOLINT
+  PlanPtr top = LimitOp(SortOp(ScanOp("orders"), {Desc(Col("o_totalprice")),
+                                                  Asc(Col("o_orderkey"))}),
+                        10);
+  return ProjectOp(std::move(top),
+                   {NamedExpr{"o_orderkey", Col("o_orderkey")},
+                    NamedExpr{"o_orderdate", Col("o_orderdate")}});
+}
+
+// A composite-key semi or anti join without a residual reads no build
+// column: its build tuple has no field at all.
+PlanPtr CompositeExistence(JoinKind kind) {
+  using namespace qplan;  // NOLINT
+  PlanPtr j = JoinOp(kind, ScanOp("lineitem"),
+                     SelectOp(ScanOp("partsupp"),
+                              Lt(Col("ps_availqty"), I(5000))),
+                     {Col("l_partkey"), Col("l_suppkey")},
+                     {Col("ps_partkey"), Col("ps_suppkey")});
+  return ProjectOp(std::move(j),
+                   {NamedExpr{"l_orderkey", Col("l_orderkey")},
+                    NamedExpr{"l_linenumber", Col("l_linenumber")}});
+}
+PlanPtr CompositeSemi() { return CompositeExistence(JoinKind::kSemi); }
+PlanPtr CompositeAnti() { return CompositeExistence(JoinKind::kAnti); }
+
+const PruneCase kPruneCases[] = {
+    {"outer_matched_only", OuterMatchedOnly, false, "JoinTup", 1},
+    {"residual_reads_dropped_column", ResidualReadsDroppedColumn, false,
+     "JoinTup", 4},
+    {"sort_key_projected_away", SortKeyProjectedAway, true, "SortTup", 4},
+    {"limit_over_sort", LimitOverSort, true, "SortTup", 3},
+    {"composite_semi", CompositeSemi, false, "JoinTup", 0},
+    {"composite_anti", CompositeAnti, false, "JoinTup", 0},
+};
+
+std::vector<std::string> RowText(const std::vector<std::string>& rows,
+                                 bool ordered) {
+  std::vector<std::string> out = rows;
+  if (!ordered) std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::string> RowText(const storage::ResultTable& t, bool ordered) {
+  std::vector<std::string> rows;
+  for (size_t i = 0; i < t.size(); ++i) rows.push_back(t.RowToString(i));
+  return RowText(rows, ordered);
+}
+
+// Fields of the first `prefix`* record the function allocates, or -1.
+int StoredFields(const ir::Block* b, const std::string& prefix) {
+  for (const ir::Stmt* s : b->stmts) {
+    if ((s->op == ir::Op::kRecNew || s->op == ir::Op::kPoolRecNew) &&
+        s->type->record->name.rfind(prefix, 0) == 0) {
+      return static_cast<int>(s->type->record->fields.size());
+    }
+    for (const ir::Block* nb : s->blocks) {
+      int n = StoredFields(nb, prefix);
+      if (n >= 0) return n;
+    }
+  }
+  return -1;
+}
+
+std::string PruneWorkDir() {
+  const char* t = std::getenv("TMPDIR");
+  return std::string(t != nullptr ? t : "/tmp") + "/qcstack_prune_test";
+}
+
+class PruneEdgeTest : public ::testing::TestWithParam<PruneCase> {};
+
+TEST_P(PruneEdgeTest, EveryLevelEngineThreadCountAndTheCMatchVolcano) {
+  const PruneCase& c = GetParam();
+  storage::Database* db = StackEquivalenceTest::db();
+  PlanPtr plan = c.make();
+  qplan::ResolvePlan(plan.get(), *db);
+  storage::ResultTable oracle = volcano::Execute(*plan, *db);
+  std::vector<std::string> want = RowText(oracle, c.ordered);
+  ASSERT_FALSE(want.empty()) << c.name;
+  const bool have_cc = std::system("command -v c++ >/dev/null 2>&1") == 0;
+  if (have_cc) {
+    ASSERT_EQ(std::system(("mkdir -p " + PruneWorkDir()).c_str()), 0);
+    db->ExportBinary(PruneWorkDir());
+  }
+  for (int level = 2; level <= 5; ++level) {
+    const std::string lt = std::string(c.name) + " L" + std::to_string(level);
+    ir::TypeFactory types;
+    QueryCompiler qc(db, &types);
+    compiler::CompileResult res =
+        qc.Compile(*plan, StackConfig::Level(level), "prune");
+    if (level == 2) {
+      EXPECT_EQ(StoredFields(res.fn->body(), c.record),
+                static_cast<int>(c.fields))
+          << lt << " " << c.record << " fields";
+    }
+    exec::Interpreter ref(db);
+    storage::ResultTable base = ref.Run(*res.fn);
+    EXPECT_EQ(RowText(base, c.ordered), want) << lt << " vs Volcano";
+    for (exec::InterpOptions::Engine engine : kEngines) {
+      for (int threads : {1, 4}) {
+        exec::InterpOptions opts;
+        opts.engine = engine;
+        opts.num_threads = threads;
+        opts.morsel_rows = 1024;
+        exec::Interpreter interp(db, opts);
+        const std::string t = lt + " " + EngineName(engine) + " threads " +
+                              std::to_string(threads);
+        ExpectBitExact(interp.Run(*res.fn), base, t);
+        ExpectStatsEqual(interp.stats(), ref.stats(), t);
+      }
+    }
+    if (!have_cc) continue;
+    std::string src = cgen::EmitProgram(*res.fn, *db, PruneWorkDir());
+    db->ExportAux(PruneWorkDir());
+    cgen::CcDriver driver(PruneWorkDir());
+    std::string error;
+    std::string bin =
+        driver.Compile(std::string(c.name) + "_l" + std::to_string(level),
+                       src, nullptr, &error);
+    ASSERT_FALSE(bin.empty()) << lt << " generated C:\n" << error;
+    cgen::RunOutput out = driver.Run(bin);
+    ASSERT_TRUE(out.ok) << lt << " generated C: " << out.error;
+    EXPECT_EQ(RowText(out.row_text, c.ordered), want) << lt << " generated C";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PruneEdgeTest, ::testing::ValuesIn(kPruneCases),
+    [](const ::testing::TestParamInfo<PruneCase>& p) {
+      return std::string(p.param.name);
     });
 
 }  // namespace
