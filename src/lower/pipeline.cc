@@ -1,5 +1,6 @@
 #include "lower/pipeline.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <unordered_map>
@@ -96,10 +97,9 @@ class PipelineLowering {
 
   // Fresh record type holding the columns of `schema` that `keep` marks, in
   // schema order (field names keep the column's position and name for
-  // debuggability), then `extras`, e.g. the embedded join key.
+  // debuggability).
   const Type* TupleType(const qplan::Schema& schema, const Need& keep,
-                        const std::string& base,
-                        const std::vector<ir::Field>& extras = {}) {
+                        const std::string& base) {
     std::vector<ir::Field> fields;
     for (size_t i = 0; i < schema.size(); ++i) {
       if (!keep[i]) continue;
@@ -107,7 +107,6 @@ class PipelineLowering {
                                      schema[i].name,
                                  LowerValType(types_, schema[i].type)});
     }
-    for (const ir::Field& f : extras) fields.push_back(f);
     return types_->Record(base + std::to_string(counter_++), std::move(fields));
   }
 
@@ -178,8 +177,13 @@ class PipelineLowering {
           MarkReads(p.predicate, &right, nl);
         }
         // The build tuple stores what is read above the join or by the
-        // residual; the keys are computed from the child row.
-        stored_[&p] = right;
+        // residual, and the key pairs compared per match; the hash key is
+        // computed from the child row.
+        Need& stored = stored_[&p] = right;
+        int part = PartitionPair(p);
+        for (size_t i = 0; part >= 0 && i < p.right_keys.size(); ++i) {
+          if (static_cast<int>(i) != part) MarkReads(p.right_keys[i], &stored);
+        }
         for (const ExprPtr& k : p.left_keys) MarkReads(k, &left);
         for (const ExprPtr& k : p.right_keys) MarkReads(k, &right);
         kids = {std::move(left), std::move(right)};
@@ -190,6 +194,81 @@ class PipelineLowering {
       MarkNeeds(*p.children[i], std::move(kids[i]));
     }
     need_[&p] = std::move(need);
+  }
+
+  // The base-table column that column `col` of `p`'s output copies, traced
+  // through the operators that pass a column on unchanged; {-1, -1} for a
+  // computed column.
+  std::pair<int, int> BaseColumn(const Plan& p, size_t col) const {
+    const ExprPtr* src = nullptr;
+    switch (p.kind) {
+      case PlanKind::kScan:
+        return {p.table_id, static_cast<int>(col)};
+      case PlanKind::kSelect:
+      case PlanKind::kSort:
+      case PlanKind::kLimit:
+        return BaseColumn(*p.children[0], col);
+      case PlanKind::kProject:
+        src = &p.projections[col].expr;
+        break;
+      case PlanKind::kAgg:
+        if (col < p.group_by.size()) src = &p.group_by[col].expr;
+        break;
+      case PlanKind::kJoin: {
+        size_t nl = p.children[0]->schema.size();
+        if (col < nl) return BaseColumn(*p.children[0], col);
+        if (col - nl < p.children[1]->schema.size()) {
+          return BaseColumn(*p.children[1], col - nl);
+        }
+        break;  // an outer join's `matched`
+      }
+    }
+    if (src == nullptr || (*src)->kind != qplan::ExprKind::kCol) {
+      return {-1, -1};
+    }
+    return BaseColumn(*p.children[0], static_cast<size_t>((*src)->col_idx));
+  }
+
+  // Rows of the table whose rows key expression `e` over `p`'s output
+  // identifies: a column copying a declared PK names its own table, one
+  // copying an FK the referenced table; -1 for any other key.
+  int64_t KeyDomainRows(const Plan& p, const ExprPtr& e) const {
+    if (e->kind != qplan::ExprKind::kCol) return -1;
+    auto [table, column] = BaseColumn(p, static_cast<size_t>(e->col_idx));
+    if (table < 0) return -1;
+    const storage::TableDef& def = db_.table(table).def();
+    if (def.primary_key == column) return db_.table(table).rows();
+    for (const storage::ForeignKey& fk : def.foreign_keys) {
+      int ref = db_.TableId(fk.ref_table);
+      if (fk.column == column && ref >= 0) return db_.table(ref).rows();
+    }
+    return -1;
+  }
+
+  // The key pair a join with two or more pairs partitions its MultiMap on
+  // (LegoBase's rule for a composite key): an integral pair whose column is
+  // a PK or FK on either side, preferring the one that identifies rows of
+  // the largest table, so its buckets are the smallest. The other pairs are
+  // compared per match, which agrees with the key record's slot equality
+  // only for integral and string pairs. With any other pair, or no PK/FK
+  // pair, the result is -1 and the key stays a record.
+  int PartitionPair(const Plan& p) const {
+    if (p.right_keys.size() < 2) return -1;
+    int best = -1;
+    int64_t best_rows = -1;
+    for (size_t i = 0; i < p.right_keys.size(); ++i) {
+      ValType lt = p.left_keys[i]->type, rt = p.right_keys[i]->type;
+      if ((lt == ValType::kStr) != (rt == ValType::kStr)) return -1;
+      if (lt == ValType::kStr) continue;
+      if (!IsIntegralVal(lt) || !IsIntegralVal(rt)) return -1;
+      int64_t rows = std::max(KeyDomainRows(*p.children[0], p.left_keys[i]),
+                              KeyDomainRows(*p.children[1], p.right_keys[i]));
+      if (rows > best_rows) {
+        best = static_cast<int>(i);
+        best_rows = rows;
+      }
+    }
+    return best_rows >= 0 ? best : -1;
   }
 
   // Hash-key shape, decidable statically: a single integral key is carried
@@ -274,18 +353,31 @@ class PipelineLowering {
     });
   }
 
+  // The keys a join hashes on one side: all of them, or the partition
+  // pair's alone.
+  static std::vector<ExprPtr> HashKeys(const std::vector<ExprPtr>& keys,
+                                       int part) {
+    if (part < 0) return keys;
+    return {keys[part]};
+  }
+
   // Hash joins build a MultiMap over the *right* child and stream the left
   // child through it (first/second phase of Fig. 4d). Semi/anti joins check
   // match existence; outer joins track a `matched` flag and emit a padded
   // row for unmatched probes. An inner or semi join tests the residual's
   // probe-only conjuncts before the lookup, so rows failing them never
   // hash; anti and outer joins must see every probe row, so they keep the
-  // whole residual per match. The build tuple stores only the right columns
-  // an ancestor or the residual reads, plus the single integral key.
+  // whole residual per match. A composite key with a PK/FK pair is keyed by
+  // that pair alone (PartitionPair), as a single integral key the
+  // specialization passes can turn into an index or a bucket array; each
+  // match then tests the other pairs before the residual. The build tuple
+  // stores only the right columns an ancestor, the residual or those key
+  // tests read.
   void ProduceJoin(const Plan& p, const Consumer& consume) {
     const qplan::Schema& rschema = p.children[1]->schema;
     const Need& stored = stored_.at(&p);
-    KeySpec spec = KeyTypeOf(p.right_keys);
+    int part = PartitionPair(p);
+    KeySpec spec = KeyTypeOf(HashKeys(p.right_keys, part));
 
     std::vector<ExprPtr> probe_conj, match_conj;
     if (p.predicate != nullptr) {
@@ -298,29 +390,20 @@ class PipelineLowering {
       }
     }
 
-    std::vector<ir::Field> extras;
-    if (spec.single_integral) {
-      extras.push_back(ir::Field{"__key", types_->I64()});
-    }
-    const Type* tup = TupleType(rschema, stored, "JoinTup", extras);
-
+    const Type* tup = TupleType(rschema, stored, "JoinTup");
     Stmt* mm = b().MMapNew(spec.type, tup);
-    mm->aux0 = spec.single_integral
-                   ? static_cast<int>(tup->record->fields.size()) - 1
-                   : -1;
 
     // Phase 1: build.
     Produce(*p.children[1], [&](const Row& row) {
-      Stmt* key = MakeKey(spec, p.right_keys, row);
-      Row fields = KeptFields(row, stored);
-      if (spec.single_integral) fields.push_back(key);
-      Stmt* rec = b().RecNew(tup, fields);
-      b().MMapAdd(mm, key, rec);
+      Stmt* key = MakeKey(spec, HashKeys(p.right_keys, part), row);
+      b().MMapAdd(mm, key, b().RecNew(tup, KeptFields(row, stored)));
     });
 
     // Phase 2: probe.
     Produce(*p.children[0], [&](const Row& lrow) {
-      auto probe = [&] { ProbeJoin(p, spec, mm, match_conj, lrow, consume); };
+      auto probe = [&] {
+        ProbeJoin(p, spec, part, mm, match_conj, lrow, consume);
+      };
       if (probe_conj.empty()) {
         probe();
       } else {
@@ -329,26 +412,38 @@ class PipelineLowering {
     });
   }
 
-  void ProbeJoin(const Plan& p, const KeySpec& spec, Stmt* mm,
+  void ProbeJoin(const Plan& p, const KeySpec& spec, int part, Stmt* mm,
                  const std::vector<ExprPtr>& match_conj, const Row& lrow,
                  const Consumer& consume) {
     const qplan::Schema& rschema = p.children[1]->schema;
     const Need& stored = stored_.at(&p);
-    Stmt* key = MakeKey(spec, p.left_keys, lrow);
+    // The probe values of the pairs a partitioned key compares per match.
+    std::vector<std::pair<size_t, Stmt*>> rest;
+    for (size_t i = 0; part >= 0 && i < p.left_keys.size(); ++i) {
+      if (static_cast<int>(i) == part) continue;
+      rest.emplace_back(i, LowerExpr(b(), p.left_keys[i], lrow));
+    }
+    Stmt* key = MakeKey(spec, HashKeys(p.left_keys, part), lrow);
     Stmt* lst = b().MMapGetOrNull(mm, key);
 
     auto foreach_match = [&](const std::function<void(const Row&)>& on_match) {
       b().If(b().Not(b().IsNull(lst)), [&] {
         b().ListForeach(lst, [&](Stmt* rec) {
           Row rrow = RecFields(rec, stored);
-          if (!match_conj.empty()) {
+          auto residual = [&] {
+            if (match_conj.empty()) return on_match(rrow);
             Row concat = lrow;
             concat.insert(concat.end(), rrow.begin(), rrow.end());
             b().If(LowerConjunction(match_conj, concat),
                    [&] { on_match(rrow); });
-          } else {
-            on_match(rrow);
+          };
+          if (rest.empty()) return residual();
+          Stmt* same = nullptr;
+          for (const auto& [i, lval] : rest) {
+            Stmt* eq = KeyEq(lval, LowerExpr(b(), p.right_keys[i], rrow));
+            same = same == nullptr ? eq : b().And(same, eq);
           }
+          b().If(same, residual);
         });
       });
     };
@@ -394,6 +489,13 @@ class PipelineLowering {
         break;
       }
     }
+  }
+
+  // Equality of two key values as a key record's hash compares them: by
+  // string contents, or by the integral slot.
+  Stmt* KeyEq(Stmt* a, Stmt* c) {
+    if (a->type->kind == ir::TypeKind::kStr) return b().StrEq(a, c);
+    return b().Eq(b().Cast(a, types_->I64()), b().Cast(c, types_->I64()));
   }
 
   // Left-to-right conjunction of `conj` (non-empty); every conjunct is

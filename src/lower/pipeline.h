@@ -14,11 +14,19 @@
 // root needs its whole schema, each operator adds what its own expressions
 // read, a join splits its need between its children). Scans read only
 // needed columns and projections compute only needed outputs; a join's
-// build record stores only the right columns read above the join or by its
-// residual, and a sort record the needed columns plus the sort keys'. Rows
-// keep their schema positions, with a null entry for a pruned column, and
-// a record's fields are its kept columns in schema order, so every stored
-// field is one that some operator reads.
+// build record stores only the right columns read above the join, by its
+// residual or by its per-match key tests, and a sort record the needed
+// columns plus the sort keys'. Rows keep their schema positions, with a
+// null entry for a pruned column, and a record's fields are its kept
+// columns in schema order, so every stored field is one that some operator
+// reads.
+//
+// A join keyed by two or more column pairs partitions on one of them, as
+// LegoBase does: an integral pair whose column is a declared PK or FK (traced
+// through the operators that copy it) keys the MultiMap alone, preferring the
+// column that identifies rows of the largest table, and each match compares
+// the other pairs. The specialization passes then treat it like any single
+// integral key. Without such a pair the key stays a record.
 //
 // The emitted IR is at DSL level 3 (ScaLite[Map, List]): abstract HashMap /
 // MultiMap / List constructs that later lowerings specialize.
@@ -41,14 +49,10 @@ std::unique_ptr<ir::Function> LowerPlanPipelined(const qplan::Plan& plan,
                                                  ir::TypeFactory* types,
                                                  const std::string& name);
 
-// Annotation conventions produced by this lowering and consumed by the
-// data-structure specialization passes:
-//  * kMMapNew.aux0 — field index of the join key copied into each stored
-//    build record (single integral keys only; the last field, after the
-//    kept right columns), or -1.
-//  * kMapNew.aux0  — field index of the grouping key inside the aggregation
-//    record (0 for single integral keys), or -1; kMapNew.aux1 — number of
-//    grouping fields.
+// Annotation convention produced by this lowering and consumed by the
+// data-structure specialization passes: kMapNew.aux0 is the field index of
+// the grouping key inside the aggregation record (0 for single integral
+// keys), or -1; kMapNew.aux1 is the number of grouping fields.
 
 }  // namespace qc::lower
 

@@ -116,10 +116,8 @@ class DictPass : public ir::Cloner {
       }
       case Op::kMMapNew: {
         if (rewritten_maps_.count(s) == 0) return nullptr;
-        Stmt* m = b().MMapNew(DictKeyType(s->type->key->record),
-                              s->type->value);
-        m->aux0 = s->aux0;
-        return m;
+        return b().MMapNew(DictKeyType(s->type->key->record),
+                           s->type->value);
       }
       default:
         return nullptr;

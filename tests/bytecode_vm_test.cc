@@ -477,7 +477,7 @@ constexpr int kGoldenJitCounts[tpch::kNumQueries] = {
     33,  // Q6
     275,  // Q7
     309,  // Q8
-    189,  // Q9
+    164,  // Q9
     183,  // Q10
     261,  // Q11
     156,  // Q12
@@ -488,7 +488,7 @@ constexpr int kGoldenJitCounts[tpch::kNumQueries] = {
     149,  // Q17
     250,  // Q18
     153,  // Q19
-    228,  // Q20
+    245,  // Q20
     184,  // Q21
     207,  // Q22
 };

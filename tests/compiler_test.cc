@@ -186,7 +186,7 @@ void ForEachStmt(const ir::Block* b,
 // Required-column pruning: a join build tuple or a sort record stores only
 // what some operator reads. Over 22 queries and every stack configuration,
 // each field of each JoinTup*/SortTup* record the final IR allocates is
-// read by a rec_get, but for the join-key and intrusive-list links.
+// read by a rec_get, but for the intrusive-list link.
 TEST(Compiler, NoStoredFieldIsDead) {
   int records = 0;
   for (int q = 1; q <= tpch::kNumQueries; ++q) {
@@ -219,7 +219,7 @@ TEST(Compiler, NoStoredFieldIsDead) {
         ++records;
         for (size_t f = 0; f < rec->fields.size(); ++f) {
           const std::string& name = rec->fields[f].name;
-          if (name == "__key" || name == "__next") continue;
+          if (name == "__next") continue;
           EXPECT_EQ(read[rec].count(static_cast<int>(f)), 1u)
               << "Q" << q << " " << cfg.name << ": " << rec->name << "."
               << name << " is stored but never read";
@@ -228,6 +228,50 @@ TEST(Compiler, NoStoredFieldIsDead) {
     }
   }
   EXPECT_GT(records, 0);
+}
+
+// Composite join keys partition on one PK/FK pair, so at level 5 no TPC-H
+// program allocates a MultiMap keyed by a record. Q9's partsupp join probes
+// the load-time partition of ps_partkey and compares ps_suppkey per row:
+// no loop over partsupp remains to build a MultiMap. Q20's join of
+// partsupp with the grouped lineitem becomes a bucket array, like its
+// supplier semi join: no MultiMap is left.
+TEST(Compiler, CompositeJoinKeysPartitionOnOneColumn) {
+  const int partsupp = Db()->TableId("partsupp");
+  const int ps_partkey = Db()->table(partsupp).def().ColumnIndex("ps_partkey");
+  for (int q = 1; q <= tpch::kNumQueries; ++q) {
+    qplan::PlanPtr plan = tpch::MakeQuery(q);
+    qplan::ResolvePlan(plan.get(), *Db());
+    ir::TypeFactory types;
+    QueryCompiler qc(Db(), &types);
+    compiler::CompileResult res =
+        qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(q));
+    int mmaps = 0, bucket_arrays = 0, partsupp_loops = 0, ps_buckets = 0;
+    ForEachStmt(res.fn->body(), [&](const ir::Stmt* s) {
+      if (s->op == ir::Op::kMMapNew) {
+        ++mmaps;
+        EXPECT_NE(s->type->key->kind, ir::TypeKind::kRecord)
+            << "Q" << q << ": MultiMap keyed by " << s->type->key->record->name;
+      } else if (s->op == ir::Op::kArrNew && s->sval == "bucket_array") {
+        ++bucket_arrays;
+      } else if (s->op == ir::Op::kForRange &&
+                 s->args[1]->op == ir::Op::kTableRows &&
+                 s->args[1]->aux0 == partsupp) {
+        ++partsupp_loops;
+      } else if ((s->op == ir::Op::kIdxBucketLen ||
+                  s->op == ir::Op::kIdxBucketRow) &&
+                 s->aux0 == partsupp && s->aux1 == ps_partkey) {
+        ++ps_buckets;
+      }
+    });
+    if (q == 9) {
+      EXPECT_EQ(partsupp_loops, 0) << "Q9";
+      EXPECT_EQ(ps_buckets, 2) << "Q9: idx_bucket_len and idx_bucket_row";
+    } else if (q == 20) {
+      EXPECT_EQ(mmaps, 0) << "Q20";
+      EXPECT_EQ(bucket_arrays, 2) << "Q20";
+    }
+  }
 }
 
 // A CASE on a constant condition lowers to the taken arm alone: no var,

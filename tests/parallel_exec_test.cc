@@ -946,10 +946,10 @@ TEST(ParallelAnalysisTest, WhyNotParallelListing) {
             "Q5 x18 visit at x25 arr_set\n"
             "Q8 x35 visit at x42 arr_set\n"
             "Q8 x94 visit at x101 arr_set\n"
-            "Q9 x21 visit at x28 arr_set\n"
+            "Q9 x9 visit at x16 arr_set\n"
             "Q16 x12 visit at x52 arr_set\n"
             "Q17 x48 visit at x59 arr_set\n"
-            "Q20 x58 visit at x68 arr_set\n");
+            "Q20 x62 visit at x72 arr_set\n");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Randomized property testing: generates random (but type-correct) query
-// plans over the TPC-H schema — filters with random predicates, FK joins of
-// random shape, then either a random grouped/global aggregation or a sort
-// under a projection of a random column subset (of both sides after an
-// inner join) — and checks that every stack level produces exactly the
+// plans over the TPC-H schema — filters with random predicates, joins of
+// random kind by an FK or by a two-column key whose columns repeat alone,
+// then either a random grouped/global aggregation or a sort under a
+// projection of a random column subset (of both sides after an inner
+// join) — and checks that every stack level produces exactly the
 // Volcano oracle's rows, and that the JIT at 1 and 4 threads matches the VM
 // bit for bit, AllocStats included. The projection endings read build-side
 // columns above a join, so they reach join and sort records that store only
@@ -66,25 +67,43 @@ TEST_P(RandomPlanTest, AllConfigsMatchOracle) {
     }
     plan = SelectOp(std::move(plan), pred);
   }
-  // Random FK join (inner / semi / anti).
+  // Random join (inner / semi / anti): by the FK alone, or by the key
+  // (fk_col, int_col) against a filtered, renamed copy of the table, whose
+  // build rows repeat each of the two columns taken alone.
+  std::vector<std::string> build_cols;  // what an inner join adds
   bool joined = false;
   if (t.fk_col != nullptr && rng.Uniform(0, 2) != 0) {
     JoinKind kinds[] = {JoinKind::kInner, JoinKind::kSemi, JoinKind::kAnti};
     JoinKind kind = kinds[rng.Uniform(0, 2)];
-    plan = JoinOp(kind, std::move(plan), ScanOp(t.fk_table), {Col(t.fk_col)},
-                  {Col(t.fk_pk)});
+    if (rng.Uniform(0, 1) == 0) {
+      plan = JoinOp(kind, std::move(plan), ScanOp(t.fk_table),
+                    {Col(t.fk_col)}, {Col(t.fk_pk)});
+      for (const auto& c :
+           Db()->table(Db()->TableId(t.fk_table)).def().columns) {
+        build_cols.push_back(c.name);
+      }
+    } else {
+      double frac = rng.UniformDouble(0.2, 0.9);
+      PlanPtr copy = ProjectOp(
+          SelectOp(ScanOp(t.name), Lt(Col(t.f64_col), F(t.f64_hi * frac))),
+          {{"b_fk", Col(t.fk_col)},
+           {"b_int", Col(t.int_col)},
+           {"b_f64", Col(t.f64_col)}});
+      plan = JoinOp(kind, std::move(plan), std::move(copy),
+                    {Col(t.fk_col), Col(t.int_col)},
+                    {Col("b_fk"), Col("b_int")});
+      build_cols = {"b_fk", "b_int", "b_f64"};
+    }
     joined = kind == JoinKind::kInner;
   }
   // Random ending: a sort under a projection of random columns (sort keys
   // may be projected away), or a global or grouped aggregation.
   if (rng.Uniform(0, joined ? 1 : 3) == 0) {
     std::vector<std::string> cols;
-    for (const char* name : {t.name, joined ? t.fk_table : nullptr}) {
-      if (name == nullptr) continue;
-      for (const auto& c : Db()->table(Db()->TableId(name)).def().columns) {
-        cols.push_back(c.name);
-      }
+    for (const auto& c : Db()->table(Db()->TableId(t.name)).def().columns) {
+      cols.push_back(c.name);
     }
+    if (joined) cols.insert(cols.end(), build_cols.begin(), build_cols.end());
     auto pick = [&] {
       return cols[rng.Uniform(0, static_cast<int64_t>(cols.size()) - 1)];
     };

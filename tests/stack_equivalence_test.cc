@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 
 #include "bit_exact.h"
 #include "cgen/cc_driver.h"
@@ -64,7 +65,7 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, StackEquivalenceTest,
 // semi or anti join with a probe-only conjunct, so these hand-built plans
 // mix probe-only, build-only and cross-side conjuncts over every join kind
 // and key shape: a PK probe, a filtered PK and FK-bucket build (the
-// flag-array probe), and a composite key that stays a MultiMap. Every
+// flag-array probe), and a composite key partitioned on ps_partkey. Every
 // residual divides by a column that is zero on some rows; a hoisted
 // conjunct now evaluates that division on rows without a match too.
 using qplan::ExprPtr;
@@ -220,7 +221,7 @@ struct PruneCase {
 void PrintTo(const PruneCase& c, std::ostream* os) { *os << c.name; }
 
 // Only `matched` (inside a CASE) and a left column are read above the
-// outer join: the build tuple keeps only its key.
+// outer join: the build tuple stores no field.
 PlanPtr OuterMatchedOnly() {
   using namespace qplan;  // NOLINT
   PlanPtr oj = JoinOp(JoinKind::kLeftOuter, ScanOp("orders"),
@@ -268,8 +269,9 @@ PlanPtr LimitOverSort() {
                     NamedExpr{"o_orderdate", Col("o_orderdate")}});
 }
 
-// A composite-key semi or anti join without a residual reads no build
-// column: its build tuple has no field at all.
+// A composite-key semi or anti join without a residual partitions on
+// ps_partkey (part has more rows than supplier): its build tuple stores
+// only ps_suppkey, the other key, which each match compares.
 PlanPtr CompositeExistence(JoinKind kind) {
   using namespace qplan;  // NOLINT
   PlanPtr j = JoinOp(kind, ScanOp("lineitem"),
@@ -285,13 +287,13 @@ PlanPtr CompositeSemi() { return CompositeExistence(JoinKind::kSemi); }
 PlanPtr CompositeAnti() { return CompositeExistence(JoinKind::kAnti); }
 
 const PruneCase kPruneCases[] = {
-    {"outer_matched_only", OuterMatchedOnly, false, "JoinTup", 1},
+    {"outer_matched_only", OuterMatchedOnly, false, "JoinTup", 0},
     {"residual_reads_dropped_column", ResidualReadsDroppedColumn, false,
-     "JoinTup", 4},
+     "JoinTup", 3},
     {"sort_key_projected_away", SortKeyProjectedAway, true, "SortTup", 4},
     {"limit_over_sort", LimitOverSort, true, "SortTup", 3},
-    {"composite_semi", CompositeSemi, false, "JoinTup", 0},
-    {"composite_anti", CompositeAnti, false, "JoinTup", 0},
+    {"composite_semi", CompositeSemi, false, "JoinTup", 1},
+    {"composite_anti", CompositeAnti, false, "JoinTup", 1},
 };
 
 std::vector<std::string> RowText(const std::vector<std::string>& rows,
@@ -327,35 +329,32 @@ std::string PruneWorkDir() {
   return std::string(t != nullptr ? t : "/tmp") + "/qcstack_prune_test";
 }
 
-class PruneEdgeTest : public ::testing::TestWithParam<PruneCase> {};
-
-TEST_P(PruneEdgeTest, EveryLevelEngineThreadCountAndTheCMatchVolcano) {
-  const PruneCase& c = GetParam();
+// Runs `plan` at L2-L5 on both engines at 1 and 4 threads, bit-exact and
+// with equal AllocStats, and through the generated C where `c++` exists;
+// every level matches Volcano's rows (in order when `ordered`). `check`
+// sees each level's program before it runs.
+void ExpectEveryLevelEngineAndCMatchVolcano(
+    const std::string& name, const PlanPtr& plan, bool ordered,
+    const std::function<void(int, const ir::Function&)>& check) {
   storage::Database* db = StackEquivalenceTest::db();
-  PlanPtr plan = c.make();
-  qplan::ResolvePlan(plan.get(), *db);
   storage::ResultTable oracle = volcano::Execute(*plan, *db);
-  std::vector<std::string> want = RowText(oracle, c.ordered);
-  ASSERT_FALSE(want.empty()) << c.name;
+  std::vector<std::string> want = RowText(oracle, ordered);
+  ASSERT_FALSE(want.empty()) << name;
   const bool have_cc = std::system("command -v c++ >/dev/null 2>&1") == 0;
   if (have_cc) {
     ASSERT_EQ(std::system(("mkdir -p " + PruneWorkDir()).c_str()), 0);
     db->ExportBinary(PruneWorkDir());
   }
   for (int level = 2; level <= 5; ++level) {
-    const std::string lt = std::string(c.name) + " L" + std::to_string(level);
+    const std::string lt = name + " L" + std::to_string(level);
     ir::TypeFactory types;
     QueryCompiler qc(db, &types);
     compiler::CompileResult res =
-        qc.Compile(*plan, StackConfig::Level(level), "prune");
-    if (level == 2) {
-      EXPECT_EQ(StoredFields(res.fn->body(), c.record),
-                static_cast<int>(c.fields))
-          << lt << " " << c.record << " fields";
-    }
+        qc.Compile(*plan, StackConfig::Level(level), "edge");
+    check(level, *res.fn);
     exec::Interpreter ref(db);
     storage::ResultTable base = ref.Run(*res.fn);
-    EXPECT_EQ(RowText(base, c.ordered), want) << lt << " vs Volcano";
+    EXPECT_EQ(RowText(base, ordered), want) << lt << " vs Volcano";
     for (exec::InterpOptions::Engine engine : kEngines) {
       for (int threads : {1, 4}) {
         exec::InterpOptions opts;
@@ -374,20 +373,202 @@ TEST_P(PruneEdgeTest, EveryLevelEngineThreadCountAndTheCMatchVolcano) {
     db->ExportAux(PruneWorkDir());
     cgen::CcDriver driver(PruneWorkDir());
     std::string error;
-    std::string bin =
-        driver.Compile(std::string(c.name) + "_l" + std::to_string(level),
-                       src, nullptr, &error);
+    std::string bin = driver.Compile(name + "_l" + std::to_string(level), src,
+                                     nullptr, &error);
     ASSERT_FALSE(bin.empty()) << lt << " generated C:\n" << error;
     cgen::RunOutput out = driver.Run(bin);
     ASSERT_TRUE(out.ok) << lt << " generated C: " << out.error;
-    EXPECT_EQ(RowText(out.row_text, c.ordered), want) << lt << " generated C";
+    EXPECT_EQ(RowText(out.row_text, ordered), want) << lt << " generated C";
   }
+}
+
+class PruneEdgeTest : public ::testing::TestWithParam<PruneCase> {};
+
+TEST_P(PruneEdgeTest, EveryLevelEngineThreadCountAndTheCMatchVolcano) {
+  const PruneCase& c = GetParam();
+  PlanPtr plan = c.make();
+  qplan::ResolvePlan(plan.get(), *StackEquivalenceTest::db());
+  ExpectEveryLevelEngineAndCMatchVolcano(
+      c.name, plan, c.ordered, [&](int level, const ir::Function& fn) {
+        if (level != 2) return;
+        EXPECT_EQ(StoredFields(fn.body(), c.record),
+                  static_cast<int>(c.fields))
+            << c.name << " L2 " << c.record << " fields";
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, PruneEdgeTest, ::testing::ValuesIn(kPruneCases),
     [](const ::testing::TestParamInfo<PruneCase>& p) {
       return std::string(p.param.name);
+    });
+
+// Composite join keys at their edges. A key with a PK or FK pair keys the
+// MultiMap by that pair alone and compares the other pairs per match; a
+// key without one stays a key record. Each shape runs as an inner, semi,
+// anti and left-outer join through ExpectEveryLevelEngineAndCMatchVolcano.
+// The partsupp builds hold several rows per ps_partkey that differ in
+// ps_suppkey, and their filter leaves probes whose bucket has no row with
+// their ps_suppkey.
+struct CompositeCase {
+  const char* name;
+  JoinKind kind;
+  int shape;
+};
+
+void PrintTo(const CompositeCase& c, std::ostream* os) {
+  *os << c.name << " shape " << c.shape;
+}
+
+enum CompositeShape {
+  kSharedPartition,  // lineitem -> filtered partsupp, FK pair listed second
+  kWithResidual,     // as above, with probe-only, build-only, cross conjuncts
+  kStringKey,        // orders -> orders by (priority string, o_custkey FK)
+  kAggregateBuild,   // Q20's shape: partsupp -> lineitem grouped by its keys
+  kNoKeyColumn,      // customers by (segment, nation % 5): a key record
+  kNumCompositeShapes
+};
+
+const char* const kCompositeShapeNames[] = {
+    "shared_partition", "with_residual", "string_key", "aggregate_build",
+    "no_key_column"};
+
+PlanPtr CompositePlan(const CompositeCase& c) {
+  using namespace qplan;  // NOLINT
+  PlanPtr probe, build;
+  std::vector<ExprPtr> lkeys, rkeys;
+  ExprPtr residual;
+  std::vector<std::string> out;
+  std::string build_out;  // a build column read above the join
+  switch (c.shape) {
+    case kSharedPartition:
+    case kWithResidual:
+      probe = ScanOp("lineitem");
+      build = SelectOp(ScanOp("partsupp"), Lt(Col("ps_availqty"), I(5000)));
+      lkeys = {Col("l_suppkey"), Col("l_partkey")};
+      rkeys = {Col("ps_suppkey"), Col("ps_partkey")};
+      if (c.shape == kWithResidual) {
+        residual = AllOf(
+            {Ne(Col("l_returnflag"), S("R")), Gt(Col("ps_availqty"), I(2000)),
+             Lt(Col("l_extendedprice"), Mul(Col("ps_supplycost"), I(20)))});
+      }
+      out = {"l_orderkey", "l_linenumber"};
+      build_out = "ps_availqty";
+      break;
+    case kStringKey:
+      probe = ScanOp("orders");
+      build = ProjectOp(
+          SelectOp(ScanOp("orders"),
+                   Lt(Col("o_orderdate"), D(MakeDate(1995, 1, 1)))),
+          {NamedExpr{"b_priority", Col("o_orderpriority")},
+           NamedExpr{"b_custkey", Col("o_custkey")},
+           NamedExpr{"b_total", Col("o_totalprice")}});
+      lkeys = {Col("o_orderpriority"), Col("o_custkey")};
+      rkeys = {Col("b_priority"), Col("b_custkey")};
+      out = {"o_orderkey"};
+      build_out = "b_total";
+      break;
+    case kAggregateBuild:
+      probe = ScanOp("partsupp");
+      build = AggOp(SelectOp(ScanOp("lineitem"),
+                             Between(Col("l_shipdate"),
+                                     D(MakeDate(1994, 1, 1)),
+                                     D(MakeDate(1995, 1, 1)))),
+                    {NamedExpr{"q_partkey", Col("l_partkey")},
+                     NamedExpr{"q_suppkey", Col("l_suppkey")}},
+                    {Sum(Col("l_quantity"), "sum_qty")});
+      lkeys = {Col("ps_partkey"), Col("ps_suppkey")};
+      rkeys = {Col("q_partkey"), Col("q_suppkey")};
+      residual = Gt(Col("ps_availqty"), Mul(F(0.5), Col("sum_qty")));
+      out = {"ps_partkey", "ps_suppkey"};
+      build_out = "sum_qty";
+      break;
+    default:
+      probe = ScanOp("customer");
+      build = ProjectOp(
+          SelectOp(ScanOp("customer"), Lt(Col("c_acctbal"), F(0.0))),
+          {NamedExpr{"b_segment", Col("c_mktsegment")},
+           NamedExpr{"b_nation5", Mod(Col("c_nationkey"), I(5))},
+           NamedExpr{"b_custkey", Col("c_custkey")}});
+      lkeys = {Col("c_mktsegment"), Mod(Col("c_nationkey"), I(5))};
+      rkeys = {Col("b_segment"), Col("b_nation5")};
+      out = {"c_custkey"};
+      build_out = "b_custkey";
+      break;
+  }
+  if (c.kind == JoinKind::kInner || c.kind == JoinKind::kLeftOuter) {
+    out.push_back(build_out);
+  }
+  if (c.kind == JoinKind::kLeftOuter) out.push_back("matched");
+  std::vector<NamedExpr> proj;
+  for (const std::string& n : out) proj.push_back(NamedExpr{n, Col(n)});
+  return ProjectOp(JoinOp(c.kind, std::move(probe), std::move(build),
+                          std::move(lkeys), std::move(rkeys), residual),
+                   std::move(proj));
+}
+
+std::vector<CompositeCase> CompositeCases() {
+  const std::pair<JoinKind, const char*> kinds[] = {
+      {JoinKind::kInner, "inner"},
+      {JoinKind::kSemi, "semi"},
+      {JoinKind::kAnti, "anti"},
+      {JoinKind::kLeftOuter, "outer"}};
+  std::vector<CompositeCase> cases;
+  for (const auto& [kind, name] : kinds) {
+    for (int shape = 0; shape < kNumCompositeShapes; ++shape) {
+      cases.push_back(CompositeCase{name, kind, shape});
+    }
+  }
+  return cases;
+}
+
+// MultiMaps the program allocates, and those of them keyed by a record.
+std::pair<int, int> MultiMaps(const ir::Block* b) {
+  std::pair<int, int> n{0, 0};
+  for (const ir::Stmt* s : b->stmts) {
+    if (s->op == ir::Op::kMMapNew) {
+      ++n.first;
+      if (s->type->key->kind == ir::TypeKind::kRecord) ++n.second;
+    }
+    for (const ir::Block* nb : s->blocks) {
+      std::pair<int, int> k = MultiMaps(nb);
+      n.first += k.first;
+      n.second += k.second;
+    }
+  }
+  return n;
+}
+
+class CompositeKeyTest : public ::testing::TestWithParam<CompositeCase> {};
+
+// A partitioned key is one i64 at L2 and leaves no MultiMap at L5 (an
+// index or a bucket array replaces it); the record key stays at every level.
+TEST_P(CompositeKeyTest, EveryLevelEngineThreadCountAndTheCMatchVolcano) {
+  const CompositeCase& c = GetParam();
+  const std::string name =
+      std::string(c.name) + "_" + kCompositeShapeNames[c.shape];
+  PlanPtr plan = CompositePlan(c);
+  qplan::ResolvePlan(plan.get(), *StackEquivalenceTest::db());
+  const bool record_key = c.shape == kNoKeyColumn;
+  ExpectEveryLevelEngineAndCMatchVolcano(
+      name, plan, false, [&](int level, const ir::Function& fn) {
+        std::pair<int, int> mm = MultiMaps(fn.body());
+        if (record_key) {
+          EXPECT_EQ(mm, std::make_pair(1, 1)) << name << " L" << level;
+        } else if (level == 2) {
+          EXPECT_EQ(mm, std::make_pair(1, 0)) << name << " L2";
+        } else if (level == 5) {
+          EXPECT_EQ(mm, std::make_pair(0, 0)) << name << " L5";
+        }
+      });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    JoinKindsAndShapes, CompositeKeyTest,
+    ::testing::ValuesIn(CompositeCases()),
+    [](const ::testing::TestParamInfo<CompositeCase>& p) {
+      return std::string(p.param.name) + "_" +
+             kCompositeShapeNames[p.param.shape];
     });
 
 }  // namespace

@@ -372,17 +372,18 @@ struct CompiledQuery {
   compiler::CompileResult res;
 };
 
-CompiledQuery* CompileLevel5(int q) {
+CompiledQuery* CompileLevel(int q, int level = 5) {
   auto* h = new CompiledQuery();
   qplan::PlanPtr plan = tpch::MakeQuery(q);
   qplan::ResolvePlan(plan.get(), *Db());
   QueryCompiler qc(Db(), &h->types);
-  h->res = qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(q));
+  h->res =
+      qc.Compile(*plan, StackConfig::Level(level), "q" + std::to_string(q));
   return h;
 }
 
 const ir::Function& Q1() {
-  static CompiledQuery* c = CompileLevel5(1);
+  static CompiledQuery* c = CompileLevel(1);
   return *c->res.fn;
 }
 
@@ -447,18 +448,21 @@ int64_t EventArg(const std::string& event, const std::string& key) {
 
 // The par_loop span's `touched` arg is the merge-work ruler: array slots
 // folded, plus map entries and multimap keys merged by hash part. Pinned
-// for one map loop (Q10's lineitem aggregation by customer: every morsel's
-// entries) and one multimap loop (Q9's partsupp build: one key per row),
-// at SF 0.01, level 5, 4 threads and 256-row morsels. The counts follow
-// from the morsel size alone, not from the scheduling.
+// for one map loop (Q10's lineitem aggregation by customer at level 5:
+// every morsel's entries) and one multimap loop (Q9's partsupp build at
+// level 3, where the MultiMap keyed by ps_partkey stays generic: each
+// 256-row morsel holds 64 whole keys of 4 rows), at SF 0.01, 4 threads and
+// 256-row morsels. The counts follow from the morsel size alone, not from
+// the scheduling.
 TEST(TraceEndToEnd, ParLoopTouchedCountsHashPartMerges) {
   struct Case {
     int q;
+    int level;
     int64_t rows;     // the loop's row count, which identifies it
     int64_t touched;  // its map entries or multimap keys merged
   };
-  for (const Case& c : {Case{10, 60148, 526}, Case{9, 8000, 8000}}) {
-    std::unique_ptr<CompiledQuery> compiled(CompileLevel5(c.q));
+  for (const Case& c : {Case{10, 5, 60148, 526}, Case{9, 3, 8000, 2000}}) {
+    std::unique_ptr<CompiledQuery> compiled(CompileLevel(c.q, c.level));
     const ir::Function& fn = *compiled->res.fn;
     InterpOptions o;
     o.engine = InterpOptions::Engine::kJit;
@@ -493,7 +497,7 @@ TEST(TraceEndToEnd, ParLoopTouchedCountsHashPartMerges) {
 // over each customer's orders), whose merge folds one group per customer,
 // and the loop over its groups that counts customers per order count.
 TEST(TraceEndToEnd, ShortLoopMorselsSizedByRowsAndThreads) {
-  std::unique_ptr<CompiledQuery> compiled(CompileLevel5(13));
+  std::unique_ptr<CompiledQuery> compiled(CompileLevel(13));
   InterpOptions o;
   o.engine = InterpOptions::Engine::kJit;
   o.num_threads = 4;
