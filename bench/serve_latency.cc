@@ -130,7 +130,7 @@ double Pct(const std::vector<int64_t>& v, double p) {
 // one thread): the execution time the served latency is measured against.
 // -1 when a plan fails to build.
 double DirectP95Ms(qc::storage::Database* db) {
-  qc::server::PlanCache plans(db, /*parallel=*/false);
+  qc::server::PlanCache plans(db);
   qc::exec::InterpOptions run;
   run.engine = qc::exec::InterpOptions::Engine::kJit;
   qc::exec::Interpreter interp(db, run);

@@ -128,7 +128,6 @@ JumpInfo JumpKind(BcOp op) {
     case BcOp::kJnLeI: case BcOp::kJnGtI: case BcOp::kJnGeI:
     case BcOp::kJnColEqI: case BcOp::kJnColNeI: case BcOp::kJnColLtI:
     case BcOp::kJnColLeI: case BcOp::kJnColGtI: case BcOp::kJnColGeI:
-    case BcOp::kParLoop:
       j = {true, false, false};
       break;
     default:

@@ -94,8 +94,9 @@ bool LogRowToForeignRegister(BytecodeProgram* prog) {
 }
 
 bool TouchedAppendInMainStream(BytecodeProgram* prog) {
-  // A copy of a fragment's touched-slot append over the main stream's
-  // first kMov: the main run has no touched log to append to.
+  // A copy of a fragment's touched-slot append over the main-stream
+  // instruction after the first kParLoop header: the main run has no
+  // touched log to append to.
   const Insn* touched = nullptr;
   uint32_t main_end = static_cast<uint32_t>(prog->code.size());
   for (const ParLoopCode& plc : prog->par_loops) {
@@ -107,9 +108,9 @@ bool TouchedAppendInMainStream(BytecodeProgram* prog) {
     }
   }
   if (touched == nullptr) return false;
-  for (uint32_t pc = 0; pc < main_end; ++pc) {
-    if (IsOp(prog->code[pc], BcOp::kMov)) {
-      prog->code[pc] = *touched;
+  for (uint32_t pc = 0; pc + 1 < main_end; ++pc) {
+    if (IsOp(prog->code[pc], BcOp::kParLoop)) {
+      prog->code[pc + 1] = *touched;
       return true;
     }
   }

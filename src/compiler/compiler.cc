@@ -104,9 +104,7 @@ CompileResult QueryCompiler::Compile(const qplan::Plan& plan,
 
   if (config.hash_spec) {
     phase("hash-specialization", [&] {
-      opt::HashSpecOptions opts;
-      opts.intrusive_lists = config.intrusive_lists;
-      fn = opt::SpecializeHashStructures(*fn, db_, opts);
+      fn = opt::SpecializeHashStructures(*fn, db_, config.intrusive_lists);
       opt::DeadCodeElimination(fn.get());
     });
   }

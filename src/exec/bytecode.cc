@@ -196,7 +196,6 @@ std::string Disassemble(const BytecodeProgram& prog) {
       case BcOp::kForNext:
       case BcOp::kIncJmp:
       case BcOp::kJmpSp:
-      case BcOp::kParLoop:
 #define QC_BC_DIS_JMP(name) case BcOp::name:
         QC_BC_DIS_JMP(kJnEqI) QC_BC_DIS_JMP(kJnNeI) QC_BC_DIS_JMP(kJnLtI)
         QC_BC_DIS_JMP(kJnLeI) QC_BC_DIS_JMP(kJnGtI) QC_BC_DIS_JMP(kJnGeI)
@@ -322,16 +321,13 @@ BytecodeProgram BytecodeCompiler::Compile(const ir::Function& fn,
   prog_.emit_types = EmitRowTypes(fn);
   CompileBlock(fn.body());
   Emit(BcOp::kRet);
-  // Morsel body fragments of the parallelizable loops, after the main
-  // stream: same body compilation with the array stores followed by
-  // touched-slot appends (ir::ParLoop::touch), bounds in two fresh
-  // registers the runtime writes per morsel.
+  // Body fragments of the parallelizable loops, after the main stream: the
+  // loop over bounds in two fresh registers the runtime writes per run of
+  // the fragment, with the array stores followed by touched-slot appends
+  // (ir::ParLoop::touch).
   for (const auto& [loop, idx] : pending_par_) {
     ParLoopCode& plc = prog_.par_loops[idx];
     par_ = plc.plan;
-    last_value_stmt_ = nullptr;
-    const Block* body = loop->blocks[0];
-    uint32_t ivar = Reg(body->params[0]);
     plc.entry = static_cast<uint32_t>(prog_.code.size());
     plc.lo_reg = NewTemp();
     plc.hi_reg = NewTemp();
@@ -340,12 +336,7 @@ BytecodeProgram BytecodeCompiler::Compile(const ir::Function& fn,
       plc.log_regs.push_back(NewTemp());
     }
     frag_ = &plc;
-    Emit(BcOp::kMov, ivar, plc.lo_reg);
-    size_t guard = Emit(BcOp::kJgeI, ivar, plc.hi_reg);
-    size_t body_start = prog_.code.size();
-    CompileBlock(body);
-    Emit(BcOp::kForNext, ivar, plc.hi_reg, 0, OffsetTo(body_start));
-    PatchToHere(guard);
+    EmitForRange(loop->blocks[0], plc.lo_reg, plc.hi_reg);
     Emit(BcOp::kRet);
     par_ = nullptr;
     frag_ = nullptr;
@@ -744,6 +735,17 @@ size_t BytecodeCompiler::EmitWhileExit(const Block* b) {
   }
 }
 
+void BytecodeCompiler::EmitForRange(const Block* body, uint32_t lo,
+                                    uint32_t hi) {
+  uint32_t ivar = Reg(body->params[0]);
+  Emit(BcOp::kMov, ivar, lo);
+  size_t guard = Emit(BcOp::kJgeI, ivar, hi);
+  size_t body_start = prog_.code.size();
+  CompileBlock(body);
+  Emit(BcOp::kForNext, ivar, hi, 0, OffsetTo(body_start));
+  PatchToHere(guard);
+}
+
 void BytecodeCompiler::EmitTouchRow(const Stmt* s) {
   int red = par_->touch[s->id];
   Emit(BcOp::kLogRow, static_cast<uint32_t>(red), Reg(s->args[1]),
@@ -897,37 +899,26 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
       return;
     }
     case Op::kForRange: {
-      const Block* body = s->blocks[0];
-      uint32_t ivar = Reg(body->params[0]);
-      uint32_t hi = Reg(s->args[1]);
-      // Parallelizable top-level scan loop: a kParLoop header that, when a
-      // worker pool is attached and the runtime gates pass, executes the
-      // loop morsel-parallel and skips the sequential code that follows.
-      size_t par_j = static_cast<size_t>(-1);
-      if (par_info_ != nullptr && par_ == nullptr) {
-        const ir::ParLoop* plan = par_info_->Find(s);
-        if (plan != nullptr) {
-          par_j = Emit(BcOp::kParLoop,
-                       static_cast<uint32_t>(prog_.par_loops.size()));
-          ParLoopCode plc;
-          plc.plan = plan;
-          plc.src_lo_reg = Reg(s->args[0]);
-          plc.src_hi_reg = hi;
-          for (const ir::ParReduction& r : plan->reductions) {
-            plc.red_regs.push_back(Reg(r.target));
-            plc.red_size_regs.push_back(r.size != nullptr ? Reg(r.size) : 0);
-          }
-          prog_.par_loops.push_back(std::move(plc));
-          pending_par_.emplace_back(s, prog_.par_loops.size() - 1);
+      // Parallelizable top-level scan loop: just its kParLoop header, which
+      // runs the body fragment compiled after the main stream.
+      const ir::ParLoop* plan = par_info_ != nullptr && par_ == nullptr
+                                    ? par_info_->Find(s)
+                                    : nullptr;
+      if (plan != nullptr) {
+        Emit(BcOp::kParLoop, static_cast<uint32_t>(prog_.par_loops.size()));
+        ParLoopCode plc;
+        plc.plan = plan;
+        plc.src_lo_reg = Reg(s->args[0]);
+        plc.src_hi_reg = Reg(s->args[1]);
+        for (const ir::ParReduction& r : plan->reductions) {
+          plc.red_regs.push_back(Reg(r.target));
+          plc.red_size_regs.push_back(r.size != nullptr ? Reg(r.size) : 0);
         }
+        prog_.par_loops.push_back(std::move(plc));
+        pending_par_.emplace_back(s, prog_.par_loops.size() - 1);
+        return;
       }
-      Emit(BcOp::kMov, ivar, Reg(s->args[0]));
-      size_t guard = Emit(BcOp::kJgeI, ivar, hi);
-      size_t body_start = prog_.code.size();
-      CompileBlock(body);
-      Emit(BcOp::kForNext, ivar, hi, 0, OffsetTo(body_start));
-      PatchToHere(guard);
-      if (par_j != static_cast<size_t>(-1)) PatchToHere(par_j);
+      EmitForRange(s->blocks[0], Reg(s->args[0]), Reg(s->args[1]));
       return;
     }
     case Op::kWhile: {
@@ -1230,14 +1221,23 @@ void BytecodeVM::Exec(RunState& st, Slot* regs, uint32_t pc) {
   }
 }
 
+void BytecodeVM::RunUnsplit(RunState& st, Slot* regs,
+                            const ParLoopCode& plc) {
+  regs[plc.lo_reg] = regs[plc.src_lo_reg];
+  regs[plc.hi_reg] = regs[plc.src_hi_reg];
+  for (uint32_t r : plc.log_regs) regs[r] = SlotP(nullptr);
+  Exec(st, regs, plc.entry);
+}
+
 int64_t ops::ParLoop(RunState* st, Slot* regs, const ParLoopCode* plc) {
   if (st->gov.ctl != nullptr && st->gov.Poll() != 0) return kParLoopAbort;
-  if (st->gov.par == nullptr) return kParLoopSequential;
   BytecodeVM& vm = *st->vm;
-  return parallel::RunForRange(*st->gov.par, vm, *plc, *st, regs,
-                               vm.program().num_regs)
-             ? kParLoopDone
-             : kParLoopSequential;
+  if (st->gov.par == nullptr ||
+      !parallel::RunForRange(*st->gov.par, vm, *plc, *st, regs,
+                             vm.program().num_regs)) {
+    vm.RunUnsplit(*st, regs, *plc);
+  }
+  return st->gov.aborted() ? kParLoopAbort : kParLoopDone;
 }
 
 void BytecodeVM::Interpret(RunState& st, Slot* R, uint32_t pc) {
@@ -1556,9 +1556,9 @@ void BytecodeVM::Interpret(RunState& st, Slot* R, uint32_t pc) {
   DISPATCH();
 
   TARGET(kParLoop) {
-    int64_t ran = ops::ParLoop(&st, R, &prog_->par_loops[I->a]);
-    if (ran == ops::kParLoopAbort) return;
-    if (ran == ops::kParLoopDone) pc += I->d;  // skip the sequential loop
+    if (ops::ParLoop(&st, R, &prog_->par_loops[I->a]) == ops::kParLoopAbort) {
+      return;
+    }
   }
   DISPATCH();
   TARGET(kLogRow) {

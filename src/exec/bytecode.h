@@ -139,12 +139,13 @@ class JitProgram;  // src/jit/engine.h
      b = prog.state_reg (the row goes to the RunState's result table) */    \
   X(kEmit)                                                                  \
   /* morsel-parallel scan loops (see exec/parallel.h) */                    \
-  X(kParLoop) /* a = par_loops index; on parallel run: pc += d (skips the  \
-                 sequential loop body that follows as the fallback) */      \
+  X(kParLoop) /* a = par_loops index: runs the loop's body fragment,       \
+                 morsel-parallel or once over the whole range */           \
   X(kLogRow)  /* a = array reduction (index into ParLoopCode::log_regs),  \
                  b = register holding a group/bucket array store's slot    \
                  index, c = register holding the log (std::vector<Slot>*,  \
-                 written per morsel by the runtime): append R[b] to it */
+                 written per morsel by the runtime; null when the fragment \
+                 runs unsplit): append R[b] to it */
 
 enum class BcOp : uint16_t {
 #define QC_BC_OP_ENUM(name) name,
@@ -175,25 +176,27 @@ struct Insn {
 };
 static_assert(sizeof(Insn) == 20, "Insn must stay fixed-width and dense");
 
-// Compiled form of one morsel-parallelizable scan loop: the register
-// bindings the parallel runtime needs, plus the entry pc of the morsel
-// body fragment (compiled after the main stream's kRet, with each
-// group/bucket array store followed by a kLogRow of its slot index, and
-// terminated by kRet).
+// Compiled form of one morsel-parallelizable scan loop, the only form the
+// loop has: the register bindings the parallel runtime needs, plus the
+// entry pc of the body fragment (compiled after the main stream's kRet,
+// with each group/bucket array store followed by a kLogRow of its slot
+// index, and terminated by kRet). The main stream holds just the loop's
+// kParLoop header.
 struct ParLoopCode {
   const ir::ParLoop* plan = nullptr;  // owned by the exec::Program
-  uint32_t entry = 0;                 // morsel body fragment pc
-  uint32_t src_lo_reg = 0;            // loop bounds of the sequential loop
+  uint32_t entry = 0;                 // body fragment pc
+  uint32_t src_lo_reg = 0;            // the loop's bounds in the main stream
   uint32_t src_hi_reg = 0;
-  uint32_t lo_reg = 0;  // fragment bounds, written per morsel by the runtime
+  uint32_t lo_reg = 0;  // fragment bounds, written per run of the fragment
   uint32_t hi_reg = 0;
   std::vector<uint32_t> red_regs;           // per reduction: target register
   std::vector<uint32_t> red_size_regs;      // per reduction: array capacity
   // Per reduction: the register the runtime points at the morsel's
   // touched-slot log (std::vector<Slot>*) before entering the fragment —
   // the kLogRow operand that lets both the VM handler and the JIT's native
-  // append reach the log without going through MorselState. Only array
-  // reductions (ir::ParReduction::size set) append to theirs.
+  // append reach the log without going through MorselState. Null when the
+  // fragment runs unsplit on the main run. Only array reductions
+  // (ir::ParReduction::size set) append to theirs.
   std::vector<uint32_t> log_regs;
 };
 
@@ -360,8 +363,11 @@ inline void Emit(RunState* st, const Slot* regs, const uint32_t* argv,
 }
 
 // Appends a store's slot index to a morsel's touched-slot log (the JIT's
-// inline pointer bump calls this only when the log is full).
-inline void LogRow(std::vector<Slot>* lg, Slot slot) { lg->push_back(slot); }
+// inline pointer bump calls this only when the log is full). A null log —
+// the fragment runs unsplit on the main run — records nothing.
+inline void LogRow(std::vector<Slot>* lg, Slot slot) {
+  if (lg != nullptr) lg->push_back(slot);
+}
 
 // The back-edge safepoint slow path: polls the context's governance state
 // (publishing memory growth, checking cancel/deadline/budget). `countdown`
@@ -379,18 +385,18 @@ inline int64_t Safepoint(RunState* st, int64_t* countdown) {
   return trip;
 }
 
-// kParLoop's outcomes: fall through into the sequential loop, skip it (the
-// morsels ran it), or abort the query (a safepoint tripped).
-constexpr int64_t kParLoopSequential = 0;
-constexpr int64_t kParLoopDone = 1;
-constexpr int64_t kParLoopAbort = 2;
+// kParLoop's outcomes: the loop ran, or the query aborts (a safepoint
+// tripped).
+constexpr int64_t kParLoopDone = 0;
+constexpr int64_t kParLoopAbort = 1;
 
 // The header of a morsel-parallelizable scan loop: polls the governor (a
 // query tripped between loops stops before fanning out), then runs the
-// loop `plc` through parallel::RunForRange when the context has a pool
-// bound (the main run at threads > 1; never a morsel, whose thread is one
-// of the pool's) and the runtime gates pass. Defined with the VM, whose
-// RunMorsel the morsels run on (bytecode.cc).
+// loop `plc`'s body fragment — through parallel::RunForRange when the
+// context has a pool bound (the main run at threads > 1; never a morsel,
+// whose thread is one of the pool's) and the runtime gates pass, else once
+// over the loop's whole range on the caller's state and register file.
+// Defined with the VM, whose RunMorsel the morsels run on (bytecode.cc).
 int64_t ParLoop(RunState* st, Slot* regs, const ParLoopCode* plc);
 
 }  // namespace ops
@@ -403,9 +409,8 @@ class BytecodeCompiler {
   explicit BytecodeCompiler(storage::Database* db) : db_(db) {}
 
   // When `par` is non-null, every loop it lists compiles to a kParLoop
-  // header (taken on parallel runs) followed by the plain sequential loop
-  // (the fallback), plus a morsel body fragment after the main stream.
-  // `par` must outlive the program.
+  // header in the main stream and its body fragment after it; the loop has
+  // no other compiled form. `par` must outlive the program.
   BytecodeProgram Compile(const ir::Function& fn,
                           const ir::ParallelInfo* par = nullptr);
 
@@ -462,6 +467,8 @@ class BytecodeCompiler {
   // result is a fusible tail (Not(IsNull(p)), IsNull, Not, or a numeric
   // comparison). Returns the branch's pc (to be patched to the loop exit).
   size_t EmitWhileExit(const ir::Block* cond);
+  // Emits the loop `for ivar in [R[lo], R[hi]) { body }`.
+  void EmitForRange(const ir::Block* body, uint32_t lo, uint32_t hi);
   // Appends the slot index of a group/bucket array store to its reduction's
   // touched-slot log (ir::ParLoop::touch; the store is compiled first).
   void EmitTouchRow(const ir::Stmt* s);
@@ -508,6 +515,11 @@ class BytecodeVM {
 
   // The program of the current Run.
   const BytecodeProgram& program() const { return *prog_; }
+
+  // kParLoop without the pool: runs the body fragment of `plc` once over
+  // the loop's range [src_lo, src_hi) on `st` and `regs`, the caller's own,
+  // with the touched-slot logs null.
+  void RunUnsplit(RunState& st, Slot* regs, const ParLoopCode& plc);
 
   // Morsel entry of parallel::RunForRange (worker threads, concurrently):
   // runs the body fragment of `plc` over rows [lo, hi) against `ms`, on a

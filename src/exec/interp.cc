@@ -14,13 +14,12 @@ namespace qc::exec {
 
 std::unique_ptr<const Program> Program::Build(storage::Database* db,
                                               const ir::Function& fn,
-                                              bool parallel,
                                               std::string* error) {
   std::unique_ptr<Program> p(new Program());
   p->name_ = fn.name();
   telemetry::ScopedSpan span("bytecode_compile", "compile");
-  if (parallel) p->par_ = ir::AnalyzeParallelism(fn);
-  p->bc_ = BytecodeCompiler(db).Compile(fn, parallel ? &p->par_ : nullptr);
+  p->par_ = ir::AnalyzeParallelism(fn);
+  p->bc_ = BytecodeCompiler(db).Compile(fn, &p->par_);
   // Debug/sanitizer builds (and QC_VERIFY=1 anywhere) prove the program —
   // its morsel fragments included — before it is ever executed or stitched.
   analysis::VerifyResult vres;
@@ -71,7 +70,7 @@ storage::ResultTable Interpreter::Run(const ir::Function& fn) {
   auto& [num_stmts, prog] = programs_[&fn];
   if (prog == nullptr || prog->name() != fn.name() ||
       num_stmts != fn.num_stmts()) {
-    prog = Program::Build(db_, fn, opts_.num_threads > 1, /*error=*/nullptr);
+    prog = Program::Build(db_, fn, /*error=*/nullptr);
     num_stmts = fn.num_stmts();
   }
   return Run(*prog, opts_);

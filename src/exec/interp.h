@@ -51,11 +51,12 @@ struct InterpOptions {
   };
   Engine engine = Engine::kBytecode;
 
-  // Morsel-driven parallelism (both engines). 1 = sequential execution,
-  // byte-for-byte the pre-parallel engine with zero overhead. N > 1 runs
-  // qualifying top-level scan loops (ir/parallel.h) on a persistent pool
-  // of N threads (the calling thread participates); results are bitwise
-  // identical to num_threads = 1 regardless of N or morsel_rows.
+  // Morsel-driven parallelism (both engines). N > 1 runs qualifying
+  // top-level scan loops (ir/parallel.h) on a persistent pool of N threads
+  // (the calling thread participates); 1 runs each such loop's same
+  // compiled body once over its whole range, on the calling thread.
+  // Results are bitwise identical to num_threads = 1 regardless of N or
+  // morsel_rows.
   int num_threads = 1;
   int64_t morsel_rows = 16384;  // rows per morsel in parallel mode
 
@@ -75,13 +76,13 @@ struct InterpOptions {
 // Function and Database it was built from.
 class Program {
  public:
-  // ir::AnalyzeParallelism (only when `parallel`: the kParLoop headers),
-  // BytecodeCompiler::Compile, then the verifier when VerifyEnabled(). A
-  // violation returns null with the report in *error — or, for trusted
-  // callers passing null, reports and aborts (a compiler bug).
+  // ir::AnalyzeParallelism (the kParLoop headers), BytecodeCompiler::
+  // Compile, then the verifier when VerifyEnabled(). One program serves
+  // every thread count. A violation returns null with the report in
+  // *error — or, for trusted callers passing null, reports and aborts (a
+  // compiler bug).
   static std::unique_ptr<const Program> Build(storage::Database* db,
                                               const ir::Function& fn,
-                                              bool parallel,
                                               std::string* error);
 
   const std::string& name() const { return name_; }
@@ -121,15 +122,15 @@ class Interpreter {
 
   // Executes the function with the constructor's options; rows produced
   // by kEmit statements form the result. Its Program is built on first use
-  // (parallel iff num_threads > 1) and kept, keyed by the Function's
-  // address, so the Function should outlive the Interpreter. Address reuse
-  // by a different function is caught by a name/size fingerprint.
+  // and kept, keyed by the Function's address, so the Function should
+  // outlive the Interpreter. Address reuse by a different function is
+  // caught by a name/size fingerprint.
   storage::ResultTable Run(const ir::Function& fn);
 
   // Executes a Program, possibly shared with concurrent runs elsewhere,
   // with every option taken from `opts`. threads > 1 runs on this
   // Interpreter's one pool (rebuilt when the shape changes); at threads = 1
-  // a parallel program's kParLoop headers fall through to their loops.
+  // each kParLoop runs its body fragment unsplit.
   storage::ResultTable Run(const Program& prog, const InterpOptions& opts);
 
   const AllocStats& stats() const { return stats_; }

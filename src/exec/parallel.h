@@ -229,11 +229,12 @@ struct Engine {
 // morsels, runs each through vm.RunMorsel on the pool, merges in morsel
 // order, then merges the ranged arrays by slot range and the maps and
 // multimaps by hash part on the pool.
-// Returns false (without executing anything) when the loop should just run
-// sequentially: too few rows for two morsels, or the private arrays of all
-// threads would exceed their budget. A governed run whose control trips
-// skips its still-unstarted morsels (their empty states merge as no-ops,
-// keeping the orchestration and Wait() protocol intact).
+// Returns false (without executing anything) when the loop should not be
+// split: too few rows for two morsels, or the private arrays of all threads
+// would exceed their budget. The caller then runs the same fragment once
+// over the whole range (BytecodeVM::RunUnsplit). A governed run whose
+// control trips skips its still-unstarted morsels (their empty states merge
+// as no-ops, keeping the orchestration and Wait() protocol intact).
 bool RunForRange(Engine& eng, BytecodeVM& vm, const ParLoopCode& plc,
                  RunState& main, Slot* regs, uint32_t num_regs);
 

@@ -95,12 +95,6 @@ void Asm::MovRegMem(Reg dst, Reg base, int32_t disp, bool force_disp32) {
   Mem(dst, base, disp, force_disp32);
 }
 
-void Asm::Mov32RegMem(Reg dst, Reg base, int32_t disp) {
-  Rex(false, dst, 0, base);
-  buf_.push_back(0x8B);
-  Mem(dst, base, disp, false);
-}
-
 void Asm::MovMemReg(Reg base, int32_t disp, Reg src, bool force_disp32) {
   Rex(true, src, 0, base);
   buf_.push_back(0x89);
@@ -233,12 +227,6 @@ void Asm::AddImm8(Reg r, int8_t imm) {
 void Asm::AddRegReg(Reg dst, Reg src) {
   Rex(true, src, 0, dst);
   buf_.push_back(0x01);
-  buf_.push_back(static_cast<uint8_t>(0xC0 | ((src & 7) << 3) | (dst & 7)));
-}
-
-void Asm::SubRegReg(Reg dst, Reg src) {
-  Rex(true, src, 0, dst);
-  buf_.push_back(0x29);
   buf_.push_back(static_cast<uint8_t>(0xC0 | ((src & 7) << 3) | (dst & 7)));
 }
 
@@ -442,14 +430,6 @@ void Asm::Jmp8Back(size_t target) {
                   static_cast<ptrdiff_t>(buf_.size()) - 2;
   assert(rel >= -128 && rel < 0);
   buf_.push_back(0xEB);
-  buf_.push_back(static_cast<uint8_t>(rel));
-}
-
-void Asm::Jcc8Back(Cond cc, size_t target) {
-  ptrdiff_t rel = static_cast<ptrdiff_t>(target) -
-                  static_cast<ptrdiff_t>(buf_.size()) - 2;
-  assert(rel >= -128 && rel < 0);
-  buf_.push_back(static_cast<uint8_t>(0x70 | cc));
   buf_.push_back(static_cast<uint8_t>(rel));
 }
 

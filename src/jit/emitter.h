@@ -83,8 +83,6 @@ class Asm {
   // --- moves -------------------------------------------------------------
   // mov r64, [base + disp]. force_disp32 keeps the displacement patchable.
   void MovRegMem(Reg dst, Reg base, int32_t disp, bool force_disp32 = false);
-  // mov r32, [base + disp] (zero-extends into the full register)
-  void Mov32RegMem(Reg dst, Reg base, int32_t disp);
   // mov [base + disp], r64
   void MovMemReg(Reg base, int32_t disp, Reg src, bool force_disp32 = false);
   // mov r64, [base + index*2^scale + disp]
@@ -116,7 +114,6 @@ class Asm {
   void AndImm8(Reg r, uint8_t imm);  // and r32, imm8
   void AddImm8(Reg r, int8_t imm);   // add r64, sign-extended imm8
   void AddRegReg(Reg dst, Reg src);  // add r64, r64
-  void SubRegReg(Reg dst, Reg src);
   void AndRegReg(Reg dst, Reg src);
   void ImulRegReg(Reg dst, Reg src);
   void IncReg(Reg r);
@@ -159,11 +156,10 @@ class Asm {
   size_t Jcc8(Cond cc);
   size_t Jmp8();
   void PatchRel8(size_t at);  // retarget the rel8 at `at` to the current end
-  // Backward short branches to an already-emitted offset (template-local
-  // loops, e.g. the hash-chain walk and the log-append copy loop).
+  // Backward short branch to an already-emitted offset (template-local
+  // loops, e.g. the hash-chain walk).
   size_t here() const { return buf_.size(); }
   void Jmp8Back(size_t target);
-  void Jcc8Back(Cond cc, size_t target);
   void PushR12();
   void PopR12();
   void Ret();

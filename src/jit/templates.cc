@@ -754,9 +754,12 @@ Store* BuildTemplates() {
   // kLogRow appends R[b], a group/bucket array store's slot index, to the
   // reduction's vector<Slot> (reached through the log register, insn.c).
   // Fast path is a pure pointer bump — the runtime reserves the log up
-  // front — and the grow path is a helper call.
+  // front — and the grow path is a helper call. A null log (the fragment
+  // runs unsplit) skips the append.
   def(BcOp::kLogRow, [](TB& t) {
     t.LoadSlot(R11, PatchKind::kSlotC);  // the log: std::vector<Slot>*
+    t.a.TestRegReg(R11, R11);
+    size_t none = t.a.Jcc8(kCondE);
     t.LoadSlot(R10, PatchKind::kSlotB);  // the slot index
     t.a.MovRegMem(RAX, R11, 8);          // end
     t.a.CmpRegMem(RAX, R11, 16);         // vs capacity end
@@ -770,6 +773,7 @@ Store* BuildTemplates() {
     t.a.MovRegReg(RSI, R10);
     t.CallHelper(reinterpret_cast<const void*>(&ops::LogRow));
     t.a.PatchRel8(end);
+    t.a.PatchRel8(none);
   });
 
   // --- sorts ---------------------------------------------------------------
@@ -806,25 +810,19 @@ Store* BuildTemplates() {
   });
 
   // --- morsel dispatch -----------------------------------------------------
-  // The shared op decides and runs the loop (exec/bytecode.h ops::ParLoop);
-  // its outcome selects fall-through into the sequential loop, the skip
-  // branch past it, or the abort thunk.
+  // The shared op runs the loop (exec/bytecode.h ops::ParLoop); a nonzero
+  // outcome branches to the abort thunk.
   def(BcOp::kParLoop, [](TB& t) {
     t.LoadState(RDI);
     t.a.MovRegReg(RSI, kSlotBase);
     t.a.MovImm64(RDX, 0);
     t.Mark(PatchKind::kParLoopA);
     t.CallHelper(reinterpret_cast<const void*>(&ops::ParLoop));
-    static_assert(ops::kParLoopSequential == 0 && ops::kParLoopDone == 1 &&
-                      ops::kParLoopAbort == 2,
-                  "the kParLoop template decodes the outcome as 0/1/2");
+    static_assert(ops::kParLoopDone == 0 && ops::kParLoopAbort == 1,
+                  "the kParLoop template decodes the outcome as 0/1");
     t.a.TestRegReg(RAX, RAX);
-    size_t seq = t.a.Jcc8(kCondE);
-    t.a.DecReg(RAX);
-    t.Jump(kCondE);  // ran morsel-parallel: skip the sequential loop
-    t.a.JmpRel32();
+    t.a.JccRel32(kCondNE);
     t.Mark(PatchKind::kJumpAbort);
-    t.a.PatchRel8(seq);
   });
 
   // Flatten into stable storage: concatenate all template bytes (main

@@ -37,8 +37,8 @@ struct MMapSpec {
 
 class HashSpecPass : public ir::Cloner {
  public:
-  HashSpecPass(storage::Database* db, const HashSpecOptions& options)
-      : db_(db), options_(options) {}
+  HashSpecPass(storage::Database* db, bool intrusive_lists)
+      : db_(db), intrusive_lists_(intrusive_lists) {}
 
   void Analyze(const ir::Function& fn, ir::TypeFactory* types) {
     RangeAnalysis ranges(fn, db_);
@@ -231,7 +231,7 @@ class HashSpecPass : public ir::Cloner {
           r.hi = std::max(r.hi, kr.hi);
         }
       }
-      if (!r.known || r.Size() == 0 || r.Size() > options_.max_slots) return;
+      if (!r.known || r.Size() == 0 || r.Size() > kHashSpecMaxSlots) return;
       spec.lo = r.lo;
       spec.size = r.Size();
     } else if (m->type->key->kind == TypeKind::kRecord) {
@@ -256,10 +256,10 @@ class HashSpecPass : public ir::Cloner {
       uint64_t total = 1;
       for (const ValueRange& r : comp) {
         if (!r.known || r.Size() == 0) return;
-        if (total > options_.max_slots / r.Size()) return;  // overflow guard
+        if (total > kHashSpecMaxSlots / r.Size()) return;  // overflow guard
         total *= r.Size();
       }
-      if (total > options_.max_slots) return;
+      if (total > kHashSpecMaxSlots) return;
       // The foreach key parameter cannot be reconstructed from a linear
       // index; require it unused (true for aggregation loops).
       for (const Stmt* u : idx.UsersOf(m)) {
@@ -313,14 +313,14 @@ class HashSpecPass : public ir::Cloner {
         r.hi = std::max(r.hi, kr.hi);
       }
     }
-    if (!r.known || r.Size() == 0 || r.Size() > options_.max_slots) return;
+    if (!r.known || r.Size() == 0 || r.Size() > kHashSpecMaxSlots) return;
 
     MMapSpec spec;
     spec.lo = r.lo;
     spec.hi = r.hi;
     spec.size = r.Size();
     spec.rec = mm->type->value;
-    if (options_.intrusive_lists && spec.rec->kind == TypeKind::kRecord &&
+    if (intrusive_lists_ && spec.rec->kind == TypeKind::kRecord &&
         adds.size() == 1 && add_recnew != nullptr) {
       spec.ext_rec = types->ExtendRecordWithSelfPtr(
           spec.rec, spec.rec->record->name + "_il", "__next");
@@ -334,7 +334,7 @@ class HashSpecPass : public ir::Cloner {
   }
 
   storage::Database* db_;
-  HashSpecOptions options_;
+  bool intrusive_lists_;
   std::map<const Stmt*, MapSpec> maps_;
   std::map<const Stmt*, MMapSpec> mmaps_;
   std::map<const Stmt*, const MMapSpec*> extended_recnews_;
@@ -344,8 +344,8 @@ class HashSpecPass : public ir::Cloner {
 
 std::unique_ptr<ir::Function> SpecializeHashStructures(
     const ir::Function& fn, storage::Database* db,
-    const HashSpecOptions& options) {
-  HashSpecPass pass(db, options);
+    bool intrusive_lists) {
+  HashSpecPass pass(db, intrusive_lists);
   pass.Analyze(fn, fn.types());
   return pass.Run(fn);
 }

@@ -21,6 +21,7 @@
 #ifndef QC_OPT_HASH_SPEC_H_
 #define QC_OPT_HASH_SPEC_H_
 
+#include <cstdint>
 #include <memory>
 
 #include "ir/stmt.h"
@@ -28,17 +29,15 @@
 
 namespace qc::opt {
 
-struct HashSpecOptions {
-  // Largest direct-addressed table (slots) we are willing to allocate; the
-  // paper trades memory aggressively for speed (B.1), this is the cap.
-  uint64_t max_slots = 1ull << 22;
-  // Also specialize bucket Lists into intrusive linked lists (level 5).
-  bool intrusive_lists = false;
-};
+// Largest direct-addressed table (slots) we are willing to allocate; the
+// paper trades memory aggressively for speed (B.1), this is the cap.
+constexpr uint64_t kHashSpecMaxSlots = 1ull << 22;
 
+// `intrusive_lists`: also specialize bucket Lists into intrusive linked
+// lists (level 5).
 std::unique_ptr<ir::Function> SpecializeHashStructures(
     const ir::Function& fn, storage::Database* db,
-    const HashSpecOptions& options = {});
+    bool intrusive_lists = false);
 
 }  // namespace qc::opt
 

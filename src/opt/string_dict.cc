@@ -19,11 +19,9 @@ namespace {
 
 class DictPass : public ir::Cloner {
  public:
-  DictPass(storage::Database* db, const StringDictOptions& options)
-      : db_(db), options_(options) {}
+  explicit DictPass(storage::Database* db) : db_(db) {}
 
   void Analyze(const ir::Function& fn) {
-    if (!options_.rewrite_hash_keys) return;
     UseIndex idx = BuildUseIndex(fn);
     // Hash keys: record-key constructions reaching map/mmap operations where
     // every string component is a dictionary-eligible column read.
@@ -134,7 +132,7 @@ class DictPass : public ir::Cloner {
     if (col->op != Op::kColGet || col->type->kind != TypeKind::kStr) {
       return false;
     }
-    return db_->Stats(col->aux0, col->aux1).distinct <= options_.max_distinct;
+    return db_->Stats(col->aux0, col->aux1).distinct <= kDictMaxDistinct;
   }
 
   // Reads the dictionary code column in place of the string column.
@@ -190,17 +188,15 @@ class DictPass : public ir::Cloner {
   }
 
   storage::Database* db_;
-  StringDictOptions options_;
   std::set<const Stmt*> rewritten_maps_;
   std::set<const Stmt*> rewritten_keys_;
 };
 
 }  // namespace
 
-std::unique_ptr<ir::Function> ApplyStringDictionaries(
-    const ir::Function& fn, storage::Database* db,
-    const StringDictOptions& options) {
-  DictPass pass(db, options);
+std::unique_ptr<ir::Function> ApplyStringDictionaries(const ir::Function& fn,
+                                                      storage::Database* db) {
+  DictPass pass(db);
   pass.Analyze(fn);
   return pass.Run(fn);
 }

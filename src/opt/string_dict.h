@@ -20,6 +20,7 @@
 #ifndef QC_OPT_STRING_DICT_H_
 #define QC_OPT_STRING_DICT_H_
 
+#include <cstdint>
 #include <memory>
 
 #include "ir/stmt.h"
@@ -27,16 +28,11 @@
 
 namespace qc::opt {
 
-struct StringDictOptions {
-  // Columns with more distinct values than this are left alone.
-  int64_t max_distinct = 1024;
-  // Also rewrite string components of hash keys to dictionary codes.
-  bool rewrite_hash_keys = true;
-};
+// Columns with more distinct values than this are left alone.
+constexpr int64_t kDictMaxDistinct = 1024;
 
-std::unique_ptr<ir::Function> ApplyStringDictionaries(
-    const ir::Function& fn, storage::Database* db,
-    const StringDictOptions& options = {});
+std::unique_ptr<ir::Function> ApplyStringDictionaries(const ir::Function& fn,
+                                                      storage::Database* db);
 
 }  // namespace qc::opt
 

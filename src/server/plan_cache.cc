@@ -46,7 +46,7 @@ const exec::Program* PlanCache::Get(int query, int level, std::string* error) {
   }
   // A verifier violation refuses the plan with a structured error — the
   // daemon stays up (crash-free contract of Get()).
-  entry->prog = exec::Program::Build(db_, *entry->res.fn, parallel_, error);
+  entry->prog = exec::Program::Build(db_, *entry->res.fn, error);
   if (entry->prog == nullptr) return nullptr;
   const exec::Program* prog = entry->prog.get();
   std::unique_lock<std::shared_mutex> lock(map_mu_);

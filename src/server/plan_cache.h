@@ -32,9 +32,7 @@ namespace qc::server {
 
 class PlanCache {
  public:
-  // `parallel`: build Programs with their kParLoop plans (query_threads > 1).
-  PlanCache(storage::Database* db, bool parallel)
-      : db_(db), parallel_(parallel) {}
+  explicit PlanCache(storage::Database* db) : db_(db) {}
 
   // Returns the Program for TPC-H query `query` at stack level `level`,
   // building it on first use. nullptr (with *error set) when lowering or
@@ -55,7 +53,6 @@ class PlanCache {
   };
 
   storage::Database* db_;
-  bool parallel_;
   std::shared_mutex map_mu_;   // guards entries_ lookup/insert
   std::mutex compile_mu_;      // serializes lowering (shared db internals)
   std::map<std::pair<int, int>, std::unique_ptr<Entry>> entries_;

@@ -102,7 +102,7 @@ FairAdmissionQueue::Limits QueueLimits(const ServerOptions& o) {
 Server::Server(storage::Database* db, ServerOptions opts)
     : db_(db),
       opts_(std::move(opts)),
-      plans_(db, opts_.query_threads > 1),
+      plans_(db),
       queue_(QueueLimits(opts_)) {}
 
 Server::~Server() { Stop(); }

@@ -10,6 +10,7 @@
 // plan-level oracle both engines answer to.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -464,33 +465,33 @@ TEST(BytecodeVm, RepeatedRunsReuseCachedProgram) {
 // --------------------------------------------------------------------------
 
 // Golden total_pcs per TPC-H query (row q-1) of the level-5 program at SF
-// 0.01, as the four-thread run builds it (morsel fragments included). They
+// 0.01, the one program every thread count runs (fragments included). They
 // are exact, so any drift is a change in what the bytecode compiler emits.
 // A change that alters them on purpose pastes the table the failing test
 // prints and says so in CHANGES.md.
 constexpr int kGoldenJitCounts[tpch::kNumQueries] = {
-    170,  // Q1
-    433,  // Q2
-    151,  // Q3
-    97,  // Q4
-    254,  // Q5
-    33,  // Q6
-    275,  // Q7
-    309,  // Q8
-    164,  // Q9
-    183,  // Q10
-    261,  // Q11
-    156,  // Q12
-    136,  // Q13
-    65,  // Q14
-    252,  // Q15
-    156,  // Q16
-    149,  // Q17
-    250,  // Q18
-    153,  // Q19
-    245,  // Q20
-    184,  // Q21
-    207,  // Q22
+    108,  // Q1
+    261,  // Q2
+    101,  // Q3
+    61,  // Q4
+    153,  // Q5
+    20,  // Q6
+    168,  // Q7
+    180,  // Q8
+    103,  // Q9
+    119,  // Q10
+    160,  // Q11
+    91,  // Q12
+    89,  // Q13
+    39,  // Q14
+    150,  // Q15
+    127,  // Q16
+    88,  // Q17
+    156,  // Q18
+    80,  // Q19
+    143,  // Q20
+    118,  // Q21
+    130,  // Q22
 };
 
 // The SF 0.01 TPC-H database of the JIT and census tests.
@@ -594,9 +595,9 @@ struct VerifyGate {
 };
 
 // Verification runs once, at program build and stitch, and must leave no
-// trace: the level-5 program (sequential and parallel) built with the
-// verifier layer forced on and forced off has the same bytecode, the same
-// JIT image shape, and runs to the same bits and AllocStats.
+// trace: the level-5 program built with the verifier layer forced on and
+// forced off has the same bytecode and the same JIT image shape, and runs
+// to the same bits and AllocStats at threads 1 and 4.
 TEST_P(JitTpchTest, VerifierLeavesProgramAndImageUnchanged) {
   int q = GetParam();
   qplan::PlanPtr plan = tpch::MakeQuery(q);
@@ -605,52 +606,54 @@ TEST_P(JitTpchTest, VerifierLeavesProgramAndImageUnchanged) {
   QueryCompiler qc(db(), &types);
   compiler::CompileResult res =
       qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(q));
-  for (bool par : {false, true}) {
-    std::string tag = "Q" + std::to_string(q) + (par ? " par" : " seq");
-    std::unique_ptr<const exec::Program> prog[2];
+  const std::string tag = "Q" + std::to_string(q);
+  std::unique_ptr<const exec::Program> prog[2];
+  for (int on : {0, 1}) {
+    VerifyGate gate(on);
+    std::string err;
+    prog[on] = exec::Program::Build(db(), *res.fn, &err);
+    ASSERT_NE(prog[on], nullptr) << tag << ": " << err;
+    prog[on]->jit();  // stitch (and audit, when on) under this gate
+  }
+  const BytecodeProgram& off = prog[0]->bytecode();
+  const BytecodeProgram& on = prog[1]->bytecode();
+  EXPECT_TRUE(SameBytes(on.code, off.code)) << tag << ": code";
+  EXPECT_EQ(on.extra, off.extra) << tag;
+  EXPECT_TRUE(SameBytes(on.consts, off.consts)) << tag << ": consts";
+  EXPECT_EQ(on.emit_types, off.emit_types) << tag;
+  EXPECT_EQ(on.patterns, off.patterns) << tag;
+  EXPECT_EQ(on.num_regs, off.num_regs) << tag;
+  EXPECT_EQ(on.state_reg, off.state_reg) << tag;
+  EXPECT_EQ(on.gov_cnt_reg, off.gov_cnt_reg) << tag;
+  const exec::jit::JitProgram* jon = prog[1]->jit();
+  const exec::jit::JitProgram* joff = prog[0]->jit();
+  ASSERT_EQ(jon == nullptr, joff == nullptr) << tag;
+  if (jon != nullptr) {
+    EXPECT_EQ(jon->total_pcs(), joff->total_pcs()) << tag;
+    EXPECT_EQ(jon->num_native(), joff->num_native()) << tag;
+    EXPECT_EQ(jon->code_bytes(), joff->code_bytes()) << tag;
+    EXPECT_EQ(jon->num_sort_sites(), joff->num_sort_sites()) << tag;
+  }
+  for (int threads : {1, 4}) {
+    const std::string t = tag + " threads=" + std::to_string(threads);
     storage::ResultTable out[2];
     exec::AllocStats stats[2];
-    for (int on : {0, 1}) {
-      VerifyGate gate(on);
-      std::string err;
-      prog[on] = exec::Program::Build(db(), *res.fn, par, &err);
-      ASSERT_NE(prog[on], nullptr) << tag << ": " << err;
-      prog[on]->jit();  // stitch (and audit, when on) under this gate
+    for (int gate : {0, 1}) {
       exec::Interpreter interp(db());
-      out[on] = interp.Run(*prog[on], Jit(par ? 4 : 1));
-      stats[on] = interp.stats();
+      out[gate] = interp.Run(*prog[gate], Jit(threads));
+      stats[gate] = interp.stats();
     }
-    const BytecodeProgram& off = prog[0]->bytecode();
-    const BytecodeProgram& on = prog[1]->bytecode();
-    EXPECT_TRUE(SameBytes(on.code, off.code)) << tag << ": code";
-    EXPECT_EQ(on.extra, off.extra) << tag;
-    EXPECT_TRUE(SameBytes(on.consts, off.consts)) << tag << ": consts";
-    EXPECT_EQ(on.emit_types, off.emit_types) << tag;
-    EXPECT_EQ(on.patterns, off.patterns) << tag;
-    EXPECT_EQ(on.num_regs, off.num_regs) << tag;
-    EXPECT_EQ(on.state_reg, off.state_reg) << tag;
-    EXPECT_EQ(on.gov_cnt_reg, off.gov_cnt_reg) << tag;
-    const exec::jit::JitProgram* jon = prog[1]->jit();
-    const exec::jit::JitProgram* joff = prog[0]->jit();
-    ASSERT_EQ(jon == nullptr, joff == nullptr) << tag;
-    if (jon != nullptr) {
-      EXPECT_EQ(jon->total_pcs(), joff->total_pcs()) << tag;
-      EXPECT_EQ(jon->num_native(), joff->num_native()) << tag;
-      EXPECT_EQ(jon->code_bytes(), joff->code_bytes()) << tag;
-      EXPECT_EQ(jon->num_sort_sites(), joff->num_sort_sites()) << tag;
-    }
-    ExpectBitExact(out[1], out[0], tag);
-    ExpectStatsEqual(stats[1], stats[0], tag);
+    ExpectBitExact(out[1], out[0], t);
+    ExpectStatsEqual(stats[1], stats[0], t);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, JitTpchTest, ::testing::Range(1, 23));
 
-// Census tripwire: over 22 queries x levels 2-5 x {sequential, parallel},
-// every super-instruction family the ISA keeps is formed at least once. A
-// family that stops forming is dead weight in three places (VM handler,
-// JIT template, verifier row) and either a pass regressed or the family
-// should go.
+// Census tripwire: over 22 queries x levels 2-5, every super-instruction
+// family the ISA keeps is formed at least once. A family that stops
+// forming is dead weight in three places (VM handler, JIT template,
+// verifier row) and either a pass regressed or the family should go.
 TEST(BytecodeCensus, EveryFusedFamilyForms) {
   // Each family is one contiguous run of QC_BC_OP_LIST.
   auto in = [](BcOp op, BcOp first, BcOp last) {
@@ -665,17 +668,15 @@ TEST(BytecodeCensus, EveryFusedFamilyForms) {
       QueryCompiler qc(TpchDb(), &types);
       compiler::CompileResult res = qc.Compile(
           *plan, StackConfig::Level(level), "q" + std::to_string(q));
-      for (bool par : {false, true}) {
-        std::string err;
-        auto prog = exec::Program::Build(TpchDb(), *res.fn, par, &err);
-        ASSERT_NE(prog, nullptr) << err;
-        for (const exec::Insn& insn : prog->bytecode().code) {
-          BcOp op = static_cast<BcOp>(insn.op);
-          for_next += op == BcOp::kForNext;
-          jn += in(op, BcOp::kJnEqI, BcOp::kJnGeI);
-          jn_col += in(op, BcOp::kJnColEqI, BcOp::kJnColGeI);
-          rec_acc += op == BcOp::kRecAccAddI;
-        }
+      std::string err;
+      auto prog = exec::Program::Build(TpchDb(), *res.fn, &err);
+      ASSERT_NE(prog, nullptr) << err;
+      for (const exec::Insn& insn : prog->bytecode().code) {
+        BcOp op = static_cast<BcOp>(insn.op);
+        for_next += op == BcOp::kForNext;
+        jn += in(op, BcOp::kJnEqI, BcOp::kJnGeI);
+        jn_col += in(op, BcOp::kJnColEqI, BcOp::kJnColGeI);
+        rec_acc += op == BcOp::kRecAccAddI;
       }
     }
   }
@@ -683,6 +684,57 @@ TEST(BytecodeCensus, EveryFusedFamilyForms) {
   EXPECT_GT(jn, 0) << "kJn<Cmp>";
   EXPECT_GT(jn_col, 0) << "kJnCol<Cmp>";
   EXPECT_GT(rec_acc, 0) << "kRecAccAdd";
+}
+
+// Each parallelizable loop exists once in the bytecode, as its body
+// fragment. Over 22 queries x {levels 2-5, Compliant, LegoBase}, the program
+// Program::Build makes is the plain compile of the same function plus,
+// per kParLoop, its header and its fragment's kRet, plus the kLogRow
+// appends; and the main stream holds no kLogRow and no kForNext over a
+// parallel loop's induction register.
+TEST(BytecodeCensus, EachParallelLoopCompiledOnce) {
+  int par_loops = 0;
+  for (int q = 1; q <= tpch::kNumQueries; ++q) {
+    qplan::PlanPtr plan = tpch::MakeQuery(q);
+    qplan::ResolvePlan(plan.get(), *TpchDb());
+    for (const StackConfig& config :
+         {StackConfig::Level(2), StackConfig::Level(3), StackConfig::Level(4),
+          StackConfig::Level(5), StackConfig::Compliant(),
+          StackConfig::LegoBase()}) {
+      ir::TypeFactory types;
+      QueryCompiler qc(TpchDb(), &types);
+      compiler::CompileResult res =
+          qc.Compile(*plan, config, "q" + std::to_string(q));
+      const std::string tag = "Q" + std::to_string(q) + " " + config.name;
+      std::string err;
+      auto built = exec::Program::Build(TpchDb(), *res.fn, &err);
+      ASSERT_NE(built, nullptr) << tag << ": " << err;
+      const BytecodeProgram& prog = built->bytecode();
+      const BytecodeProgram plain = BytecodeCompiler(TpchDb()).Compile(*res.fn);
+      const int heads = CountOp(prog, BcOp::kParLoop);
+      const int logs = CountOp(prog, BcOp::kLogRow);
+      EXPECT_EQ(heads, static_cast<int>(prog.par_loops.size())) << tag;
+      EXPECT_EQ(prog.code.size(), plain.code.size() + 2 * heads + logs)
+          << tag;
+      par_loops += heads;
+      size_t main_end = prog.code.size();
+      std::vector<uint32_t> ivars;
+      for (const exec::ParLoopCode& plc : prog.par_loops) {
+        main_end = std::min<size_t>(main_end, plc.entry);
+        ivars.push_back(prog.code[plc.entry].a);  // kMov ivar <- lo_reg
+      }
+      for (size_t pc = 0; pc < main_end; ++pc) {
+        const exec::Insn& insn = prog.code[pc];
+        EXPECT_NE(insn.op, static_cast<uint16_t>(BcOp::kLogRow))
+            << tag << " pc " << pc;
+        if (insn.op == static_cast<uint16_t>(BcOp::kForNext)) {
+          EXPECT_FALSE(std::count(ivars.begin(), ivars.end(), insn.a))
+              << tag << " pc " << pc << ": a parallel loop in the main stream";
+        }
+      }
+    }
+  }
+  EXPECT_GT(par_loops, 0);
 }
 
 // The opcodes TPC-H never emits have templates too: kStrLen, kMallocArr and

@@ -723,13 +723,12 @@ TEST(ParallelDeterminismTest, FourThreadRunsIdentical) {
   }
 }
 
-// Compile once, run anywhere: one Program, built parallel, run by two
-// threads at once, each driving its own Interpreter, at threads 1 and 4 on
-// both engines. Every run must match the single-owner run of the same
-// Program bit for bit, with equal AllocStats: all run state lives in each
-// run's own RunState and register file, never in the shared JIT image.
-// Q22 builds containers and interns substrings; Q3 ends in an ORDER BY
-// sort.
+// Compile once, run anywhere: one Program, run by two threads at once,
+// each driving its own Interpreter, at threads 1 and 4 on both engines.
+// Every run must match the single-owner run of the same Program bit for
+// bit, with equal AllocStats: all run state lives in each run's own
+// RunState and register file, never in the shared JIT image. Q22 builds
+// containers and interns substrings; Q3 ends in an ORDER BY sort.
 TEST(SharedProgramTest, ConcurrentRunsMatchSingleOwnerRun) {
   storage::Database db = tpch::MakeTpchDatabase(0.01);
   for (int q : {22, 3}) {
@@ -743,7 +742,7 @@ TEST(SharedProgramTest, ConcurrentRunsMatchSingleOwnerRun) {
     const storage::ResultTable want = ref.Run(*res.fn);
     std::string err;
     std::unique_ptr<const exec::Program> prog =
-        exec::Program::Build(&db, *res.fn, /*parallel=*/true, &err);
+        exec::Program::Build(&db, *res.fn, &err);
     ASSERT_NE(prog, nullptr) << err;
     for (InterpOptions::Engine engine : kEngines) {
       for (int threads : {1, 4}) {

@@ -443,8 +443,7 @@ TEST_F(TpchShape, Q19ComparesDictionaryCodesNotStrings) {
     if (s->op != Op::kStrEq && s->op != Op::kStrNe) return;
     for (const Stmt* a : s->args) {
       if (a->op == Op::kColGet &&
-          Db()->Stats(a->aux0, a->aux1).distinct <=
-              opt::StringDictOptions().max_distinct) {
+          Db()->Stats(a->aux0, a->aux1).distinct <= opt::kDictMaxDistinct) {
         ++str_cmps_on_dict_cols;
       }
     }

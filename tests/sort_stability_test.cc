@@ -164,8 +164,8 @@ TEST(SortStability, InFragmentSortsBitExactOnWorkers) {
   ir::ParallelInfo info = ir::AnalyzeParallelism(fn);
   ASSERT_EQ(info.loops.size(), 1u) << "the in-loop-sort scan must qualify";
 
-  // The sort is compiled twice: into the main stream (the sequential
-  // fallback) and into the morsel fragment the workers run.
+  // The sort is compiled once, into the body fragment that every thread
+  // count runs; the main stream holds only the loop's kParLoop header.
   {
     storage::Database cdb;
     exec::BytecodeProgram prog =
@@ -180,7 +180,7 @@ TEST(SortStability, InFragmentSortsBitExactOnWorkers) {
       }
       ++(pc < frag_entry ? main_sorts : frag_sorts);
     }
-    EXPECT_EQ(main_sorts, 1);
+    EXPECT_EQ(main_sorts, 0);
     EXPECT_EQ(frag_sorts, 1);
   }
 
