@@ -36,19 +36,20 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
 }
 
-// Generated programs #include the runtime header from the source tree, so
-// its contents must be part of the cache key — otherwise editing it would
+// Generated programs #include the runtime headers from the source tree, so
+// their contents must be part of the cache key — otherwise editing one would
 // silently reuse stale binaries.
 uint64_t RuntimeHeaderHash() {
   static const uint64_t h = [] {
+    uint64_t key = 0;
 #ifdef QC_SOURCE_DIR
-    std::ifstream f(std::string(QC_SOURCE_DIR) + "/src/cgen/qc_runtime.h");
-    std::string text((std::istreambuf_iterator<char>(f)),
-                     std::istreambuf_iterator<char>());
-    return HashString(text);
-#else
-    return uint64_t{0};
+    for (const char* header : kRuntimeHeaders) {
+      std::ifstream f(std::string(QC_SOURCE_DIR) + "/" + header);
+      key = HashCombine(key, HashString(std::string(
+                                 std::istreambuf_iterator<char>(f), {})));
+    }
 #endif
+    return key;
   }();
   return h;
 }

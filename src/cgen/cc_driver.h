@@ -19,6 +19,12 @@ struct RunOutput {
   std::string error;
 };
 
+// Every project header a generated program includes, relative to the source
+// tree: the runtime and the scalar ops it shares with the engines. The
+// binary cache keys on their contents.
+inline constexpr const char* kRuntimeHeaders[] = {"src/cgen/qc_runtime.h",
+                                                  "src/common/scalar_ops.h"};
+
 class CcDriver {
  public:
   // `work_dir` holds sources and cached binaries. QC_CC_CACHE_DIR, when
@@ -30,7 +36,8 @@ class CcDriver {
 
   // Writes `source` to <name>.c and compiles it. Returns the binary path
   // (empty on failure). `compile_ms` receives the C-compiler wall time.
-  // Binaries are cached in the work dir keyed by a hash of source + flags;
+  // Binaries are cached in the work dir keyed by a hash of source, flags
+  // and the runtime headers (kRuntimeHeaders);
   // a cache hit skips the compiler and reports 0 ms.
   std::string Compile(const std::string& name, const std::string& source,
                       double* compile_ms, std::string* error = nullptr);

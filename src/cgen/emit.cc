@@ -8,6 +8,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/str.h"
+
 namespace qc::cgen {
 
 using ir::Block;
@@ -233,16 +235,16 @@ class CEmitter {
       std::string name = Sanitize(t->record->name);
       out_ << "static uint64_t qc_hash_" << name << "(qc_slot s) {\n";
       out_ << "  struct " << name << "* k = (struct " << name << "*)s.p;\n";
-      out_ << "  uint64_t h = 0x42;\n";
+      out_ << "  uint64_t h = qc::kRecordHashSeed;\n";
       for (const auto& f : t->record->fields) {
         std::string fld = "k->" + Sanitize(f.name);
         if (f.type->kind == TypeKind::kStr) {
-          out_ << "  h = qc_hash_combine(h, qc_hash_str(" << fld << "));\n";
+          out_ << "  h = qc::HashCombine(h, qc::HashCStr(" << fld << "));\n";
         } else if (f.type->kind == TypeKind::kF64) {
           out_ << "  { uint64_t b; memcpy(&b, &" << fld
-               << ", 8); h = qc_hash_combine(h, qc_hash_u64(b)); }\n";
+               << ", 8); h = qc::HashCombine(h, qc::HashMix(b)); }\n";
         } else {
-          out_ << "  h = qc_hash_combine(h, qc_hash_u64((uint64_t)" << fld
+          out_ << "  h = qc::HashCombine(h, qc::HashMix((uint64_t)" << fld
                << "));\n";
         }
       }
@@ -443,21 +445,31 @@ class CEmitter {
                     ") < 0");
         break;
       case Op::kStrStartsWith:
-        Decl(s, "qc_starts_with(" + Ref(s->args[0]) + ", " + Ref(s->args[1]) +
-                    ")");
+        Decl(s, "qc::StrStartsWith(" + Ref(s->args[0]) + ", " +
+                    Ref(s->args[1]) + ")");
         break;
       case Op::kStrEndsWith:
-        Decl(s, "qc_ends_with(" + Ref(s->args[0]) + ", " + Ref(s->args[1]) +
-                    ")");
+        Decl(s, "qc::StrEndsWith(" + Ref(s->args[0]) + ", " +
+                    Ref(s->args[1]) + ")");
         break;
       case Op::kStrContains:
-        Decl(s, "qc_contains(" + Ref(s->args[0]) + ", " + Ref(s->args[1]) +
-                    ")");
+        Decl(s, "qc::StrContains(" + Ref(s->args[0]) + ", " +
+                    Ref(s->args[1]) + ")");
         break;
-      case Op::kStrLike:
-        Decl(s, "qc_str_like(" + Ref(s->args[0]) + ", \"" +
-                    EscapeString(s->sval) + "\")");
+      case Op::kStrLike: {
+        // Split at generation time, as the bytecode compiler splits at
+        // compile time: the C runs the engines' segment matcher.
+        std::vector<std::string> segs = SplitLike(s->sval);
+        std::string arr = Ref(s) + "_segs", init;
+        for (const std::string& seg : segs) {
+          init += "{\"" + EscapeString(seg) + "\", " +
+                  std::to_string(seg.size()) + "}, ";
+        }
+        Line("static const qc::LikeSeg " + arr + "[] = {" + init + "};");
+        Decl(s, "qc::StrLikeSegs(" + Ref(s->args[0]) + ", " + arr + ", " +
+                    std::to_string(segs.size()) + ")");
         break;
+      }
       case Op::kStrLen:
         Decl(s, "(int64_t)strlen(" + Ref(s->args[0]) + ")");
         break;

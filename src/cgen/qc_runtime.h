@@ -4,12 +4,13 @@
 // *generic* chained hash table and growable vector (the GLib stand-ins used
 // whenever the stack did not specialize a data structure — complete with
 // caller-supplied hash/equality function pointers and one malloc per node),
-// bump-pointer memory pools (the target of allocation hoisting), string
-// helpers, and result emission.
+// bump-pointer memory pools (the target of allocation hoisting), and result
+// emission. The scalar ops — hashes, string predicates, LIKE, SUBSTR's
+// bounds — are common/scalar_ops.h's, the definitions the engines run too.
 //
-// The header is C-style C++ (the only C++ features generated code uses are
-// lambdas for sort comparators); generated translation units compile with
-// `cc -O2 -x c++`.
+// The header is C-style C++ (the C++ features generated code uses are
+// lambdas for sort comparators and the qc:: scalar ops); generated
+// translation units compile with `cc -O2 -x c++`.
 #ifndef QC_CGEN_QC_RUNTIME_H_
 #define QC_CGEN_QC_RUNTIME_H_
 
@@ -18,6 +19,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "../common/scalar_ops.h"
 
 // ---------------------------------------------------------------------------
 // slots
@@ -220,95 +223,21 @@ static inline qc_vec* qc_mmap_get(qc_map* m, qc_slot key) {
 }
 
 // ---------------------------------------------------------------------------
-// hashing helpers
+// the generic map's adapters for i64 keys, and SUBSTR into the string pool
 // ---------------------------------------------------------------------------
 
-static inline uint64_t qc_hash_u64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 static inline uint64_t qc_hash_i64_slot(qc_slot s) {
-  return qc_hash_u64((uint64_t)s.i);
+  return qc::HashMix((uint64_t)s.i);
 }
 
 static inline int qc_eq_i64_slot(qc_slot a, qc_slot b) { return a.i == b.i; }
 
-static inline uint64_t qc_hash_str(const char* s) {
-  uint64_t h = 1469598103934665603ULL;
-  while (*s) {
-    h ^= (unsigned char)*s++;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-static inline uint64_t qc_hash_combine(uint64_t seed, uint64_t v) {
-  return qc_hash_u64(seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) +
-                             (seed >> 2)));
-}
-
-// ---------------------------------------------------------------------------
-// string predicates
-// ---------------------------------------------------------------------------
-
-static inline int qc_starts_with(const char* s, const char* p) {
-  return strncmp(s, p, strlen(p)) == 0;
-}
-
-static inline int qc_ends_with(const char* s, const char* p) {
-  size_t ls = strlen(s), lp = strlen(p);
-  return ls >= lp && strcmp(s + ls - lp, p) == 0;
-}
-
-static inline int qc_contains(const char* s, const char* p) {
-  return strstr(s, p) != NULL;
-}
-
-// SQL LIKE restricted to '%' wildcards (matches common/str.cc).
-static inline int qc_str_like(const char* s, const char* pat) {
-  // Split pattern on '%' lazily.
-  const char* p = pat;
-  size_t slen = strlen(s);
-  // First segment anchored at start.
-  const char* seg = p;
-  const char* pct = strchr(p, '%');
-  if (pct == NULL) return strcmp(s, pat) == 0;
-  size_t seglen = (size_t)(pct - seg);
-  if (seglen > slen || strncmp(s, seg, seglen) != 0) return 0;
-  size_t pos = seglen;
-  p = pct + 1;
-  while (1) {
-    pct = strchr(p, '%');
-    if (pct == NULL) break;
-    seglen = (size_t)(pct - p);
-    if (seglen > 0) {
-      char buf[256];
-      if (seglen >= sizeof(buf)) return 0;
-      memcpy(buf, p, seglen);
-      buf[seglen] = 0;
-      const char* found = strstr(s + pos, buf);
-      if (found == NULL) return 0;
-      pos = (size_t)(found - s) + seglen;
-    }
-    p = pct + 1;
-  }
-  // Last segment anchored at the end.
-  size_t lastlen = strlen(p);
-  if (lastlen == 0) return 1;
-  if (slen < pos + lastlen) return 0;
-  return strcmp(s + slen - lastlen, p) == 0;
-}
-
 static inline const char* qc_substr(qc_pool** pool, const char* s, int start,
                                     int len) {
-  size_t slen = strlen(s);
-  size_t st = (size_t)start < slen ? (size_t)start : slen;
-  size_t n = (size_t)len < slen - st ? (size_t)len : slen - st;
+  size_t from = 0;
+  size_t n = qc::SubstrClamp(s, start, len, &from);
   char* r = (char*)qc_pool_alloc(pool, n + 1);
-  memcpy(r, s + st, n);
+  memcpy(r, s + from, n);
   r[n] = 0;
   return r;
 }

@@ -1,40 +1,15 @@
-// Hashing helpers shared by the runtime data structures and the compiler's
-// CSE maps.
+// HashString over a std::string_view, for host-side keys such as the C
+// compiler driver's binary cache. The hash ops themselves are
+// common/scalar_ops.h's, shared with the runtime and the generated C.
 #ifndef QC_COMMON_HASH_H_
 #define QC_COMMON_HASH_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
+#include "common/scalar_ops.h"
+
 namespace qc {
-
-// 64-bit mix (splitmix64 finalizer) — cheap and well distributed. constexpr
-// so the JIT's inline hash-probe template (src/jit/templates.cc), which
-// hard-codes this sequence in machine code, can static_assert it has not
-// drifted.
-constexpr uint64_t HashMix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
-  return HashMix(seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) +
-                         (seed >> 2)));
-}
-
-// FNV-1a over bytes, for string keys.
-inline uint64_t HashBytes(const void* data, size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 inline uint64_t HashString(std::string_view s) {
   return HashBytes(s.data(), s.size());

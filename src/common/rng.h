@@ -6,7 +6,7 @@
 
 #include <cstdint>
 
-#include "common/hash.h"
+#include "common/scalar_ops.h"
 
 namespace qc {
 
@@ -14,7 +14,7 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 42) {
     s0_ = HashMix(seed);
-    s1_ = HashMix(seed + 0x9e3779b97f4a7c15ULL);
+    s1_ = HashMix(seed + kHashGamma);
   }
 
   uint64_t Next() {

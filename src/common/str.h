@@ -1,6 +1,7 @@
-// String predicates used by the query runtime. SQL LIKE is restricted to the
-// '%'-wildcard patterns TPC-H uses (prefix, suffix, infix, and
-// %a%b%-style multi-segment containment).
+// SQL LIKE's pattern split. LIKE is restricted to the '%'-wildcard patterns
+// TPC-H uses (prefix, suffix, infix, and %a%b%-style containment); its
+// matching core StrLikeSegs and the other string predicates are
+// common/scalar_ops.h's, the one definition the engines and the C share.
 #ifndef QC_COMMON_STR_H_
 #define QC_COMMON_STR_H_
 
@@ -8,28 +9,18 @@
 #include <string_view>
 #include <vector>
 
+#include "common/scalar_ops.h"
+
 namespace qc {
 
-bool StrStartsWith(std::string_view s, std::string_view prefix);
-bool StrEndsWith(std::string_view s, std::string_view suffix);
-bool StrContains(std::string_view s, std::string_view infix);
-
-// Matches SQL LIKE with '%' wildcards only (no '_') against the
-// NUL-terminated `s`: the pattern is split on '%' and segments must appear
-// in order, anchored at the ends when the pattern does not start/end with
-// '%'.
-bool StrLike(const char* s, std::string_view pattern);
-
-// Splits a '%'-pattern into its literal segments.
+// Splits a '%'-pattern into its literal segments. Callers that can split
+// once (the bytecode compiler at compile time, the C emitter at generation
+// time) pass the segments to StrLikeSegs themselves.
 std::vector<std::string> SplitLike(std::string_view pattern);
 
-// The matching core over already-split segments — StrLike is
-// SplitLike + this. Callers that can split once (the bytecode compiler
-// splits each pattern at compile time) use it directly, so the two paths
-// cannot diverge. The algorithm is the generated C's qc_str_like
-// (cgen/qc_runtime.h): strncmp for the anchored prefix, strstr for each
-// middle segment, one strlen and memcmp for the anchored suffix.
-bool StrLikeSegs(const char* s, const std::vector<std::string>& segs);
+// Matches SQL LIKE with '%' wildcards only (no '_') against the
+// NUL-terminated `s`: SplitLike + StrLikeSegs.
+bool StrLike(const char* s, std::string_view pattern);
 
 }  // namespace qc
 

@@ -872,7 +872,12 @@ void BytecodeCompiler::CompileStmt(const Stmt* s) {
       Emit(BcOp::kStrContains, Reg(s), Reg(s->args[0]), Reg(s->args[1]));
       return;
     case Op::kStrLike: {
-      prog_.patterns.push_back(SplitLike(s->sval));
+      std::vector<LikeSeg> segs;
+      for (std::string& text : SplitLike(s->sval)) {
+        const std::string& owned = prog_.strings.emplace_back(std::move(text));
+        segs.push_back({owned.c_str(), owned.size()});
+      }
+      prog_.patterns.push_back(std::move(segs));
       Emit(BcOp::kStrLike, Reg(s), Reg(s->args[0]),
            static_cast<uint32_t>(prog_.patterns.size() - 1));
       return;

@@ -33,7 +33,6 @@
 #ifndef QC_EXEC_BYTECODE_H_
 #define QC_EXEC_BYTECODE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -42,7 +41,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/str.h"
+#include "common/scalar_ops.h"
 #include "exec/parallel.h"
 #include "exec/runtime.h"
 #include "ir/parallel.h"
@@ -213,8 +212,9 @@ struct BytecodeProgram {
   std::vector<const void*> ptrs;         // pre-resolved column/index data
   std::vector<const ir::Type*> types;    // map/mmap key types
   // kStrLike patterns, each split once into its '%'-delimited segments
-  // (SplitLike) at compile time; the JIT patches their addresses.
-  std::vector<std::vector<std::string>> patterns;
+  // (SplitLike) at compile time; the segment text lives in `strings`. The
+  // JIT patches their addresses.
+  std::vector<std::vector<LikeSeg>> patterns;
   std::deque<std::string> strings;       // owned string constants (stable)
   std::vector<storage::ColType> emit_types;
   std::vector<ParLoopCode> par_loops;  // morsel-parallelizable scan loops
@@ -269,19 +269,18 @@ inline int64_t StrContains(const char* s, const char* p) {
   return qc::StrContains(s, p) ? 1 : 0;
 }
 // LIKE over a pattern split at bytecode compile time (prog.patterns).
-inline int64_t StrLike(const char* s, const std::vector<std::string>* segs) {
-  return StrLikeSegs(s, *segs) ? 1 : 0;
+inline int64_t StrLike(const char* s, const std::vector<LikeSeg>* segs) {
+  return StrLikeSegs(s, segs->data(), segs->size()) ? 1 : 0;
 }
 inline int64_t StrLen(const char* s) {
   return static_cast<int64_t>(std::strlen(s));
 }
-// s[start, start + count), both clamped to the string, interned into the
-// context's string arena.
+// s[start, start + count), clamped to the string (SubstrClamp), interned
+// into the context's string arena.
 inline const char* StrSubstr(RunState* st, const char* s, uint32_t start,
                              int32_t count) {
-  size_t len = std::strlen(s);
-  size_t from = std::min<size_t>(start, len);
-  size_t cnt = std::min<size_t>(count, len - from);
+  size_t from = 0;
+  size_t cnt = SubstrClamp(s, start, count, &from);
   st->strings.emplace_back(s + from, cnt);
   return st->strings.back().c_str();
 }

@@ -98,9 +98,9 @@ void SortSlots(GovState* gov, SortComparator& cmp, Slot* data, int64_t n) {
 uint64_t SlotHasher::HashTyped(const ir::Type* t, Slot v) {
   switch (t->kind) {
     case ir::TypeKind::kStr:
-      return HashString(v.s);
+      return HashCStr(v.s);
     case ir::TypeKind::kRecord: {
-      uint64_t h = 0x42;
+      uint64_t h = kRecordHashSeed;
       const Slot* fields = static_cast<const Slot*>(v.p);
       const auto& defs = t->record->fields;
       for (size_t i = 0; i < defs.size(); ++i) {

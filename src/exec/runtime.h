@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/hash.h"
+#include "common/scalar_ops.h"
 #include "common/value.h"
 #include "ir/type.h"
 

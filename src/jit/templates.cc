@@ -7,7 +7,7 @@
 #include <functional>
 #include <vector>
 
-#include "common/hash.h"
+#include "common/scalar_ops.h"
 #include "jit/emitter.h"
 #include "jit/engine.h"
 #include "storage/database.h"
@@ -55,15 +55,13 @@ void HelpSort(Slot* regs, const JitSortSite* site) {
   SortSlots(&st->gov, cmp, data, n);
 }
 
-// The hash-probe template hard-codes the splitmix64 finalizer in machine
-// code; hold it against the C++ implementation the VM hashes with.
-constexpr uint64_t kMix1 = 0x9e3779b97f4a7c15ull;
-constexpr uint64_t kMix2 = 0xbf58476d1ce4e5b9ull;
-constexpr uint64_t kMix3 = 0x94d049bb133111ebull;
+// The hash-probe template hard-codes the splitmix64 finalizer's sequence
+// in machine code; hold it against the one HashMix (common/scalar_ops.h)
+// every backend hashes with.
 constexpr uint64_t JitHashMixRef(uint64_t x) {
-  x += kMix1;
-  x = (x ^ (x >> 30)) * kMix2;
-  x = (x ^ (x >> 27)) * kMix3;
+  x += kHashGamma;
+  x = (x ^ (x >> 30)) * kHashMul1;
+  x = (x ^ (x >> 27)) * kHashMul2;
   return x ^ (x >> 31);
 }
 static_assert(JitHashMixRef(0xDEADBEEFCAFEull) == HashMix(0xDEADBEEFCAFEull) &&
@@ -532,17 +530,17 @@ Store* BuildTemplates() {
   auto emit_probe = [map_boff](TB& t) {
     int32_t bo = static_cast<int32_t>(map_boff);
     t.a.MovRegReg(RCX, RAX);  // h = HashMix(key): splitmix64 finalizer
-    t.a.MovImm64(RDX, kMix1);
+    t.a.MovImm64(RDX, kHashGamma);
     t.a.AddRegReg(RCX, RDX);
     t.a.MovRegReg(RDX, RCX);
     t.a.ShrImm8(RDX, 30);
     t.a.XorRegReg(RCX, RDX);
-    t.a.MovImm64(RDX, kMix2);
+    t.a.MovImm64(RDX, kHashMul1);
     t.a.ImulRegReg(RCX, RDX);
     t.a.MovRegReg(RDX, RCX);
     t.a.ShrImm8(RDX, 27);
     t.a.XorRegReg(RCX, RDX);
-    t.a.MovImm64(RDX, kMix3);
+    t.a.MovImm64(RDX, kHashMul2);
     t.a.ImulRegReg(RCX, RDX);
     t.a.MovRegReg(RDX, RCX);
     t.a.ShrImm8(RDX, 31);

@@ -164,16 +164,16 @@ class Evaluator {
       case ExprKind::kNot:
         return SlotI(EvalExpr(e->kids[0], row).i == 0 ? 1 : 0);
       case ExprKind::kLike:
-        return SlotI(StrLike(EvalExpr(e->kids[0], row).s, e->name) ? 1 : 0);
+        return SlotI(StrLike(EvalExpr(e->kids[0], row).s, e->name));
       case ExprKind::kStartsWith:
-        return SlotI(StrStartsWith(EvalExpr(e->kids[0], row).s, e->name) ? 1
-                                                                         : 0);
+        return SlotI(
+            StrStartsWith(EvalExpr(e->kids[0], row).s, e->name.c_str()));
       case ExprKind::kEndsWith:
-        return SlotI(StrEndsWith(EvalExpr(e->kids[0], row).s, e->name) ? 1
-                                                                       : 0);
+        return SlotI(
+            StrEndsWith(EvalExpr(e->kids[0], row).s, e->name.c_str()));
       case ExprKind::kContains:
-        return SlotI(StrContains(EvalExpr(e->kids[0], row).s, e->name) ? 1
-                                                                       : 0);
+        return SlotI(
+            StrContains(EvalExpr(e->kids[0], row).s, e->name.c_str()));
       case ExprKind::kCase: {
         bool c = EvalExpr(e->kids[0], row).i != 0;
         const ExprPtr& branch = c ? e->kids[1] : e->kids[2];
@@ -188,10 +188,9 @@ class Evaluator {
         return SlotI(EvalExpr(e->kids[0], row).i / 10000);
       case ExprKind::kSubstr: {
         const char* s = EvalExpr(e->kids[0], row).s;
-        size_t len = std::strlen(s);
-        size_t start = std::min<size_t>(e->aux0, len);
-        size_t n = std::min<size_t>(e->aux1, len - start);
-        return SlotS(Intern(std::string(s + start, n)));
+        size_t from = 0;
+        size_t n = SubstrClamp(s, e->aux0, e->aux1, &from);
+        return SlotS(Intern(std::string(s + from, n)));
       }
     }
     std::abort();

@@ -5,8 +5,12 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "cgen/cc_driver.h"
 #include "cgen/emit.h"
@@ -169,6 +173,38 @@ TEST(CgenCacheFaultTest, FailedSourceWriteLeavesNoPartialFile) {
   ASSERT_FALSE(bin.empty()) << error;
   cgen::RunOutput out = driver.Run(bin);
   EXPECT_TRUE(out.ok) << out.error;
+}
+
+// The binary cache keys on every project header a generated program
+// includes: qc_runtime.h and, transitively, each header it names in a
+// quoted #include (the shared scalar ops), resolved against the includer's
+// directory as the compiler does. An edit to any of them compiles afresh.
+TEST(CgenCacheKeyTest, KeysEveryQuotedIncludeOfTheRuntimeHeader) {
+  const std::filesystem::path root(QC_SOURCE_DIR);
+  std::vector<std::string> keyed;
+  for (const char* header : cgen::kRuntimeHeaders) {
+    keyed.push_back((root / header).lexically_normal().string());
+    EXPECT_TRUE(std::filesystem::exists(keyed.back())) << header;
+  }
+  std::vector<std::filesystem::path> todo = {root / "src/cgen/qc_runtime.h"};
+  std::vector<std::string> seen;
+  while (!todo.empty()) {
+    std::string path = todo.back().lexically_normal().string();
+    todo.pop_back();
+    if (std::count(seen.begin(), seen.end(), path) > 0) continue;
+    seen.push_back(path);
+    EXPECT_EQ(std::count(keyed.begin(), keyed.end(), path), 1)
+        << path << " is included but missing from the binary-cache key";
+    std::ifstream f(path);
+    for (std::string line; std::getline(f, line);) {
+      size_t at = line.find("#include \"");
+      if (at == std::string::npos) continue;
+      at += 10;
+      todo.push_back(std::filesystem::path(path).parent_path() /
+                     line.substr(at, line.find('"', at) - at));
+    }
+  }
+  EXPECT_GE(seen.size(), 2u) << "qc_runtime.h includes the shared scalar ops";
 }
 
 }  // namespace

@@ -7,12 +7,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "cgen/qc_runtime.h"
+#include "cgen/cc_driver.h"
+#include "cgen/emit.h"
 #include "common/arena.h"
 #include "common/backoff.h"
 #include "common/date.h"
@@ -21,6 +23,8 @@
 #include "common/knobs.h"
 #include "common/rng.h"
 #include "common/str.h"
+#include "compiler/compiler.h"
+#include "exec/interp.h"
 #include "jit/engine.h"
 #include "qplan/plan.h"
 #include "scoped_env.h"
@@ -119,28 +123,32 @@ TEST(StrHelpers, PrefixSuffixInfix) {
   EXPECT_FALSE(StrContains("dark grey ivory", "green"));
 }
 
-// The LIKE edge sweep: the one matching core of the VM and the JIT
-// (StrLikeSegs over the pattern split once, as the bytecode compiler does),
-// the generated C's qc_str_like and the Volcano oracle must all give the
-// SQL answer on the '%'-dialect's edge shapes: empty segments, segments
-// that overlap in the text, patterns longer than the text, '%' alone, no
-// '%', and an anchored prefix and suffix that overlap.
-TEST(StrLikeEdgeSweep, RuntimeGeneratedCAndVolcanoAgree) {
-  const char* kTexts[] = {"", "a", "aa", "ab", "aba", "abab", "abba",
-                          "abc", "abcc", "ba", "xabcx"};
+// The LIKE and SUBSTR edge sweep through all four backends: the Volcano
+// oracle, the VM and the JIT at 1 and 4 threads, and a compiled
+// generated-C program, each running one plan that projects one column per
+// LIKE pattern and per SUBSTR shape. The '%'-dialect's edge shapes: empty
+// segments, segments that overlap in the text, patterns longer than the
+// text, '%' alone, no '%', an anchored prefix and suffix that overlap, and
+// middle segments of 255, 256 and 300 bytes (the generated C once copied
+// each middle segment into a 256-byte buffer and missed the longer ones).
+// SUBSTR: a start past the end, a length past the end, the empty string.
+TEST(StrLikeEdgeSweep, VolcanoVmJitAndGeneratedCAgree) {
+  const std::string x255(255, 'x'), x256(256, 'x'), x300(300, 'x'),
+      x302(302, 'x');
+  const std::vector<std::string> kTexts = {
+      "", "a", "aa", "ab", "aba", "abab", "abba", "abc", "abcc", "ba",
+      "xabcx", "query", "compiler", x255, x256, x302};
   struct Case {
-    const char* pattern;
-    std::vector<const char*> matches;  // the texts it matches
+    std::string pattern;
+    std::vector<std::string> matches;  // the texts it matches
   };
-  const Case kCases[] = {
+  const std::vector<Case> kCases = {
       // '%' only, and no '%' at all.
-      {"%", {"", "a", "aa", "ab", "aba", "abab", "abba", "abc", "abcc", "ba",
-             "xabcx"}},
+      {"%", kTexts},
       {"", {""}},
       {"ab", {"ab"}},
       // Empty segments: adjacent and repeated '%'s.
-      {"%%", {"", "a", "aa", "ab", "aba", "abab", "abba", "abc", "abcc",
-              "ba", "xabcx"}},
+      {"%%", kTexts},
       {"a%%c", {"abc", "abcc"}},
       {"%%b%%", {"ab", "aba", "abab", "abba", "abc", "abcc", "ba", "xabcx"}},
       // Middle segments must not overlap each other or the suffix.
@@ -156,35 +164,107 @@ TEST(StrLikeEdgeSweep, RuntimeGeneratedCAndVolcanoAgree) {
       {"%abcabc%", {}},
       {"abcab%", {}},
       {"%cabcc", {}},
+      // Long middle segments, either side of 256 bytes.
+      {"%" + x255 + "%", {x255, x256, x302}},
+      {"%" + x256 + "%", {x256, x302}},
+      {"%" + x300 + "%", {x302}},
+      {"%" + x256 + "y%", {}},
   };
+  struct SubstrCase {
+    int start, len;
+  };
+  const SubstrCase kSubstrs[] = {{1, 3}, {2, 100}, {40, 2}};
 
+  // Enough copies of the texts that 4 threads split the scan into morsels.
+  constexpr int kCopies = 256;
   storage::Database db;
   storage::TableDef def;
   def.name = "T";
   def.columns = {{"s", storage::ColType::kStr}};
   storage::Table* t = db.AddTable(def);
-  for (const char* text : kTexts) {
-    t->column(0).data.push_back(SlotS(t->InternString(text)));
-  }
-  for (const Case& c : kCases) {
-    const std::vector<std::string> segs = SplitLike(c.pattern);
-    qplan::PlanPtr plan = qplan::ProjectOp(
-        qplan::ScanOp("T"),
-        {{"m", qplan::Like(qplan::Col("s"), c.pattern)}});
-    qplan::ResolvePlan(plan.get(), db);
-    storage::ResultTable volcano_out = volcano::Execute(*plan, db);
-    ASSERT_EQ(volcano_out.size(), std::size(kTexts)) << c.pattern;
-    for (size_t i = 0; i < std::size(kTexts); ++i) {
-      const char* text = kTexts[i];
-      bool want = false;
-      for (const char* m : c.matches) want |= std::strcmp(m, text) == 0;
-      const std::string tag =
-          std::string("'") + text + "' LIKE '" + c.pattern + "'";
-      EXPECT_EQ(StrLikeSegs(text, segs), want) << tag << " (runtime)";
-      EXPECT_EQ(qc_str_like(text, c.pattern) != 0, want) << tag << " (cgen)";
-      EXPECT_EQ(volcano_out.row(i)[0].i != 0, want) << tag << " (volcano)";
+  for (int copy = 0; copy < kCopies; ++copy) {
+    for (const std::string& text : kTexts) {
+      t->column(0).data.push_back(SlotS(t->InternString(text)));
     }
   }
+  std::vector<qplan::NamedExpr> cols;
+  for (const Case& c : kCases) {
+    cols.push_back({"m" + std::to_string(cols.size()),
+                     qplan::Like(qplan::Col("s"), c.pattern)});
+  }
+  for (const SubstrCase& sc : kSubstrs) {
+    cols.push_back({"m" + std::to_string(cols.size()),
+                     qplan::Substr(qplan::Col("s"), sc.start, sc.len)});
+  }
+  qplan::PlanPtr plan = qplan::ProjectOp(qplan::ScanOp("T"), std::move(cols));
+  qplan::ResolvePlan(plan.get(), db);
+
+  // The expected row of each text: the SQL answer per pattern, then each
+  // SUBSTR through std::string's own clamp.
+  std::vector<std::string> want;
+  for (const std::string& text : kTexts) {
+    std::string row;
+    for (const Case& c : kCases) {
+      bool match = std::count(c.matches.begin(), c.matches.end(), text) > 0;
+      row += std::string(row.empty() ? "" : "|") + (match ? "1" : "0");
+    }
+    for (const SubstrCase& sc : kSubstrs) {
+      row += "|" + text.substr(std::min<size_t>(sc.start, text.size()),
+                               sc.len);
+    }
+    want.push_back(row);
+  }
+  auto expect_rows = [&](const std::vector<std::string>& got,
+                         const std::string& backend) {
+    ASSERT_EQ(got.size(), kTexts.size() * kCopies) << backend;
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r], want[r % kTexts.size()])
+          << backend << ", text '" << kTexts[r % kTexts.size()] << "'";
+      if (got[r] != want[r % kTexts.size()]) return;  // one report each
+    }
+  };
+  auto rows_of = [](const storage::ResultTable& res) {
+    std::vector<std::string> rows;
+    for (size_t i = 0; i < res.size(); ++i) rows.push_back(res.RowToString(i));
+    return rows;
+  };
+
+  expect_rows(rows_of(volcano::Execute(*plan, db)), "volcano");
+
+  ir::TypeFactory types;
+  compiler::QueryCompiler qc(&db, &types);
+  compiler::CompileResult res =
+      qc.Compile(*plan, compiler::StackConfig::Level(5), "like_sweep");
+  for (exec::InterpOptions::Engine engine :
+       {exec::InterpOptions::Engine::kBytecode,
+        exec::InterpOptions::Engine::kJit}) {
+    for (int threads : {1, 4}) {
+      exec::InterpOptions opts;
+      opts.engine = engine;
+      opts.num_threads = threads;
+      exec::Interpreter interp(&db, opts);
+      expect_rows(rows_of(interp.Run(*res.fn)),
+                  std::string(engine == exec::InterpOptions::Engine::kJit
+                                  ? "jit"
+                                  : "vm") +
+                      " threads " + std::to_string(threads));
+    }
+  }
+
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string dir =
+      std::string(tmp != nullptr ? tmp : "/tmp") + "/qcstack_like_sweep";
+  std::filesystem::create_directories(dir);
+  db.ExportBinary(dir);
+  std::string src = cgen::EmitProgram(*res.fn, db, dir);
+  db.ExportAux(dir);
+  cgen::CcDriver driver(dir);
+  std::string error;
+  std::string bin = driver.Compile("like_sweep", src, nullptr, &error);
+  ASSERT_FALSE(bin.empty()) << error;
+  cgen::RunOutput out = driver.Run(bin);
+  ASSERT_TRUE(out.ok) << out.error;
+  expect_rows(out.row_text, "generated C");
 }
 
 TEST(Arena, AllocatesAlignedAndTracks) {
